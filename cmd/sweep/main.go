@@ -260,9 +260,8 @@ func printTrace(baseURL, id string) error {
 		return err
 	}
 	fmt.Printf("trace %s  job %s  state %s  wall %.3fs\n", tr.TraceID, tr.ID, tr.State, tr.WallSeconds)
-	// One shared rollup path (obs.RollupStages) serves this CLI and the
-	// bench harness's component breakdowns, so the two never disagree on
-	// what a stage's total means.
+	// obs.RollupStages is the one rollup, shared with bench/ -trace, so
+	// the two never disagree on what a stage's total means.
 	agg := obs.RollupStages(tr.Spans)
 	for _, n := range obs.StageOrder(tr.Spans) {
 		r := agg[n]

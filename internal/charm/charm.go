@@ -444,9 +444,7 @@ func (rt *Runtime) drainSequential() PhaseStats {
 		ctxs[pe] = Ctx{rt: rt, pe: PE(pe), sendLocal: dispatch}
 	}
 
-	rounds := 0
 	for {
-		rounds++
 		work := false
 		for pe := 0; pe < pes; pe++ {
 			for len(rt.queues[pe]) > 0 {
@@ -478,7 +476,6 @@ func (rt *Runtime) drainSequential() PhaseStats {
 			break
 		}
 	}
-	_ = rounds
 	// Detector accounting: completion detection confirms produced==consumed
 	// once more after first seeing it; quiescence detection additionally
 	// re-confirms global idleness of the whole application.

@@ -194,7 +194,9 @@ func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*client.StatsRepl
 
 // mergeStats folds one backend's snapshot into the fleet aggregate.
 // Counters and gauges sum; uptime takes the longest-lived backend (the
-// fleet has been up at least that long).
+// fleet has been up at least that long); cells_per_sec is re-derived
+// from the merged totals, so the aggregate satisfies the same
+// cells_streamed / uptime_sec identity as every daemon's own reply.
 func mergeStats(into *client.StatsReply, st client.StatsReply) {
 	if st.UptimeSec > into.UptimeSec {
 		into.UptimeSec = st.UptimeSec
@@ -207,7 +209,9 @@ func mergeStats(into *client.StatsReply, st client.StatsReply) {
 	into.SweepsCanceled += st.SweepsCanceled
 	into.SweepsEvicted += st.SweepsEvicted
 	into.CellsStreamed += st.CellsStreamed
-	into.CellsPerSec += st.CellsPerSec
+	if into.UptimeSec > 0 {
+		into.CellsPerSec = float64(into.CellsStreamed) / into.UptimeSec
+	}
 	into.SubmitsTotal += st.SubmitsTotal
 	into.SubmitErrors += st.SubmitErrors
 	into.EventsSent += st.EventsSent

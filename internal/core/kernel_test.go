@@ -172,6 +172,52 @@ func TestKernelAutoReducesWork(t *testing.T) {
 	}
 }
 
+// TestKernelAutoDenseFallbackAddsNoWork pins the other half of the auto
+// kernel's contract, as work counts rather than wall clock: seeded deep
+// in fallback territory, every day that opens with more than
+// denseSwitchNum/denseSwitchDen of the population infectious must run
+// as a plain dense day — labelled dense and moving exactly the dense
+// run's messages in both phases.
+func TestKernelAutoDenseFallbackAddsNoWork(t *testing.T) {
+	pop := testPop(t)
+	m := hotModel()
+	mk := func(kernel string) Config {
+		return Config{Population: pop, Disease: m, Kernel: kernel,
+			Days: 10, Seed: 5, InitialInfections: pop.NumPersons() / 2, Ranks: 3}
+	}
+	dres := run(t, mk(KernelDense))
+	ares := run(t, mk(KernelAuto))
+	fallbackDays := 0
+	for i := 1; i < len(ares.Days); i++ {
+		// Yesterday's closing counts are this morning's prevalence, the
+		// quantity runDayAuto switches on.
+		var infectious int64
+		for s, st := range m.States {
+			if m.IsInfectious(disease.StateID(s)) {
+				infectious += ares.Days[i-1].Counts[st.Name]
+			}
+		}
+		if infectious*denseSwitchDen <= int64(pop.NumPersons())*denseSwitchNum {
+			continue
+		}
+		fallbackDays++
+		a, d := ares.Days[i], dres.Days[i]
+		if a.Kernel != KernelDense {
+			t.Errorf("day %d: %d of %d infectious but kernel %q, want %q",
+				a.Day, infectious, pop.NumPersons(), a.Kernel, KernelDense)
+		}
+		if a.PersonPhase.Messages != d.PersonPhase.Messages ||
+			a.LocationPhase.Messages != d.LocationPhase.Messages {
+			t.Errorf("day %d: auto moved %d person / %d location messages, dense %d / %d",
+				a.Day, a.PersonPhase.Messages, a.LocationPhase.Messages,
+				d.PersonPhase.Messages, d.LocationPhase.Messages)
+		}
+	}
+	if fallbackDays == 0 {
+		t.Fatal("seeding never pushed prevalence above the dense-fallback threshold")
+	}
+}
+
 // TestIncrementalCountsMatchRescan pins the incremental per-state
 // counters (which now feed both scenario triggers and day reports)
 // against a full rescan of the health array, after days that include

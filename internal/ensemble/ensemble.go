@@ -125,12 +125,6 @@ type SweepResult struct {
 	// measure (a 16-branch forked sweep steps far fewer days than 16
 	// from-scratch runs). Execution accounting, never serialized.
 	SimulatedDays int64 `json:"-"`
-	// Timeline is the run's span timeline when RunOptions.Trace was set
-	// (nil otherwise) — handed back with the result so embedders (the
-	// bench harness, the daemon) can roll up component breakdowns from
-	// the value they already hold. Execution accounting like the build
-	// maps: never serialized, so cold/warm JSON stays byte-identical.
-	Timeline *obs.Timeline `json:"-"`
 }
 
 // runCounter tracks, for one run, how many builds each requested content
@@ -556,7 +550,6 @@ feed:
 		CheckpointBuilds: ckptCounts.snapshot(),
 		Simulations:      int(sims.Load()),
 		SimulatedDays:    simDays.Load(),
-		Timeline:         opts.Trace,
 	}
 	var failed []int
 	for ci := range states {

@@ -3,22 +3,8 @@ package obs
 import (
 	"bufio"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
-)
-
-// Memory-source names, reported alongside every sampled value so a
-// number is never read without knowing what it measures: the real
-// resident set (Linux /proc), or the Go heap's OS reservation — the
-// best portable proxy when /proc is absent. The two are NOT comparable,
-// which is why the fallback is published under a distinct metric name
-// instead of silently impersonating RSS.
-const (
-	MemSourceProc   = "proc_statm"
-	MemSourceGoHeap = "go_heap_sys"
 )
 
 // readResidentBytes is swapped by tests to exercise the fallback path
@@ -27,8 +13,8 @@ var readResidentBytes = procResidentBytes
 
 // ResidentBytes reports the process's resident set size read from
 // /proc/self/statm. ok is false where /proc is unavailable (non-Linux)
-// or unparsable — callers then either omit the value or fall back to
-// MemoryUsage's Go-heap proxy, never report a lying zero.
+// or unparsable — callers then either omit the value or publish a
+// differently named fallback, never report a lying zero.
 func ResidentBytes() (bytes int64, ok bool) {
 	return readResidentBytes()
 }
@@ -53,97 +39,4 @@ func procResidentBytes() (int64, bool) {
 		return 0, false
 	}
 	return pages * int64(os.Getpagesize()), true
-}
-
-// MemoryUsage returns the best available process-memory reading and the
-// source it came from: the true RSS (MemSourceProc) where /proc exists,
-// runtime.MemStats.HeapSys (MemSourceGoHeap) everywhere else. The
-// fallback undercounts non-heap memory (stacks, mmapped artifacts,
-// runtime overhead), so consumers must carry the source label through.
-func MemoryUsage() (bytes int64, source string) {
-	if rss, ok := ResidentBytes(); ok {
-		return rss, MemSourceProc
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapSys), MemSourceGoHeap
-}
-
-// ResourcePeak is what a sampler saw over its lifetime.
-type ResourcePeak struct {
-	// PeakBytes is the maximum memory reading observed (see Source).
-	PeakBytes int64 `json:"peak_bytes"`
-	// Source names what PeakBytes measures: MemSourceProc (true RSS) or
-	// MemSourceGoHeap (portable fallback).
-	Source string `json:"source"`
-	// Samples counts readings taken, including the ones at Start and
-	// Stop — so even a sub-interval run reports a real peak.
-	Samples int `json:"samples"`
-}
-
-// ResourceSampler tracks peak process memory over a measured region by
-// polling in a background goroutine — the bench harness's instrument
-// for "how big did this cell get", since a single before/after pair
-// misses the transient peak of placement construction entirely.
-type ResourceSampler struct {
-	interval time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-
-	mu   sync.Mutex
-	peak ResourcePeak
-}
-
-// StartResourceSampler begins sampling every interval (≤0 defaults to
-// 10ms). Call Stop to end sampling and collect the peak; one final
-// sample is taken at Stop so the closing state is always observed.
-func StartResourceSampler(interval time.Duration) *ResourceSampler {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	s := &ResourceSampler{
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	s.sample()
-	go s.loop()
-	return s
-}
-
-func (s *ResourceSampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.sample()
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-func (s *ResourceSampler) sample() {
-	bytes, source := MemoryUsage()
-	s.mu.Lock()
-	s.peak.Samples++
-	s.peak.Source = source
-	if bytes > s.peak.PeakBytes {
-		s.peak.PeakBytes = bytes
-	}
-	s.mu.Unlock()
-}
-
-// Stop ends sampling, takes a final reading, and returns the peak.
-// Stop is idempotent only in the sense that it must be called exactly
-// once per sampler; samplers are cheap one-shot instruments.
-func (s *ResourceSampler) Stop() ResourcePeak {
-	close(s.stop)
-	<-s.done
-	s.sample()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peak
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestResidentBytesOnProc(t *testing.T) {
@@ -17,41 +16,6 @@ func TestResidentBytesOnProc(t *testing.T) {
 	}
 	if rss <= 0 {
 		t.Fatalf("rss = %d, want > 0", rss)
-	}
-}
-
-func TestMemoryUsageFallsBackToGoHeap(t *testing.T) {
-	orig := readResidentBytes
-	readResidentBytes = func() (int64, bool) { return 0, false }
-	defer func() { readResidentBytes = orig }()
-
-	bytes, source := MemoryUsage()
-	if source != MemSourceGoHeap {
-		t.Fatalf("source = %q, want %q", source, MemSourceGoHeap)
-	}
-	if bytes <= 0 {
-		t.Fatalf("fallback bytes = %d, want > 0", bytes)
-	}
-}
-
-func TestResourceSamplerPeak(t *testing.T) {
-	s := StartResourceSampler(time.Millisecond)
-	// Allocate something visible so the peak is not degenerate.
-	buf := make([]byte, 8<<20)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	time.Sleep(10 * time.Millisecond)
-	peak := s.Stop()
-	runtime.KeepAlive(buf)
-	if peak.PeakBytes <= 0 {
-		t.Fatalf("peak = %d, want > 0", peak.PeakBytes)
-	}
-	if peak.Samples < 2 {
-		t.Fatalf("samples = %d, want >= 2 (start + stop)", peak.Samples)
-	}
-	if peak.Source != MemSourceProc && peak.Source != MemSourceGoHeap {
-		t.Fatalf("unknown source %q", peak.Source)
 	}
 }
 
