@@ -63,8 +63,9 @@ func TestSweepCacheDirWarmRun(t *testing.T) {
 	if st := coldCache.PlacementStats(); st.Builds != 2 || st.DiskWrites != 2 {
 		t.Fatalf("cold placement cache stats = %+v, want 2 builds written through", st)
 	}
-	if pop, pl, ok := coldCache.StoreStats(); !ok || pop.Files != 1 || pl.Files != 2 {
-		t.Fatalf("store stats = %+v / %+v / %v, want 1 population + 2 placement artifacts", pop, pl, ok)
+	pop, pl := coldCache.StoreStats("population"), coldCache.StoreStats("placement")
+	if pop == nil || pl == nil || pop.Files != 1 || pl.Files != 2 {
+		t.Fatalf("store stats = %+v / %+v, want 1 population + 2 placement artifacts", pop, pl)
 	}
 
 	warm, warmCache, warmJSON := runWithDir(t, dir)

@@ -202,8 +202,8 @@ func TestForkSweep16BranchWarmReuse(t *testing.T) {
 		if got := cache.CheckpointRestores(); got != 16 {
 			t.Fatalf("run %d: checkpoint restores = %d, want 16", run, got)
 		}
-		if ck, ok := cache.CheckpointStoreStats(); !ok || ck.Files < 1 {
-			t.Fatalf("run %d: checkpoint store stats = %+v ok=%v", run, ck, ok)
+		if ck := cache.StoreStats("checkpoint"); ck == nil || ck.Files < 1 {
+			t.Fatalf("run %d: checkpoint store stats = %+v", run, ck)
 		}
 		var buf bytes.Buffer
 		if err := res.WriteJSON(&buf); err != nil {

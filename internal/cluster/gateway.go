@@ -75,11 +75,9 @@ type Config struct {
 	SubmitBurst int
 	// HistoryInterval is the fleet metrics-history collection cadence
 	// (0 = 5s): each tick fans /v1/stats out and appends the merged
-	// snapshot to the gateway's ring, from which fleet-level SLO burn
-	// rates are computed. HistorySize bounds the ring (0 = an hour's
-	// worth of points).
+	// snapshot to the gateway's ring (an hour's worth of points), from
+	// which fleet-level SLO burn rates are computed.
 	HistoryInterval time.Duration
-	HistorySize     int
 	// QueueWaitSLOSeconds is the latency budget for the fleet queue-wait
 	// SLO, in seconds (0 = 30) — keep it equal to the backends' so the
 	// fleet burn rate and the per-daemon ones measure the same promise.

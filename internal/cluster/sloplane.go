@@ -26,7 +26,7 @@ import (
 // say so instead of impersonating live ones.
 func (g *Gateway) startSLOPlane(cfg Config) {
 	g.sloSpecs = server.SLOSpecs(cfg.QueueWaitSLOSeconds)
-	g.history = obs.NewHistory(cfg.HistorySize, cfg.HistoryInterval, func() obs.HistoryPoint {
+	g.history = obs.NewHistory(0, cfg.HistoryInterval, func() obs.HistoryPoint {
 		st := g.collectStats(context.Background())
 		stale := st.Gateway.FleetHealthy == 0
 		for _, bs := range st.Backends {

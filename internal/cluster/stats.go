@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	episim "repro"
 	"repro/client"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -154,7 +153,7 @@ func (g *Gateway) collectStats(ctx context.Context) StatsReply {
 	wg.Wait()
 	for _, bs := range out.Backends {
 		if bs.Stats != nil {
-			mergeStats(&out.StatsReply, *bs.Stats)
+			server.MergeStats(&out.StatsReply, *bs.Stats)
 		}
 	}
 	return out
@@ -190,79 +189,6 @@ func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*client.StatsRepl
 		return nil, err
 	}
 	return &st, nil
-}
-
-// mergeStats folds one backend's snapshot into the fleet aggregate.
-// Counters and gauges sum; uptime takes the longest-lived backend (the
-// fleet has been up at least that long); cells_per_sec is re-derived
-// from the merged totals, so the aggregate satisfies the same
-// cells_streamed / uptime_sec identity as every daemon's own reply.
-func mergeStats(into *client.StatsReply, st client.StatsReply) {
-	if st.UptimeSec > into.UptimeSec {
-		into.UptimeSec = st.UptimeSec
-	}
-	into.QueueDepth += st.QueueDepth
-	into.ActiveSweeps += st.ActiveSweeps
-	into.SweepsTotal += st.SweepsTotal
-	into.SweepsDone += st.SweepsDone
-	into.SweepsFailed += st.SweepsFailed
-	into.SweepsCanceled += st.SweepsCanceled
-	into.SweepsEvicted += st.SweepsEvicted
-	into.CellsStreamed += st.CellsStreamed
-	if into.UptimeSec > 0 {
-		into.CellsPerSec = float64(into.CellsStreamed) / into.UptimeSec
-	}
-	into.SubmitsTotal += st.SubmitsTotal
-	into.SubmitErrors += st.SubmitErrors
-	into.EventsSent += st.EventsSent
-	into.EventsSendErrors += st.EventsSendErrors
-	into.TraceDroppedSpans += st.TraceDroppedSpans
-	into.ProfileCaptures += st.ProfileCaptures
-	for k, n := range st.KernelDays {
-		if into.KernelDays == nil {
-			into.KernelDays = make(map[string]int64)
-		}
-		into.KernelDays[k] += n
-	}
-	into.CheckpointRestores += st.CheckpointRestores
-	into.CheckpointBytes += st.CheckpointBytes
-	mergeCache(&into.PopulationCache, st.PopulationCache)
-	mergeCache(&into.PlacementCache, st.PlacementCache)
-	mergeCache(&into.CheckpointCache, st.CheckpointCache)
-	mergeStore(&into.PopulationStore, st.PopulationStore)
-	mergeStore(&into.PlacementStore, st.PlacementStore)
-	mergeStore(&into.ResultStore, st.ResultStore)
-	mergeStore(&into.CheckpointStore, st.CheckpointStore)
-	// Histograms share one bucket layout across the fleet, so per-bucket
-	// counts sum exactly — the merged distribution is what one daemon
-	// would have recorded had it done all the work.
-	into.Histograms = obs.MergeSnapshots(into.Histograms, st.Histograms)
-}
-
-func mergeCache(a *episim.SweepCacheStats, b episim.SweepCacheStats) {
-	a.Entries += b.Entries
-	a.Bytes += b.Bytes
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Evictions += b.Evictions
-	a.Builds += b.Builds
-	a.DiskHits += b.DiskHits
-	a.DiskMisses += b.DiskMisses
-	a.DiskWrites += b.DiskWrites
-	a.DiskErrors += b.DiskErrors
-}
-
-func mergeStore(a **episim.SweepStoreStats, b *episim.SweepStoreStats) {
-	if b == nil {
-		return
-	}
-	if *a == nil {
-		*a = &episim.SweepStoreStats{}
-	}
-	(*a).Files += b.Files
-	(*a).Bytes += b.Bytes
-	(*a).GCFiles += b.GCFiles
-	(*a).GCBytes += b.GCBytes
 }
 
 // handleStats serves the fleet-aggregated stats snapshot.

@@ -56,11 +56,7 @@ type Cache struct {
 	entries  map[string]*cacheEntry
 	lru      *list.List // front = most recent; completed entries only
 	bytes    int64
-
-	hits, misses, evictions int64
-	builds                  int64
-	diskHits, diskMisses    int64
-	diskWrites, diskErrors  int64
+	stats    CacheStats // counters only: Stats fills Entries and Bytes
 }
 
 type cacheEntry struct {
@@ -95,9 +91,6 @@ func (c *Cache) WithDisk(t Tier) *Cache {
 	return c
 }
 
-// newBuildCache is the private per-run flavor: unbounded, entry-counted.
-func newBuildCache() *Cache { return NewCache(0, nil) }
-
 // get returns the cached value for key, running build at most once per
 // key across all goroutines (and, for a shared cache, across all sweeps
 // in the process). The second return reports whether THIS call ran the
@@ -108,7 +101,7 @@ func newBuildCache() *Cache { return NewCache(0, nil) }
 func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) (any, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.hits++
+		c.stats.Hits++
 		if e.elem != nil {
 			c.lru.MoveToFront(e.elem)
 		}
@@ -122,7 +115,7 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
-	c.misses++
+	c.stats.Misses++
 	c.mu.Unlock()
 
 	// Memory miss. Try the disk tier first — still under the entry's
@@ -132,7 +125,7 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 	if c.disk != nil {
 		if v, err := c.disk.Load(key); err == nil {
 			c.mu.Lock()
-			c.diskHits++
+			c.stats.DiskHits++
 			e.val = v
 			e.bytes = c.sizer(e.val)
 			e.elem = c.lru.PushFront(e)
@@ -143,11 +136,11 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 			return e.val, false, nil
 		} else {
 			c.mu.Lock()
-			c.diskMisses++
+			c.stats.DiskMisses++
 			if !errors.Is(err, ErrTierMiss) {
 				// Corrupt/stale/unreadable artifact: counted, rebuilt,
 				// and overwritten by the write-through below.
-				c.diskErrors++
+				c.stats.DiskErrors++
 			}
 			c.mu.Unlock()
 		}
@@ -156,7 +149,7 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 	e.val, e.err = build()
 
 	c.mu.Lock()
-	c.builds++
+	c.stats.Builds++
 	if e.err != nil {
 		// Forget failed builds: waiters holding e still see the error,
 		// but the next get of this key retries.
@@ -178,9 +171,9 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 		err := c.disk.Store(key, e.val)
 		c.mu.Lock()
 		if err != nil {
-			c.diskErrors++
+			c.stats.DiskErrors++
 		} else {
-			c.diskWrites++
+			c.stats.DiskWrites++
 		}
 		c.mu.Unlock()
 	}
@@ -228,7 +221,7 @@ func (c *Cache) evict() {
 		if c.entries[e.key] == e {
 			delete(c.entries, e.key)
 		}
-		c.evictions++
+		c.stats.Evictions++
 	}
 }
 
@@ -255,17 +248,7 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:   len(c.entries),
-		Bytes:     c.bytes,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Builds:    c.builds,
-
-		DiskHits:   c.diskHits,
-		DiskMisses: c.diskMisses,
-		DiskWrites: c.diskWrites,
-		DiskErrors: c.diskErrors,
-	}
+	st := c.stats
+	st.Entries, st.Bytes = len(c.entries), c.bytes
+	return st
 }

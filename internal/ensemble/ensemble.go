@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -127,33 +128,127 @@ type SweepResult struct {
 	SimulatedDays int64 `json:"-"`
 }
 
-// runCounter tracks, for one run, how many builds each requested content
-// key actually triggered (0 = served from a shared cache).
-type runCounter struct {
-	mu sync.Mutex
-	m  map[string]int
+// errCanceled reports a build-step get abandoned because the run's
+// context was canceled while it waited on another caller's in-flight
+// build: the run is over, but nothing failed.
+var errCanceled = errors.New("ensemble: canceled while waiting for a build")
+
+// buildStep is one artifact kind's build-once state within one run: its
+// cache (shared, or run-private when the caller passed none) and, per
+// content key the run requested, how many builds the run itself
+// triggered (0 = some cache tier already held it).
+type buildStep struct {
+	kind   string // error noun and span-name prefix: "population", ...
+	cache  *Cache
+	builds map[string]int
 }
 
-func newRunCounter() *runCounter { return &runCounter{m: map[string]int{}} }
+// buildSteps runs every cached build of one sweep or warm pass.
+type buildSteps struct {
+	ctx   context.Context
+	trace *obs.Timeline
 
-func (rc *runCounter) record(key string, built bool) {
-	rc.mu.Lock()
-	if built {
-		rc.m[key]++
-	} else if _, ok := rc.m[key]; !ok {
-		rc.m[key] = 0
-	}
-	rc.mu.Unlock()
+	population, placement, checkpoint buildStep
+	// placed counts placements that became exactly priceable (see place).
+	placed atomic.Int64
+
+	// failed is the run-private negative memo. Shared caches forget
+	// failed builds so later requests may retry a transient failure;
+	// within ONE run a failing key is deterministic wasted work, so every
+	// other user of that key fails fast after the first attempt.
+	mu     sync.Mutex
+	failed map[string]error
 }
 
-func (rc *runCounter) snapshot() map[string]int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	out := make(map[string]int, len(rc.m))
-	for k, n := range rc.m {
-		out[k] = n
+func newBuildSteps(ctx context.Context, opts *RunOptions) *buildSteps {
+	step := func(kind string, cache *Cache) buildStep {
+		if cache == nil {
+			cache = NewCache(0, nil) // run-private: unbounded, entry-counted
+		}
+		return buildStep{kind, cache, map[string]int{}}
 	}
-	return out
+	return &buildSteps{
+		ctx:        ctx,
+		trace:      opts.Trace,
+		population: step("population", opts.PopulationCache),
+		placement:  step("placement", opts.PlacementCache),
+		checkpoint: step("checkpoint", opts.CheckpointCache),
+		failed:     map[string]error{},
+	}
+}
+
+// get is the one build step: fetch key from the step's cache, running
+// build at most once across every goroutine and sweep sharing it, and
+// account for the outcome in the negative memo, the build tally and the
+// trace. Every actual build gets a "<kind>_build" span; a get that
+// merely waited — on another worker's in-flight build or a disk-tier
+// load — is traced as "<kind>_load" only when it took noticeable time,
+// so a warm sweep's thousands of instantaneous memory hits don't flood
+// the timeline (the cache counters already account for them). label
+// names the artifact in errors, spanLabel in the trace.
+func (b *buildSteps) get(s *buildStep, key, label, spanLabel string, build func() (any, error)) (val any, built bool, err error) {
+	fail := func(err error) (any, bool, error) {
+		return nil, false, fmt.Errorf("ensemble: %s %s: %w", s.kind, label, err)
+	}
+	b.mu.Lock()
+	prior := b.failed[key]
+	b.mu.Unlock()
+	if prior != nil {
+		return fail(prior)
+	}
+	ctx, start := b.ctx, time.Now()
+	val, built, err = s.cache.get(ctx, key, build)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, false, errCanceled
+		}
+		b.mu.Lock()
+		if _, ok := b.failed[key]; !ok {
+			b.failed[key] = err
+		}
+		b.mu.Unlock()
+		return fail(err)
+	}
+	n := 0
+	if end := time.Now(); built {
+		n = 1
+		b.trace.Add(s.kind+"_build", spanLabel, start, end)
+	} else if end.Sub(start) >= time.Millisecond {
+		b.trace.Add(s.kind+"_load", spanLabel, start, end)
+	}
+	b.mu.Lock()
+	s.builds[key] += n // a zero entry still records that the run needed the key
+	b.mu.Unlock()
+	return val, built, nil
+}
+
+// place returns the placement a cell runs on and its content key,
+// generating the population and distributing it at most once each.
+func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls PlacementSpec) (pl any, plKey string, err error) {
+	popKey := ps.Key(spec.Seed)
+	popSeed := ps.Seed
+	if popSeed == 0 {
+		popSeed = spec.Seed
+	}
+	pop, _, err := b.get(&b.population, popKey, ps.Label(), ps.Label(), func() (any, error) {
+		return hooks.GeneratePopulation(ps, popSeed)
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	plKey = pls.Key(popKey)
+	// The cost predictor prices exactly only what it can Peek; note
+	// whether this key is about to transition from estimated to exact
+	// (via a build OR a disk-tier promotion) so the feeder re-prices its
+	// remaining queue either way.
+	_, wasPeekable := b.placement.cache.Peek(plKey)
+	pl, _, err = b.get(&b.placement, plKey, pls.Label(), pls.Label(), func() (any, error) {
+		return hooks.BuildPlacement(pop.(*synthpop.Population), pls, popSeed)
+	})
+	if err == nil && !wasPeekable {
+		b.placed.Add(1)
+	}
+	return pl, plKey, err
 }
 
 // Run executes the sweep with one-shot semantics: background context,
@@ -211,21 +306,7 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 		models[i] = model
 	}
 
-	popCache := opts.PopulationCache
-	if popCache == nil {
-		popCache = newBuildCache()
-	}
-	plCache := opts.PlacementCache
-	if plCache == nil {
-		plCache = newBuildCache()
-	}
-	ckptCache := opts.CheckpointCache
-	if ckptCache == nil {
-		ckptCache = newBuildCache()
-	}
-	popCounts := newRunCounter()
-	plCounts := newRunCounter()
-	ckptCounts := newRunCounter()
+	builds := newBuildSteps(ctx, opts)
 
 	aggs := make([]*aggregator, len(cells))
 	for i := range aggs {
@@ -241,9 +322,9 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 	// placement build completes, the predictor can price exactly (it
 	// peeks the now-populated cache), so the feeder re-prices and
 	// re-sorts the cells not yet dispatched — the warm-up pass that
-	// fixes LPT's makespan on mixed exact/estimated grids. repriceGen
-	// counts completed placement builds; the feeder re-sorts whenever it
-	// observes a new generation.
+	// fixes LPT's makespan on mixed exact/estimated grids. builds.placed
+	// counts placements that became priceable; the feeder re-sorts whenever
+	// it observes a new generation.
 	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
@@ -260,7 +341,6 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 	if opts.PredictCost != nil {
 		reprice(order)
 	}
-	var repriceGen atomic.Int64
 
 	// Per-cell completion state: remaining replicates, the first error,
 	// and the finalized result — all under one mutex that also publishes
@@ -319,81 +399,15 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 		return states[ci].err != nil
 	}
 
-	// Shared caches forget failed builds so later requests may retry a
-	// transient failure; within ONE run a failing key is deterministic
-	// wasted work, so a run-private negative memo fails every other cell
-	// of that key fast after the first attempt.
-	var negMu sync.Mutex
-	negative := map[string]error{}
-	memoFail := func(key string, err error) {
-		negMu.Lock()
-		if _, ok := negative[key]; !ok {
-			negative[key] = err
-		}
-		negMu.Unlock()
-	}
-	priorFail := func(key string) error {
-		negMu.Lock()
-		defer negMu.Unlock()
-		return negative[key]
-	}
-
 	type job struct {
 		cellIdx   int
 		replicate int
 	}
 	runJob := func(j job) error {
 		cell := cells[j.cellIdx]
-		popKey := cell.Population.Key(spec.Seed)
-		popSeed := cell.Population.Seed
-		if popSeed == 0 {
-			popSeed = spec.Seed
-		}
-		if err := priorFail(popKey); err != nil {
-			return fmt.Errorf("ensemble: population %s: %w", cell.Population.Label(), err)
-		}
-		popStart := time.Now()
-		popAny, built, err := popCache.get(ctx, popKey, func() (any, error) {
-			return hooks.GeneratePopulation(cell.Population, popSeed)
-		})
+		pl, plKey, err := builds.place(hooks, spec, cell.Population, cell.Placement)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil // canceled while waiting, not a cell failure
-			}
-			memoFail(popKey, err)
-			return fmt.Errorf("ensemble: population %s: %w", cell.Population.Label(), err)
-		}
-		recordCacheSpan(opts.Trace, "population", cell.Population.Label(), popStart, built)
-		popCounts.record(popKey, built)
-		pop := popAny.(*synthpop.Population)
-
-		plKey := cell.Placement.Key(popKey)
-		if err := priorFail(plKey); err != nil {
-			return fmt.Errorf("ensemble: placement %s: %w", cell.Placement.Label(), err)
-		}
-		// The predictor prices exactly only what it can Peek; note
-		// whether this key is about to transition from estimated to
-		// exact (via a build OR a disk-tier promotion) so the feeder
-		// re-prices its remaining queue either way.
-		wasPeekable := true
-		if opts.PredictCost != nil {
-			_, wasPeekable = plCache.Peek(plKey)
-		}
-		plStart := time.Now()
-		pl, built, err := plCache.get(ctx, plKey, func() (any, error) {
-			return hooks.BuildPlacement(pop, cell.Placement, popSeed)
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			memoFail(plKey, err)
-			return fmt.Errorf("ensemble: placement %s: %w", cell.Placement.Label(), err)
-		}
-		recordCacheSpan(opts.Trace, "placement", cell.Placement.Label(), plStart, built)
-		plCounts.record(plKey, built)
-		if !wasPeekable {
-			repriceGen.Add(1)
+			return err
 		}
 
 		jobVal := Job{
@@ -410,30 +424,21 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 			// Fork path: build (or load) the replicate's shared pre-fork
 			// checkpoint once, then resume each intervention branch from it.
 			ckKey := cell.CheckpointKey(spec, plKey, jobVal.Seed)
-			if err := priorFail(ckKey); err != nil {
-				return fmt.Errorf("ensemble: checkpoint %s r%d: %w", cell.Label(), j.replicate, err)
-			}
-			ckStart := time.Now()
-			ck, built, err := ckptCache.get(ctx, ckKey, func() (any, error) {
+			ckLabel := fmt.Sprintf("%s r%d", cell.Label(), j.replicate)
+			ckSpan := fmt.Sprintf("%s day %d", ckLabel, spec.ForkDay)
+			ck, built, err := builds.get(&builds.checkpoint, ckKey, ckLabel, ckSpan, func() (any, error) {
 				return hooks.BuildCheckpoint(pl, jobVal)
 			})
 			if err != nil {
-				if ctx.Err() != nil {
-					return nil
-				}
-				memoFail(ckKey, err)
-				return fmt.Errorf("ensemble: checkpoint %s r%d: %w", cell.Label(), j.replicate, err)
+				return err
 			}
-			ckLabel := fmt.Sprintf("%s r%d day %d", cell.Label(), j.replicate, spec.ForkDay)
-			recordCacheSpan(opts.Trace, "checkpoint", ckLabel, ckStart, built)
-			ckptCounts.record(ckKey, built)
 			if built {
 				simDays.Add(int64(spec.ForkDay))
 			}
 
 			restoreStart := time.Now()
 			eng, err := hooks.RestoreCheckpoint(pl, ck, jobVal)
-			opts.Trace.Add("checkpoint_restore", ckLabel, restoreStart, time.Now())
+			opts.Trace.Add("checkpoint_restore", ckSpan, restoreStart, time.Now())
 			if err != nil {
 				return fmt.Errorf("ensemble: restore %s r%d: %w", cell.Label(), j.replicate, err)
 			}
@@ -487,7 +492,7 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 				}
 				err := runJob(j)
 				opts.Slots.release()
-				if err != nil {
+				if err != nil && err != errCanceled {
 					failCell(j.cellIdx, err)
 				}
 			}
@@ -504,7 +509,7 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 feed:
 	for len(pending) > 0 {
 		if opts.PredictCost != nil {
-			if g := repriceGen.Load(); g != pricedGen {
+			if g := builds.placed.Load(); g != pricedGen {
 				pricedGen = g
 				reprice(pending)
 			}
@@ -545,9 +550,9 @@ feed:
 	out := &SweepResult{
 		Spec:             spec,
 		Cells:            results,
-		PopulationBuilds: popCounts.snapshot(),
-		PlacementBuilds:  plCounts.snapshot(),
-		CheckpointBuilds: ckptCounts.snapshot(),
+		PopulationBuilds: builds.population.builds,
+		PlacementBuilds:  builds.placement.builds,
+		CheckpointBuilds: builds.checkpoint.builds,
 		Simulations:      int(sims.Load()),
 		SimulatedDays:    simDays.Load(),
 	}
@@ -574,22 +579,6 @@ func traceSim(opts *RunOptions, cell Cell, replicate int, res *core.Result, star
 		label += " kernel[" + kernelDaysLabel(res.KernelDays) + "]"
 	}
 	opts.Trace.Add("sim", label, start, time.Now())
-}
-
-// recordCacheSpan traces one build-cache access. Every actual build gets
-// a "<kind>_build" span; a get that merely waited — on another worker's
-// in-flight build or a disk-tier load — is traced as "<kind>_load" only
-// when it took noticeable time, so a warm sweep's thousands of
-// instantaneous memory hits don't flood the timeline with zero-length
-// spans (the cache counters already account for them).
-func recordCacheSpan(tl *obs.Timeline, kind, label string, start time.Time, built bool) {
-	end := time.Now()
-	switch {
-	case built:
-		tl.Add(kind+"_build", label, start, end)
-	case end.Sub(start) >= time.Millisecond:
-		tl.Add(kind+"_load", label, start, end)
-	}
 }
 
 // errorCellResult is the placeholder emitted for a failed cell: labels

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
-
-	"repro/internal/synthpop"
 )
 
 // WarmResult reports what a warm pass did: how many unique populations
@@ -61,35 +58,17 @@ func WarmContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions)
 		return nil, err
 	}
 
-	popCache := opts.PopulationCache
-	if popCache == nil {
-		popCache = newBuildCache()
-	}
-	plCache := opts.PlacementCache
-	if plCache == nil {
-		plCache = newBuildCache()
-	}
-	popCounts := newRunCounter()
-	plCounts := newRunCounter()
+	builds := newBuildSteps(ctx, opts)
 
 	// One task per unique placement key, in grid order; the population
 	// cache's singleflight dedupes the population builds underneath.
-	type task struct {
-		pop PopulationSpec
-		pl  PlacementSpec
-	}
-	var tasks []task
-	popKeys := map[string]bool{}
-	plKeys := map[string]bool{}
+	var tasks []Cell
+	seen := map[string]bool{}
 	for _, cell := range spec.Cells() {
-		popKey := cell.Population.Key(spec.Seed)
-		popKeys[popKey] = true
-		plKey := cell.Placement.Key(popKey)
-		if plKeys[plKey] {
-			continue
+		if key := cell.Placement.Key(cell.Population.Key(spec.Seed)); !seen[key] {
+			seen[key] = true
+			tasks = append(tasks, cell)
 		}
-		plKeys[plKey] = true
-		tasks = append(tasks, task{pop: cell.Population, pl: cell.Placement})
 	}
 
 	workers := spec.Workers
@@ -112,7 +91,7 @@ func WarmContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions)
 		}
 		errMu.Unlock()
 	}
-	ch := make(chan task)
+	ch := make(chan Cell)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -121,32 +100,9 @@ func WarmContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions)
 				if ctx.Err() != nil {
 					continue
 				}
-				popKey := tk.pop.Key(spec.Seed)
-				popSeed := tk.pop.Seed
-				if popSeed == 0 {
-					popSeed = spec.Seed
+				if _, _, err := builds.place(hooks, spec, tk.Population, tk.Placement); err != nil {
+					setErr(err)
 				}
-				popStart := time.Now()
-				popAny, built, err := popCache.get(ctx, popKey, func() (any, error) {
-					return hooks.GeneratePopulation(tk.pop, popSeed)
-				})
-				if err != nil {
-					setErr(fmt.Errorf("ensemble: population %s: %w", tk.pop.Label(), err))
-					continue
-				}
-				recordCacheSpan(opts.Trace, "population", tk.pop.Label(), popStart, built)
-				popCounts.record(popKey, built)
-				pl := tk.pl
-				plStart := time.Now()
-				_, built, err = plCache.get(ctx, pl.Key(popKey), func() (any, error) {
-					return hooks.BuildPlacement(popAny.(*synthpop.Population), pl, popSeed)
-				})
-				if err != nil {
-					setErr(fmt.Errorf("ensemble: placement %s: %w", pl.Label(), err))
-					continue
-				}
-				recordCacheSpan(opts.Trace, "placement", pl.Label(), plStart, built)
-				plCounts.record(pl.Key(popKey), built)
 			}
 		}()
 	}
@@ -163,9 +119,9 @@ func WarmContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions)
 		return nil, firstEr
 	}
 	return &WarmResult{
-		Populations:      len(popKeys),
-		Placements:       len(plKeys),
-		PopulationBuilds: popCounts.snapshot(),
-		PlacementBuilds:  plCounts.snapshot(),
+		Populations:      len(builds.population.builds),
+		Placements:       len(tasks),
+		PopulationBuilds: builds.population.builds,
+		PlacementBuilds:  builds.placement.builds,
 	}, nil
 }

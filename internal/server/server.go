@@ -3,12 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -28,13 +26,13 @@ type Config struct {
 	// MaxActive bounds how many sweeps execute at once; later
 	// submissions queue FIFO (0 = 2).
 	MaxActive int
-	// CacheBytes is the LRU bound on retained populations + placements
-	// shared across requests (0 = unbounded).
+	// CacheBytes is the LRU bound on retained populations, placements and
+	// fork-point checkpoints shared across requests (0 = unbounded).
 	CacheBytes int64
-	// CacheDir, when non-empty, makes the daemon durable: the placement
-	// cache gains a disk tier (CacheDir/populations, CacheDir/placements)
-	// so restarts skip partitioning, and finished sweeps spill to
-	// CacheDir/results so GET /result survives a restart.
+	// CacheDir, when non-empty, makes the daemon durable: each cache gains
+	// a disk tier (CacheDir/populations, /placements, /checkpoints) so
+	// restarts skip partitioning and prefix days, and finished sweeps spill
+	// to CacheDir/results so GET /result survives a restart.
 	CacheDir string
 	// Retain caps finished sweeps held in the memory index (0 =
 	// unbounded). Evicted sweeps stay readable from the disk store.
@@ -58,18 +56,14 @@ type Config struct {
 	// sweep prunes least-recently-used placement artifacts past the bound
 	// (0 = unbounded). Requires CacheDir.
 	StoreMaxBytes int64
-	// GCInterval is the cadence of the disk GC pass (0 = 1 minute).
-	GCInterval time.Duration
 	// Logger receives the daemon's structured log lines (nil = a plain
 	// text logger on stderr at info level, the historical behavior).
 	Logger *obs.Logger
 
 	// HistoryInterval is the metrics-history ring's self-snapshot cadence
-	// (0 = 5s); HistorySize its point capacity (0 = one hour's worth,
-	// bounded to [16, 4096]). The ring is the SLO engine's only data
-	// source: burn rates exist without any external scraper.
+	// (0 = 5s); the ring holds an hour of points and is the SLO engine's
+	// only data source: burn rates exist without any external scraper.
 	HistoryInterval time.Duration
-	HistorySize     int
 	// QueueWaitSLOSeconds is the queue-wait latency objective's budget: a
 	// sweep whose admission delay stays at or under it counts as good
 	// (0 = 30s).
@@ -209,19 +203,15 @@ func newWithRunner(cfg Config, run sweepRunner) (*Server, error) {
 	if srv.slo.cooldown <= 0 {
 		srv.slo.cooldown = 10 * time.Minute
 	}
-	srv.slo.history = obs.NewHistory(cfg.HistorySize, cfg.HistoryInterval, func() obs.HistoryPoint {
+	srv.slo.history = obs.NewHistory(0, cfg.HistoryInterval, func() obs.HistoryPoint {
 		return StatsHistoryPoint(srv.stats(), false)
 	})
 	srv.slo.history.OnAppend(srv.onHistoryPoint)
 	srv.slo.history.Start()
 	if cfg.CacheDir != "" && (cfg.StoreMaxBytes > 0 || cfg.ResultTTL > 0 || cfg.CheckpointTTL > 0) {
-		interval := cfg.GCInterval
-		if interval <= 0 {
-			interval = time.Minute
-		}
 		srv.gcStop = make(chan struct{})
 		srv.gcDone = make(chan struct{})
-		go srv.gcLoop(interval)
+		go srv.gcLoop()
 	}
 	return srv, nil
 }
@@ -239,11 +229,12 @@ func (s *Server) Close() {
 }
 
 // gcLoop periodically bounds the disk stores: an LRU sweep over the
-// placement store and a TTL expiry over persisted results. One pass runs
-// immediately so a restarted daemon reclaims space before serving.
-func (s *Server) gcLoop(interval time.Duration) {
+// placement store and a TTL expiry over persisted results — one pass at
+// once, so a restarted daemon reclaims space before serving, then one a
+// minute.
+func (s *Server) gcLoop() {
 	defer close(s.gcDone)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(time.Minute)
 	defer t.Stop()
 	for {
 		s.runGC()
@@ -630,24 +621,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 }
 
 func (s *Server) stats() client.StatsReply {
-	total, _, _, done, failed, canceled, evicted := s.store.counts()
-	uptime := time.Since(s.started).Seconds()
-	cells := s.sched.cellsStreamed.Load()
-	perSec := 0.0
-	if uptime > 0 {
-		perSec = float64(cells) / uptime
-	}
+	total, byState, evicted := s.store.counts()
 	reply := client.StatsReply{
-		UptimeSec:       uptime,
+		UptimeSec:       time.Since(s.started).Seconds(),
 		QueueDepth:      s.sched.queueDepth(),
 		ActiveSweeps:    s.sched.activeCount(),
 		SweepsTotal:     total,
-		SweepsDone:      done,
-		SweepsFailed:    failed,
-		SweepsCanceled:  canceled,
+		SweepsDone:      byState[client.StateDone],
+		SweepsFailed:    byState[client.StateFailed],
+		SweepsCanceled:  byState[client.StateCanceled],
 		SweepsEvicted:   evicted,
-		CellsStreamed:   cells,
-		CellsPerSec:     perSec,
+		CellsStreamed:   s.sched.cellsStreamed.Load(),
 
 		SubmitsTotal:      s.submitsTotal.Load(),
 		SubmitErrors:      s.submitErrors.Load(),
@@ -664,13 +648,10 @@ func (s *Server) stats() client.StatsReply {
 		CheckpointRestores: s.cache.CheckpointRestores(),
 		CheckpointBytes:    s.cache.CheckpointBytes(),
 	}
-	if pop, pl, ok := s.cache.StoreStats(); ok {
-		reply.PopulationStore = &pop
-		reply.PlacementStore = &pl
-	}
-	if ck, ok := s.cache.CheckpointStoreStats(); ok {
-		reply.CheckpointStore = &ck
-	}
+	cellsPerSec(&reply)
+	reply.PopulationStore = s.cache.StoreStats("population")
+	reply.PlacementStore = s.cache.StoreStats("placement")
+	reply.CheckpointStore = s.cache.StoreStats("checkpoint")
 	if s.store.results != nil {
 		st := s.store.results.Stats()
 		reply.ResultStore = &st
@@ -692,145 +673,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteMetrics(w, s.stats())
 	obs.WriteSLOProm(w, s.sloStatuses())
 	obs.WriteRuntimeMetrics(w)
-}
-
-// promMetric is one scalar series in the /metrics rendering: every
-// series gets a HELP/TYPE block, and the TYPE is honest — counters are
-// monotonic over the daemon's life, everything else is a gauge. The
-// sweep state tallies (done/failed/canceled) are gauges on purpose:
-// they count jobs currently in the memory index, which retention
-// eviction decreases.
-type promMetric struct {
-	name string
-	kind string // "counter" or "gauge"
-	help string
-	val  float64
-}
-
-func writePromMetric(w io.Writer, m promMetric) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
-		m.name, m.help, m.name, m.kind,
-		m.name, strconv.FormatFloat(m.val, 'g', -1, 64))
-}
-
-// cacheMetrics renders one build cache's accounting under prefix.
-func cacheMetrics(prefix string, c episim.SweepCacheStats) []promMetric {
-	return []promMetric{
-		{prefix + "_entries", "gauge", "Entries resident in the memory LRU.", float64(c.Entries)},
-		{prefix + "_bytes", "gauge", "Bytes retained by the memory LRU.", float64(c.Bytes)},
-		{prefix + "_hits_total", "counter", "Memory cache hits.", float64(c.Hits)},
-		{prefix + "_misses_total", "counter", "Memory cache misses.", float64(c.Misses)},
-		{prefix + "_evictions_total", "counter", "Entries evicted by the byte bound.", float64(c.Evictions)},
-		{prefix + "_builds_total", "counter", "Artifacts built from scratch (singleflight-deduplicated).", float64(c.Builds)},
-		{prefix + "_disk_hits_total", "counter", "Disk tier hits (artifact loaded instead of rebuilt).", float64(c.DiskHits)},
-		{prefix + "_disk_misses_total", "counter", "Disk tier misses.", float64(c.DiskMisses)},
-		{prefix + "_disk_writes_total", "counter", "Artifacts written through to the disk tier.", float64(c.DiskWrites)},
-		{prefix + "_disk_errors_total", "counter", "Disk tier read/write failures (served from build instead).", float64(c.DiskErrors)},
-	}
-}
-
-// storeMetrics renders one artifact store's size and GC accounting.
-func storeMetrics(prefix, what string, st *episim.SweepStoreStats) []promMetric {
-	return []promMetric{
-		{prefix + "_files", "gauge", "Files in the " + what + " store.", storeFiles(st)},
-		{prefix + "_bytes", "gauge", "Bytes in the " + what + " store.", storeBytes(st)},
-	}
-}
-
-// WriteMetrics renders a StatsReply as Prometheus text-format series,
-// each with its HELP/TYPE block. Exported so episim-gw can serve the
-// cluster-aggregated snapshot in exactly the per-instance metric
-// vocabulary.
-func WriteMetrics(w io.Writer, st client.StatsReply) {
-	metrics := []promMetric{
-		{"episimd_uptime_seconds", "gauge", "Seconds since the daemon started.", st.UptimeSec},
-		{"episimd_queue_depth", "gauge", "Sweeps queued and still waiting for an execution slot.", float64(st.QueueDepth)},
-		{"episimd_active_sweeps", "gauge", "Sweeps executing right now.", float64(st.ActiveSweeps)},
-		{"episimd_sweeps", "gauge", "Sweeps in the memory index, any state.", float64(st.SweepsTotal)},
-		{"episimd_sweeps_done", "gauge", "Completed sweeps in the memory index (decreases on retention eviction).", float64(st.SweepsDone)},
-		{"episimd_sweeps_failed", "gauge", "Failed sweeps in the memory index (decreases on retention eviction).", float64(st.SweepsFailed)},
-		{"episimd_sweeps_canceled", "gauge", "Canceled sweeps in the memory index (decreases on retention eviction).", float64(st.SweepsCanceled)},
-		{"episimd_sweeps_evicted_total", "counter", "Finished sweeps evicted from the memory index by retention.", float64(st.SweepsEvicted)},
-		{"episimd_cells_streamed_total", "counter", "Sweep cells finalized and streamed to subscribers.", float64(st.CellsStreamed)},
-		{"episimd_cells_per_second", "gauge", "Mean cell throughput over the daemon's uptime.", st.CellsPerSec},
-		{"episimd_submissions_received_total", "counter", "Sweep submissions received (accepted or not).", float64(st.SubmitsTotal)},
-		{"episimd_submission_errors_total", "counter", "Sweep submissions refused (parse or admission failure).", float64(st.SubmitErrors)},
-		{"episimd_events_sent_total", "counter", "Event-stream messages delivered to subscribers.", float64(st.EventsSent)},
-		{"episimd_event_send_errors_total", "counter", "Event-stream sends that failed (subscriber gone mid-write).", float64(st.EventsSendErrors)},
-		{"episimd_trace_dropped_spans_total", "counter", "Spans dropped past the per-job trace retention cap.", float64(st.TraceDroppedSpans)},
-		{"episimd_profile_captures_total", "counter", "Watchdog-triggered pprof capture events persisted to the artifact store.", float64(st.ProfileCaptures)},
-	}
-	metrics = append(metrics, cacheMetrics("episimd_population_cache", st.PopulationCache)...)
-	metrics = append(metrics, cacheMetrics("episimd_placement_cache", st.PlacementCache)...)
-	metrics = append(metrics, cacheMetrics("episimd_checkpoint_cache", st.CheckpointCache)...)
-	metrics = append(metrics, storeMetrics("episimd_population_store", "population", st.PopulationStore)...)
-	metrics = append(metrics, storeMetrics("episimd_placement_store", "placement", st.PlacementStore)...)
-	metrics = append(metrics, storeMetrics("episimd_result_store", "result", st.ResultStore)...)
-	metrics = append(metrics, storeMetrics("episimd_checkpoint_store", "checkpoint", st.CheckpointStore)...)
-	metrics = append(metrics,
-		promMetric{"episimd_placement_store_gc_files_total", "counter", "Placement artifacts pruned by the LRU disk GC.", storeGCFiles(st.PlacementStore)},
-		promMetric{"episimd_placement_store_gc_bytes_total", "counter", "Bytes reclaimed from the placement store by GC.", storeGCBytes(st.PlacementStore)},
-		promMetric{"episimd_result_store_gc_files_total", "counter", "Result records expired by the TTL disk GC.", storeGCFiles(st.ResultStore)},
-		promMetric{"episimd_result_store_gc_bytes_total", "counter", "Bytes reclaimed from the result store by GC.", storeGCBytes(st.ResultStore)},
-		promMetric{"episimd_checkpoint_store_gc_files_total", "counter", "Checkpoint artifacts expired by the TTL disk GC.", storeGCFiles(st.CheckpointStore)},
-		promMetric{"episimd_checkpoint_store_gc_bytes_total", "counter", "Bytes reclaimed from the checkpoint store by GC.", storeGCBytes(st.CheckpointStore)},
-		// The fork-economics trio: prefix builds no cache tier absorbed,
-		// branch resumes served from a checkpoint, and the estimated
-		// in-memory bytes of every checkpoint built.
-		promMetric{"episimd_checkpoint_builds_total", "counter", "Fork-point checkpoint prefix executions (no cache tier absorbed them).", float64(st.CheckpointCache.Builds)},
-		promMetric{"episimd_checkpoint_restores_total", "counter", "Intervention branches resumed from a checkpoint instead of day 0.", float64(st.CheckpointRestores)},
-		promMetric{"episimd_checkpoint_bytes_total", "counter", "Estimated in-memory bytes of checkpoints built by this daemon.", float64(st.CheckpointBytes)},
-	)
-	for _, m := range metrics {
-		writePromMetric(w, m)
-	}
-	writeKernelDays(w, st.KernelDays)
-	obs.WriteHistogramsProm(w, st.Histograms)
-}
-
-// writeKernelDays renders the per-kernel day counters as one labeled
-// counter series, kernels in sorted order for a stable scrape.
-func writeKernelDays(w io.Writer, kd map[string]int64) {
-	if len(kd) == 0 {
-		return
-	}
-	names := make([]string, 0, len(kd))
-	for k := range kd {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP episimd_kernel_days_total Simulated days by executing kernel.\n# TYPE episimd_kernel_days_total counter\n")
-	for _, k := range names {
-		fmt.Fprintf(w, "episimd_kernel_days_total{kernel=%q} %d\n", k, kd[k])
-	}
-}
-
-// storeFiles/storeBytes render optional store stats as gauges (0 when
-// the daemon runs without a cache dir, keeping the metric set stable).
-func storeFiles(st *episim.SweepStoreStats) float64 {
-	if st == nil {
-		return 0
-	}
-	return float64(st.Files)
-}
-
-func storeBytes(st *episim.SweepStoreStats) float64 {
-	if st == nil {
-		return 0
-	}
-	return float64(st.Bytes)
-}
-
-func storeGCFiles(st *episim.SweepStoreStats) float64 {
-	if st == nil {
-		return 0
-	}
-	return float64(st.GCFiles)
-}
-
-func storeGCBytes(st *episim.SweepStoreStats) float64 {
-	if st == nil {
-		return 0
-	}
-	return float64(st.GCBytes)
 }

@@ -54,28 +54,19 @@ func SLOSpecs(queueWaitThreshold float64) []obs.SLOSpec {
 }
 
 // StatsHistoryPoint reduces one stats snapshot to a history-ring point:
-// the scalar families the SLO specs reference (plus the load gauges the
-// ops console graphs) and the full histogram set. The gateway feeds its
-// fleet ring through this same function on the merged reply, so a
-// fleet-level burn rate is computed from exactly the per-daemon
-// vocabulary.
+// the metric-table rows with a history key — the scalar families the SLO
+// specs reference plus the load gauges the ops console graphs — and the
+// full histogram set. The gateway feeds its fleet ring through this same
+// function on the merged reply, so a fleet-level burn rate is computed
+// from exactly the per-daemon vocabulary.
 func StatsHistoryPoint(st client.StatsReply, stale bool) obs.HistoryPoint {
-	return obs.HistoryPoint{
-		Time: time.Now(),
-		Scalars: map[string]float64{
-			"submit_total":        float64(st.SubmitsTotal),
-			"submit_errors":       float64(st.SubmitErrors),
-			"events_total":        float64(st.EventsSent),
-			"events_send_errors":  float64(st.EventsSendErrors),
-			"cells_streamed":      float64(st.CellsStreamed),
-			"trace_dropped_spans": float64(st.TraceDroppedSpans),
-			"profile_captures":    float64(st.ProfileCaptures),
-			"queue_depth":         float64(st.QueueDepth),
-			"active_sweeps":       float64(st.ActiveSweeps),
-		},
-		Hists: st.Histograms,
-		Stale: stale,
+	scalars := map[string]float64{}
+	for _, m := range metrics {
+		if m.history != "" {
+			scalars[m.history] = m.value(&st)
+		}
 	}
+	return obs.HistoryPoint{Time: time.Now(), Scalars: scalars, Hists: st.Histograms, Stale: stale}
 }
 
 // sloPlane is the server's observability state beyond plain counters:

@@ -408,27 +408,16 @@ func (s *store) countWaiting(ids []string) int {
 	return n
 }
 
-// counts tallies memory-index job states plus the eviction counter for
-// the stats endpoint.
-func (s *store) counts() (total, queued, running, done, failed, canceled int, evicted int64) {
+// counts tallies the memory index's jobs by state, plus the eviction
+// counter, for the stats endpoint.
+func (s *store) counts() (total int, byState map[client.JobState]int, evicted int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	byState = map[client.JobState]int{}
 	for _, j := range s.jobs {
-		total++
-		switch j.state {
-		case client.StateQueued:
-			queued++
-		case client.StateRunning:
-			running++
-		case client.StateDone:
-			done++
-		case client.StateFailed:
-			failed++
-		case client.StateCanceled:
-			canceled++
-		}
+		byState[j.state]++
 	}
-	return total, queued, running, done, failed, canceled, s.evicted
+	return len(s.jobs), byState, s.evicted
 }
 
 // markRunning transitions a queued job to running and registers its
@@ -491,19 +480,11 @@ func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim
 	s.droppedSpans.Add(int64(j.trace.Dropped()))
 	if res != nil && s.usage != nil {
 		hits := int64(0)
-		for _, n := range res.PopulationBuilds {
-			if n == 0 {
-				hits++
-			}
-		}
-		for _, n := range res.PlacementBuilds {
-			if n == 0 {
-				hits++
-			}
-		}
-		for _, n := range res.CheckpointBuilds {
-			if n == 0 {
-				hits++
+		for _, builds := range []map[string]int{res.PopulationBuilds, res.PlacementBuilds, res.CheckpointBuilds} {
+			for _, n := range builds {
+				if n == 0 {
+					hits++
+				}
 			}
 		}
 		if hits > 0 {

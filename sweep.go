@@ -74,12 +74,10 @@ func ParseSweepSpec(r io.Reader) (*SweepSpec, error) { return ensemble.ParseSpec
 // the cache persistent across processes and restarts. The zero value is
 // not usable; call NewSweepCache or NewSweepCacheDir.
 type SweepCache struct {
-	pop  *ensemble.Cache
-	pl   *ensemble.Cache
-	ckpt *ensemble.Cache
-	// popStore/plStore/ckptStore back the disk tier (nil for memory-only
-	// caches).
-	popStore, plStore, ckptStore *artifact.Store
+	// caches and stores are indexed by artifact kind (see artifactKinds);
+	// the stores back the disk tier and are nil for a memory-only cache.
+	caches [len(artifactKinds)]*ensemble.Cache
+	stores [len(artifactKinds)]*artifact.Store
 	// ckptRestores counts branch simulations resumed from a checkpoint;
 	// ckptBytes accumulates the estimated size of checkpoints built.
 	ckptRestores atomic.Int64
@@ -93,21 +91,11 @@ type SweepCache struct {
 // charges its population's bytes too — a split population is private to
 // its placement — so the bound is conservative).
 func NewSweepCache(maxBytes int64) *SweepCache {
-	popBudget := maxBytes / 4
-	ckptBudget := maxBytes / 4
-	plBudget := maxBytes - popBudget - ckptBudget
-	return &SweepCache{
-		pop: ensemble.NewCache(popBudget, func(v any) int64 {
-			return populationBytes(v.(*synthpop.Population))
-		}),
-		pl: ensemble.NewCache(plBudget, func(v any) int64 {
-			pl := v.(*Placement)
-			return int64(4*(len(pl.PersonRank)+len(pl.LocationRank))) + populationBytes(pl.Pop)
-		}),
-		ckpt: ensemble.NewCache(ckptBudget, func(v any) int64 {
-			return checkpointBytes(v.(*core.Checkpoint))
-		}),
+	c := &SweepCache{}
+	for i, k := range artifactKinds {
+		c.caches[i] = ensemble.NewCache(maxBytes/4*k.quarters, k.size)
 	}
+	return c
 }
 
 // checkpointBytes approximates a checkpoint's retained size: the
@@ -143,9 +131,9 @@ func populationBytes(p *synthpop.Population) int64 {
 // PopulationStats, PlacementStats and CheckpointStats snapshot the
 // caches' hit/miss/eviction accounting (the substance of the daemon's
 // /v1/stats reply).
-func (c *SweepCache) PopulationStats() SweepCacheStats { return c.pop.Stats() }
-func (c *SweepCache) PlacementStats() SweepCacheStats  { return c.pl.Stats() }
-func (c *SweepCache) CheckpointStats() SweepCacheStats { return c.ckpt.Stats() }
+func (c *SweepCache) PopulationStats() SweepCacheStats { return c.caches[kindPopulation].Stats() }
+func (c *SweepCache) PlacementStats() SweepCacheStats  { return c.caches[kindPlacement].Stats() }
+func (c *SweepCache) CheckpointStats() SweepCacheStats { return c.caches[kindCheckpoint].Stats() }
 
 // CheckpointRestores counts branch simulations that resumed from a
 // fork-point checkpoint instead of simulating the shared prefix.
@@ -198,9 +186,9 @@ func resolveSweepOptions(opts *SweepOptions) (*ensemble.RunOptions, *SweepCache,
 		}
 	}
 	return &ensemble.RunOptions{
-		PopulationCache: cache.pop,
-		PlacementCache:  cache.pl,
-		CheckpointCache: cache.ckpt,
+		PopulationCache: cache.caches[kindPopulation],
+		PlacementCache:  cache.caches[kindPlacement],
+		CheckpointCache: cache.caches[kindCheckpoint],
 		PredictCost:     predictCellCost(cache),
 		OnCell:          opts.OnCell,
 		Slots:           opts.Slots,
@@ -269,10 +257,8 @@ func predictCellCost(cache *SweepCache) func(ensemble.Cell, *ensemble.Spec) floa
 			costDays = spec.Days - spec.ForkDay
 		}
 		popKey := cell.Population.Key(spec.Seed)
-		if cache != nil {
-			if v, ok := cache.pl.Peek(cell.Placement.Key(popKey)); ok {
-				return ModelSweepSeconds(v.(*Placement), costDays, opt)
-			}
+		if v, ok := cache.caches[kindPlacement].Peek(cell.Placement.Key(popKey)); ok {
+			return ModelSweepSeconds(v.(*Placement), costDays, opt)
 		}
 		people := float64(cell.Population.People)
 		if cell.Population.State != "" && cell.Population.Scale > 0 {
@@ -370,9 +356,7 @@ func sweepHooks(cache *SweepCache) ensemble.Hooks {
 			if err != nil {
 				return nil, err
 			}
-			if cache != nil {
-				cache.ckptBytes.Add(checkpointBytes(cp))
-			}
+			cache.ckptBytes.Add(checkpointBytes(cp))
 			return cp, nil
 		},
 		RestoreCheckpoint: func(pl any, checkpoint any, job ensemble.Job) (any, error) {
@@ -383,9 +367,7 @@ func sweepHooks(cache *SweepCache) ensemble.Hooks {
 			if err := eng.Restore(checkpoint.(*core.Checkpoint)); err != nil {
 				return nil, err
 			}
-			if cache != nil {
-				cache.ckptRestores.Add(1)
-			}
+			cache.ckptRestores.Add(1)
 			return eng, nil
 		},
 		ResumeSimulate: func(engine any, job ensemble.Job) (*core.Result, error) {
