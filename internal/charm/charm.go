@@ -16,12 +16,19 @@
 //     used to classify every message's locality, which the machine model
 //     prices.
 //
-// Two execution modes run the same chare code: a deterministic sequential
-// scheduler (used for large logical-PE sweeps) and a parallel mode with one
-// goroutine per PE and a polling completion detector (real concurrency).
-// Counters (messages, wire messages after aggregation, locality classes,
-// per-PE traffic) are identical in both modes; equality of the two is a
-// test oracle.
+// The messaging layer exists once, as the methods of a per-PE worker:
+// forward (routing and aggregation), transmit (the wire), flush, take and
+// process. Two schedulers drive the same workers: a deterministic
+// sequential one that visits PEs round-robin (used for large logical-PE
+// sweeps) and a parallel one with a goroutine per PE and a polling
+// completion detector (real concurrency). Everything a chare can observe,
+// and every PhaseStats field that counts chare-level traffic — Messages,
+// Bytes, ByLocality, Reductions, and per PE MsgsIn, MsgsOut, BytesOut and
+// Delivered — is identical under both; equality of the two is a test
+// oracle. WireMessages, WireByLocality, PerPE[].WireOut and SyncRounds are
+// deterministic in sequential mode only: in parallel mode they depend on
+// when a PE happened to run out of work and flush, and on how many polls
+// the detector needed.
 package charm
 
 import (
@@ -190,16 +197,15 @@ type PETraffic struct {
 
 // Runtime executes chare arrays over PEs.
 type Runtime struct {
-	cfg    Config
-	topo   Topology
-	arrays []*array
+	cfg     Config
+	topo    Topology
+	meshW   int32 // width of the virtual PE mesh Route2D relays over: ⌈√PEs⌉
+	arrays  []*array
+	workers []worker
 
-	queues [][]envelope // per-PE pending chare-level messages (sequential)
-	agg    []map[PE][]envelope
-	stats  PhaseStats
-
-	mu           sync.Mutex // guards contributions in parallel mode
-	contribution map[string]int64
+	// produced counts envelopes put into inboxes and consumed those taken
+	// out and processed; only the parallel scheduler's detector reads them.
+	produced, consumed atomic.Int64
 }
 
 type array struct {
@@ -210,10 +216,51 @@ type array struct {
 type envelope struct {
 	to  ChareRef
 	msg Message
-	src PE
 	// relay marks an envelope parked at a 2D-routing intermediate: it must
-	// be re-dispatched toward its destination, not delivered to a chare.
+	// be forwarded toward its destination, not delivered to a chare.
 	relay bool
+}
+
+// inbox is the one part of a worker that other PEs and the driver touch.
+type inbox struct {
+	mu sync.Mutex
+	q  []envelope
+}
+
+func (b *inbox) put(batch ...envelope) {
+	b.mu.Lock()
+	b.q = append(b.q, batch...)
+	b.mu.Unlock()
+}
+
+// ledger is what one PE did during a phase. Only the PE's own worker
+// writes it (the driver writes seeded, between phases), so neither
+// scheduler needs a lock or an atomic to keep it.
+type ledger struct {
+	PETraffic           // MsgsIn stays zero until finishPhase derives it
+	byLocality [4]int64 // chare-level sends by distance class
+	seeded     int64    // driver-enqueued deliveries: Recv calls that are not traffic
+	reductions map[string]int64
+}
+
+// worker is one PE's share of the messaging layer: aggregation (Section
+// IV-C), locality accounting (IV-A) and the TRAM relay (footnote 1) live
+// in its methods and nowhere else. A scheduler only decides when to call
+// take, process and flush.
+type worker struct {
+	rt    *Runtime
+	pe    PE
+	ctx   Ctx
+	inbox inbox
+	// local queues sends to chares on this PE; they never leave the worker.
+	local []envelope
+	// agg holds one aggregation buffer per next-hop PE, allocated on the
+	// first buffered send; dirty lists the hops buffered since the last
+	// flush (a buffer that filled and refilled is listed twice, which
+	// flush tolerates).
+	agg   [][]envelope
+	dirty []PE
+	ledger
 }
 
 // New creates a runtime. Arrays must be registered before the first Drain.
@@ -225,20 +272,20 @@ func New(cfg Config) *Runtime {
 		cfg.AggBufferSize = 0
 	}
 	rt := &Runtime{
-		cfg:  cfg,
-		topo: cfg.Topology.normalized(cfg.PEs),
+		cfg:     cfg,
+		topo:    cfg.Topology.normalized(cfg.PEs),
+		meshW:   1,
+		workers: make([]worker, cfg.PEs),
 	}
-	rt.queues = make([][]envelope, cfg.PEs)
-	rt.agg = make([]map[PE][]envelope, cfg.PEs)
-	rt.resetPhase()
+	for rt.meshW*rt.meshW < int32(cfg.PEs) {
+		rt.meshW++
+	}
+	for pe := range rt.workers {
+		w := &rt.workers[pe]
+		w.rt, w.pe, w.ctx = rt, PE(pe), Ctx{w}
+	}
 	return rt
 }
-
-// NumPEs returns the configured PE count.
-func (rt *Runtime) NumPEs() int { return rt.cfg.PEs }
-
-// TopologyInfo returns the normalized topology.
-func (rt *Runtime) TopologyInfo() Topology { return rt.topo }
 
 // NewArray registers a chare array: n elements built by factory, placed on
 // PEs by placement (defaults to round-robin when nil). It returns the
@@ -282,56 +329,41 @@ func (rt *Runtime) ArrayLen(arrayID int32) int { return len(rt.arrays[arrayID].c
 // counted as point-to-point traffic, mirroring Charm++'s optimized
 // broadcast trees).
 func (rt *Runtime) Broadcast(arrayID int32, msg Message) {
-	a := rt.arrays[arrayID]
-	for i := range a.chares {
-		pe := a.placement[i]
-		rt.queues[pe] = append(rt.queues[pe], envelope{
-			to:  ChareRef{Array: arrayID, Index: int32(i)},
-			msg: msg,
-			src: pe, // broadcast delivery is local to the hosting PE
-		})
+	for i := range rt.arrays[arrayID].chares {
+		rt.Send(ChareRef{Array: arrayID, Index: int32(i)}, msg)
 	}
 }
 
 // Send enqueues a driver-side point-to-point message (rarely needed; chare
-// sends go through Ctx.Send). It is attributed to the destination PE.
+// sends go through Ctx.Send). It is delivered on the destination's PE and
+// is not counted as traffic.
 func (rt *Runtime) Send(to ChareRef, msg Message) {
-	pe := rt.PlacementOf(to)
-	rt.queues[pe] = append(rt.queues[pe], envelope{to: to, msg: msg, src: pe})
-}
-
-func (rt *Runtime) resetPhase() {
-	rt.stats = PhaseStats{
-		Reductions: make(map[string]int64),
-		PerPE:      make([]PETraffic, rt.cfg.PEs),
-	}
-	rt.contribution = make(map[string]int64)
-	for pe := range rt.agg {
-		rt.agg[pe] = nil
-	}
+	w := &rt.workers[rt.PlacementOf(to)]
+	w.seeded++
+	w.inbox.put(envelope{to: to, msg: msg})
 }
 
 // Ctx is passed to chare Recv methods.
 type Ctx struct {
-	rt *Runtime
-	pe PE
-	// sequential-mode send sink; parallel mode uses worker-local sinks.
-	sendLocal func(env envelope)
+	w *worker // the PE executing the current chare
 }
-
-// PE returns the PE executing the current chare.
-func (c *Ctx) PE() PE { return c.pe }
 
 // Send delivers msg to another chare asynchronously.
 func (c *Ctx) Send(to ChareRef, msg Message) {
-	c.sendLocal(envelope{to: to, msg: msg, src: c.pe})
+	w := c.w
+	final := w.rt.PlacementOf(to)
+	w.MsgsOut++
+	w.BytesOut += msgBytes(msg)
+	w.byLocality[w.rt.topo.Classify(w.pe, final)]++
+	w.forward(envelope{to: to, msg: msg}, final)
 }
 
 // Contribute adds val into the named phase reduction (sum).
 func (c *Ctx) Contribute(key string, val int64) {
-	c.rt.mu.Lock()
-	c.rt.contribution[key] += val
-	c.rt.mu.Unlock()
+	if c.w.reductions == nil {
+		c.w.reductions = make(map[string]int64)
+	}
+	c.w.reductions[key] += val
 }
 
 func msgBytes(m Message) int64 {
@@ -341,340 +373,222 @@ func msgBytes(m Message) int64 {
 	return DefaultMessageBytes
 }
 
-// Drain processes all pending messages (including those produced while
-// draining) until the phase completes, then returns the phase statistics
-// and resets them. In parallel mode the drain runs one goroutine per PE
-// and uses a completion/quiescence detector; in sequential mode the
-// scheduler visits PEs round-robin, flushing aggregation buffers whenever
-// a PE runs out of local work (the same flush rule the parallel workers
-// use).
-func (rt *Runtime) Drain() PhaseStats {
-	if rt.cfg.Parallel {
-		return rt.drainParallel()
-	}
-	return rt.drainSequential()
-}
-
-// account records a chare-level send and returns whether it must be
-// aggregated (non-local with aggregation enabled).
-func (rt *Runtime) account(env envelope) (dst PE, loc Locality) {
-	dst = rt.PlacementOf(env.to)
-	loc = rt.topo.Classify(env.src, dst)
-	b := msgBytes(env.msg)
-	rt.stats.Messages++
-	rt.stats.Bytes += b
-	rt.stats.ByLocality[loc]++
-	pp := &rt.stats.PerPE[env.src]
-	pp.MsgsOut++
-	pp.BytesOut += b
-	rt.stats.PerPE[dst].MsgsIn++
-	return dst, loc
-}
-
-// meshWidth returns the virtual mesh width for 2D routing.
-func (rt *Runtime) meshWidth() int32 {
-	w := int32(1)
-	for w*w < int32(rt.cfg.PEs) {
-		w++
-	}
-	return w
-}
-
 // intermediate returns the 2D-routing relay PE for src→dst (row of src,
 // column of dst), or dst when no useful relay exists.
 func (rt *Runtime) intermediate(src, dst PE) PE {
-	w := rt.meshWidth()
-	inter := (src/w)*w + dst%w
+	inter := (src/rt.meshW)*rt.meshW + dst%rt.meshW
 	if inter >= int32(rt.cfg.PEs) || inter == src || inter == dst {
 		return dst
 	}
 	return inter
 }
 
-// wireSend records transport-level sends for a batch heading src→dst.
-func (rt *Runtime) wireSend(src, dst PE, batch int) {
-	if batch == 0 {
+// forward moves env one hop from this PE toward final, the PE hosting
+// env.to: onto the local queue, or into the aggregation buffer of the next
+// hop (the 2D-routing relay when enabled), which is transmitted when full.
+func (w *worker) forward(env envelope, final PE) {
+	if final == w.pe {
+		w.local = append(w.local, env)
 		return
 	}
-	loc := rt.topo.Classify(src, dst)
-	if loc == LocalPE {
-		return // local delivery never hits the wire
+	cfg := &w.rt.cfg
+	if cfg.AggBufferSize == 0 {
+		w.transmit(final, env)
+		return
 	}
-	rt.stats.WireMessages++
-	rt.stats.WireByLocality[loc]++
-	rt.stats.PerPE[src].WireOut[loc]++
+	next := final
+	if cfg.Route2D {
+		next = w.rt.intermediate(w.pe, final)
+	}
+	env.relay = next != final
+	if w.agg == nil {
+		w.agg = make([][]envelope, cfg.PEs)
+	}
+	buf := append(w.agg[next], env)
+	if len(buf) == 1 {
+		w.dirty = append(w.dirty, next)
+	}
+	if len(buf) >= cfg.AggBufferSize {
+		w.transmit(next, buf...)
+		buf = buf[:0]
+	}
+	w.agg[next] = buf
 }
 
-func (rt *Runtime) drainSequential() PhaseStats {
-	pes := rt.cfg.PEs
-	// forward moves env one hop toward its destination from PE `from`,
-	// buffering per next hop (the 2D-routing relay when enabled).
-	var forward func(env envelope, from PE)
-	forward = func(env envelope, from PE) {
-		final := rt.PlacementOf(env.to)
-		next := final
-		if rt.cfg.Route2D && rt.cfg.AggBufferSize > 0 {
-			next = rt.intermediate(from, final)
-		}
-		env.src = from
-		env.relay = next != final
-		loc := rt.topo.Classify(from, next)
-		if loc == LocalPE || rt.cfg.AggBufferSize == 0 {
-			rt.wireSend(from, next, 1)
-			rt.queues[next] = append(rt.queues[next], env)
-			return
-		}
-		if rt.agg[from] == nil {
-			rt.agg[from] = make(map[PE][]envelope)
-		}
-		buf := append(rt.agg[from][next], env)
-		if len(buf) >= rt.cfg.AggBufferSize {
-			rt.wireSend(from, next, len(buf))
-			rt.queues[next] = append(rt.queues[next], buf...)
-			buf = buf[:0]
-		}
-		rt.agg[from][next] = buf
-	}
-	dispatch := func(env envelope) {
-		rt.account(env)
-		forward(env, env.src)
-	}
-	ctxs := make([]Ctx, pes)
-	for pe := range ctxs {
-		ctxs[pe] = Ctx{rt: rt, pe: PE(pe), sendLocal: dispatch}
-	}
+// transmit sends batch to another PE as one wire message. It is the only
+// place a wire message is counted and the only place envelopes cross PEs
+// (local delivery never reaches it, so never hits the wire).
+func (w *worker) transmit(next PE, batch ...envelope) {
+	w.WireOut[w.rt.topo.Classify(w.pe, next)]++
+	w.rt.produced.Add(int64(len(batch)))
+	w.rt.workers[next].inbox.put(batch...)
+}
 
-	for {
-		work := false
-		for pe := 0; pe < pes; pe++ {
-			for len(rt.queues[pe]) > 0 {
-				work = true
-				q := rt.queues[pe]
-				rt.queues[pe] = nil
-				for _, env := range q {
-					if env.relay {
-						forward(env, PE(pe))
-						continue
-					}
-					a := rt.arrays[env.to.Array]
-					rt.stats.PerPE[pe].Delivered++
-					a.chares[env.to.Index].Recv(&ctxs[pe], env.msg)
-				}
-			}
-			// PE out of local work: flush its aggregation buffers, the
-			// same rule PMs use after producing all visit messages.
-			for dst, buf := range rt.agg[pe] {
-				if len(buf) > 0 {
-					rt.wireSend(PE(pe), dst, len(buf))
-					rt.queues[dst] = append(rt.queues[dst], buf...)
-					work = true
-				}
-				delete(rt.agg[pe], dst)
-			}
-		}
-		if !work {
-			break
+// flush transmits every non-empty aggregation buffer — the rule for a PE
+// that has run out of work, the same one PMs follow after producing all
+// visit messages — and reports whether there was one.
+func (w *worker) flush() bool {
+	sent := false
+	for _, next := range w.dirty {
+		if buf := w.agg[next]; len(buf) > 0 {
+			w.transmit(next, buf...)
+			w.agg[next] = buf[:0]
+			sent = true
 		}
 	}
-	// Detector accounting: completion detection confirms produced==consumed
-	// once more after first seeing it; quiescence detection additionally
-	// re-confirms global idleness of the whole application.
-	rt.stats.SyncRounds = 2
+	w.dirty = w.dirty[:0]
+	return sent
+}
+
+// take empties the inbox.
+func (w *worker) take() []envelope {
+	w.inbox.mu.Lock()
+	q := w.inbox.q
+	w.inbox.q = nil
+	w.inbox.mu.Unlock()
+	return q
+}
+
+// process delivers q, and then whatever the chares sent to their own PE
+// meanwhile, until the local queue is empty.
+func (w *worker) process(q []envelope) {
+	for len(q) > 0 {
+		for _, env := range q {
+			if env.relay {
+				w.forward(env, w.rt.PlacementOf(env.to))
+				continue
+			}
+			w.Delivered++
+			w.rt.Chare(env.to).Recv(&w.ctx, env.msg)
+		}
+		q, w.local = w.local, nil
+	}
+}
+
+// Drain processes all pending messages (including those produced while
+// draining) until the phase completes, then returns the phase statistics
+// and resets them. Both schedulers flush a PE's aggregation buffers
+// whenever it runs out of work.
+func (rt *Runtime) Drain() PhaseStats {
+	if rt.cfg.Parallel {
+		return rt.finishPhase(rt.runParallel())
+	}
+	return rt.finishPhase(rt.runSequential())
+}
+
+// confirmations is how many times a detector must see the phase complete:
+// completion detection confirms produced==consumed once more after first
+// seeing it; quiescence detection additionally re-confirms global idleness
+// of the whole application.
+func (rt *Runtime) confirmations() int {
 	if rt.cfg.SyncMode == QuiescenceDetection {
-		rt.stats.SyncRounds = 4
+		return 4
 	}
-	return rt.finishPhase()
+	return 2
 }
 
-func (rt *Runtime) finishPhase() PhaseStats {
-	out := rt.stats
-	out.Reductions = rt.contribution
-	rt.resetPhase()
-	return out
+// runSequential visits PEs round-robin until none did any work, and
+// returns the sync rounds a detector would have needed.
+func (rt *Runtime) runSequential() int {
+	for work := true; work; {
+		work = false
+		for pe := range rt.workers {
+			w := &rt.workers[pe]
+			if q := w.take(); len(q) > 0 {
+				w.process(q)
+				work = true
+			}
+			if w.flush() {
+				work = true
+			}
+		}
+	}
+	return rt.confirmations()
 }
 
-// drainParallel runs one goroutine per PE until the completion detector
-// fires: all workers idle with every produced message consumed, confirmed
-// twice (Dijkstra-style double check).
-func (rt *Runtime) drainParallel() PhaseStats {
-	pes := rt.cfg.PEs
-	var produced, consumed atomic.Int64
-	var idleCount atomic.Int64
+// runParallel runs one goroutine per PE until the completion detector
+// fires — all workers idle with every produced envelope consumed, seen on
+// consecutive polls (Dijkstra-style double check) — and returns the number
+// of polls it took.
+func (rt *Runtime) runParallel() (rounds int) {
+	var idle atomic.Int64
 	var done atomic.Bool
-
-	inboxes := make([]struct {
-		mu sync.Mutex
-		q  []envelope
-	}, pes)
-	// Seed inboxes with driver-enqueued messages.
-	for pe := 0; pe < pes; pe++ {
-		inboxes[pe].q = append(inboxes[pe].q, rt.queues[pe]...)
-		produced.Add(int64(len(rt.queues[pe])))
-		rt.queues[pe] = nil
+	var seeded int64
+	for pe := range rt.workers {
+		seeded += rt.workers[pe].seeded
 	}
-
-	var statsMu sync.Mutex
-	perPE := make([]PETraffic, pes)
-	msgsIn := make([]atomic.Int64, pes)
-	var totalMsgs, totalWire, totalBytes int64
-	var byLoc, wireByLoc [4]int64
+	rt.produced.Store(seeded)
+	rt.consumed.Store(0)
 
 	var wg sync.WaitGroup
-	for pe := 0; pe < pes; pe++ {
+	for pe := range rt.workers {
 		wg.Add(1)
-		go func(pe int) {
+		go func(w *worker) {
 			defer wg.Done()
-			agg := make(map[PE][]envelope)
-			var local PETraffic
-			var msgs, wire, bytes int64
-			var locCount, wireCount [4]int64
-
-			deliver := func(dst PE, batch []envelope) {
-				produced.Add(int64(len(batch)))
-				box := &inboxes[dst]
-				box.mu.Lock()
-				box.q = append(box.q, batch...)
-				box.mu.Unlock()
-			}
-			// forward moves env one hop toward its destination (via the 2D
-			// relay when routing is on), buffering per next hop.
-			forward := func(env envelope, from PE) {
-				final := rt.PlacementOf(env.to)
-				next := final
-				if rt.cfg.Route2D && rt.cfg.AggBufferSize > 0 {
-					next = rt.intermediate(from, final)
-				}
-				env.src = from
-				env.relay = next != final
-				loc := rt.topo.Classify(from, next)
-				if loc == LocalPE || rt.cfg.AggBufferSize == 0 {
-					if loc != LocalPE {
-						wire++
-						wireCount[loc]++
-						local.WireOut[loc]++
-					}
-					deliver(next, []envelope{env})
-					return
-				}
-				buf := append(agg[next], env)
-				if len(buf) >= rt.cfg.AggBufferSize {
-					wire++
-					wireCount[loc]++
-					local.WireOut[loc]++
-					deliver(next, buf)
-					buf = nil
-				}
-				agg[next] = buf
-			}
-			dispatch := func(env envelope) {
-				dst := rt.PlacementOf(env.to)
-				loc := rt.topo.Classify(env.src, dst)
-				b := msgBytes(env.msg)
-				msgs++
-				bytes += b
-				locCount[loc]++
-				local.MsgsOut++
-				local.BytesOut += b
-				msgsIn[dst].Add(1)
-				forward(env, env.src)
-			}
-			ctx := Ctx{rt: rt, pe: PE(pe), sendLocal: dispatch}
-
-			idle := false
+			resting := false
 			for !done.Load() {
-				box := &inboxes[pe]
-				box.mu.Lock()
-				q := box.q
-				box.q = nil
-				box.mu.Unlock()
+				q := w.take()
 				if len(q) == 0 {
-					// Flush aggregation buffers before going idle.
-					flushed := false
-					for dst, buf := range agg {
-						if len(buf) > 0 {
-							loc := rt.topo.Classify(PE(pe), dst)
-							wire++
-							wireCount[loc]++
-							local.WireOut[loc]++
-							deliver(dst, buf)
-							flushed = true
-						}
-						delete(agg, dst)
-					}
-					if flushed {
+					if w.flush() {
 						continue
 					}
-					if !idle {
-						idle = true
-						idleCount.Add(1)
+					if !resting {
+						resting = true
+						idle.Add(1)
 					}
 					time.Sleep(20 * time.Microsecond)
 					continue
 				}
-				if idle {
-					idle = false
-					idleCount.Add(-1)
+				if resting {
+					resting = false
+					idle.Add(-1)
 				}
-				for _, env := range q {
-					if env.relay {
-						forward(env, PE(pe))
-						continue
-					}
-					a := rt.arrays[env.to.Array]
-					local.Delivered++
-					a.chares[env.to.Index].Recv(&ctx, env.msg)
-				}
-				consumed.Add(int64(len(q)))
+				w.process(q)
+				rt.consumed.Add(int64(len(q)))
 			}
-
-			statsMu.Lock()
-			perPE[pe] = local
-			totalMsgs += msgs
-			totalWire += wire
-			totalBytes += bytes
-			for i := range locCount {
-				byLoc[i] += locCount[i]
-				wireByLoc[i] += wireCount[i]
-			}
-			statsMu.Unlock()
-		}(pe)
+		}(&rt.workers[pe])
 	}
 
-	// Completion detector: all PEs idle and produced == consumed, observed
-	// stable across two polls.
-	rounds := 0
-	confirmed := 0
-	need := 2
-	if rt.cfg.SyncMode == QuiescenceDetection {
-		need = 4
-	}
-	for {
+	for confirmed := 0; confirmed < rt.confirmations(); {
 		time.Sleep(50 * time.Microsecond)
 		rounds++
-		if idleCount.Load() == int64(pes) {
-			p, c := produced.Load(), consumed.Load()
-			if p == c {
-				confirmed++
-				if confirmed >= need {
-					break
-				}
-				continue
-			}
+		if idle.Load() == int64(len(rt.workers)) && rt.produced.Load() == rt.consumed.Load() {
+			confirmed++
+		} else {
+			confirmed = 0
 		}
-		confirmed = 0
 	}
 	done.Store(true)
 	wg.Wait()
-	for pe := 0; pe < pes; pe++ {
-		perPE[pe].MsgsIn = msgsIn[pe].Load()
-	}
+	return rounds
+}
 
-	rt.stats.Messages = totalMsgs
-	rt.stats.WireMessages = totalWire
-	rt.stats.Bytes = totalBytes
-	rt.stats.ByLocality = byLoc
-	rt.stats.WireByLocality = wireByLoc
-	rt.stats.SyncRounds = rounds
-	rt.stats.PerPE = perPE
-	return rt.finishPhase()
+// finishPhase sums the workers' ledgers into the phase statistics and
+// clears them for the next phase.
+func (rt *Runtime) finishPhase(rounds int) PhaseStats {
+	out := PhaseStats{
+		SyncRounds: rounds,
+		Reductions: make(map[string]int64),
+		PerPE:      make([]PETraffic, len(rt.workers)),
+	}
+	for pe := range rt.workers {
+		w := &rt.workers[pe]
+		// Every Recv on this PE was either seeded by the driver or a
+		// chare-level message arriving, so the receiver can count its own
+		// MsgsIn and no PE writes another's row.
+		w.MsgsIn = w.Delivered - w.seeded
+		out.PerPE[pe] = w.PETraffic
+		out.Messages += w.MsgsOut
+		out.Bytes += w.BytesOut
+		for loc, n := range w.WireOut {
+			out.WireMessages += n
+			out.WireByLocality[loc] += n
+			out.ByLocality[loc] += w.byLocality[loc]
+		}
+		for key, val := range w.reductions {
+			out.Reductions[key] += val
+		}
+		w.ledger = ledger{}
+	}
+	return out
 }

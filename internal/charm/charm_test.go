@@ -1,6 +1,7 @@
 package charm
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -311,6 +312,32 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	}
 	if seq.Bytes != par.Bytes {
 		t.Fatalf("bytes differ: %d vs %d", seq.Bytes, par.Bytes)
+	}
+	requireScheduleIndependentEqual(t, seq, par)
+}
+
+// requireScheduleIndependentEqual compares every PhaseStats field that
+// counts chare-level traffic. The wire fields (WireMessages,
+// WireByLocality, PerPE[].WireOut) and SyncRounds are left out: in
+// parallel mode they depend on when a PE happened to go idle.
+func requireScheduleIndependentEqual(t *testing.T, seq, par PhaseStats) {
+	t.Helper()
+	if seq.Messages != par.Messages || seq.Bytes != par.Bytes || seq.ByLocality != par.ByLocality {
+		t.Fatalf("totals differ: %d msgs %d bytes %v vs %d msgs %d bytes %v",
+			seq.Messages, seq.Bytes, seq.ByLocality, par.Messages, par.Bytes, par.ByLocality)
+	}
+	if !reflect.DeepEqual(seq.Reductions, par.Reductions) {
+		t.Fatalf("reductions differ: %v vs %v", seq.Reductions, par.Reductions)
+	}
+	if len(seq.PerPE) != len(par.PerPE) {
+		t.Fatalf("PerPE lengths differ: %d vs %d", len(seq.PerPE), len(par.PerPE))
+	}
+	for pe := range seq.PerPE {
+		s, p := seq.PerPE[pe], par.PerPE[pe]
+		s.WireOut, p.WireOut = [4]int64{}, [4]int64{}
+		if s != p {
+			t.Fatalf("PE %d traffic differs: %+v vs %+v", pe, s, p)
+		}
 	}
 }
 

@@ -137,6 +137,7 @@ func TestRoute2DParallelSequentialEquivalence(t *testing.T) {
 	if seqStats.Messages != parStats.Messages {
 		t.Fatalf("chare messages differ: %d vs %d", seqStats.Messages, parStats.Messages)
 	}
+	requireScheduleIndependentEqual(t, seqStats, parStats)
 	// Wire counts under routing depend on flush timing at intermediates
 	// (parallel workers may flush before a late relay arrives), so equality
 	// holds only approximately — unlike direct aggregation, where both

@@ -551,21 +551,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	defer unsub()
 
 	// Delivery accounting: sends and failures feed the event-delivery
-	// SLO; payload bytes accrue to the requesting client's usage row,
-	// flushed once at stream end rather than per event.
+	// SLO; payload bytes are billed to the requesting client's usage row
+	// before each event is written, so a client that has read the terminal
+	// event finds the whole stream on /v1/usage.
 	clientID := clientIDFrom(r)
-	var streamedBytes int64
-	defer func() {
-		if streamedBytes > 0 {
-			s.usage.Add(clientID, obs.ClientUsage{StreamedBytes: streamedBytes})
-		}
-	}()
 	send := func(ev client.Event) bool {
 		payload, err := json.Marshal(ev)
 		if err != nil {
 			s.eventSendErrors.Add(1)
 			return false
 		}
+		s.usage.Add(clientID, obs.ClientUsage{StreamedBytes: int64(len(payload))})
 		if ndjson {
 			if _, err := fmt.Fprintf(w, "%s\n", payload); err != nil {
 				s.eventSendErrors.Add(1)
@@ -580,7 +576,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 		}
 		flusher.Flush()
 		s.eventsSent.Add(1)
-		streamedBytes += int64(len(payload))
 		return true
 	}
 	for _, ev := range replay {
