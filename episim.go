@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/charm"
 	"repro/internal/core"
 	"repro/internal/disease"
 	"repro/internal/graph"
@@ -225,19 +224,10 @@ type SimConfig struct {
 	Parallel bool
 	// AggBufferSize enables message aggregation when > 0.
 	AggBufferSize int
-	// QuiescenceSync uses quiescence detection instead of completion
-	// detection for phase synchronization.
-	QuiescenceSync bool
 	// Route2D enables TRAM-style topological routing of aggregated
 	// messages (useful at large rank counts where per-destination buffers
 	// underfill).
 	Route2D bool
-	// ChareFactor over-decomposes chares per rank (default 1).
-	ChareFactor int
-	// PEsPerProc and ProcsPerNode describe the SMP topology for locality
-	// accounting.
-	PEsPerProc   int
-	ProcsPerNode int
 	// Mixing enables inter-sublocation mixing (the paper's future-work
 	// model): cross-room interaction within a location at this
 	// transmission scale. On split populations, infectious visitors are
@@ -274,10 +264,6 @@ func newSimEngine(pl *Placement, cfg SimConfig) (*core.Engine, error) {
 			return nil, fmt.Errorf("episim: scenario: %w", err)
 		}
 	}
-	sync := charm.CompletionDetection
-	if cfg.QuiescenceSync {
-		sync = charm.QuiescenceDetection
-	}
 	eng, err := core.New(core.Config{
 		Population:        pl.Pop,
 		Disease:           cfg.Model,
@@ -287,19 +273,13 @@ func newSimEngine(pl *Placement, cfg SimConfig) (*core.Engine, error) {
 		InitialInfections: cfg.InitialInfections,
 		Ranks:             pl.Ranks,
 		Parallel:          cfg.Parallel,
-		Topology: charm.Topology{
-			PEsPerProc:   cfg.PEsPerProc,
-			ProcsPerNode: cfg.ProcsPerNode,
-		},
-		AggBufferSize:   cfg.AggBufferSize,
-		Route2D:         cfg.Route2D,
-		SyncMode:        sync,
-		ChareFactor:     cfg.ChareFactor,
-		PersonRank:      pl.PersonRank,
-		LocationRank:    pl.LocationRank,
-		Mixing:          cfg.Mixing,
-		Kernel:          cfg.Kernel,
-		KernelThreshold: cfg.KernelThreshold,
+		AggBufferSize:     cfg.AggBufferSize,
+		Route2D:           cfg.Route2D,
+		PersonRank:        pl.PersonRank,
+		LocationRank:      pl.LocationRank,
+		Mixing:            cfg.Mixing,
+		Kernel:            cfg.Kernel,
+		KernelThreshold:   cfg.KernelThreshold,
 	})
 	if err != nil {
 		return nil, err

@@ -41,6 +41,7 @@ import (
 
 	"repro/client"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // Config sizes one gateway.
@@ -149,11 +150,10 @@ type Gateway struct {
 	proxyHist *obs.HistogramVec
 
 	// history is the fleet metrics ring (merged stats snapshots on an
-	// interval); sloSpecs/sloStatus are the fleet SLO set and its latest
-	// evaluation over that ring.
-	history   *obs.History
-	sloSpecs  []obs.SLOSpec
-	sloStatus atomic.Pointer[[]obs.SLOStatus]
+	// interval); slo evaluates the fleet SLO set over it and serves
+	// /v1/slo and /v1/metrics/history.
+	history *obs.History
+	slo     *server.SLOPlane
 
 	started time.Time
 	stop    chan struct{}
@@ -272,9 +272,9 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", g.withBackend(g.proxyCancel))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", g.withBackend(g.proxyCancel))
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
-	mux.HandleFunc("GET /v1/slo", g.handleSLO)
+	mux.HandleFunc("GET /v1/slo", g.slo.HandleSLO)
 	mux.HandleFunc("GET /v1/usage", g.handleUsage)
-	mux.HandleFunc("GET /v1/metrics/history", g.handleHistory)
+	mux.HandleFunc("GET /v1/metrics/history", g.slo.HandleHistory)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	return mux

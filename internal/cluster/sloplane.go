@@ -25,7 +25,6 @@ import (
 // flows through window math into the SLO statuses — degraded burn rates
 // say so instead of impersonating live ones.
 func (g *Gateway) startSLOPlane(cfg Config) {
-	g.sloSpecs = server.SLOSpecs(cfg.QueueWaitSLOSeconds)
 	g.history = obs.NewHistory(0, cfg.HistoryInterval, func() obs.HistoryPoint {
 		st := g.collectStats(context.Background())
 		stale := st.Gateway.FleetHealthy == 0
@@ -36,32 +35,8 @@ func (g *Gateway) startSLOPlane(cfg Config) {
 		}
 		return server.StatsHistoryPoint(st.StatsReply, stale)
 	})
-	g.history.OnAppend(func(obs.HistoryPoint) {
-		sts := obs.EvalSLOs(g.history, g.sloSpecs)
-		g.sloStatus.Store(&sts)
-	})
+	g.slo = server.NewSLOPlane("fleet", g.history, server.SLOSpecs(cfg.QueueWaitSLOSeconds), nil)
 	g.history.Start()
-}
-
-// sloStatuses returns the latest fleet SLO evaluation (a zeroed-but-
-// complete spec set before the ring's first append).
-func (g *Gateway) sloStatuses() []obs.SLOStatus {
-	if p := g.sloStatus.Load(); p != nil {
-		return *p
-	}
-	return obs.EvalSLOs(g.history, g.sloSpecs)
-}
-
-// handleSLO serves the fleet-level error-budget evaluation.
-func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	sts := g.sloStatuses()
-	stale := false
-	for _, st := range sts {
-		if st.Stale {
-			stale = true
-		}
-	}
-	writeJSON(w, http.StatusOK, client.SLOReply{Instance: "fleet", Stale: stale, SLOs: sts})
 }
 
 // handleUsage fans /v1/usage out to every healthy backend and merges the
@@ -108,10 +83,4 @@ func (g *Gateway) handleUsage(w http.ResponseWriter, r *http.Request) {
 		merged = obs.MergeUsage(merged, rows)
 	}
 	writeJSON(w, http.StatusOK, client.UsageReply{Instance: "fleet", Clients: merged})
-}
-
-// handleHistory serves the gateway's fleet metrics ring in the same
-// shape as a daemon's /v1/metrics/history.
-func (g *Gateway) handleHistory(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, server.BuildHistoryReply("fleet", g.history))
 }

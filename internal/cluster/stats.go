@@ -212,7 +212,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	server.WriteMetrics(w, st.StatsReply)
 	// Fleet-level SLO burn, from the gateway's own ring over the merged
 	// stats — the same episim_slo_* vocabulary each daemon exposes.
-	obs.WriteSLOProm(w, g.sloStatuses())
+	obs.WriteSLOProm(w, g.slo.Statuses())
 	for _, m := range []struct {
 		name, kind, help string
 		val              float64

@@ -98,21 +98,10 @@ func (e *Engine) ensureActiveState() {
 	e.personMark = make([]bool, nP)
 	e.activePersons = make([][]int32, len(e.pmHealth))
 
-	counts := make([]int32, nL)
-	for i := range e.pop.Visits {
-		counts[e.pop.Visits[i].Loc]++
-	}
-	flat := make([]int32, len(e.pop.Visits))
+	offsets, order := e.pop.VisitIndexByLocation()
 	e.visitsAtLoc = make([][]int32, nL)
-	off := 0
 	for l := range e.visitsAtLoc {
-		end := off + int(counts[l])
-		e.visitsAtLoc[l] = flat[off:off:end]
-		off = end
-	}
-	for i := range e.pop.Visits {
-		l := e.pop.Visits[i].Loc
-		e.visitsAtLoc[l] = append(e.visitsAtLoc[l], int32(i))
+		e.visitsAtLoc[l] = order[offsets[l]:offsets[l+1]]
 	}
 }
 

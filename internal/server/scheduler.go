@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	episim "repro"
 	"repro/client"
@@ -28,10 +27,11 @@ type scheduler struct {
 	workers   int
 	maxActive int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []string
-	active int
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue is FIFO and may still hold jobs canceled while waiting;
+	// markRunning refuses those when a runner pops them.
+	queue  []*job
 	closed bool
 
 	ctx    context.Context
@@ -81,26 +81,10 @@ func (s *scheduler) submit(spec *episim.SweepSpec, traceID string, trace *obs.Ti
 		s.store.requestCancel(j)
 		return j
 	}
-	s.queue = append(s.queue, j.id)
+	s.queue = append(s.queue, j)
 	s.mu.Unlock()
 	s.cond.Signal()
 	return j
-}
-
-// queueDepth and activeCount feed the stats endpoint. Jobs canceled
-// while queued stay in the slice until a runner pops the stale id, so
-// depth counts only entries that are still actually waiting.
-func (s *scheduler) queueDepth() int {
-	s.mu.Lock()
-	ids := append([]string(nil), s.queue...)
-	s.mu.Unlock()
-	return s.store.countWaiting(ids)
-}
-
-func (s *scheduler) activeCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.active
 }
 
 // kernelDaysSnapshot copies the per-kernel day counters (nil when no
@@ -133,10 +117,8 @@ func (s *scheduler) close() {
 	queued := s.queue
 	s.queue = nil
 	s.mu.Unlock()
-	for _, id := range queued {
-		if j, ok := s.store.get(id); ok {
-			s.store.requestCancel(j)
-		}
+	for _, j := range queued {
+		s.store.requestCancel(j)
 	}
 }
 
@@ -152,33 +134,22 @@ func (s *scheduler) runner() {
 			s.mu.Unlock()
 			return
 		}
-		id := s.queue[0]
+		j := s.queue[0]
 		s.queue = s.queue[1:]
-		s.active++
 		s.mu.Unlock()
-
-		if j, ok := s.store.get(id); ok {
-			s.execute(j)
-		}
-
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
+		s.execute(j)
 	}
 }
 
 // execute runs one sweep end to end: transition to running, stream each
-// finalized cell into the job's hub, then publish the terminal event.
+// finalized cell into the job's hub, then terminate it with the state the
+// run's outcome names.
 func (s *scheduler) execute(j *job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 	if !s.store.markRunning(j, cancel) {
 		return // canceled while queued
 	}
-	// created/started are stable now (created is immutable after add;
-	// started was just set under the store lock by markRunning): the
-	// queue_wait span is exactly the admission delay.
-	j.trace.Add("queue_wait", "", j.created, j.started)
 
 	// Clamp the sweep's own goroutine count to the service pool: the
 	// shared slots bound actual parallelism, the clamp just avoids
@@ -210,37 +181,16 @@ func (s *scheduler) execute(j *job) {
 		Trace:  j.trace,
 	})
 
-	var st client.JobStatus
-	var typ string
 	switch {
 	case err == nil:
 		// A sweep that ran to completion is done even if a cancel (or
 		// shutdown) landed after its last cell — the result is whole.
-		st = s.store.finish(j, client.StateDone, "", res)
-		typ = "done"
+		s.store.terminate(j, client.StateRunning, client.StateDone, "", res)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		st = s.store.finish(j, client.StateCanceled, "", res)
-		typ = "canceled"
+		s.store.terminate(j, client.StateRunning, client.StateCanceled, "", res)
 	default:
 		// A genuine failure stays a failure even when a shutdown cancel
 		// raced the run's return — the error message is the diagnosis.
-		st = s.store.finish(j, client.StateFailed, err.Error(), res)
-		typ = "error"
+		s.store.terminate(j, client.StateRunning, client.StateFailed, err.Error(), res)
 	}
-	// The run span closes at the store's recorded finish time, so the
-	// union of queue_wait + run covers created→finished exactly — the
-	// trace endpoint's coverage contract. Recorded before the terminal
-	// event publishes: a client reacting to "done" sees a complete trace.
-	runEnd := time.Now()
-	if st.Finished != nil {
-		runEnd = *st.Finished
-	}
-	j.trace.Add("run", string(st.State), j.started, runEnd)
-	// Terminal state recorded: detach the timeline from the service
-	// histograms. A canceled run's in-flight replicates may still land
-	// spans after this point — they stay visible in the job's trace but
-	// must not count as fresh service latency after the job is over.
-	j.trace.Close()
-	j.hub.publish(client.Event{Type: typ, Job: &st})
-	j.hub.close()
 }

@@ -188,7 +188,6 @@ func newWithRunner(cfg Config, run sweepRunner) (*Server, error) {
 	}
 	st.usage = srv.usage
 	srv.slo = sloPlane{
-		specs:             SLOSpecs(cfg.QueueWaitSLOSeconds),
 		burnThreshold:     cfg.BurnThreshold,
 		profileQueueDepth: cfg.ProfileQueueDepth,
 		profileCPUDur:     time.Duration(cfg.ProfileCPUSeconds * float64(time.Second)),
@@ -203,11 +202,11 @@ func newWithRunner(cfg Config, run sweepRunner) (*Server, error) {
 	if srv.slo.cooldown <= 0 {
 		srv.slo.cooldown = 10 * time.Minute
 	}
-	srv.slo.history = obs.NewHistory(0, cfg.HistoryInterval, func() obs.HistoryPoint {
+	ring := obs.NewHistory(0, cfg.HistoryInterval, func() obs.HistoryPoint {
 		return StatsHistoryPoint(srv.stats(), false)
 	})
-	srv.slo.history.OnAppend(srv.onHistoryPoint)
-	srv.slo.history.Start()
+	srv.slo.SLOPlane = NewSLOPlane(cfg.Name, ring, SLOSpecs(cfg.QueueWaitSLOSeconds), srv.watchdog)
+	ring.Start()
 	if cfg.CacheDir != "" && (cfg.StoreMaxBytes > 0 || cfg.ResultTTL > 0 || cfg.CheckpointTTL > 0) {
 		srv.gcStop = make(chan struct{})
 		srv.gcDone = make(chan struct{})
@@ -322,9 +321,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.stats())
 	})
-	mux.HandleFunc("GET /v1/slo", s.handleSLO)
+	mux.HandleFunc("GET /v1/slo", s.slo.HandleSLO)
 	mux.HandleFunc("GET /v1/usage", s.handleUsage)
-	mux.HandleFunc("GET /v1/metrics/history", s.handleHistory)
+	mux.HandleFunc("GET /v1/metrics/history", s.slo.HandleHistory)
 	mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -337,12 +336,13 @@ func (s *Server) Handler() http.Handler {
 // writable would accept sweeps only to fail persisting their placements
 // and results, so that degrades readiness to 503.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	_, byState, _ := s.store.counts()
 	h := client.HealthReply{
 		Status:       "ok",
 		Instance:     s.name,
 		UptimeSec:    time.Since(s.started).Seconds(),
-		QueueDepth:   s.sched.queueDepth(),
-		ActiveSweeps: s.sched.activeCount(),
+		QueueDepth:   byState[client.StateQueued],
+		ActiveSweeps: byState[client.StateRunning],
 		MaxActive:    s.sched.maxActive,
 	}
 	if s.cacheDir != "" {
@@ -436,13 +436,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The admission span opens at handler entry, before the job's
 	// created stamp, so the timeline covers the submit path itself.
 	trace.Add("admission", "", start, time.Now())
+	// Cells through the store lock: the job may already be terminating.
+	cells := s.store.status(j).Cells
 	s.log.Info("sweep accepted", "job", j.id, "trace", traceID,
-		"cells", j.cells, "replicates", spec.Replicates)
+		"cells", cells, "replicates", spec.Replicates)
 	w.Header().Set(obs.TraceHeader, traceID)
 	writeJSON(w, http.StatusAccepted, client.SubmitReply{
 		ID:          j.id,
-		Cells:       j.cells,
-		Simulations: j.cells * spec.Replicates,
+		Cells:       cells,
+		Simulations: cells * spec.Replicates,
 		TraceID:     traceID,
 		SpecVersion: spec.Version(),
 	})
@@ -618,15 +620,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 func (s *Server) stats() client.StatsReply {
 	total, byState, evicted := s.store.counts()
 	reply := client.StatsReply{
-		UptimeSec:       time.Since(s.started).Seconds(),
-		QueueDepth:      s.sched.queueDepth(),
-		ActiveSweeps:    s.sched.activeCount(),
-		SweepsTotal:     total,
-		SweepsDone:      byState[client.StateDone],
-		SweepsFailed:    byState[client.StateFailed],
-		SweepsCanceled:  byState[client.StateCanceled],
-		SweepsEvicted:   evicted,
-		CellsStreamed:   s.sched.cellsStreamed.Load(),
+		UptimeSec:      time.Since(s.started).Seconds(),
+		QueueDepth:     byState[client.StateQueued],
+		ActiveSweeps:   byState[client.StateRunning],
+		SweepsTotal:    total,
+		SweepsDone:     byState[client.StateDone],
+		SweepsFailed:   byState[client.StateFailed],
+		SweepsCanceled: byState[client.StateCanceled],
+		SweepsEvicted:  evicted,
+		CellsStreamed:  s.sched.cellsStreamed.Load(),
 
 		SubmitsTotal:      s.submitsTotal.Load(),
 		SubmitErrors:      s.submitErrors.Load(),
@@ -666,6 +668,6 @@ func (s *Server) stats() client.StatsReply {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	WriteMetrics(w, s.stats())
-	obs.WriteSLOProm(w, s.sloStatuses())
+	obs.WriteSLOProm(w, s.slo.Statuses())
 	obs.WriteRuntimeMetrics(w)
 }

@@ -69,12 +69,82 @@ func StatsHistoryPoint(st client.StatsReply, stale bool) obs.HistoryPoint {
 	return obs.HistoryPoint{Time: time.Now(), Scalars: scalars, Hists: st.Histograms, Stale: stale}
 }
 
+// SLOPlane is one metrics-history ring and the latest SLO evaluation
+// over it: the part of the SLO plane a daemon (over its own stats) and
+// the gateway (over the merged fleet's) share, so /v1/slo and
+// /v1/metrics/history are one handler pair and cannot drift.
+type SLOPlane struct {
+	instance string
+	history  *obs.History
+	specs    []obs.SLOSpec
+	status   atomic.Pointer[[]obs.SLOStatus]
+}
+
+// NewSLOPlane re-evaluates specs over ring after every appended point
+// (on the ring goroutine), then hands the point and the evaluation to
+// onPoint (nil = nobody; the daemon arms its watchdog there). instance
+// names the replies. The ring stays the caller's to start and stop.
+func NewSLOPlane(instance string, ring *obs.History, specs []obs.SLOSpec,
+	onPoint func(obs.HistoryPoint, []obs.SLOStatus)) *SLOPlane {
+	p := &SLOPlane{instance: instance, history: ring, specs: specs}
+	ring.OnAppend(func(pt obs.HistoryPoint) {
+		sts := obs.EvalSLOs(ring, specs)
+		p.status.Store(&sts)
+		if onPoint != nil {
+			onPoint(pt, sts)
+		}
+	})
+	return p
+}
+
+// Statuses returns the latest evaluation (zeroed-but-complete specs
+// before the first ring append, so /v1/slo and /metrics are stable from
+// the first request).
+func (p *SLOPlane) Statuses() []obs.SLOStatus {
+	if sts := p.status.Load(); sts != nil {
+		return *sts
+	}
+	return obs.EvalSLOs(p.history, p.specs)
+}
+
+// HandleSLO serves the current multi-window error-budget evaluation.
+func (p *SLOPlane) HandleSLO(w http.ResponseWriter, r *http.Request) {
+	sts := p.Statuses()
+	stale := false
+	for _, st := range sts {
+		if st.Stale {
+			stale = true
+		}
+	}
+	writeJSON(w, http.StatusOK, client.SLOReply{Instance: p.instance, Stale: stale, SLOs: sts})
+}
+
+// HandleHistory serves the metrics ring: raw points plus precomputed
+// SLO-window deltas/rates.
+func (p *SLOPlane) HandleHistory(w http.ResponseWriter, r *http.Request) {
+	rep := client.HistoryReply{
+		Instance:    p.instance,
+		IntervalSec: p.history.Interval().Seconds(),
+		Points:      p.history.Snapshot(time.Time{}),
+	}
+	if rep.Points == nil {
+		rep.Points = []obs.HistoryPoint{}
+	}
+	for _, d := range obs.DefaultSLOWindows() {
+		if win, ok := p.history.Window(d); ok {
+			if rep.Windows == nil {
+				rep.Windows = map[string]obs.WindowStats{}
+			}
+			rep.Windows[windowKey(d)] = win
+		}
+	}
+	writeJSON(w, http.StatusOK, rep)
+}
+
 // sloPlane is the server's observability state beyond plain counters:
-// the ring, the latest SLO evaluation, and watchdog bookkeeping.
+// the shared ring-and-evaluation plane plus watchdog bookkeeping.
 type sloPlane struct {
-	history *obs.History
-	specs   []obs.SLOSpec
-	status  atomic.Pointer[[]obs.SLOStatus]
+	*SLOPlane
 
 	burnThreshold     float64
 	profileQueueDepth int
@@ -87,24 +157,11 @@ type sloPlane struct {
 	profileSeq  atomic.Int64
 }
 
-// sloStatuses returns the latest evaluation (zeroed-but-complete specs
-// before the first ring append, so /v1/slo and /metrics are stable from
-// the first request).
-func (s *Server) sloStatuses() []obs.SLOStatus {
-	if p := s.slo.status.Load(); p != nil {
-		return *p
-	}
-	return obs.EvalSLOs(s.slo.history, s.slo.specs)
-}
-
-// onHistoryPoint runs on the ring goroutine after every appended point:
-// re-evaluate the SLOs, then arm the profiling watchdog. Capture itself
+// watchdog runs on the ring goroutine after every appended point and
+// its SLO evaluation: it arms the profiling watchdog. Capture itself
 // runs on its own goroutine (a CPU profile blocks for its duration,
 // which must not stall the collection cadence).
-func (s *Server) onHistoryPoint(p obs.HistoryPoint) {
-	sts := obs.EvalSLOs(s.slo.history, s.slo.specs)
-	s.slo.status.Store(&sts)
-
+func (s *Server) watchdog(p obs.HistoryPoint, sts []obs.SLOStatus) {
 	reason := ""
 	for _, st := range sts {
 		if st.Stale {
@@ -177,18 +234,6 @@ func (s *Server) captureProfiles(reason string) {
 	s.profileCaptures.Add(1)
 }
 
-// handleSLO serves the current multi-window error-budget evaluation.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	sts := s.sloStatuses()
-	stale := false
-	for _, st := range sts {
-		if st.Stale {
-			stale = true
-		}
-	}
-	writeJSON(w, http.StatusOK, client.SLOReply{Instance: s.name, Stale: stale, SLOs: sts})
-}
-
 // handleUsage serves the per-client accounting ledger.
 func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 	rows := s.usage.Snapshot()
@@ -196,34 +241,6 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 		rows = []obs.ClientUsage{}
 	}
 	writeJSON(w, http.StatusOK, client.UsageReply{Instance: s.name, Clients: rows})
-}
-
-// handleHistory serves the metrics ring: raw points plus precomputed
-// SLO-window deltas/rates.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, BuildHistoryReply(s.name, s.slo.history))
-}
-
-// BuildHistoryReply assembles the /v1/metrics/history body for one ring
-// (shared by daemon and gateway so the two endpoints cannot drift).
-func BuildHistoryReply(instance string, h *obs.History) client.HistoryReply {
-	rep := client.HistoryReply{
-		Instance:    instance,
-		IntervalSec: h.Interval().Seconds(),
-		Points:      h.Snapshot(time.Time{}),
-	}
-	if rep.Points == nil {
-		rep.Points = []obs.HistoryPoint{}
-	}
-	for _, d := range obs.DefaultSLOWindows() {
-		if win, ok := h.Window(d); ok {
-			if rep.Windows == nil {
-				rep.Windows = map[string]obs.WindowStats{}
-			}
-			rep.Windows[windowKey(d)] = win
-		}
-	}
-	return rep
 }
 
 // windowKey labels a window for the history reply's map ("5m", "1h").

@@ -9,6 +9,15 @@
 // pool and the sweep execution; the HTTP layer (server.go) owns the
 // wire. The wire types live in repro/client so daemon and client cannot
 // drift.
+//
+// A job's lifecycle is three store transitions and nothing else: add
+// (queued), markRunning (running) and terminate (done, failed or
+// canceled — whether the run returned, a queued job was canceled, or the
+// daemon shut down around it). terminate keeps one ordering contract: a
+// terminal status implies the record is on disk and the trace is
+// complete. It persists the record and closes the timeline first, makes
+// the terminal status visible (to readers and to retention) second, and
+// publishes the terminal event last.
 package server
 
 import (
@@ -29,46 +38,42 @@ import (
 	"repro/internal/obs"
 )
 
-// job is one submitted sweep and its full lifecycle state. All fields
-// after the immutable header are guarded by the owning store's mutex.
+// job is one submitted sweep and its full lifecycle state. The header
+// (through clientID) is immutable once the job is built; every field
+// after it is guarded by the owning store's mutex.
 type job struct {
 	id  string
 	hub *hub
-
 	// spec is nil for jobs rehydrated from disk after a restart or
 	// eviction (only their status and result survive; they are terminal,
-	// so nothing needs the spec anymore). specVersion outlives the spec:
-	// it rides the persisted status, so rehydrated jobs still report
-	// what schema they were submitted as.
-	spec        *episim.SweepSpec
-	specVersion int
-	replicates  int
-
-	state     client.JobState
-	errMsg    string
-	cells     int
-	cellsDone int
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	// traceID correlates the job across log lines, headers and the trace
-	// endpoint; trace is its span timeline (nil for rehydrated jobs —
-	// spans are in-memory only, the id survives via the job record).
-	traceID string
-	trace   *obs.Timeline
+	// so nothing needs the spec anymore).
+	spec *episim.SweepSpec
+	// trace is the span timeline (nil for rehydrated jobs — spans are
+	// in-memory only, the trace id survives via the job record).
+	trace *obs.Timeline
 	// clientID attributes this job's cells, sim time and cache hits to
 	// the submitting client in the usage ledger ("" for rehydrated jobs).
 	clientID string
+
+	// st is the job's status exactly as every endpoint, event and disk
+	// record reports it — held once, written only by the store's three
+	// transitions and incCellsDone. Its trace id and spec version ride
+	// the persisted record, so rehydrated jobs still report both.
+	st client.JobStatus
+	// ending marks a claimed terminal transition whose status is not yet
+	// visible: terminate is persisting the record, and neither a second
+	// terminate nor markRunning may take the job meanwhile.
+	ending bool
 	// resultJSON is the result's canonical serialization, materialized
-	// once at finish: it is what GET /result serves and what spills to
+	// once at terminate: it is what GET /result serves and what spills to
 	// disk, so the bytes a client sees are identical before and after a
 	// daemon restart.
 	resultJSON []byte
 	// archived marks a job whose payload lives (only) in the disk store.
 	archived  bool
 	hasResult bool
-	// cancel aborts the run's context once the job is running; for
-	// queued jobs cancellation happens by state alone.
+	// cancel aborts the run's context once the job is running; queued
+	// jobs are canceled by terminating them.
 	cancel context.CancelFunc
 }
 
@@ -233,27 +238,14 @@ func (s *store) loadArchived(id string) *job {
 		return nil
 	}
 	j := &job{
-		id:          id,
-		hub:         newHub(),
-		specVersion: st.SpecVersion,
-		replicates:  st.Replicates,
-		state:       st.State,
-		errMsg:     st.Error,
-		cells:      st.Cells,
-		cellsDone:  st.CellsDone,
-		created:    st.Created,
-		traceID:    st.TraceID,
+		id:         id,
+		hub:        newHub(),
+		st:         st,
 		archived:   true,
 		hasResult:  len(result) > 0,
 		resultJSON: result,
 	}
-	if st.Started != nil {
-		j.started = *st.Started
-	}
-	if st.Finished != nil {
-		j.finished = *st.Finished
-	}
-	j.hub.publish(client.Event{Type: terminalEventType(j.state), Job: &st})
+	j.hub.publish(client.Event{Type: terminalEventType(st.State), Job: &st})
 	j.hub.close()
 	return j
 }
@@ -280,7 +272,7 @@ func (s *store) add(spec *episim.SweepSpec, traceID string, trace *obs.Timeline,
 	// restore() advanced seq past everything persisted, but an id can
 	// still be occupied on disk — e.g. a rolling restart overlapping the
 	// old process, which persisted jobs after this one scanned. Never
-	// hand out an id whose artifact exists, or a later finish() would
+	// hand out an id whose artifact exists, or a later terminate would
 	// overwrite someone else's result. (A cache dir still assumes a
 	// single writer at a time; this guard covers the overlap window,
 	// not sustained multi-daemon writes — scaled-out deployments give
@@ -289,18 +281,22 @@ func (s *store) add(spec *episim.SweepSpec, traceID string, trace *obs.Timeline,
 	for s.results != nil && s.results.Has(fmt.Sprintf("sw-%06d", s.seq)) {
 		s.seq++
 	}
+	id := fmt.Sprintf("sw-%06d", s.seq)
 	j := &job{
-		id:          fmt.Sprintf("sw-%06d", s.seq),
-		spec:        spec,
-		specVersion: spec.Version(),
-		replicates:  spec.Replicates,
-		hub:         newHub(),
-		state:      client.StateQueued,
-		cells:      len(spec.Cells()),
-		created:    s.now(),
-		traceID:    traceID,
-		trace:      trace,
-		clientID:   clientID,
+		id:       id,
+		hub:      newHub(),
+		spec:     spec,
+		trace:    trace,
+		clientID: clientID,
+		st: client.JobStatus{
+			ID:          id,
+			State:       client.StateQueued,
+			Cells:       len(spec.Cells()),
+			Replicates:  spec.Replicates,
+			Created:     s.now(),
+			TraceID:     traceID,
+			SpecVersion: spec.Version(),
+		},
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -329,30 +325,7 @@ func (s *store) get(id string) (*job, bool) {
 func (s *store) status(j *job) client.JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statusLocked(j)
-}
-
-func (s *store) statusLocked(j *job) client.JobStatus {
-	st := client.JobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Error:       j.errMsg,
-		Cells:       j.cells,
-		CellsDone:   j.cellsDone,
-		Replicates:  j.replicates,
-		Created:     j.created,
-		TraceID:     j.traceID,
-		SpecVersion: j.specVersion,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	return st
+	return j.st
 }
 
 // list snapshots the memory index, oldest first. With retention
@@ -366,7 +339,7 @@ func (s *store) list() []client.JobStatus {
 	s.evictLocked()
 	out := make([]client.JobStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.jobs[id]))
+		out = append(out, s.jobs[id].st)
 	}
 	return out
 }
@@ -379,7 +352,7 @@ func (s *store) list() []client.JobStatus {
 // "the run produced nothing", and must not surface as a permanent 410.
 func (s *store) resultBytes(j *job) ([]byte, client.JobState, error) {
 	s.mu.Lock()
-	raw, state, archived, hasResult := j.resultJSON, j.state, j.archived, j.hasResult
+	raw, state, archived, hasResult := j.resultJSON, j.st.State, j.archived, j.hasResult
 	s.mu.Unlock()
 	if raw == nil && archived && hasResult {
 		if full := s.loadArchived(j.id); full != nil {
@@ -392,46 +365,34 @@ func (s *store) resultBytes(j *job) ([]byte, client.JobState, error) {
 	return raw, state, nil
 }
 
-// countWaiting reports how many of ids are still non-terminal, checked
-// against the MEMORY index only: queued/running jobs are never evicted,
-// so an id absent from memory is terminal (canceled then evicted) — and
-// the metrics scrape path must not pay a disk rehydration per stale id.
-func (s *store) countWaiting(ids []string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, id := range ids {
-		if j, ok := s.jobs[id]; ok && !j.state.Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
 // counts tallies the memory index's jobs by state, plus the eviction
-// counter, for the stats endpoint.
+// counter: the one ledger behind the stats endpoint and the readiness
+// probe (queued is the queue depth, running the active sweeps).
 func (s *store) counts() (total int, byState map[client.JobState]int, evicted int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	byState = map[client.JobState]int{}
 	for _, j := range s.jobs {
-		byState[j.state]++
+		byState[j.st.State]++
 	}
 	return len(s.jobs), byState, s.evicted
 }
 
-// markRunning transitions a queued job to running and registers its
-// cancel function; it reports false when the job was canceled while
-// still queued (the runner then skips it).
+// markRunning transitions a queued job to running, registers its cancel
+// function and records the queue_wait span — exactly the admission
+// delay. It reports false when the job was canceled while still queued
+// (the runner then skips it).
 func (s *store) markRunning(j *job, cancel context.CancelFunc) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != client.StateQueued {
+	if j.ending || j.st.State != client.StateQueued {
+		s.mu.Unlock()
 		return false
 	}
-	j.state = client.StateRunning
-	j.started = s.now()
-	j.cancel = cancel
+	started := s.now()
+	j.st.State, j.st.Started, j.cancel = client.StateRunning, &started, cancel
+	created := j.st.Created
+	s.mu.Unlock()
+	j.trace.Add("queue_wait", "", created, started)
 	return true
 }
 
@@ -439,16 +400,21 @@ func (s *store) markRunning(j *job, cancel context.CancelFunc) bool {
 // bills it to the submitting client.
 func (s *store) incCellsDone(j *job) {
 	s.mu.Lock()
-	j.cellsDone++
-	clientID := j.clientID
+	j.st.CellsDone++
 	s.mu.Unlock()
-	s.usage.Add(clientID, obs.ClientUsage{Cells: 1})
+	s.usage.Add(j.clientID, obs.ClientUsage{Cells: 1})
 }
 
-// finish records a run's terminal state and (possibly partial) result,
-// spills the finished job to the disk store, and returns the final
-// snapshot for the terminal event.
-func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim.SweepResult) client.JobStatus {
+// terminate is the one way a job ends: done, failed, canceled while
+// running, canceled while queued, or still queued at shutdown. It claims
+// the transition out of state `from` under the lock — reporting false
+// when the job already left that state or another caller is ending it —
+// and then works in the order the lifecycle contract promises: persist
+// the record with its (possibly partial) result, complete and close the
+// timeline, settle the per-job counters, and only then make the terminal
+// status visible to readers and to retention. The terminal event
+// publishes last, so a client reacting to it finds all of the above.
+func (s *store) terminate(j *job, from, state client.JobState, errMsg string, res *episim.SweepResult) bool {
 	var raw []byte
 	if res != nil {
 		var buf bytes.Buffer
@@ -457,28 +423,40 @@ func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim
 		}
 	}
 	s.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.resultJSON = raw
-	j.hasResult = raw != nil
-	j.finished = s.now()
-	j.cancel = nil
-	st := s.statusLocked(j)
+	if j.ending || j.st.State != from {
+		s.mu.Unlock()
+		return false
+	}
+	j.ending, j.cancel = true, nil
+	st, finished := j.st, s.now()
+	st.State, st.Error, st.Finished = state, errMsg, &finished
 	s.mu.Unlock()
 
+	// queue_wait + run tile created→finished exactly, the trace endpoint's
+	// coverage contract: a job that was never admitted waited its whole
+	// life, and its zero-length run span is the terminal marker component
+	// rollups look for.
+	runStart := finished
+	if st.Started != nil {
+		runStart = *st.Started
+	} else {
+		j.trace.Add("queue_wait", "", st.Created, finished)
+	}
 	if s.results != nil {
 		persistStart := time.Now()
 		s.persist(st, raw)
 		j.trace.Add("result_persist", "", persistStart, time.Now())
 	}
-	// Terminal bookkeeping for the SLO plane: spans dropped past the
-	// per-job cap roll into the daemon counter exactly once (the timeline
-	// is closed by the scheduler right after this returns, so the count
-	// is final), and build-map entries with zero builds are content keys
-	// this sweep needed that some cache tier already held — the client's
-	// cache-hit credit.
+	j.trace.Add("run", string(state), runStart, finished)
+	// Detach the timeline from the service histograms: a canceled run's
+	// in-flight replicates may still land spans — they stay visible in the
+	// job's trace but must not count as fresh service latency.
+	j.trace.Close()
+	// The drop count is final once the timeline is closed; build-map
+	// entries with zero builds are content keys this sweep needed that
+	// some cache tier already held — the client's cache-hit credit.
 	s.droppedSpans.Add(int64(j.trace.Dropped()))
-	if res != nil && s.usage != nil {
+	if res != nil {
 		hits := int64(0)
 		for _, builds := range []map[string]int{res.PopulationBuilds, res.PlacementBuilds, res.CheckpointBuilds} {
 			for _, n := range builds {
@@ -491,19 +469,20 @@ func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim
 			s.usage.Add(j.clientID, obs.ClientUsage{CacheHits: hits})
 		}
 	}
+
 	s.mu.Lock()
+	j.st, j.resultJSON, j.hasResult = st, raw, raw != nil
 	s.evictLocked()
 	s.mu.Unlock()
-	return st
+	j.hub.publish(client.Event{Type: terminalEventType(state), Job: &st})
+	j.hub.close()
+	return true
 }
 
-// persist spills a terminal job's record to the disk store (no-op
-// without one). Failures are logged, not fatal: the job stays servable
-// from memory for its retention window.
+// persist spills a terminal job's record to the disk store. Failures
+// are logged, not fatal: the job stays servable from memory for its
+// retention window.
 func (s *store) persist(st client.JobStatus, raw []byte) {
-	if s.results == nil {
-		return
-	}
 	payload, err := encodeJobRecord(st, raw)
 	if err == nil {
 		err = s.results.Put(artifact.KindJob, st.ID, payload)
@@ -524,7 +503,7 @@ func (s *store) evictLocked() {
 	now := s.now()
 	terminal := 0
 	for _, id := range s.order {
-		if s.jobs[id].state.Terminal() {
+		if s.jobs[id].st.State.Terminal() {
 			terminal++
 		}
 	}
@@ -532,8 +511,8 @@ func (s *store) evictLocked() {
 	for _, id := range s.order {
 		j := s.jobs[id]
 		drop := false
-		if j.state.Terminal() {
-			if s.ttl > 0 && !j.finished.IsZero() && now.Sub(j.finished) > s.ttl {
+		if j.st.State.Terminal() {
+			if s.ttl > 0 && j.st.Finished != nil && now.Sub(*j.st.Finished) > s.ttl {
 				drop = true
 			}
 			if !drop && s.retain > 0 && terminal > s.retain {
@@ -553,47 +532,18 @@ func (s *store) evictLocked() {
 	s.order = keep
 }
 
-// requestCancel moves a queued job straight to canceled (publishing the
-// terminal event) or signals a running job's context; terminal jobs are
-// left untouched. It reports whether the job was still cancelable.
+// requestCancel terminates a queued job or signals a running job's
+// context (its run then ends through terminate); terminal jobs are left
+// untouched. It reports whether the job was still cancelable.
 func (s *store) requestCancel(j *job) bool {
-	s.mu.Lock()
-	switch j.state {
-	case client.StateQueued:
-		j.state = client.StateCanceled
-		j.finished = s.now()
-		st := s.statusLocked(j)
-		s.mu.Unlock()
-		// A job canceled while queued never reaches execute(), which is
-		// where queue_wait and the terminal run span are normally
-		// recorded — without these two Adds its timeline ends on the open
-		// admission span and component rollups see an unterminated job.
-		// queue_wait covers the real time spent waiting; the zero-length
-		// run span is the terminal marker the coverage contract promises
-		// (queue_wait + run spans created→finished exactly). The timeline
-		// then closes so nothing feeds service histograms after terminal.
-		j.trace.Add("queue_wait", "", j.created, j.finished)
-		j.trace.Add("run", string(client.StateCanceled), j.finished, j.finished)
-		j.trace.Close()
-		// This terminal path bypasses finish(): settle the drop counter
-		// here too (the count is final once the timeline closes).
-		s.droppedSpans.Add(int64(j.trace.Dropped()))
-		j.hub.publish(client.Event{Type: "canceled", Job: &st})
-		j.hub.close()
-		// Canceled-while-queued is terminal without passing through
-		// finish(); persist here too, or eviction/restart would forget
-		// the job ever existed.
-		s.persist(st, nil)
+	if s.terminate(j, client.StateQueued, client.StateCanceled, "", nil) {
 		return true
-	case client.StateRunning:
-		cancel := j.cancel
-		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return true
-	default:
-		s.mu.Unlock()
-		return false
 	}
+	s.mu.Lock()
+	terminal, cancel := j.st.State.Terminal(), j.cancel
+	s.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	return !terminal
 }

@@ -4,7 +4,6 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 )
@@ -148,7 +147,8 @@ func (p *Population) Save(path string) error {
 	return f.Close()
 }
 
-// Load reads a population written by Save.
+// Load reads a population written by Save and validates it: an empty or
+// truncated file is an error, never a smaller population.
 func Load(path string) (*Population, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -160,8 +160,11 @@ func Load(path string) (*Population, error) {
 		return nil, fmt.Errorf("synthpop: gzip: %w", err)
 	}
 	var p Population
-	if err := gob.NewDecoder(zr).Decode(&p); err != nil && err != io.EOF {
+	if err := gob.NewDecoder(zr).Decode(&p); err != nil {
 		return nil, fmt.Errorf("synthpop: decode: %w", err)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("synthpop: load %s: %w", path, err)
 	}
 	return &p, nil
 }

@@ -1,7 +1,10 @@
 package synthpop
 
 import (
+	"bytes"
+	"compress/gzip"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -285,6 +288,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A damaged file is an error, not a smaller (or empty) population.
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty bytes.Buffer
+	if err := gzip.NewWriter(&empty).Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"empty stream":     empty.Bytes(),
+		"truncated stream": whole[:len(whole)/2],
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Load(path); err == nil {
+			t.Fatalf("%s: Load returned %d persons and no error", name, got.NumPersons())
+		}
 	}
 }
 
