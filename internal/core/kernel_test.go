@@ -108,19 +108,23 @@ func TestKernelAutoMatchesDense(t *testing.T) {
 		}
 	}
 
+	withScenario := func(t *testing.T, src string, cfg Config) Config {
+		t.Helper()
+		if src != "" {
+			sc, err := interventions.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Scenario = sc
+		}
+		return cfg
+	}
+
 	for mname, m := range models {
 		for sname, src := range scenarios {
 			t.Run(mname+"/"+sname, func(t *testing.T) {
-				cfg := Config{Population: pop, Disease: m,
-					Days: 18, Seed: 17, InitialInfections: 5, Ranks: 3}
-				if src != "" {
-					sc, err := interventions.Parse(src)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Scenario = sc
-				}
-				runPair(t, cfg)
+				runPair(t, withScenario(t, src, Config{Population: pop, Disease: m,
+					Days: 18, Seed: 17, InitialInfections: 5, Ranks: 3}))
 			})
 		}
 	}
@@ -133,8 +137,11 @@ func TestKernelAutoMatchesDense(t *testing.T) {
 	})
 
 	t.Run("parallel", func(t *testing.T) {
-		runPair(t, Config{Population: pop, Disease: hotModel(),
-			Days: 18, Seed: 23, InitialInfections: 5, Ranks: 4, Parallel: true})
+		// The second input vaccinates: Parallel × vaccination × dense-vs-auto.
+		for _, src := range []string{"", scenarios["pandemic-response.txt"]} {
+			runPair(t, withScenario(t, src, Config{Population: pop, Disease: hotModel(),
+				Days: 18, Seed: 23, InitialInfections: 5, Ranks: 4, Parallel: true}))
+		}
 	})
 
 	t.Run("mixing-split", func(t *testing.T) {

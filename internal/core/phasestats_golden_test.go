@@ -9,12 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/charm"
+	"repro/internal/interventions"
 )
 
 // TestPhaseStatsGolden pins every charm.PhaseStats field of every day —
 // wire counts, per-PE traffic, locality histograms, sync rounds,
 // reductions: the numbers behind the bench's charm.* metrics and the
-// paper's communication figures — for six sequential configurations, as
+// paper's communication figures — for seven sequential configurations, as
 // the SHA-256 and length of json.Marshal(*Result). A day-loop refactor
 // that means to keep the counters must leave testdata/phasestats.golden
 // alone; one that means to change them replaces the lines this test
@@ -67,6 +68,19 @@ func TestPhaseStatsGolden(t *testing.T) {
 			c := base()
 			c.AggBufferSize = 64
 			c.Mixing = 0.3
+			return c
+		}},
+		// The scenario vaccinates 918 persons on day 7 of 8: pins the campaign's draws
+		// and their place in the day on the dense kernel.
+		{"dense-vaccination-3pe", func() Config {
+			sc, err := interventions.Parse(mustRead(t, "../../scenarios/pandemic-response.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := base()
+			c.Ranks = 3
+			c.AggBufferSize = 64
+			c.Scenario = sc
 			return c
 		}},
 	}
