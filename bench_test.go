@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's tables and figures (one benchmark
-// per artifact; see DESIGN.md §4), plus ablation benchmarks for the design
-// choices the reproduction makes. Run with:
+// per artifact; `experiments -list` is the index), plus ablation
+// benchmarks for the design choices the reproduction makes. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -126,7 +126,7 @@ func BenchmarkModelDayTime(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md). ---
+// --- Ablation benchmarks (README "Tests and benchmarks"). ---
 
 // BenchmarkAblationAggBufferSize sweeps the aggregation buffer: reports
 // modeled time/day as the custom metric for each size.

@@ -7,7 +7,7 @@
 //	experiments -run all
 //
 // Each experiment prints the same rows/series the corresponding paper
-// artifact reports; EXPERIMENTS.md records paper-vs-measured.
+// artifact reports.
 package main
 
 import (

@@ -129,12 +129,7 @@ type Placement struct {
 func BuildBipartiteGraph(pop *Population) *graph.Graph {
 	nP, nL := pop.NumPersons(), pop.NumLocations()
 	b := graph.NewBuilder(nP+nL, 2)
-	model := loadmodel.Paper()
-	visitCounts := pop.VisitCountsPerLocation()
-	locLoads := make([]float64, nL)
-	for l := 0; l < nL; l++ {
-		locLoads[l] = model.Load(float64(2 * visitCounts[l]))
-	}
+	locLoads := loadmodel.Paper().VisitLoads(pop.VisitCountsPerLocation())
 	q := loadmodel.NewQuantizer(locLoads, 64)
 	for l := 0; l < nL; l++ {
 		b.SetVertexWeight(nP+l, 1, q.Quantize(locLoads[l]))

@@ -292,14 +292,6 @@ func TestStorePutGet(t *testing.T) {
 	if err != nil || string(got) != "payload-b" {
 		t.Fatalf("reopened get = %q, %v", got, err)
 	}
-
-	st.Delete("a")
-	if _, err := st.Get(KindPopulation, "a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted key: %v", err)
-	}
-	if s := st.Stats(); s.Files != 1 {
-		t.Fatalf("stats after delete = %+v", s)
-	}
 }
 
 // TestStoreCorruptFileIsMissAndRemoved: a damaged artifact reads as

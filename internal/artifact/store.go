@@ -144,14 +144,6 @@ func (s *Store) Has(key string) bool {
 	return err == nil
 }
 
-// Delete removes the artifact under key (no error if absent).
-func (s *Store) Delete(key string) {
-	path := s.path(key)
-	if info, err := os.Stat(path); err == nil {
-		s.removeFile(path, info.Size())
-	}
-}
-
 func (s *Store) removeFile(path string, size int64) {
 	if os.Remove(path) == nil {
 		s.mu.Lock()

@@ -83,10 +83,6 @@ type Config struct {
 	// SLO, in seconds (0 = 30) — keep it equal to the backends' so the
 	// fleet burn rate and the per-daemon ones measure the same promise.
 	QueueWaitSLOSeconds float64
-	// HTTPClient proxies requests to backends. It must not set a global
-	// Timeout (event streams run as long as sweeps do); nil uses a
-	// default transport.
-	HTTPClient *http.Client
 	// Logger receives the gateway's structured log lines (nil = a plain
 	// text logger on stderr at info level, the historical behavior).
 	Logger *obs.Logger
@@ -185,16 +181,13 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 2
 	}
-	httpc := cfg.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{}
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NewLogger(os.Stderr, "text", obs.LevelInfo, "episim-gw")
 	}
 	g := &Gateway{
-		httpc:         httpc,
+		// No global Timeout: event streams run as long as sweeps do.
+		httpc:         &http.Client{},
 		probec:        &http.Client{Timeout: cfg.ProbeTimeout},
 		probeInterval: cfg.ProbeInterval,
 		failAfter:     cfg.FailAfter,

@@ -61,48 +61,42 @@ func (e *Engine) keepVisit(p int32, isolated bool, locID int32, loc *synthpop.Lo
 	return true
 }
 
-// applyVaccination runs the day's vaccination campaign engine-side: the
-// dense kernel applies it inside computeVisits for every person, but the
-// active paths only visit active persons, so the campaign moves up
-// front. The draw is keyed by (seed, person, day) — identical to the
-// dense kernel's, so applying it earlier in the day is byte-equivalent.
-func (e *Engine) applyVaccination(day int) {
-	vaccinate := e.effects.VaccinateNow
-	if vaccinate <= 0 {
-		return
-	}
-	vacID, hasVac := e.model.TreatmentByName("vaccinated")
-	if !hasVac {
-		return
-	}
-	for p := range e.health {
-		hs := &e.health[p]
-		if hs.Treatment != 0 {
-			continue
-		}
-		if xrand.KeyedFloat64(0xacc1, e.cfg.Seed, uint64(p), uint64(day)) < vaccinate {
-			hs.Treatment = vacID
+// beginSparseDay opens a day of the active-set and event kernels: the
+// scenario step every kernel shares, then the lazily allocated active-set
+// scratch and inverted static schedule (visit indices grouped by
+// location), so purely dense runs pay nothing for them.
+func (e *Engine) beginSparseDay(day int) {
+	e.stepScenario(day)
+	if e.activeLoc == nil {
+		nP, nL := e.pop.NumPersons(), e.pop.NumLocations()
+		e.activeLoc = make([]bool, nL)
+		e.personMark = make([]bool, nP)
+		e.activePersons = make([][]int32, len(e.pmHealth))
+
+		offsets, order := e.pop.VisitIndexByLocation()
+		e.visitsAtLoc = make([][]int32, nL)
+		for l := range e.visitsAtLoc {
+			e.visitsAtLoc[l] = order[offsets[l]:offsets[l+1]]
 		}
 	}
 }
 
-// ensureActiveState lazily allocates the active-set scratch and the
-// inverted static schedule (visit indices grouped by location) on the
-// first non-dense day, so purely dense runs pay nothing for it.
-func (e *Engine) ensureActiveState() {
-	if e.activeLoc != nil {
-		return
+// endSparseDay closes such a day: state counts from the incremental
+// counters, the per-day marks reset in O(active) time, timed
+// interventions ticked.
+func (e *Engine) endSparseDay(rep *DayReport) {
+	rep.Counts = e.stateCounts64()
+	for _, locID := range e.activeLocList {
+		e.activeLoc[locID] = false
 	}
-	nP, nL := e.pop.NumPersons(), e.pop.NumLocations()
-	e.activeLoc = make([]bool, nL)
-	e.personMark = make([]bool, nP)
-	e.activePersons = make([][]int32, len(e.pmHealth))
-
-	offsets, order := e.pop.VisitIndexByLocation()
-	e.visitsAtLoc = make([][]int32, nL)
-	for l := range e.visitsAtLoc {
-		e.visitsAtLoc[l] = order[offsets[l]:offsets[l+1]]
+	e.activeLocList = e.activeLocList[:0]
+	for pmID := range e.activePersons {
+		for _, p := range e.activePersons[pmID] {
+			e.personMark[p] = false
+		}
+		e.activePersons[pmID] = e.activePersons[pmID][:0]
 	}
+	e.effects.Tick()
 }
 
 // markActive records one location as reachable from the frontier today.
@@ -114,19 +108,25 @@ func (e *Engine) markActive(locID int32) {
 	e.activeLocList = append(e.activeLocList, locID)
 }
 
-// markFrontierLocations walks the effectively infectious frontier and
-// marks every location one of its kept visits reaches. In mixing mode a
-// marked location activates its whole fragment family, because dense
-// replicates infectious visitors across sibling fragments (Figure 6(b)).
-func (e *Engine) markFrontierLocations(day int) {
+// walkFrontier is the sparse kernels' one walk of the effectively
+// infectious frontier — each PM's infectious set, in set order — marking
+// every location one of its kept visits reaches and handing each kept
+// visit, with its person's infectivity, to visit (which may be nil). In
+// mixing mode a marked location activates its whole fragment family,
+// because dense replicates infectious visitors across sibling fragments
+// (Figure 6(b)).
+func (e *Engine) walkFrontier(day int, visit func(v *synthpop.Visit, inf float64)) {
 	for pmID := range e.pmHealth {
 		for _, p := range e.pmHealth[pmID].infectious {
 			hs := &e.health[p]
-			if e.model.Infectivity(hs.State, hs.Treatment) <= 0 {
+			inf := e.model.Infectivity(hs.State, hs.Treatment)
+			if inf <= 0 {
 				continue
 			}
 			isolated := e.effects.Isolated(e.stateNames[hs.State])
-			for _, v := range e.pop.PersonVisits(p) {
+			visits := e.pop.PersonVisits(p)
+			for i := range visits {
+				v := &visits[i]
 				loc := &e.pop.Locations[v.Loc]
 				if !e.keepVisit(p, isolated, v.Loc, loc, day) {
 					continue
@@ -137,22 +137,28 @@ func (e *Engine) markFrontierLocations(day int) {
 						e.markActive(frag)
 					}
 				}
+				if visit != nil {
+					visit(v, inf)
+				}
 			}
 		}
 	}
 }
 
-// clearActiveScratch resets the per-day marks in O(active) time.
-func (e *Engine) clearActiveScratch() {
-	for _, locID := range e.activeLocList {
-		e.activeLoc[locID] = false
-	}
-	e.activeLocList = e.activeLocList[:0]
-	for pmID := range e.activePersons {
-		for _, p := range e.activePersons[pmID] {
-			e.personMark[p] = false
+// progressSparse advances the dwell clocks of pm's progressing set — the
+// only persons whose state can change without a new exposure.
+// transitionPerson may swap-remove the person under the cursor; the slot
+// is then re-examined instead of advanced past. Today's fresh infections
+// must already be in the set, so they receive their same-day dwell
+// decrement exactly as the dense kernel's full scan gives them.
+func (e *Engine) progressSparse(pm int32, day int) {
+	h := &e.pmHealth[pm]
+	for i := 0; i < len(h.progressing); {
+		p := h.progressing[i]
+		e.progressPerson(p, day)
+		if i < len(h.progressing) && h.progressing[i] == p {
+			i++
 		}
-		e.activePersons[pmID] = e.activePersons[pmID][:0]
 	}
 }
 
@@ -162,18 +168,9 @@ func (e *Engine) clearActiveScratch() {
 // or progressing persons, so a fully quiescent day costs O(managers).
 func (e *Engine) runDayActive(day int) DayReport {
 	rep := DayReport{Day: day, Kernel: kernelActive}
-	e.stepScenario(day)
-	e.applyVaccination(day)
-	e.ensureActiveState()
+	e.beginSparseDay(day)
 
-	if e.locEvents != nil {
-		for i := range e.locEvents {
-			e.locEvents[i] = 0
-			e.locInteractions[i] = 0
-		}
-	}
-
-	e.markFrontierLocations(day)
+	e.walkFrontier(day, nil)
 	if len(e.activeLocList) > 0 {
 		// Active person set: every static visitor of an active location,
 		// deduped and bucketed per PM.
@@ -231,16 +228,14 @@ func (e *Engine) runDayActive(day int) DayReport {
 		rep.NewInfections = rep.UpdatePhase.Reductions["newinfections"]
 		e.cumulative += rep.NewInfections
 	}
-	rep.Counts = e.stateCounts64()
 
-	e.clearActiveScratch()
-	e.effects.Tick()
+	e.endSparseDay(&rep)
 	return rep
 }
 
 // computeVisitsActive is the active-set person phase: only this PM's
 // active persons evaluate their schedules, and only visits to active
-// locations are sent. Vaccination already ran engine-side.
+// locations are sent.
 func (pm *personManager) computeVisitsActive(ctx *charm.Ctx, day int) {
 	e := pm.eng
 	for _, p := range e.activePersons[pm.id] {
@@ -254,20 +249,8 @@ func (pm *personManager) computeVisitsActive(ctx *charm.Ctx, day int) {
 // come from the incremental counters, so no per-person reduction is
 // contributed.
 func (pm *personManager) applyUpdatesActive(ctx *charm.Ctx, day int) {
-	e := pm.eng
 	if n := pm.resolveInfections(day); n > 0 {
 		ctx.Contribute("newinfections", n)
 	}
-	// transitionPerson may swap-remove the person under the cursor; the
-	// slot is then re-examined instead of advanced past. Fresh infections
-	// were added above, before this walk, so they receive their same-day
-	// dwell decrement exactly as the dense kernel's full scan gives them.
-	h := &e.pmHealth[pm.id]
-	for i := 0; i < len(h.progressing); {
-		p := h.progressing[i]
-		e.progressPerson(p, day)
-		if i < len(h.progressing) && h.progressing[i] == p {
-			i++
-		}
-	}
+	pm.eng.progressSparse(pm.id, day)
 }

@@ -16,6 +16,13 @@
 // data distribution (RR, GP, with or without splitLoc), any rank count,
 // and sequential vs parallel execution — the repository's main
 // correctness oracle.
+//
+// Three kernels execute a day (Config.Kernel): dense is the algorithm
+// above; the active-set stepper (active.go) and the event kernel
+// (eventsim.go) restrict it to the infectious frontier and share
+// walkFrontier, progressSparse and beginSparseDay / endSparseDay. On every
+// kernel the day opens engine-side in stepScenario — interventions, then
+// the vaccination campaign — and visits are filtered by keepVisit.
 package core
 
 import (
@@ -67,10 +74,6 @@ type Config struct {
 	// replicating the infectious", Figure 6(b)) so that outcomes stay
 	// identical to the unsplit population.
 	Mixing float64
-	// CollectLocationLoads records per-location daily workload counters
-	// (events and interactions), the measurement input of dynamic load
-	// balancing (Section VII future work). Costs two int64 slices.
-	CollectLocationLoads bool
 
 	// Kernel selects the per-day simulation kernel:
 	//
@@ -190,11 +193,6 @@ type Engine struct {
 	// stateNames caches disease state names for reductions.
 	stateNames []string
 	cumulative int64
-	// Per-location measured workload of the current day (only when
-	// cfg.CollectLocationLoads). Each location is written by exactly one
-	// LM, and LMs on a PE run serially, so no synchronization is needed.
-	locEvents       []int64
-	locInteractions []int64
 
 	// Incremental health bookkeeping, one slab per PM so parallel update
 	// phases mutate disjoint memory: per-state population counts plus the
@@ -413,11 +411,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	if cfg.CollectLocationLoads {
-		e.locEvents = make([]int64, nL)
-		e.locInteractions = make([]int64, nL)
-	}
-
 	e.pmArr = e.rt.NewArray(numPM, func(i int32) charm.Chare {
 		return &personManager{eng: e, id: i, persons: personsOfPM[i]}
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
@@ -482,56 +475,6 @@ func sparseRemove(items *[]int32, pos []int32, p int32) {
 	pos[q] = i
 	*items = (*items)[:last]
 	pos[p] = -1
-}
-
-// LocationLoads returns the previous day's per-location measured workload
-// (events, interactions). Only valid with Config.CollectLocationLoads; the
-// slices are reused across days — copy to retain.
-func (e *Engine) LocationLoads() (events, interactions []int64) {
-	return e.locEvents, e.locInteractions
-}
-
-// LocationRanks returns the current location→rank assignment (a copy).
-func (e *Engine) LocationRanks() []int32 {
-	out := make([]int32, e.pop.NumLocations())
-	for l := range out {
-		out[l] = e.rt.PlacementOf(charm.ChareRef{Array: e.lmArr, Index: e.lmOf[l]})
-	}
-	return out
-}
-
-// MigrateLocations re-assigns locations to ranks between days: the
-// migration step of measurement-based dynamic load balancing (Section VII
-// future work). LMs hold no cross-day state, so migration is a pure
-// remapping; by partition invariance it cannot change the epidemic, only
-// the load distribution. It returns the number of migrated locations.
-func (e *Engine) MigrateLocations(newRank []int32) (int, error) {
-	nL := e.pop.NumLocations()
-	if len(newRank) != nL {
-		return 0, fmt.Errorf("core: MigrateLocations got %d ranks, want %d", len(newRank), nL)
-	}
-	for _, r := range newRank {
-		if r < 0 || int(r) >= e.cfg.Ranks {
-			return 0, fmt.Errorf("core: migration rank %d outside [0,%d)", r, e.cfg.Ranks)
-		}
-	}
-	// Rebuild manager membership exactly as New does.
-	numLM := e.cfg.Ranks * e.cfg.ChareFactor
-	locsOfLM := make([][]int32, numLM)
-	migrated := 0
-	for l := int32(0); l < int32(nL); l++ {
-		lm := newRank[l]*int32(e.cfg.ChareFactor) + (l/int32(e.cfg.Ranks))%int32(e.cfg.ChareFactor)
-		if lm != e.lmOf[l] {
-			migrated++
-		}
-		e.lmOf[l] = lm
-		locsOfLM[lm] = append(locsOfLM[lm], l)
-	}
-	for i := 0; i < numLM; i++ {
-		lm := e.rt.Chare(charm.ChareRef{Array: e.lmArr, Index: int32(i)}).(*locationManager)
-		lm.locs = locsOfLM[i]
-	}
-	return migrated, nil
 }
 
 func (e *Engine) infectPerson(p int32, day int) {
@@ -602,8 +545,8 @@ func (e *Engine) progressPerson(p int32, day int) {
 }
 
 // RunDay executes a single simulated day (day numbers start at 1) and
-// returns its report. It powers step-wise drivers such as dynamic load
-// balancing loops; most callers use Run.
+// returns its report, for drivers that step or time days themselves;
+// most callers use Run.
 func (e *Engine) RunDay(day int) DayReport { return e.runDay(day) }
 
 // Run executes the configured number of days. On an engine positioned at
@@ -682,25 +625,48 @@ func (e *Engine) infectiousCount() int64 {
 	return n
 }
 
-// stepScenario triggers interventions on the state of the world this
-// morning (shared preamble of every kernel).
+// stepScenario opens a day on every kernel: interventions trigger on the
+// state of the world this morning, then the vaccination campaign they may
+// have ordered runs.
 func (e *Engine) stepScenario(day int) {
-	if e.cfg.Scenario == nil {
+	if e.cfg.Scenario != nil {
+		e.cfg.Scenario.Step(interventions.Env{
+			Day:                day,
+			Population:         e.pop.NumPersons(),
+			Counts:             e.countStates(),
+			CumulativeInfected: int(e.cumulative),
+		}, e.effects)
+	}
+	e.applyVaccination(day)
+}
+
+// applyVaccination runs the day's vaccination campaign: untreated
+// persons get the treatment with probability VaccinateNow. It runs
+// engine-side because the sparse kernels' person phases only reach active
+// persons; the draw is keyed by (seed, person, day), so where in the day
+// it is made cannot change it.
+func (e *Engine) applyVaccination(day int) {
+	vaccinate := e.effects.VaccinateNow
+	if vaccinate <= 0 {
 		return
 	}
-	env := interventions.Env{
-		Day:                day,
-		Population:         e.pop.NumPersons(),
-		Counts:             e.countStates(),
-		CumulativeInfected: int(e.cumulative),
+	vacID, hasVac := e.model.TreatmentByName("vaccinated")
+	if !hasVac {
+		return
 	}
-	e.cfg.Scenario.Step(env, e.effects)
+	for p := range e.health {
+		hs := &e.health[p]
+		if hs.Treatment != 0 {
+			continue
+		}
+		if xrand.KeyedFloat64(0xacc1, e.cfg.Seed, uint64(p), uint64(day)) < vaccinate {
+			hs.Treatment = vacID
+		}
+	}
 }
 
 func (e *Engine) runDayDense(day int, kernel string) DayReport {
 	rep := DayReport{Day: day, Kernel: kernel}
-
-	// Interventions trigger on the state of the world this morning.
 	e.stepScenario(day)
 
 	// Phase 1: person phase.
@@ -708,12 +674,6 @@ func (e *Engine) runDayDense(day int, kernel string) DayReport {
 	rep.PersonPhase = e.rt.Drain()
 
 	// Phase 2: location phase.
-	if e.locEvents != nil {
-		for i := range e.locEvents {
-			e.locEvents[i] = 0
-			e.locInteractions[i] = 0
-		}
-	}
 	e.rt.Broadcast(e.lmArr, msgRunDES{Day: day})
 	rep.LocationPhase = e.rt.Drain()
 	rep.Events = rep.LocationPhase.Reductions["events"]

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/synthpop"
 	"repro/internal/xrand"
 )
 
@@ -32,49 +33,23 @@ type srcVisit struct {
 	inf        float64
 }
 
-// runDayEvent executes one day of the event kernel. It reuses the
-// active-set frontier walk to find the reachable locations, then
-// resolves transmission analytically instead of via the DES.
+// runDayEvent executes one day of the event kernel. It shares the
+// active-set kernel's frontier walk to find the reachable locations,
+// then resolves transmission analytically instead of via the DES.
 func (e *Engine) runDayEvent(day int) DayReport {
 	rep := DayReport{Day: day, Kernel: KernelEvent}
-	e.stepScenario(day)
-	e.applyVaccination(day)
-	e.ensureActiveState()
+	e.beginSparseDay(day)
 
-	if e.locEvents != nil {
-		for i := range e.locEvents {
-			e.locEvents[i] = 0
-			e.locInteractions[i] = 0
-		}
-	}
-
-	// Collect the frontier's kept visits, grouped by location. This also
-	// marks the active locations (event mode refuses Mixing > 0, so no
-	// fragment families to expand).
+	// The frontier's kept visits, grouped by location in walk order.
 	var srcs map[int32][]srcVisit
-	for pmID := range e.pmHealth {
-		for _, p := range e.pmHealth[pmID].infectious {
-			hs := &e.health[p]
-			inf := e.model.Infectivity(hs.State, hs.Treatment)
-			if inf <= 0 {
-				continue
-			}
-			isolated := e.effects.Isolated(e.stateNames[hs.State])
-			for _, v := range e.pop.PersonVisits(p) {
-				loc := &e.pop.Locations[v.Loc]
-				if !e.keepVisit(p, isolated, v.Loc, loc, day) {
-					continue
-				}
-				e.markActive(v.Loc)
-				if srcs == nil {
-					srcs = make(map[int32][]srcVisit)
-				}
-				srcs[v.Loc] = append(srcs[v.Loc], srcVisit{
-					person: v.Person, sub: v.Sub, start: v.Start, end: v.End, inf: inf,
-				})
-			}
+	e.walkFrontier(day, func(v *synthpop.Visit, inf float64) {
+		if srcs == nil {
+			srcs = make(map[int32][]srcVisit)
 		}
-	}
+		srcs[v.Loc] = append(srcs[v.Loc], srcVisit{
+			person: v.Person, sub: v.Sub, start: v.Start, end: v.End, inf: inf,
+		})
+	})
 
 	// Hazard accumulation. Locations are walked in ascending id order and
 	// susceptibles in visit order within each, so the floating-point
@@ -142,26 +117,14 @@ func (e *Engine) runDayEvent(day int) DayReport {
 		}
 	}
 
-	// Progression over the progressing sets only, with the same
-	// swap-remove-safe walk as the active update phase.
 	for pmID := range e.pmHealth {
-		h := &e.pmHealth[pmID].progressing
-		for i := 0; i < len(*h); {
-			p := (*h)[i]
-			e.progressPerson(p, day)
-			if i < len(*h) && (*h)[i] == p {
-				i++
-			}
-		}
+		e.progressSparse(int32(pmID), day)
 	}
 
 	rep.NewInfections = newInf
 	e.cumulative += newInf
 	rep.Interactions = interactions
 	rep.Trials = trials
-	rep.Counts = e.stateCounts64()
-
-	e.clearActiveScratch()
-	e.effects.Tick()
+	e.endSparseDay(&rep)
 	return rep
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/charm"
 	"repro/internal/des"
-	"repro/internal/xrand"
 )
 
 // personManager is a PM chare (Figure 1): it manages a set of person
@@ -33,24 +32,11 @@ func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	}
 }
 
-// computeVisits is phase 1 for this PM's persons: apply vaccination
-// orders, evaluate behavioral filters (closures, isolation, demand
-// reduction), and send one visit message per kept visit.
+// computeVisits is phase 1 for this PM's persons: evaluate behavioral
+// filters (closures, isolation, demand reduction) and send one visit
+// message per kept visit.
 func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
-	e := pm.eng
-	eff := e.effects
-	vaccinate := eff.VaccinateNow
-	vacID, hasVac := e.model.TreatmentByName("vaccinated")
-
 	for _, p := range pm.persons {
-		hs := &e.health[p]
-		// Vaccination campaign: untreated persons get the treatment with
-		// probability VaccinateNow, keyed for partition invariance.
-		if vaccinate > 0 && hasVac && hs.Treatment == 0 {
-			if xrand.KeyedFloat64(0xacc1, e.cfg.Seed, uint64(p), uint64(day)) < vaccinate {
-				hs.Treatment = vacID
-			}
-		}
 		pm.sendVisits(ctx, p, day, nil)
 	}
 }
@@ -245,10 +231,6 @@ func (lm *locationManager) simulateLoc(ctx *charm.Ctx, result *des.Result, locID
 	*events += int64(result.Events)
 	*interactions += result.Interactions
 	*trials += result.Trials
-	if e.locEvents != nil {
-		e.locEvents[locID] += int64(result.Events)
-		e.locInteractions[locID] += result.Interactions
-	}
 	for _, inf := range result.Infections {
 		ctx.Send(charm.ChareRef{Array: e.pmArr, Index: e.pmOf[inf.Person]}, infectMsg{
 			Person:   inf.Person,

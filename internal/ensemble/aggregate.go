@@ -42,7 +42,7 @@ type CellResult struct {
 	// omitted) on legacy grids, so version 1 results keep their bytes.
 	Intervention string `json:"intervention,omitempty"`
 	Replicates   int    `json:"replicates"`
-	Days       int    `json:"days"`
+	Days         int    `json:"days"`
 	// Error is set (and the aggregates below left empty) when the cell
 	// failed: any replicate's population build, placement build or
 	// simulation returned an error.

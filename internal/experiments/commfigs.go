@@ -17,7 +17,7 @@ func commSweep(quick bool) []int {
 }
 
 // runFig9to11 reconstructs Figures 9–11 (the evaluation text for these is
-// truncated in the available source; see DESIGN.md): the individual effect
+// truncated in the available source): the individual effect
 // of each Section IV optimization — SMP mode with a dedicated
 // communication thread, completion detection vs quiescence detection, and
 // message aggregation — measured as modeled time per day with exactly one

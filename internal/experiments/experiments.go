@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured records). Each experiment is a function that
-// computes the artifact's data and prints the same rows/series the paper
-// reports; cmd/experiments exposes them on the command line and
-// bench_test.go wraps each in a testing.B benchmark.
+// evaluation (`experiments -list` prints the index). Each experiment is a
+// function that computes the artifact's data and prints the same
+// rows/series the paper reports, quoting the paper's figure where it gives
+// one; cmd/experiments exposes them on the command line and bench_test.go
+// wraps each in a testing.B benchmark.
 package experiments
 
 import (
@@ -112,13 +112,7 @@ func tableStates(quick bool) []string {
 // locationLoads returns per-location static loads (paper model units:
 // Blue Waters seconds) for a population.
 func locationLoads(pop *synthpop.Population) []float64 {
-	model := loadmodel.Paper()
-	counts := pop.VisitCountsPerLocation()
-	loads := make([]float64, len(counts))
-	for i, c := range counts {
-		loads[i] = model.Load(float64(2 * c))
-	}
-	return loads
+	return loadmodel.Paper().VisitLoads(pop.VisitCountsPerLocation())
 }
 
 // sumMax returns the total and maximum of a load vector.

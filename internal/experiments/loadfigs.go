@@ -141,7 +141,6 @@ func runFig3(w io.Writer, opt Options) error {
 
 	// (c, d) distributions for the Table II states.
 	states := tableStates(opt.Quick)
-	model := loadmodel.Paper()
 	fmt.Fprintf(w, "Figure 3(c) — location in-degree CCDF (unique visitors), 1:%d scale\n", opt.AnalysisScale)
 	for _, name := range states {
 		pop, err := statePop(name, opt.AnalysisScale, opt.Seed)
@@ -160,12 +159,7 @@ func runFig3(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		counts := pop.VisitCountsPerLocation()
-		loads := make([]float64, len(counts))
-		for i, c := range counts {
-			loads[i] = model.Load(float64(2 * c))
-		}
-		printCCDFRow(w, name, loads)
+		printCCDFRow(w, name, locationLoads(pop))
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/loadmodel"
 	"repro/internal/splitloc"
 	"repro/internal/stats"
 )
@@ -47,7 +46,6 @@ func runFig6(w io.Writer, opt Options) error {
 func runFig7(w io.Writer, opt Options) error {
 	opt = opt.withDefaults()
 	states := tableStates(opt.Quick)
-	model := loadmodel.Paper()
 	fmt.Fprintf(w, "Figure 7 — distributions after splitLoc (1:%d scale)\n", opt.AnalysisScale)
 	var degReductions, growths []float64
 	for _, name := range states {
@@ -72,13 +70,8 @@ func runFig7(w io.Writer, opt Options) error {
 		}
 		fmt.Fprintf(w, "  (a) degree ")
 		printCCDFRow(w, name, degrees)
-		counts := split.VisitCountsPerLocation()
-		loads := make([]float64, len(counts))
-		for i, c := range counts {
-			loads[i] = model.Load(float64(2 * c))
-		}
 		fmt.Fprintf(w, "  (b) load   ")
-		printCCDFRow(w, name, loads)
+		printCCDFRow(w, name, locationLoads(split))
 	}
 	d := stats.Summarize(degReductions)
 	gr := stats.Summarize(growths)

@@ -76,17 +76,6 @@ func (g *Graph) TotalEdgeWeight() int64 {
 	return sum / 2
 }
 
-// MaxDegree returns the maximum vertex degree (0 for an empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.numV; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // EdgeWeightBetween returns the weight of edge {u,v}, or 0 if absent.
 // Lookup is O(log deg(u)).
 func (g *Graph) EdgeWeightBetween(u, v int) int64 {

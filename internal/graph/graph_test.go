@@ -114,17 +114,6 @@ func TestVertexWeightVector(t *testing.T) {
 	}
 }
 
-func TestMaxDegree(t *testing.T) {
-	b := NewBuilder(5, 1)
-	for v := 1; v < 5; v++ {
-		b.AddEdge(0, v, 1)
-	}
-	g := b.Build()
-	if g.MaxDegree() != 4 {
-		t.Fatalf("max degree = %d", g.MaxDegree())
-	}
-}
-
 // randomGraph builds a random graph for property tests.
 func randomGraph(seed uint64, n, m int) *Graph {
 	s := xrand.NewStream(seed)

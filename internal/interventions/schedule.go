@@ -55,11 +55,6 @@ type Schedule struct {
 	Quarantines  []Quarantine  `json:"quarantines,omitempty"`
 }
 
-// Empty reports whether the schedule contains no actions.
-func (s *Schedule) Empty() bool {
-	return len(s.Closures) == 0 && len(s.Vaccinations) == 0 && len(s.Quarantines) == 0
-}
-
 // Validate checks the schedule against the DSL's own action rules plus
 // the fork contract: every trigger day must lie strictly after forkDay,
 // so the compiled rules cannot fire during the shared prefix (pass 0

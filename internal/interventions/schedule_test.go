@@ -46,9 +46,6 @@ func TestScheduleCompileDeterministic(t *testing.T) {
 
 func TestScheduleEmpty(t *testing.T) {
 	var s Schedule
-	if !s.Empty() {
-		t.Fatal("zero Schedule should be Empty")
-	}
 	if got := s.Compile(); got != "" {
 		t.Fatalf("empty schedule compiled to %q", got)
 	}

@@ -82,11 +82,16 @@ func (m Static) Load(events float64) float64 {
 	return y
 }
 
-// Loads applies Load to a vector of per-location event counts.
-func (m Static) Loads(events []int32) []float64 {
-	out := make([]float64, len(events))
-	for i, e := range events {
-		out[i] = m.Load(float64(e))
+// VisitLoad is the static load of a location receiving the given number
+// of daily visits: every visit is one arrive and one depart event.
+func (m Static) VisitLoad(visits int32) float64 { return m.Load(float64(2 * visits)) }
+
+// VisitLoads applies VisitLoad to a vector of per-location visit counts
+// (synthpop.Population.VisitCountsPerLocation).
+func (m Static) VisitLoads(visits []int32) []float64 {
+	out := make([]float64, len(visits))
+	for i, v := range visits {
+		out[i] = m.VisitLoad(v)
 	}
 	return out
 }

@@ -56,11 +56,18 @@ func TestStaticLoadMonotoneAndNonNegative(t *testing.T) {
 	}
 }
 
-func TestStaticLoads(t *testing.T) {
+func TestStaticVisitLoads(t *testing.T) {
 	m := Paper()
-	out := m.Loads([]int32{10, 100, 1000})
+	visits := []int32{10, 100, 1000}
+	out := m.VisitLoads(visits)
 	if len(out) != 3 || out[0] > out[1] || out[1] > out[2] {
-		t.Fatalf("Loads broken: %v", out)
+		t.Fatalf("VisitLoads broken: %v", out)
+	}
+	// A visit is two events: one arrive, one depart.
+	for i, v := range visits {
+		if out[i] != m.Load(float64(2*v)) || out[i] != m.VisitLoad(v) {
+			t.Fatalf("VisitLoads[%d] = %v, want Load(%d events) = %v", i, out[i], 2*v, m.Load(float64(2*v)))
+		}
 	}
 }
 

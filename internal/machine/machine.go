@@ -95,22 +95,6 @@ func BlueWatersXE6() Config {
 	}
 }
 
-// ComputePEs returns how many compute PEs a given total core count yields:
-// in SMP mode every process donates one core per node to its communication
-// thread ("the disadvantage of this approach is that it reduces the number
-// of compute threads per node").
-func (c Config) ComputePEs(totalCores int) int {
-	if !c.SMPEnabled || c.CoresPerNode <= 0 || c.ProcsPerNode <= 0 {
-		return totalCores
-	}
-	nodes := (totalCores + c.CoresPerNode - 1) / c.CoresPerNode
-	pes := totalCores - nodes*c.ProcsPerNode
-	if pes < 1 {
-		pes = 1
-	}
-	return pes
-}
-
 // RankPhase is one rank's workload during one phase.
 type RankPhase struct {
 	// Compute is the rank's computation in seconds.

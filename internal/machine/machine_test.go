@@ -6,24 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestComputePEs(t *testing.T) {
-	c := BlueWatersXE6() // 32 cores/node, 4 procs/node, SMP on
-	if got := c.ComputePEs(32); got != 28 {
-		t.Fatalf("1 node: %d compute PEs, want 28", got)
-	}
-	if got := c.ComputePEs(64); got != 56 {
-		t.Fatalf("2 nodes: %d, want 56", got)
-	}
-	c.SMPEnabled = false
-	if got := c.ComputePEs(64); got != 64 {
-		t.Fatalf("non-SMP: %d, want 64", got)
-	}
-	c.SMPEnabled = true
-	if got := c.ComputePEs(1); got < 1 {
-		t.Fatalf("tiny allocation yields %d PEs", got)
-	}
-}
-
 func TestSyncCostOrdering(t *testing.T) {
 	c := BlueWatersXE6()
 	if c.SyncCost(1024, QuiescenceDetection) <= c.SyncCost(1024, CompletionDetection) {

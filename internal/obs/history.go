@@ -150,16 +150,6 @@ func (h *History) Len() int {
 	return h.n
 }
 
-// Latest returns the most recent point (ok=false on an empty ring).
-func (h *History) Latest() (HistoryPoint, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return HistoryPoint{}, false
-	}
-	return h.points[(h.head-1+h.size)%h.size], true
-}
-
 // WindowStats is the delta between the ring's newest point and the
 // oldest point inside a trailing window: how much each counter moved,
 // at what rate, and the histogram of only the window's observations.

@@ -23,14 +23,14 @@ func TestHistogramSnapshotQuantileGolden(t *testing.T) {
 		p    float64
 		want float64
 	}{
-		{0.05, 0.05},  // rank 5 inside the first bucket: 0 + (0.1-0)*5/10
-		{0.10, 0.1},   // exactly the first bound
-		{0.30, 0.5},   // rank 30 = cumulative end of second bucket
-		{0.50, 0.75},  // rank 50: 0.5 + (1-0.5)*20/40
-		{0.70, 1.0},   // rank 70 = end of third bucket
-		{0.80, 3.0},   // rank 80: 1 + (5-1)*10/20
-		{0.95, 5.0},   // rank 95 lands in +Inf: clamp to last finite bound
-		{1.00, 5.0},   // everything past the finite bounds clamps
+		{0.05, 0.05},   // rank 5 inside the first bucket: 0 + (0.1-0)*5/10
+		{0.10, 0.1},    // exactly the first bound
+		{0.30, 0.5},    // rank 30 = cumulative end of second bucket
+		{0.50, 0.75},   // rank 50: 0.5 + (1-0.5)*20/40
+		{0.70, 1.0},    // rank 70 = end of third bucket
+		{0.80, 3.0},    // rank 80: 1 + (5-1)*10/20
+		{0.95, 5.0},    // rank 95 lands in +Inf: clamp to last finite bound
+		{1.00, 5.0},    // everything past the finite bounds clamps
 		{0.001, 0.001}, // tiny p: rank 0.1 → 0 + 0.1*(0.1/10)
 	}
 	for _, c := range cases {
@@ -89,7 +89,7 @@ func TestCountAtOrBelowGolden(t *testing.T) {
 	}
 	cases := []struct{ v, want float64 }{
 		{0.1, 10},
-		{0.3, 20},  // 10 + 20*(0.3-0.1)/(0.5-0.1)
+		{0.3, 20}, // 10 + 20*(0.3-0.1)/(0.5-0.1)
 		{0.5, 30},
 		{0.75, 50}, // 30 + 40*(0.75-0.5)/(1-0.5)
 		{1, 70},

@@ -177,24 +177,3 @@ func WriteSLOProm(w io.Writer, sts []SLOStatus) {
 		fmt.Fprintf(w, "episim_slo_stale{slo=%q} %d\n", st.Name, v)
 	}
 }
-
-// MaxBurn returns the status's highest burn rate across windows.
-func (st SLOStatus) MaxBurn() float64 {
-	max := 0.0
-	for _, sw := range st.Windows {
-		if sw.BurnRate > max {
-			max = sw.BurnRate
-		}
-	}
-	return max
-}
-
-// Burn returns the burn rate for one window label (0 when absent).
-func (st SLOStatus) Burn(window string) float64 {
-	for _, sw := range st.Windows {
-		if sw.Window == window {
-			return sw.BurnRate
-		}
-	}
-	return 0
-}

@@ -125,13 +125,6 @@ func TestWriteSLOPromShape(t *testing.T) {
 }
 
 func TestSLOStatusHelpers(t *testing.T) {
-	st := SLOStatus{Windows: []SLOWindow{{Window: "5m", BurnRate: 3}, {Window: "1h", BurnRate: 7}}}
-	if st.MaxBurn() != 7 {
-		t.Fatalf("MaxBurn = %v, want 7", st.MaxBurn())
-	}
-	if st.Burn("5m") != 3 || st.Burn("2h") != 0 {
-		t.Fatalf("Burn lookups wrong: %v %v", st.Burn("5m"), st.Burn("2h"))
-	}
 	if windowLabel(5*time.Minute) != "5m" || windowLabel(time.Hour) != "1h" || windowLabel(90*time.Second) != "90s" {
 		t.Fatal("windowLabel formatting drifted")
 	}

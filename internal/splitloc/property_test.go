@@ -6,42 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/synthpop"
-	"repro/internal/xrand"
 )
-
-// TestSplitLoadsProperties: mass conservation, threshold bound, and
-// fragment-count growth under random heavy-tailed load vectors.
-func TestSplitLoadsProperties(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := xrand.NewStream(seed)
-		n := 1 + s.Intn(200)
-		loads := make([]float64, n)
-		var total float64
-		for i := range loads {
-			loads[i] = s.Pareto(1, 1.3)
-			total += loads[i]
-		}
-		threshold := 1 + s.Float64()*20
-		out := SplitLoads(loads, threshold)
-		var outTotal, outMax float64
-		for _, l := range out {
-			outTotal += l
-			if l > outMax {
-				outMax = l
-			}
-		}
-		if math.Abs(outTotal-total) > 1e-6*total {
-			return false
-		}
-		if outMax > threshold+1e-9 {
-			return false
-		}
-		return len(out) >= n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestSplitPopulationRandomized: the full population transform preserves
 // its invariants across random generator configurations.

@@ -288,30 +288,6 @@ func SplitPopulation(pop *synthpop.Population, opt Options) (*synthpop.Populatio
 	return out, st, nil
 }
 
-// SplitLoads returns the load multiset after splitting every load heavier
-// than threshold into equal fragments. Both methods of Figure 6 transform
-// the load distribution this way (they differ only in edges), so this is
-// the transform behind the post-split S_ub analysis (Figures 5(b) and 8)
-// when only loads matter.
-func SplitLoads(loads []float64, threshold float64) []float64 {
-	if threshold <= 0 {
-		return append([]float64(nil), loads...)
-	}
-	out := make([]float64, 0, len(loads))
-	for _, l := range loads {
-		if l <= threshold {
-			out = append(out, l)
-			continue
-		}
-		n := int(math.Ceil(l / threshold))
-		frag := l / float64(n)
-		for i := 0; i < n; i++ {
-			out = append(out, frag)
-		}
-	}
-	return out
-}
-
 // DivideEdgesVertex splits vertex v of g into nFrags fragments using the
 // divide-edges method of Figure 6(a): the neighbors (and their edges) are
 // distributed round-robin across fragments and the vertex weights are

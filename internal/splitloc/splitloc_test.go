@@ -1,7 +1,6 @@
 package splitloc
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -197,34 +196,6 @@ func TestSplitExplicitThreshold(t *testing.T) {
 	}
 	if stTight.NumSplit <= stLoose.NumSplit {
 		t.Fatal("tight threshold must split more")
-	}
-}
-
-func TestSplitLoads(t *testing.T) {
-	loads := []float64{1, 2, 10}
-	out := SplitLoads(loads, 4)
-	// 10 -> 3 fragments of 10/3.
-	if len(out) != 5 {
-		t.Fatalf("got %d loads, want 5: %v", len(out), out)
-	}
-	var sum float64
-	max := 0.0
-	for _, l := range out {
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	if math.Abs(sum-13) > 1e-9 {
-		t.Fatalf("mass not conserved: %v", sum)
-	}
-	if max > 4 {
-		t.Fatalf("fragment above threshold: %v", max)
-	}
-	// Degenerate threshold returns a copy.
-	same := SplitLoads(loads, 0)
-	if len(same) != 3 {
-		t.Fatal("threshold<=0 should be identity")
 	}
 }
 

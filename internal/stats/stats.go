@@ -185,17 +185,12 @@ type LinearFit struct {
 // Predict evaluates the fitted line at x.
 func (f LinearFit) Predict(x float64) float64 { return f.A + f.B*x }
 
-// FitLinear computes the ordinary least squares line through (xs, ys).
-// It panics if the slices differ in length and returns a degenerate fit
-// (A = mean(ys), B = 0) when the xs have no variance.
-func FitLinear(xs, ys []float64) LinearFit {
-	return FitLinearWeighted(xs, ys, nil)
-}
-
 // FitLinearWeighted computes the weighted least squares line through
-// (xs, ys) with non-negative weights ws (nil means uniform). Weighting by
-// 1/y turns the objective into relative error, which is how the load model
-// is fitted (small locations matter as much as huge ones).
+// (xs, ys) with non-negative weights ws (nil means uniform, i.e. ordinary
+// least squares). Weighting by 1/y turns the objective into relative
+// error, which is how the load model is fitted (small locations matter as
+// much as huge ones). It panics if the slices differ in length and returns
+// a degenerate fit (A = mean(ys), B = 0) when the xs have no variance.
 func FitLinearWeighted(xs, ys, ws []float64) LinearFit {
 	if len(xs) != len(ys) || (ws != nil && len(ws) != len(xs)) {
 		panic(fmt.Sprintf("stats: FitLinearWeighted length mismatch %d/%d/%d", len(xs), len(ys), len(ws)))
@@ -284,27 +279,6 @@ func R2(pred, obs []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Gini returns the Gini coefficient of non-negative sample xs: 0 for a
-// perfectly even distribution, approaching 1 for extreme concentration.
-// Used as a scalar measure of load imbalance in tests and reports.
-func Gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var cum, total float64
-	n := float64(len(sorted))
-	for i, x := range sorted {
-		cum += float64(i+1) * x
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(n*total) - (n+1)/n
 }
 
 // MaxOverAvg returns max(xs)/mean(xs), the load-imbalance ratio the paper

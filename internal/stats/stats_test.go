@@ -133,7 +133,7 @@ func TestPowerLawAlphaDegenerate(t *testing.T) {
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	f := FitLinear(xs, ys)
+	f := FitLinearWeighted(xs, ys, nil)
 	if !almost(f.A, 1, 1e-9) || !almost(f.B, 2, 1e-9) {
 		t.Fatalf("fit = %+v, want A=1 B=2", f)
 	}
@@ -150,7 +150,7 @@ func TestFitLinearNoisy(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, 5+0.25*x+s.NormFloat64())
 	}
-	f := FitLinear(xs, ys)
+	f := FitLinearWeighted(xs, ys, nil)
 	if math.Abs(f.B-0.25) > 0.01 {
 		t.Fatalf("slope = %v, want ~0.25", f.B)
 	}
@@ -160,11 +160,11 @@ func TestFitLinearNoisy(t *testing.T) {
 }
 
 func TestFitLinearDegenerate(t *testing.T) {
-	f := FitLinear([]float64{2, 2, 2}, []float64{1, 2, 3})
+	f := FitLinearWeighted([]float64{2, 2, 2}, []float64{1, 2, 3}, nil)
 	if f.B != 0 || f.A != 2 {
 		t.Fatalf("degenerate fit = %+v, want mean", f)
 	}
-	if g := FitLinear(nil, nil); g.A != 0 || g.B != 0 {
+	if g := FitLinearWeighted(nil, nil, nil); g.A != 0 || g.B != 0 {
 		t.Fatalf("empty fit = %+v", g)
 	}
 }
@@ -175,7 +175,7 @@ func TestFitLinearMismatchPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	FitLinear([]float64{1}, []float64{1, 2})
+	FitLinearWeighted([]float64{1}, []float64{1, 2}, nil)
 }
 
 func TestMeanRelativeError(t *testing.T) {
@@ -198,21 +198,6 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if g := Gini([]float64{1, 1, 1, 1}); !almost(g, 0, 1e-9) {
-		t.Fatalf("uniform gini = %v", g)
-	}
-	// All mass in one element of many: close to 1.
-	xs := make([]float64, 1000)
-	xs[0] = 1
-	if g := Gini(xs); g < 0.99 {
-		t.Fatalf("concentrated gini = %v", g)
-	}
-	if Gini(nil) != 0 || Gini([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate gini should be 0")
-	}
-}
-
 func TestMaxOverAvg(t *testing.T) {
 	// Paper Figure 2: max load 8 over avg load (24/5) => 1.67.
 	loadsA := []float64{8, 4, 4, 4, 4}
@@ -221,13 +206,5 @@ func TestMaxOverAvg(t *testing.T) {
 	}
 	if MaxOverAvg(nil) != 0 {
 		t.Fatal("empty ratio should be 0")
-	}
-}
-
-func TestGiniOrdersImbalance(t *testing.T) {
-	even := []float64{1, 1, 1, 1}
-	skew := []float64{4, 0.1, 0.1, 0.1}
-	if Gini(even) >= Gini(skew) {
-		t.Fatal("gini should order imbalance")
 	}
 }

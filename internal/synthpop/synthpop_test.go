@@ -47,7 +47,7 @@ func TestPersonDegreeCalibration(t *testing.T) {
 	}
 	s := stats.SummarizeInts(perPerson)
 	// Paper: avg 5.5, sigma 2.6. Accept a generous band; the shape is what
-	// matters and exact retuning is recorded in EXPERIMENTS.md.
+	// matters.
 	if s.Mean < 4.2 || s.Mean > 6.8 {
 		t.Fatalf("visits per person mean = %v, want ≈5.5", s.Mean)
 	}

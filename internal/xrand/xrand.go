@@ -67,11 +67,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // NormFloat64 returns a normally distributed value with mean 0 and
 // standard deviation 1, via the Box-Muller transform.
 func (s *Stream) NormFloat64() float64 {

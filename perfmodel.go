@@ -8,10 +8,10 @@ import (
 )
 
 // PerfOptions parameterizes the machine-model pricing of a placement: the
-// substitute for running on 360K Blue Waters cores (see DESIGN.md). The
-// compute constants are in Blue Waters seconds: the location cost comes
-// from the paper's own published load model, so modeled times per day land
-// in the same decade as Figure 13's y-axis.
+// substitute for running on 360K Blue Waters cores. The compute constants
+// are in Blue Waters seconds: the location cost comes from the paper's own
+// published load model, so modeled times per day land in the same decade
+// as Figure 13's y-axis.
 type PerfOptions struct {
 	// Machine is the hardware model.
 	Machine machine.Config
@@ -115,7 +115,7 @@ func ModelDayTime(pl *Placement, opt PerfOptions) machine.DayCost {
 	// Compute terms.
 	visitCounts := pop.VisitCountsPerLocation()
 	for l, r := range pl.LocationRank {
-		location[r].Compute += opt.LocModel.Load(float64(2 * visitCounts[l]))
+		location[r].Compute += opt.LocModel.VisitLoad(visitCounts[l])
 	}
 	for p := int32(0); p < int32(pop.NumPersons()); p++ {
 		r := pl.PersonRank[p]
