@@ -104,13 +104,20 @@ func BenchmarkSimulateParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildPlacementGP is the bench's place-cold build without the
+// cache around it: one 30k-person / 7.5k-location population placed GP×64
+// and GP-splitLoc×64, one fixed instance per iteration, so -cpuprofile and
+// -memprofile on it profile the workload the cold-path numbers come from.
 func BenchmarkBuildPlacementGP(b *testing.B) {
-	pop := episim.Generate("bench", 20000, 5000, 1)
+	pop := episim.Generate("bench", 30000, 7500, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := episim.BuildPlacement(pop, episim.PlacementOptions{
-			Strategy: episim.GP, Ranks: 64, Seed: uint64(i + 1)}); err != nil {
-			b.Fatal(err)
+		for _, split := range []bool{false, true} {
+			if _, err := episim.BuildPlacement(pop, episim.PlacementOptions{
+				Strategy: episim.GP, SplitLoc: split, Ranks: 64, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -21,6 +21,7 @@ package episim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -128,25 +129,57 @@ type Placement struct {
 // model of Section III-A), and edges carry visit multiplicity.
 func BuildBipartiteGraph(pop *Population) *graph.Graph {
 	nP, nL := pop.NumPersons(), pop.NumLocations()
-	b := graph.NewBuilder(nP+nL, 2)
+	vw := make([]int64, 2*(nP+nL))
 	locLoads := loadmodel.Paper().VisitLoads(pop.VisitCountsPerLocation())
 	q := loadmodel.NewQuantizer(locLoads, 64)
 	for l := 0; l < nL; l++ {
-		b.SetVertexWeight(nP+l, 1, q.Quantize(locLoads[l]))
+		vw[2*(nP+l)+1] = q.Quantize(locLoads[l])
 	}
-	type edgeKey struct{ p, l int32 }
-	edges := make(map[edgeKey]int64)
+	// Persons are the first nP vertices, so their rows are a prefix of the
+	// CSR arrays and can be appended person by person: a person's visits
+	// sorted by location, each run of one location an edge weighing the
+	// run's length. xadj[nP+l+1] meanwhile counts location l's distinct
+	// visitors.
+	xadj := make([]int32, nP+nL+1)
+	adj := make([]int32, 0, 2*pop.NumVisits())
+	ew := make([]int64, 0, 2*pop.NumVisits())
+	var locs []int32
 	for p := int32(0); p < int32(nP); p++ {
 		visits := pop.PersonVisits(p)
-		b.SetVertexWeight(int(p), 0, int64(loadmodel.PersonLoad(len(visits))))
+		vw[2*p] = int64(loadmodel.PersonLoad(len(visits)))
+		locs = locs[:0]
 		for _, v := range visits {
-			edges[edgeKey{p, v.Loc}]++
+			locs = append(locs, v.Loc)
+		}
+		slices.Sort(locs)
+		for i, l := range locs {
+			if i > 0 && locs[i-1] == l {
+				ew[len(ew)-1]++
+				continue
+			}
+			adj = append(adj, int32(nP)+l)
+			ew = append(ew, 1)
+			xadj[nP+int(l)+1]++
+		}
+		xadj[p+1] = int32(len(adj))
+	}
+	// Location rows are the transpose of the person rows; filled while the
+	// person ascends, each comes out sorted by person.
+	for l := 0; l < nL; l++ {
+		xadj[nP+l+1] += xadj[nP+l]
+	}
+	cursor := append([]int32(nil), xadj[nP:nP+nL]...)
+	mP := len(adj)
+	adj, ew = adj[:2*mP], ew[:2*mP]
+	for p := 0; p < nP; p++ {
+		for i := xadj[p]; i < xadj[p+1]; i++ {
+			l := adj[i] - int32(nP)
+			c := cursor[l]
+			adj[c], ew[c] = int32(p), ew[i]
+			cursor[l] = c + 1
 		}
 	}
-	for k, w := range edges {
-		b.AddEdge(int(k.p), nP+int(k.l), w)
-	}
-	return b.Build()
+	return graph.NewFromCSR(2, xadj, adj, ew, vw)
 }
 
 // BuildPlacement distributes a population over ranks per the options.

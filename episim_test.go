@@ -1,8 +1,11 @@
 package episim
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/loadmodel"
 	"repro/internal/machine"
 )
 
@@ -53,6 +56,57 @@ func TestBuildBipartiteGraph(t *testing.T) {
 	// Edge weight totals the visit count (each visit adds 1 to its edge).
 	if g.TotalEdgeWeight() != int64(pop.NumVisits()) {
 		t.Fatalf("edge weight %d, want %d", g.TotalEdgeWeight(), pop.NumVisits())
+	}
+}
+
+// bipartiteViaBuilder is BuildBipartiteGraph as it was before it wrote CSR
+// itself — visit multiplicities in a hash map, every edge through the
+// general-purpose builder — and the oracle of the test below.
+func bipartiteViaBuilder(pop *Population) *graph.Graph {
+	nP, nL := pop.NumPersons(), pop.NumLocations()
+	b := graph.NewBuilder(nP+nL, 2)
+	locLoads := loadmodel.Paper().VisitLoads(pop.VisitCountsPerLocation())
+	q := loadmodel.NewQuantizer(locLoads, 64)
+	for l := 0; l < nL; l++ {
+		b.SetVertexWeight(nP+l, 1, q.Quantize(locLoads[l]))
+	}
+	type edgeKey struct{ p, l int32 }
+	edges := make(map[edgeKey]int64)
+	for p := int32(0); p < int32(nP); p++ {
+		visits := pop.PersonVisits(p)
+		b.SetVertexWeight(int(p), 0, int64(loadmodel.PersonLoad(len(visits))))
+		for _, v := range visits {
+			edges[edgeKey{p, v.Loc}]++
+		}
+	}
+	for k, w := range edges {
+		b.AddEdge(int(k.p), nP+int(k.l), w)
+	}
+	return b.Build()
+}
+
+func TestBuildBipartiteGraphMatchesBuilder(t *testing.T) {
+	pop := smallPop(t)
+	got, want := BuildBipartiteGraph(pop), bipartiteViaBuilder(pop)
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Everyone is at home in the morning and again in the evening, with
+	// other visits in between: two visits, one edge of weight 2.
+	home := pop.NumPersons() + int(pop.Persons[0].Home)
+	if w := got.EdgeWeightBetween(0, home); w != 2 {
+		t.Fatalf("person 0 visits home twice: edge weight %d, want 2", w)
+	}
+	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%d vertices / %d edges, want %d / %d",
+			got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+	}
+	for v := 0; v < want.NumVertices(); v++ {
+		gn, gw := got.Neighbors(v)
+		wn, ww := want.Neighbors(v)
+		if !slices.Equal(gn, wn) || !slices.Equal(gw, ww) || !slices.Equal(got.VertexWeights(v), want.VertexWeights(v)) {
+			t.Fatalf("vertex %d differs from the builder-built graph", v)
+		}
 	}
 }
 

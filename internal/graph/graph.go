@@ -8,6 +8,13 @@
 // constraint) because the paper partitions under multi-constraint balance:
 // one constraint for the person-phase load and one for the location-phase
 // load. Edges carry a single integer weight (communication volume).
+//
+// There are two ways to make a Graph. Builder takes edges in any order, with
+// duplicates, and is for graphs written by hand: examples, figures, tests.
+// The placement build — the bipartite graph, every coarsening level, every
+// bisection's subgraph — writes CSR arrays directly (NewFromCSR,
+// InducedSubgraph), because it knows its rows' structure and runs once per
+// cold placement on the whole population.
 package graph
 
 import (
@@ -171,111 +178,129 @@ func (b *Builder) AddEdge(u, v int, w int64) {
 	b.ws = append(b.ws, w)
 }
 
-// Build constructs the CSR graph. The builder can be reused afterwards,
+// Build constructs the CSR graph: count degrees, fill each row in insertion
+// order, sort every row with one transpose (sortRows) and merge the
+// duplicates that are now adjacent. The builder can be reused afterwards,
 // but edges already added remain.
 func (b *Builder) Build() *Graph {
 	n := b.numV
-	// Count directed entries (each undirected edge appears twice), merging
-	// duplicates via per-vertex sort afterwards.
-	deg := make([]int32, n+1)
-	for i := range b.us {
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
-	}
 	xadj := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		xadj[v+1] = xadj[v] + deg[v+1]
+	for i := range b.us {
+		xadj[b.us[i]+1]++
+		xadj[b.vs[i]+1]++
 	}
-	adj := make([]int32, xadj[n])
-	ew := make([]int64, xadj[n])
+	for v := 0; v < n; v++ {
+		xadj[v+1] += xadj[v]
+	}
+	rowAdj := make([]int32, xadj[n])
+	rowW := make([]int64, xadj[n])
 	cursor := make([]int32, n)
 	copy(cursor, xadj[:n])
 	for i := range b.us {
 		u, v, w := b.us[i], b.vs[i], b.ws[i]
-		adj[cursor[u]] = v
-		ew[cursor[u]] = w
+		rowAdj[cursor[u]] = v
+		rowW[cursor[u]] = w
 		cursor[u]++
-		adj[cursor[v]] = u
-		ew[cursor[v]] = w
+		rowAdj[cursor[v]] = u
+		rowW[cursor[v]] = w
 		cursor[v]++
 	}
-	// Sort each adjacency list and merge duplicate neighbors.
-	outAdj := adj[:0]
-	outW := ew[:0]
-	newXadj := make([]int32, n+1)
+	adj, ew := sortRows(xadj, rowAdj, rowW, cursor)
+	// Merge duplicate neighbors in place; the write index never passes the
+	// read index, so xadj[v+1] can be rewritten once row v has been read.
+	out := int32(0)
+	lo := xadj[0]
 	for v := 0; v < n; v++ {
-		lo, hi := xadj[v], xadj[v+1]
-		seg := adjSegment{ids: adj[lo:hi], ws: ew[lo:hi]}
-		sort.Sort(seg)
-		start := len(outAdj)
-		for i := 0; i < len(seg.ids); {
-			id := seg.ids[i]
-			var w int64
-			for i < len(seg.ids) && seg.ids[i] == id {
-				w += seg.ws[i]
-				i++
+		hi := xadj[v+1]
+		for i := lo; i < hi; i++ {
+			if i > lo && adj[i] == adj[out-1] {
+				ew[out-1] += ew[i]
+				continue
 			}
-			outAdj = append(outAdj, id)
-			outW = append(outW, w)
+			adj[out], ew[out] = adj[i], ew[i]
+			out++
 		}
-		_ = start
-		newXadj[v+1] = int32(len(outAdj))
+		lo = hi
+		xadj[v+1] = out
 	}
-	g := &Graph{
+	return &Graph{
 		numV:  n,
 		nCon:  b.nCon,
-		xadj:  newXadj,
-		adj:   append([]int32(nil), outAdj...),
-		edgeW: append([]int64(nil), outW...),
+		xadj:  xadj,
+		adj:   adj[:out:out],
+		edgeW: ew[:out:out],
 		vw:    append([]int64(nil), b.vw...),
 	}
-	return g
 }
 
-type adjSegment struct {
-	ids []int32
-	ws  []int64
+// sortRows returns the rows of a symmetric CSR matrix sorted by neighbor
+// id, without comparing anything: entry (u, v, w) of row u is written to
+// row v as (v, u, w) while u ascends, so every output row fills in
+// ascending neighbor order, and because the matrix is symmetric the output
+// is the input with sorted rows (duplicates stay, now adjacent). cursor is
+// scratch of len(xadj)-1.
+func sortRows(xadj, rowAdj []int32, rowW []int64, cursor []int32) ([]int32, []int64) {
+	n := len(xadj) - 1
+	adj := make([]int32, len(rowAdj))
+	ew := make([]int64, len(rowW))
+	copy(cursor, xadj[:n])
+	for u := 0; u < n; u++ {
+		for i := xadj[u]; i < xadj[u+1]; i++ {
+			c := cursor[rowAdj[i]]
+			adj[c] = int32(u)
+			ew[c] = rowW[i]
+			cursor[rowAdj[i]] = c + 1
+		}
+	}
+	return adj, ew
 }
 
-func (s adjSegment) Len() int           { return len(s.ids) }
-func (s adjSegment) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s adjSegment) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
-}
-
-// NewFromCSR constructs a Graph directly from CSR arrays. The arrays are
-// taken over by the graph (not copied). Intended for the partitioner's
-// coarsening step, which builds CSR natively; Validate is the caller's
-// responsibility in tests.
+// NewFromCSR constructs a Graph directly from CSR arrays, which the graph
+// takes over (not copied). It checks nothing: the caller owns every
+// invariant Validate lists, sortedness of each row included. Its callers
+// are the code that builds CSR natively — the partitioner's coarsening
+// step and episim.BuildBipartiteGraph — and their check is a differential
+// test against a Builder-built graph, not a run-time one.
 func NewFromCSR(nCon int, xadj []int32, adj []int32, edgeW []int64, vw []int64) *Graph {
 	numV := len(xadj) - 1
 	return &Graph{numV: numV, nCon: nCon, xadj: xadj, adj: adj, edgeW: edgeW, vw: vw}
 }
 
 // InducedSubgraph extracts the subgraph induced by the given vertices
-// (which must be distinct). It returns the subgraph and the mapping from
-// new vertex ids to the original ids. Used by recursive bisection.
-func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32) {
-	toNew := make(map[int32]int32, len(vertices))
+// (which must be distinct); vertex i of the result is vertices[i]. Used by
+// recursive bisection, whose selections ascend: renumbering is then
+// monotone and the filtered rows are already sorted. Any other order takes
+// one sortRows pass.
+func (g *Graph) InducedSubgraph(vertices []int32) *Graph {
+	toNew := make([]int32, g.numV)
+	for i := range toNew {
+		toNew[i] = -1
+	}
+	ascending := true
+	bound := 0
 	for i, v := range vertices {
 		toNew[v] = int32(i)
+		ascending = ascending && (i == 0 || vertices[i-1] < v)
+		bound += g.Degree(int(v))
 	}
-	b := NewBuilder(len(vertices), g.nCon)
+	n := len(vertices)
+	xadj := make([]int32, n+1)
+	adj := make([]int32, 0, bound)
+	ew := make([]int64, 0, bound)
+	vw := make([]int64, 0, n*g.nCon)
 	for i, v := range vertices {
-		copy(b.vw[i*g.nCon:(i+1)*g.nCon], g.VertexWeights(int(v)))
+		vw = append(vw, g.VertexWeights(int(v))...)
 		nbrs, ws := g.Neighbors(int(v))
 		for j, u := range nbrs {
-			nu, ok := toNew[u]
-			if !ok {
-				continue
-			}
-			if int32(i) < nu { // add each undirected edge once
-				b.AddEdge(i, int(nu), ws[j])
+			if nu := toNew[u]; nu >= 0 {
+				adj = append(adj, nu)
+				ew = append(ew, ws[j])
 			}
 		}
+		xadj[i+1] = int32(len(adj))
 	}
-	sub := b.Build()
-	mapping := append([]int32(nil), vertices...)
-	return sub, mapping
+	if !ascending {
+		adj, ew = sortRows(xadj, adj, ew, make([]int32, n))
+	}
+	return &Graph{numV: n, nCon: g.nCon, xadj: xadj, adj: adj, edgeW: ew, vw: vw}
 }

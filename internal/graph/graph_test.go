@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -155,15 +157,12 @@ func TestNeighborsSortedProperty(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := buildTriangle()
-	sub, mapping := g.InducedSubgraph([]int32{0, 2})
+	sub := g.InducedSubgraph([]int32{0, 2})
 	if sub.NumVertices() != 2 || sub.NumEdges() != 1 {
 		t.Fatalf("subgraph: %d vertices %d edges", sub.NumVertices(), sub.NumEdges())
 	}
 	if sub.EdgeWeightBetween(0, 1) != 9 {
 		t.Fatalf("subgraph edge weight = %d", sub.EdgeWeightBetween(0, 1))
-	}
-	if mapping[0] != 0 || mapping[1] != 2 {
-		t.Fatalf("mapping = %v", mapping)
 	}
 	if sub.VertexWeight(1, 0) != 30 {
 		t.Fatal("vertex weight not carried to subgraph")
@@ -179,7 +178,7 @@ func TestInducedSubgraphPreservesTotals(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	sub, _ := g.InducedSubgraph(all)
+	sub := g.InducedSubgraph(all)
 	if sub.NumEdges() != g.NumEdges() {
 		t.Fatalf("full induced subgraph lost edges: %d vs %d", sub.NumEdges(), g.NumEdges())
 	}
@@ -188,6 +187,111 @@ func TestInducedSubgraphPreservesTotals(t *testing.T) {
 	}
 	if sub.TotalVertexWeight(0) != g.TotalVertexWeight(0) {
 		t.Fatal("full induced subgraph changed vertex weight")
+	}
+}
+
+// buildViaSort is the obvious Build — one slice of entries per vertex,
+// sorted by comparison, duplicates summed — and the oracle of
+// TestBuildMatchesSortReference.
+func buildViaSort(b *Builder) *Graph {
+	type entry struct {
+		id int32
+		w  int64
+	}
+	rows := make([][]entry, b.numV)
+	for i := range b.us {
+		u, v, w := b.us[i], b.vs[i], b.ws[i]
+		rows[u] = append(rows[u], entry{v, w})
+		rows[v] = append(rows[v], entry{u, w})
+	}
+	g := &Graph{numV: b.numV, nCon: b.nCon, xadj: make([]int32, b.numV+1), vw: append([]int64(nil), b.vw...)}
+	for v, row := range rows {
+		sort.Slice(row, func(i, j int) bool { return row[i].id < row[j].id })
+		for i, e := range row {
+			if i > 0 && row[i-1].id == e.id {
+				g.edgeW[len(g.edgeW)-1] += e.w
+				continue
+			}
+			g.adj = append(g.adj, e.id)
+			g.edgeW = append(g.edgeW, e.w)
+		}
+		g.xadj[v+1] = int32(len(g.adj))
+	}
+	return g
+}
+
+func sameCSR(a, b *Graph) bool {
+	return a.nCon == b.nCon && slices.Equal(a.xadj, b.xadj) && slices.Equal(a.adj, b.adj) &&
+		slices.Equal(a.edgeW, b.edgeW) && slices.Equal(a.vw, b.vw)
+}
+
+// Duplicate edges in both orientations, self loops and isolated vertices:
+// 40 vertices under 400 draws repeat most pairs.
+func TestBuildMatchesSortReference(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		s := xrand.NewStream(seed)
+		n := 40 * int(seed)
+		b := NewBuilder(n+3, 2) // the last three vertices stay isolated
+		for v := 0; v < n; v++ {
+			b.SetVertexWeight(v, int(seed)%2, int64(s.Intn(9)))
+		}
+		for i := 0; i < 400; i++ {
+			b.AddEdge(s.Intn(n), s.Intn(n), int64(s.Intn(5)))
+		}
+		got, want := b.Build(), buildViaSort(b)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !sameCSR(got, want) {
+			t.Fatalf("seed %d: Build differs from the sort-based reference", seed)
+		}
+	}
+}
+
+// inducedViaBuilder is InducedSubgraph as it was before it wrote CSR
+// itself (a hash map for the renumbering, every edge through the Builder):
+// the oracle of TestInducedSubgraphMatchesBuilder.
+func inducedViaBuilder(g *Graph, vertices []int32) *Graph {
+	toNew := make(map[int32]int32, len(vertices))
+	for i, v := range vertices {
+		toNew[v] = int32(i)
+	}
+	b := NewBuilder(len(vertices), g.nCon)
+	for i, v := range vertices {
+		copy(b.vw[i*g.nCon:(i+1)*g.nCon], g.VertexWeights(int(v)))
+		nbrs, ws := g.Neighbors(int(v))
+		for j, u := range nbrs {
+			if nu, ok := toNew[u]; ok && int32(i) < nu { // each undirected edge once
+				b.AddEdge(i, int(nu), ws[j])
+			}
+		}
+	}
+	return b.Build()
+}
+
+func TestInducedSubgraphMatchesBuilder(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		g := randomGraph(seed, 200, 900)
+		s := xrand.NewStream(seed)
+		var asc []int32
+		for v := 0; v < g.NumVertices(); v++ {
+			if s.Intn(3) > 0 {
+				asc = append(asc, int32(v))
+			}
+		}
+		shuffled := make([]int32, len(asc))
+		for i, j := range s.Perm(len(asc)) {
+			shuffled[i] = asc[j]
+		}
+		for name, sel := range map[string][]int32{"ascending": asc, "shuffled": shuffled, "empty": nil} {
+			got, want := g.InducedSubgraph(sel), inducedViaBuilder(g, sel)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			if !sameCSR(got, want) {
+				t.Fatalf("seed %d %s: subgraph differs from the builder-built one", seed, name)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,15 @@
 // Evaluate computes the quality metrics the paper reports: per-partition
 // load (max/avg ratio), total edge cut, the maximum per-partition edge cut
 // of Figure 14, and the S_ub = L_tot/L_max speedup bound.
+//
+// Multilevel is the cold placement build's cost, so it goes through no
+// general-purpose container: coarse graphs and bisection subgraphs are
+// written as CSR (graph.NewFromCSR, Graph.InducedSubgraph; rows come out
+// sorted by transposing, not by comparing), the FM gain queue is a typed
+// heap, and one workspace per call is reused by every level, pass and
+// bisection. Its placements are pinned by testdata/multilevel.golden, and
+// differential_test.go keeps the builder-based coarsening and the
+// container/heap queue as the oracles of the code that replaced them.
 package partition
 
 import (

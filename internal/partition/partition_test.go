@@ -362,9 +362,10 @@ func communityGraph(numComm, commSize, bridges int) *graph.Graph {
 
 func BenchmarkMultilevel10k(b *testing.B) {
 	g := randomGraph(3, 10000, 40000, 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := Multilevel(g, 16, Options{Seed: uint64(i + 1)})
+		p := Multilevel(g, 16, Options{Seed: 1})
 		if p.Validate() != nil {
 			b.Fatal("invalid")
 		}
