@@ -15,7 +15,7 @@ import (
 // TestPhaseStatsGolden pins every charm.PhaseStats field of every day —
 // wire counts, per-PE traffic, locality histograms, sync rounds,
 // reductions: the numbers behind the bench's charm.* metrics and the
-// paper's communication figures — for seven sequential configurations, as
+// paper's communication figures — for eight sequential configurations, as
 // the SHA-256 and length of json.Marshal(*Result). A day-loop refactor
 // that means to keep the counters must leave testdata/phasestats.golden
 // alone; one that means to change them replaces the lines this test
@@ -81,6 +81,16 @@ func TestPhaseStatsGolden(t *testing.T) {
 			c.Ranks = 3
 			c.AggBufferSize = 64
 			c.Scenario = sc
+			return c
+		}},
+		// Days 1-7 run the Gillespie path (prevalence stays under the raised
+		// threshold's exit band), day 8 the active stepper: pins the order
+		// the event kernel sums its hazards in, which decides its trajectory.
+		{"kernel-event", func() Config {
+			c := base()
+			c.AggBufferSize = 64
+			c.Kernel = KernelEvent
+			c.KernelThreshold = 0.05
 			return c
 		}},
 	}
