@@ -73,6 +73,7 @@ func benchPlacement(b *testing.B, strat episim.Strategy, split bool, ranks int) 
 
 func BenchmarkSimulate30DaysRR(b *testing.B) {
 	pl := benchPlacement(b, episim.RR, false, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := episim.Run(pl, episim.SimConfig{Days: 30, Seed: 1, InitialInfections: 20, AggBufferSize: 64})
@@ -84,6 +85,7 @@ func BenchmarkSimulate30DaysRR(b *testing.B) {
 
 func BenchmarkSimulate30DaysGPSplit(b *testing.B) {
 	pl := benchPlacement(b, episim.GP, true, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := episim.Run(pl, episim.SimConfig{Days: 30, Seed: 1, InitialInfections: 20, AggBufferSize: 64})
@@ -95,12 +97,43 @@ func BenchmarkSimulate30DaysGPSplit(b *testing.B) {
 
 func BenchmarkSimulateParallel(b *testing.B) {
 	pl := benchPlacement(b, episim.GP, true, 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := episim.Run(pl, episim.SimConfig{Days: 10, Seed: 1, InitialInfections: 20,
 			AggBufferSize: 64, Parallel: true}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSimDense is the bench's sim-dense unit without the harness
+// around it: 20k persons / 5k locations placed GP-splitLoc×16, 1,000 index
+// cases, 10 days, generated from the bench's default seed — so -cpuprofile
+// and -memprofile on it profile the day loop the sim-dense numbers come from.
+func BenchmarkSimDense(b *testing.B) {
+	const seed = 7
+	pop := episim.Generate("sim-dense", 20000, 5000, seed)
+	pl, err := episim.BuildPlacement(pop, episim.PlacementOptions{
+		Strategy: episim.GP, SplitLoc: true, Ranks: 16, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, parallel := range []bool{false, true} {
+		name := "sequential"
+		if parallel {
+			name = "parallel"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := episim.Run(pl, episim.SimConfig{Days: 10, Seed: seed, InitialInfections: 1000,
+					AggBufferSize: 64, Parallel: parallel})
+				if err != nil || res.TotalInfections == 0 {
+					b.Fatal("simulation failed")
+				}
+			}
+		})
 	}
 }
 

@@ -29,6 +29,14 @@
 // deterministic in sequential mode only: in parallel mode they depend on
 // when a PE happened to run out of work and flush, and on how many polls
 // the detector needed.
+//
+// A worker's queues are recycled, not reallocated every round: take hands
+// the inbox the buffer the previous take returned, process swaps the local
+// queue with a spare, and a phase's reductions map is emptied rather than
+// dropped. A queue buffer is appended to again only after the loop that
+// read it has ended — the worker's own process call, which both take and
+// the swap follow — and the inbox receives its buffer under inbox.mu, so a
+// sender never appends to one still being read.
 package charm
 
 import (
@@ -253,7 +261,9 @@ type worker struct {
 	ctx   Ctx
 	inbox inbox
 	// local queues sends to chares on this PE; they never leave the worker.
-	local []envelope
+	// spare is the local queue that process read last, and taken the inbox
+	// buffer that take returned last: the next ones to be reused.
+	local, spare, taken []envelope
 	// agg holds one aggregation buffer per next-hop PE, allocated on the
 	// first buffered send; dirty lists the hops buffered since the last
 	// flush (a buffer that filled and refilled is listed twice, which
@@ -440,12 +450,13 @@ func (w *worker) flush() bool {
 	return sent
 }
 
-// take empties the inbox.
+// take empties the inbox, leaving it the buffer of the previous take.
 func (w *worker) take() []envelope {
 	w.inbox.mu.Lock()
 	q := w.inbox.q
-	w.inbox.q = nil
+	w.inbox.q = w.taken[:0]
 	w.inbox.mu.Unlock()
+	w.taken = q
 	return q
 }
 
@@ -461,7 +472,7 @@ func (w *worker) process(q []envelope) {
 			w.Delivered++
 			w.rt.Chare(env.to).Recv(&w.ctx, env.msg)
 		}
-		q, w.local = w.local, nil
+		q, w.local, w.spare = w.local, w.spare[:0], w.local
 	}
 }
 
@@ -564,7 +575,7 @@ func (rt *Runtime) runParallel() (rounds int) {
 }
 
 // finishPhase sums the workers' ledgers into the phase statistics and
-// clears them for the next phase.
+// clears them for the next phase (a reductions map is emptied, not dropped).
 func (rt *Runtime) finishPhase(rounds int) PhaseStats {
 	out := PhaseStats{
 		SyncRounds: rounds,
@@ -588,7 +599,8 @@ func (rt *Runtime) finishPhase(rounds int) PhaseStats {
 		for key, val := range w.reductions {
 			out.Reductions[key] += val
 		}
-		w.ledger = ledger{}
+		clear(w.reductions)
+		w.ledger = ledger{reductions: w.reductions}
 	}
 	return out
 }

@@ -425,3 +425,96 @@ func BenchmarkParallelMessaging(b *testing.B) {
 		rt.Drain()
 	}
 }
+
+// echoChare logs every message. While hops remain it sends the message on
+// to itself (its own PE's local queue) and a copy to peer (another PE's
+// inbox, or the same local queue on one PE); a copy is acknowledged to its
+// sender, so the sender's inbox fills while it works through its queues.
+type echoChare struct {
+	self, peer ChareRef
+	log, acks  []echoMsg
+}
+
+type echoMsg struct {
+	phase, seq, hops int
+	kind             byte // 0 forwarded, 'c' copy, 'a' acknowledgement
+}
+
+func (c *echoChare) Recv(ctx *Ctx, msg Message) {
+	m := msg.(echoMsg)
+	switch m.kind {
+	case 'a':
+		c.acks = append(c.acks, m)
+	case 'c':
+		c.log = append(c.log, m)
+		ctx.Send(c.peer, echoMsg{m.phase, m.seq, m.hops, 'a'})
+	default:
+		c.log = append(c.log, m)
+		if m.hops > 0 {
+			ctx.Send(c.self, echoMsg{m.phase, m.seq, m.hops - 1, 0})
+			ctx.Send(c.peer, echoMsg{m.phase, m.seq, m.hops, 'c'})
+		}
+	}
+}
+
+// The workers' queue buffers are recycled from one round and one phase to
+// the next. Every phase here sends differently sized, differently labelled
+// traffic through the local queue (five generations per phase, so both
+// local buffers are reused within one) and through both inboxes; a buffer
+// handed back while it was still being read, or read beyond its new
+// length, would deliver a message of the wrong phase, twice, or out of
+// order.
+func TestQueueBuffersRecycledAcrossPhases(t *testing.T) {
+	const hops = 4
+	for _, cfg := range []Config{
+		{PEs: 1}, {PEs: 2}, {PEs: 2, AggBufferSize: 4},
+		{PEs: 2, Parallel: true}, {PEs: 2, AggBufferSize: 4, Parallel: true},
+	} {
+		rt := New(cfg)
+		var chares [2]*echoChare
+		arr := rt.NewArray(2, func(i int32) Chare {
+			chares[i] = &echoChare{}
+			return chares[i]
+		}, nil)
+		src, sink := chares[0], chares[1]
+		src.self, src.peer = ChareRef{arr, 0}, ChareRef{arr, 1}
+		sink.self, sink.peer = src.peer, src.self
+		for phase, n := range []int{2000, 7, 1200} {
+			src.log, src.acks, sink.log = src.log[:0], src.acks[:0], sink.log[:0]
+			for seq := 0; seq < n; seq++ {
+				rt.Send(src.self, echoMsg{phase, seq, hops, 0})
+			}
+			stats := rt.Drain()
+			var wantLog, wantCopies, wantAcks []echoMsg
+			for h := hops; h >= 0; h-- {
+				for seq := 0; seq < n; seq++ {
+					wantLog = append(wantLog, echoMsg{phase, seq, h, 0})
+					if h > 0 {
+						wantCopies = append(wantCopies, echoMsg{phase, seq, h, 'c'})
+						wantAcks = append(wantAcks, echoMsg{phase, seq, h, 'a'})
+					}
+				}
+			}
+			for _, c := range []struct {
+				what      string
+				got, want []echoMsg
+			}{
+				{"sender's own queue", src.log, wantLog},
+				{"peer's copies", sink.log, wantCopies},
+				{"sender's acknowledgements", src.acks, wantAcks},
+			} {
+				if len(c.got) != len(c.want) {
+					t.Fatalf("%+v phase %d: %s: %d deliveries, want %d", cfg, phase, c.what, len(c.got), len(c.want))
+				}
+				for i := range c.want {
+					if c.got[i] != c.want[i] {
+						t.Fatalf("%+v phase %d: %s: delivery %d is %v, want %v", cfg, phase, c.what, i, c.got[i], c.want[i])
+					}
+				}
+			}
+			if want := int64(3 * hops * n); stats.Messages != want {
+				t.Fatalf("%+v phase %d: %d messages, want %d", cfg, phase, stats.Messages, want)
+			}
+		}
+	}
+}

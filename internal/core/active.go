@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/charm"
 	"repro/internal/synthpop"
@@ -72,6 +72,7 @@ func (e *Engine) beginSparseDay(day int) {
 		e.activeLoc = make([]bool, nL)
 		e.personMark = make([]bool, nP)
 		e.activePersons = make([][]int32, len(e.pmHealth))
+		e.lmNeeded = make([]bool, e.rt.ArrayLen(e.lmArr))
 
 		offsets, order := e.pop.VisitIndexByLocation()
 		e.visitsAtLoc = make([][]int32, nL)
@@ -192,19 +193,19 @@ func (e *Engine) runDayActive(day int) DayReport {
 			if len(ps) == 0 {
 				continue
 			}
-			sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+			slices.Sort(ps)
 			e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgComputeVisitsActive{Day: day})
 		}
 		rep.PersonPhase = e.rt.Drain()
 
 		// Phase 2: location phase, targeted at LMs owning active locations.
-		lmNeeded := make([]bool, e.rt.ArrayLen(e.lmArr))
+		clear(e.lmNeeded)
 		for _, locID := range e.activeLocList {
 			lmID := e.lmOf[locID]
-			if lmNeeded[lmID] {
+			if e.lmNeeded[lmID] {
 				continue
 			}
-			lmNeeded[lmID] = true
+			e.lmNeeded[lmID] = true
 			e.rt.Send(charm.ChareRef{Array: e.lmArr, Index: lmID}, msgRunDESActive{Day: day})
 		}
 		rep.LocationPhase = e.rt.Drain()
@@ -238,6 +239,7 @@ func (e *Engine) runDayActive(day int) DayReport {
 // locations are sent.
 func (pm *personManager) computeVisitsActive(ctx *charm.Ctx, day int) {
 	e := pm.eng
+	pm.visits = pm.visits[:0]
 	for _, p := range e.activePersons[pm.id] {
 		pm.sendVisits(ctx, p, day, e.activeLoc)
 	}

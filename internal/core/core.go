@@ -17,6 +17,17 @@
 // and sequential vs parallel execution — the repository's main
 // correctness oracle.
 //
+// A day allocates per rank, not per message. Managers send messages in
+// place: each is appended to a slab its sender owns and a pointer into the
+// slab is sent (personManager.visits, locationManager.result). The rule
+// that makes this safe: a slab is rewritten only by the same phase of the
+// next day — by then the phase it was sent in has completed, which means
+// every message was consumed, and a receiver copies what it keeps — and
+// within a phase it is only appended to, so a slab that grows leaves the
+// pointers already sent on an array nobody writes again. Receiving
+// managers keep their buffers (visit windows, infection buffers) from day
+// to day, truncated.
+//
 // Three kernels execute a day (Config.Kernel): dense is the algorithm
 // above; the active-set stepper (active.go) and the event kernel
 // (eventsim.go) restrict it to the infectious frontier and share
@@ -180,9 +191,11 @@ type Engine struct {
 	pmArr  int32
 	lmArr  int32
 	health []personState
-	// pmOf / lmOf map persons / locations to their managing chares.
-	pmOf []int32
-	lmOf []int32
+	// pmOf / lmOf map persons / locations to their managing chares, lmSlot
+	// a location to its index in its manager's locs.
+	pmOf   []int32
+	lmOf   []int32
+	lmSlot []int32
 	// fragments maps an original location id to all fragment location ids
 	// of its family (only entries with >1 fragment; used for infectious
 	// replication in mixing mode).
@@ -190,8 +203,10 @@ type Engine struct {
 	// infectionBuf[pm] accumulates infect messages received by PM chares.
 	infectionBuf [][]infectMsg
 	effects      *interventions.Effects
-	// stateNames caches disease state names for reductions.
+	// stateNames caches disease state names, stateKeys the reduction key
+	// of each state's count ("state:" + name).
 	stateNames []string
+	stateKeys  []string
 	cumulative int64
 
 	// Incremental health bookkeeping, one slab per PM so parallel update
@@ -225,6 +240,15 @@ type Engine struct {
 	activeLocList []int32 // the marked locations, for O(active) clearing
 	activePersons [][]int32
 	personMark    []bool
+	lmNeeded      []bool // LM → already told to run its DES today
+	// Event-kernel scratch, allocated on its first day: the frontier's kept
+	// visits by location (emptied through activeLocList), and each exposed
+	// person's accumulated hazard (exposed lists them; personMark tells a
+	// first exposure, lambda cannot: a hazard accumulated under τ = 0 is
+	// zero).
+	srcVisits [][]srcVisit
+	lambda    []float64
+	exposed   []int32
 }
 
 // pmHealth is one PersonManager's slab of incremental health bookkeeping.
@@ -253,12 +277,9 @@ type visitMsg struct {
 // WireSize matches a compact binary encoding of the fields.
 func (visitMsg) WireSize() int { return 32 }
 
-// infectMsg is one infect message (step 3).
-type infectMsg struct {
-	Person   int32
-	Infector int32
-	Minute   int16
-}
+// infectMsg is one infect message (step 3): the DES's infection record,
+// sent in place from the des.Result it was appended to.
+type infectMsg des.Infection
 
 // WireSize matches a compact binary encoding of the fields.
 func (infectMsg) WireSize() int { return 16 }
@@ -341,8 +362,10 @@ func New(cfg Config) (*Engine, error) {
 	})
 	e.effects = interventions.NewEffects()
 	e.stateNames = make([]string, e.model.NumStates())
+	e.stateKeys = make([]string, e.model.NumStates())
 	for i := range e.stateNames {
 		e.stateNames[i] = e.model.StateName(disease.StateID(i))
+		e.stateKeys[i] = "state:" + e.stateNames[i]
 	}
 
 	// Health state initialization + index cases.
@@ -394,6 +417,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.pmOf = pmOf
 	e.lmOf = lmOf
+	e.lmSlot = make([]int32, nL)
+	visitsAt := make([]int32, nL)
+	for i := range cfg.Population.Visits {
+		visitsAt[cfg.Population.Visits[i].Loc]++
+	}
 	e.infectionBuf = make([][]infectMsg, numPM)
 
 	// Fragment families for infectious replication in mixing mode.
@@ -415,8 +443,7 @@ func New(cfg Config) (*Engine, error) {
 		return &personManager{eng: e, id: i, persons: personsOfPM[i]}
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
 	e.lmArr = e.rt.NewArray(numLM, func(i int32) charm.Chare {
-		return &locationManager{eng: e, id: i, locs: locsOfLM[i],
-			pending: make(map[int32][]des.Visitor)}
+		return newLocationManager(e, i, locsOfLM[i], visitsAt)
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
 
 	// Incremental health bookkeeping: one scan after seeding (seeding
@@ -686,8 +713,8 @@ func (e *Engine) runDayDense(day int, kernel string) DayReport {
 	rep.NewInfections = rep.UpdatePhase.Reductions["newinfections"]
 	e.cumulative += rep.NewInfections
 	rep.Counts = make(map[string]int64, len(e.stateNames))
-	for _, name := range e.stateNames {
-		rep.Counts[name] = rep.UpdatePhase.Reductions["state:"+name]
+	for s, name := range e.stateNames {
+		rep.Counts[name] = rep.UpdatePhase.Reductions[e.stateKeys[s]]
 	}
 
 	e.effects.Tick()

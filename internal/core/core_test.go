@@ -167,15 +167,35 @@ func TestSplitLocInvariance(t *testing.T) {
 
 func TestParallelSequentialEquivalence(t *testing.T) {
 	pop := testPop(t)
-	seq := run(t, Config{Population: pop, Disease: hotModel(),
-		Days: 15, Seed: 13, InitialInfections: 5, Ranks: 4})
-	par := run(t, Config{Population: pop, Disease: hotModel(),
-		Days: 15, Seed: 13, InitialInfections: 5, Ranks: 4, Parallel: true})
-	if !sameSignature(epiSignature(seq), epiSignature(par)) {
-		t.Fatal("parallel execution changed the epidemic")
+	// Mixing on a split population replicates infectious visitors into
+	// sibling fragments, so a PM's message slab and an LM's visit windows
+	// outgrow the static schedule in the middle of a phase, while
+	// receivers on other goroutines still read what was sent from them.
+	split, st, err := splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: 2048})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if seq.Days[5].PersonPhase.Messages != par.Days[5].PersonPhase.Messages {
-		t.Fatal("message counts differ between modes")
+	if st.NumSplit == 0 {
+		t.Fatal("nothing split")
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{Population: pop}},
+		{"mixing on a split population", Config{Population: split, Mixing: 0.3}},
+	} {
+		cfg := c.cfg
+		cfg.Disease, cfg.Days, cfg.Seed, cfg.InitialInfections, cfg.Ranks = hotModel(), 15, 13, 5, 4
+		seq := run(t, cfg)
+		cfg.Parallel = true
+		par := run(t, cfg)
+		if !sameSignature(epiSignature(seq), epiSignature(par)) {
+			t.Fatalf("%s: parallel execution changed the epidemic", c.name)
+		}
+		if seq.Days[5].PersonPhase.Messages != par.Days[5].PersonPhase.Messages {
+			t.Fatalf("%s: message counts differ between modes", c.name)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/synthpop"
 	"repro/internal/xrand"
@@ -39,14 +39,14 @@ type srcVisit struct {
 func (e *Engine) runDayEvent(day int) DayReport {
 	rep := DayReport{Day: day, Kernel: KernelEvent}
 	e.beginSparseDay(day)
+	if e.srcVisits == nil {
+		e.srcVisits = make([][]srcVisit, e.pop.NumLocations())
+		e.lambda = make([]float64, e.pop.NumPersons())
+	}
 
 	// The frontier's kept visits, grouped by location in walk order.
-	var srcs map[int32][]srcVisit
 	e.walkFrontier(day, func(v *synthpop.Visit, inf float64) {
-		if srcs == nil {
-			srcs = make(map[int32][]srcVisit)
-		}
-		srcs[v.Loc] = append(srcs[v.Loc], srcVisit{
+		e.srcVisits[v.Loc] = append(e.srcVisits[v.Loc], srcVisit{
 			person: v.Person, sub: v.Sub, start: v.Start, end: v.End, inf: inf,
 		})
 	})
@@ -55,14 +55,13 @@ func (e *Engine) runDayEvent(day int) DayReport {
 	// susceptibles in visit order within each, so the floating-point
 	// accumulation order — and with it the whole trajectory — is
 	// deterministic for a given seed.
-	locs := append([]int32(nil), e.activeLocList...)
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
+	slices.Sort(e.activeLocList)
 	tau := e.model.Transmissibility
-	lambda := make(map[int32]float64)
-	var persons []int32
+	persons := e.exposed[:0]
 	var interactions, trials int64
-	for _, locID := range locs {
-		sv := srcs[locID]
+	for _, locID := range e.activeLocList {
+		sv := e.srcVisits[locID]
+		e.srcVisits[locID] = sv[:0]
 		for _, vi := range e.visitsAtLoc[locID] {
 			v := &e.pop.Visits[vi]
 			p := v.Person
@@ -96,26 +95,29 @@ func (e *Engine) runDayEvent(day int) DayReport {
 				interactions++
 			}
 			if h > 0 {
-				if _, ok := lambda[p]; !ok {
+				if !e.personMark[p] {
+					e.personMark[p] = true
 					persons = append(persons, p)
 				}
-				lambda[p] += tau * sus * h
+				e.lambda[p] += tau * sus * h
 			}
 		}
 	}
 
 	// One exponential waiting time per exposed susceptible: infect iff
 	// t = -ln(1-u)/Λ lands inside the day, i.e. -log1p(-u) < Λ.
-	sort.Slice(persons, func(i, j int) bool { return persons[i] < persons[j] })
+	slices.Sort(persons)
 	var newInf int64
 	for _, p := range persons {
 		trials++
 		u := xrand.KeyedFloat64(0x6e4a7, e.cfg.Seed, uint64(day), uint64(p))
-		if -math.Log1p(-u) < lambda[p] {
+		if -math.Log1p(-u) < e.lambda[p] {
 			e.applyInfection(p, day)
 			newInf++
 		}
+		e.personMark[p], e.lambda[p] = false, 0
 	}
+	e.exposed = persons
 
 	for pmID := range e.pmHealth {
 		e.progressSparse(int32(pmID), day)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/charm"
 	"repro/internal/des"
@@ -13,14 +14,21 @@ type personManager struct {
 	eng     *Engine
 	id      int32
 	persons []int32
+	// visits is the slab this PM sends its visit messages from: a message
+	// is appended and &visits[i] is sent, which boxes nothing. Lifetime
+	// rule (package comment): emptied only at the start of the next day's
+	// person phase, after every receiver has copied what it was sent, and
+	// only appended to within a phase, so growing it mid-phase leaves the
+	// pointers already sent on the old array, which nobody writes again.
+	visits []visitMsg
 }
 
 func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	switch m := msg.(type) {
 	case msgComputeVisits:
 		pm.computeVisits(ctx, m.Day)
-	case infectMsg:
-		pm.eng.infectionBuf[pm.id] = append(pm.eng.infectionBuf[pm.id], m)
+	case *infectMsg:
+		pm.eng.infectionBuf[pm.id] = append(pm.eng.infectionBuf[pm.id], *m)
 	case msgApplyUpdates:
 		pm.applyUpdates(ctx, m.Day)
 	case msgComputeVisitsActive:
@@ -36,6 +44,7 @@ func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 // filters (closures, isolation, demand reduction) and send one visit
 // message per kept visit.
 func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
+	pm.visits = pm.visits[:0]
 	for _, p := range pm.persons {
 		pm.sendVisits(ctx, p, day, nil)
 	}
@@ -71,7 +80,7 @@ func (pm *personManager) sendVisits(ctx *charm.Ctx, p int32, day int, active []b
 			Sus:     float32(sus),
 		}
 		if active == nil || active[v.Loc] {
-			ctx.Send(charm.ChareRef{Array: e.lmArr, Index: e.lmOf[v.Loc]}, msg)
+			pm.sendVisit(ctx, msg)
 		}
 		// Mixing mode on a split location: replicate the infectious
 		// visitor into the sibling fragments so cross-sublocation
@@ -88,10 +97,17 @@ func (pm *personManager) sendVisits(ctx *charm.Ctx, p int32, day int, active []b
 				rep := msg
 				rep.Loc = frag
 				rep.Sus = 0 // replicas infect; they are infected at home
-				ctx.Send(charm.ChareRef{Array: e.lmArr, Index: e.lmOf[frag]}, rep)
+				pm.sendVisit(ctx, rep)
 			}
 		}
 	}
+}
+
+// sendVisit sends msg to the manager of its location from the slab. The
+// pointer is taken after the append, which may have moved the slab.
+func (pm *personManager) sendVisit(ctx *charm.Ctx, msg visitMsg) {
+	pm.visits = append(pm.visits, msg)
+	ctx.Send(charm.ChareRef{Array: pm.eng.lmArr, Index: pm.eng.lmOf[msg.Loc]}, &pm.visits[len(pm.visits)-1])
 }
 
 // applyUpdates is phase 5/6: resolve buffered infect messages (earliest
@@ -103,10 +119,15 @@ func (pm *personManager) applyUpdates(ctx *charm.Ctx, day int) {
 		ctx.Contribute("newinfections", n)
 	}
 
-	// Dwell/transition progression for everyone this PM owns.
+	// Dwell/transition progression for everyone this PM owns, then the
+	// state counts the progression kept current.
 	for _, p := range pm.persons {
 		e.progressPerson(p, day)
-		ctx.Contribute("state:"+e.stateNames[e.health[p].State], 1)
+	}
+	for s, n := range e.pmHealth[pm.id].counts {
+		if n != 0 {
+			ctx.Contribute(e.stateKeys[s], n)
+		}
 	}
 }
 
@@ -116,18 +137,11 @@ func (pm *personManager) applyUpdates(ctx *charm.Ctx, day int) {
 func (pm *personManager) resolveInfections(day int) int64 {
 	e := pm.eng
 	buf := e.infectionBuf[pm.id]
-	e.infectionBuf[pm.id] = nil
+	e.infectionBuf[pm.id] = buf[:0]
 	// Canonical resolution order: infections may arrive from many LMs in
 	// any order; sort so the outcome is order-independent.
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i], buf[j]
-		if a.Person != b.Person {
-			return a.Person < b.Person
-		}
-		if a.Minute != b.Minute {
-			return a.Minute < b.Minute
-		}
-		return a.Infector < b.Infector
+	slices.SortFunc(buf, func(a, b infectMsg) int {
+		return cmp.Or(cmp.Compare(a.Person, b.Person), cmp.Compare(a.Minute, b.Minute), cmp.Compare(a.Infector, b.Infector))
 	})
 	var newInf int64
 	for i := 0; i < len(buf); {
@@ -149,16 +163,49 @@ func (pm *personManager) resolveInfections(day int) int64 {
 // locationManager is an LM chare: it buffers inbound visit messages and
 // replays them as the per-location DES in phase 2.
 type locationManager struct {
-	eng     *Engine
-	id      int32
-	locs    []int32
-	pending map[int32][]des.Visitor
+	eng  *Engine
+	id   int32
+	locs []int32
+	// pending[slot] holds the visits locs[slot] received today (slot is
+	// Engine.lmSlot of the location). The windows are carved from one slab
+	// sized by the static schedule and truncated, not freed, after the DES;
+	// only mixing-mode replicas can outgrow one, which then moves to an
+	// array of its own. touched lists the slots that received any.
+	pending [][]des.Visitor
+	touched []int32
+	// result accumulates the day's DES over this LM's locations, and its
+	// Infections are the slab the infect messages are sent from, under the
+	// rule of personManager.visits: reset only by the next day's location
+	// phase, appended to (never rewritten) within one.
+	result des.Result
+}
+
+// newLocationManager carves the visit windows of locs, one per location
+// and as large as its static schedule (visitsAt counts visits by location).
+func newLocationManager(e *Engine, id int32, locs []int32, visitsAt []int32) *locationManager {
+	total := 0
+	for _, l := range locs {
+		total += int(visitsAt[l])
+	}
+	slab := make([]des.Visitor, total)
+	lm := &locationManager{eng: e, id: id, locs: locs, pending: make([][]des.Visitor, len(locs))}
+	for slot, l := range locs {
+		n := int(visitsAt[l])
+		lm.pending[slot], slab = slab[:0:n], slab[n:]
+		e.lmSlot[l] = int32(slot)
+	}
+	return lm
 }
 
 func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	switch m := msg.(type) {
-	case visitMsg:
-		lm.pending[m.Loc] = append(lm.pending[m.Loc], des.Visitor{
+	case *visitMsg:
+		slot := lm.eng.lmSlot[m.Loc]
+		window := &lm.pending[slot]
+		if len(*window) == 0 {
+			lm.touched = append(lm.touched, slot)
+		}
+		*window = append(*window, des.Visitor{
 			Person:         m.Person,
 			Sub:            m.Sub,
 			OrigSub:        m.OrigSub,
@@ -168,57 +215,37 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 			Susceptibility: float64(m.Sus),
 		})
 	case msgRunDES:
-		lm.runDES(ctx, m.Day)
+		lm.result.Reset()
+		for slot := range lm.locs {
+			lm.simulateLoc(ctx, int32(slot), m.Day)
+		}
+		lm.contribute(ctx)
 	case msgRunDESActive:
-		lm.runDESActive(ctx, m.Day)
+		// Only the locations that received visits. Their order is
+		// irrelevant: each location's DES is independent, infect messages
+		// are canonically re-sorted by the receiving PM, and the workload
+		// counters are sums.
+		lm.result.Reset()
+		for _, slot := range lm.touched {
+			lm.simulateLoc(ctx, slot, m.Day)
+		}
+		lm.contribute(ctx)
 	default:
 		panic("core: locationManager received unknown message")
 	}
 }
 
-func (lm *locationManager) runDES(ctx *charm.Ctx, day int) {
-	var events, interactions, trials int64
-	var result des.Result
-	for _, locID := range lm.locs {
-		visitors := lm.pending[locID]
-		if len(visitors) == 0 {
-			continue
-		}
-		delete(lm.pending, locID)
-		lm.simulateLoc(ctx, &result, locID, visitors, day, &events, &interactions, &trials)
+// simulateLoc runs the per-day DES of the location in slot, if it received
+// visits, and forwards the resulting infect messages.
+func (lm *locationManager) simulateLoc(ctx *charm.Ctx, slot int32, day int) {
+	visitors := lm.pending[slot]
+	if len(visitors) == 0 {
+		return
 	}
-	// Clear any leftovers (visits to locations whose DES did not run are
-	// impossible, but a stray map entry would leak across days).
-	for k := range lm.pending {
-		delete(lm.pending, k)
-	}
-	lm.contribute(ctx, events, interactions, trials)
-}
-
-// runDESActive replays only the locations that received visits. The
-// pending map's iteration order is irrelevant: each location's DES is
-// independent, infect messages are canonically re-sorted by the
-// receiving PM, and the workload counters are sums.
-func (lm *locationManager) runDESActive(ctx *charm.Ctx, day int) {
-	var events, interactions, trials int64
-	var result des.Result
-	for locID, visitors := range lm.pending {
-		delete(lm.pending, locID)
-		if len(visitors) == 0 {
-			continue
-		}
-		lm.simulateLoc(ctx, &result, locID, visitors, day, &events, &interactions, &trials)
-	}
-	lm.contribute(ctx, events, interactions, trials)
-}
-
-// simulateLoc runs one location's per-day DES and forwards the resulting
-// infect messages.
-func (lm *locationManager) simulateLoc(ctx *charm.Ctx, result *des.Result, locID int32,
-	visitors []des.Visitor, day int, events, interactions, trials *int64) {
+	lm.pending[slot] = visitors[:0]
 	e := lm.eng
-	loc := &e.pop.Locations[locID]
-	result.Reset()
+	loc := &e.pop.Locations[lm.locs[slot]]
+	first := len(lm.result.Infections)
 	des.Simulate(visitors, des.Params{
 		Day: uint64(day) ^ e.cfg.Seed,
 		// Keys use the pre-splitLoc identity so splitting cannot
@@ -227,27 +254,25 @@ func (lm *locationManager) simulateLoc(ctx *charm.Ctx, result *des.Result, locID
 		SubBase: loc.SubBase,
 		Tau:     e.model.Transmissibility,
 		Mixing:  e.cfg.Mixing,
-	}, result)
-	*events += int64(result.Events)
-	*interactions += result.Interactions
-	*trials += result.Trials
-	for _, inf := range result.Infections {
-		ctx.Send(charm.ChareRef{Array: e.pmArr, Index: e.pmOf[inf.Person]}, infectMsg{
-			Person:   inf.Person,
-			Infector: inf.Infector,
-			Minute:   inf.Minute,
-		})
+	}, &lm.result)
+	found := lm.result.Infections[first:]
+	for i := range found {
+		ctx.Send(charm.ChareRef{Array: e.pmArr, Index: e.pmOf[found[i].Person]}, (*infectMsg)(&found[i]))
 	}
 }
 
-func (lm *locationManager) contribute(ctx *charm.Ctx, events, interactions, trials int64) {
-	if events > 0 {
-		ctx.Contribute("events", events)
+// contribute closes the LM's location phase: the day's workload counters
+// go into the phase reduction and the touched list is emptied.
+func (lm *locationManager) contribute(ctx *charm.Ctx) {
+	lm.touched = lm.touched[:0]
+	r := &lm.result
+	if r.Events > 0 {
+		ctx.Contribute("events", int64(r.Events))
 	}
-	if interactions > 0 {
-		ctx.Contribute("interactions", interactions)
+	if r.Interactions > 0 {
+		ctx.Contribute("interactions", r.Interactions)
 	}
-	if trials > 0 {
-		ctx.Contribute("trials", trials)
+	if r.Trials > 0 {
+		ctx.Contribute("trials", r.Trials)
 	}
 }

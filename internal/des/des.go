@@ -9,11 +9,20 @@
 // The package also produces the event and interaction counts that feed the
 // static and dynamic workload models of Section III-A, and its execution
 // time is what the load model is fitted against (Figure 3(a)).
+//
+// Every co-present pair is counted (Result.Interactions), but only
+// susceptible–infectious pairs are tried: each occupancy group keeps its
+// present infectious and susceptible visitors apart, and an arrival walks
+// only the list it can exchange the disease with. Simulate's working
+// memory lives in unexported fields of the Result the caller passes, so a
+// caller that reuses one Result (Reset keeps capacity) simulates
+// location-days without allocating.
 package des
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -84,9 +93,18 @@ type Result struct {
 	// SumReciprocal sums 1/(pair overlap) over trials — the "sum of the
 	// reciprocal of interactions" term of the dynamic model.
 	SumReciprocal float64
+
+	// Simulate's scratch, meaningless between calls. keys holds the group
+	// ranking and then the event queue; lists[side] is carved into one
+	// window per occupancy group.
+	keys   []uint64
+	vis    []visitorState
+	groups []groupState
+	lists  [2][]int32
 }
 
-// Reset clears the result for reuse, keeping allocated capacity.
+// Reset clears the result for reuse, keeping allocated capacity (the
+// scratch included).
 func (r *Result) Reset() {
 	r.Infections = r.Infections[:0]
 	r.Events = 0
@@ -96,160 +114,189 @@ func (r *Result) Reset() {
 	r.SumReciprocal = 0
 }
 
-// event is an arrive or depart of one visitor.
-type event struct {
-	minute int16
-	arrive bool
-	idx    int32 // visitor index
+// The two sides of a transmission trial, indexing Result.lists,
+// visitorState.pos and groupState.n.
+const (
+	infectious = iota
+	susceptible
+)
+
+// visitorState is one visitor's place in the occupancy bookkeeping.
+type visitorState struct {
+	group   int32    // dense occupancy group
+	pos     [2]int32 // index in the group's list of each side it is on
+	present bool     // arrived and not yet departed
 }
 
-// Simulate executes the location-day DES and appends the outcome to out.
-// Infections are deduplicated per person (earliest exposure wins, ties
-// broken by smallest infector id), so the output is a canonical set that
-// does not depend on visitor ordering.
+// groupState is one occupancy group: how many visitors are present, and
+// which of them are infectious or susceptible. Its window of lists[side]
+// starts at off and is as long as the group has members, so it cannot
+// overflow.
+type groupState struct {
+	off   int32
+	count int32
+	n     [2]int32
+}
+
+// An event is one uint64 ordered by (minute, depart before arrive, visitor
+// index), so the queue sorts as plain integers. Departures sort before
+// arrivals at the same minute so that touching intervals ([a,b) then
+// [b,c)) never interact; the order among same-minute arrivals decides only
+// which of two visitors "meets" the other, never whether or when they meet.
+// The index keeps all 32 bits: there is no cap on visitors per call.
+const arriveBit = 1 << 32
+
+func eventKey(minute int16, arrive uint64, idx int) uint64 {
+	// Flipping the sign bit orders negative minutes first, as int16 does.
+	return uint64(uint16(minute)^0x8000)<<33 | arrive | uint64(uint32(idx))
+}
+
+// Simulate executes the location-day DES and appends the outcome to out:
+// counters are added to, and the infections found are appended behind
+// those already there, which are left untouched. The appended infections
+// are deduplicated per person (earliest exposure wins, ties broken by
+// smallest infector id) and sorted by person, so they are a canonical set
+// that does not depend on visitor ordering.
+//
+// Visits are expected to satisfy 0 ≤ Start < End ≤ 1440 (what
+// synthpop.Validate enforces). A visit with End ≤ Start never leaves: its
+// departure finds it absent and is a no-op, so from Start on it is counted
+// in the Interactions of every later arrival in its group, but it has no
+// positive overlap with anybody and enters no trial.
 func Simulate(visitors []Visitor, p Params, out *Result) {
 	out.Events += 2 * len(visitors)
-	if len(visitors) < 2 {
+	n := len(visitors)
+	if n < 2 {
 		return
 	}
-	events := make([]event, 0, 2*len(visitors))
-	for i, v := range visitors {
-		events = append(events,
-			event{minute: v.Start, arrive: true, idx: int32(i)},
-			event{minute: v.End, arrive: false, idx: int32(i)},
-		)
+	out.vis = slices.Grow(out.vis[:0], n)[:n]
+	for side := range out.lists {
+		out.lists[side] = slices.Grow(out.lists[side][:0], n)[:n]
 	}
-	// Departures sort before arrivals at the same minute so that touching
-	// intervals ([a,b) then [b,c)) never interact.
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].minute != events[j].minute {
-			return events[i].minute < events[j].minute
-		}
-		if events[i].arrive != events[j].arrive {
-			return !events[i].arrive
-		}
-		// Tie-break by visitor id for full determinism.
-		return visitors[events[i].idx].Person < visitors[events[j].idx].Person
-	})
+	vis, groups, keys := out.vis, out.groups[:0], out.keys[:0]
 
-	// occupancy[group] lists currently present visitor indices; the group
-	// is the fragment-local sublocation, or the original sublocation when
-	// the mixing model is active.
-	groupOf := func(v *Visitor) int32 {
-		if p.Mixing > 0 {
-			return v.OrigSub
+	// Rank the occupancy groups to dense ids. In mixing mode everybody at
+	// the location interacts, so there is one group and OrigSub only picks
+	// the scale of a trial; otherwise a group is a sublocation, and sorting
+	// (Sub, visitor) brings each one's members together, whatever int32
+	// values Sub takes.
+	if p.Mixing > 0 {
+		clear(vis)
+		groups = append(groups, groupState{})
+	} else {
+		for i := range visitors {
+			keys = append(keys, uint64(uint32(visitors[i].Sub))<<32|uint64(uint32(i)))
 		}
-		return v.Sub
+		slices.Sort(keys)
+		for k, key := range keys {
+			if k == 0 || key>>32 != keys[k-1]>>32 {
+				groups = append(groups, groupState{off: int32(k)})
+			}
+			vis[uint32(key)] = visitorState{group: int32(len(groups) - 1)}
+		}
+		keys = keys[:0]
 	}
-	occupancy := make(map[int32][]int32)
-	// pending[person] is the best (earliest) infection found so far.
-	var pending map[int32]Infection
 
-	for _, e := range events {
-		v := &visitors[e.idx]
-		group := groupOf(v)
-		if !e.arrive {
-			occ := occupancy[group]
-			for k, idx := range occ {
-				if idx == e.idx {
-					occ[k] = occ[len(occ)-1]
-					occupancy[group] = occ[:len(occ)-1]
-					break
+	for i := range visitors {
+		keys = append(keys, eventKey(visitors[i].Start, arriveBit, i), eventKey(visitors[i].End, 0, i))
+	}
+	slices.Sort(keys)
+
+	first := len(out.Infections)
+	for _, key := range keys {
+		idx := int32(uint32(key))
+		v, st := &visitors[idx], &vis[idx]
+		g := &groups[st.group]
+		on := [2]bool{infectious: v.Infectivity > 0, susceptible: v.Susceptibility > 0}
+		if key&arriveBit == 0 {
+			if !st.present {
+				continue
+			}
+			st.present = false
+			g.count--
+			for side, member := range on {
+				if member {
+					// Swap-remove: the group's last member of this side
+					// takes v's slot.
+					list := out.lists[side][g.off:]
+					g.n[side]--
+					moved := list[g.n[side]]
+					list[st.pos[side]] = moved
+					vis[moved].pos[side] = st.pos[side]
 				}
 			}
 			continue
 		}
-		meet := func(otherIdx int32, scale float64) {
-			o := &visitors[otherIdx]
-			out.Interactions++
-			// Overlap starts now (arrival) and ends at the earlier depart.
-			end := v.End
-			if o.End < end {
-				end = o.End
-			}
-			overlap := int(end) - int(e.minute)
-			if overlap <= 0 {
-				return
-			}
-			tryInfect(v, o, overlap, e.minute, scale, p, out, &pending)
-			tryInfect(o, v, overlap, e.minute, scale, p, out, &pending)
-		}
-		if p.Mixing > 0 {
-			for g, occ := range occupancy {
-				scale := p.Mixing
-				if g == group {
-					scale = 1
-				}
-				for _, otherIdx := range occ {
-					meet(otherIdx, scale)
-				}
-			}
-		} else {
-			for _, otherIdx := range occupancy[group] {
-				meet(otherIdx, 1)
+		out.Interactions += int64(g.count)
+		if on[infectious] {
+			for _, o := range out.lists[susceptible][g.off : g.off+g.n[susceptible]] {
+				tryInfect(v, &visitors[o], v.Start, &p, out)
 			}
 		}
-		occupancy[group] = append(occupancy[group], e.idx)
+		if on[susceptible] {
+			for _, o := range out.lists[infectious][g.off : g.off+g.n[infectious]] {
+				tryInfect(&visitors[o], v, v.Start, &p, out)
+			}
+		}
+		st.present = true
+		g.count++
+		for side, member := range on {
+			if member {
+				st.pos[side] = g.n[side]
+				out.lists[side][g.off+g.n[side]] = idx
+				g.n[side]++
+			}
+		}
 	}
+	out.groups, out.keys = groups, keys
 
-	for _, inf := range pending {
-		out.Infections = append(out.Infections, inf)
+	// Canonical set: each person's earliest exposure, in person order.
+	found := out.Infections[first:]
+	if len(found) > 1 {
+		slices.SortFunc(found, func(a, b Infection) int {
+			return cmp.Or(cmp.Compare(a.Person, b.Person), cmp.Compare(a.Minute, b.Minute), cmp.Compare(a.Infector, b.Infector))
+		})
+		found = slices.CompactFunc(found, func(a, b Infection) bool { return a.Person == b.Person })
+		out.Infections = out.Infections[:first+len(found)]
 	}
-	// Canonical order for downstream determinism.
-	sort.Slice(out.Infections, func(i, j int) bool {
-		a, b := out.Infections[i], out.Infections[j]
-		if a.Person != b.Person {
-			return a.Person < b.Person
-		}
-		if a.Minute != b.Minute {
-			return a.Minute < b.Minute
-		}
-		return a.Infector < b.Infector
-	})
 }
 
 // tryInfect runs one directed transmission trial from infectious src to
-// susceptible dst, if their states allow it. scale multiplies the
-// transmission probability (1 for same-sublocation contact, the mixing
-// factor otherwise).
-func tryInfect(src, dst *Visitor, overlapMin int, at int16, scale float64, p Params, out *Result, pending *map[int32]Infection) {
-	if src.Infectivity <= 0 || dst.Susceptibility <= 0 || scale <= 0 {
+// susceptible dst, who are co-present from minute at until the earlier of
+// their departures, and appends a successful one to out.Infections. In
+// mixing mode contact across original sublocations scales the
+// transmission probability by the mixing factor.
+func tryInfect(src, dst *Visitor, at int16, p *Params, out *Result) {
+	overlapMin := int(min(src.End, dst.End)) - int(at)
+	if overlapMin <= 0 {
 		return
 	}
 	out.Trials++
 	out.ContactMinutes += int64(overlapMin)
 	out.SumReciprocal += 1 / float64(overlapMin)
-	prob := scale * transmissionProb(p.Tau, src.Infectivity, dst.Susceptibility, overlapMin)
 	// The draw is keyed by content only — day, original location id,
 	// original sublocations, the pair, and the overlap start — never by
 	// execution order, so outcomes survive any re-partitioning (and, in
 	// mixing mode, survive retain-edges splitting with replication).
-	var subKey uint64
+	scale, subKey := 1.0, uint64(p.SubBase+dst.Sub)
 	if p.Mixing > 0 {
 		subKey = xrand.Hash(uint64(src.OrigSub), uint64(dst.OrigSub))
-	} else {
-		subKey = uint64(p.SubBase + dst.Sub)
-	}
-	u := xrand.KeyedFloat64(0x1fec7, p.Day, p.LocKey,
-		subKey, uint64(src.Person), uint64(dst.Person), uint64(at))
-	if u >= prob {
-		return
-	}
-	inf := Infection{Person: dst.Person, Infector: src.Person, Minute: at}
-	if *pending == nil {
-		*pending = make(map[int32]Infection)
-	}
-	if old, ok := (*pending)[dst.Person]; ok {
-		if old.Minute < inf.Minute || (old.Minute == inf.Minute && old.Infector <= inf.Infector) {
-			return
+		if src.OrigSub != dst.OrigSub {
+			scale = p.Mixing
 		}
 	}
-	(*pending)[dst.Person] = inf
+	prob := scale * transmissionProb(p.Tau, src.Infectivity, dst.Susceptibility, overlapMin)
+	u := xrand.KeyedFloat64(0x1fec7, p.Day, p.LocKey,
+		subKey, uint64(src.Person), uint64(dst.Person), uint64(at))
+	if u < prob {
+		out.Infections = append(out.Infections, Infection{Person: dst.Person, Infector: src.Person, Minute: at})
+	}
 }
 
 // transmissionProb mirrors disease.Model.TransmissionProb; duplicated here
 // (a one-line formula) to keep des free of the disease package so the two
-// substrates stay independently testable.
+// substrates stay independently testable;
+// TestTransmissionProbMatchesDiseaseModel holds the two equal.
 func transmissionProb(tau, inf, sus float64, durMin int) float64 {
 	if durMin <= 0 || inf <= 0 || sus <= 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/disease"
 	"repro/internal/xrand"
 )
 
@@ -270,6 +271,25 @@ func TestResultReset(t *testing.T) {
 	r.Reset()
 	if r.Events != 0 || len(r.Infections) != 0 || r.Trials != 0 || r.SumReciprocal != 0 {
 		t.Fatalf("reset incomplete: %+v", r)
+	}
+}
+
+// transmissionProb is des's own copy of the disease model's transmission
+// function; the two must agree bit for bit, degenerate arguments included.
+func TestTransmissionProbMatchesDiseaseModel(t *testing.T) {
+	values := []float64{-1, 0, 1e-9, 0.0005, 0.3, 1, 1.5, 40}
+	for _, tau := range values {
+		m := &disease.Model{Transmissibility: tau}
+		for _, inf := range values {
+			for _, sus := range values {
+				for _, minutes := range []int{-5, 0, 1, 17, 480, 1440} {
+					got, want := transmissionProb(tau, inf, sus, minutes), m.TransmissionProb(minutes, inf, sus)
+					if got != want {
+						t.Fatalf("tau %g inf %g sus %g minutes %d: des %v, disease %v", tau, inf, sus, minutes, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
