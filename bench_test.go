@@ -1,63 +1,25 @@
-// Benchmarks regenerating the paper's tables and figures (one benchmark
-// per artifact; `experiments -list` is the index), plus ablation
-// benchmarks for the design choices the reproduction makes. Run with:
+// Engine benchmarks: the day loop, the placement build, one machine-model
+// pricing call, the sweep cache, and the ablations that run the real
+// runtime, partitioner or splitter. Each iteration runs one fixed
+// instance. CI runs every one of them once:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x .
 //
-// Benchmarks run the experiments in Quick mode at reduced scale so a full
-// sweep stays in CI-friendly time; `cmd/experiments -run all` regenerates
-// the full artifacts.
+// The paper's tables and figures — including the modelled comparisons of
+// aggregation buffer sizes, SMP processes per node, torus mapping and
+// synchronization protocol — have one driver, cmd/experiments
+// (`go run ./cmd/experiments -list` is the index, `-run all` regenerates
+// them).
 package episim_test
 
 import (
-	"io"
+	"strconv"
 	"testing"
 
 	episim "repro"
-	"repro/internal/experiments"
-	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/splitloc"
 )
-
-// benchOpts are the reduced-scale options used by artifact benchmarks.
-func benchOpts() experiments.Options {
-	return experiments.Options{Scale: 4000, AnalysisScale: 1500, Seed: 7, Quick: true}
-}
-
-func runExperiment(b *testing.B, name string) {
-	b.Helper()
-	e, err := experiments.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := benchOpts()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- One benchmark per paper artifact. ---
-
-func BenchmarkTable1PopulationGen(b *testing.B)        { runExperiment(b, "table1") }
-func BenchmarkTable2SplitLoc(b *testing.B)             { runExperiment(b, "table2") }
-func BenchmarkFig2Partitioning(b *testing.B)           { runExperiment(b, "fig2") }
-func BenchmarkFig3LoadModel(b *testing.B)              { runExperiment(b, "fig3") }
-func BenchmarkFig4SpeedupBound(b *testing.B)           { runExperiment(b, "fig4") }
-func BenchmarkFig5Scalability(b *testing.B)            { runExperiment(b, "fig5") }
-func BenchmarkFig6SplitStrategies(b *testing.B)        { runExperiment(b, "fig6") }
-func BenchmarkFig7PostSplitDistributions(b *testing.B) { runExperiment(b, "fig7") }
-func BenchmarkFig8SpeedupBoundSplit(b *testing.B)      { runExperiment(b, "fig8") }
-func BenchmarkFig9to11CommAblation(b *testing.B)       { runExperiment(b, "fig9_11") }
-func BenchmarkFig12OptimizationGap(b *testing.B)       { runExperiment(b, "fig12") }
-func BenchmarkFig13StrongScaling(b *testing.B)         { runExperiment(b, "fig13") }
-func BenchmarkFig14EdgeCutBalance(b *testing.B)        { runExperiment(b, "fig14") }
-func BenchmarkHeadlineSpeedup(b *testing.B)            { runExperiment(b, "headline") }
-
-// --- End-to-end engine benchmarks. ---
 
 // benchPlacement builds a mid-size placement once per benchmark.
 func benchPlacement(b *testing.B, strat episim.Strategy, split bool, ranks int) *episim.Placement {
@@ -166,66 +128,10 @@ func BenchmarkModelDayTime(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (README "Tests and benchmarks"). ---
-
-// BenchmarkAblationAggBufferSize sweeps the aggregation buffer: reports
-// modeled time/day as the custom metric for each size.
-func BenchmarkAblationAggBufferSize(b *testing.B) {
-	pl := benchPlacement(b, episim.RR, false, 256)
-	for _, size := range []int{0, 8, 32, 64, 256, 2048} {
-		b.Run(byteSizeName(size), func(b *testing.B) {
-			opt := episim.DefaultPerfOptions()
-			opt.Aggregation = size
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total += episim.ModelDayTime(pl, opt).Total
-			}
-			b.ReportMetric(total/float64(b.N)*1e3, "model-ms/day")
-		})
-	}
-}
-
-func byteSizeName(n int) string {
-	if n == 0 {
-		return "off"
-	}
-	return "buf" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkAblationSMPProcsPerNode sweeps the SMP process count k of
-// Section IV-A: fewer processes = fewer comm threads but more offloading
-// contention; more = more cores lost.
-func BenchmarkAblationSMPProcsPerNode(b *testing.B) {
-	pl := benchPlacement(b, episim.RR, false, 256)
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run("k"+itoa(k), func(b *testing.B) {
-			opt := episim.DefaultPerfOptions()
-			opt.Machine.ProcsPerNode = k
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total += episim.ModelDayTime(pl, opt).Total
-			}
-			b.ReportMetric(total/float64(b.N)*1e3, "model-ms/day")
-		})
-	}
-}
+// --- Ablations that run the real partitioner, splitter and runtime. ---
 
 // BenchmarkAblationPartitioner compares the distribution strategies'
-// build cost and quality at fixed ranks.
+// build cost at fixed ranks on one fixed instance.
 func BenchmarkAblationPartitioner(b *testing.B) {
 	pop := episim.Generate("bench", 20000, 5000, 1)
 	g := episim.BuildBipartiteGraph(pop)
@@ -245,7 +151,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 	})
 	b.Run("Multilevel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			partition.Multilevel(g, 64, partition.Options{Seed: uint64(i + 1)})
+			partition.Multilevel(g, 64, partition.Options{Seed: 1})
 		}
 	})
 }
@@ -255,7 +161,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 func BenchmarkAblationSplitThreshold(b *testing.B) {
 	pop := episim.Generate("bench", 20000, 5000, 1)
 	for _, maxParts := range []int{256, 4096, 65536} {
-		b.Run("maxparts"+itoa(maxParts), func(b *testing.B) {
+		b.Run("maxparts"+strconv.Itoa(maxParts), func(b *testing.B) {
 			var frags int
 			for i := 0; i < b.N; i++ {
 				_, st, err := splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: maxParts})
@@ -265,27 +171,6 @@ func BenchmarkAblationSplitThreshold(b *testing.B) {
 				frags = st.NumFragments
 			}
 			b.ReportMetric(float64(frags), "fragments")
-		})
-	}
-}
-
-// BenchmarkAblationTorusMapping compares topology-aware (contiguous) vs
-// oblivious (scattered) rank→node mapping on the Gemini torus model.
-func BenchmarkAblationTorusMapping(b *testing.B) {
-	pl := benchPlacement(b, episim.GP, true, 512)
-	for _, m := range []episim.RankMapping{episim.MapContiguous, episim.MapScattered} {
-		name := "contiguous"
-		if m == episim.MapScattered {
-			name = "scattered"
-		}
-		b.Run(name, func(b *testing.B) {
-			opt := episim.DefaultPerfOptions()
-			opt.Mapping = m
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total += episim.ModelDayTime(pl, opt).Total
-			}
-			b.ReportMetric(total/float64(b.N)*1e3, "model-ms/day")
 		})
 	}
 }
@@ -354,19 +239,5 @@ func BenchmarkSweepPlacementCache(b *testing.B) {
 			b.Fatalf("placement builds = %d, want 2", len(res.PlacementBuilds))
 		}
 		b.ReportMetric(float64(res.Simulations)/float64(len(res.PlacementBuilds)), "sims/build")
-	}
-}
-
-// BenchmarkAblationSyncMode compares CD vs QD sync pricing across scales.
-func BenchmarkAblationSyncMode(b *testing.B) {
-	cfg := machine.BlueWatersXE6()
-	for _, pes := range []int{1024, 65536, 360448} {
-		b.Run("pes"+itoa(pes), func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				acc += cfg.SyncCost(pes, machine.QuiescenceDetection) - cfg.SyncCost(pes, machine.CompletionDetection)
-			}
-			b.ReportMetric(acc/float64(b.N)*1e6, "qd-cd-us")
-		})
 	}
 }

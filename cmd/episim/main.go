@@ -38,7 +38,7 @@ func main() {
 		splitLoc  = flag.Bool("splitloc", false, "apply heavy-location splitting first")
 		parallel  = flag.Bool("parallel", false, "run one goroutine per rank")
 		agg       = flag.Int("agg", 64, "message aggregation buffer (0 = off)")
-		route2d   = flag.Bool("route2d", false, "TRAM-style 2D topological routing of aggregated messages")
+		route2d   = flag.Bool("route2d", false, "TRAM-style 2D topological routing of aggregated messages (needs -agg > 0)")
 		mixing    = flag.Float64("mixing", 0, "inter-sublocation mixing factor (0 = rooms are isolated)")
 		kernel    = flag.String("kernel", "", "simulation kernel: dense (default), auto (active-set, byte-identical) or event (Gillespie, statistical)")
 		kernelThr = flag.Float64("kernel-threshold", 0, "prevalence threshold gating the event kernel (0 = engine default)")

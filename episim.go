@@ -254,7 +254,7 @@ type SimConfig struct {
 	AggBufferSize int
 	// Route2D enables TRAM-style topological routing of aggregated
 	// messages (useful at large rank counts where per-destination buffers
-	// underfill).
+	// underfill); Run rejects it when AggBufferSize is 0.
 	Route2D bool
 	// Mixing enables inter-sublocation mixing (the paper's future-work
 	// model): cross-room interaction within a location at this

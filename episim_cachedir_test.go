@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	episim "repro"
+	"repro/internal/artifact"
 )
 
 // cacheDirSpec is a small grid that exercises both strategies and the
@@ -130,6 +131,75 @@ func TestSweepCacheDirCorruptArtifactRebuilds(t *testing.T) {
 	res2, cache2, _ := runWithDir(t, dir)
 	if cache2.PlacementStats().Builds != 0 {
 		t.Fatalf("healed run still built placements: %+v", res2.PlacementBuilds)
+	}
+}
+
+// TestRetiredCheckpointKindRebuilds: a checkpoint file sealed as kind 5 —
+// the retired layout whose phase statistics carried four locality classes —
+// under a live checkpoint key is a counted disk miss. The sweep rebuilds the
+// prefix, overwrites the file in the current kind and emits byte-identical
+// output. The stale file carries a payload the current codec decodes
+// cleanly, so only the kind check stands between it and a wrong restore.
+func TestRetiredCheckpointKindRebuilds(t *testing.T) {
+	spec := &episim.SweepSpec{
+		Populations:       []episim.SweepPopulation{{Name: "forktown", People: 1000, Locations: 200}},
+		Placements:        []episim.SweepPlacement{{Strategy: "RR", Ranks: 3}},
+		Interventions:     forkBranches(),
+		ForkDay:           10,
+		Replicates:        1,
+		Days:              14,
+		Seed:              5,
+		InitialInfections: 5,
+	}
+	dir := t.TempDir()
+	run := func() (*episim.SweepResult, *episim.SweepCache, []byte) {
+		cache, err := episim.NewSweepCacheDir(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := episim.RunSweepContext(t.Context(), spec, &episim.SweepOptions{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js bytes.Buffer
+		if err := res.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		return res, cache, js.Bytes()
+	}
+	_, _, coldJSON := run()
+
+	store, err := artifact.NewStore(filepath.Join(dir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := store.Keys()
+	if err != nil || len(keys) != 1 || keys[0].Kind != artifact.KindCheckpoint {
+		t.Fatalf("checkpoint store = %+v (%v), want one current-kind checkpoint", keys, err)
+	}
+	key := keys[0].Key
+	payload, err := store.Get(artifact.KindCheckpoint, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retiredKind artifact.Kind = 5
+	if err := store.Put(retiredKind, key, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	res, cache, js := run()
+	if st := cache.CheckpointStats(); st.DiskHits != 0 || st.DiskMisses != 1 || st.DiskErrors != 1 ||
+		st.Builds != 1 || st.DiskWrites != 1 {
+		t.Fatalf("checkpoint cache stats = %+v, want 1 disk miss counted as an error, 1 rebuild, 1 re-write", st)
+	}
+	if res.CheckpointBuilds[key] != 1 {
+		t.Fatalf("checkpoint builds = %v, want %q rebuilt once", res.CheckpointBuilds, key)
+	}
+	if !bytes.Equal(coldJSON, js) {
+		t.Fatal("run over a retired checkpoint emitted different JSON")
+	}
+	if keys, err := store.Keys(); err != nil || len(keys) != 1 || keys[0].Kind != artifact.KindCheckpoint {
+		t.Fatalf("checkpoint store after rebuild = %+v (%v), want the file overwritten in the current kind", keys, err)
 	}
 }
 

@@ -12,7 +12,12 @@ import (
 // intervention sweep's branches resume from. Checkpoints live in their
 // own store directory with their own TTL, so large fork-point blobs
 // never compete with hot placement artifacts under the LRU bound.
-const KindCheckpoint Kind = 5
+//
+// Kind 5 is the retired layout whose phase statistics carried four
+// locality classes, per-class wire counts and sync rounds. A kind-5 file
+// fails Open's kind check, so it is a miss that is rebuilt and
+// overwritten, never decoded under this layout.
+const KindCheckpoint Kind = 6
 
 // EncodeCheckpoint serializes a checkpoint to its deterministic binary
 // payload (wrap with Seal before writing to disk). Maps are emitted in
@@ -277,10 +282,6 @@ func (e *enc) phaseStats(ps *charm.PhaseStats) {
 	for _, v := range ps.ByLocality {
 		e.u64(uint64(v))
 	}
-	for _, v := range ps.WireByLocality {
-		e.u64(uint64(v))
-	}
-	e.u32(uint32(ps.SyncRounds))
 	e.i64Map(ps.Reductions)
 	if ps.PerPE == nil {
 		e.u8(0)
@@ -292,9 +293,7 @@ func (e *enc) phaseStats(ps *charm.PhaseStats) {
 		pe := &ps.PerPE[i]
 		e.u64(uint64(pe.MsgsIn))
 		e.u64(uint64(pe.MsgsOut))
-		for _, v := range pe.WireOut {
-			e.u64(uint64(v))
-		}
+		e.u64(uint64(pe.WireOut))
 		e.u64(uint64(pe.BytesOut))
 		e.u64(uint64(pe.Delivered))
 	}
@@ -307,15 +306,11 @@ func (d *dec) phaseStats(ps *charm.PhaseStats) {
 	for i := range ps.ByLocality {
 		ps.ByLocality[i] = int64(d.u64())
 	}
-	for i := range ps.WireByLocality {
-		ps.WireByLocality[i] = int64(d.u64())
-	}
-	ps.SyncRounds = int(d.u32())
 	ps.Reductions = d.i64Map()
 	if d.u8() == 0 {
 		return
 	}
-	n, ok := d.count(64)
+	n, ok := d.count(40)
 	if !ok {
 		return
 	}
@@ -324,9 +319,7 @@ func (d *dec) phaseStats(ps *charm.PhaseStats) {
 		pe := &ps.PerPE[i]
 		pe.MsgsIn = int64(d.u64())
 		pe.MsgsOut = int64(d.u64())
-		for j := range pe.WireOut {
-			pe.WireOut[j] = int64(d.u64())
-		}
+		pe.WireOut = int64(d.u64())
 		pe.BytesOut = int64(d.u64())
 		pe.Delivered = int64(d.u64())
 	}

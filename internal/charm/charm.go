@@ -11,10 +11,14 @@
 //     when every produced message has been consumed (Section IV-B) — with
 //     a quiescence-detection mode kept for comparison;
 //   - contribution-based reductions (global system state updates,
-//     Section II-B step 6);
-//   - an SMP topology (PEs grouped into processes and nodes, Section IV-A)
-//     used to classify every message's locality, which the machine model
-//     prices.
+//     Section II-B step 6).
+//
+// The runtime counts traffic; it does not price it. A chare-level send is
+// local when the destination chare lives on the sending PE and remote
+// otherwise, and every wire message is remote. How far a remote message
+// travels on Blue Waters — same process, same node, torus hops — is the
+// machine model's question (internal/machine), which the root package's
+// perfmodel.go answers from the placement.
 //
 // The messaging layer exists once, as the methods of a per-PE worker:
 // forward (routing and aggregation), transmit (the wire), flush, take and
@@ -25,10 +29,9 @@
 // and every PhaseStats field that counts chare-level traffic — Messages,
 // Bytes, ByLocality, Reductions, and per PE MsgsIn, MsgsOut, BytesOut and
 // Delivered — is identical under both; equality of the two is a test
-// oracle. WireMessages, WireByLocality, PerPE[].WireOut and SyncRounds are
-// deterministic in sequential mode only: in parallel mode they depend on
-// when a PE happened to run out of work and flush, and on how many polls
-// the detector needed.
+// oracle. WireMessages and PerPE[].WireOut are deterministic in sequential
+// mode only: in parallel mode they depend on when a PE happened to run out
+// of work and flush.
 //
 // A worker's queues are recycled, not reallocated every round: take hands
 // the inbox the buffer the previous take returned, process swaps the local
@@ -74,74 +77,14 @@ type Chare interface {
 	Recv(ctx *Ctx, msg Message)
 }
 
-// Locality classifies a message by how far it travels in the SMP topology.
+// Locality indexes PhaseStats.ByLocality.
 type Locality uint8
 
-// Locality classes, cheapest first.
+// Locality classes of a chare-level send.
 const (
-	LocalPE Locality = iota
-	IntraProc
-	IntraNode
-	InterNode
-	numLocality
+	LocalPE Locality = iota // the destination chare lives on the sending PE
+	Remote                  // it lives on another PE
 )
-
-func (l Locality) String() string {
-	switch l {
-	case LocalPE:
-		return "local"
-	case IntraProc:
-		return "intra-proc"
-	case IntraNode:
-		return "intra-node"
-	case InterNode:
-		return "inter-node"
-	}
-	return fmt.Sprintf("Locality(%d)", uint8(l))
-}
-
-// Topology describes the SMP geometry: PEs are packed contiguously into
-// processes, and processes into nodes (Section IV-A's k processes per
-// node). The zero value means one process on one node holds all PEs.
-type Topology struct {
-	PEsPerProc   int
-	ProcsPerNode int
-}
-
-func (t Topology) normalized(pes int) Topology {
-	if t.PEsPerProc <= 0 {
-		t.PEsPerProc = pes
-		if t.PEsPerProc < 1 {
-			t.PEsPerProc = 1
-		}
-	}
-	if t.ProcsPerNode <= 0 {
-		t.ProcsPerNode = 1
-	}
-	return t
-}
-
-// ProcOf returns the process index of a PE.
-func (t Topology) ProcOf(pe PE) int32 { return pe / int32(t.PEsPerProc) }
-
-// NodeOf returns the node index of a PE.
-func (t Topology) NodeOf(pe PE) int32 {
-	return t.ProcOf(pe) / int32(t.ProcsPerNode)
-}
-
-// Classify returns the locality class of a src→dst message.
-func (t Topology) Classify(src, dst PE) Locality {
-	switch {
-	case src == dst:
-		return LocalPE
-	case t.ProcOf(src) == t.ProcOf(dst):
-		return IntraProc
-	case t.NodeOf(src) == t.NodeOf(dst):
-		return IntraNode
-	default:
-		return InterNode
-	}
-}
 
 // SyncMode selects the phase synchronization protocol.
 type SyncMode uint8
@@ -159,7 +102,6 @@ const (
 type Config struct {
 	PEs      int
 	Parallel bool
-	Topology Topology
 	// AggBufferSize is the per-destination aggregation buffer capacity in
 	// messages; 0 disables aggregation (every message is its own wire
 	// message).
@@ -184,11 +126,8 @@ type PhaseStats struct {
 	WireMessages int64
 	// Bytes is the total payload volume (chare-level).
 	Bytes int64
-	// ByLocality and WireByLocality split the above by distance class.
-	ByLocality     [4]int64
-	WireByLocality [4]int64
-	// SyncRounds counts detector iterations needed to declare completion.
-	SyncRounds int
+	// ByLocality splits Messages into local and remote sends.
+	ByLocality [2]int64
 	// Reductions holds the merged contributions of the phase.
 	Reductions map[string]int64
 	// PerPE is indexed by PE; nil unless Config.PEs > 0 (always set).
@@ -198,7 +137,7 @@ type PhaseStats struct {
 // PETraffic is one PE's traffic during a phase.
 type PETraffic struct {
 	MsgsIn, MsgsOut int64
-	WireOut         [4]int64
+	WireOut         int64 // every wire message leaves the PE
 	BytesOut        int64
 	Delivered       int64 // chare Recv invocations
 }
@@ -206,7 +145,6 @@ type PETraffic struct {
 // Runtime executes chare arrays over PEs.
 type Runtime struct {
 	cfg     Config
-	topo    Topology
 	meshW   int32 // width of the virtual PE mesh Route2D relays over: ⌈√PEs⌉
 	arrays  []*array
 	workers []worker
@@ -245,15 +183,15 @@ func (b *inbox) put(batch ...envelope) {
 // writes it (the driver writes seeded, between phases), so neither
 // scheduler needs a lock or an atomic to keep it.
 type ledger struct {
-	PETraffic           // MsgsIn stays zero until finishPhase derives it
-	byLocality [4]int64 // chare-level sends by distance class
-	seeded     int64    // driver-enqueued deliveries: Recv calls that are not traffic
+	PETraffic        // MsgsIn stays zero until finishPhase derives it
+	localOut   int64 // chare-level sends to a chare on this PE
+	seeded     int64 // driver-enqueued deliveries: Recv calls that are not traffic
 	reductions map[string]int64
 }
 
 // worker is one PE's share of the messaging layer: aggregation (Section
-// IV-C), locality accounting (IV-A) and the TRAM relay (footnote 1) live
-// in its methods and nowhere else. A scheduler only decides when to call
+// IV-C), traffic accounting and the TRAM relay (footnote 1) live in its
+// methods and nowhere else. A scheduler only decides when to call
 // take, process and flush.
 type worker struct {
 	rt    *Runtime
@@ -283,7 +221,6 @@ func New(cfg Config) *Runtime {
 	}
 	rt := &Runtime{
 		cfg:     cfg,
-		topo:    cfg.Topology.normalized(cfg.PEs),
 		meshW:   1,
 		workers: make([]worker, cfg.PEs),
 	}
@@ -364,7 +301,9 @@ func (c *Ctx) Send(to ChareRef, msg Message) {
 	final := w.rt.PlacementOf(to)
 	w.MsgsOut++
 	w.BytesOut += msgBytes(msg)
-	w.byLocality[w.rt.topo.Classify(w.pe, final)]++
+	if final == w.pe {
+		w.localOut++
+	}
 	w.forward(envelope{to: to, msg: msg}, final)
 }
 
@@ -429,7 +368,7 @@ func (w *worker) forward(env envelope, final PE) {
 // place a wire message is counted and the only place envelopes cross PEs
 // (local delivery never reaches it, so never hits the wire).
 func (w *worker) transmit(next PE, batch ...envelope) {
-	w.WireOut[w.rt.topo.Classify(w.pe, next)]++
+	w.WireOut++
 	w.rt.produced.Add(int64(len(batch)))
 	w.rt.workers[next].inbox.put(batch...)
 }
@@ -482,9 +421,11 @@ func (w *worker) process(q []envelope) {
 // whenever it runs out of work.
 func (rt *Runtime) Drain() PhaseStats {
 	if rt.cfg.Parallel {
-		return rt.finishPhase(rt.runParallel())
+		rt.runParallel()
+	} else {
+		rt.runSequential()
 	}
-	return rt.finishPhase(rt.runSequential())
+	return rt.finishPhase()
 }
 
 // confirmations is how many times a detector must see the phase complete:
@@ -498,9 +439,8 @@ func (rt *Runtime) confirmations() int {
 	return 2
 }
 
-// runSequential visits PEs round-robin until none did any work, and
-// returns the sync rounds a detector would have needed.
-func (rt *Runtime) runSequential() int {
+// runSequential visits PEs round-robin until none did any work.
+func (rt *Runtime) runSequential() {
 	for work := true; work; {
 		work = false
 		for pe := range rt.workers {
@@ -514,14 +454,12 @@ func (rt *Runtime) runSequential() int {
 			}
 		}
 	}
-	return rt.confirmations()
 }
 
 // runParallel runs one goroutine per PE until the completion detector
 // fires — all workers idle with every produced envelope consumed, seen on
-// consecutive polls (Dijkstra-style double check) — and returns the number
-// of polls it took.
-func (rt *Runtime) runParallel() (rounds int) {
+// consecutive polls (Dijkstra-style double check).
+func (rt *Runtime) runParallel() {
 	var idle atomic.Int64
 	var done atomic.Bool
 	var seeded int64
@@ -562,7 +500,6 @@ func (rt *Runtime) runParallel() (rounds int) {
 
 	for confirmed := 0; confirmed < rt.confirmations(); {
 		time.Sleep(50 * time.Microsecond)
-		rounds++
 		if idle.Load() == int64(len(rt.workers)) && rt.produced.Load() == rt.consumed.Load() {
 			confirmed++
 		} else {
@@ -571,14 +508,12 @@ func (rt *Runtime) runParallel() (rounds int) {
 	}
 	done.Store(true)
 	wg.Wait()
-	return rounds
 }
 
 // finishPhase sums the workers' ledgers into the phase statistics and
 // clears them for the next phase (a reductions map is emptied, not dropped).
-func (rt *Runtime) finishPhase(rounds int) PhaseStats {
+func (rt *Runtime) finishPhase() PhaseStats {
 	out := PhaseStats{
-		SyncRounds: rounds,
 		Reductions: make(map[string]int64),
 		PerPE:      make([]PETraffic, len(rt.workers)),
 	}
@@ -591,11 +526,9 @@ func (rt *Runtime) finishPhase(rounds int) PhaseStats {
 		out.PerPE[pe] = w.PETraffic
 		out.Messages += w.MsgsOut
 		out.Bytes += w.BytesOut
-		for loc, n := range w.WireOut {
-			out.WireMessages += n
-			out.WireByLocality[loc] += n
-			out.ByLocality[loc] += w.byLocality[loc]
-		}
+		out.WireMessages += w.WireOut
+		out.ByLocality[LocalPE] += w.localOut
+		out.ByLocality[Remote] += w.MsgsOut - w.localOut
 		for key, val := range w.reductions {
 			out.Reductions[key] += val
 		}

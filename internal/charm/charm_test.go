@@ -51,7 +51,7 @@ func configs(parallel bool) []Config {
 		{PEs: 1, Parallel: parallel},
 		{PEs: 4, Parallel: parallel},
 		{PEs: 4, Parallel: parallel, AggBufferSize: 8},
-		{PEs: 8, Parallel: parallel, Topology: Topology{PEsPerProc: 2, ProcsPerNode: 2}, AggBufferSize: 4},
+		{PEs: 8, Parallel: parallel, AggBufferSize: 4},
 	}
 }
 
@@ -123,8 +123,7 @@ func TestMessageStorageConservation(t *testing.T) {
 	// leaves; both modes and all aggregation settings must agree.
 	for _, parallel := range []bool{false, true} {
 		for _, agg := range []int{0, 4, 64} {
-			rt := New(Config{PEs: 6, Parallel: parallel, AggBufferSize: agg,
-				Topology: Topology{PEsPerProc: 3, ProcsPerNode: 1}})
+			rt := New(Config{PEs: 6, Parallel: parallel, AggBufferSize: agg})
 			n := 40
 			var arr int32
 			arr = rt.NewArray(n, func(i int32) Chare {
@@ -183,43 +182,9 @@ type chareFunc func(ctx *Ctx, msg Message)
 
 func (f chareFunc) Recv(ctx *Ctx, msg Message) { f(ctx, msg) }
 
-func TestLocalityClassification(t *testing.T) {
-	topo := Topology{PEsPerProc: 2, ProcsPerNode: 2}.normalized(8)
-	cases := []struct {
-		src, dst PE
-		want     Locality
-	}{
-		{0, 0, LocalPE},
-		{0, 1, IntraProc},
-		{0, 2, IntraNode},
-		{0, 3, IntraNode},
-		{0, 4, InterNode},
-		{5, 4, IntraProc},
-		{7, 0, InterNode},
-	}
-	for _, c := range cases {
-		if got := topo.Classify(c.src, c.dst); got != c.want {
-			t.Fatalf("Classify(%d,%d) = %v, want %v", c.src, c.dst, got, c.want)
-		}
-	}
-}
-
-func TestTopologyNormalization(t *testing.T) {
-	topo := Topology{}.normalized(6)
-	if topo.PEsPerProc != 6 || topo.ProcsPerNode != 1 {
-		t.Fatalf("normalized zero topology = %+v", topo)
-	}
-	for pe := PE(0); pe < 6; pe++ {
-		if topo.ProcOf(pe) != 0 || topo.NodeOf(pe) != 0 {
-			t.Fatal("single proc/node expected")
-		}
-	}
-}
-
 func TestLocalityCounting(t *testing.T) {
-	// 4 PEs: procs {0,1},{2,3}, one node. Chare on PE0 sends one message
-	// to each PE.
-	rt := New(Config{PEs: 4, Topology: Topology{PEsPerProc: 2, ProcsPerNode: 2}})
+	// Chare on PE0 sends one message to a chare on each of 4 PEs.
+	rt := New(Config{PEs: 4})
 	var recvArr int32
 	recvArr = rt.NewArray(4, func(i int32) Chare { return &counterChare{} },
 		func(i int32) PE { return PE(i) })
@@ -232,11 +197,12 @@ func TestLocalityCounting(t *testing.T) {
 	}, func(i int32) PE { return 0 })
 	rt.Send(ChareRef{Array: sender, Index: 0}, intMsg{})
 	st := rt.Drain()
-	if st.ByLocality[LocalPE] != 1 || st.ByLocality[IntraProc] != 1 || st.ByLocality[IntraNode] != 2 {
+	if st.ByLocality[LocalPE] != 1 || st.ByLocality[Remote] != 3 {
 		t.Fatalf("locality counts = %v", st.ByLocality)
 	}
-	if st.WireByLocality[LocalPE] != 0 {
-		t.Fatal("local delivery must not hit the wire")
+	if st.WireMessages != 3 || st.PerPE[0].WireOut != 3 {
+		t.Fatalf("wire = %d (PE0 %d), want 3: local delivery must not hit the wire",
+			st.WireMessages, st.PerPE[0].WireOut)
 	}
 }
 
@@ -274,22 +240,26 @@ func TestPhaseStatsReset(t *testing.T) {
 	}
 }
 
+// The parallel detector must see a quiescence-detected phase complete more
+// times in a row than a completion-detected one, and both must still end.
 func TestSyncModeRounds(t *testing.T) {
-	cd := New(Config{PEs: 2, SyncMode: CompletionDetection})
-	qd := New(Config{PEs: 2, SyncMode: QuiescenceDetection})
-	newRing(cd, 2)
-	newRing(qd, 2)
-	stCD := cd.Drain()
-	stQD := qd.Drain()
-	if stQD.SyncRounds <= stCD.SyncRounds {
-		t.Fatalf("QD rounds %d should exceed CD rounds %d", stQD.SyncRounds, stCD.SyncRounds)
+	cd := New(Config{PEs: 2, Parallel: true, SyncMode: CompletionDetection})
+	qd := New(Config{PEs: 2, Parallel: true, SyncMode: QuiescenceDetection})
+	if qd.confirmations() <= cd.confirmations() {
+		t.Fatalf("QD confirmations %d should exceed CD's %d", qd.confirmations(), cd.confirmations())
+	}
+	for _, rt := range []*Runtime{cd, qd} {
+		id := newRing(rt, 2)
+		rt.Send(ChareRef{Array: id, Index: 0}, intMsg{ttl: 3})
+		if st := rt.Drain(); st.Messages != 3 {
+			t.Fatalf("SyncMode %d: %d messages, want 3", rt.cfg.SyncMode, st.Messages)
+		}
 	}
 }
 
 func TestSequentialParallelEquivalence(t *testing.T) {
 	run := func(parallel bool) (PhaseStats, int64) {
-		rt := New(Config{PEs: 5, Parallel: parallel, AggBufferSize: 7,
-			Topology: Topology{PEsPerProc: 2, ProcsPerNode: 2}})
+		rt := New(Config{PEs: 5, Parallel: parallel, AggBufferSize: 7})
 		n := 25
 		var arr int32
 		arr = rt.NewArray(n, func(i int32) Chare {
@@ -318,8 +288,8 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 
 // requireScheduleIndependentEqual compares every PhaseStats field that
 // counts chare-level traffic. The wire fields (WireMessages,
-// WireByLocality, PerPE[].WireOut) and SyncRounds are left out: in
-// parallel mode they depend on when a PE happened to go idle.
+// PerPE[].WireOut) are left out: in parallel mode they depend on when a PE
+// happened to go idle.
 func requireScheduleIndependentEqual(t *testing.T, seq, par PhaseStats) {
 	t.Helper()
 	if seq.Messages != par.Messages || seq.Bytes != par.Bytes || seq.ByLocality != par.ByLocality {
@@ -334,7 +304,7 @@ func requireScheduleIndependentEqual(t *testing.T, seq, par PhaseStats) {
 	}
 	for pe := range seq.PerPE {
 		s, p := seq.PerPE[pe], par.PerPE[pe]
-		s.WireOut, p.WireOut = [4]int64{}, [4]int64{}
+		s.WireOut, p.WireOut = 0, 0
 		if s != p {
 			t.Fatalf("PE %d traffic differs: %+v vs %+v", pe, s, p)
 		}
@@ -344,8 +314,7 @@ func requireScheduleIndependentEqual(t *testing.T, seq, par PhaseStats) {
 func TestPerPETrafficConsistency(t *testing.T) {
 	f := func(seedRaw uint16) bool {
 		seed := int32(seedRaw%97) + 1
-		rt := New(Config{PEs: 4, AggBufferSize: 3,
-			Topology: Topology{PEsPerProc: 2, ProcsPerNode: 1}})
+		rt := New(Config{PEs: 4, AggBufferSize: 3})
 		n := 16
 		var arr int32
 		arr = rt.NewArray(n, func(i int32) Chare {
@@ -398,8 +367,7 @@ func TestPlacementPanics(t *testing.T) {
 }
 
 func BenchmarkSequentialMessaging(b *testing.B) {
-	rt := New(Config{PEs: 8, AggBufferSize: 32,
-		Topology: Topology{PEsPerProc: 2, ProcsPerNode: 2}})
+	rt := New(Config{PEs: 8, AggBufferSize: 32})
 	n := 64
 	var arr int32
 	arr = rt.NewArray(n, func(i int32) Chare {

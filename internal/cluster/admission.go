@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -23,8 +22,9 @@ import (
 //   - an in-flight cap (MaxInflightPerClient) bounds how many of its
 //     sweeps may be unfinished across the fleet at once.
 //
-// Clients are keyed by the X-Episim-Client header when present (one
-// logical tenant may fan out over many hosts), else by remote address.
+// Clients are keyed by server.ClientID, the rule daemons account usage
+// by: the X-Episim-Client header when present (one logical tenant may fan
+// out over many hosts), else the remote host.
 // Rejections are HTTP 429 with Retry-After (and a millisecond-precision
 // X-Episim-Retry-After-Ms), which repro/client honors automatically.
 //
@@ -76,19 +76,6 @@ func newAdmission(rate float64, burst, maxInflight int) *admission {
 // enabled reports whether any limit is configured; when none is, the
 // submit path skips admission entirely.
 func (a *admission) enabled() bool { return a.rate > 0 || a.maxInflight > 0 }
-
-// clientKey identifies the submitting client: the X-Episim-Client header
-// when present, else the remote host.
-func clientKey(r *http.Request) string {
-	if k := r.Header.Get("X-Episim-Client"); k != "" {
-		return k
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
 
 func (a *admission) entry(key string) *clientEntry {
 	e, ok := a.clients[key]

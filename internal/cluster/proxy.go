@@ -18,6 +18,7 @@ import (
 	episim "repro"
 	"repro/client"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // controlTimeout bounds non-streaming proxied calls (submit, status,
@@ -128,7 +129,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// read (up to 32MB) or a spec parse on it.
 	var cKey string
 	if g.admit.enabled() {
-		cKey = clientKey(r)
+		cKey = server.ClientID(r)
 		if wait, ok := g.admit.takeToken(cKey); !ok {
 			g.throttledRate.Add(1)
 			writeThrottled(w, cKey, "submission-rate", wait)
@@ -179,7 +180,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Stamp the client identity the gateway resolved (header, else remote
 	// host) so the owning daemon's usage ledger bills the real tenant,
 	// not the gateway's own address.
-	r.Header.Set("X-Episim-Client", clientKey(r))
+	r.Header.Set("X-Episim-Client", server.ClientID(r))
 
 	key := DominantPlacementKey(spec)
 	order, affine, spillFirst := g.pickOrder(key)
@@ -426,7 +427,7 @@ func (g *Gateway) proxyEvents(w http.ResponseWriter, r *http.Request, b *backend
 	}
 	// Same identity stamp as submissions: streamed bytes bill to the
 	// subscribing tenant on the owning daemon's ledger.
-	r.Header.Set("X-Episim-Client", clientKey(r))
+	r.Header.Set("X-Episim-Client", server.ClientID(r))
 	resp, err := g.forward(r.Context(), b, http.MethodGet, path, nil, r.Header)
 	if err != nil {
 		g.reportFailure(r.Context(), b, err)

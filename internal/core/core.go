@@ -63,12 +63,10 @@ type Config struct {
 	// Parallel selects goroutine-per-PE execution instead of the
 	// deterministic sequential scheduler.
 	Parallel bool
-	// Topology is the SMP geometry (zero value = one process/node).
-	Topology charm.Topology
 	// AggBufferSize enables message aggregation when > 0.
 	AggBufferSize int
 	// Route2D enables TRAM-style topological routing of aggregated
-	// messages (charm.Config.Route2D).
+	// messages (charm.Config.Route2D); it requires AggBufferSize > 0.
 	Route2D  bool
 	SyncMode charm.SyncMode
 	// ChareFactor over-decomposes: managers per rank per array. Default 1.
@@ -332,6 +330,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.KernelThreshold == 0 {
 		cfg.KernelThreshold = 0.01
 	}
+	if cfg.Route2D && cfg.AggBufferSize <= 0 {
+		return nil, fmt.Errorf("core: 2D routing relays aggregation buffers and needs AggBufferSize > 0")
+	}
 	nP := cfg.Population.NumPersons()
 	nL := cfg.Population.NumLocations()
 	if cfg.PersonRank != nil && len(cfg.PersonRank) != nP {
@@ -355,7 +356,6 @@ func New(cfg Config) (*Engine, error) {
 	e.rt = charm.New(charm.Config{
 		PEs:           cfg.Ranks,
 		Parallel:      cfg.Parallel,
-		Topology:      cfg.Topology,
 		AggBufferSize: cfg.AggBufferSize,
 		Route2D:       cfg.Route2D,
 		SyncMode:      cfg.SyncMode,

@@ -291,6 +291,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Population: pop, Ranks: 2, LocationRank: badL}); err == nil {
 		t.Fatal("negative location rank accepted")
 	}
+	if _, err := New(Config{Population: pop, Ranks: 4, Route2D: true}); err == nil {
+		t.Fatal("2D routing without aggregation accepted")
+	}
 }
 
 func TestDefaultsApplied(t *testing.T) {

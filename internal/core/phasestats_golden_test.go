@@ -16,11 +16,10 @@ import (
 // wire counts, per-PE traffic, local/remote split, reductions: the numbers
 // behind the bench's charm.* metrics and the paper's communication figures
 // — for eight sequential configurations, as the SHA-256 and length of
-// json.Marshal(*Result), taken here through slimResult (the shape the
-// counters keep once charm stops classifying by SMP topology). A day-loop refactor
-// that means to keep the counters must leave testdata/phasestats.golden
-// alone; one that means to change them replaces the lines this test
-// prints on failure by hand (there is no -update flag on purpose).
+// json.Marshal(*Result). A day-loop refactor that means to keep the
+// counters must leave testdata/phasestats.golden alone; one that means to
+// change them replaces the lines this test prints on failure by hand
+// (there is no -update flag on purpose).
 func TestPhaseStatsGolden(t *testing.T) {
 	pop := testPop(t)
 	base := func() Config {
@@ -39,7 +38,6 @@ func TestPhaseStatsGolden(t *testing.T) {
 		{"agg0-topo2x2", func() Config {
 			c := base()
 			c.Ranks = 8
-			c.Topology = charm.Topology{PEsPerProc: 2, ProcsPerNode: 2}
 			return c
 		}},
 		{"route2d-charefactor2-9pe", func() Config {
@@ -56,7 +54,6 @@ func TestPhaseStatsGolden(t *testing.T) {
 			c.AggBufferSize = 16
 			c.Route2D = true
 			c.SyncMode = charm.QuiescenceDetection
-			c.Topology = charm.Topology{PEsPerProc: 4, ProcsPerNode: 3}
 			return c
 		}},
 		{"kernel-auto", func() Config {
@@ -109,7 +106,7 @@ func TestPhaseStatsGolden(t *testing.T) {
 		t.Fatalf("golden file has %d entries, want %d", len(want), len(configs))
 	}
 	for _, c := range configs {
-		js, err := json.Marshal(slim(run(t, c.cfg())))
+		js, err := json.Marshal(run(t, c.cfg()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,70 +115,4 @@ func TestPhaseStatsGolden(t *testing.T) {
 			t.Errorf("PhaseStats drifted:\n got  %s %s\n want %s %s", c.name, got, c.name, want[c.name])
 		}
 	}
-}
-
-// slimResult is Result with every charm.PhaseStats reduced to what does
-// not depend on an SMP topology: local = ByLocality[0], remote = the sum
-// of the three other classes, WireOut summed per PE, no WireByLocality and
-// no SyncRounds. Field order and names match Result's, so the two marshal
-// alike wherever they agree.
-type slimResult struct {
-	Days            []slimDayReport
-	TotalInfections int64
-	AttackRate      float64
-	FinalCounts     map[string]int64
-	KernelDays      map[string]int64 `json:"KernelDays,omitempty"`
-}
-
-type slimDayReport struct {
-	Day                                     int
-	Counts                                  map[string]int64
-	NewInfections                           int64
-	PersonPhase, LocationPhase, UpdatePhase slimPhaseStats
-	Events, Interactions, Trials            int64
-	Kernel                                  string `json:"Kernel,omitempty"`
-}
-
-type slimPhaseStats struct {
-	Messages, WireMessages, Bytes int64
-	ByLocality                    [2]int64
-	Reductions                    map[string]int64
-	PerPE                         []slimPETraffic
-}
-
-type slimPETraffic struct {
-	MsgsIn, MsgsOut, WireOut, BytesOut, Delivered int64
-}
-
-func slim(r *Result) slimResult {
-	out := slimResult{TotalInfections: r.TotalInfections, AttackRate: r.AttackRate,
-		FinalCounts: r.FinalCounts, KernelDays: r.KernelDays}
-	out.Days = make([]slimDayReport, len(r.Days))
-	for i, d := range r.Days {
-		out.Days[i] = slimDayReport{Day: d.Day, Counts: d.Counts, NewInfections: d.NewInfections,
-			PersonPhase: slimPhase(d.PersonPhase), LocationPhase: slimPhase(d.LocationPhase),
-			UpdatePhase: slimPhase(d.UpdatePhase),
-			Events:      d.Events, Interactions: d.Interactions, Trials: d.Trials, Kernel: d.Kernel}
-	}
-	return out
-}
-
-func slimPhase(ps charm.PhaseStats) slimPhaseStats {
-	out := slimPhaseStats{Messages: ps.Messages, WireMessages: ps.WireMessages, Bytes: ps.Bytes,
-		Reductions: ps.Reductions}
-	out.ByLocality[0] = ps.ByLocality[0]
-	for _, n := range ps.ByLocality[1:] {
-		out.ByLocality[1] += n
-	}
-	if ps.PerPE != nil {
-		out.PerPE = make([]slimPETraffic, len(ps.PerPE))
-		for pe, tr := range ps.PerPE {
-			out.PerPE[pe] = slimPETraffic{MsgsIn: tr.MsgsIn, MsgsOut: tr.MsgsOut,
-				BytesOut: tr.BytesOut, Delivered: tr.Delivered}
-			for _, n := range tr.WireOut {
-				out.PerPE[pe].WireOut += n
-			}
-		}
-	}
-	return out
 }

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	episim "repro"
-	"repro/internal/machine"
+	"repro/internal/charm"
 )
 
 // commSweep is the rank sweep used by the communication figures.
@@ -46,7 +46,7 @@ func runFig9to11(w io.Writer, opt Options) error {
 		noSMP.Machine.SMPEnabled = false
 
 		qd := base
-		qd.Sync = machine.QuiescenceDetection
+		qd.Sync = charm.QuiescenceDetection
 
 		noOpt := episim.NoOptPerfOptions()
 

@@ -1,8 +1,11 @@
 // Package machine prices execution traces on a Cray XE6-like machine
 // (NCSA Blue Waters): it is the substitute for the paper's 360K physical
-// cores. The engine (or the experiment harness) produces, for each logical
-// rank and simulation phase, the compute seconds and message counts; this
-// package maps them to simulated wall-clock time per simulated day.
+// cores, and the one place the machine is modelled. Its inputs are, for
+// each logical rank and simulation phase, the compute seconds and the wire
+// message counts split intra- vs inter-node; they come from the root
+// package's perfmodel.go, which walks a placement's static visit schedule,
+// not from the engine (internal/charm counts only local vs remote sends).
+// This package maps them to simulated wall-clock time per simulated day.
 //
 // The model captures exactly the effects the paper's optimizations act on:
 //
@@ -22,15 +25,10 @@
 // absolute Blue Waters numbers.
 package machine
 
-import "math"
+import (
+	"math"
 
-// SyncMode mirrors charm.SyncMode for phase synchronization pricing.
-type SyncMode uint8
-
-// Synchronization protocols.
-const (
-	CompletionDetection SyncMode = iota
-	QuiescenceDetection
+	"repro/internal/charm"
 )
 
 // Config is the machine description plus cost constants (seconds, bytes).
@@ -52,12 +50,13 @@ type Config struct {
 	// CommThreadOffload is the fraction of per-message CPU overhead the
 	// communication thread absorbs in SMP mode (0..1).
 	CommThreadOffload float64
-	// LatencyIntraNode and LatencyInterNode are per-wire-message network
-	// latencies by locality. LatencyInterNode is the one-hop base; when a
-	// torus geometry is set, callers add PerHopLatency per additional hop
-	// via RankPhase.ExtraLatency (see Torus and episim.ModelDayTime).
-	LatencyIntraNode float64
-	LatencyInterNode float64
+	// LatencyIntra and LatencyInter are per-wire-message network latencies
+	// within a node and between nodes. LatencyInter is the one-hop base;
+	// when a torus geometry is set, callers add PerHopLatency per
+	// additional hop via RankPhase.ExtraLatency (see Torus and
+	// episim.ModelDayTime).
+	LatencyIntra float64
+	LatencyInter float64
 	// PerHopLatency is the added latency per Gemini torus hop beyond the
 	// first.
 	PerHopLatency float64
@@ -85,8 +84,8 @@ func BlueWatersXE6() Config {
 		SendOverhead:           1.1e-6,
 		RecvOverhead:           0.9e-6,
 		CommThreadOffload:      0.85,
-		LatencyIntraNode:       0.6e-6,
-		LatencyInterNode:       1.8e-6,
+		LatencyIntra:           0.6e-6,
+		LatencyInter:           1.8e-6,
 		PerHopLatency:          0.1e-6,
 		TorusGeometry:          BlueWatersTorus(),
 		Bandwidth:              4.0e9,
@@ -123,7 +122,7 @@ type PhaseCost struct {
 // PhaseTime prices one bulk-synchronous phase across ranks: the phase ends
 // when the slowest rank has computed, paid its messaging overhead, and its
 // traffic has drained, plus the synchronization protocol cost.
-func (c Config) PhaseTime(ranks []RankPhase, mode SyncMode) PhaseCost {
+func (c Config) PhaseTime(ranks []RankPhase, mode charm.SyncMode) PhaseCost {
 	var pc PhaseCost
 	offload := 0.0
 	if c.SMPEnabled {
@@ -138,8 +137,8 @@ func (c Config) PhaseTime(ranks []RankPhase, mode SyncMode) PhaseCost {
 		r := &ranks[i]
 		msgCPU := (c.SendOverhead*float64(r.WireOutIntra+r.WireOutInter) +
 			c.RecvOverhead*float64(r.WireInIntra+r.WireInInter)) * soft * (1 - offload)
-		net := c.LatencyIntraNode*float64(max(r.WireOutIntra, r.WireInIntra)) +
-			c.LatencyInterNode*float64(max(r.WireOutInter, r.WireInInter)) +
+		net := c.LatencyIntra*float64(max(r.WireOutIntra, r.WireInIntra)) +
+			c.LatencyInter*float64(max(r.WireOutInter, r.WireInInter)) +
 			r.ExtraLatency
 		if c.Bandwidth > 0 {
 			net += float64(r.BytesOut) / c.Bandwidth
@@ -161,12 +160,12 @@ func (c Config) PhaseTime(ranks []RankPhase, mode SyncMode) PhaseCost {
 // ceil(log2(P))+1 hops per confirmation round; completion detection
 // confirms produced==consumed in 2 rounds, quiescence detection needs 4
 // (global idleness plus re-confirmation across the whole application).
-func (c Config) SyncCost(pes int, mode SyncMode) float64 {
+func (c Config) SyncCost(pes int, mode charm.SyncMode) float64 {
 	if pes < 1 {
 		pes = 1
 	}
 	rounds := 2.0
-	if mode == QuiescenceDetection {
+	if mode == charm.QuiescenceDetection {
 		rounds = 4.0
 	}
 	hops := math.Ceil(math.Log2(float64(pes))) + 1
@@ -185,7 +184,7 @@ type DayCost struct {
 // DayTime prices one full simulation day given per-rank traces for the
 // person (visit-sending) phase, the location (DES + infect) phase, and the
 // lightweight state-update phase.
-func (c Config) DayTime(person, location, update []RankPhase, mode SyncMode) DayCost {
+func (c Config) DayTime(person, location, update []RankPhase, mode charm.SyncMode) DayCost {
 	var d DayCost
 	d.Person = c.PhaseTime(person, mode)
 	d.Location = c.PhaseTime(location, mode)

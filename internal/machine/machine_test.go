@@ -4,17 +4,19 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/charm"
 )
 
 func TestSyncCostOrdering(t *testing.T) {
 	c := BlueWatersXE6()
-	if c.SyncCost(1024, QuiescenceDetection) <= c.SyncCost(1024, CompletionDetection) {
+	if c.SyncCost(1024, charm.QuiescenceDetection) <= c.SyncCost(1024, charm.CompletionDetection) {
 		t.Fatal("QD must cost more than CD")
 	}
-	if c.SyncCost(1<<17, CompletionDetection) <= c.SyncCost(64, CompletionDetection) {
+	if c.SyncCost(1<<17, charm.CompletionDetection) <= c.SyncCost(64, charm.CompletionDetection) {
 		t.Fatal("sync cost must grow with PE count")
 	}
-	if c.SyncCost(0, CompletionDetection) <= 0 {
+	if c.SyncCost(0, charm.CompletionDetection) <= 0 {
 		t.Fatal("degenerate PE count must still cost something")
 	}
 }
@@ -22,7 +24,7 @@ func TestSyncCostOrdering(t *testing.T) {
 func TestPhaseTimeComputeOnly(t *testing.T) {
 	c := BlueWatersXE6()
 	ranks := []RankPhase{{Compute: 1.0}, {Compute: 2.5}, {Compute: 0.5}}
-	pc := c.PhaseTime(ranks, CompletionDetection)
+	pc := c.PhaseTime(ranks, charm.CompletionDetection)
 	if pc.Compute != 2.5 {
 		t.Fatalf("compute = %v, want slowest rank 2.5", pc.Compute)
 	}
@@ -36,8 +38,8 @@ func TestPhaseTimeMessagingCosts(t *testing.T) {
 	c.SMPEnabled = false // full per-message cost on compute threads
 	quiet := []RankPhase{{Compute: 0.001}}
 	noisy := []RankPhase{{Compute: 0.001, WireOutInter: 100000, WireInInter: 100000}}
-	tq := c.PhaseTime(quiet, CompletionDetection).Total
-	tn := c.PhaseTime(noisy, CompletionDetection).Total
+	tq := c.PhaseTime(quiet, charm.CompletionDetection).Total
+	tn := c.PhaseTime(noisy, charm.CompletionDetection).Total
 	if tn <= tq {
 		t.Fatal("messages must cost time")
 	}
@@ -52,8 +54,8 @@ func TestSMPOffloadReducesOverhead(t *testing.T) {
 	noSmp := smp
 	noSmp.SMPEnabled = false
 	ranks := []RankPhase{{Compute: 0.01, WireOutInter: 50000, WireInInter: 50000}}
-	tSMP := smp.PhaseTime(ranks, CompletionDetection).Overhead
-	tNo := noSmp.PhaseTime(ranks, CompletionDetection).Overhead
+	tSMP := smp.PhaseTime(ranks, charm.CompletionDetection).Overhead
+	tNo := noSmp.PhaseTime(ranks, charm.CompletionDetection).Overhead
 	if tSMP >= tNo {
 		t.Fatalf("SMP overhead %v !< non-SMP %v", tSMP, tNo)
 	}
@@ -69,8 +71,8 @@ func TestSoftwareOverheadFactor(t *testing.T) {
 	noOpt := opt
 	noOpt.SoftwareOverheadFactor = 2.5
 	ranks := []RankPhase{{Compute: 0.001, WireOutInter: 10000, WireInInter: 10000}}
-	a := opt.PhaseTime(ranks, CompletionDetection).Overhead
-	b := noOpt.PhaseTime(ranks, CompletionDetection).Overhead
+	a := opt.PhaseTime(ranks, charm.CompletionDetection).Overhead
+	b := noOpt.PhaseTime(ranks, charm.CompletionDetection).Overhead
 	if math.Abs(b/a-2.5) > 0.01 {
 		t.Fatalf("software factor not applied: %v vs %v", a, b)
 	}
@@ -80,8 +82,8 @@ func TestBandwidthTerm(t *testing.T) {
 	c := BlueWatersXE6()
 	small := []RankPhase{{Compute: 0.001, BytesOut: 1 << 10}}
 	big := []RankPhase{{Compute: 0.001, BytesOut: 1 << 30}}
-	ts := c.PhaseTime(small, CompletionDetection).Network
-	tb := c.PhaseTime(big, CompletionDetection).Network
+	ts := c.PhaseTime(small, charm.CompletionDetection).Network
+	tb := c.PhaseTime(big, charm.CompletionDetection).Network
 	if tb <= ts {
 		t.Fatal("bytes must cost network time")
 	}
@@ -96,7 +98,7 @@ func TestDayTime(t *testing.T) {
 	person := []RankPhase{{Compute: 1}}
 	location := []RankPhase{{Compute: 2}}
 	update := []RankPhase{{Compute: 0.1}}
-	d := c.DayTime(person, location, update, CompletionDetection)
+	d := c.DayTime(person, location, update, charm.CompletionDetection)
 	if d.Total < 3.1 {
 		t.Fatalf("day total %v below compute sum", d.Total)
 	}
@@ -131,7 +133,7 @@ func TestStrongScalingShape(t *testing.T) {
 		for i := range ranks {
 			ranks[i].Compute = total / float64(p)
 		}
-		tp := c.PhaseTime(ranks, CompletionDetection).Total
+		tp := c.PhaseTime(ranks, charm.CompletionDetection).Total
 		if prev != 0 && tp >= prev {
 			t.Fatalf("no scaling at p=%d: %v >= %v", p, tp, prev)
 		}
@@ -151,7 +153,7 @@ func TestSerialBottleneckFlattens(t *testing.T) {
 		for i := 1; i < p; i++ {
 			ranks[i].Compute = lmax / 100
 		}
-		times[p] = c.PhaseTime(ranks, CompletionDetection).Total
+		times[p] = c.PhaseTime(ranks, charm.CompletionDetection).Total
 	}
 	if times[4096] < lmax {
 		t.Fatal("cannot beat the serial bottleneck")
@@ -169,7 +171,7 @@ func TestPhaseTimeProperty(t *testing.T) {
 			WireOutInter: int64(out),
 			WireInInter:  int64(in),
 		}
-		pc := c.PhaseTime([]RankPhase{r}, CompletionDetection)
+		pc := c.PhaseTime([]RankPhase{r}, charm.CompletionDetection)
 		// Total dominates every component and is finite.
 		return pc.Total >= pc.Compute && pc.Total >= pc.Sync &&
 			!math.IsNaN(pc.Total) && !math.IsInf(pc.Total, 0)
@@ -181,7 +183,7 @@ func TestPhaseTimeProperty(t *testing.T) {
 
 func TestEmptyPhase(t *testing.T) {
 	c := BlueWatersXE6()
-	pc := c.PhaseTime(nil, CompletionDetection)
+	pc := c.PhaseTime(nil, charm.CompletionDetection)
 	if pc.Total != pc.Sync {
 		t.Fatal("empty phase should cost only sync")
 	}

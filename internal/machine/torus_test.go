@@ -3,6 +3,8 @@ package machine
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/charm"
 )
 
 func TestTorusCoordsRoundTrip(t *testing.T) {
@@ -94,8 +96,8 @@ func TestExtraLatencyPriced(t *testing.T) {
 	c := BlueWatersXE6()
 	quiet := []RankPhase{{Compute: 0.001}}
 	far := []RankPhase{{Compute: 0.001, ExtraLatency: 0.5}}
-	tq := c.PhaseTime(quiet, CompletionDetection).Network
-	tf := c.PhaseTime(far, CompletionDetection).Network
+	tq := c.PhaseTime(quiet, charm.CompletionDetection).Network
+	tf := c.PhaseTime(far, charm.CompletionDetection).Network
 	if tf-tq < 0.49 {
 		t.Fatalf("extra latency not priced: %v vs %v", tf, tq)
 	}

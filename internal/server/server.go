@@ -407,7 +407,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.submitHist.ObserveSince(start)
 	s.submitsTotal.Add(1)
-	clientID := clientIDFrom(r)
+	clientID := ClientID(r)
 	spec, err := episim.ParseSweepSpec(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
 		s.submitErrors.Add(1)
@@ -556,7 +556,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	// SLO; payload bytes are billed to the requesting client's usage row
 	// before each event is written, so a client that has read the terminal
 	// event finds the whole stream on /v1/usage.
-	clientID := clientIDFrom(r)
+	clientID := ClientID(r)
 	send := func(ev client.Event) bool {
 		payload, err := json.Marshal(ev)
 		if err != nil {

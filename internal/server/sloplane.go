@@ -280,11 +280,11 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"profiles": out})
 }
 
-// clientIDFrom identifies the requesting client for usage accounting:
-// the X-Episim-Client header when present (forwarded by a gateway, set
-// by repro/client when ClientID is configured), else the remote host —
-// the same identity rule gateway admission throttles on.
-func clientIDFrom(r *http.Request) string {
+// ClientID is the fleet's one tenant identity rule: the X-Episim-Client
+// header when present (forwarded by a gateway, set by repro/client when
+// ClientID is configured), else the remote host. A daemon accounts usage
+// by it and gateway admission throttles on it.
+func ClientID(r *http.Request) string {
 	if k := r.Header.Get("X-Episim-Client"); k != "" {
 		return k
 	}

@@ -3,6 +3,7 @@ package episim
 import (
 	"math"
 
+	"repro/internal/charm"
 	"repro/internal/loadmodel"
 	"repro/internal/machine"
 )
@@ -18,7 +19,7 @@ type PerfOptions struct {
 	// Aggregation is the message-aggregation buffer size (0 = off).
 	Aggregation int
 	// Sync selects the phase synchronization protocol.
-	Sync machine.SyncMode
+	Sync charm.SyncMode
 	// PersonSecPerVisit is the person-phase cost per visit message
 	// (health recalculation + message construction).
 	PersonSecPerVisit float64
@@ -57,7 +58,7 @@ func DefaultPerfOptions() PerfOptions {
 	return PerfOptions{
 		Machine:            machine.BlueWatersXE6(),
 		Aggregation:        64,
-		Sync:               machine.CompletionDetection,
+		Sync:               charm.CompletionDetection,
 		PersonSecPerVisit:  2.0e-6,
 		UpdateSecPerPerson: 1.5e-7,
 		LocModel:           loadmodel.Paper(),
@@ -72,7 +73,7 @@ func DefaultPerfOptions() PerfOptions {
 func NoOptPerfOptions() PerfOptions {
 	o := DefaultPerfOptions()
 	o.Aggregation = 0
-	o.Sync = machine.QuiescenceDetection
+	o.Sync = charm.QuiescenceDetection
 	o.Machine.SMPEnabled = false
 	o.Machine.SoftwareOverheadFactor = 1.8
 	return o
