@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	episim "repro"
+	"repro/internal/core"
+	"repro/internal/disease"
 	"repro/internal/partition"
 	"repro/internal/splitloc"
 )
@@ -91,6 +93,36 @@ func BenchmarkSimDense(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := episim.Run(pl, episim.SimConfig{Days: 10, Seed: seed, InitialInfections: 1000,
 					AggBufferSize: 64, Parallel: parallel})
+				if err != nil || res.TotalInfections == 0 {
+					b.Fatal("simulation failed")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSimSparse is the bench's sim-sparse unit without the harness
+// around it: 50k persons / 12.5k locations placed RR×16, 250 index cases,
+// the default model at half its transmissibility, 12 days, generated from
+// the bench's default seed, on the auto (active-set) and event kernels —
+// so -cpuprofile on it profiles the day loop the sim-sparse numbers come
+// from.
+func BenchmarkSimSparse(b *testing.B) {
+	const seed = 7
+	pop := episim.Generate("sim-sparse", 50000, 12500, seed)
+	pl, err := episim.BuildPlacement(pop, episim.PlacementOptions{
+		Strategy: episim.RR, Ranks: 16, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := disease.Default()
+	model.Transmissibility *= 0.5
+	for _, kernel := range []string{core.KernelAuto, core.KernelEvent} {
+		b.Run(kernel, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := episim.Run(pl, episim.SimConfig{Days: 12, Seed: seed, InitialInfections: 250,
+					Model: model, AggBufferSize: 64, Kernel: kernel})
 				if err != nil || res.TotalInfections == 0 {
 					b.Fatal("simulation failed")
 				}

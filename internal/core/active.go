@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/charm"
 	"repro/internal/synthpop"
 	"repro/internal/xrand"
@@ -68,17 +66,11 @@ func (e *Engine) keepVisit(p int32, isolated bool, locID int32, loc *synthpop.Lo
 func (e *Engine) beginSparseDay(day int) {
 	e.stepScenario(day)
 	if e.activeLoc == nil {
-		nP, nL := e.pop.NumPersons(), e.pop.NumLocations()
-		e.activeLoc = make([]bool, nL)
-		e.personMark = make([]bool, nP)
+		e.activeLoc = make([]bool, e.pop.NumLocations())
+		e.personMark = make([]bool, e.pop.NumPersons())
 		e.activePersons = make([][]int32, len(e.pmHealth))
 		e.lmNeeded = make([]bool, e.rt.ArrayLen(e.lmArr))
-
-		offsets, order := e.pop.VisitIndexByLocation()
-		e.visitsAtLoc = make([][]int32, nL)
-		for l := range e.visitsAtLoc {
-			e.visitsAtLoc[l] = order[offsets[l]:offsets[l+1]]
-		}
+		e.visitIndex()
 	}
 }
 
@@ -173,10 +165,13 @@ func (e *Engine) runDayActive(day int) DayReport {
 
 	e.walkFrontier(day, nil)
 	if len(e.activeLocList) > 0 {
+		e.beginLocationDay()
 		// Active person set: every static visitor of an active location,
-		// deduped and bucketed per PM.
+		// deduped and bucketed per PM. Their order is not observable: the
+		// DES walks slots in static order, and infections are re-sorted
+		// canonically.
 		for _, locID := range e.activeLocList {
-			for _, vi := range e.visitsAtLoc[locID] {
+			for _, vi := range e.visitsAt(locID) {
 				p := e.pop.Visits[vi].Person
 				if e.personMark[p] {
 					continue
@@ -189,11 +184,9 @@ func (e *Engine) runDayActive(day int) DayReport {
 
 		// Phase 1: person phase, targeted at PMs owning active persons.
 		for pmID := range e.activePersons {
-			ps := e.activePersons[pmID]
-			if len(ps) == 0 {
+			if len(e.activePersons[pmID]) == 0 {
 				continue
 			}
-			slices.Sort(ps)
 			e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgComputeVisitsActive{Day: day})
 		}
 		rep.PersonPhase = e.rt.Drain()
@@ -239,7 +232,7 @@ func (e *Engine) runDayActive(day int) DayReport {
 // locations are sent.
 func (pm *personManager) computeVisitsActive(ctx *charm.Ctx, day int) {
 	e := pm.eng
-	pm.visits = pm.visits[:0]
+	pm.beginVisits()
 	for _, p := range e.activePersons[pm.id] {
 		pm.sendVisits(ctx, p, day, e.activeLoc)
 	}

@@ -24,9 +24,12 @@
 // next day — by then the phase it was sent in has completed, which means
 // every message was consumed, and a receiver copies what it keeps — and
 // within a phase it is only appended to, so a slab that grows leaves the
-// pointers already sent on an array nobody writes again. Receiving
-// managers keep their buffers (visit windows, infection buffers) from day
-// to day, truncated.
+// pointers already sent on an array nobody writes again. The same rule
+// covers what a visit message is copied into: the location phase's static
+// schedule (schedule.go), whose slots and day stamps the person phase
+// writes and only the next day's person phase overwrites, each slot by the
+// one manager owning its location. Receiving managers keep their buffers
+// (replica lists, infection buffers) from day to day, truncated.
 //
 // Three kernels execute a day (Config.Kernel): dense is the algorithm
 // above; the active-set stepper (active.go) and the event kernel
@@ -189,11 +192,11 @@ type Engine struct {
 	pmArr  int32
 	lmArr  int32
 	health []personState
-	// pmOf / lmOf map persons / locations to their managing chares, lmSlot
+	// pmOf / lmOf map persons / locations to their managing chares, lmIndex
 	// a location to its index in its manager's locs.
-	pmOf   []int32
-	lmOf   []int32
-	lmSlot []int32
+	pmOf    []int32
+	lmOf    []int32
+	lmIndex []int32
 	// fragments maps an original location id to all fragment location ids
 	// of its family (only entries with >1 fragment; used for infectious
 	// replication in mixing mode).
@@ -230,10 +233,18 @@ type Engine struct {
 	prefix   []DayReport
 	stepped  bool
 
+	// The inverted static schedule, computed on first use (visitIndex):
+	// location l's visits are pop.Visits[i] for i in
+	// locOrder[locOffsets[l]:locOffsets[l+1]]. The location phase's static
+	// schedule (schedule.go) numbers its slots the same way, and slotOf maps
+	// a visit index to its slot; both are built by the first day that runs
+	// a location phase.
+	locOffsets []int32
+	locOrder   []int32
+	sched      *des.Schedule
+	slotOf     []int32
+
 	// Active-set scratch, allocated lazily on the first non-dense day.
-	// visitsAtLoc is the inverted static schedule: visit indices into
-	// pop.Visits grouped by location.
-	visitsAtLoc   [][]int32
 	activeLoc     []bool  // location → active this day (read-only during phases)
 	activeLocList []int32 // the marked locations, for O(active) clearing
 	activePersons [][]int32
@@ -261,18 +272,19 @@ type pmHealth struct {
 	progressing []int32
 }
 
-// visitMsg is one visit message (paper Section II-B step 1): person,
-// location, times, plus the sender's effective disease parameters.
+// visitMsg is one visit message (paper Section II-B step 1): the visit's
+// slot in the static schedule, which stands for the person, sublocation and
+// times, the location it is sent to (a sibling fragment's, for a mixing
+// replica) and the sender's effective disease parameters.
 type visitMsg struct {
-	Person     int32
-	Loc        int32
-	Sub        int32
-	OrigSub    int32 // pre-splitLoc sublocation id (mixing mode keys)
-	Start, End int16
-	Inf, Sus   float32
+	Slot     int32
+	Loc      int32
+	Inf, Sus float32
 }
 
-// WireSize matches a compact binary encoding of the fields.
+// WireSize is the paper's visit message in a compact binary encoding —
+// person, location, sublocations, times and disease parameters — not the
+// Go struct, which carries a slot in place of the static fields.
 func (visitMsg) WireSize() int { return 32 }
 
 // infectMsg is one infect message (step 3): the DES's infection record,
@@ -332,6 +344,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Route2D && cfg.AggBufferSize <= 0 {
 		return nil, fmt.Errorf("core: 2D routing relays aggregation buffers and needs AggBufferSize > 0")
+	}
+	if err := cfg.Population.Validate(); err != nil {
+		return nil, fmt.Errorf("core: population: %w", err)
 	}
 	nP := cfg.Population.NumPersons()
 	nL := cfg.Population.NumLocations()
@@ -417,11 +432,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.pmOf = pmOf
 	e.lmOf = lmOf
-	e.lmSlot = make([]int32, nL)
-	visitsAt := make([]int32, nL)
-	for i := range cfg.Population.Visits {
-		visitsAt[cfg.Population.Visits[i].Loc]++
-	}
+	e.lmIndex = make([]int32, nL)
 	e.infectionBuf = make([][]infectMsg, numPM)
 
 	// Fragment families for infectious replication in mixing mode.
@@ -443,7 +454,7 @@ func New(cfg Config) (*Engine, error) {
 		return &personManager{eng: e, id: i, persons: personsOfPM[i]}
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
 	e.lmArr = e.rt.NewArray(numLM, func(i int32) charm.Chare {
-		return newLocationManager(e, i, locsOfLM[i], visitsAt)
+		return newLocationManager(e, i, locsOfLM[i])
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
 
 	// Incremental health bookkeeping: one scan after seeding (seeding
@@ -695,6 +706,7 @@ func (e *Engine) applyVaccination(day int) {
 func (e *Engine) runDayDense(day int, kernel string) DayReport {
 	rep := DayReport{Day: day, Kernel: kernel}
 	e.stepScenario(day)
+	e.beginLocationDay()
 
 	// Phase 1: person phase.
 	e.rt.Broadcast(e.pmArr, msgComputeVisits{Day: day})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/charm"
@@ -293,6 +294,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Population: pop, Ranks: 4, Route2D: true}); err == nil {
 		t.Fatal("2D routing without aggregation accepted")
+	}
+	// The static schedule's counting passes index by minute and
+	// sublocation: a visit outside the day or its location's rooms is an
+	// error, not an index out of range.
+	for name, corrupt := range map[string]func(v *synthpop.Visit){
+		"inverted interval": func(v *synthpop.Visit) { v.Start, v.End = v.End, v.Start },
+		"past midnight":     func(v *synthpop.Visit) { v.End = 24*60 + 1 },
+		"sublocation":       func(v *synthpop.Visit) { v.Sub = pop.Locations[v.Loc].NumSub },
+	} {
+		bad := *pop
+		bad.Visits = slices.Clone(pop.Visits)
+		corrupt(&bad.Visits[len(bad.Visits)/2])
+		if _, err := New(Config{Population: &bad, Kernel: KernelAuto}); err == nil {
+			t.Fatalf("population with a visit of bad %s accepted", name)
+		}
 	}
 }
 

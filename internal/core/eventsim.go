@@ -62,7 +62,7 @@ func (e *Engine) runDayEvent(day int) DayReport {
 	for _, locID := range e.activeLocList {
 		sv := e.srcVisits[locID]
 		e.srcVisits[locID] = sv[:0]
-		for _, vi := range e.visitsAtLoc[locID] {
+		for _, vi := range e.visitsAt(locID) {
 			v := &e.pop.Visits[vi]
 			p := v.Person
 			hs := &e.health[p]

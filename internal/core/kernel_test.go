@@ -336,6 +336,48 @@ func TestEventKernelHysteresis(t *testing.T) {
 	}
 }
 
+// TestGillespieRunBuildsNoSchedule: the location phase's static schedule
+// is built by the first day that runs a location phase, so an engine whose
+// days are all Gillespie never pays for it, nor does an active day whose
+// frontier is empty, and the first active day with one does.
+func TestGillespieRunBuildsNoSchedule(t *testing.T) {
+	pop := testPop(t)
+	cfg := Config{Population: pop, Disease: hotModel(), Days: 10, Seed: 3,
+		InitialInfections: 5, Ranks: 3, Kernel: KernelEvent, KernelThreshold: 1}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.KernelDays[KernelEvent] != int64(cfg.Days) || res.TotalInfections <= int64(cfg.InitialInfections) {
+		t.Fatalf("want %d event days that spread the epidemic: kernels %v, %d infections", cfg.Days, res.KernelDays, res.TotalInfections)
+	}
+	if e.sched != nil || e.slotOf != nil {
+		t.Fatal("an all-Gillespie run built the static schedule")
+	}
+
+	cfg.Kernel = KernelAuto
+	if e, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for day := 1; day <= cfg.Days; day++ {
+		rep := e.RunDay(day)
+		if rep.Kernel != kernelActive {
+			t.Fatalf("day %d ran on kernel %q", day, rep.Kernel)
+		}
+		if ran := rep.Events > 0; (e.sched != nil) != ran {
+			t.Fatalf("day %d: location phase %v, schedule built %v", day, ran, e.sched != nil)
+		}
+		if e.sched != nil {
+			return
+		}
+	}
+	t.Fatal("no active day ran a location phase")
+}
+
 func TestKernelValidation(t *testing.T) {
 	pop := testPop(t)
 	base := Config{Population: pop, Disease: hotModel(), Days: 1, Ranks: 1}

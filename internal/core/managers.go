@@ -20,7 +20,22 @@ type personManager struct {
 	// person phase, after every receiver has copied what it was sent, and
 	// only appended to within a phase, so growing it mid-phase leaves the
 	// pointers already sent on the old array, which nobody writes again.
+	// Its first use sizes it to the persons' static visits, so only
+	// mixing-mode replicas can grow it.
 	visits []visitMsg
+}
+
+// beginVisits empties the visit slab for a person phase, allocating it on
+// the first.
+func (pm *personManager) beginVisits() {
+	if pm.visits == nil {
+		n := 0
+		for _, p := range pm.persons {
+			n += len(pm.eng.pop.PersonVisits(p))
+		}
+		pm.visits = make([]visitMsg, 0, n)
+	}
+	pm.visits = pm.visits[:0]
 }
 
 func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
@@ -44,7 +59,7 @@ func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 // filters (closures, isolation, demand reduction) and send one visit
 // message per kept visit.
 func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
-	pm.visits = pm.visits[:0]
+	pm.beginVisits()
 	for _, p := range pm.persons {
 		pm.sendVisits(ctx, p, day, nil)
 	}
@@ -53,35 +68,29 @@ func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
 // sendVisits evaluates person p's schedule for the day and sends one
 // visit message per kept visit — to every location (dense), or only to
 // locations marked in active (the active-set path). The behavioral
-// filters draw from content-keyed streams, so restricting the send set
-// cannot perturb any other draw.
+// filters draw from content-keyed streams, so restricting the send set,
+// and skipping the filters of visits it excludes, cannot perturb any
+// other draw.
 func (pm *personManager) sendVisits(ctx *charm.Ctx, p int32, day int, active []bool) {
 	e := pm.eng
-	eff := e.effects
 	hs := &e.health[p]
-	stateName := e.stateNames[hs.State]
-	isolated := eff.Isolated(stateName)
+	isolated := e.effects.Isolated(e.stateNames[hs.State])
 	inf := e.model.Infectivity(hs.State, hs.Treatment)
 	sus := e.model.Susceptibility(hs.State, hs.Treatment)
 
-	for _, v := range e.pop.PersonVisits(p) {
+	first := e.pop.PersonVisitOffsets[p]
+	for i, v := range e.pop.PersonVisits(p) {
+		// In mixing mode an active location's whole fragment family is
+		// active, so an inactive one has no sibling to replicate into.
+		if active != nil && !active[v.Loc] {
+			continue
+		}
 		loc := &e.pop.Locations[v.Loc]
 		if !e.keepVisit(p, isolated, v.Loc, loc, day) {
 			continue
 		}
-		msg := visitMsg{
-			Person:  p,
-			Loc:     v.Loc,
-			Sub:     v.Sub,
-			OrigSub: loc.SubBase + v.Sub,
-			Start:   v.Start,
-			End:     v.End,
-			Inf:     float32(inf),
-			Sus:     float32(sus),
-		}
-		if active == nil || active[v.Loc] {
-			pm.sendVisit(ctx, msg)
-		}
+		msg := visitMsg{Slot: e.slotOf[first+int32(i)], Loc: v.Loc, Inf: float32(inf), Sus: float32(sus)}
+		pm.sendVisit(ctx, msg)
 		// Mixing mode on a split location: replicate the infectious
 		// visitor into the sibling fragments so cross-sublocation
 		// pairs are still evaluated (Figure 6(b): "divide the
@@ -89,9 +98,6 @@ func (pm *personManager) sendVisits(ctx *charm.Ctx, p int32, day int, active []b
 		if e.cfg.Mixing > 0 && inf > 0 {
 			for _, frag := range e.fragments[loc.Origin] {
 				if frag == v.Loc {
-					continue
-				}
-				if active != nil && !active[frag] {
 					continue
 				}
 				rep := msg
@@ -160,19 +166,21 @@ func (pm *personManager) resolveInfections(day int) int64 {
 	return newInf
 }
 
-// locationManager is an LM chare: it buffers inbound visit messages and
-// replays them as the per-location DES in phase 2.
+// locationManager is an LM chare: it records inbound visit messages in
+// the engine's static schedule and replays each location's day as the DES
+// in phase 2.
 type locationManager struct {
 	eng  *Engine
 	id   int32
 	locs []int32
-	// pending[slot] holds the visits locs[slot] received today (slot is
-	// Engine.lmSlot of the location). The windows are carved from one slab
-	// sized by the static schedule and truncated, not freed, after the DES;
-	// only mixing-mode replicas can outgrow one, which then moves to an
-	// array of its own. touched lists the slots that received any.
-	pending [][]des.Visitor
-	touched []int32
+	// received[i] counts the visit messages locs[i] received today (i is
+	// Engine.lmIndex of the location), replicas included; touched lists the
+	// i that received any. A visit fills its slot of the schedule; a
+	// mixing-mode replica, whose slot is a sibling fragment's, goes to
+	// extras[i] (mixing mode only), truncated after the DES.
+	received []int32
+	touched  []int32
+	extras   [][]des.Visitor
 	// result accumulates the day's DES over this LM's locations, and its
 	// Infections are the slab the infect messages are sent from, under the
 	// rule of personManager.visits: reset only by the next day's location
@@ -180,19 +188,13 @@ type locationManager struct {
 	result des.Result
 }
 
-// newLocationManager carves the visit windows of locs, one per location
-// and as large as its static schedule (visitsAt counts visits by location).
-func newLocationManager(e *Engine, id int32, locs []int32, visitsAt []int32) *locationManager {
-	total := 0
-	for _, l := range locs {
-		total += int(visitsAt[l])
+func newLocationManager(e *Engine, id int32, locs []int32) *locationManager {
+	lm := &locationManager{eng: e, id: id, locs: locs, received: make([]int32, len(locs))}
+	for i, l := range locs {
+		e.lmIndex[l] = int32(i)
 	}
-	slab := make([]des.Visitor, total)
-	lm := &locationManager{eng: e, id: id, locs: locs, pending: make([][]des.Visitor, len(locs))}
-	for slot, l := range locs {
-		n := int(visitsAt[l])
-		lm.pending[slot], slab = slab[:0:n], slab[n:]
-		e.lmSlot[l] = int32(slot)
+	if e.cfg.Mixing > 0 {
+		lm.extras = make([][]des.Visitor, len(locs))
 	}
 	return lm
 }
@@ -200,24 +202,23 @@ func newLocationManager(e *Engine, id int32, locs []int32, visitsAt []int32) *lo
 func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	switch m := msg.(type) {
 	case *visitMsg:
-		slot := lm.eng.lmSlot[m.Loc]
-		window := &lm.pending[slot]
-		if len(*window) == 0 {
-			lm.touched = append(lm.touched, slot)
+		e := lm.eng
+		i := e.lmIndex[m.Loc]
+		if lm.received[i] == 0 {
+			lm.touched = append(lm.touched, i)
 		}
-		*window = append(*window, des.Visitor{
-			Person:         m.Person,
-			Sub:            m.Sub,
-			OrigSub:        m.OrigSub,
-			Start:          m.Start,
-			End:            m.End,
-			Infectivity:    float64(m.Inf),
-			Susceptibility: float64(m.Sus),
-		})
+		lm.received[i]++
+		if m.Slot >= e.locOffsets[m.Loc] && m.Slot < e.locOffsets[m.Loc+1] {
+			e.sched.Fill(m.Slot, float64(m.Inf), float64(m.Sus))
+			return
+		}
+		v := e.sched.Visit(m.Slot)
+		v.Infectivity, v.Susceptibility = float64(m.Inf), float64(m.Sus)
+		lm.extras[i] = append(lm.extras[i], v)
 	case msgRunDES:
 		lm.result.Reset()
-		for slot := range lm.locs {
-			lm.simulateLoc(ctx, int32(slot), m.Day)
+		for i := range lm.locs {
+			lm.simulateLoc(ctx, int32(i), m.Day)
 		}
 		lm.contribute(ctx)
 	case msgRunDESActive:
@@ -226,8 +227,8 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 		// are canonically re-sorted by the receiving PM, and the workload
 		// counters are sums.
 		lm.result.Reset()
-		for _, slot := range lm.touched {
-			lm.simulateLoc(ctx, slot, m.Day)
+		for _, i := range lm.touched {
+			lm.simulateLoc(ctx, i, m.Day)
 		}
 		lm.contribute(ctx)
 	default:
@@ -235,18 +236,23 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	}
 }
 
-// simulateLoc runs the per-day DES of the location in slot, if it received
-// visits, and forwards the resulting infect messages.
-func (lm *locationManager) simulateLoc(ctx *charm.Ctx, slot int32, day int) {
-	visitors := lm.pending[slot]
-	if len(visitors) == 0 {
+// simulateLoc runs the per-day DES of locs[i], if it received visits, and
+// forwards the resulting infect messages.
+func (lm *locationManager) simulateLoc(ctx *charm.Ctx, i int32, day int) {
+	if lm.received[i] == 0 {
 		return
 	}
-	lm.pending[slot] = visitors[:0]
+	lm.received[i] = 0
+	var extras []des.Visitor
+	if lm.extras != nil {
+		extras = lm.extras[i]
+		lm.extras[i] = extras[:0]
+	}
 	e := lm.eng
-	loc := &e.pop.Locations[lm.locs[slot]]
+	l := lm.locs[i]
+	loc := &e.pop.Locations[l]
 	first := len(lm.result.Infections)
-	des.Simulate(visitors, des.Params{
+	e.sched.Simulate(l, extras, des.Params{
 		Day: uint64(day) ^ e.cfg.Seed,
 		// Keys use the pre-splitLoc identity so splitting cannot
 		// change outcomes.

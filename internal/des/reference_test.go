@@ -204,15 +204,14 @@ func randomLocationDay(s *xrand.Stream, n, subs int, wild float64) []Visitor {
 	return visitors
 }
 
-// checkMatchesReference simulates one location-day both ways and compares
-// every field: the integers exactly, the float sum to rounding (the two
-// add the same terms in different orders).
+// checkMatchesReference compares got, one location-day's outcome, with
+// referenceSimulate's over the day's visitors, field by field: the
+// integers exactly, the float sum to rounding (the two add the same terms
+// in different orders).
 func checkMatchesReference(t *testing.T, label string, visitors []Visitor, p Params, got *Result) {
 	t.Helper()
 	var want Result
 	referenceSimulate(visitors, p, &want)
-	got.Reset()
-	Simulate(visitors, p, got)
 	if got.Events != want.Events || got.Interactions != want.Interactions ||
 		got.Trials != want.Trials || got.ContactMinutes != want.ContactMinutes {
 		t.Fatalf("%s: counters: got events %d interactions %d trials %d minutes %d, want %d %d %d %d", label,
@@ -239,6 +238,8 @@ func TestSimulateMatchesReference(t *testing.T) {
 		}
 		wild := []float64{0, 0.05, 0.3}[s.Intn(3)]
 		visitors := randomLocationDay(s, s.Intn(60), 1+s.Intn(6), wild)
+		out.Reset()
+		Simulate(visitors, p, &out)
 		checkMatchesReference(t, fmt.Sprintf("input %d (mixing %g, wild %g)", i, p.Mixing, wild), visitors, p, &out)
 		trials += out.Trials
 		infections += int64(len(out.Infections))
@@ -249,8 +250,10 @@ func TestSimulateMatchesReference(t *testing.T) {
 	// Crowded locations: everybody in a handful of rooms all day.
 	for _, mixing := range []float64{0, 0.3} {
 		visitors := randomLocationDay(s, 3000, 3, 0.05)
-		checkMatchesReference(t, fmt.Sprintf("3000 visitors, mixing %g", mixing), visitors,
-			Params{Day: 3, LocKey: 9, Tau: 0.0005, Mixing: mixing}, &out)
+		p := Params{Day: 3, LocKey: 9, Tau: 0.0005, Mixing: mixing}
+		out.Reset()
+		Simulate(visitors, p, &out)
+		checkMatchesReference(t, fmt.Sprintf("3000 visitors, mixing %g", mixing), visitors, p, &out)
 	}
 	// More visitors than a 16-bit index could number (short visits over
 	// many rooms keep the pair count small).
@@ -258,9 +261,87 @@ func TestSimulateMatchesReference(t *testing.T) {
 	for i := range visitors {
 		visitors[i].End = visitors[i].Start + int16(1+s.Intn(20))
 	}
-	checkMatchesReference(t, "70000 visitors", visitors, Params{Day: 1, LocKey: 2, Tau: 0.01}, &out)
+	p := Params{Day: 1, LocKey: 2, Tau: 0.01}
+	out.Reset()
+	Simulate(visitors, p, &out)
+	checkMatchesReference(t, "70000 visitors", visitors, p, &out)
 	if out.Trials == 0 || len(out.Infections) == 0 {
 		t.Fatalf("70000 visitors: %d trials, %d infections", out.Trials, len(out.Infections))
+	}
+}
+
+// TestScheduledSimulateMatchesReference walks static schedules the way the
+// engine does: a few locations share one Schedule, and each of several days
+// fills a random subset of every location's slots — so slots filled on an
+// earlier day must not visit — and adds random extras: replicas of
+// infectious visitors in mixing mode, visitors of any sublocation (the
+// schedule's or none of them) without. The reference simulates the day's
+// filled slots plus its extras as one visitor list.
+func TestScheduledSimulateMatchesReference(t *testing.T) {
+	s := xrand.NewStream(20261015)
+	taus := []float64{0, 0.0005, 0.02, 10}
+	var out Result
+	var trials, infections, extras int64
+	for i := 0; i < 3000; {
+		offsets := []int32{0}
+		var slots []Visitor
+		for l := 1 + s.Intn(3); l > 0; l-- {
+			slots = append(slots, randomLocationDay(s, s.Intn(60), 1+s.Intn(6), 0)...)
+			offsets = append(offsets, int32(len(slots)))
+		}
+		sched := NewSchedule(slots, offsets)
+		for day := 0; day < 4 && i < 3000; day, i = day+1, i+1 {
+			sched.NextDay()
+			p := Params{Day: uint64(s.Intn(50)), LocKey: uint64(s.Intn(1000)), SubBase: int32(s.Intn(5)), Tau: taus[s.Intn(len(taus))]}
+			if i%3 == 0 {
+				p.Mixing = []float64{0.3, 1}[s.Intn(2)]
+			}
+			// Every location is filled before any is simulated, as the
+			// person phase precedes the location phase.
+			filled := make([][]Visitor, len(offsets)-1)
+			fill := s.Float64()
+			for l := range filled {
+				for slot := offsets[l]; slot < offsets[l+1]; slot++ {
+					if s.Float64() >= fill {
+						continue
+					}
+					v := sched.Visit(slot)
+					switch s.Intn(5) {
+					case 0:
+						v.Infectivity = 0.5 + s.Float64()
+					case 1:
+						v.Infectivity, v.Susceptibility = float64(s.Intn(2)), float64(s.Intn(2))
+					default:
+						v.Susceptibility = 0.5 + s.Float64()
+					}
+					sched.Fill(slot, v.Infectivity, v.Susceptibility)
+					filled[l] = append(filled[l], v)
+				}
+			}
+			for l := range filled {
+				var x []Visitor
+				if k := s.Intn(8) - 3; k > 0 {
+					x = randomLocationDay(s, k, 8, 0.2)
+					for j := range x {
+						x[j].Person += 1000
+						if p.Mixing > 0 {
+							x[j].Infectivity, x[j].Susceptibility = 0.5+s.Float64(), 0
+							x[j].OrigSub = int32(s.Intn(12)) - 3
+						}
+					}
+				}
+				extras += int64(len(x))
+				out.Reset()
+				sched.Simulate(int32(l), x, p, &out)
+				checkMatchesReference(t, fmt.Sprintf("input %d location %d (mixing %g, %d filled, %d extras)", i, l, p.Mixing, len(filled[l]), len(x)),
+					append(filled[l], x...), p, &out)
+				trials += out.Trials
+				infections += int64(len(out.Infections))
+			}
+		}
+	}
+	if trials < 100000 || infections < 10000 || extras < 5000 {
+		t.Fatalf("inputs too tame to compare anything: %d trials, %d infections, %d extras", trials, infections, extras)
 	}
 }
 

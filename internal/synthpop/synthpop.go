@@ -203,8 +203,6 @@ func (p *Population) Validate() error {
 		if v.Start < 0 || v.End > 24*60 || v.Start >= v.End {
 			return fmt.Errorf("synthpop: visit %d has bad interval [%d,%d)", i, v.Start, v.End)
 		}
-		pv := p.PersonVisits(v.Person)
-		_ = pv
 	}
 	for person := range p.Persons {
 		for _, v := range p.PersonVisits(int32(person)) {
