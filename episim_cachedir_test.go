@@ -134,12 +134,13 @@ func TestSweepCacheDirCorruptArtifactRebuilds(t *testing.T) {
 	}
 }
 
-// TestRetiredCheckpointKindRebuilds: a checkpoint file sealed as kind 5 —
-// the retired layout whose phase statistics carried four locality classes —
-// under a live checkpoint key is a counted disk miss. The sweep rebuilds the
-// prefix, overwrites the file in the current kind and emits byte-identical
-// output. The stale file carries a payload the current codec decodes
-// cleanly, so only the kind check stands between it and a wrong restore.
+// TestRetiredCheckpointKindRebuilds: a checkpoint file sealed as a retired
+// kind — 5, whose phase statistics carried four locality classes, or 6,
+// whose day reports and effects were binary fields — under a live
+// checkpoint key is a counted disk miss. The sweep rebuilds the prefix,
+// overwrites the file in the current kind and emits byte-identical output.
+// The stale file carries a payload the current codec decodes cleanly, so
+// only the kind check stands between it and a wrong restore.
 func TestRetiredCheckpointKindRebuilds(t *testing.T) {
 	spec := &episim.SweepSpec{
 		Populations:       []episim.SweepPopulation{{Name: "forktown", People: 1000, Locations: 200}},
@@ -182,24 +183,24 @@ func TestRetiredCheckpointKindRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const retiredKind artifact.Kind = 5
-	if err := store.Put(retiredKind, key, payload); err != nil {
-		t.Fatal(err)
-	}
-
-	res, cache, js := run()
-	if st := cache.CheckpointStats(); st.DiskHits != 0 || st.DiskMisses != 1 || st.DiskErrors != 1 ||
-		st.Builds != 1 || st.DiskWrites != 1 {
-		t.Fatalf("checkpoint cache stats = %+v, want 1 disk miss counted as an error, 1 rebuild, 1 re-write", st)
-	}
-	if res.CheckpointBuilds[key] != 1 {
-		t.Fatalf("checkpoint builds = %v, want %q rebuilt once", res.CheckpointBuilds, key)
-	}
-	if !bytes.Equal(coldJSON, js) {
-		t.Fatal("run over a retired checkpoint emitted different JSON")
-	}
-	if keys, err := store.Keys(); err != nil || len(keys) != 1 || keys[0].Kind != artifact.KindCheckpoint {
-		t.Fatalf("checkpoint store after rebuild = %+v (%v), want the file overwritten in the current kind", keys, err)
+	for _, retired := range []artifact.Kind{5, 6} {
+		if err := store.Put(retired, key, payload); err != nil {
+			t.Fatal(err)
+		}
+		res, cache, js := run()
+		if st := cache.CheckpointStats(); st.DiskHits != 0 || st.DiskMisses != 1 || st.DiskErrors != 1 ||
+			st.Builds != 1 || st.DiskWrites != 1 {
+			t.Fatalf("kind %d: checkpoint cache stats = %+v, want 1 disk miss counted as an error, 1 rebuild, 1 re-write", retired, st)
+		}
+		if res.CheckpointBuilds[key] != 1 {
+			t.Fatalf("kind %d: checkpoint builds = %v, want %q rebuilt once", retired, res.CheckpointBuilds, key)
+		}
+		if !bytes.Equal(coldJSON, js) {
+			t.Fatalf("run over a kind-%d checkpoint emitted different JSON", retired)
+		}
+		if keys, err := store.Keys(); err != nil || len(keys) != 1 || keys[0].Kind != artifact.KindCheckpoint {
+			t.Fatalf("kind %d: checkpoint store after rebuild = %+v (%v), want the file overwritten in the current kind", retired, keys, err)
+		}
 	}
 }
 

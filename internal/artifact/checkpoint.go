@@ -1,11 +1,9 @@
 package artifact
 
 import (
-	"sort"
+	"encoding/json"
 
-	"repro/internal/charm"
 	"repro/internal/core"
-	"repro/internal/interventions"
 )
 
 // KindCheckpoint holds a sealed core.Checkpoint — the fork point an
@@ -13,17 +11,23 @@ import (
 // own store directory with their own TTL, so large fork-point blobs
 // never compete with hot placement artifacts under the LRU bound.
 //
-// Kind 5 is the retired layout whose phase statistics carried four
-// locality classes, per-class wire counts and sync rounds. A kind-5 file
-// fails Open's kind check, so it is a miss that is rebuilt and
-// overwritten, never decoded under this layout.
-const KindCheckpoint Kind = 6
+// Kinds 5 and 6 are retired layouts: 5 carried four locality classes,
+// per-class wire counts and sync rounds in its phase statistics, 6 encoded
+// day reports and effects field by field in binary. A retired file fails
+// Open's kind check, so it is a miss that is rebuilt and overwritten,
+// never decoded under this layout. A field added to a type the JSON
+// sections carry bumps the kind too: JSON decodes a missing field as zero.
+const KindCheckpoint Kind = 7
 
-// EncodeCheckpoint serializes a checkpoint to its deterministic binary
-// payload (wrap with Seal before writing to disk). Maps are emitted in
-// sorted key order and nil-ness of maps and slices is preserved, so a
-// decode→encode round trip reproduces the payload byte for byte and a
-// restored run's Result marshals identically to a from-scratch run's.
+// EncodeCheckpoint serializes a checkpoint to its deterministic payload
+// (wrap with Seal before writing to disk). The per-person arrays and
+// sparse sets, the bulk of it, are binary; the intervention effects and
+// the prefix's day reports are length-prefixed JSON sections, so the codec
+// follows those types without an edit. Both forms preserve nil-ness (an
+// empty sparse set is nil, as snapshots hold it), and JSON sorts map keys
+// and prints numbers exactly, so a decode→encode round trip reproduces
+// the payload byte for byte and a restored run's Result marshals
+// identically to a from-scratch run's.
 func EncodeCheckpoint(cp *core.Checkpoint) []byte {
 	e := &enc{b: make([]byte, 0, 64+14*len(cp.States))}
 	e.u32(uint32(cp.Day))
@@ -33,20 +37,11 @@ func EncodeCheckpoint(cp *core.Checkpoint) []byte {
 	e.i32s(cp.Treatments)
 	e.i32s(cp.DaysLeft)
 	e.bools(cp.Infected)
-	e.u32(uint32(len(cp.Infectious)))
-	for _, set := range cp.Infectious {
-		e.i32s(set)
-	}
-	e.u32(uint32(len(cp.Progressing)))
-	for _, set := range cp.Progressing {
-		e.i32s(set)
-	}
+	e.sets(cp.Infectious)
+	e.sets(cp.Progressing)
 	e.bools(cp.RuleFired)
-	e.effects(cp.Effects)
-	e.u32(uint32(len(cp.Days)))
-	for i := range cp.Days {
-		e.dayReport(&cp.Days[i])
-	}
+	e.json(cp.Effects)
+	e.json(cp.Days)
 	return e.b
 }
 
@@ -63,37 +58,63 @@ func DecodeCheckpoint(payload []byte) (*core.Checkpoint, error) {
 	cp.Treatments = d.i32s()
 	cp.DaysLeft = d.i32s()
 	cp.Infected = d.bools()
-	// Each sparse set costs at least its 8-byte length prefix.
-	if n := int(d.u32()); d.err == nil && uint64(n) <= uint64(d.remaining())/8 {
-		cp.Infectious = make([][]int32, n)
-		for i := range cp.Infectious {
-			cp.Infectious[i] = d.i32s()
-		}
-	} else if d.err == nil {
-		d.fail("infectious set count %d overruns payload", n)
-	}
-	if n := int(d.u32()); d.err == nil && uint64(n) <= uint64(d.remaining())/8 {
-		cp.Progressing = make([][]int32, n)
-		for i := range cp.Progressing {
-			cp.Progressing[i] = d.i32s()
-		}
-	} else if d.err == nil {
-		d.fail("progressing set count %d overruns payload", n)
-	}
+	cp.Infectious = d.sets("infectious")
+	cp.Progressing = d.sets("progressing")
 	cp.RuleFired = d.bools()
-	cp.Effects = d.effects()
-	if n := int(d.u32()); d.err == nil && uint64(n) <= uint64(d.remaining())/4 {
-		cp.Days = make([]core.DayReport, n)
-		for i := range cp.Days {
-			d.dayReport(&cp.Days[i])
-		}
-	} else if d.err == nil {
-		d.fail("day report count %d overruns payload", n)
-	}
+	d.json(&cp.Effects)
+	d.json(&cp.Days)
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
 	return cp, nil
+}
+
+// json encodes v as a length-prefixed JSON section. Marshal fails only on
+// a NaN or ±Inf effect, which neither the scenario parser nor a JSON sweep
+// spec can produce; were one to slip through, the section would be empty
+// and decode as ErrInvalid, a counted miss that rebuilds the prefix.
+func (e *enc) json(v any) {
+	b, _ := json.Marshal(v)
+	e.u64(uint64(len(b)))
+	e.b = append(e.b, b...)
+}
+
+func (d *dec) json(v any) {
+	n, ok := d.count(1)
+	if !ok {
+		return
+	}
+	if err := json.Unmarshal(d.take(n), v); err != nil {
+		d.fail("JSON section at offset %d: %v", d.off-n, err)
+	}
+}
+
+// sets encodes one sparse set per PM.
+func (e *enc) sets(sets [][]int32) {
+	e.u32(uint32(len(sets)))
+	for _, set := range sets {
+		e.i32s(set)
+	}
+}
+
+// sets decodes them, an empty set as nil, the way a snapshot holds it.
+// Each set costs at least its 8-byte length prefix.
+func (d *dec) sets(what string) [][]int32 {
+	n := int(d.u32())
+	if d.err != nil {
+		return nil
+	}
+	if uint64(n) > uint64(d.remaining())/8 {
+		d.fail("%s set count %d overruns payload", what, n)
+		return nil
+	}
+	out := make([][]int32, n)
+	for i := range out {
+		if set := d.i32s(); len(set) > 0 {
+			out[i] = set
+		}
+	}
+	return out
 }
 
 func (e *enc) bool(v bool) {
@@ -142,185 +163,4 @@ func (d *dec) bools() []bool {
 		out[i] = d.bool()
 	}
 	return out
-}
-
-// i64Map / f64Map encode string-keyed maps in sorted key order with
-// nil-ness preserved, so map encoding is deterministic and a decoded
-// report marshals to the same JSON (nil → null, empty → {}).
-func (e *enc) i64Map(m map[string]int64) {
-	if m == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.u64(uint64(m[k]))
-	}
-}
-
-func (d *dec) i64Map() map[string]int64 {
-	if d.u8() == 0 {
-		return nil
-	}
-	n, ok := d.count(12)
-	if !ok {
-		return nil
-	}
-	m := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		k := d.str()
-		m[k] = int64(d.u64())
-	}
-	return m
-}
-
-func (e *enc) intMap(m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.u64(uint64(int64(m[k])))
-	}
-}
-
-func (d *dec) intMap(m map[string]int) {
-	n, ok := d.count(12)
-	if !ok {
-		return
-	}
-	for i := 0; i < n; i++ {
-		k := d.str()
-		m[k] = int(int64(d.u64()))
-	}
-}
-
-func (e *enc) f64Map(m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.f64(m[k])
-	}
-}
-
-func (d *dec) f64Map(m map[string]float64) {
-	n, ok := d.count(12)
-	if !ok {
-		return
-	}
-	for i := 0; i < n; i++ {
-		k := d.str()
-		m[k] = d.f64()
-	}
-}
-
-// effects encodes intervention effects (maps in sorted key order; the
-// Effects maps are always allocated, so no nil flags).
-func (e *enc) effects(ef *interventions.Effects) {
-	e.intMap(ef.ClosedFor)
-	e.f64Map(ef.ReduceFrac)
-	e.intMap(ef.ReduceFor)
-	e.f64(ef.VaccinateNow)
-	e.intMap(ef.IsolateFor)
-}
-
-func (d *dec) effects() *interventions.Effects {
-	ef := interventions.NewEffects()
-	d.intMap(ef.ClosedFor)
-	d.f64Map(ef.ReduceFrac)
-	d.intMap(ef.ReduceFor)
-	ef.VaccinateNow = d.f64()
-	d.intMap(ef.IsolateFor)
-	return ef
-}
-
-func (e *enc) dayReport(r *core.DayReport) {
-	e.u32(uint32(r.Day))
-	e.i64Map(r.Counts)
-	e.u64(uint64(r.NewInfections))
-	e.phaseStats(&r.PersonPhase)
-	e.phaseStats(&r.LocationPhase)
-	e.phaseStats(&r.UpdatePhase)
-	e.u64(uint64(r.Events))
-	e.u64(uint64(r.Interactions))
-	e.u64(uint64(r.Trials))
-	e.str(r.Kernel)
-}
-
-func (d *dec) dayReport(r *core.DayReport) {
-	r.Day = int(d.u32())
-	r.Counts = d.i64Map()
-	r.NewInfections = int64(d.u64())
-	d.phaseStats(&r.PersonPhase)
-	d.phaseStats(&r.LocationPhase)
-	d.phaseStats(&r.UpdatePhase)
-	r.Events = int64(d.u64())
-	r.Interactions = int64(d.u64())
-	r.Trials = int64(d.u64())
-	r.Kernel = d.str()
-}
-
-func (e *enc) phaseStats(ps *charm.PhaseStats) {
-	e.u64(uint64(ps.Messages))
-	e.u64(uint64(ps.WireMessages))
-	e.u64(uint64(ps.Bytes))
-	for _, v := range ps.ByLocality {
-		e.u64(uint64(v))
-	}
-	e.i64Map(ps.Reductions)
-	if ps.PerPE == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.u64(uint64(len(ps.PerPE)))
-	for i := range ps.PerPE {
-		pe := &ps.PerPE[i]
-		e.u64(uint64(pe.MsgsIn))
-		e.u64(uint64(pe.MsgsOut))
-		e.u64(uint64(pe.WireOut))
-		e.u64(uint64(pe.BytesOut))
-		e.u64(uint64(pe.Delivered))
-	}
-}
-
-func (d *dec) phaseStats(ps *charm.PhaseStats) {
-	ps.Messages = int64(d.u64())
-	ps.WireMessages = int64(d.u64())
-	ps.Bytes = int64(d.u64())
-	for i := range ps.ByLocality {
-		ps.ByLocality[i] = int64(d.u64())
-	}
-	ps.Reductions = d.i64Map()
-	if d.u8() == 0 {
-		return
-	}
-	n, ok := d.count(40)
-	if !ok {
-		return
-	}
-	ps.PerPE = make([]charm.PETraffic, n)
-	for i := range ps.PerPE {
-		pe := &ps.PerPE[i]
-		pe.MsgsIn = int64(d.u64())
-		pe.MsgsOut = int64(d.u64())
-		pe.WireOut = int64(d.u64())
-		pe.BytesOut = int64(d.u64())
-		pe.Delivered = int64(d.u64())
-	}
 }

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,11 +14,12 @@ import (
 	"repro/internal/interventions"
 )
 
-// testCheckpoint builds a real mid-epidemic checkpoint: a short prefix
-// run with a scenario whose first rule has fired, so every field the
-// codec carries (sparse sets, effects, rule latches, phase stats) is
-// populated with live values rather than zeros.
-func testCheckpoint(t *testing.T) *core.Checkpoint {
+// testCheckpoint builds a real checkpoint after days simulated days of
+// kernel, under a scenario whose first rule fires on day 2: past that day
+// every field the codec carries (sparse sets, effects, rule latches, phase
+// stats) holds live values rather than zeros. KernelThreshold 1 keeps the
+// event kernel's latch engaged.
+func testCheckpoint(t *testing.T, kernel string, days int) *core.Checkpoint {
 	t.Helper()
 	pop := testPopulation(t)
 	m := disease.Default()
@@ -27,19 +29,19 @@ func testCheckpoint(t *testing.T) *core.Checkpoint {
 		t.Fatal(err)
 	}
 	eng, err := core.New(core.Config{Population: pop, Disease: m, Scenario: sc,
-		Days: 12, Seed: 11, InitialInfections: 5, Ranks: 3})
+		Days: 12, Seed: 11, InitialInfections: 5, Ranks: 3, Kernel: kernel, KernelThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := eng.RunPrefix(6)
+	cp, err := eng.RunPrefix(days)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Cumulative == 0 || len(cp.Days) != 6 {
+	if cp.Cumulative == 0 || len(cp.Days) != days {
 		t.Fatalf("fixture checkpoint is degenerate: %d infections, %d days", cp.Cumulative, len(cp.Days))
 	}
-	if len(cp.RuleFired) != 2 || !cp.RuleFired[0] || cp.RuleFired[1] {
-		t.Fatalf("fixture rule latches = %v, want [true false]", cp.RuleFired)
+	if fired := days >= 2; len(cp.RuleFired) != 2 || cp.RuleFired[0] != fired || cp.RuleFired[1] {
+		t.Fatalf("fixture rule latches = %v, want [%v false]", cp.RuleFired, fired)
 	}
 	return cp
 }
@@ -47,19 +49,41 @@ func testCheckpoint(t *testing.T) *core.Checkpoint {
 // TestCheckpointRoundTrip: decode(encode(cp)) is lossless and
 // re-encoding the decoded checkpoint is byte-identical — checkpoints are
 // content-addressed, so the codec must be deterministic like every other
-// artifact kind.
+// artifact kind. It covers every kernel's day reports (labelled ones, and
+// the event kernel's latch) and a day-0 checkpoint with no reports.
 func TestCheckpointRoundTrip(t *testing.T) {
-	cp := testCheckpoint(t)
-	payload := EncodeCheckpoint(cp)
-	got, err := DecodeCheckpoint(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, got) {
-		t.Fatalf("decoded checkpoint differs from original:\n%+v\nvs\n%+v", got, cp)
-	}
-	if !bytes.Equal(payload, EncodeCheckpoint(got)) {
-		t.Fatal("re-encode of decoded checkpoint is not byte-identical")
+	for _, c := range []struct {
+		name, kernel string
+		days         int
+	}{
+		{"default", "", 6},
+		{"dense", core.KernelDense, 6},
+		{"auto", core.KernelAuto, 6},
+		{"event", core.KernelEvent, 6},
+		{"day 0", "", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cp := testCheckpoint(t, c.kernel, c.days)
+			for _, d := range cp.Days {
+				if (d.Kernel != "") != (c.kernel != "") {
+					t.Fatalf("day %d labelled %q under kernel %q", d.Day, d.Kernel, c.kernel)
+				}
+			}
+			if cp.EventOn != (c.kernel == core.KernelEvent) {
+				t.Fatalf("EventOn = %v under kernel %q", cp.EventOn, c.kernel)
+			}
+			payload := EncodeCheckpoint(cp)
+			got, err := DecodeCheckpoint(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cp, got) {
+				t.Fatalf("decoded checkpoint differs from original:\n%+v\nvs\n%+v", got, cp)
+			}
+			if !bytes.Equal(payload, EncodeCheckpoint(got)) {
+				t.Fatal("re-encode of decoded checkpoint is not byte-identical")
+			}
+		})
 	}
 }
 
@@ -68,7 +92,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // surface as ErrInvalid (a miss, so the sweep rebuilds the prefix), and
 // corrupt payloads past the envelope degrade to errors, never panics.
 func TestCheckpointEnvelopeRejects(t *testing.T) {
-	payload := EncodeCheckpoint(testCheckpoint(t))
+	payload := EncodeCheckpoint(testCheckpoint(t, "", 6))
 	sealed := Seal(KindCheckpoint, "ck1", payload)
 
 	if got, err := Open(sealed, KindCheckpoint, "ck1"); err != nil || !bytes.Equal(got, payload) {
@@ -101,6 +125,22 @@ func TestCheckpointEnvelopeRejects(t *testing.T) {
 		t.Fatalf("trailing garbage: %v", err)
 	}
 
+	// The JSON sections: a length that overruns the payload, and bytes
+	// that are not the JSON they claim to be.
+	at := bytes.Index(payload, []byte(`{"ClosedFor"`))
+	if at < 8 {
+		t.Fatal("effects section not found in the payload")
+	}
+	overrun := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint64(overrun[at-8:], uint64(len(payload)))
+	garbled := append([]byte(nil), payload...)
+	garbled[at] = '['
+	for name, data := range map[string][]byte{"JSON section overrun": overrun, "garbled JSON section": garbled} {
+		if _, err := DecodeCheckpoint(data); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%s: %v, want ErrInvalid", name, err)
+		}
+	}
+
 	// Adversarial counts wrap-check: a huge sparse-set count must fail
 	// the bounds check instead of reaching makeslice.
 	e := &enc{}
@@ -128,7 +168,7 @@ func TestCheckpointStoreHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := EncodeCheckpoint(testCheckpoint(t))
+	payload := EncodeCheckpoint(testCheckpoint(t, "", 6))
 	if err := st.Put(KindCheckpoint, "ck", payload); err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// Active-set day stepping (Config.Kernel "auto"): instead of
-// broadcasting every phase to every manager, the engine walks the
-// infectious frontier, marks the locations it can reach through kept
-// visits, and targets only the managers owning active work. Because
-// every stochastic draw is keyed by content, skipping a person or
-// location whose work prices to zero cannot perturb any other draw —
-// the trajectory (new infections, state counts, attack rate) stays
-// byte-identical to the dense kernel; only the phase statistics reflect
+// The day stepper. A dense day sends every phase to every manager; an
+// active day (Config.Kernel "auto") first walks the infectious frontier,
+// marks the locations it can reach through kept visits, and targets only
+// the managers owning active work. Both are the same three phases with the
+// same handlers — a dense day is the stepper with every manager targeted.
+// Because every stochastic draw is keyed by content, skipping a person or
+// location whose work prices to zero cannot perturb any other draw — the
+// trajectory (new infections, state counts, attack rate) of an active day
+// is byte-identical to a dense day's; only the phase statistics reflect
 // the reduced message and DES volume.
 //
 // The byte-identity argument, in full:
@@ -33,12 +34,17 @@ import (
 //   - phase 3 resolves the same infect-message multiset in the same
 //     canonical order and progresses the same set of persons (only
 //     persons with DaysLeft >= 0 can change state without an exposure).
+//
+// A dense day still progresses every person in id order and contributes
+// the per-state reductions: the progressing set's order is the one the
+// event kernel's hazard sums walk (checkpoint.go), and the reductions are
+// part of the phase statistics.
 
 // keepVisit evaluates the behavioral filters (isolation, closures,
 // demand reduction) for one visit, making exactly the keyed draws the
-// dense person phase makes. Shared by the dense and active person
-// phases, the frontier walk and the event kernel, so the four can never
-// disagree about which visits happen.
+// dense person phase makes. Shared by the person phase, the frontier walk
+// and the event kernel, so they can never disagree about which visits
+// happen.
 func (e *Engine) keepVisit(p int32, isolated bool, locID int32, loc *synthpop.Location, day int) bool {
 	if loc.Type == synthpop.Home {
 		return true
@@ -57,39 +63,6 @@ func (e *Engine) keepVisit(p int32, isolated bool, locID int32, loc *synthpop.Lo
 		}
 	}
 	return true
-}
-
-// beginSparseDay opens a day of the active-set and event kernels: the
-// scenario step every kernel shares, then the lazily allocated active-set
-// scratch and inverted static schedule (visit indices grouped by
-// location), so purely dense runs pay nothing for them.
-func (e *Engine) beginSparseDay(day int) {
-	e.stepScenario(day)
-	if e.activeLoc == nil {
-		e.activeLoc = make([]bool, e.pop.NumLocations())
-		e.personMark = make([]bool, e.pop.NumPersons())
-		e.activePersons = make([][]int32, len(e.pmHealth))
-		e.lmNeeded = make([]bool, e.rt.ArrayLen(e.lmArr))
-		e.visitIndex()
-	}
-}
-
-// endSparseDay closes such a day: state counts from the incremental
-// counters, the per-day marks reset in O(active) time, timed
-// interventions ticked.
-func (e *Engine) endSparseDay(rep *DayReport) {
-	rep.Counts = e.stateCounts64()
-	for _, locID := range e.activeLocList {
-		e.activeLoc[locID] = false
-	}
-	e.activeLocList = e.activeLocList[:0]
-	for pmID := range e.activePersons {
-		for _, p := range e.activePersons[pmID] {
-			e.personMark[p] = false
-		}
-		e.activePersons[pmID] = e.activePersons[pmID][:0]
-	}
-	e.effects.Tick()
 }
 
 // markActive records one location as reachable from the frontier today.
@@ -143,7 +116,7 @@ func (e *Engine) walkFrontier(day int, visit func(v *synthpop.Visit, inf float64
 // transitionPerson may swap-remove the person under the cursor; the slot
 // is then re-examined instead of advanced past. Today's fresh infections
 // must already be in the set, so they receive their same-day dwell
-// decrement exactly as the dense kernel's full scan gives them.
+// decrement exactly as a dense day's full scan gives them.
 func (e *Engine) progressSparse(pm int32, day int) {
 	h := &e.pmHealth[pm]
 	for i := 0; i < len(h.progressing); {
@@ -155,16 +128,19 @@ func (e *Engine) progressSparse(pm int32, day int) {
 	}
 }
 
-// runDayActive executes one day of the active-set stepper. Days with an
-// empty frontier skip phases 1 and 2 entirely (no location can
-// transmit); phase 3 runs only on managers holding buffered infections
-// or progressing persons, so a fully quiescent day costs O(managers).
-func (e *Engine) runDayActive(day int) DayReport {
-	rep := DayReport{Day: day, Kernel: kernelActive}
-	e.beginSparseDay(day)
-
-	e.walkFrontier(day, nil)
-	if len(e.activeLocList) > 0 {
+// runDayStepped executes one day of the day stepper, labelled kernel. A
+// dense day targets every manager in every phase. An active day walks the
+// frontier and targets only the managers owning its work: with an empty
+// frontier it skips phases 1 and 2 (no location can transmit), and phase 3
+// reaches only PMs holding buffered infections or progressing persons, so
+// a fully quiescent day costs O(managers).
+func (e *Engine) runDayStepped(day int, kernel string, dense bool) DayReport {
+	rep := DayReport{Day: day, Kernel: kernel}
+	e.beginDay(day, dense)
+	if !dense {
+		e.walkFrontier(day, nil)
+	}
+	if dense || len(e.activeLocList) > 0 {
 		e.beginLocationDay()
 		// Active person set: every static visitor of an active location,
 		// deduped and bucketed per PM. Their order is not observable: the
@@ -182,24 +158,23 @@ func (e *Engine) runDayActive(day int) DayReport {
 			}
 		}
 
-		// Phase 1: person phase, targeted at PMs owning active persons.
-		for pmID := range e.activePersons {
-			if len(e.activePersons[pmID]) == 0 {
-				continue
+		// Phase 1: person phase, at every PM or those owning active persons.
+		for pmID := range e.pmHealth {
+			if dense || len(e.activePersons[pmID]) > 0 {
+				e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgComputeVisits{Day: day})
 			}
-			e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgComputeVisitsActive{Day: day})
 		}
 		rep.PersonPhase = e.rt.Drain()
 
-		// Phase 2: location phase, targeted at LMs owning active locations.
+		// Phase 2: location phase, at every LM or those owning active locations.
 		clear(e.lmNeeded)
 		for _, locID := range e.activeLocList {
-			lmID := e.lmOf[locID]
-			if e.lmNeeded[lmID] {
-				continue
+			e.lmNeeded[e.lmOf[locID]] = true
+		}
+		for lmID := range e.rt.ArrayLen(e.lmArr) {
+			if dense || e.lmNeeded[lmID] {
+				e.rt.Send(charm.ChareRef{Array: e.lmArr, Index: int32(lmID)}, msgRunDES{Day: day})
 			}
-			e.lmNeeded[lmID] = true
-			e.rt.Send(charm.ChareRef{Array: e.lmArr, Index: lmID}, msgRunDESActive{Day: day})
 		}
 		rep.LocationPhase = e.rt.Drain()
 		rep.Events = rep.LocationPhase.Reductions["events"]
@@ -207,15 +182,14 @@ func (e *Engine) runDayActive(day int) DayReport {
 		rep.Trials = rep.LocationPhase.Reductions["trials"]
 	}
 
-	// Phase 3: apply updates, targeted at PMs with buffered infections
-	// or progressing persons.
+	// Phase 3: apply updates, at every PM or those holding buffered
+	// infections or progressing persons.
 	sent := false
 	for pmID := range e.pmHealth {
-		if len(e.infectionBuf[pmID]) == 0 && len(e.pmHealth[pmID].progressing) == 0 {
-			continue
+		if dense || len(e.infectionBuf[pmID]) > 0 || len(e.pmHealth[pmID].progressing) > 0 {
+			e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgApplyUpdates{Day: day})
+			sent = true
 		}
-		e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgApplyUpdatesActive{Day: day})
-		sent = true
 	}
 	if sent {
 		rep.UpdatePhase = e.rt.Drain()
@@ -223,29 +197,6 @@ func (e *Engine) runDayActive(day int) DayReport {
 		e.cumulative += rep.NewInfections
 	}
 
-	e.endSparseDay(&rep)
+	e.endDay(&rep)
 	return rep
-}
-
-// computeVisitsActive is the active-set person phase: only this PM's
-// active persons evaluate their schedules, and only visits to active
-// locations are sent.
-func (pm *personManager) computeVisitsActive(ctx *charm.Ctx, day int) {
-	e := pm.eng
-	pm.beginVisits()
-	for _, p := range e.activePersons[pm.id] {
-		pm.sendVisits(ctx, p, day, e.activeLoc)
-	}
-}
-
-// applyUpdatesActive is the active-set update phase: the same canonical
-// infection resolution as dense, but progression walks only the
-// progressing set instead of every person this PM owns. State counts
-// come from the incremental counters, so no per-person reduction is
-// contributed.
-func (pm *personManager) applyUpdatesActive(ctx *charm.Ctx, day int) {
-	if n := pm.resolveInfections(day); n > 0 {
-		ctx.Contribute("newinfections", n)
-	}
-	pm.eng.progressSparse(pm.id, day)
 }

@@ -31,12 +31,15 @@
 // one manager owning its location. Receiving managers keep their buffers
 // (replica lists, infection buffers) from day to day, truncated.
 //
-// Three kernels execute a day (Config.Kernel): dense is the algorithm
-// above; the active-set stepper (active.go) and the event kernel
-// (eventsim.go) restrict it to the infectious frontier and share
-// walkFrontier, progressSparse and beginSparseDay / endSparseDay. On every
-// kernel the day opens engine-side in stepScenario — interventions, then
-// the vaccination campaign — and visits are filtered by keepVisit.
+// Three kernels execute a day (Config.Kernel), and two algorithms. The
+// day stepper (runDayStepped, active.go) is the algorithm above, with one
+// control message and one manager handler per phase: a dense day targets
+// every manager, an active day (the "auto" kernel) walks the infectious
+// frontier first and targets only the managers owning its work. The event
+// kernel (eventsim.go) resolves transmission analytically instead, sharing
+// walkFrontier and progressSparse with active days. Every kernel opens its
+// day in beginDay — interventions, then the vaccination campaign — and
+// closes it in endDay, and visits are filtered by keepVisit.
 package core
 
 import (
@@ -224,6 +227,10 @@ type Engine struct {
 	// eventOn is the event kernel's hysteresis latch: true while the
 	// Gillespie path is engaged.
 	eventOn bool
+	// denseDay tells the managers that today's phases target every one of
+	// them; false on an active day. Written by beginDay, read-only during
+	// phases, like activeLoc.
+	denseDay bool
 
 	// Fork-point resumption (see checkpoint.go): a restored or prefixed
 	// engine starts Run at startDay+1 and prepends the prefix's reports.
@@ -249,7 +256,7 @@ type Engine struct {
 	activeLocList []int32 // the marked locations, for O(active) clearing
 	activePersons [][]int32
 	personMark    []bool
-	lmNeeded      []bool // LM → already told to run its DES today
+	lmNeeded      []bool // LM → owns an active location today
 	// Event-kernel scratch, allocated on its first day: the frontier's kept
 	// visits by location (emptied through activeLocList), and each exposed
 	// person's accumulated hazard (exposed lists them; personMark tells a
@@ -294,16 +301,11 @@ type infectMsg des.Infection
 // WireSize matches a compact binary encoding of the fields.
 func (infectMsg) WireSize() int { return 16 }
 
-// control messages broadcast by the driver.
+// control messages the driver sends to the managers a day targets (see
+// runDayStepped).
 type msgComputeVisits struct{ Day int }
 type msgRunDES struct{ Day int }
 type msgApplyUpdates struct{ Day int }
-
-// Active-set control messages, sent point-to-point only to managers that
-// own active work this day (see runDayActive).
-type msgComputeVisitsActive struct{ Day int }
-type msgRunDESActive struct{ Day int }
-type msgApplyUpdatesActive struct{ Day int }
 
 // New validates the configuration and builds the engine.
 func New(cfg Config) (*Engine, error) {
@@ -383,23 +385,6 @@ func New(cfg Config) (*Engine, error) {
 		e.stateKeys[i] = "state:" + e.stateNames[i]
 	}
 
-	// Health state initialization + index cases.
-	e.health = make([]personState, nP)
-	entry := e.model.Entry
-	for p := range e.health {
-		e.health[p] = personState{State: entry, DaysLeft: -1}
-	}
-	seeded := 0
-	for p := 0; p < nP && cfg.InitialInfections > 0; p++ {
-		if xrand.KeyedIntn(nP, cfg.Seed, 0x5eed, uint64(p)) < cfg.InitialInfections {
-			e.infectPerson(int32(p), 0)
-			seeded++
-		}
-	}
-	if seeded == 0 { // guarantee at least one index case
-		e.infectPerson(0, 0)
-	}
-
 	// Build the two-level chare hierarchy (Figure 1): PMs and LMs.
 	numPM := cfg.Ranks * cfg.ChareFactor
 	numLM := cfg.Ranks * cfg.ChareFactor
@@ -457,32 +442,42 @@ func New(cfg Config) (*Engine, error) {
 		return newLocationManager(e, i, locsOfLM[i])
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
 
-	// Incremental health bookkeeping: one scan after seeding (seeding
-	// above runs before the PM assignment exists).
+	// Health state: everyone in the entry state, counted per PM, then the
+	// index cases infected in person order, which keeps each PM's sparse
+	// sets in person order.
+	entry := e.model.Entry
+	e.health = make([]personState, nP)
+	e.infPos = make([]int32, nP)
+	e.progPos = make([]int32, nP)
+	for p := range e.health {
+		e.health[p] = personState{State: entry, DaysLeft: -1}
+		e.infPos[p] = -1
+		e.progPos[p] = -1
+	}
 	e.stateInfectious = make([]bool, e.model.NumStates())
 	for s := range e.stateInfectious {
 		e.stateInfectious[s] = e.model.IsInfectious(disease.StateID(s))
 	}
 	e.pmHealth = make([]pmHealth, numPM)
-	for pm := range e.pmHealth {
-		e.pmHealth[pm].counts = make([]int64, e.model.NumStates())
-	}
-	e.infPos = make([]int32, nP)
-	e.progPos = make([]int32, nP)
-	for p := range e.infPos {
-		e.infPos[p] = -1
-		e.progPos[p] = -1
+	for pm, persons := range personsOfPM {
+		h := &e.pmHealth[pm]
+		h.counts = make([]int64, e.model.NumStates())
+		h.counts[entry] = int64(len(persons))
+		if e.stateInfectious[entry] { // susceptible and infectious at once
+			for _, p := range persons {
+				sparseAdd(&h.infectious, e.infPos, p)
+			}
+		}
 	}
 	for p := int32(0); p < int32(nP); p++ {
-		hs := &e.health[p]
-		h := &e.pmHealth[pmOf[p]]
-		h.counts[hs.State]++
-		if e.stateInfectious[hs.State] {
-			sparseAdd(&h.infectious, e.infPos, p)
+		if xrand.KeyedIntn(nP, cfg.Seed, 0x5eed, uint64(p)) < cfg.InitialInfections {
+			e.applyInfection(p, 0)
+			e.cumulative++
 		}
-		if hs.DaysLeft >= 0 {
-			sparseAdd(&h.progressing, e.progPos, p)
-		}
+	}
+	if e.cumulative == 0 { // guarantee at least one index case
+		e.applyInfection(0, 0)
+		e.cumulative++
 	}
 	// The event kernel starts engaged: seeding regimes are sparse by
 	// construction, and the hysteresis latch takes over from day 1.
@@ -515,18 +510,10 @@ func sparseRemove(items *[]int32, pos []int32, p int32) {
 	pos[p] = -1
 }
 
-func (e *Engine) infectPerson(p int32, day int) {
-	e.health[p].State = e.model.InfectTarget
-	e.health[p].DaysLeft = int32(e.model.SampleDwell(e.model.InfectTarget, uint64(p), uint64(day)))
-	e.health[p].Infected = true
-	e.cumulative++
-}
-
 // transitionPerson moves p to state s with the given dwell, keeping the
-// per-PM incremental counters and sparse sets coherent. Every post-New
-// state mutation must go through here (or applyInfection), on every
-// kernel — the dense path maintains the same bookkeeping so kernels can
-// alternate day by day without a rescan.
+// per-PM incremental counters and sparse sets coherent. Every state
+// mutation after the entry state must go through here (or applyInfection),
+// on every kernel, so kernels can alternate day by day without a rescan.
 func (e *Engine) transitionPerson(p int32, s disease.StateID, daysLeft int32) {
 	hs := &e.health[p]
 	h := &e.pmHealth[e.pmOf[p]]
@@ -551,9 +538,8 @@ func (e *Engine) transitionPerson(p int32, s disease.StateID, daysLeft int32) {
 	}
 }
 
-// applyInfection resolves a successful exposure of p on day: the same
-// transition applyUpdates has always performed, routed through the
-// incremental bookkeeping.
+// applyInfection resolves a successful exposure of p on day — an index
+// case's on day 0 — through the incremental bookkeeping.
 func (e *Engine) applyInfection(p int32, day int) {
 	e.transitionPerson(p, e.model.InfectTarget,
 		int32(e.model.SampleDwell(e.model.InfectTarget, uint64(p), uint64(day))))
@@ -621,8 +607,10 @@ func (e *Engine) Run() (*Result, error) {
 func (e *Engine) runDay(day int) DayReport {
 	e.stepped = true
 	switch e.cfg.Kernel {
-	case KernelAuto:
-		return e.runDayAuto(day)
+	case "":
+		return e.runDayStepped(day, "", true)
+	case KernelDense:
+		return e.runDayStepped(day, KernelDense, true)
 	case KernelEvent:
 		prevalence := float64(e.infectiousCount()) / float64(max(1, e.pop.NumPersons()))
 		if e.eventOn {
@@ -635,22 +623,14 @@ func (e *Engine) runDay(day int) DayReport {
 		if e.eventOn {
 			return e.runDayEvent(day)
 		}
-		return e.runDayAuto(day)
-	case KernelDense:
-		return e.runDayDense(day, KernelDense)
-	default:
-		return e.runDayDense(day, "")
 	}
-}
-
-// runDayAuto runs the active-set stepper, falling back to a plain dense
-// day (byte-identical by construction) once the frontier is so large
-// that active-set construction stops paying for itself.
-func (e *Engine) runDayAuto(day int) DayReport {
+	// "auto", or "event" with its latch off: an active day, or a dense one
+	// (byte-identical by construction) once the frontier is so large that
+	// walking it stops paying for itself.
 	if e.infectiousCount()*denseSwitchDen > int64(e.pop.NumPersons())*denseSwitchNum {
-		return e.runDayDense(day, KernelDense)
+		return e.runDayStepped(day, KernelDense, true)
 	}
-	return e.runDayActive(day)
+	return e.runDayStepped(day, kernelActive, false)
 }
 
 // infectiousCount is the number of persons in a state-level infectious
@@ -663,10 +643,12 @@ func (e *Engine) infectiousCount() int64 {
 	return n
 }
 
-// stepScenario opens a day on every kernel: interventions trigger on the
-// state of the world this morning, then the vaccination campaign they may
-// have ordered runs.
-func (e *Engine) stepScenario(day int) {
+// beginDay opens a day on every kernel: interventions trigger on the state
+// of the world this morning, then the vaccination campaign they may have
+// ordered runs. A day that is not dense also gets the lazily allocated
+// active-set scratch and inverted static schedule (visit indices grouped
+// by location), so purely dense runs pay nothing for them.
+func (e *Engine) beginDay(day int, dense bool) {
 	if e.cfg.Scenario != nil {
 		e.cfg.Scenario.Step(interventions.Env{
 			Day:                day,
@@ -676,6 +658,32 @@ func (e *Engine) stepScenario(day int) {
 		}, e.effects)
 	}
 	e.applyVaccination(day)
+	e.denseDay = dense
+	if !dense && e.activeLoc == nil {
+		e.activeLoc = make([]bool, e.pop.NumLocations())
+		e.personMark = make([]bool, e.pop.NumPersons())
+		e.activePersons = make([][]int32, len(e.pmHealth))
+		e.lmNeeded = make([]bool, e.rt.ArrayLen(e.lmArr))
+		e.visitIndex()
+	}
+}
+
+// endDay closes a day on every kernel: state counts from the incremental
+// counters, the per-day marks reset in O(active) time, timed interventions
+// ticked.
+func (e *Engine) endDay(rep *DayReport) {
+	rep.Counts = e.stateCounts64()
+	for _, locID := range e.activeLocList {
+		e.activeLoc[locID] = false
+	}
+	e.activeLocList = e.activeLocList[:0]
+	for pmID := range e.activePersons {
+		for _, p := range e.activePersons[pmID] {
+			e.personMark[p] = false
+		}
+		e.activePersons[pmID] = e.activePersons[pmID][:0]
+	}
+	e.effects.Tick()
 }
 
 // applyVaccination runs the day's vaccination campaign: untreated
@@ -703,36 +711,6 @@ func (e *Engine) applyVaccination(day int) {
 	}
 }
 
-func (e *Engine) runDayDense(day int, kernel string) DayReport {
-	rep := DayReport{Day: day, Kernel: kernel}
-	e.stepScenario(day)
-	e.beginLocationDay()
-
-	// Phase 1: person phase.
-	e.rt.Broadcast(e.pmArr, msgComputeVisits{Day: day})
-	rep.PersonPhase = e.rt.Drain()
-
-	// Phase 2: location phase.
-	e.rt.Broadcast(e.lmArr, msgRunDES{Day: day})
-	rep.LocationPhase = e.rt.Drain()
-	rep.Events = rep.LocationPhase.Reductions["events"]
-	rep.Interactions = rep.LocationPhase.Reductions["interactions"]
-	rep.Trials = rep.LocationPhase.Reductions["trials"]
-
-	// Phase 3: apply updates + global reduction.
-	e.rt.Broadcast(e.pmArr, msgApplyUpdates{Day: day})
-	rep.UpdatePhase = e.rt.Drain()
-	rep.NewInfections = rep.UpdatePhase.Reductions["newinfections"]
-	e.cumulative += rep.NewInfections
-	rep.Counts = make(map[string]int64, len(e.stateNames))
-	for s, name := range e.stateNames {
-		rep.Counts[name] = rep.UpdatePhase.Reductions[e.stateKeys[s]]
-	}
-
-	e.effects.Tick()
-	return rep
-}
-
 // countStates sums the per-PM incremental counters — O(managers ×
 // states) instead of the full-population rescan it replaced. Only
 // occupied states appear in the map, matching the historical rescan.
@@ -751,8 +729,7 @@ func (e *Engine) countStates() map[string]int {
 }
 
 // stateCounts64 builds the DayReport.Counts map from the incremental
-// counters, with an entry for every state (zeros included) exactly as
-// the dense path's reduction-derived map has.
+// counters, with an entry for every state, zeros included.
 func (e *Engine) stateCounts64() map[string]int64 {
 	counts := make(map[string]int64, len(e.stateNames))
 	for s, name := range e.stateNames {

@@ -169,9 +169,10 @@ func TestSplitLocInvariance(t *testing.T) {
 func TestParallelSequentialEquivalence(t *testing.T) {
 	pop := testPop(t)
 	// Mixing on a split population replicates infectious visitors into
-	// sibling fragments, so a PM's message slab and an LM's visit windows
-	// outgrow the static schedule in the middle of a phase, while
-	// receivers on other goroutines still read what was sent from them.
+	// sibling fragments, so a PM's message slab outgrows its static visit
+	// count and an LM's extras lists (replicas, which have no slot of their
+	// own) grow in the middle of a phase, while receivers on other
+	// goroutines still read what was sent from them.
 	split, st, err := splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: 2048})
 	if err != nil {
 		t.Fatal(err)

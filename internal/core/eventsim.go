@@ -38,7 +38,7 @@ type srcVisit struct {
 // then resolves transmission analytically instead of via the DES.
 func (e *Engine) runDayEvent(day int) DayReport {
 	rep := DayReport{Day: day, Kernel: KernelEvent}
-	e.beginSparseDay(day)
+	e.beginDay(day, false)
 	if e.srcVisits == nil {
 		e.srcVisits = make([][]srcVisit, e.pop.NumLocations())
 		e.lambda = make([]float64, e.pop.NumPersons())
@@ -127,6 +127,6 @@ func (e *Engine) runDayEvent(day int) DayReport {
 	e.cumulative += newInf
 	rep.Interactions = interactions
 	rep.Trials = trials
-	e.endSparseDay(&rep)
+	e.endDay(&rep)
 	return rep
 }

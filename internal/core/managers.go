@@ -46,22 +46,24 @@ func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 		pm.eng.infectionBuf[pm.id] = append(pm.eng.infectionBuf[pm.id], *m)
 	case msgApplyUpdates:
 		pm.applyUpdates(ctx, m.Day)
-	case msgComputeVisitsActive:
-		pm.computeVisitsActive(ctx, m.Day)
-	case msgApplyUpdatesActive:
-		pm.applyUpdatesActive(ctx, m.Day)
 	default:
 		panic("core: personManager received unknown message")
 	}
 }
 
-// computeVisits is phase 1 for this PM's persons: evaluate behavioral
-// filters (closures, isolation, demand reduction) and send one visit
-// message per kept visit.
+// computeVisits is phase 1 for this PM's persons — all of them on a dense
+// day, only its active persons otherwise: evaluate behavioral filters
+// (closures, isolation, demand reduction) and send one visit message per
+// kept visit, on an active day only to active locations.
 func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
+	e := pm.eng
+	persons, active := pm.persons, []bool(nil)
+	if !e.denseDay {
+		persons, active = e.activePersons[pm.id], e.activeLoc
+	}
 	pm.beginVisits()
-	for _, p := range pm.persons {
-		pm.sendVisits(ctx, p, day, nil)
+	for _, p := range persons {
+		pm.sendVisits(ctx, p, day, active)
 	}
 }
 
@@ -117,16 +119,18 @@ func (pm *personManager) sendVisit(ctx *charm.Ctx, msg visitMsg) {
 }
 
 // applyUpdates is phase 5/6: resolve buffered infect messages (earliest
-// exposure wins), advance dwell clocks and PTTS transitions, and
-// contribute the global health-state counts.
+// exposure wins) and advance dwell clocks and PTTS transitions. An active
+// day walks only the progressing set; a dense day progresses everyone this
+// PM owns, in id order, and contributes the global health-state counts.
 func (pm *personManager) applyUpdates(ctx *charm.Ctx, day int) {
 	e := pm.eng
 	if n := pm.resolveInfections(day); n > 0 {
 		ctx.Contribute("newinfections", n)
 	}
-
-	// Dwell/transition progression for everyone this PM owns, then the
-	// state counts the progression kept current.
+	if !e.denseDay {
+		e.progressSparse(pm.id, day)
+		return
+	}
 	for _, p := range pm.persons {
 		e.progressPerson(p, day)
 	}
@@ -216,16 +220,12 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 		v.Infectivity, v.Susceptibility = float64(m.Inf), float64(m.Sus)
 		lm.extras[i] = append(lm.extras[i], v)
 	case msgRunDES:
-		lm.result.Reset()
-		for i := range lm.locs {
-			lm.simulateLoc(ctx, int32(i), m.Day)
-		}
-		lm.contribute(ctx)
-	case msgRunDESActive:
-		// Only the locations that received visits. Their order is
-		// irrelevant: each location's DES is independent, infect messages
-		// are canonically re-sorted by the receiving PM, and the workload
-		// counters are sums.
+		// Only the locations that received visits, in the order they first
+		// did. The order cannot change a counter: each location's DES is
+		// independent, infect messages are canonically re-sorted by the
+		// receiving PM, the workload counters are sums, and every send
+		// happens inside this one Recv, so the runtime sees the same
+		// per-destination counts whatever the order.
 		lm.result.Reset()
 		for _, i := range lm.touched {
 			lm.simulateLoc(ctx, i, m.Day)
@@ -236,12 +236,9 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	}
 }
 
-// simulateLoc runs the per-day DES of locs[i], if it received visits, and
-// forwards the resulting infect messages.
+// simulateLoc runs the per-day DES of locs[i], which received visits today,
+// and forwards the resulting infect messages.
 func (lm *locationManager) simulateLoc(ctx *charm.Ctx, i int32, day int) {
-	if lm.received[i] == 0 {
-		return
-	}
 	lm.received[i] = 0
 	var extras []des.Visitor
 	if lm.extras != nil {
