@@ -384,6 +384,7 @@ type apiError struct {
 	status     int
 	msg        string
 	retryAfter time.Duration
+	body       []byte // the reply's first 4 KiB
 }
 
 func (e *apiError) Error() string { return e.msg }
@@ -437,55 +438,20 @@ func decodeError(resp *http.Response) error {
 	}
 	if json.Unmarshal(b, &e) == nil && e.Error != "" {
 		return &apiError{resp.StatusCode,
-			fmt.Sprintf("episimd: %s (HTTP %d)", e.Error, resp.StatusCode), retryAfter}
+			fmt.Sprintf("episimd: %s (HTTP %d)", e.Error, resp.StatusCode), retryAfter, b}
 	}
 	return &apiError{resp.StatusCode,
-		fmt.Sprintf("episimd: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(b))), retryAfter}
+		fmt.Sprintf("episimd: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(b))), retryAfter, b}
 }
 
-// SubmitOptions consolidates the per-submission knobs that previously
-// had to be smeared across Client fields (ClientID, TraceID) and spec
-// mutations (kernel, interventions) before each call. Zero values mean
-// "inherit": identity fields fall back to the Client's, spec overrides
-// leave the spec untouched.
+// SubmitOptions overrides the Client's identity fields for one
+// submission, without mutating the Client. Zero values inherit the
+// Client's.
 type SubmitOptions struct {
 	// TraceID / ClientID override the Client-level fields for this one
 	// submission (X-Episim-Trace-Id / X-Episim-Client headers).
 	TraceID  string
 	ClientID string
-
-	// Kernel / KernelThreshold override the spec's kernel selection.
-	Kernel          string
-	KernelThreshold float64
-
-	// Interventions and ForkDay attach a counterfactual branch axis to
-	// the spec (making it a version 2 spec): the sweep runs each base
-	// cell's prefix once to ForkDay, then forks every intervention branch
-	// from that checkpoint.
-	Interventions []episim.SweepIntervention
-	ForkDay       int
-}
-
-// apply folds the options into a shallow copy of spec (nil-safe only
-// for callers that validated spec already, as Submit does server-side).
-func (o SubmitOptions) apply(spec *episim.SweepSpec) *episim.SweepSpec {
-	if o.Kernel == "" && o.KernelThreshold == 0 && len(o.Interventions) == 0 && o.ForkDay == 0 {
-		return spec
-	}
-	s := *spec
-	if o.Kernel != "" {
-		s.Kernel = o.Kernel
-	}
-	if o.KernelThreshold != 0 {
-		s.KernelThreshold = o.KernelThreshold
-	}
-	if len(o.Interventions) > 0 {
-		s.Interventions = o.Interventions
-	}
-	if o.ForkDay != 0 {
-		s.ForkDay = o.ForkDay
-	}
-	return &s
 }
 
 // Submit enqueues a sweep and returns its acknowledgment.
@@ -519,7 +485,7 @@ func (c *Client) SubmitWith(ctx context.Context, spec *episim.SweepSpec, opts Su
 	if opts.TraceID != "" {
 		cc.TraceID = opts.TraceID
 	}
-	body, err := json.Marshal(opts.apply(spec))
+	body, err := json.Marshal(spec)
 	if err != nil {
 		return SubmitReply{}, err
 	}
@@ -619,11 +585,16 @@ func (c *Client) MetricsHistory(ctx context.Context) (HistoryReply, error) {
 }
 
 // Health fetches the daemon's readiness snapshot. A degraded daemon
-// replies 503, which surfaces as an error here; use the error's message
-// for the cause.
+// replies 503 with the same snapshot (Status "degraded", Error the
+// cause): Health returns it together with the error, so a caller still
+// learns which instance answered and why it cannot take work.
 func (c *Client) Health(ctx context.Context) (HealthReply, error) {
 	var h HealthReply
 	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)
+	var ae *apiError
+	if errors.As(err, &ae) && ae.status == http.StatusServiceUnavailable {
+		_ = json.Unmarshal(ae.body, &h)
+	}
 	return h, err
 }
 

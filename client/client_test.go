@@ -235,29 +235,21 @@ func TestSubmitNoRetryWithoutAdvice(t *testing.T) {
 	}
 }
 
-// TestSubmitWithOptions: SubmitWith consolidates what previously took
-// mutating the Client and the spec by hand — identity headers override
-// per call, spec knobs (kernel, intervention axis) land in the wire
-// body, and the caller's spec is never mutated.
+// TestSubmitWithOptions: identity headers override the Client's per
+// call, the spec goes on the wire as given, and neither the Client nor
+// the caller's spec is mutated.
 func TestSubmitWithOptions(t *testing.T) {
-	var gotClient, gotTrace atomic.Value
-	var gotBody atomic.Value
+	var gotClient, gotTrace, gotDays atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotClient.Store(r.Header.Get("X-Episim-Client"))
 		gotTrace.Store(r.Header.Get(TraceHeader))
-		var spec struct {
-			Kernel        string `json:"kernel"`
-			ForkDay       int    `json:"fork_day"`
-			Interventions []struct {
-				Name string `json:"name"`
-			} `json:"interventions"`
-		}
+		var spec episim.SweepSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			t.Errorf("decode submitted spec: %v", err)
 		}
-		gotBody.Store(spec)
+		gotDays.Store(spec.Days)
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(SubmitReply{ID: "sw-000002", SpecVersion: 2})
+		json.NewEncoder(w).Encode(SubmitReply{ID: "sw-000002"})
 	}))
 	defer ts.Close()
 
@@ -270,18 +262,12 @@ func TestSubmitWithOptions(t *testing.T) {
 		Days:        9,
 		Seed:        1,
 	}
-	ack, err := c.SubmitWith(context.Background(), spec, SubmitOptions{
-		ClientID:      "per-call",
-		TraceID:       "trace-42",
-		Kernel:        "auto",
-		Interventions: []episim.SweepIntervention{{Name: "baseline"}, {Name: "b1"}},
-		ForkDay:       4,
-	})
-	if err != nil {
+	before, _ := json.Marshal(spec)
+	if _, err := c.SubmitWith(context.Background(), spec, SubmitOptions{
+		ClientID: "per-call",
+		TraceID:  "trace-42",
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if ack.SpecVersion != 2 {
-		t.Fatalf("ack spec_version = %d, want 2", ack.SpecVersion)
 	}
 	if got := gotClient.Load(); got != "per-call" {
 		t.Fatalf("X-Episim-Client = %q, want per-call override", got)
@@ -289,17 +275,10 @@ func TestSubmitWithOptions(t *testing.T) {
 	if got := gotTrace.Load(); got != "trace-42" {
 		t.Fatalf("trace header = %q, want trace-42", got)
 	}
-	sent := gotBody.Load().(struct {
-		Kernel        string `json:"kernel"`
-		ForkDay       int    `json:"fork_day"`
-		Interventions []struct {
-			Name string `json:"name"`
-		} `json:"interventions"`
-	})
-	if sent.Kernel != "auto" || sent.ForkDay != 4 || len(sent.Interventions) != 2 {
-		t.Fatalf("submitted spec = %+v, want kernel auto, fork day 4, 2 branches", sent)
+	if got := gotDays.Load(); got != 9 {
+		t.Fatalf("submitted spec days = %v, want 9", got)
 	}
-	if spec.Kernel != "" || spec.ForkDay != 0 || spec.Interventions != nil {
+	if after, _ := json.Marshal(spec); string(after) != string(before) {
 		t.Fatal("SubmitWith mutated the caller's spec")
 	}
 	if c.ClientID != "client-level" || c.TraceID != "" {

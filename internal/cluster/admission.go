@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
@@ -29,10 +29,11 @@ import (
 // X-Episim-Retry-After-Ms), which repro/client honors automatically.
 //
 // The in-flight ledger is optimistic: the gateway records ids it issues
-// and erases them whenever a proxied status, result, cancel, or terminal
-// stream event shows the job finished. Only when a client is AT its cap
-// does the gateway verify the ledger against the owning backends (lazy
-// verification), so the steady-state submit path costs no extra RPCs.
+// and erases them whenever a proxied status, result, cancel, list entry
+// or terminal stream event shows the job finished. Only when a client is
+// AT its cap does the gateway verify the ledger against the owning
+// backends (lazy verification), so the steady-state submit path costs no
+// extra RPCs.
 
 // admission holds the per-client buckets and in-flight ledgers.
 type admission struct {
@@ -295,24 +296,12 @@ func (g *Gateway) verifyInflight(ctx context.Context, key string) {
 			g.admit.observeTerminal(id)
 			continue
 		}
-		resp, err := g.forward(ctx, b, http.MethodGet, "/v1/sweeps/"+local, nil, nil)
-		if err != nil {
-			if !b.healthy.Load() && b.unreachableFor() > forgiveDownAfter {
-				g.admit.observeTerminal(id) // owner long gone: job unreachable, don't count it
-			}
-			continue
-		}
-		var st client.JobStatus
-		done := false
-		if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusGone {
-			done = true
-		} else if resp.StatusCode < 300 &&
-			json.NewDecoder(resp.Body).Decode(&st) == nil && st.State.Terminal() {
-			done = true
-		}
-		resp.Body.Close()
-		if done {
+		st, err := b.c.Status(ctx, local)
+		switch {
+		case err == nil && st.State.Terminal(), errors.Is(err, client.ErrNotFound):
 			g.admit.observeTerminal(id)
+		case unreachable(err) && !b.healthy.Load() && b.unreachableFor() > forgiveDownAfter:
+			g.admit.observeTerminal(id) // owner long gone: job unreachable, don't count it
 		}
 	}
 }

@@ -93,6 +93,9 @@ type backend struct {
 	index    int
 	fallback string // positional identity "b0", used until a name is known
 	url      string
+	// c makes the gateway's typed calls (stats, usage, list, status,
+	// health); forward relays everything the client's bytes pass through.
+	c *client.Client
 
 	healthy atomic.Bool
 	routed  atomic.Int64 // submissions this backend accepted
@@ -126,9 +129,9 @@ type backend struct {
 type Gateway struct {
 	backends []*backend
 	httpc    *http.Client
-	probec   *http.Client
 
 	probeInterval time.Duration
+	probeTimeout  time.Duration
 	failAfter     int
 	spillDepth    int
 
@@ -140,9 +143,11 @@ type Gateway struct {
 	admit *admission
 	log   *obs.Logger
 
-	// proxyHist distributes backend round-trip latency (request out to
-	// response headers in) per backend — the gateway's own contribution
-	// to tail latency, separable from the backends' histograms.
+	// proxyHist distributes the round-trip latency of relayed requests
+	// (request out to response headers in) per backend — the gateway's own
+	// contribution to tail latency, separable from the backends'
+	// histograms. Its typed calls (stats, usage, list, status, health) are
+	// not observed.
 	proxyHist *obs.HistogramVec
 
 	// history is the fleet metrics ring (merged stats snapshots on an
@@ -188,15 +193,15 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		// No global Timeout: event streams run as long as sweeps do.
 		httpc:         &http.Client{},
-		probec:        &http.Client{Timeout: cfg.ProbeTimeout},
 		probeInterval: cfg.ProbeInterval,
+		probeTimeout:  cfg.ProbeTimeout,
 		failAfter:     cfg.FailAfter,
 		spillDepth:    cfg.SpillQueueDepth,
 		byName:        map[string]*backend{},
 		admit:         newAdmission(cfg.SubmitRate, cfg.SubmitBurst, cfg.MaxInflightPerClient),
 		log:           log,
 		proxyHist: obs.NewHistogramVec("episim_gw_proxy_seconds",
-			"Backend round-trip latency through the gateway, per backend.", "backend", nil),
+			"Backend round-trip latency of requests the gateway relays, per backend.", "backend", nil),
 		started: time.Now(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -211,8 +216,8 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("cluster: duplicate backend %s", u)
 		}
 		seen[u] = true
-		b := &backend{index: i, fallback: fmt.Sprintf("b%d", i), url: u}
-		g.backends = append(g.backends, b)
+		g.backends = append(g.backends, &backend{index: i, fallback: fmt.Sprintf("b%d", i), url: u,
+			c: &client.Client{BaseURL: u, HTTPClient: g.httpc}})
 	}
 	// Synchronous first round: names (and initial health) are known
 	// before the gateway serves, so the very first submission routes by
@@ -348,10 +353,18 @@ func (g *Gateway) registerName(b *backend, name string) {
 	b.probeMu.Unlock()
 }
 
-// gatewayID embeds the owning backend's identity in a job id:
-// "node-0-sw-000001".
-func (b *backend) gatewayID(backendID string) string {
-	return b.identity() + "-" + backendID
+// gatewayID turns a backend-local job id into the id the gateway issues
+// for it, "node-0-sw-000001" under prefix "node-0": the submit ack, the
+// status and cancel replies, the merged list and terminal events all
+// rewrite through it. finished settles the admission ledger: a reply
+// proving the job over frees its client's in-flight slot with no extra
+// RPC.
+func (g *Gateway) gatewayID(prefix, local string, finished bool) string {
+	id := prefix + "-" + local
+	if finished {
+		g.admit.observeTerminal(id)
+	}
+	return id
 }
 
 // resolveID splits a gateway job id back into its backend and the
@@ -402,8 +415,24 @@ func (g *Gateway) withBackend(h func(http.ResponseWriter, *http.Request, *backen
 			writeError(w, http.StatusNotFound, "unknown sweep %q", id)
 			return
 		}
-		h(w, r, b, id[:strings.LastIndex(id, "-sw-")], local)
+		h(w, r, b, id[:len(id)-len(local)-1], local)
 	}
+}
+
+// each runs fn on every backend concurrently and returns once all calls
+// have: the one fan-out behind the probe round, fleet stats, usage and
+// the merged job list. fn may write only backend i's slot of whatever it
+// fills.
+func (g *Gateway) each(fn func(i int, b *backend)) {
+	var wg sync.WaitGroup
+	for i, b := range g.backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, b)
+		}()
+	}
+	wg.Wait()
 }
 
 // healthyCount tallies backends currently marked healthy.

@@ -25,6 +25,7 @@ type stubBackend struct {
 	depth      atomic.Int64 // queue depth reported by /healthz
 	jobState   atomic.Value // client.JobState every job reports
 	failSubmit atomic.Bool  // refuse submissions with a 500
+	degraded   atomic.Bool  // answer /healthz with a named 503
 	accepted   atomic.Int64
 }
 
@@ -34,8 +35,19 @@ func newStubBackend(t *testing.T, name string) *stubBackend {
 	sb.jobState.Store(client.StateRunning)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		if sb.degraded.Load() {
+			writeJSON(w, http.StatusServiceUnavailable, client.HealthReply{
+				Status: "degraded", Instance: sb.name, Error: "cache dir gone",
+			})
+			return
+		}
 		writeJSON(w, http.StatusOK, client.HealthReply{
 			Status: "ok", Instance: sb.name, QueueDepth: int(sb.depth.Load()),
+		})
+	})
+	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, []client.JobStatus{
+			{ID: "sw-000007", State: sb.jobState.Load().(client.JobState)},
 		})
 	})
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -381,5 +393,66 @@ func TestStatsDegradeToLastKnown(t *testing.T) {
 	}
 	if !strings.Contains(ms, "episimd_sweeps_done 1") {
 		t.Fatalf("metrics lost last-known sweeps_done:\n%s", ms)
+	}
+}
+
+// TestListPartialWhenBackendEjected: with one backend ejected the merged
+// list still answers, carrying the live backend's jobs under gateway ids
+// and naming the missing backend in X-Episim-Partial.
+func TestListPartialWhenBackendEjected(t *testing.T) {
+	gw, gwURL, stubs := bootStubs(t, Config{ProbeInterval: time.Hour, FailAfter: 1}, "alpha", "beta")
+	stubs["beta"].ts.Close()
+	gw.probeAll()
+	if n := gw.healthyCount(); n != 1 {
+		t.Fatalf("%d healthy backends after closing beta, want 1", n)
+	}
+
+	resp, err := http.Get(gwURL + "/v1/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("list: HTTP %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Episim-Partial"); got != "beta" {
+		t.Fatalf("X-Episim-Partial = %q, want beta", got)
+	}
+	var jobs []client.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != "alpha-sw-000007" {
+		t.Fatalf("partial list = %+v, want alpha's one job as alpha-sw-000007", jobs)
+	}
+}
+
+// TestHealthzDegradedBackendNamedButEjected: a backend whose /healthz
+// answers a named 503 is adopted under that name, so ids issued to it
+// keep resolving, but stays ejected probe after probe with the cause on
+// record.
+func TestHealthzDegradedBackendNamedButEjected(t *testing.T) {
+	sb := newStubBackend(t, "sick")
+	sb.degraded.Store(true)
+	gw, err := New(Config{Backends: []string{sb.ts.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	b := gw.backends[0]
+	for round := 0; round < 3; round++ {
+		if got := b.identity(); got != "sick" {
+			t.Fatalf("round %d: identity %q, want the 503's name sick", round, got)
+		}
+		if b.healthy.Load() {
+			t.Fatalf("round %d: a degraded backend was admitted", round)
+		}
+		gw.probeAll()
+	}
+	if owner, local, ok := gw.resolveID("sick-sw-000001"); !ok || owner != b || local != "sw-000001" {
+		t.Fatalf("resolveID(sick-sw-000001) = %v %q %v", owner, local, ok)
+	}
+	if e := b.lastError(); !strings.Contains(e, "cache dir gone") {
+		t.Fatalf("last error %q does not carry the 503's cause", e)
 	}
 }

@@ -2,28 +2,16 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
+	"errors"
+	"net/url"
 	"time"
-
-	"repro/client"
 )
 
 // probeAll probes every backend concurrently and waits for the round to
 // finish. New() calls it synchronously so names and initial health are
 // known before the gateway serves; probeLoop repeats it on a ticker.
 func (g *Gateway) probeAll() {
-	var wg sync.WaitGroup
-	for _, b := range g.backends {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			g.probe(b)
-		}(b)
-	}
-	wg.Wait()
+	g.each(func(_ int, b *backend) { g.probe(b) })
 }
 
 // probeLoop polls every backend's /healthz until the gateway closes.
@@ -42,22 +30,22 @@ func (g *Gateway) probeLoop() {
 	}
 }
 
-// probe checks one backend. Any parsed /healthz reply teaches the
-// gateway the backend's name and queue depth — even a 503 "degraded"
-// reply names its sender, so ids issued to it keep resolving. A 2xx
-// reply is healthy: one success re-admits an ejected backend instantly,
-// while ejection waits for failAfter consecutive failures so a single
-// slow probe doesn't shed a healthy backend's cache-affine keys.
+// probe checks one backend. Any /healthz reply teaches the gateway the
+// backend's name — even a 503 "degraded" reply names its sender, so ids
+// issued to it keep resolving. A 2xx reply is healthy: one success
+// re-admits an ejected backend instantly, while ejection waits for
+// failAfter consecutive failures so a single slow probe doesn't shed a
+// healthy backend's cache-affine keys.
 //
 // On boot (before the first successful probe) a backend is unhealthy:
 // the synchronous first round in New() decides real initial health
 // before the gateway serves, so there is no optimistic window in which
 // submissions are routed blind.
 func (g *Gateway) probe(b *backend) {
-	h, err := g.probeOnce(b)
-	if h != nil {
-		g.registerName(b, h.Instance)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), g.probeTimeout)
+	h, err := b.c.Health(ctx)
+	cancel()
+	g.registerName(b, h.Instance)
 	label := b.identity()
 	b.probeMu.Lock()
 	defer b.probeMu.Unlock()
@@ -78,30 +66,6 @@ func (g *Gateway) probe(b *backend) {
 		b.unhealthySince = time.Now()
 		g.log.Warn("backend ejected", "backend", label, "url", b.url, "err", err)
 	}
-}
-
-// probeOnce fetches and parses one /healthz reply. The parsed reply is
-// returned even on a non-2xx status (a degraded daemon still reports its
-// identity); the error says whether the backend counts as healthy.
-func (g *Gateway) probeOnce(b *backend) (*client.HealthReply, error) {
-	resp, err := g.probec.Get(b.url + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var h client.HealthReply
-	hp := &h
-	if json.Unmarshal(raw, &h) != nil {
-		hp = nil // not an episimd healthz body; nothing to learn from it
-	}
-	if resp.StatusCode >= 300 {
-		return hp, fmt.Errorf("healthz: HTTP %d", resp.StatusCode)
-	}
-	if hp == nil {
-		return nil, fmt.Errorf("healthz: unparsable reply")
-	}
-	return hp, nil
 }
 
 // queueDepthEstimate is the gateway's current view of the backend's
@@ -152,15 +116,24 @@ func (b *backend) unreachableFor() time.Duration {
 // CLIENT's request context, and a proxied request that failed because
 // the caller went away (or the caller's own deadline lapsed) says
 // nothing about backend health — ejecting on it would let one impatient
-// client shed a healthy backend's cache-affine keys. A failure with the
-// caller still waiting — including the gateway's own per-attempt
-// timeout firing against a hung backend — is the backend's fault and
-// ejects it.
+// client shed a healthy backend's cache-affine keys. An error reply
+// proves the backend alive and ejects nothing either. A transport
+// failure with the caller still waiting — including the gateway's own
+// per-attempt timeout firing against a hung backend — is the backend's
+// fault and ejects it.
 func (g *Gateway) reportFailure(callerCtx context.Context, b *backend, err error) {
-	if callerCtx.Err() != nil {
+	if callerCtx.Err() != nil || !unreachable(err) {
 		return
 	}
 	g.markFailed(b, err)
+}
+
+// unreachable reports whether err is a failed exchange — no HTTP reply
+// at all (dial, reset, timeout) — rather than a reply with an error
+// status.
+func unreachable(err error) bool {
+	var ue *url.Error
+	return errors.As(err, &ue)
 }
 
 // lastError snapshots the backend's most recent probe/proxy failure.

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	episim "repro"
@@ -22,7 +21,8 @@ import (
 )
 
 // controlTimeout bounds non-streaming proxied calls (submit, status,
-// cancel, list, stats). Event and result streams get no deadline.
+// cancel, trace) and the list fan-out. Event and result streams get no
+// deadline.
 const controlTimeout = 15 * time.Second
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -41,10 +41,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // operational visibility (and what the routing smoke tests assert on).
 const backendHeader = "X-Episim-Backend"
 
-// forward issues one request to a backend, copying select headers (the
-// trace id among them, so a submission's trace follows it to the owning
-// daemon). The round-trip — request out to response headers in — feeds
-// the per-backend proxy latency histogram.
+// forward issues one relayed request to a backend — the path for every
+// call whose bytes pass through to the client; the gateway's own typed
+// calls go through the backend's client.Client. It copies select headers
+// (the trace id among them, so a submission's trace follows it to the
+// owning daemon). The round-trip — request out to response headers in —
+// feeds the per-backend proxy latency histogram.
 func (g *Gateway) forward(ctx context.Context, b *backend, method, path string, body []byte, hdr http.Header) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
@@ -223,7 +225,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadGateway, "backend %s: bad submit reply: %v", b.identity(), err)
 			return true, false
 		}
-		ack.ID = b.gatewayID(ack.ID)
+		ack.ID = g.gatewayID(b.identity(), ack.ID, false)
 		b.routed.Add(1)
 		b.noteRouted()
 		g.submitted.Add(1)
@@ -281,8 +283,6 @@ func (g *Gateway) proxyCancel(w http.ResponseWriter, r *http.Request, b *backend
 // rebuilding its id under the prefix the client presented (NOT the
 // backend's current identity — a job submitted under a positional
 // fallback id must keep answering to it after name discovery).
-// Terminal statuses feed the admission ledger: a proxied reply proving
-// a job finished frees its client's in-flight slot with no extra RPC.
 func (g *Gateway) proxyJobJSON(w http.ResponseWriter, r *http.Request, b *backend, prefix, method, path string) {
 	ctx, cancel := context.WithTimeout(r.Context(), controlTimeout)
 	defer cancel()
@@ -302,10 +302,7 @@ func (g *Gateway) proxyJobJSON(w http.ResponseWriter, r *http.Request, b *backen
 		writeError(w, http.StatusBadGateway, "backend %s: bad status reply: %v", b.identity(), err)
 		return
 	}
-	st.ID = prefix + "-" + st.ID
-	if st.State.Terminal() {
-		g.admit.observeTerminal(st.ID)
-	}
+	st.ID = g.gatewayID(prefix, st.ID, st.State.Terminal())
 	w.Header().Set(backendHeader, b.identity())
 	writeJSON(w, resp.StatusCode, st)
 }
@@ -324,9 +321,7 @@ func (g *Gateway) proxyResult(w http.ResponseWriter, r *http.Request, b *backend
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusGone {
-		g.admit.observeTerminal(prefix + "-" + local)
-	}
+	g.gatewayID(prefix, local, resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusGone)
 	relay(w, resp, b)
 }
 
@@ -350,53 +345,33 @@ func (g *Gateway) proxyTrace(w http.ResponseWriter, r *http.Request, b *backend,
 
 // handleList merges every live backend's job list, re-issued under
 // gateway ids, ordered by creation time (then id) — the same oldest-
-// first contract a single daemon serves.
+// first contract a single daemon serves. A backend that is ejected or
+// fails to answer is named in X-Episim-Partial.
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), controlTimeout)
 	defer cancel()
-	type part struct {
-		jobs []client.JobStatus
-		err  error
-	}
-	parts := make([]part, len(g.backends))
-	var wg sync.WaitGroup
-	for i, b := range g.backends {
+	parts := make([][]client.JobStatus, len(g.backends))
+	listed := make([]bool, len(g.backends))
+	g.each(func(i int, b *backend) {
 		if !b.healthy.Load() {
-			parts[i].err = fmt.Errorf("backend %s unhealthy; skipped", b.identity())
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			resp, err := g.forward(ctx, b, http.MethodGet, "/v1/sweeps", nil, r.Header)
-			if err != nil {
-				g.reportFailure(r.Context(), b, err)
-				parts[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode >= 300 {
-				parts[i].err = fmt.Errorf("HTTP %d", resp.StatusCode)
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-				return
-			}
-			var jobs []client.JobStatus
-			if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-				parts[i].err = err
-				return
-			}
-			for j := range jobs {
-				jobs[j].ID = b.gatewayID(jobs[j].ID)
-			}
-			parts[i].jobs = jobs
-		}(i, b)
-	}
-	wg.Wait()
+		jobs, err := b.c.List(ctx)
+		if err != nil {
+			g.reportFailure(r.Context(), b, err)
+			return
+		}
+		prefix := b.identity()
+		for j := range jobs {
+			jobs[j].ID = g.gatewayID(prefix, jobs[j].ID, jobs[j].State.Terminal())
+		}
+		parts[i], listed[i] = jobs, true
+	})
 	merged := []client.JobStatus{}
 	var missing []string
-	for i, p := range parts {
-		merged = append(merged, p.jobs...)
-		if p.err != nil {
+	for i, jobs := range parts {
+		merged = append(merged, jobs...)
+		if !listed[i] {
 			missing = append(missing, g.backends[i].identity())
 		}
 	}
@@ -494,8 +469,7 @@ func (g *Gateway) rewriteEventLine(line []byte, prefix string) []byte {
 	if json.Unmarshal(line, &ev) != nil || ev.Job == nil {
 		return line
 	}
-	ev.Job.ID = prefix + "-" + ev.Job.ID
-	g.admit.observeTerminal(ev.Job.ID)
+	ev.Job.ID = g.gatewayID(prefix, ev.Job.ID, true)
 	out, err := json.Marshal(ev)
 	if err != nil {
 		return line

@@ -2,10 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
-	"sync"
 
 	"repro/client"
 	"repro/internal/obs"
@@ -48,36 +45,17 @@ func (g *Gateway) handleUsage(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), statsTimeout)
 	defer cancel()
 	parts := make([][]obs.ClientUsage, len(g.backends))
-	var wg sync.WaitGroup
-	for i, b := range g.backends {
+	g.each(func(i int, b *backend) {
 		if !b.healthy.Load() {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/usage", nil)
-			if err != nil {
-				return
-			}
-			resp, err := g.httpc.Do(req)
-			if err != nil {
-				g.reportFailure(r.Context(), b, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode >= 300 {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-				return
-			}
-			var rep client.UsageReply
-			if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-				return
-			}
-			parts[i] = rep.Clients
-		}(i, b)
-	}
-	wg.Wait()
+		rep, err := b.c.Usage(ctx)
+		if err != nil {
+			g.reportFailure(r.Context(), b, err)
+			return
+		}
+		parts[i] = rep.Clients
+	})
 	merged := []obs.ClientUsage{}
 	for _, rows := range parts {
 		merged = obs.MergeUsage(merged, rows)

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/client"
@@ -108,9 +106,9 @@ func (g *Gateway) collectStats(ctx context.Context) StatsReply {
 		},
 		Backends: make([]BackendStatus, len(g.backends)),
 	}
-	var wg sync.WaitGroup
-	for i, b := range g.backends {
-		out.Backends[i] = BackendStatus{
+	g.each(func(i int, b *backend) {
+		bs := &out.Backends[i]
+		*bs = BackendStatus{
 			Name:       b.identity(),
 			URL:        b.url,
 			Healthy:    b.healthy.Load(),
@@ -118,39 +116,28 @@ func (g *Gateway) collectStats(ctx context.Context) StatsReply {
 			QueueDepth: b.queueDepthEstimate(),
 			LastError:  b.lastError(),
 		}
-		if !out.Backends[i].Healthy {
-			if last := b.lastStats.Load(); last != nil {
-				out.Backends[i].Stats = last
-				out.Backends[i].StatsStale = true
-				out.Backends[i].StatsUpdated = b.statsTakenAt()
-				out.Backends[i].StatsError = "unreachable (ejected); last-known stats shown"
-			} else {
-				out.Backends[i].StatsError = "unreachable (ejected); no stats seen yet"
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			st, err := g.fetchStats(ctx, b)
-			if err != nil {
-				out.Backends[i].StatsError = err.Error()
-				// Healthy per the prober but the fetch failed: degrade to
-				// the last snapshot rather than dropping the backend from
-				// the aggregate.
-				if last := b.lastStats.Load(); last != nil {
-					out.Backends[i].Stats = last
-					out.Backends[i].StatsStale = true
-					out.Backends[i].StatsUpdated = b.statsTakenAt()
-				}
+		if bs.Healthy {
+			st, err := b.c.Stats(ctx)
+			if err == nil {
+				b.lastStats.Store(&st)
+				b.lastStatsAt.Store(time.Now().UnixNano())
+				bs.Stats = &st
 				return
 			}
-			b.lastStats.Store(st)
-			b.lastStatsAt.Store(time.Now().UnixNano())
-			out.Backends[i].Stats = st
-		}(i, b)
-	}
-	wg.Wait()
+			bs.StatsError = err.Error()
+		} else {
+			bs.StatsError = "unreachable (ejected); no stats seen yet"
+		}
+		// Ejected, or healthy per the prober but the fetch failed: degrade
+		// to the last snapshot rather than dropping the backend from the
+		// aggregate.
+		if last := b.lastStats.Load(); last != nil {
+			bs.Stats, bs.StatsStale, bs.StatsUpdated = last, true, b.statsTakenAt()
+			if !bs.Healthy {
+				bs.StatsError = "unreachable (ejected); last-known stats shown"
+			}
+		}
+	})
 	for _, bs := range out.Backends {
 		if bs.Stats != nil {
 			server.MergeStats(&out.StatsReply, *bs.Stats)
@@ -168,27 +155,6 @@ func (b *backend) statsTakenAt() *time.Time {
 	}
 	t := time.Unix(0, ns)
 	return &t
-}
-
-func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*client.StatsReply, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	var st client.StatsReply
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // handleStats serves the fleet-aggregated stats snapshot.

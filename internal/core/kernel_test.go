@@ -197,7 +197,7 @@ func TestKernelAutoDenseFallbackAddsNoWork(t *testing.T) {
 	fallbackDays := 0
 	for i := 1; i < len(ares.Days); i++ {
 		// Yesterday's closing counts are this morning's prevalence, the
-		// quantity runDayAuto switches on.
+		// quantity runDay switches on.
 		var infectious int64
 		for s, st := range m.States {
 			if m.IsInfectious(disease.StateID(s)) {

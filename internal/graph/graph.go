@@ -161,9 +161,6 @@ func NewBuilder(numV, nCon int) *Builder {
 // SetVertexWeight sets component c of v's weight vector.
 func (b *Builder) SetVertexWeight(v, c int, w int64) { b.vw[v*b.nCon+c] = w }
 
-// AddVertexWeight adds w to component c of v's weight vector.
-func (b *Builder) AddVertexWeight(v, c int, w int64) { b.vw[v*b.nCon+c] += w }
-
 // AddEdge records an undirected edge {u,v} with weight w. Repeated calls
 // with the same endpoints accumulate weight. Self loops are ignored.
 func (b *Builder) AddEdge(u, v int, w int64) {

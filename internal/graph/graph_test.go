@@ -103,8 +103,7 @@ func TestVertexWeightVector(t *testing.T) {
 	b := NewBuilder(2, 3)
 	b.SetVertexWeight(1, 0, 1)
 	b.SetVertexWeight(1, 1, 2)
-	b.AddVertexWeight(1, 2, 3)
-	b.AddVertexWeight(1, 2, 4)
+	b.SetVertexWeight(1, 2, 7)
 	g := b.Build()
 	w := g.VertexWeights(1)
 	if w[0] != 1 || w[1] != 2 || w[2] != 7 {

@@ -45,7 +45,7 @@ func DefaultSLOWindows() []time.Duration {
 
 // SLOWindow is one window's evaluation.
 type SLOWindow struct {
-	Window string `json:"window"` // "5m0s" → rendered via windowLabel as "5m"
+	Window string `json:"window"` // "5m0s" → rendered via WindowLabel as "5m"
 	// Seconds is the window actually covered (shorter than nominal while
 	// the ring is young).
 	Seconds   float64 `json:"seconds"`
@@ -67,9 +67,10 @@ type SLOStatus struct {
 	Windows []SLOWindow `json:"windows"`
 }
 
-// windowLabel renders a duration the way dashboards write windows:
-// "5m", "1h", "90s" — not time.Duration's "5m0s".
-func windowLabel(d time.Duration) string {
+// WindowLabel renders a duration the way dashboards write windows:
+// "5m", "1h", "90s" — not time.Duration's "5m0s". SLO windows and the
+// /v1/metrics/history reply's window keys both use it.
+func WindowLabel(d time.Duration) string {
 	if d >= time.Hour && d%time.Hour == 0 {
 		return fmt.Sprintf("%dh", d/time.Hour)
 	}
@@ -96,7 +97,7 @@ func EvalSLOs(h *History, specs []SLOSpec) []SLOStatus {
 			Objective: spec.Objective,
 		}
 		for _, d := range windows {
-			sw := SLOWindow{Window: windowLabel(d)}
+			sw := SLOWindow{Window: WindowLabel(d)}
 			if w, ok := h.Window(d); ok {
 				sw.Seconds = w.Actual.Seconds()
 				sw.Good, sw.Total = spec.goodTotal(w)

@@ -125,7 +125,7 @@ func TestWriteSLOPromShape(t *testing.T) {
 }
 
 func TestSLOStatusHelpers(t *testing.T) {
-	if windowLabel(5*time.Minute) != "5m" || windowLabel(time.Hour) != "1h" || windowLabel(90*time.Second) != "90s" {
-		t.Fatal("windowLabel formatting drifted")
+	if WindowLabel(5*time.Minute) != "5m" || WindowLabel(time.Hour) != "1h" || WindowLabel(90*time.Second) != "90s" {
+		t.Fatal("WindowLabel formatting drifted")
 	}
 }

@@ -54,11 +54,13 @@ func contractViaBuilder(g *graph.Graph, s *xrand.Stream) ([]int32, *graph.Graph)
 		}
 		numCoarse++
 	}
-	b := graph.NewBuilder(int(numCoarse), g.NumConstraints())
+	nCon := g.NumConstraints()
+	b := graph.NewBuilder(int(numCoarse), nCon)
+	cw := make([]int64, int(numCoarse)*nCon)
 	for v := 0; v < n; v++ {
 		cv := cmap[v]
-		for c := 0; c < g.NumConstraints(); c++ {
-			b.AddVertexWeight(int(cv), c, g.VertexWeight(v, c))
+		for c := 0; c < nCon; c++ {
+			cw[int(cv)*nCon+c] += g.VertexWeight(v, c)
 		}
 		nbrs, ws := g.Neighbors(v)
 		for i, u := range nbrs {
@@ -69,6 +71,9 @@ func contractViaBuilder(g *graph.Graph, s *xrand.Stream) ([]int32, *graph.Graph)
 				b.AddEdge(int(cv), int(cu), ws[i])
 			}
 		}
+	}
+	for i, w := range cw {
+		b.SetVertexWeight(i/nCon, i%nCon, w)
 	}
 	return cmap, b.Build()
 }

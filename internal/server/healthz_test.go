@@ -74,7 +74,12 @@ func TestHealthzDegradesWhenCacheDirUnwritable(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with unwritable cache dir: HTTP %d, want 503", resp.StatusCode)
 	}
-	if _, err := c.Health(ctx); err == nil {
+	h, err = c.Health(ctx)
+	if err == nil {
 		t.Fatal("client.Health against a degraded daemon must error")
+	}
+	// The 503 body is still the snapshot: a prober learns the cause.
+	if h.Status != "degraded" || h.Error == "" {
+		t.Fatalf("degraded health = %+v, want status degraded with the cause", h)
 	}
 }

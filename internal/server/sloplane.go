@@ -135,7 +135,7 @@ func (p *SLOPlane) HandleHistory(w http.ResponseWriter, r *http.Request) {
 			if rep.Windows == nil {
 				rep.Windows = map[string]obs.WindowStats{}
 			}
-			rep.Windows[windowKey(d)] = win
+			rep.Windows[obs.WindowLabel(d)] = win
 		}
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -241,17 +241,6 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 		rows = []obs.ClientUsage{}
 	}
 	writeJSON(w, http.StatusOK, client.UsageReply{Instance: s.name, Clients: rows})
-}
-
-// windowKey labels a window for the history reply's map ("5m", "1h").
-func windowKey(d time.Duration) string {
-	if d >= time.Hour && d%time.Hour == 0 {
-		return fmt.Sprintf("%dh", d/time.Hour)
-	}
-	if d >= time.Minute && d%time.Minute == 0 {
-		return fmt.Sprintf("%dm", d/time.Minute)
-	}
-	return fmt.Sprintf("%ds", int(d.Seconds()))
 }
 
 // profileInfo is one captured profile as /v1/profiles lists it.

@@ -1,8 +1,6 @@
 // Package stats provides the statistical utilities the reproduction relies
-// on: summary statistics, log-binned histograms and CCDFs (the paper plots
-// degree and load distributions this way in Figures 3 and 7), power-law
-// tail exponent estimation, and linear least-squares fitting used by the
-// workload model of Section III-A.
+// on: summary statistics, power-law tail exponent estimation, and linear
+// least-squares fitting used by the workload model of Section III-A.
 package stats
 
 import (
@@ -63,92 +61,6 @@ func SummarizeInts(xs []int) Summary {
 		fs[i] = float64(x)
 	}
 	return Summarize(fs)
-}
-
-// CCDFPoint is one point of a complementary cumulative distribution
-// function: the fraction (and count) of samples with value >= X.
-type CCDFPoint struct {
-	X     float64
-	Count int     // samples with value >= X
-	Frac  float64 // Count / N
-}
-
-// CCDF returns the complementary CDF of xs evaluated at each distinct
-// sample value, in increasing order of X. This is the standard way to
-// visualize heavy-tailed distributions (straight line in log-log space for
-// a power law), used by Figures 3(c,d) and 7.
-func CCDF(xs []float64) []CCDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	var pts []CCDFPoint
-	for i := 0; i < n; {
-		j := i
-		for j < n && sorted[j] == sorted[i] {
-			j++
-		}
-		pts = append(pts, CCDFPoint{
-			X:     sorted[i],
-			Count: n - i,
-			Frac:  float64(n-i) / float64(n),
-		})
-		i = j
-	}
-	return pts
-}
-
-// LogBin is one bin of a logarithmically binned histogram.
-type LogBin struct {
-	Lo, Hi float64 // [Lo, Hi)
-	Count  int
-}
-
-// LogHistogram bins positive samples into bins whose edges grow by the
-// given factor (>1), starting at the smallest positive sample. Non-positive
-// samples are dropped. The paper's distribution plots use log-scale bins.
-func LogHistogram(xs []float64, factor float64) []LogBin {
-	if factor <= 1 {
-		panic("stats: LogHistogram factor must be > 1")
-	}
-	var pos []float64
-	for _, x := range xs {
-		if x > 0 {
-			pos = append(pos, x)
-		}
-	}
-	if len(pos) == 0 {
-		return nil
-	}
-	sort.Float64s(pos)
-	lo := pos[0]
-	max := pos[len(pos)-1]
-	var bins []LogBin
-	for lo <= max {
-		hi := lo * factor
-		bins = append(bins, LogBin{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	for _, x := range pos {
-		idx := int(math.Log(x/bins[0].Lo) / math.Log(factor))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(bins) {
-			idx = len(bins) - 1
-		}
-		// Guard against floating point rounding at bin edges.
-		for idx > 0 && x < bins[idx].Lo {
-			idx--
-		}
-		for idx < len(bins)-1 && x >= bins[idx].Hi {
-			idx++
-		}
-		bins[idx].Count++
-	}
-	return bins
 }
 
 // PowerLawAlpha estimates the tail exponent alpha of a power-law
@@ -279,23 +191,4 @@ func R2(pred, obs []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// MaxOverAvg returns max(xs)/mean(xs), the load-imbalance ratio the paper
-// quotes for Figure 2 (1.67 vs 2.08). Returns 0 for empty or zero-sum xs.
-func MaxOverAvg(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, max float64
-	for _, x := range xs {
-		sum += x
-		if x > max {
-			max = x
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return max / (sum / float64(len(xs)))
 }

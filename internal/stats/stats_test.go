@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/xrand"
 )
@@ -42,67 +41,6 @@ func TestSummarizeInts(t *testing.T) {
 	if s.Mean != 4 || s.N != 3 {
 		t.Fatalf("unexpected %+v", s)
 	}
-}
-
-func TestCCDFBasic(t *testing.T) {
-	pts := CCDF([]float64{1, 1, 2, 3})
-	if len(pts) != 3 {
-		t.Fatalf("want 3 distinct points, got %d", len(pts))
-	}
-	if pts[0].X != 1 || pts[0].Count != 4 || pts[0].Frac != 1 {
-		t.Fatalf("pts[0] = %+v", pts[0])
-	}
-	if pts[1].X != 2 || pts[1].Count != 2 {
-		t.Fatalf("pts[1] = %+v", pts[1])
-	}
-	if pts[2].X != 3 || pts[2].Count != 1 {
-		t.Fatalf("pts[2] = %+v", pts[2])
-	}
-}
-
-func TestCCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		var xs []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		pts := CCDF(xs)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].Count >= pts[i-1].Count {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogHistogramCoversAll(t *testing.T) {
-	xs := []float64{1, 2, 4, 8, 16, 100, 1000, -5, 0}
-	bins := LogHistogram(xs, 2)
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-		if b.Hi <= b.Lo {
-			t.Fatalf("bad bin %+v", b)
-		}
-	}
-	if total != 7 { // non-positive samples dropped
-		t.Fatalf("binned %d samples, want 7", total)
-	}
-}
-
-func TestLogHistogramPanicsOnBadFactor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for factor <= 1")
-		}
-	}()
-	LogHistogram([]float64{1}, 1)
 }
 
 func TestPowerLawAlphaRecoversExponent(t *testing.T) {
@@ -195,16 +133,5 @@ func TestR2(t *testing.T) {
 	mean := []float64{2.5, 2.5, 2.5, 2.5}
 	if r := R2(mean, obs); r != 0 {
 		t.Fatalf("mean predictor R2 = %v, want 0", r)
-	}
-}
-
-func TestMaxOverAvg(t *testing.T) {
-	// Paper Figure 2: max load 8 over avg load (24/5) => 1.67.
-	loadsA := []float64{8, 4, 4, 4, 4}
-	if r := MaxOverAvg(loadsA); !almost(r, 8/(24.0/5), 1e-9) {
-		t.Fatalf("ratio = %v", r)
-	}
-	if MaxOverAvg(nil) != 0 {
-		t.Fatal("empty ratio should be 0")
 	}
 }
