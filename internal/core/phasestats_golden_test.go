@@ -10,12 +10,13 @@ import (
 
 	"repro/internal/charm"
 	"repro/internal/interventions"
+	"repro/internal/splitloc"
 )
 
 // TestPhaseStatsGolden pins every charm.PhaseStats field of every day —
 // wire counts, per-PE traffic, local/remote split, reductions: the numbers
 // behind the bench's charm.* metrics and the paper's communication figures
-// — for eight sequential configurations, as the SHA-256 and length of
+// — for nine sequential configurations, as the SHA-256 and length of
 // json.Marshal(*Result). A day-loop refactor that means to keep the
 // counters must leave testdata/phasestats.golden alone; one that means to
 // change them replaces the lines this test prints on failure by hand
@@ -89,6 +90,24 @@ func TestPhaseStatsGolden(t *testing.T) {
 			c.AggBufferSize = 64
 			c.Kernel = KernelEvent
 			c.KernelThreshold = 0.05
+			return c
+		}},
+		// Active days on a split population with mixing, 2D routing, small
+		// aggregation buffers and two managers per rank: mixing replicas,
+		// relayed envelopes and partly filled buffers in one run.
+		{"auto-mixing-route2d-cf2-9pe", func() Config {
+			split, _, err := splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := base()
+			c.Population = split
+			c.Ranks = 9
+			c.AggBufferSize = 8
+			c.Route2D = true
+			c.ChareFactor = 2
+			c.Kernel = KernelAuto
+			c.Mixing = 0.3
 			return c
 		}},
 	}
