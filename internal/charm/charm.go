@@ -21,17 +21,22 @@
 // perfmodel.go answers from the placement.
 //
 // The messaging layer exists once, as the methods of a per-PE worker:
-// forward (routing and aggregation), transmit (the wire), flush, take and
-// process. Two schedulers drive the same workers: a deterministic
-// sequential one that visits PEs round-robin (used for large logical-PE
-// sweeps) and a parallel one with a goroutine per PE and a polling
-// completion detector (real concurrency). Everything a chare can observe,
-// and every PhaseStats field that counts chare-level traffic — Messages,
-// Bytes, ByLocality, Reductions, and per PE MsgsIn, MsgsOut, BytesOut and
-// Delivered — is identical under both; equality of the two is a test
-// oracle. WireMessages and PerPE[].WireOut are deterministic in sequential
-// mode only: in parallel mode they depend on when a PE happened to run out
-// of work and flush.
+// forward (routing, aggregation, wire counts), transmit (moving envelopes
+// between PEs), flush, take and process. An envelope carries n chare-level
+// messages — one for Ctx.Send, n for a Ctx.SendN batch, which its receiver
+// handles in one Recv — and every counter charges it as n single sends:
+// Delivered counts chare-level messages, and forward and flush count wire
+// messages from the chare-level messages buffered per next hop. Two
+// schedulers drive the same workers: a deterministic sequential one that
+// visits PEs round-robin (used for large logical-PE sweeps) and a parallel
+// one with a goroutine per PE and a polling completion detector (real
+// concurrency). Everything a chare can observe, and every PhaseStats field
+// that counts chare-level traffic — Messages, Bytes, ByLocality,
+// Reductions, and per PE MsgsIn, MsgsOut, BytesOut and Delivered — is
+// identical under both; equality of the two is a test oracle. WireMessages
+// and PerPE[].WireOut are deterministic in sequential mode only: in
+// parallel mode they depend on when a PE happened to run out of work and
+// flush.
 //
 // A worker's queues are recycled, not reallocated every round: take hands
 // the inbox the buffer the previous take returned, process swaps the local
@@ -139,7 +144,7 @@ type PETraffic struct {
 	MsgsIn, MsgsOut int64
 	WireOut         int64 // every wire message leaves the PE
 	BytesOut        int64
-	Delivered       int64 // chare Recv invocations
+	Delivered       int64 // chare-level messages delivered (a batch of n counts n)
 }
 
 // Runtime executes chare arrays over PEs.
@@ -162,6 +167,7 @@ type array struct {
 type envelope struct {
 	to  ChareRef
 	msg Message
+	n   int32 // chare-level messages msg stands for: 1, or SendN's n
 	// relay marks an envelope parked at a 2D-routing intermediate: it must
 	// be forwarded toward its destination, not delivered to a chare.
 	relay bool
@@ -204,11 +210,20 @@ type worker struct {
 	local, spare, taken []envelope
 	// agg holds one aggregation buffer per next-hop PE, allocated on the
 	// first buffered send; dirty lists the hops buffered since the last
-	// flush (a buffer that filled and refilled is listed twice, which
+	// flush (a buffer that emptied and refilled is listed twice, which
 	// flush tolerates).
-	agg   [][]envelope
+	agg   []aggBuffer
 	dirty []PE
 	ledger
+}
+
+// aggBuffer is one next hop's envelopes not yet transmitted and n, the
+// chare-level messages buffered since its last wire message: a batch that
+// fills the buffer moves whole, but its messages past the last full buffer
+// stay in n for the next wire message, as if buffered one by one.
+type aggBuffer struct {
+	envs []envelope
+	n    int
 }
 
 // New creates a runtime. Arrays must be registered before the first Drain.
@@ -287,7 +302,7 @@ func (rt *Runtime) Broadcast(arrayID int32, msg Message) {
 func (rt *Runtime) Send(to ChareRef, msg Message) {
 	w := &rt.workers[rt.PlacementOf(to)]
 	w.seeded++
-	w.inbox.put(envelope{to: to, msg: msg})
+	w.inbox.put(envelope{to: to, msg: msg, n: 1})
 }
 
 // Ctx is passed to chare Recv methods.
@@ -296,15 +311,21 @@ type Ctx struct {
 }
 
 // Send delivers msg to another chare asynchronously.
-func (c *Ctx) Send(to ChareRef, msg Message) {
+func (c *Ctx) Send(to ChareRef, msg Message) { c.SendN(to, msg, 1) }
+
+// SendN delivers msg to another chare asynchronously as one envelope that
+// stands for n chare-level messages of msg's size each — a batch the
+// receiver handles in one Recv. Every PhaseStats counter charges it as n
+// calls of Send.
+func (c *Ctx) SendN(to ChareRef, msg Message, n int) {
 	w := c.w
 	final := w.rt.PlacementOf(to)
-	w.MsgsOut++
-	w.BytesOut += msgBytes(msg)
+	w.MsgsOut += int64(n)
+	w.BytesOut += int64(n) * msgBytes(msg)
 	if final == w.pe {
-		w.localOut++
+		w.localOut += int64(n)
 	}
-	w.forward(envelope{to: to, msg: msg}, final)
+	w.forward(envelope{to: to, msg: msg, n: int32(n)}, final)
 }
 
 // Contribute adds val into the named phase reduction (sum).
@@ -334,7 +355,8 @@ func (rt *Runtime) intermediate(src, dst PE) PE {
 
 // forward moves env one hop from this PE toward final, the PE hosting
 // env.to: onto the local queue, or into the aggregation buffer of the next
-// hop (the 2D-routing relay when enabled), which is transmitted when full.
+// hop (the 2D-routing relay when enabled), which is transmitted, and
+// counted as one wire message per AggBufferSize messages, once full.
 func (w *worker) forward(env envelope, final PE) {
 	if final == w.pe {
 		w.local = append(w.local, env)
@@ -342,6 +364,7 @@ func (w *worker) forward(env envelope, final PE) {
 	}
 	cfg := &w.rt.cfg
 	if cfg.AggBufferSize == 0 {
+		w.WireOut += int64(env.n)
 		w.transmit(final, env)
 		return
 	}
@@ -351,37 +374,44 @@ func (w *worker) forward(env envelope, final PE) {
 	}
 	env.relay = next != final
 	if w.agg == nil {
-		w.agg = make([][]envelope, cfg.PEs)
+		w.agg = make([]aggBuffer, cfg.PEs)
 	}
-	buf := append(w.agg[next], env)
-	if len(buf) == 1 {
+	b := &w.agg[next]
+	if b.n == 0 {
 		w.dirty = append(w.dirty, next)
 	}
-	if len(buf) >= cfg.AggBufferSize {
-		w.transmit(next, buf...)
-		buf = buf[:0]
+	b.envs = append(b.envs, env)
+	b.n += int(env.n)
+	if b.n >= cfg.AggBufferSize {
+		w.WireOut += int64(b.n / cfg.AggBufferSize)
+		b.n %= cfg.AggBufferSize
+		w.transmit(next, b.envs...)
+		b.envs = b.envs[:0]
 	}
-	w.agg[next] = buf
 }
 
-// transmit sends batch to another PE as one wire message. It is the only
-// place a wire message is counted and the only place envelopes cross PEs
-// (local delivery never reaches it, so never hits the wire).
-func (w *worker) transmit(next PE, batch ...envelope) {
-	w.WireOut++
-	w.rt.produced.Add(int64(len(batch)))
-	w.rt.workers[next].inbox.put(batch...)
+// transmit moves envelopes to another PE's inbox: the only place they
+// cross PEs (local delivery never reaches it, so never hits the wire).
+func (w *worker) transmit(next PE, envs ...envelope) {
+	w.rt.produced.Add(int64(len(envs)))
+	w.rt.workers[next].inbox.put(envs...)
 }
 
-// flush transmits every non-empty aggregation buffer — the rule for a PE
-// that has run out of work, the same one PMs follow after producing all
-// visit messages — and reports whether there was one.
+// flush sends every non-empty aggregation buffer — the rule for a PE that
+// has run out of work, the same one PMs follow after producing all visit
+// messages — counting one wire message for each partly filled one, and
+// reports whether it moved any envelope.
 func (w *worker) flush() bool {
 	sent := false
 	for _, next := range w.dirty {
-		if buf := w.agg[next]; len(buf) > 0 {
-			w.transmit(next, buf...)
-			w.agg[next] = buf[:0]
+		b := &w.agg[next]
+		if b.n > 0 {
+			w.WireOut++
+			b.n = 0
+		}
+		if len(b.envs) > 0 {
+			w.transmit(next, b.envs...)
+			b.envs = b.envs[:0]
 			sent = true
 		}
 	}
@@ -408,7 +438,7 @@ func (w *worker) process(q []envelope) {
 				w.forward(env, w.rt.PlacementOf(env.to))
 				continue
 			}
-			w.Delivered++
+			w.Delivered += int64(env.n)
 			w.rt.Chare(env.to).Recv(&w.ctx, env.msg)
 		}
 		q, w.local, w.spare = w.local, w.spare[:0], w.local

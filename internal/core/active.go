@@ -25,10 +25,10 @@ import (
 //   - the frontier walk evaluates exactly those filters with exactly the
 //     keyed draws the dense person phase makes, so the marked set is
 //     precisely the set of locations where dense could transmit;
-//   - every static visitor of a marked location re-evaluates its own
-//     schedule through the same shared filter, so marked locations
-//     receive exactly the dense kernel's kept-visit multiset, and the
-//     per-location DES output is arrival-order-insensitive;
+//   - every visit of a marked location is re-evaluated by its visitor's PM
+//     through the same shared filter, so marked locations receive exactly
+//     the dense kernel's kept-visit multiset, and the per-location DES
+//     output is arrival-order-insensitive;
 //   - unmarked locations receive nothing and would have produced no
 //     infections; and
 //   - phase 3 resolves the same infect-message multiset in the same
@@ -41,15 +41,15 @@ import (
 // part of the phase statistics.
 
 // keepVisit evaluates the behavioral filters (isolation, closures,
-// demand reduction) for one visit, making exactly the keyed draws the
-// dense person phase makes. Shared by the person phase, the frontier walk
-// and the event kernel, so they can never disagree about which visits
-// happen.
-func (e *Engine) keepVisit(p int32, isolated bool, locID int32, loc *synthpop.Location, day int) bool {
+// demand reduction) for one visit of person p, in health state hs, making
+// exactly the keyed draws the dense person phase makes. Shared by the
+// person phase, the frontier walk and the event kernel, so they can never
+// disagree about which visits happen.
+func (e *Engine) keepVisit(p int32, hs *personState, locID int32, loc *synthpop.Location, day int) bool {
 	if loc.Type == synthpop.Home {
 		return true
 	}
-	if isolated {
+	if e.effects.Isolated(e.stateNames[hs.State]) {
 		return false
 	}
 	eff := e.effects
@@ -89,12 +89,11 @@ func (e *Engine) walkFrontier(day int, visit func(v *synthpop.Visit, inf float64
 			if inf <= 0 {
 				continue
 			}
-			isolated := e.effects.Isolated(e.stateNames[hs.State])
 			visits := e.pop.PersonVisits(p)
 			for i := range visits {
 				v := &visits[i]
 				loc := &e.pop.Locations[v.Loc]
-				if !e.keepVisit(p, isolated, v.Loc, loc, day) {
+				if !e.keepVisit(p, hs, v.Loc, loc, day) {
 					continue
 				}
 				e.markActive(v.Loc)
@@ -142,25 +141,26 @@ func (e *Engine) runDayStepped(day int, kernel string, dense bool) DayReport {
 	}
 	if dense || len(e.activeLocList) > 0 {
 		e.beginLocationDay()
-		// Active person set: every static visitor of an active location,
-		// deduped and bucketed per PM. Their order is not observable: the
-		// DES walks slots in static order, and infections are re-sorted
-		// canonically.
-		for _, locID := range e.activeLocList {
-			for _, vi := range e.visitsAt(locID) {
-				p := e.pop.Visits[vi].Person
-				if e.personMark[p] {
-					continue
+		// An active day's person phase: every slot of an active location,
+		// bucketed by the PM managing its visitor. Their order is not
+		// observable: an LM fills static slots, the DES walks them in static
+		// order, and infections are re-sorted canonically.
+		if !dense {
+			for pmID := range e.activeSlots {
+				e.activeSlots[pmID] = e.activeSlots[pmID][:0]
+			}
+			for _, l := range e.activeLocList {
+				for s := e.locOffsets[l]; s < e.locOffsets[l+1]; s++ {
+					p := e.sched.Visit(s).Person
+					pmID := e.pmOf[p]
+					e.activeSlots[pmID] = append(e.activeSlots[pmID], slotRef{s, l, p})
 				}
-				e.personMark[p] = true
-				pmID := e.pmOf[p]
-				e.activePersons[pmID] = append(e.activePersons[pmID], p)
 			}
 		}
 
-		// Phase 1: person phase, at every PM or those owning active persons.
+		// Phase 1: person phase, at every PM or those with active slots.
 		for pmID := range e.pmHealth {
-			if dense || len(e.activePersons[pmID]) > 0 {
+			if dense || len(e.activeSlots[pmID]) > 0 {
 				e.rt.Send(charm.ChareRef{Array: e.pmArr, Index: int32(pmID)}, msgComputeVisits{Day: day})
 			}
 		}

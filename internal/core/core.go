@@ -19,7 +19,8 @@
 //
 // A day allocates per rank, not per message. Managers send messages in
 // place: each is appended to a slab its sender owns and a pointer into the
-// slab is sent (personManager.visits, locationManager.result). The rule
+// slab is sent (locationManager.result; a PM's per-LM visit batches,
+// personManager.batches, each sent whole by one charm.Ctx.SendN). The rule
 // that makes this safe: a slab is rewritten only by the same phase of the
 // next day — by then the phase it was sent in has completed, which means
 // every message was consumed, and a receiver copies what it keeps — and
@@ -243,18 +244,19 @@ type Engine struct {
 	// The inverted static schedule, computed on first use (visitIndex):
 	// location l's visits are pop.Visits[i] for i in
 	// locOrder[locOffsets[l]:locOffsets[l+1]]. The location phase's static
-	// schedule (schedule.go) numbers its slots the same way, and slotOf maps
-	// a visit index to its slot; both are built by the first day that runs
-	// a location phase.
+	// schedule (schedule.go) numbers its slots the same way, and pmSlots[pm]
+	// lists the slots of PM pm's persons' visits, in slot order: a dense
+	// day's person phase. Both are built by the first day that runs a
+	// location phase.
 	locOffsets []int32
 	locOrder   []int32
 	sched      *des.Schedule
-	slotOf     []int32
+	pmSlots    [][]slotRef
 
 	// Active-set scratch, allocated lazily on the first non-dense day.
-	activeLoc     []bool  // location → active this day (read-only during phases)
-	activeLocList []int32 // the marked locations, for O(active) clearing
-	activePersons [][]int32
+	activeLoc     []bool      // location → active this day (read-only during phases)
+	activeLocList []int32     // the marked locations, for O(active) clearing
+	activeSlots   [][]slotRef // PM → its slots at active locations: an active day's person phase
 	personMark    []bool
 	lmNeeded      []bool // LM → owns an active location today
 	// Event-kernel scratch, allocated on its first day: the frontier's kept
@@ -279,6 +281,10 @@ type pmHealth struct {
 	progressing []int32
 }
 
+// slotRef is a visit's slot in the static schedule, its location and its
+// person (which the slot holds too, but a PM reads it here, in list order).
+type slotRef struct{ slot, loc, person int32 }
+
 // visitMsg is one visit message (paper Section II-B step 1): the visit's
 // slot in the static schedule, which stands for the person, sublocation and
 // times, the location it is sent to (a sibling fragment's, for a mixing
@@ -289,10 +295,14 @@ type visitMsg struct {
 	Inf, Sus float32
 }
 
-// WireSize is the paper's visit message in a compact binary encoding —
+// visitBatch is the visit messages one PM sends one LM in a person phase,
+// sent as one envelope that counts as len(batch) messages (charm.Ctx.SendN).
+type visitBatch []visitMsg
+
+// WireSize is one visit message in the paper's compact binary encoding —
 // person, location, sublocations, times and disease parameters — not the
 // Go struct, which carries a slot in place of the static fields.
-func (visitMsg) WireSize() int { return 32 }
+func (visitBatch) WireSize() int { return 32 }
 
 // infectMsg is one infect message (step 3): the DES's infection record,
 // sent in place from the des.Result it was appended to.
@@ -662,7 +672,7 @@ func (e *Engine) beginDay(day int, dense bool) {
 	if !dense && e.activeLoc == nil {
 		e.activeLoc = make([]bool, e.pop.NumLocations())
 		e.personMark = make([]bool, e.pop.NumPersons())
-		e.activePersons = make([][]int32, len(e.pmHealth))
+		e.activeSlots = make([][]slotRef, len(e.pmHealth))
 		e.lmNeeded = make([]bool, e.rt.ArrayLen(e.lmArr))
 		e.visitIndex()
 	}
@@ -677,12 +687,6 @@ func (e *Engine) endDay(rep *DayReport) {
 		e.activeLoc[locID] = false
 	}
 	e.activeLocList = e.activeLocList[:0]
-	for pmID := range e.activePersons {
-		for _, p := range e.activePersons[pmID] {
-			e.personMark[p] = false
-		}
-		e.activePersons[pmID] = e.activePersons[pmID][:0]
-	}
 	e.effects.Tick()
 }
 

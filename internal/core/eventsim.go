@@ -70,8 +70,7 @@ func (e *Engine) runDayEvent(day int) DayReport {
 			if sus <= 0 {
 				continue
 			}
-			isolated := e.effects.Isolated(e.stateNames[hs.State])
-			if !e.keepVisit(p, isolated, v.Loc, &e.pop.Locations[v.Loc], day) {
+			if !e.keepVisit(p, hs, v.Loc, &e.pop.Locations[v.Loc], day) {
 				continue
 			}
 			var h float64

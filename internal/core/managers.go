@@ -14,28 +14,33 @@ type personManager struct {
 	eng     *Engine
 	id      int32
 	persons []int32
-	// visits is the slab this PM sends its visit messages from: a message
-	// is appended and &visits[i] is sent, which boxes nothing. Lifetime
-	// rule (package comment): emptied only at the start of the next day's
-	// person phase, after every receiver has copied what it was sent, and
-	// only appended to within a phase, so growing it mid-phase leaves the
-	// pointers already sent on the old array, which nobody writes again.
-	// Its first use sizes it to the persons' static visits, so only
-	// mixing-mode replicas can grow it.
-	visits []visitMsg
+	// batches[lm] collects the visit messages of a person phase bound for
+	// LM lm; once complete, &batches[lm] is sent as one envelope, which
+	// boxes nothing. Lifetime rule (package comment): emptied only at the
+	// start of the next day's person phase, after every receiver has copied
+	// what it was sent. Their first use sizes them to the PM's static
+	// slots, so only mixing-mode replicas can grow one.
+	batches []visitBatch
 }
 
-// beginVisits empties the visit slab for a person phase, allocating it on
-// the first.
-func (pm *personManager) beginVisits() {
-	if pm.visits == nil {
-		n := 0
-		for _, p := range pm.persons {
-			n += len(pm.eng.pop.PersonVisits(p))
+// beginBatches empties the per-LM batches for a person phase, allocating
+// them on the first as windows of one array.
+func (pm *personManager) beginBatches() {
+	e := pm.eng
+	if pm.batches == nil {
+		size := make([]int, e.rt.ArrayLen(e.lmArr))
+		for _, r := range e.pmSlots[pm.id] {
+			size[e.lmOf[r.loc]]++
 		}
-		pm.visits = make([]visitMsg, 0, n)
+		buf := make([]visitMsg, len(e.pmSlots[pm.id]))
+		pm.batches = make([]visitBatch, len(size))
+		for lm, n := range size {
+			pm.batches[lm], buf = buf[:0:n], buf[n:]
+		}
 	}
-	pm.visits = pm.visits[:0]
+	for lm := range pm.batches {
+		pm.batches[lm] = pm.batches[lm][:0]
+	}
 }
 
 func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
@@ -51,71 +56,57 @@ func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	}
 }
 
-// computeVisits is phase 1 for this PM's persons — all of them on a dense
-// day, only its active persons otherwise: evaluate behavioral filters
-// (closures, isolation, demand reduction) and send one visit message per
-// kept visit, on an active day only to active locations.
+// computeVisits is phase 1 for this PM's slots — all of them on a dense
+// day, only those at active locations otherwise: evaluate each visitor's
+// behavioral filters (closures, isolation, demand reduction), batch one
+// visit message per kept visit for the manager of its location, and send
+// every LM its batch. The filters draw from content-keyed streams, so
+// restricting the slots cannot perturb any other draw.
 func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
 	e := pm.eng
-	persons, active := pm.persons, []bool(nil)
+	slots := e.pmSlots[pm.id]
 	if !e.denseDay {
-		persons, active = e.activePersons[pm.id], e.activeLoc
+		slots = e.activeSlots[pm.id]
 	}
-	pm.beginVisits()
-	for _, p := range persons {
-		pm.sendVisits(ctx, p, day, active)
-	}
-}
-
-// sendVisits evaluates person p's schedule for the day and sends one
-// visit message per kept visit — to every location (dense), or only to
-// locations marked in active (the active-set path). The behavioral
-// filters draw from content-keyed streams, so restricting the send set,
-// and skipping the filters of visits it excludes, cannot perturb any
-// other draw.
-func (pm *personManager) sendVisits(ctx *charm.Ctx, p int32, day int, active []bool) {
-	e := pm.eng
-	hs := &e.health[p]
-	isolated := e.effects.Isolated(e.stateNames[hs.State])
-	inf := e.model.Infectivity(hs.State, hs.Treatment)
-	sus := e.model.Susceptibility(hs.State, hs.Treatment)
-
-	first := e.pop.PersonVisitOffsets[p]
-	for i, v := range e.pop.PersonVisits(p) {
-		// In mixing mode an active location's whole fragment family is
-		// active, so an inactive one has no sibling to replicate into.
-		if active != nil && !active[v.Loc] {
+	pm.beginBatches()
+	for _, r := range slots {
+		hs := &e.health[r.person]
+		loc := &e.pop.Locations[r.loc]
+		if !e.keepVisit(r.person, hs, r.loc, loc, day) {
 			continue
 		}
-		loc := &e.pop.Locations[v.Loc]
-		if !e.keepVisit(p, isolated, v.Loc, loc, day) {
-			continue
-		}
-		msg := visitMsg{Slot: e.slotOf[first+int32(i)], Loc: v.Loc, Inf: float32(inf), Sus: float32(sus)}
-		pm.sendVisit(ctx, msg)
+		inf := e.model.Infectivity(hs.State, hs.Treatment)
+		sus := e.model.Susceptibility(hs.State, hs.Treatment)
+		msg := visitMsg{Slot: r.slot, Loc: r.loc, Inf: float32(inf), Sus: float32(sus)}
+		pm.batch(msg)
 		// Mixing mode on a split location: replicate the infectious
 		// visitor into the sibling fragments so cross-sublocation
 		// pairs are still evaluated (Figure 6(b): "divide the
-		// susceptibles while replicating the infectious").
+		// susceptibles while replicating the infectious"). On an active
+		// day the whole family of an active location is active.
 		if e.cfg.Mixing > 0 && inf > 0 {
 			for _, frag := range e.fragments[loc.Origin] {
-				if frag == v.Loc {
+				if frag == r.loc {
 					continue
 				}
 				rep := msg
 				rep.Loc = frag
 				rep.Sus = 0 // replicas infect; they are infected at home
-				pm.sendVisit(ctx, rep)
+				pm.batch(rep)
 			}
+		}
+	}
+	for lm := range pm.batches {
+		if n := len(pm.batches[lm]); n > 0 {
+			ctx.SendN(charm.ChareRef{Array: e.lmArr, Index: int32(lm)}, &pm.batches[lm], n)
 		}
 	}
 }
 
-// sendVisit sends msg to the manager of its location from the slab. The
-// pointer is taken after the append, which may have moved the slab.
-func (pm *personManager) sendVisit(ctx *charm.Ctx, msg visitMsg) {
-	pm.visits = append(pm.visits, msg)
-	ctx.Send(charm.ChareRef{Array: pm.eng.lmArr, Index: pm.eng.lmOf[msg.Loc]}, &pm.visits[len(pm.visits)-1])
+// batch appends msg to the batch for the manager of its location.
+func (pm *personManager) batch(msg visitMsg) {
+	lm := pm.eng.lmOf[msg.Loc]
+	pm.batches[lm] = append(pm.batches[lm], msg)
 }
 
 // applyUpdates is phase 5/6: resolve buffered infect messages (earliest
@@ -187,7 +178,7 @@ type locationManager struct {
 	extras   [][]des.Visitor
 	// result accumulates the day's DES over this LM's locations, and its
 	// Infections are the slab the infect messages are sent from, under the
-	// rule of personManager.visits: reset only by the next day's location
+	// rule of personManager.batches: reset only by the next day's location
 	// phase, appended to (never rewritten) within one.
 	result des.Result
 }
@@ -205,20 +196,22 @@ func newLocationManager(e *Engine, id int32, locs []int32) *locationManager {
 
 func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	switch m := msg.(type) {
-	case *visitMsg:
+	case *visitBatch:
 		e := lm.eng
-		i := e.lmIndex[m.Loc]
-		if lm.received[i] == 0 {
-			lm.touched = append(lm.touched, i)
+		for _, v := range *m {
+			i := e.lmIndex[v.Loc]
+			if lm.received[i] == 0 {
+				lm.touched = append(lm.touched, i)
+			}
+			lm.received[i]++
+			if v.Slot >= e.locOffsets[v.Loc] && v.Slot < e.locOffsets[v.Loc+1] {
+				e.sched.Fill(v.Slot, float64(v.Inf), float64(v.Sus))
+				continue
+			}
+			x := e.sched.Visit(v.Slot)
+			x.Infectivity, x.Susceptibility = float64(v.Inf), float64(v.Sus)
+			lm.extras[i] = append(lm.extras[i], x)
 		}
-		lm.received[i]++
-		if m.Slot >= e.locOffsets[m.Loc] && m.Slot < e.locOffsets[m.Loc+1] {
-			e.sched.Fill(m.Slot, float64(m.Inf), float64(m.Sus))
-			return
-		}
-		v := e.sched.Visit(m.Slot)
-		v.Infectivity, v.Susceptibility = float64(m.Inf), float64(m.Sus)
-		lm.extras[i] = append(lm.extras[i], v)
 	case msgRunDES:
 		// Only the locations that received visits, in the order they first
 		// did. The order cannot change a counter: each location's DES is

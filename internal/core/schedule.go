@@ -24,17 +24,26 @@ func (e *Engine) visitsAt(l int32) []int32 {
 
 // beginLocationDay opens a day that runs a location phase, building the
 // static schedule on the first: slot s holds the static fields of visit
-// locOrder[s], so location l's slots are [locOffsets[l], locOffsets[l+1]).
+// locOrder[s], so location l's slots are [locOffsets[l], locOffsets[l+1]),
+// and each PM's slot list names them with their locations.
 func (e *Engine) beginLocationDay() {
 	if e.sched == nil {
 		e.visitIndex()
 		slots := make([]des.Visitor, len(e.locOrder))
-		e.slotOf = make([]int32, len(e.locOrder))
+		size := make([]int, len(e.pmHealth))
+		for i := range e.pop.Visits {
+			size[e.pmOf[e.pop.Visits[i].Person]]++
+		}
+		e.pmSlots = make([][]slotRef, len(e.pmHealth))
+		for pm, n := range size {
+			e.pmSlots[pm] = make([]slotRef, 0, n)
+		}
 		for s, vi := range e.locOrder {
 			v := &e.pop.Visits[vi]
 			slots[s] = des.Visitor{Person: v.Person, Sub: v.Sub, OrigSub: e.pop.Locations[v.Loc].SubBase + v.Sub,
 				Start: v.Start, End: v.End}
-			e.slotOf[vi] = int32(s)
+			pm := e.pmOf[v.Person]
+			e.pmSlots[pm] = append(e.pmSlots[pm], slotRef{int32(s), v.Loc, v.Person})
 		}
 		e.sched = des.NewSchedule(slots, e.locOffsets)
 	}
