@@ -19,10 +19,11 @@ import (
 // length of Multilevel(...).Assign (little-endian int32) for a table of
 // inputs that reaches every branch of the build — one and two constraints,
 // even, odd and deep k, a graph whose matching stalls, isolated vertices,
-// and the person–location graph plain and after splitLoc. A change that
-// means to keep placements must leave testdata/multilevel.golden alone; one
-// that means to move them replaces the lines this test prints on failure by
-// hand (there is no -update flag on purpose).
+// and the person–location graph plain and after splitLoc, at a small size
+// and at the bench's place-cold size. A change that means to keep
+// placements must leave testdata/multilevel.golden alone; one that means to
+// move them replaces the lines this test prints on failure by hand (there
+// is no -update flag on purpose).
 func TestMultilevelGolden(t *testing.T) {
 	type input struct {
 		name string
@@ -46,6 +47,16 @@ func TestMultilevelGolden(t *testing.T) {
 		t.Fatal("splitLoc split nothing: the split row would repeat the plain one")
 	}
 	inputs = append(inputs, input{"bipartite-split", episim.BuildBipartiteGraph(split), []int{16}})
+	// The bench's place-cold shape: many edge-heavy coarsening levels per
+	// bisection, which the 2,000-person rows never reach.
+	large := episim.Generate("golden", 30000, 7500, 3)
+	largeSplit, _, err := splitloc.SplitPopulation(large, splitloc.Options{MaxPartitions: 16384})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs,
+		input{"bipartite-large", episim.BuildBipartiteGraph(large), []int{64}},
+		input{"bipartite-large-split", episim.BuildBipartiteGraph(largeSplit), []int{64}})
 
 	raw, err := os.ReadFile("testdata/multilevel.golden")
 	if err != nil {
