@@ -24,7 +24,9 @@ import (
 
 // Graph is an undirected weighted graph in CSR form. Each undirected edge
 // {u,v} is stored twice, once in each endpoint's adjacency list. Adjacency
-// lists are sorted by neighbor id and contain no duplicates or self loops.
+// lists contain no duplicates or self loops and are sorted by neighbor id,
+// except in the partitioner's coarse graphs (first-seen order), on which
+// EdgeWeightBetween and Validate, which assume sorted rows, do not hold.
 type Graph struct {
 	numV int
 	nCon int // number of vertex weight components (balance constraints)
@@ -254,10 +256,10 @@ func sortRows(xadj, rowAdj []int32, rowW []int64, cursor []int32) ([]int32, []in
 
 // NewFromCSR constructs a Graph directly from CSR arrays, which the graph
 // takes over (not copied). It checks nothing: the caller owns every
-// invariant Validate lists, sortedness of each row included. Its callers
-// are the code that builds CSR natively — the partitioner's coarsening
-// step and episim.BuildBipartiteGraph — and their check is a differential
-// test against a Builder-built graph, not a run-time one.
+// invariant Validate lists. Its callers are the code that builds CSR
+// natively — the partitioner's coarsening step, whose rows are unsorted,
+// and episim.BuildBipartiteGraph — and their check is a differential test
+// against a Builder-built graph (rows sorted first), not a run-time one.
 func NewFromCSR(nCon int, xadj []int32, adj []int32, edgeW []int64, vw []int64) *Graph {
 	numV := len(xadj) - 1
 	return &Graph{numV: numV, nCon: nCon, xadj: xadj, adj: adj, edgeW: edgeW, vw: vw}

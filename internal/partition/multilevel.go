@@ -139,31 +139,50 @@ func origID(verts []int32, v int) int32 {
 // and reused by every coarsening level, refinement pass and bisection of
 // that call. It belongs to the call: concurrent builds share nothing.
 type workspace struct {
-	side   []int8  // bisect: the bisection being projected and refined
-	match  []int32 // contract: matching partner
-	pos    []int32 // contract: coarse neighbor -> its slot in the row being merged
-	rowAdj []int32 // contract: coarse rows in first-seen order, before the sorting transpose
-	rowW   []int64
-	cursor []int32   // contract: per-row write cursor of the transpose
-	gain   []int64   // refine2way: FM gain; initialBisect: weight into the region
-	ext    []int32   // refine2way: number of neighbors on the other side
-	moved  []bool    // refine2way: moved this pass; initialBisect: in the region
-	queue  gainQueue // refine2way, initialBisect
+	side  []int8       // bisect: the bisection being projected and refined
+	match []int32      // contract: matching partner
+	pos   []int32      // contract: matching order, then coarse neighbor -> its slot in the row
+	gain  []int64      // refine2way: FM gain; initialBisect: weight into the region
+	ext   []int32      // refine2way: number of neighbors on the other side
+	moved []bool       // refine2way: moved this pass; initialBisect: in the region
+	queue gainQueue    // refine2way, initialBisect
+	neg   []gainEntry  // refine2way: the negative-gain entries held out of the queue
+	i32   arena[int32] // contract: one bisection's cmaps and coarse graphs,
+	i64   arena[int64] // which die before bisect returns; bisect empties both
 }
 
 func newWorkspace(g *graph.Graph) *workspace {
-	n, m := g.NumVertices(), 2*g.NumEdges()
+	n := g.NumVertices()
 	return &workspace{
-		side:   make([]int8, n),
-		match:  make([]int32, n),
-		pos:    make([]int32, n),
-		rowAdj: make([]int32, m),
-		rowW:   make([]int64, m),
-		cursor: make([]int32, n),
-		gain:   make([]int64, n),
-		ext:    make([]int32, n),
-		moved:  make([]bool, n),
+		side:  make([]int8, n),
+		match: make([]int32, n),
+		pos:   make([]int32, n),
+		gain:  make([]int64, n),
+		ext:   make([]int32, n),
+		moved: make([]bool, n),
 	}
+}
+
+// arena is a bump allocator emptied by zeroing off. Growing starts a larger
+// buffer and leaves the old one to the slices already cut from it.
+type arena[T int32 | int64] struct {
+	buf []T
+	off int
+}
+
+func (a *arena[T]) alloc(n int) []T {
+	if a.off+n > len(a.buf) {
+		a.buf, a.off = make([]T, max(n, 2*len(a.buf))), 0
+	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	return s
+}
+
+// trim shortens s, the last slice alloc returned, to n, giving the rest back.
+func (a *arena[T]) trim(s []T, n int) []T {
+	a.off -= len(s) - n
+	return s[:n:n]
 }
 
 // bisect splits g into sides 0/1 where side 0 targets fraction f of every
@@ -171,6 +190,7 @@ func newWorkspace(g *graph.Graph) *workspace {
 // bisect on the same workspace.
 func bisect(g *graph.Graph, f float64, opt Options, seed uint64, wk *workspace) []int8 {
 	s := xrand.NewStream(seed)
+	wk.i32.off, wk.i64.off = 0, 0
 	// Coarsening phase.
 	graphs := []*graph.Graph{g}
 	var cmaps [][]int32
@@ -207,28 +227,28 @@ func bisect(g *graph.Graph, f float64, opt Options, seed uint64, wk *workspace) 
 }
 
 // contract performs one level of heavy-edge matching coarsening. It
-// returns the fine→coarse vertex map and the coarse graph, which it writes
-// as CSR: each coarse row is the one or two fine rows of its members mapped
-// through cmap, with duplicate coarse neighbors summed through a dense
-// position marker, and one transpose of the (symmetric) result sorts every
-// row by neighbor id.
+// returns the fine→coarse vertex map and the coarse graph, written as CSR
+// into the workspace arenas: each coarse row is its members' fine rows mapped
+// through cmap, duplicates summed through a dense position marker, in
+// first-seen order (no reader of a coarse row depends on its order).
 func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.Graph) {
 	n := g.NumVertices()
-	match := wk.match[:n]
+	match, order := wk.match[:n], wk.pos[:n]
 	for i := range match {
 		match[i] = -1
 	}
-	order := s.Perm(n)
-	for _, vi := range order {
-		v := int32(vi)
+	s.PermInt32(order)
+	for _, v := range order {
 		if match[v] >= 0 {
 			continue
 		}
+		// The heaviest edge to an unmatched neighbor, ties to the lowest id
+		// (a sorted row's first maximum) in a row of any order.
 		nbrs, ws := g.Neighbors(int(v))
 		best := int32(-1)
 		var bestW int64 = -1
 		for i, u := range nbrs {
-			if match[u] < 0 && ws[i] > bestW {
+			if match[u] < 0 && (ws[i] > bestW || ws[i] == bestW && u < best) {
 				best, bestW = u, ws[i]
 			}
 		}
@@ -240,7 +260,7 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 		}
 	}
 	// A coarse vertex is numbered when its lower-numbered member comes up.
-	cmap := make([]int32, n)
+	cmap := wk.i32.alloc(n)
 	var numCoarse int32
 	for v := 0; v < n; v++ {
 		if m := match[v]; int(m) >= v {
@@ -250,13 +270,15 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 	}
 
 	nCon := g.NumConstraints()
-	vw := make([]int64, int(numCoarse)*nCon)
-	xadj := make([]int32, numCoarse+1)
+	vw := wk.i64.alloc(int(numCoarse) * nCon)
+	clear(vw)
+	xadj := wk.i32.alloc(int(numCoarse) + 1)
 	pos := wk.pos[:numCoarse]
 	for i := range pos {
 		pos[i] = -1
 	}
-	rowAdj, rowW := wk.rowAdj, wk.rowW
+	// A coarse row is no longer than its members' rows together.
+	adj, ew := wk.i32.alloc(2*g.NumEdges()), wk.i64.alloc(2*g.NumEdges())
 	out := int32(0)
 	for v := 0; v < n; v++ {
 		m := int(match[v])
@@ -280,11 +302,11 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 				// Slots only grow, so a position an earlier row left in
 				// pos is below this row's start.
 				if p := pos[cu]; p >= start {
-					rowW[p] += ws[i]
+					ew[p] += ws[i]
 					continue
 				}
 				pos[cu] = out
-				rowAdj[out], rowW[out] = cu, ws[i]
+				adj[out], ew[out] = cu, ws[i]
 				out++
 			}
 			if fv == m {
@@ -293,19 +315,7 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 		}
 	}
 	xadj[numCoarse] = out
-
-	adj := make([]int32, out)
-	ew := make([]int64, out)
-	cursor := wk.cursor[:numCoarse]
-	copy(cursor, xadj)
-	for cv := int32(0); cv < numCoarse; cv++ {
-		for i := xadj[cv]; i < xadj[cv+1]; i++ {
-			c := cursor[rowAdj[i]]
-			adj[c], ew[c] = cv, rowW[i]
-			cursor[rowAdj[i]] = c + 1
-		}
-	}
-	return cmap, graph.NewFromCSR(nCon, xadj, adj, ew, vw)
+	return cmap, graph.NewFromCSR(nCon, xadj, wk.i32.trim(adj, int(out)), wk.i64.trim(ew, int(out)), vw)
 }
 
 // initialBisect seeds side 0 by greedy graph growing: grow a region from a
@@ -469,12 +479,24 @@ func (q *gainQueue) push(x gainEntry) {
 }
 
 func (q *gainQueue) pop() gainEntry {
-	e := q.e
-	top := e[0]
-	n := len(e) - 1
-	x := e[n]
-	q.e = e[:n]
-	i := 0
+	top, n := q.e[0], len(q.e)-1
+	q.e[0], q.e = q.e[n], q.e[:n]
+	if n > 0 {
+		q.down(0)
+	}
+	return top
+}
+
+// heapify makes a heap of entries appended to q.e directly, in O(len).
+func (q *gainQueue) heapify() {
+	for i := len(q.e)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// down sifts q.e[i] down to its place.
+func (q *gainQueue) down(i int) {
+	e, n, x := q.e, len(q.e), q.e[i]
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -489,8 +511,7 @@ func (q *gainQueue) pop() gainEntry {
 		e[i] = e[child]
 		i = child
 	}
-	e[i] = x // when the queue is now empty this rewrites the popped slot, harmlessly
-	return top
+	e[i] = x
 }
 
 // refine2way improves a bisection by boundary FM passes: repeatedly move
@@ -534,19 +555,17 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 	// when the next pass starts.
 	gain, ext := wk.gain[:n], wk.ext[:n]
 	for v := 0; v < n; v++ {
-		var d int64
-		var x int32
+		var d, all, x int64
+		sv := side[v]
 		nbrs, ws := g.Neighbors(v)
 		for i, u := range nbrs {
-			if side[u] == side[v] {
-				d -= ws[i]
-			} else {
-				d += ws[i]
-				x++
-			}
+			o := int64(side[u] ^ sv) // 1 across the cut, 0 within a side
+			d += o * ws[i]
+			all += ws[i]
+			x += o
 		}
-		gain[v] = d
-		ext[v] = x
+		gain[v] = 2*d - all
+		ext[v] = int32(x)
 	}
 
 	overweight := func(sd int8) bool {
@@ -579,21 +598,38 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 		return delta
 	}
 
-	moved, h := wk.moved[:n], &wk.queue
+	// Every gain >= 0 pops before every negative one, and with balance fine
+	// the first valid negative pop ends the pass: negative entries wait
+	// unsorted in neg, heaped only if the heap runs dry with a side overweight.
+	moved, h, neg := wk.moved[:n], &wk.queue, wk.neg[:0]
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		h.reset()
+		neg = neg[:0]
 		clear(moved)
 		for v := 0; v < n; v++ {
 			// The boundary, and isolated vertices: a balance move may need
 			// one, and it can go anywhere for free.
 			if ext[v] > 0 || g.Degree(v) == 0 {
-				h.push(gainEntry{gain: gain[v], v: int32(v)})
+				if e := (gainEntry{gain: gain[v], v: int32(v)}); e.gain >= 0 {
+					h.e = append(h.e, e)
+				} else {
+					neg = append(neg, e)
+				}
 			}
 		}
+		h.heapify()
+		split := true
 		var passGain int64
 		var passRepair float64
 		movesMade := 0
-		for h.len() > 0 {
+		for {
+			if h.len() == 0 && split && (overweight(0) || overweight(1)) {
+				h.e, split = append(h.e, neg...), false
+				h.heapify()
+			}
+			if h.len() == 0 {
+				break
+			}
 			e := h.pop()
 			v := int(e.v)
 			if moved[v] || e.gain != gain[v] {
@@ -640,8 +676,13 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 					gain[u] += 2 * ws[i]
 					ext[u]++
 				}
-				if !moved[u] { // a moved vertex is out of this pass
-					h.push(gainEntry{gain: gain[u], v: u})
+				if moved[u] { // a moved vertex is out of this pass
+					continue
+				}
+				if e := (gainEntry{gain: gain[u], v: u}); split && e.gain < 0 {
+					neg = append(neg, e)
+				} else {
+					h.push(e)
 				}
 			}
 		}
@@ -652,4 +693,5 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 			break
 		}
 	}
+	wk.neg = neg
 }

@@ -16,12 +16,16 @@
 //
 // Multilevel is the cold placement build's cost, so it goes through no
 // general-purpose container: coarse graphs and bisection subgraphs are
-// written as CSR (graph.NewFromCSR, Graph.InducedSubgraph; rows come out
-// sorted by transposing, not by comparing), the FM gain queue is a typed
-// heap, and one workspace per call is reused by every level, pass and
-// bisection. Its placements are pinned by testdata/multilevel.golden, and
-// differential_test.go keeps the builder-based coarsening and the
-// container/heap queue as the oracles of the code that replaced them.
+// written as CSR (graph.NewFromCSR, Graph.InducedSubgraph), the FM gain
+// queue is a typed heap, and one workspace per call (with arenas for one
+// bisection's coarse graphs) is reused by every level, pass and bisection.
+// Coarse rows stay in first-seen order, as nothing reads them in order: the
+// matching breaks weight ties to the lower id, gains and cuts are sums, and
+// the queue's order is total, so refinement may also hold its negative
+// gains out of the heap. Placements are pinned by
+// testdata/multilevel.golden; differential_test.go keeps the builder-based
+// coarsening (compared as sorted rows), the container/heap queue and the
+// one-heap refinement as oracles of the code that replaced them.
 package partition
 
 import (

@@ -140,6 +140,18 @@ func (s *Stream) Perm(n int) []int {
 	return p
 }
 
+// PermInt32 fills dst with the permutation Perm(len(dst)) returns, by the
+// same draws: the stream is left as Perm leaves it.
+func (s *Stream) PermInt32(dst []int32) {
+	for i := range dst {
+		dst[i] = int32(i)
+	}
+	for i := len(dst) - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		dst[i], dst[j] = dst[j], dst[i]
+	}
+}
+
 // Hash combines an arbitrary tuple of 64-bit keys into a single
 // well-mixed 64-bit hash. It is the basis of all keyed draws.
 func Hash(keys ...uint64) uint64 {

@@ -185,6 +185,23 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+func TestPermInt32MatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 10, 1000} {
+		a, b := NewStream(uint64(n)+3), NewStream(uint64(n)+3)
+		want := a.Perm(n)
+		got := make([]int32, n)
+		b.PermInt32(got)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("PermInt32(%d)[%d] = %d, Perm has %d", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams differ after the permutation", n)
+		}
+	}
+}
+
 func TestHashDeterministic(t *testing.T) {
 	if Hash(1, 2, 3) != Hash(1, 2, 3) {
 		t.Fatal("Hash is not deterministic")
