@@ -249,10 +249,10 @@ type Engine struct {
 	// The visits in location order, copied on first use (visitIndex):
 	// location l's are locVisits[locOffsets[l]:locOffsets[l+1]], so the event
 	// kernel and the schedule build read them sequentially. The location
-	// phase's static schedule (schedule.go) numbers its slots the same way,
-	// and pmSlots[pm] lists the slots of PM pm's persons' visits, in slot
-	// order: a dense day's person phase. Both are built by the first day that
-	// runs a location phase.
+	// phase's static schedule (schedule.go) gives location l the same slot
+	// range, numbered in arrival order, and pmSlots[pm] lists the slots of
+	// PM pm's persons' visits, in locVisits order: a dense day's person
+	// phase. Both are built by the first day that runs a location phase.
 	locOffsets []int32
 	locVisits  []synthpop.Visit
 	sched      *des.Schedule

@@ -28,9 +28,9 @@ func (e *Engine) visitIndex() {
 }
 
 // beginLocationDay opens a day that runs a location phase, building the
-// static schedule on the first: slot s holds the static fields of visit
-// locVisits[s], so location l's slots are [locOffsets[l], locOffsets[l+1]),
-// and each PM's slot list names them with their locations.
+// static schedule on the first: location l's visits are its slots
+// [locOffsets[l], locOffsets[l+1]), which the schedule numbers in arrival
+// order, and each PM's slot list names them with their locations.
 func (e *Engine) beginLocationDay() {
 	if e.sched == nil {
 		e.visitIndex()
@@ -50,7 +50,13 @@ func (e *Engine) beginLocationDay() {
 			pm := e.pmOf[v.Person]
 			e.pmSlots[pm] = append(e.pmSlots[pm], slotRef{int32(s), v.Loc, v.Person})
 		}
-		e.sched = des.NewSchedule(slots, e.locOffsets)
+		var renumber []int32
+		e.sched, renumber = des.NewSchedule(slots, e.locOffsets)
+		for _, refs := range e.pmSlots {
+			for i := range refs {
+				refs[i].slot = renumber[refs[i].slot]
+			}
+		}
 	}
 	e.sched.NextDay()
 }

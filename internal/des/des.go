@@ -12,23 +12,25 @@
 // A location's visits are the same every day — only who is infectious or
 // susceptible, and which visits the behavioural filters drop, change — so
 // its event order is static, the premise of the paper's static load model.
-// A Schedule computes that order once, by counting passes: every visit gets
-// a slot in its location's range, each location its events in (minute,
-// depart before arrive, slot) order and its occupancy groups by
+// A Schedule computes that order once, by counting passes: each location
+// its events in (minute, depart before arrive, visit) order, its slots
+// numbered in arrival order (the numbering is the schedule's, so the walk
+// reads slots at increasing addresses) and its occupancy groups by
 // sublocation. A day fills the slots that visit (Fill), and
 // Schedule.Simulate walks the location's static order, skipping slots not
-// filled today. Visitors the schedule does not hold — in the engine, the
-// mixing-mode replicas of another fragment's infectious visitors — are
-// extras: sorted per call and merged into the walk. Simulate is the same
-// walk over an empty schedule, every visitor an extra.
+// filled today; a departure reads no slot. Visitors the schedule does not
+// hold — in the engine, the mixing-mode replicas of another fragment's
+// infectious visitors — are extras: sorted per call and merged into the
+// walk. Simulate is the same walk over an empty schedule, every visitor an
+// extra.
 //
 // Every co-present pair is counted (Result.Interactions), but only
 // susceptible–infectious pairs are tried: each occupancy group keeps its
 // present infectious and susceptible visitors apart, and an arrival walks
-// only the list it can exchange the disease with. The walk's working memory
-// lives in unexported fields of the Result the caller passes, so a caller
-// that reuses one Result (Reset keeps capacity) simulates location-days
-// without allocating.
+// only the list it can exchange the disease with; a trial's exponential is
+// paid only by a draw under a cheap bound of its probability. The walk's
+// scratch lives in unexported fields of the Result the caller passes, so a
+// caller that reuses one Result (Reset keeps capacity) does not allocate.
 package des
 
 import (
@@ -139,6 +141,7 @@ type visitorState struct {
 	group   int32    // dense occupancy group
 	pos     [2]int32 // index in the group's list of each side it is on
 	present bool     // arrived and not yet departed
+	on      [2]bool  // the sides it is on, set at arrival
 }
 
 // groupState is one occupancy group: how many visitors are present, and
@@ -167,16 +170,17 @@ func eventKey(minute int16, arrive uint64, idx int) uint64 {
 // Schedule is the static event order of a set of locations, built once by
 // NewSchedule, and the current day's fill of its slots.
 type Schedule struct {
-	// slots are the visits, location l's at [offsets[l], offsets[l+1]).
-	// Fill writes a slot's Infectivity and Susceptibility and stamps it
-	// with today; only slots stamped today visit.
+	// slots are the visits, location l's at [offsets[l], offsets[l+1]) in
+	// arrival order. Fill writes a slot's Infectivity and Susceptibility and
+	// stamps it with today; only slots stamped today visit.
 	slots   []Visitor
 	stamps  []uint32
 	today   uint32
 	offsets []int32
-	// events holds location l's arrive and depart keys, in order, at
-	// [2*offsets[l], 2*offsets[l+1]); their indices count from the
-	// location's first slot.
+	// events holds location l's arrive and depart keys at [2*offsets[l],
+	// 2*offsets[l+1]), in order but for same-minute departures, whose
+	// renumbered indices need not ascend; indices count from the location's
+	// first slot, below any extra's.
 	events []uint64
 	// members[groupOff[l]+g] is the number of location l's slots in
 	// sublocation g: the size of occupancy group g's window.
@@ -186,24 +190,29 @@ type Schedule struct {
 
 // NewSchedule builds the static schedule of len(offsets)-1 locations.
 // Location l's visits are slots[offsets[l]:offsets[l+1]] with their static
-// fields set (Person, Sub, OrigSub, Start, End); a slot is an index into
-// slots. The build is O(visits + locations) counting passes, with no
-// comparison sort, and takes ownership of slots. Every visit must satisfy
-// 0 ≤ Start < End ≤ 1440 and Sub ≥ 0 (what synthpop.Validate enforces).
-func NewSchedule(slots []Visitor, offsets []int32) *Schedule {
+// fields set (Person, Sub, OrigSub, Start, End). The schedule numbers each
+// location's slots, within its range, in the order they arrive: the visit
+// at slots[i] is the slot renumber[i] that Fill and Visit take. The build
+// is O(visits + locations) counting passes, with no comparison sort, and
+// takes ownership of slots. Every visit must satisfy 0 ≤ Start < End ≤ 1440
+// and Sub ≥ 0 (what synthpop.Validate enforces).
+func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int32) {
 	nl := len(offsets) - 1
-	s := &Schedule{
+	s = &Schedule{
 		slots:    slots,
 		stamps:   make([]uint32, len(slots)),
 		offsets:  offsets,
 		events:   make([]uint64, 2*len(slots)),
 		groupOff: make([]int32, nl+1),
 	}
+	renumber = make([]int32, len(slots))
 
 	// Each location's events, written in slot order, then sorted by two
 	// stable counting passes over the 12-bit (minute, depart before arrive)
-	// field, six bits at a time: (minute, depart before arrive, slot) order.
+	// field, six bits at a time: (minute, depart before arrive, slot) order,
+	// kept while arrivals renumber the slots (each precedes its departure).
 	var tmp []uint64
+	var given []Visitor
 	for l := range nl {
 		lo, hi := offsets[l], offsets[l+1]
 		events := s.events[2*lo : 2*hi]
@@ -218,6 +227,19 @@ func NewSchedule(slots []Visitor, offsets []int32) *Schedule {
 		tmp = slices.Grow(tmp[:0], len(events))[:len(events)]
 		countingPass(events, tmp, 32)
 		countingPass(tmp, events, 38)
+
+		next, local := lo, renumber[lo:hi]
+		for j, k := range events {
+			if k&arriveBit != 0 {
+				local[uint32(k)] = next
+				next++
+			}
+			events[j] = k&^(1<<32-1) | uint64(local[uint32(k)]-lo)
+		}
+		given = append(given[:0], slots[lo:hi]...)
+		for i := range given {
+			slots[local[i]] = given[i]
+		}
 	}
 
 	s.members = make([]int32, s.groupOff[nl])
@@ -226,7 +248,7 @@ func NewSchedule(slots []Visitor, offsets []int32) *Schedule {
 			s.members[s.groupOff[l]+slots[i].Sub]++
 		}
 	}
-	return s
+	return s, renumber
 }
 
 // countingPass stably sorts src into dst by the six key bits from shift.
@@ -393,21 +415,18 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 	}
 
 	first := len(out.Infections)
+	h := xrand.Hash(0x1fec7, p.Day, p.LocKey) // every trial's key prefix
 	for _, key := range walk {
 		idx := int32(uint32(key))
-		if int(idx) < n && s.stamps[idx] != s.today {
-			continue
-		}
-		v, st := s.visitor(idx, extras), &vis[idx]
-		on := [2]bool{infectious: v.Infectivity > 0, susceptible: v.Susceptibility > 0}
-		if key&arriveBit == 0 {
+		st := &vis[idx]
+		if key&arriveBit == 0 { // a slot not filled today never arrived
 			if !st.present {
 				continue
 			}
 			st.present = false
 			g := &groups[st.group]
 			g.count--
-			for side, member := range on {
+			for side, member := range st.on {
 				if member {
 					// Swap-remove: the group's last member of this side
 					// takes v's slot.
@@ -420,6 +439,11 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 			}
 			continue
 		}
+		if int(idx) < n && s.stamps[idx] != s.today {
+			continue
+		}
+		v := s.visitor(idx, extras)
+		st.on = [2]bool{infectious: v.Infectivity > 0, susceptible: v.Susceptibility > 0}
 		if int(idx) < n {
 			out.Events += 2
 			if !mixing {
@@ -428,19 +452,19 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 		}
 		g := &groups[st.group]
 		out.Interactions += int64(g.count)
-		if on[infectious] {
+		if st.on[infectious] {
 			for _, o := range out.lists[susceptible][g.off : g.off+g.n[susceptible]] {
-				tryInfect(v, s.visitor(o, extras), v.Start, p, out)
+				tryInfect(v, s.visitor(o, extras), v.Start, p, h, out)
 			}
 		}
-		if on[susceptible] {
+		if st.on[susceptible] {
 			for _, o := range out.lists[infectious][g.off : g.off+g.n[infectious]] {
-				tryInfect(s.visitor(o, extras), v, v.Start, p, out)
+				tryInfect(s.visitor(o, extras), v, v.Start, p, h, out)
 			}
 		}
 		st.present = true
 		g.count++
-		for side, member := range on {
+		for side, member := range st.on {
 			if member {
 				st.pos[side] = g.n[side]
 				out.lists[side][g.off+g.n[side]] = idx
@@ -466,14 +490,18 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 // their departures, and appends a successful one to out.Infections. In
 // mixing mode contact across original sublocations scales the
 // transmission probability by the mixing factor.
-func tryInfect(src, dst *Visitor, at int16, p *Params, out *Result) {
+func tryInfect(src, dst *Visitor, at int16, p *Params, h uint64, out *Result) {
 	overlapMin := int(min(src.End, dst.End)) - int(at)
 	if overlapMin <= 0 {
 		return
 	}
 	out.Trials++
 	out.ContactMinutes += int64(overlapMin)
-	out.SumReciprocal += 1 / float64(overlapMin)
+	if overlapMin < len(reciprocals) {
+		out.SumReciprocal += reciprocals[overlapMin]
+	} else {
+		out.SumReciprocal += 1 / float64(overlapMin)
+	}
 	// The draw is keyed by content only — day, original location id,
 	// original sublocations, the pair, and the overlap start — never by
 	// execution order, so outcomes survive any re-partitioning (and, in
@@ -485,13 +513,33 @@ func tryInfect(src, dst *Visitor, at int16, p *Params, out *Result) {
 			scale = p.Mixing
 		}
 	}
-	prob := scale * transmissionProb(p.Tau, src.Infectivity, dst.Susceptibility, overlapMin)
-	u := xrand.KeyedFloat64(0x1fec7, p.Day, p.LocKey,
-		subKey, uint64(src.Person), uint64(dst.Person), uint64(at))
-	if u < prob {
+	// KeyedFloat64(0x1fec7, Day, LocKey, subKey, src, dst, at); h hashes
+	// the first three.
+	u := float64(xrand.Fold(h, subKey, uint64(src.Person), uint64(dst.Person), uint64(at))>>11) / (1 << 53)
+	if u >= trialBound(scale, p.Tau, src.Infectivity, dst.Susceptibility, overlapMin) {
+		return
+	}
+	if u < scale*transmissionProb(p.Tau, src.Infectivity, dst.Susceptibility, overlapMin) {
 		out.Infections = append(out.Infections, Infection{Person: dst.Person, Infector: src.Person, Minute: at})
 	}
 }
+
+// trialBound is ≥ scale*transmissionProb(tau, inf, sus, durMin) for scale
+// ≥ 0 and positive inf, sus and durMin, without an exponential: 1-e^(-y) ≤
+// y for real y, math.Exp errs by under one ulp, and the margins cover the
+// rounding (TestTrialBoundCoversProb). A NaN bound rejects nothing.
+func trialBound(scale, tau, inf, sus float64, durMin int) float64 {
+	y := tau * inf * sus * float64(durMin) // transmissionProb's order
+	return scale*y*(1+0x1p-30) + 0x1p-40
+}
+
+// reciprocals[i] is 1/float64(i), for overlaps within one day.
+var reciprocals = func() (r [1441]float64) {
+	for i := range r {
+		r[i] = 1 / float64(i)
+	}
+	return r
+}()
 
 // transmissionProb mirrors disease.Model.TransmissionProb; duplicated here
 // (a one-line formula) to keep des free of the disease package so the two

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -291,6 +293,146 @@ func TestTransmissionProbMatchesDiseaseModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trialBound may reject only draws the exact probability rejects, so it
+// must cover the probability where the rounding is tightest: through the
+// subnormals, within a few ulps of 2^-53 (where 1-fl(exp(-y)) exceeds y),
+// and for negative tau, at every mixing scale and however the exponent is
+// factored.
+func TestTrialBoundCoversProb(t *testing.T) {
+	ys := []float64{0, 50}
+	for y := math.SmallestNonzeroFloat64; y < 50; y = max(y*1.01, math.Nextafter(y, 50)) {
+		ys = append(ys, y)
+	}
+	tight := 0
+	for _, c := range []float64{0x1p-54, 0x1p-53, 0x1p-52} {
+		for k := int64(-64); k <= 64; k++ {
+			y := math.Float64frombits(uint64(int64(math.Float64bits(c)) + k))
+			ys = append(ys, y)
+			if 1-math.Exp(-y) > y {
+				tight++
+			}
+		}
+	}
+	if tight == 0 {
+		t.Fatal("no y near 2^-53 where 1-exp(-y) rounds above y: the grid misses the tight spot")
+	}
+	factors := []struct {
+		inf, sus float64
+		dur      int
+	}{{1, 1, 1}, {0.7, 1.3, 480}, {2.5, 0.01, 1440}}
+	for _, y := range ys {
+		for _, sign := range []float64{1, -1} {
+			for _, f := range factors {
+				tau := sign * y / (f.inf * f.sus * float64(f.dur))
+				for _, scale := range []float64{1, 0.3, 1e-3} {
+					bound := trialBound(scale, tau, f.inf, f.sus, f.dur)
+					if prob := scale * transmissionProb(tau, f.inf, f.sus, f.dur); !(bound >= prob) {
+						t.Fatalf("tau %g inf %g sus %g minutes %d scale %g: bound %g < probability %g",
+							tau, f.inf, f.sus, f.dur, scale, bound, prob)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The reciprocal table is the division it replaces, bit for bit.
+func TestReciprocalsMatchDivision(t *testing.T) {
+	for i := 1; i <= 1440; i++ {
+		if got, want := reciprocals[i], 1/float64(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reciprocals[%d] = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// NewSchedule numbers each location's slots in arrival order, and the walk
+// is the visits' own (minute, depart before arrive, index) order, renamed.
+func TestScheduleSlotsInArrivalOrder(t *testing.T) {
+	s := xrand.NewStream(20261016)
+	for iter := 0; iter < 300; iter++ {
+		offsets := []int32{0}
+		var slots []Visitor
+		for l := 1 + s.Intn(4); l > 0; l-- {
+			slots = append(slots, randomLocationDay(s, s.Intn(80), 1+s.Intn(4), 0)...)
+			offsets = append(offsets, int32(len(slots)))
+		}
+		given := slices.Clone(slots)
+		sched, renumber := NewSchedule(slots, offsets)
+		for l := range len(offsets) - 1 {
+			lo, hi := offsets[l], offsets[l+1]
+			var want []uint64
+			original := make([]int32, hi-lo) // slot → index as given
+			for i := lo; i < hi; i++ {
+				want = append(want, eventKey(given[i].End, 0, int(i-lo)), eventKey(given[i].Start, arriveBit, int(i-lo)))
+				if r := renumber[i]; r < lo || r >= hi {
+					t.Fatalf("visit %d of location [%d, %d) renumbered to %d", i, lo, hi, r)
+				}
+				original[renumber[i]-lo] = i - lo
+			}
+			slices.Sort(want)
+			next := int32(0)
+			for k, key := range sched.events[2*lo : 2*hi] {
+				slot := int32(uint32(key))
+				if key&arriveBit != 0 {
+					if slot != next {
+						t.Fatalf("location %d: arrival %d is slot %d", l, next, slot)
+					}
+					next++
+				}
+				if key>>32 != want[k]>>32 || original[slot] != int32(uint32(want[k])) {
+					t.Fatalf("location %d event %d: %#x (visit %d), want %#x", l, k, key, original[slot], want[k])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkScheduleSimulate is one dense day of a static schedule: every
+// slot filled, about 5 % of visitors infectious and the rest susceptible,
+// at the default model's transmissibility, in locations of a few to 80
+// visits with hours-long stays, a few co-present visitors per arrival.
+func BenchmarkScheduleSimulate(b *testing.B) {
+	s := xrand.NewStream(1)
+	const locations = 500
+	offsets := []int32{0}
+	var slots []Visitor
+	for range locations {
+		n := 2 + s.Intn(80)
+		for range n {
+			start := int16(s.Intn(1200))
+			slots = append(slots, Visitor{Person: int32(len(slots)), Sub: int32(s.Intn(1 + n/40)),
+				Start: start, End: min(1440, start+int16(60+s.Intn(480)))})
+		}
+		offsets = append(offsets, int32(len(slots)))
+	}
+	infectious := make([]bool, len(slots))
+	for i := range infectious {
+		infectious[i] = s.Float64() < 0.05
+	}
+	sched, _ := NewSchedule(slots, offsets)
+	p := Params{Day: 1, Tau: 4.5e-5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r Result
+	for i := 0; i < b.N; i++ {
+		sched.NextDay()
+		for slot, inf := range infectious {
+			if inf {
+				sched.Fill(int32(slot), 1, 0)
+			} else {
+				sched.Fill(int32(slot), 0, 1)
+			}
+		}
+		r.Reset()
+		for l := range locations {
+			p.LocKey = uint64(l)
+			sched.Simulate(int32(l), nil, p, &r)
+		}
+	}
+	b.ReportMetric(float64(r.Trials), "trials/op")
+	b.ReportMetric(float64(r.Interactions), "interactions/op")
 }
 
 func BenchmarkSimulate100Visitors(b *testing.B) {

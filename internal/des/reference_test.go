@@ -289,7 +289,12 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 			slots = append(slots, randomLocationDay(s, s.Intn(60), 1+s.Intn(6), 0)...)
 			offsets = append(offsets, int32(len(slots)))
 		}
-		sched := NewSchedule(slots, offsets)
+		// The visits as given, static fields only, as Visit returns them.
+		given := slices.Clone(slots)
+		for j := range given {
+			given[j].Infectivity, given[j].Susceptibility = 0, 0
+		}
+		sched, renumber := NewSchedule(slots, offsets)
 		for day := 0; day < 4 && i < 3000; day, i = day+1, i+1 {
 			sched.NextDay()
 			p := Params{Day: uint64(s.Intn(50)), LocKey: uint64(s.Intn(1000)), SubBase: int32(s.Intn(5)), Tau: taus[s.Intn(len(taus))]}
@@ -305,7 +310,10 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 					if s.Float64() >= fill {
 						continue
 					}
-					v := sched.Visit(slot)
+					v := given[slot]
+					if got := sched.Visit(renumber[slot]); got != v {
+						t.Fatalf("visit %d is slot %d, which holds %+v, want %+v", slot, renumber[slot], got, v)
+					}
 					switch s.Intn(5) {
 					case 0:
 						v.Infectivity = 0.5 + s.Float64()
@@ -314,7 +322,7 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 					default:
 						v.Susceptibility = 0.5 + s.Float64()
 					}
-					sched.Fill(slot, v.Infectivity, v.Susceptibility)
+					sched.Fill(renumber[slot], v.Infectivity, v.Susceptibility)
 					filled[l] = append(filled[l], v)
 				}
 			}
@@ -369,21 +377,69 @@ func TestSimulateAppends(t *testing.T) {
 	}
 }
 
-// A reused Result simulates without allocating, with and without mixing.
+// Visits that start before midnight, which only the package-level Simulate
+// takes, can overlap for more than a day: their reciprocals come from a
+// division rather than the table.
+func TestLongOverlapsMatchReference(t *testing.T) {
+	s := xrand.NewStream(20261016)
+	p := Params{Day: 2, LocKey: 5, Tau: 0.0005}
+	var out Result
+	Simulate([]Visitor{{Person: 1, Start: -500, End: 1440, Infectivity: 1}, {Person: 2, Start: -500, End: 1440, Susceptibility: 1}}, p, &out)
+	if out.Trials != 1 || out.SumReciprocal != 1/float64(1940) {
+		t.Fatalf("one 1940-minute trial: %d trials, SumReciprocal %v", out.Trials, out.SumReciprocal)
+	}
+	for i := 0; i < 200; i++ {
+		visitors := randomLocationDay(s, 2+s.Intn(40), 1+s.Intn(3), 0.05)
+		for j := range visitors {
+			if s.Intn(2) == 0 {
+				visitors[j].Start -= int16(s.Intn(3000))
+			}
+		}
+		out.Reset()
+		Simulate(visitors, p, &out)
+		checkMatchesReference(t, fmt.Sprintf("input %d", i), visitors, p, &out)
+	}
+}
+
+// A reused Result simulates without allocating, with and without mixing,
+// through Simulate and through a Schedule with and without extras.
 func TestSimulateAllocations(t *testing.T) {
 	s := xrand.NewStream(8)
 	visitors := randomLocationDay(s, 300, 4, 0.05)
-	for _, p := range []Params{{Day: 1, LocKey: 7, Tau: 0.02}, {Day: 1, LocKey: 7, Tau: 0.02, Mixing: 0.3}} {
-		var out Result
-		Simulate(visitors, p, &out) // grows the scratch
-		if len(out.Infections) == 0 {
-			t.Fatal("no infections: the append path is not exercised")
+	sched, _ := NewSchedule(randomLocationDay(s, 300, 4, 0), []int32{0, 300})
+	sched.NextDay()
+	for slot := range int32(300) {
+		if s.Intn(4) == 0 {
+			sched.Fill(slot, 0.5+s.Float64(), 0)
+		} else {
+			sched.Fill(slot, 0, 0.5+s.Float64())
 		}
-		if allocs := testing.AllocsPerRun(20, func() {
-			out.Reset()
-			Simulate(visitors, p, &out)
-		}); allocs != 0 {
-			t.Errorf("mixing %g: %v allocations per call on a reused Result, want 0", p.Mixing, allocs)
+	}
+	extras := randomLocationDay(s, 20, 6, 0.2)
+	for j := range extras {
+		extras[j].Person += 1000
+	}
+	for _, c := range []struct {
+		name string
+		call func(p Params, out *Result)
+	}{
+		{"Simulate", func(p Params, out *Result) { Simulate(visitors, p, out) }},
+		{"Schedule.Simulate", func(p Params, out *Result) { sched.Simulate(0, nil, p, out) }},
+		{"Schedule.Simulate with extras", func(p Params, out *Result) { sched.Simulate(0, extras, p, out) }},
+	} {
+		name, call := c.name, c.call
+		for _, p := range []Params{{Day: 1, LocKey: 7, Tau: 0.02}, {Day: 1, LocKey: 7, Tau: 0.02, Mixing: 0.3}} {
+			var out Result
+			call(p, &out) // grows the scratch
+			if len(out.Infections) == 0 {
+				t.Fatalf("%s: no infections: the append path is not exercised", name)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				out.Reset()
+				call(p, &out)
+			}); allocs != 0 {
+				t.Errorf("%s, mixing %g: %v allocations per call on a reused Result, want 0", name, p.Mixing, allocs)
+			}
 		}
 	}
 }

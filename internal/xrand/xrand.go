@@ -155,7 +155,12 @@ func (s *Stream) PermInt32(dst []int32) {
 // Hash combines an arbitrary tuple of 64-bit keys into a single
 // well-mixed 64-bit hash. It is the basis of all keyed draws.
 func Hash(keys ...uint64) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
+	return Fold(0x2545f4914f6cdd1d, keys...)
+}
+
+// Fold continues hash h over more keys: Fold(Hash(a...), b...) equals
+// Hash(a..., b...), so draws sharing a key prefix can hash it once.
+func Fold(h uint64, keys ...uint64) uint64 {
 	for _, k := range keys {
 		h ^= mix64(k + gamma)
 		h = mix64(h)

@@ -214,6 +214,30 @@ func TestHashDeterministic(t *testing.T) {
 	}
 }
 
+// Continuing a Hash from any split point of a tuple gives the tuple's Hash,
+// and Hash is still the loop it was before Fold was split out of it.
+func TestFoldMatchesHash(t *testing.T) {
+	s := NewStream(20261016)
+	for i := 0; i < 2000; i++ {
+		keys := make([]uint64, i%9)
+		for j := range keys {
+			keys[j] = s.Uint64() >> (s.Uint64() % 64) // small keys as well as wide ones
+		}
+		want := uint64(0x2545f4914f6cdd1d)
+		for _, k := range keys {
+			want = mix64(want ^ mix64(k+gamma))
+		}
+		if got := Hash(keys...); got != want {
+			t.Fatalf("Hash%v = %#x, want %#x", keys, got, want)
+		}
+		for split := range len(keys) + 1 {
+			if got := Fold(Hash(keys[:split]...), keys[split:]...); got != want {
+				t.Fatalf("Fold(Hash%v, %v...) = %#x, want Hash %#x", keys[:split], keys[split:], got, want)
+			}
+		}
+	}
+}
+
 func TestKeyedFloat64Properties(t *testing.T) {
 	f := func(a, b, c uint64) bool {
 		v := KeyedFloat64(a, b, c)
