@@ -15,22 +15,27 @@
 // A Schedule computes that order once, by counting passes: each location
 // its events in (minute, depart before arrive, visit) order, its slots
 // numbered in arrival order (the numbering is the schedule's, so the walk
-// reads slots at increasing addresses) and its occupancy groups by
-// sublocation. A day fills the slots that visit (Fill), and
-// Schedule.Simulate walks the location's static order, skipping slots not
-// filled today; a departure reads no slot. Visitors the schedule does not
-// hold — in the engine, the mixing-mode replicas of another fragment's
-// infectious visitors — are extras: sorted per call and merged into the
-// walk. Simulate is the same walk over an empty schedule, every visitor an
-// extra.
+// reads slots at increasing addresses), its occupancy groups by
+// sublocation, each listing its slots in arrival order, and a full day's
+// Interactions. A day fills the slots that visit (Fill). On a full day —
+// every slot filled, no extras — Schedule.Simulate takes the counters from
+// the schedule and the trials from the infectious visitors alone; else it
+// walks the location's static order, skipping slots not filled today (a
+// departure reads no slot). Extras, visitors the schedule does not hold (in
+// the engine, mixing-mode replicas of another fragment's infectious
+// visitors), are sorted per call and merged into the walk. Simulate is the
+// same walk over an empty schedule, every visitor an extra.
 //
 // Every co-present pair is counted (Result.Interactions), but only
-// susceptible–infectious pairs are tried: each occupancy group keeps its
-// present infectious and susceptible visitors apart, and an arrival walks
-// only the list it can exchange the disease with; a trial's exponential is
-// paid only by a draw under a cheap bound of its probability. The walk's
-// scratch lives in unexported fields of the Result the caller passes, so a
-// caller that reuses one Result (Reset keeps capacity) does not allocate.
+// susceptible–infectious pairs are tried: in the walk each occupancy group
+// keeps its present infectious and susceptible visitors apart, and an
+// arrival walks only the list it can exchange the disease with. Both paths
+// try the same pairs with the same keyed draws. A trial's exponential is
+// paid only by a draw under a cheap bound of its probability; its key's
+// prefix is hashed once per location-day and, on a full day outside mixing
+// mode, once per infectious visitor. The scratch lives in unexported fields
+// of the Result the caller passes, so a caller that reuses one Result
+// (Reset keeps capacity) does not allocate.
 package des
 
 import (
@@ -96,9 +101,9 @@ type Result struct {
 	// Events is the number of arrive+depart events (2 × visits): the X
 	// input of the static load model.
 	Events int
-	// Interactions is the number of co-present person pairs examined
-	// (any health states) — the "sum of interactions" input of the dynamic
-	// load model.
+	// Interactions is the number of co-present person pairs (any health
+	// states) — the "sum of interactions" input of the dynamic load model.
+	// A Schedule's full day counts what NewSchedule recorded.
 	Interactions int64
 	// Trials is the number of susceptible–infectious pairs that underwent
 	// a transmission trial.
@@ -106,7 +111,8 @@ type Result struct {
 	// ContactMinutes sums pairwise overlap durations over all trials.
 	ContactMinutes int64
 	// SumReciprocal sums 1/(pair overlap) over trials — the "sum of the
-	// reciprocal of interactions" term of the dynamic model.
+	// reciprocal of interactions" term of the dynamic model, in an
+	// unspecified order (the tests compare it to a relative 1e-9).
 	SumReciprocal float64
 
 	// The walk's scratch, meaningless between calls. keys holds the
@@ -182,10 +188,15 @@ type Schedule struct {
 	// renumbered indices need not ascend; indices count from the location's
 	// first slot, below any extra's.
 	events []uint64
-	// members[groupOff[l]+g] is the number of location l's slots in
-	// sublocation g: the size of occupancy group g's window.
-	members  []int32
-	groupOff []int32
+	// Location l's sublocation g is group k = groupOff[l]+g, whose slots
+	// (counted from the location's first) are bySub[groupStart[k]:
+	// groupStart[k+1]], in arrival order.
+	bySub      []int32
+	groupStart []int32
+	groupOff   []int32
+	// interactions[2*l] is location l's full-day Interactions, and
+	// interactions[2*l+1] the same in mixing mode.
+	interactions []int64
 }
 
 // NewSchedule builds the static schedule of len(offsets)-1 locations.
@@ -194,58 +205,85 @@ type Schedule struct {
 // location's slots, within its range, in the order they arrive: the visit
 // at slots[i] is the slot renumber[i] that Fill and Visit take. The build
 // is O(visits + locations) counting passes, with no comparison sort, and
-// takes ownership of slots. Every visit must satisfy 0 ≤ Start < End ≤ 1440
-// and Sub ≥ 0 (what synthpop.Validate enforces).
+// takes ownership of slots. It also records what every full day repeats:
+// each sublocation's slots in arrival order, and the Interactions with and
+// without mixing. Every visit must satisfy 0 ≤ Start, End ≤ 1440 and Sub ≥
+// 0; one with End ≤ Start never leaves, as in Simulate.
 func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int32) {
 	nl := len(offsets) - 1
 	s = &Schedule{
-		slots:    slots,
-		stamps:   make([]uint32, len(slots)),
-		offsets:  offsets,
-		events:   make([]uint64, 2*len(slots)),
-		groupOff: make([]int32, nl+1),
+		slots:        slots,
+		stamps:       make([]uint32, len(slots)),
+		offsets:      offsets,
+		events:       make([]uint64, 2*len(slots)),
+		bySub:        make([]int32, len(slots)),
+		groupStart:   []int32{0},
+		groupOff:     make([]int32, nl+1),
+		interactions: make([]int64, 2*nl),
 	}
 	renumber = make([]int32, len(slots))
 
 	// Each location's events, written in slot order, then sorted by two
 	// stable counting passes over the 12-bit (minute, depart before arrive)
 	// field, six bits at a time: (minute, depart before arrive, slot) order,
-	// kept while arrivals renumber the slots (each precedes its departure).
+	// kept while arrivals renumber the slots.
 	var tmp []uint64
 	var given []Visitor
+	var next, present []int32
 	for l := range nl {
 		lo, hi := offsets[l], offsets[l+1]
 		events := s.events[2*lo : 2*hi]
-		groups := int32(0)
+		base := int32(len(s.groupStart)) // group g's size, then its end, at base+g
 		for i := lo; i < hi; i++ {
 			v := &slots[i]
 			events[2*(i-lo)] = eventKey(v.End, 0, int(i-lo))
 			events[2*(i-lo)+1] = eventKey(v.Start, arriveBit, int(i-lo))
-			groups = max(groups, v.Sub+1)
+			for int32(len(s.groupStart)) <= base+v.Sub {
+				s.groupStart = append(s.groupStart, 0)
+			}
+			s.groupStart[base+v.Sub]++
 		}
+		groups := int32(len(s.groupStart)) - base
 		s.groupOff[l+1] = s.groupOff[l] + groups
+		for k := base; k < base+groups; k++ {
+			s.groupStart[k] += s.groupStart[k-1]
+		}
 		tmp = slices.Grow(tmp[:0], len(events))[:len(events)]
 		countingPass(events, tmp, 32)
 		countingPass(tmp, events, 38)
 
-		next, local := lo, renumber[lo:hi]
-		for j, k := range events {
+		local, slot := renumber[lo:hi], lo
+		for _, k := range events {
 			if k&arriveBit != 0 {
-				local[uint32(k)] = next
-				next++
+				local[uint32(k)] = slot
+				slot++
 			}
-			events[j] = k&^(1<<32-1) | uint64(local[uint32(k)]-lo)
+		}
+		// Renamed, the events place each group's slots in arrival order and
+		// count a full day's Interactions as the walk does: a departure
+		// before its arrival (slots arrive in number order) is a no-op.
+		next = append(next[:0], s.groupStart[base-1:base-1+groups]...)
+		present = append(present[:0], make([]int32, groups)...)
+		var arrived, left int32
+		for j, k := range events {
+			i, g := local[uint32(k)]-lo, slots[lo+int32(uint32(k))].Sub
+			events[j] = k&^(1<<32-1) | uint64(i)
+			switch {
+			case k&arriveBit != 0:
+				s.interactions[2*l] += int64(present[g])
+				s.interactions[2*l+1] += int64(arrived - left)
+				s.bySub[next[g]] = i
+				next[g]++
+				present[g]++
+				arrived++
+			case i < arrived:
+				present[g]--
+				left++
+			}
 		}
 		given = append(given[:0], slots[lo:hi]...)
 		for i := range given {
 			slots[local[i]] = given[i]
-		}
-	}
-
-	s.members = make([]int32, s.groupOff[nl])
-	for l := range nl {
-		for i := offsets[l]; i < offsets[l+1]; i++ {
-			s.members[s.groupOff[l]+slots[i].Sub]++
 		}
 	}
 	return s, renumber
@@ -292,14 +330,76 @@ func (s *Schedule) Visit(slot int32) Visitor {
 // NextDay, plus extras, visitors the schedule does not hold — and appends
 // the outcome to out, as the package-level Simulate does.
 func (s *Schedule) Simulate(loc int32, extras []Visitor, p Params, out *Result) {
+	if len(extras) == 0 && s.simulateFull(loc, &p, out) {
+		return
+	}
 	lo, hi := s.offsets[loc], s.offsets[loc+1]
 	simulate(schedule{
-		slots:   s.slots[lo:hi],
-		stamps:  s.stamps[lo:hi],
-		today:   s.today,
-		events:  s.events[2*lo : 2*hi],
-		members: s.members[s.groupOff[loc]:s.groupOff[loc+1]],
+		slots:  s.slots[lo:hi],
+		stamps: s.stamps[lo:hi],
+		today:  s.today,
+		events: s.events[2*lo : 2*hi],
+		groups: s.groupStart[s.groupOff[loc] : s.groupOff[loc+1]+1],
 	}, extras, &p, out)
+}
+
+// simulateFull runs location loc's DES, without extras, if every one of its
+// slots visits today, and reports whether it did. Each infectious slot scans
+// its group in arrival order up to the first member who arrives after it
+// leaves, and tries every other susceptible member it overlaps, at the
+// later arrival's minute: the walk's pairs exactly, as the walk tries a
+// co-present pair once, when the second arrives, touching intervals never
+// meet, and a visitor on both sides is tried both ways.
+func (s *Schedule) simulateFull(loc int32, p *Params, out *Result) bool {
+	lo, hi := s.offsets[loc], s.offsets[loc+1]
+	for _, stamp := range s.stamps[lo:hi] {
+		if stamp != s.today {
+			return false
+		}
+	}
+	slots := s.slots[lo:hi]
+	mixing, grouping := p.Mixing > 0, 2*loc
+	if mixing {
+		grouping++
+	}
+	out.Events += 2 * len(slots)
+	out.Interactions += s.interactions[grouping]
+	first := len(out.Infections)
+	h := xrand.Hash(0x1fec7, p.Day, p.LocKey)
+	groups := s.groupStart[s.groupOff[loc]:]
+	for i := range int32(len(slots)) {
+		src := &slots[i]
+		if src.Infectivity <= 0 {
+			continue
+		}
+		// In mixing mode the group is every slot, numbered in arrival order;
+		// otherwise it is src's sublocation, whose subkey every draw shares.
+		members, n := s.bySub[groups[src.Sub]:groups[src.Sub+1]], len(slots)
+		if !mixing {
+			n = len(members)
+		}
+		scale, hs := drawKey(src, src, p, h)
+		for k := range n {
+			j := int32(k)
+			if !mixing {
+				j = members[k]
+			}
+			dst := &slots[j]
+			if dst.Start >= src.End {
+				break
+			}
+			at, end := max(src.Start, dst.Start), min(src.End, dst.End)
+			if j == i || dst.Susceptibility <= 0 || at >= end {
+				continue
+			}
+			if mixing {
+				scale, hs = drawKey(src, dst, p, h)
+			}
+			trial(src, dst, at, int(end-at), scale, hs, p, out)
+		}
+	}
+	canonicalize(out, first)
+	return true
 }
 
 // Simulate executes the location-day DES of visitors and appends the
@@ -318,13 +418,14 @@ func Simulate(visitors []Visitor, p Params, out *Result) {
 	simulate(schedule{}, visitors, &p, out)
 }
 
-// schedule is one location's part of a Schedule.
+// schedule is one location's part of a Schedule; group g has
+// groups[g+1]-groups[g] slots.
 type schedule struct {
-	slots   []Visitor
-	stamps  []uint32
-	today   uint32
-	events  []uint64
-	members []int32
+	slots  []Visitor
+	stamps []uint32
+	today  uint32
+	events []uint64
+	groups []int32
 }
 
 // visitor returns the visitor with walk index i: a slot, or an extra
@@ -361,14 +462,14 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 	if mixing {
 		groups = append(groups, groupState{off: int32(n + m)})
 	} else {
-		for _, c := range s.members {
-			groups = append(groups, groupState{off: c})
+		for g := 1; g < len(s.groups); g++ {
+			groups = append(groups, groupState{off: s.groups[g] - s.groups[g-1]})
 		}
 		for j := range extras {
 			keys = append(keys, uint64(uint32(extras[j].Sub))<<32|uint64(n+j))
 		}
 		slices.Sort(keys)
-		scheduled := uint64(len(s.members))
+		scheduled := uint64(len(groups))
 		for k, key := range keys {
 			g := key >> 32
 			if g >= scheduled {
@@ -473,8 +574,12 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 		}
 	}
 	out.groups, out.keys = groups, keys[:0]
+	canonicalize(out, first)
+}
 
-	// Canonical set: each person's earliest exposure, in person order.
+// canonicalize turns the infections appended from first on into a
+// canonical set: each person's earliest exposure, in person order.
+func canonicalize(out *Result, first int) {
 	found := out.Infections[first:]
 	if len(found) > 1 {
 		slices.SortFunc(found, func(a, b Infection) int {
@@ -485,27 +590,25 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 	}
 }
 
-// tryInfect runs one directed transmission trial from infectious src to
-// susceptible dst, who are co-present from minute at until the earlier of
-// their departures, and appends a successful one to out.Infections. In
-// mixing mode contact across original sublocations scales the
-// transmission probability by the mixing factor.
+// tryInfect runs the walk's trial from src to dst at minute at, if they
+// overlap.
 func tryInfect(src, dst *Visitor, at int16, p *Params, h uint64, out *Result) {
-	overlapMin := int(min(src.End, dst.End)) - int(at)
-	if overlapMin <= 0 {
-		return
+	if overlapMin := int(min(src.End, dst.End)) - int(at); overlapMin > 0 {
+		scale, hs := drawKey(src, dst, p, h)
+		trial(src, dst, at, overlapMin, scale, hs, p, out)
 	}
-	out.Trials++
-	out.ContactMinutes += int64(overlapMin)
-	if overlapMin < len(reciprocals) {
-		out.SumReciprocal += reciprocals[overlapMin]
-	} else {
-		out.SumReciprocal += 1 / float64(overlapMin)
-	}
-	// The draw is keyed by content only — day, original location id,
-	// original sublocations, the pair, and the overlap start — never by
-	// execution order, so outcomes survive any re-partitioning (and, in
-	// mixing mode, survive retain-edges splitting with replication).
+}
+
+// drawKey returns the probability scale of a trial from src to dst and its
+// draw's key prefix: h, which hashes (0x1fec7, Day, LocKey), folded over the
+// subkey and src.Person. In mixing mode contact across original
+// sublocations scales the transmission probability by the mixing factor.
+//
+// The draw is keyed by content only — day, original location id, original
+// sublocations, the pair, and the overlap start — never by execution order,
+// so outcomes survive any re-partitioning (and, in mixing mode, survive
+// retain-edges splitting with replication).
+func drawKey(src, dst *Visitor, p *Params, h uint64) (scale float64, hs uint64) {
 	scale, subKey := 1.0, uint64(p.SubBase+dst.Sub)
 	if p.Mixing > 0 {
 		subKey = xrand.Hash(uint64(src.OrigSub), uint64(dst.OrigSub))
@@ -513,9 +616,24 @@ func tryInfect(src, dst *Visitor, at int16, p *Params, h uint64, out *Result) {
 			scale = p.Mixing
 		}
 	}
-	// KeyedFloat64(0x1fec7, Day, LocKey, subKey, src, dst, at); h hashes
-	// the first three.
-	u := float64(xrand.Fold(h, subKey, uint64(src.Person), uint64(dst.Person), uint64(at))>>11) / (1 << 53)
+	return scale, xrand.Fold(h, subKey, uint64(src.Person))
+}
+
+// trial runs one directed transmission trial from infectious src to
+// susceptible dst, who are co-present for overlapMin > 0 minutes from minute
+// at, with the scale and key prefix drawKey returned, and appends a
+// successful one to out.Infections.
+func trial(src, dst *Visitor, at int16, overlapMin int, scale float64, hs uint64, p *Params, out *Result) {
+	out.Trials++
+	out.ContactMinutes += int64(overlapMin)
+	if overlapMin < len(reciprocals) {
+		out.SumReciprocal += reciprocals[overlapMin]
+	} else {
+		out.SumReciprocal += 1 / float64(overlapMin)
+	}
+	// KeyedFloat64(0x1fec7, Day, LocKey, subKey, src, dst, at); hs hashes
+	// the first five.
+	u := float64(xrand.Fold(hs, uint64(dst.Person), uint64(at))>>11) / (1 << 53)
 	if u >= trialBound(scale, p.Tau, src.Infectivity, dst.Susceptibility, overlapMin) {
 		return
 	}

@@ -389,10 +389,13 @@ func TestScheduleSlotsInArrivalOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkScheduleSimulate is one dense day of a static schedule: every
-// slot filled, about 5 % of visitors infectious and the rest susceptible,
-// at the default model's transmissibility, in locations of a few to 80
-// visits with hours-long stays, a few co-present visitors per arrival.
+// BenchmarkScheduleSimulate is one day of a static schedule, about 5 % of
+// visitors infectious and the rest susceptible, at the default model's
+// transmissibility, in locations of a few to 80 visits with hours-long
+// stays, a few co-present visitors per arrival. On a full day every slot is
+// filled: a dense day, whose trials start from the infectious visitors. On
+// a partial day every tenth slot is not, and each location walks its
+// events.
 func BenchmarkScheduleSimulate(b *testing.B) {
 	s := xrand.NewStream(1)
 	const locations = 500
@@ -412,27 +415,35 @@ func BenchmarkScheduleSimulate(b *testing.B) {
 		infectious[i] = s.Float64() < 0.05
 	}
 	sched, _ := NewSchedule(slots, offsets)
-	p := Params{Day: 1, Tau: 4.5e-5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var r Result
-	for i := 0; i < b.N; i++ {
-		sched.NextDay()
-		for slot, inf := range infectious {
-			if inf {
-				sched.Fill(int32(slot), 1, 0)
-			} else {
-				sched.Fill(int32(slot), 0, 1)
+	for _, c := range []struct {
+		name     string
+		unfilled int // every unfilled-th slot is, if positive
+	}{{"full", 0}, {"partial", 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := Params{Day: 1, Tau: 4.5e-5}
+			b.ReportAllocs()
+			var r Result
+			for i := 0; i < b.N; i++ {
+				sched.NextDay()
+				for slot, inf := range infectious {
+					switch {
+					case c.unfilled > 0 && slot%c.unfilled == 0:
+					case inf:
+						sched.Fill(int32(slot), 1, 0)
+					default:
+						sched.Fill(int32(slot), 0, 1)
+					}
+				}
+				r.Reset()
+				for l := range locations {
+					p.LocKey = uint64(l)
+					sched.Simulate(int32(l), nil, p, &r)
+				}
 			}
-		}
-		r.Reset()
-		for l := range locations {
-			p.LocKey = uint64(l)
-			sched.Simulate(int32(l), nil, p, &r)
-		}
+			b.ReportMetric(float64(r.Trials), "trials/op")
+			b.ReportMetric(float64(r.Interactions), "interactions/op")
+		})
 	}
-	b.ReportMetric(float64(r.Trials), "trials/op")
-	b.ReportMetric(float64(r.Interactions), "interactions/op")
 }
 
 func BenchmarkSimulate100Visitors(b *testing.B) {

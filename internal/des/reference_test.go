@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/xrand"
@@ -204,6 +205,31 @@ func randomLocationDay(s *xrand.Stream, n, subs int, wild float64) []Visitor {
 	return visitors
 }
 
+// scheduleDay draws n static visits for a Schedule: randomLocationDay's
+// well-formed ones, of which about one in eight each arrives with another
+// visit (same-minute arrivals), as another leaves (touching intervals), or
+// is another's person (repeated persons); with probability inverted each
+// then ends at or before it starts, a visit that never leaves.
+func scheduleDay(s *xrand.Stream, n, subs int, inverted float64) []Visitor {
+	visitors := randomLocationDay(s, n, subs, 0)
+	for i := range visitors {
+		v, o := &visitors[i], visitors[s.Intn(n)]
+		switch s.Intn(8) {
+		case 0:
+			v.Start = o.Start
+		case 1:
+			v.Start = min(o.End, 1439)
+		case 2:
+			v.Person = o.Person
+		}
+		v.End = max(v.End, v.Start+1)
+		if s.Float64() < inverted {
+			v.End = v.Start - int16(s.Intn(int(v.Start)+1))
+		}
+	}
+	return visitors
+}
+
 // checkMatchesReference compares got, one location-day's outcome, with
 // referenceSimulate's over the day's visitors, field by field: the
 // integers exactly, the float sum to rounding (the two add the same terms
@@ -272,21 +298,24 @@ func TestSimulateMatchesReference(t *testing.T) {
 
 // TestScheduledSimulateMatchesReference walks static schedules the way the
 // engine does: a few locations share one Schedule, and each of several days
-// fills a random subset of every location's slots — so slots filled on an
-// earlier day must not visit — and adds random extras: replicas of
-// infectious visitors in mixing mode, visitors of any sublocation (the
-// schedule's or none of them) without. The reference simulates the day's
-// filled slots plus its extras as one visitor list.
+// fills every location's slots, all but one of them, or a random subset —
+// so slots filled on an earlier day must not visit — and adds random
+// extras: replicas of infectious visitors in mixing mode, visitors of any
+// sublocation (the schedule's or none of them) without. The reference
+// simulates the day's filled slots plus its extras as one visitor list.
+// Over a third of the location-days have every slot filled and no extras,
+// which Schedule.Simulate runs without the walk.
 func TestScheduledSimulateMatchesReference(t *testing.T) {
 	s := xrand.NewStream(20261015)
 	taus := []float64{0, 0.0005, 0.02, 10}
 	var out Result
 	var trials, infections, extras int64
+	var days, fullDays, fullTrials, fullInfections int64
 	for i := 0; i < 3000; {
 		offsets := []int32{0}
 		var slots []Visitor
 		for l := 1 + s.Intn(3); l > 0; l-- {
-			slots = append(slots, randomLocationDay(s, s.Intn(60), 1+s.Intn(6), 0)...)
+			slots = append(slots, scheduleDay(s, s.Intn(60), 1+s.Intn(6), 0.02)...)
 			offsets = append(offsets, int32(len(slots)))
 		}
 		// The visits as given, static fields only, as Visit returns them.
@@ -302,12 +331,15 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 				p.Mixing = []float64{0.3, 1}[s.Intn(2)]
 			}
 			// Every location is filled before any is simulated, as the
-			// person phase precedes the location phase.
+			// person phase precedes the location phase. Three days in five
+			// fill every slot, one all but one, one a random share.
 			filled := make([][]Visitor, len(offsets)-1)
-			fill := s.Float64()
+			kind, fill := s.Intn(5), s.Float64()
 			for l := range filled {
-				for slot := offsets[l]; slot < offsets[l+1]; slot++ {
-					if s.Float64() >= fill {
+				lo, hi := offsets[l], offsets[l+1]
+				unfilled := lo + int32(s.Intn(max(1, int(hi-lo))))
+				for slot := lo; slot < hi; slot++ {
+					if kind == 3 && slot == unfilled || kind == 4 && s.Float64() >= fill {
 						continue
 					}
 					v := given[slot]
@@ -328,7 +360,11 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 			}
 			for l := range filled {
 				var x []Visitor
-				if k := s.Intn(8) - 3; k > 0 {
+				k := s.Intn(8) - 3
+				if kind < 3 {
+					k = s.Intn(12) - 7
+				}
+				if k > 0 {
 					x = randomLocationDay(s, k, 8, 0.2)
 					for j := range x {
 						x[j].Person += 1000
@@ -345,11 +381,20 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 					append(filled[l], x...), p, &out)
 				trials += out.Trials
 				infections += int64(len(out.Infections))
+				days++
+				if len(x) == 0 && len(filled[l]) == int(offsets[l+1]-offsets[l]) {
+					fullDays++
+					fullTrials += out.Trials
+					fullInfections += int64(len(out.Infections))
+				}
 			}
 		}
 	}
 	if trials < 100000 || infections < 10000 || extras < 5000 {
 		t.Fatalf("inputs too tame to compare anything: %d trials, %d infections, %d extras", trials, infections, extras)
+	}
+	if 3*fullDays < days || fullTrials < 100000 || fullInfections < 10000 {
+		t.Fatalf("too few fully filled location-days: %d of %d, with %d trials and %d infections", fullDays, days, fullTrials, fullInfections)
 	}
 }
 
@@ -402,16 +447,21 @@ func TestLongOverlapsMatchReference(t *testing.T) {
 }
 
 // A reused Result simulates without allocating, with and without mixing,
-// through Simulate and through a Schedule with and without extras.
+// through Simulate and through a Schedule: on a location with every slot
+// filled, with and without infectious visitors; on one with every tenth
+// slot unfilled; and with extras.
 func TestSimulateAllocations(t *testing.T) {
 	s := xrand.NewStream(8)
 	visitors := randomLocationDay(s, 300, 4, 0.05)
-	sched, _ := NewSchedule(randomLocationDay(s, 300, 4, 0), []int32{0, 300})
+	sched, _ := NewSchedule(slices.Concat(randomLocationDay(s, 300, 4, 0), randomLocationDay(s, 300, 4, 0),
+		randomLocationDay(s, 300, 4, 0)), []int32{0, 300, 600, 900})
 	sched.NextDay()
-	for slot := range int32(300) {
-		if s.Intn(4) == 0 {
+	for slot := range int32(900) {
+		switch {
+		case slot >= 600 && slot%10 == 0:
+		case slot/300 != 1 && s.Intn(4) == 0:
 			sched.Fill(slot, 0.5+s.Float64(), 0)
-		} else {
+		default:
 			sched.Fill(slot, 0, 0.5+s.Float64())
 		}
 	}
@@ -420,25 +470,138 @@ func TestSimulateAllocations(t *testing.T) {
 		extras[j].Person += 1000
 	}
 	for _, c := range []struct {
-		name string
-		call func(p Params, out *Result)
+		name  string
+		quiet bool // nobody infectious
+		call  func(p Params, out *Result)
 	}{
-		{"Simulate", func(p Params, out *Result) { Simulate(visitors, p, out) }},
-		{"Schedule.Simulate", func(p Params, out *Result) { sched.Simulate(0, nil, p, out) }},
-		{"Schedule.Simulate with extras", func(p Params, out *Result) { sched.Simulate(0, extras, p, out) }},
+		{"Simulate", false, func(p Params, out *Result) { Simulate(visitors, p, out) }},
+		{"Schedule.Simulate, every slot filled", false, func(p Params, out *Result) { sched.Simulate(0, nil, p, out) }},
+		{"Schedule.Simulate, every slot filled, none infectious", true, func(p Params, out *Result) { sched.Simulate(1, nil, p, out) }},
+		{"Schedule.Simulate, partly filled", false, func(p Params, out *Result) { sched.Simulate(2, nil, p, out) }},
+		{"Schedule.Simulate with extras", false, func(p Params, out *Result) { sched.Simulate(0, extras, p, out) }},
 	} {
 		name, call := c.name, c.call
 		for _, p := range []Params{{Day: 1, LocKey: 7, Tau: 0.02}, {Day: 1, LocKey: 7, Tau: 0.02, Mixing: 0.3}} {
 			var out Result
 			call(p, &out) // grows the scratch
-			if len(out.Infections) == 0 {
-				t.Fatalf("%s: no infections: the append path is not exercised", name)
+			if (len(out.Infections) == 0) != c.quiet {
+				t.Fatalf("%s: %d infections", name, len(out.Infections))
 			}
 			if allocs := testing.AllocsPerRun(20, func() {
 				out.Reset()
 				call(p, &out)
 			}); allocs != 0 {
 				t.Errorf("%s, mixing %g: %v allocations per call on a reused Result, want 0", name, p.Mixing, allocs)
+			}
+		}
+	}
+}
+
+// The schedule's full-day Interactions are the walk's, by sublocation and in
+// mixing mode. With every slot filled, and nobody infectious or susceptible,
+// Schedule.Simulate (which then reads the counters NewSchedule recorded)
+// counts what the walk over the same visits does, same-minute arrivals,
+// touching intervals and visits that never leave included; with one slot
+// unfilled it still does.
+func TestStaticInteractionsMatchWalk(t *testing.T) {
+	s := xrand.NewStream(20261017)
+	var interactions int64
+	for iter := 0; iter < 300; iter++ {
+		offsets := []int32{0}
+		var slots []Visitor
+		for l := 1 + s.Intn(4); l > 0; l-- {
+			slots = append(slots, scheduleDay(s, s.Intn(80), 1+s.Intn(5), 0.1)...)
+			offsets = append(offsets, int32(len(slots)))
+		}
+		given := slices.Clone(slots)
+		for j := range given {
+			given[j].Infectivity, given[j].Susceptibility = 0, 0
+		}
+		sched, renumber := NewSchedule(slots, offsets)
+		for _, mixing := range []float64{0, 0.5} {
+			p := Params{Day: 1, LocKey: 1, Mixing: mixing}
+			for l := range len(offsets) - 1 {
+				lo, hi := offsets[l], offsets[l+1]
+				for _, unfilled := range []int32{-1, lo + int32(s.Intn(max(1, int(hi-lo))))} {
+					sched.NextDay()
+					var visits []Visitor
+					for slot := lo; slot < hi; slot++ {
+						if slot != unfilled {
+							sched.Fill(renumber[slot], 0, 0)
+							visits = append(visits, given[slot])
+						}
+					}
+					var got, want Result
+					sched.Simulate(int32(l), nil, p, &got)
+					Simulate(visits, p, &want)
+					if got.Interactions != want.Interactions || got.Events != want.Events {
+						t.Fatalf("schedule %d location %d (mixing %g, unfilled %d): %d events, %d interactions; the walk: %d, %d",
+							iter, l, mixing, unfilled, got.Events, got.Interactions, want.Events, want.Interactions)
+					}
+					interactions += got.Interactions
+				}
+			}
+		}
+	}
+	if interactions < 100000 {
+		t.Fatalf("only %d interactions compared", interactions)
+	}
+}
+
+// Parallel location managers simulate distinct locations of one schedule at
+// once. Concurrent Schedule.Simulate calls, each into its own Result, must
+// find what a sequential pass does, whether a location has every slot
+// filled or not, and may only read what NewSchedule built.
+func TestScheduleSimulateRace(t *testing.T) {
+	s := xrand.NewStream(20261018)
+	const locations, workers = 24, 4
+	offsets := []int32{0}
+	var slots []Visitor
+	for range locations {
+		slots = append(slots, scheduleDay(s, 40+s.Intn(60), 1+s.Intn(4), 0)...)
+		offsets = append(offsets, int32(len(slots)))
+	}
+	sched, _ := NewSchedule(slots, offsets)
+	sched.NextDay()
+	for l := range locations {
+		for slot := offsets[l]; slot < offsets[l+1]; slot++ {
+			switch {
+			case l%3 == 2 && slot == offsets[l]: // unfilled: the walk
+			case s.Intn(4) == 0:
+				sched.Fill(slot, 0.5+s.Float64(), float64(s.Intn(2)))
+			default:
+				sched.Fill(slot, 0, 0.5+s.Float64())
+			}
+		}
+	}
+	for _, mixing := range []float64{0, 0.3} {
+		params := func(l int) Params { return Params{Day: 3, LocKey: uint64(l), Tau: 0.02, Mixing: mixing} }
+		want := make([]Result, locations)
+		var infections int
+		for l := range want {
+			sched.Simulate(int32(l), nil, params(l), &want[l])
+			infections += len(want[l].Infections)
+		}
+		if infections == 0 {
+			t.Fatalf("mixing %g: no infections to compare", mixing)
+		}
+		got := make([]Result, locations)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for l := w; l < locations; l += workers {
+					sched.Simulate(int32(l), nil, params(l), &got[l])
+				}
+			}()
+		}
+		wg.Wait()
+		for l := range got {
+			g, w := &got[l], &want[l]
+			if g.Events != w.Events || g.Interactions != w.Interactions || g.Trials != w.Trials ||
+				g.ContactMinutes != w.ContactMinutes || g.SumReciprocal != w.SumReciprocal || !slices.Equal(g.Infections, w.Infections) {
+				t.Fatalf("mixing %g location %d: concurrent %+v, sequential %+v", mixing, l, *g, *w)
 			}
 		}
 	}
