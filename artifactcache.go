@@ -42,17 +42,23 @@ var artifactKinds = [...]artifactKind{
 		func(v any) []byte { return artifact.EncodePopulation(v.(*synthpop.Population)) },
 		func(b []byte) (any, error) { return artifact.DecodePopulation(b) }},
 	// The public Placement and its serializable artifact form (the
-	// artifact package cannot import this one) are field-for-field the
-	// same struct, which the pointer conversions make the compiler check.
+	// artifact package cannot import this one) have the same exported
+	// fields, copied one by one; TestPlacementFieldsMatchArtifact holds the
+	// two structs in step.
 	kindPlacement: {"placement", "placements", artifact.KindPlacement, 2,
-		func(v any) int64 {
+		func(v any) int64 { return placementBytes(v.(*Placement)) },
+		func(v any) []byte {
 			pl := v.(*Placement)
-			return int64(4*(len(pl.PersonRank)+len(pl.LocationRank))) + populationBytes(pl.Pop)
+			return artifact.EncodePlacement(&artifact.Placement{Pop: pl.Pop, PersonRank: pl.PersonRank,
+				LocationRank: pl.LocationRank, Ranks: pl.Ranks, Label: pl.Label, SplitStats: pl.SplitStats, Quality: pl.Quality})
 		},
-		func(v any) []byte { return artifact.EncodePlacement((*artifact.Placement)(v.(*Placement))) },
 		func(b []byte) (any, error) {
 			a, err := artifact.DecodePlacement(b)
-			return (*Placement)(a), err
+			if err != nil {
+				return nil, err
+			}
+			return &Placement{Pop: a.Pop, PersonRank: a.PersonRank, LocationRank: a.LocationRank,
+				Ranks: a.Ranks, Label: a.Label, SplitStats: a.SplitStats, Quality: a.Quality}, nil
 		}},
 	kindCheckpoint: {"checkpoint", "checkpoints", artifact.KindCheckpoint, 1,
 		func(v any) int64 { return checkpointBytes(v.(*core.Checkpoint)) },

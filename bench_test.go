@@ -75,6 +75,8 @@ func BenchmarkSimulateParallel(b *testing.B) {
 // around it: 20k persons / 5k locations placed GP-splitLoc×16, 1,000 index
 // cases, 10 days, generated from the bench's default seed — so -cpuprofile
 // and -memprofile on it profile the day loop the sim-dense numbers come from.
+// Iterations after the first reuse the plan the first built of the placement
+// (core.Plan), as the bench's repeated units do; BenchmarkNewPlan times it.
 func BenchmarkSimDense(b *testing.B) {
 	const seed = 7
 	pop := episim.Generate("sim-dense", 20000, 5000, seed)
@@ -106,7 +108,8 @@ func BenchmarkSimDense(b *testing.B) {
 // the default model at half its transmissibility, 12 days, generated from
 // the bench's default seed, on the auto (active-set) and event kernels —
 // so -cpuprofile on it profiles the day loop the sim-sparse numbers come
-// from.
+// from. Iterations after the first reuse the placement's plan, as in
+// BenchmarkSimDense.
 func BenchmarkSimSparse(b *testing.B) {
 	const seed = 7
 	pop := episim.Generate("sim-sparse", 50000, 12500, seed)
@@ -126,6 +129,43 @@ func BenchmarkSimSparse(b *testing.B) {
 				if err != nil || res.TotalInfections == 0 {
 					b.Fatal("simulation failed")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewPlan is the cold build BenchmarkSimDense and BenchmarkSimSparse
+// time only in their first iteration, at each one's placement: core.NewPlan,
+// then one engine's first dense day, which builds the plan's visit index
+// and static schedule.
+func BenchmarkNewPlan(b *testing.B) {
+	for _, c := range []struct {
+		name              string
+		people, locations int
+		opt               episim.PlacementOptions
+	}{
+		{"sim-dense", 20000, 5000, episim.PlacementOptions{Strategy: episim.GP, SplitLoc: true, Ranks: 16, Seed: 7}},
+		{"sim-sparse", 50000, 12500, episim.PlacementOptions{Strategy: episim.RR, Ranks: 16, Seed: 7}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			pl, err := episim.BuildPlacement(episim.Generate(c.name, c.people, c.locations, 7), c.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := core.Config{Population: pl.Pop, Days: 1, Seed: 7, Ranks: pl.Ranks,
+				PersonRank: pl.PersonRank, LocationRank: pl.LocationRank, AggBufferSize: 64}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan, err := core.NewPlan(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, err := plan.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.RunDay(1)
 			}
 		})
 	}

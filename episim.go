@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/disease"
@@ -106,7 +107,10 @@ func (o PlacementOptions) Label() string {
 }
 
 // Placement is a data distribution ready to simulate or to price on the
-// machine model.
+// machine model. Its first run builds the engines' plan of it (core.Plan:
+// the static schedule, manager maps and visit index), which every later
+// run shares, including concurrent ones and a sweep's replicates; the plan
+// is never serialized. A placement must not be modified once it has run.
 type Placement struct {
 	// Pop is the population actually simulated (the split population when
 	// SplitLoc was requested).
@@ -121,6 +125,10 @@ type Placement struct {
 	// computed). Constraint 0 is the person phase, constraint 1 the
 	// location phase.
 	Quality *partition.Quality
+
+	planOnce sync.Once
+	plan     *core.Plan
+	planErr  error
 }
 
 // BuildBipartiteGraph constructs the weighted bipartite person–location
@@ -280,9 +288,10 @@ func Run(pl *Placement, cfg SimConfig) (*Result, error) {
 	return eng.Run()
 }
 
-// newSimEngine builds a configured engine without running it — the seam
-// the fork-mode sweep uses to run a prefix (core.RunPrefix) or resume a
-// branch (core.Restore) instead of a whole run.
+// newSimEngine builds a configured engine on the placement's plan, built by
+// the first call, without running it — the seam the fork-mode sweep uses to
+// run a prefix (core.RunPrefix) or resume a branch (core.Restore) instead of
+// a whole run.
 func newSimEngine(pl *Placement, cfg SimConfig) (*core.Engine, error) {
 	var scn *interventions.Scenario
 	if strings.TrimSpace(cfg.Scenario) != "" {
@@ -292,7 +301,14 @@ func newSimEngine(pl *Placement, cfg SimConfig) (*core.Engine, error) {
 			return nil, fmt.Errorf("episim: scenario: %w", err)
 		}
 	}
-	eng, err := core.New(core.Config{
+	pl.planOnce.Do(func() {
+		pl.plan, pl.planErr = core.NewPlan(core.Config{Population: pl.Pop, Ranks: pl.Ranks,
+			PersonRank: pl.PersonRank, LocationRank: pl.LocationRank})
+	})
+	if pl.planErr != nil {
+		return nil, pl.planErr
+	}
+	return pl.plan.New(core.Config{
 		Population:        pl.Pop,
 		Disease:           cfg.Model,
 		Scenario:          scn,
@@ -309,8 +325,4 @@ func newSimEngine(pl *Placement, cfg SimConfig) (*core.Engine, error) {
 		Kernel:            cfg.Kernel,
 		KernelThreshold:   cfg.KernelThreshold,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return eng, nil
 }

@@ -162,7 +162,7 @@ func (e *Engine) runDayStepped(day int, kernel string, dense bool) DayReport {
 			for _, l := range e.activeLocList {
 				for s := e.locOffsets[l]; s < e.locOffsets[l+1]; s++ {
 					p := e.sched.Visit(s).Person
-					pmID := e.pmOf[p]
+					pmID := e.plan.pmOf[p]
 					e.activeSlots[pmID] = append(e.activeSlots[pmID], slotRef{s, l, p})
 				}
 			}
@@ -179,7 +179,7 @@ func (e *Engine) runDayStepped(day int, kernel string, dense bool) DayReport {
 		// Phase 2: location phase, at every LM or those owning active locations.
 		clear(e.lmNeeded)
 		for _, locID := range e.activeLocList {
-			e.lmNeeded[e.lmOf[locID]] = true
+			e.lmNeeded[e.plan.lmOf[locID]] = true
 		}
 		for lmID := range e.rt.ArrayLen(e.lmArr) {
 			if dense || e.lmNeeded[lmID] {

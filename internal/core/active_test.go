@@ -91,7 +91,7 @@ func TestActiveDaySendsOnlyActiveVisits(t *testing.T) {
 						t.Fatalf("mixing %g day %d: PM %d lists slot %d of location %d, which is not active today",
 							mixing, day, pm, r.slot, r.loc)
 					}
-					if p := e.sched.Visit(r.slot).Person; seen[r.slot] || r.person != p || e.pmOf[p] != int32(pm) {
+					if p := e.sched.Visit(r.slot).Person; seen[r.slot] || r.person != p || e.plan.pmOf[p] != int32(pm) {
 						t.Fatalf("mixing %g day %d: slot %d listed twice, with person %d, or by PM %d, not its visitor's",
 							mixing, day, r.slot, r.person, pm)
 					}

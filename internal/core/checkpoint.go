@@ -156,20 +156,20 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		h.infectious = append(h.infectious[:0], cp.Infectious[pm]...)
 		h.progressing = append(h.progressing[:0], cp.Progressing[pm]...)
 		for i, p := range h.infectious {
-			if p < 0 || int(p) >= nP || e.pmOf[p] != int32(pm) || e.infPos[p] >= 0 {
+			if p < 0 || int(p) >= nP || e.plan.pmOf[p] != int32(pm) || e.infPos[p] >= 0 {
 				return fmt.Errorf("core: checkpoint infectious set of manager %d corrupt at %d", pm, i)
 			}
 			e.infPos[p] = int32(i)
 		}
 		for i, p := range h.progressing {
-			if p < 0 || int(p) >= nP || e.pmOf[p] != int32(pm) || e.progPos[p] >= 0 {
+			if p < 0 || int(p) >= nP || e.plan.pmOf[p] != int32(pm) || e.progPos[p] >= 0 {
 				return fmt.Errorf("core: checkpoint progressing set of manager %d corrupt at %d", pm, i)
 			}
 			e.progPos[p] = int32(i)
 		}
 	}
 	for p := int32(0); p < int32(nP); p++ {
-		e.pmHealth[e.pmOf[p]].counts[e.health[p].State]++
+		e.pmHealth[e.plan.pmOf[p]].counts[e.health[p].State]++
 	}
 
 	// Intervention state: deep-copied effects, base rules' fired latches.

@@ -26,11 +26,11 @@
 // every message was consumed, and a receiver copies what it keeps — and
 // within a phase it is only appended to, so a slab that grows leaves the
 // pointers already sent on an array nobody writes again. The same rule
-// covers what a visit message is copied into: the location phase's static
-// schedule (schedule.go), whose slots and day stamps the person phase
-// writes and only the next day's person phase overwrites, each slot by the
-// one manager owning its location. Receiving managers keep their buffers
-// (replica lists, infection buffers) from day to day, truncated.
+// covers what a visit message is copied into: the engine's fill of the
+// static schedule (des.Day, plan.go), whose slots and day stamps the person
+// phase writes and only the next day's person phase overwrites, each slot
+// by the one manager owning its location. Receiving managers keep their
+// buffers (replica lists, infection buffers) from day to day, truncated.
 //
 // Three kernels execute a day (Config.Kernel), and two algorithms. The
 // day stepper (runDayStepped, active.go) is the algorithm above, with one
@@ -196,14 +196,10 @@ type Engine struct {
 	pmArr  int32
 	lmArr  int32
 	health []personState
-	// pmOf / lmOf map persons / locations to their managing chares, lmIndex
-	// a location to its index in its manager's locs.
-	pmOf    []int32
-	lmOf    []int32
-	lmIndex []int32
-	// fragments maps an original location id to all fragment location ids
-	// of its family (only entries with >1 fragment; used for infectious
-	// replication in mixing mode).
+	// plan is the placement's part of the engine, which every engine built
+	// from it shares and only reads; fragments is its families() in mixing
+	// mode.
+	plan      *Plan
 	fragments map[int32][]int32
 	// infectionBuf[pm] accumulates infect messages received by PM chares.
 	infectionBuf [][]infectMsg
@@ -246,17 +242,15 @@ type Engine struct {
 	prefix   []DayReport
 	stepped  bool
 
-	// The visits in location order, copied on first use (visitIndex):
-	// location l's are locVisits[locOffsets[l]:locOffsets[l+1]], so the event
-	// kernel and the schedule build read them sequentially. The location
-	// phase's static schedule (schedule.go) gives location l the same slot
-	// range, numbered in arrival order, and pmSlots[pm] lists the slots of
-	// PM pm's persons' visits, in locVisits order: a dense day's person
-	// phase. Both are built by the first day that runs a location phase.
+	// The plan's visits in location order, fetched by the first non-dense
+	// day (visitIndex), and its static schedule and PM slot lists, fetched
+	// by the first day that runs a location phase (beginLocationDay), which
+	// also opens day, the engine's own fill of the schedule.
 	locOffsets []int32
 	locVisits  []synthpop.Visit
 	sched      *des.Schedule
 	pmSlots    [][]slotRef
+	day        *des.Day
 
 	// Active-set scratch, allocated lazily on the first non-dense day.
 	activeLoc     []bool      // location → active this day (read-only during phases)
@@ -321,10 +315,22 @@ type msgComputeVisits struct{ Day int }
 type msgRunDES struct{ Day int }
 type msgApplyUpdates struct{ Day int }
 
-// New validates the configuration and builds the engine.
+// New validates the configuration and builds the engine: NewPlan, then
+// the plan's New.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Population == nil {
-		return nil, fmt.Errorf("core: nil population")
+	p, err := NewPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.New(cfg)
+}
+
+// New validates the configuration and builds an engine on the plan, of
+// which cfg must name the population, rank maps, Ranks and ChareFactor.
+// Engines built from one plan may run concurrently.
+func (pl *Plan) New(cfg Config) (*Engine, error) {
+	if err := pl.check(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Disease == nil {
 		cfg.Disease = disease.Default()
@@ -335,12 +341,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Days <= 0 {
 		cfg.Days = 120
 	}
-	if cfg.Ranks <= 0 {
-		cfg.Ranks = 1
-	}
-	if cfg.ChareFactor <= 0 {
-		cfg.ChareFactor = 1
-	}
+	cfg.Ranks, cfg.ChareFactor = pl.ranks, pl.chareFactor
 	if cfg.InitialInfections <= 0 {
 		cfg.InitialInfections = max(1, cfg.Population.NumPersons()/2000)
 	}
@@ -361,29 +362,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Route2D && cfg.AggBufferSize <= 0 {
 		return nil, fmt.Errorf("core: 2D routing relays aggregation buffers and needs AggBufferSize > 0")
 	}
-	if err := cfg.Population.Validate(); err != nil {
-		return nil, fmt.Errorf("core: population: %w", err)
-	}
 	nP := cfg.Population.NumPersons()
-	nL := cfg.Population.NumLocations()
-	if cfg.PersonRank != nil && len(cfg.PersonRank) != nP {
-		return nil, fmt.Errorf("core: PersonRank length %d, want %d", len(cfg.PersonRank), nP)
-	}
-	if cfg.LocationRank != nil && len(cfg.LocationRank) != nL {
-		return nil, fmt.Errorf("core: LocationRank length %d, want %d", len(cfg.LocationRank), nL)
-	}
-	for _, r := range cfg.PersonRank {
-		if r < 0 || int(r) >= cfg.Ranks {
-			return nil, fmt.Errorf("core: person rank %d outside [0,%d)", r, cfg.Ranks)
-		}
-	}
-	for _, r := range cfg.LocationRank {
-		if r < 0 || int(r) >= cfg.Ranks {
-			return nil, fmt.Errorf("core: location rank %d outside [0,%d)", r, cfg.Ranks)
-		}
-	}
 
-	e := &Engine{cfg: cfg, pop: cfg.Population, model: cfg.Disease}
+	e := &Engine{cfg: cfg, pop: cfg.Population, model: cfg.Disease, plan: pl}
 	e.rt = charm.New(charm.Config{
 		PEs:           cfg.Ranks,
 		Parallel:      cfg.Parallel,
@@ -399,62 +380,18 @@ func New(cfg Config) (*Engine, error) {
 		e.stateNames[i] = e.model.StateName(disease.StateID(i))
 		e.stateKeys[i] = "state:" + e.stateNames[i]
 	}
-
-	// Build the two-level chare hierarchy (Figure 1): PMs and LMs.
-	numPM := cfg.Ranks * cfg.ChareFactor
-	numLM := cfg.Ranks * cfg.ChareFactor
-	rankOfPerson := func(p int32) int32 {
-		if cfg.PersonRank != nil {
-			return cfg.PersonRank[p]
-		}
-		return p % int32(cfg.Ranks)
-	}
-	rankOfLocation := func(l int32) int32 {
-		if cfg.LocationRank != nil {
-			return cfg.LocationRank[l]
-		}
-		return l % int32(cfg.Ranks)
-	}
-	// Manager of an object: its rank's managers, spread by object id.
-	pmOf := make([]int32, nP)
-	personsOfPM := make([][]int32, numPM)
-	for p := int32(0); p < int32(nP); p++ {
-		pm := rankOfPerson(p)*int32(cfg.ChareFactor) + (p/int32(cfg.Ranks))%int32(cfg.ChareFactor)
-		pmOf[p] = pm
-		personsOfPM[pm] = append(personsOfPM[pm], p)
-	}
-	lmOf := make([]int32, nL)
-	locsOfLM := make([][]int32, numLM)
-	for l := int32(0); l < int32(nL); l++ {
-		lm := rankOfLocation(l)*int32(cfg.ChareFactor) + (l/int32(cfg.Ranks))%int32(cfg.ChareFactor)
-		lmOf[l] = lm
-		locsOfLM[lm] = append(locsOfLM[lm], l)
-	}
-	e.pmOf = pmOf
-	e.lmOf = lmOf
-	e.lmIndex = make([]int32, nL)
-	e.infectionBuf = make([][]infectMsg, numPM)
-
-	// Fragment families for infectious replication in mixing mode.
 	if cfg.Mixing > 0 {
-		families := make(map[int32][]int32)
-		for l := int32(0); l < int32(nL); l++ {
-			origin := cfg.Population.Locations[l].Origin
-			families[origin] = append(families[origin], l)
-		}
-		e.fragments = make(map[int32][]int32)
-		for origin, ids := range families {
-			if len(ids) > 1 {
-				e.fragments[origin] = ids
-			}
-		}
+		e.fragments = pl.families()
 	}
 
+	// The two-level chare hierarchy (Figure 1): PMs and LMs.
+	numPM := len(pl.personsOfPM)
+	e.infectionBuf = make([][]infectMsg, numPM)
 	e.pmArr = e.rt.NewArray(numPM, func(i int32) charm.Chare {
-		return &personManager{eng: e, id: i, persons: personsOfPM[i]}
+		return &personManager{eng: e, id: i, persons: pl.personsOfPM[i]}
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
-	e.lmArr = e.rt.NewArray(numLM, func(i int32) charm.Chare {
-		return newLocationManager(e, i, locsOfLM[i])
+	e.lmArr = e.rt.NewArray(len(pl.locsOfLM), func(i int32) charm.Chare {
+		return newLocationManager(e, i, pl.locsOfLM[i])
 	}, func(i int32) charm.PE { return i / int32(cfg.ChareFactor) })
 
 	// Health state: everyone in the entry state, counted per PM, then the
@@ -474,7 +411,7 @@ func New(cfg Config) (*Engine, error) {
 		e.stateInfectious[s] = e.model.IsInfectious(disease.StateID(s))
 	}
 	e.pmHealth = make([]pmHealth, numPM)
-	for pm, persons := range personsOfPM {
+	for pm, persons := range pl.personsOfPM {
 		h := &e.pmHealth[pm]
 		h.counts = make([]int64, e.model.NumStates())
 		h.counts[entry] = int64(len(persons))
@@ -531,7 +468,7 @@ func sparseRemove(items *[]int32, pos []int32, p int32) {
 // on every kernel, so kernels can alternate day by day without a rescan.
 func (e *Engine) transitionPerson(p int32, s disease.StateID, daysLeft int32) {
 	hs := &e.health[p]
-	h := &e.pmHealth[e.pmOf[p]]
+	h := &e.pmHealth[e.plan.pmOf[p]]
 	old := hs.State
 	if old != s {
 		h.counts[old]--

@@ -355,7 +355,7 @@ func TestGillespieRunBuildsNoSchedule(t *testing.T) {
 	if res.KernelDays[KernelEvent] != int64(cfg.Days) || res.TotalInfections <= int64(cfg.InitialInfections) {
 		t.Fatalf("want %d event days that spread the epidemic: kernels %v, %d infections", cfg.Days, res.KernelDays, res.TotalInfections)
 	}
-	if e.sched != nil || e.pmSlots != nil {
+	if e.sched != nil || e.pmSlots != nil || e.plan.sched != nil {
 		t.Fatal("an all-Gillespie run built the static schedule")
 	}
 

@@ -30,7 +30,7 @@ func (pm *personManager) beginBatches() {
 	if pm.batches == nil {
 		size := make([]int, e.rt.ArrayLen(e.lmArr))
 		for _, r := range e.pmSlots[pm.id] {
-			size[e.lmOf[r.loc]]++
+			size[e.plan.lmOf[r.loc]]++
 		}
 		buf := make([]visitMsg, len(e.pmSlots[pm.id]))
 		pm.batches = make([]visitBatch, len(size))
@@ -105,7 +105,7 @@ func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
 
 // batch appends msg to the batch for the manager of its location.
 func (pm *personManager) batch(msg visitMsg) {
-	lm := pm.eng.lmOf[msg.Loc]
+	lm := pm.eng.plan.lmOf[msg.Loc]
 	pm.batches[lm] = append(pm.batches[lm], msg)
 }
 
@@ -162,14 +162,14 @@ func (pm *personManager) resolveInfections(day int) int64 {
 }
 
 // locationManager is an LM chare: it records inbound visit messages in
-// the engine's static schedule and replays each location's day as the DES
-// in phase 2.
+// the engine's fill of the static schedule and replays each location's day
+// as the DES in phase 2.
 type locationManager struct {
 	eng  *Engine
 	id   int32
 	locs []int32
 	// received[i] counts the visit messages locs[i] received today (i is
-	// Engine.lmIndex of the location), replicas included; touched lists the
+	// Plan.lmIndex of the location), replicas included; touched lists the
 	// i that received any. A visit fills its slot of the schedule; a
 	// mixing-mode replica, whose slot is a sibling fragment's, goes to
 	// extras[i] (mixing mode only), truncated after the DES.
@@ -185,9 +185,6 @@ type locationManager struct {
 
 func newLocationManager(e *Engine, id int32, locs []int32) *locationManager {
 	lm := &locationManager{eng: e, id: id, locs: locs, received: make([]int32, len(locs))}
-	for i, l := range locs {
-		e.lmIndex[l] = int32(i)
-	}
 	if e.cfg.Mixing > 0 {
 		lm.extras = make([][]des.Visitor, len(locs))
 	}
@@ -199,13 +196,13 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	case *visitBatch:
 		e := lm.eng
 		for _, v := range *m {
-			i := e.lmIndex[v.Loc]
+			i := e.plan.lmIndex[v.Loc]
 			if lm.received[i] == 0 {
 				lm.touched = append(lm.touched, i)
 			}
 			lm.received[i]++
 			if v.Slot >= e.locOffsets[v.Loc] && v.Slot < e.locOffsets[v.Loc+1] {
-				e.sched.Fill(v.Slot, float64(v.Inf), float64(v.Sus))
+				e.day.Fill(v.Slot, float64(v.Inf), float64(v.Sus))
 				continue
 			}
 			x := e.sched.Visit(v.Slot)
@@ -242,7 +239,7 @@ func (lm *locationManager) simulateLoc(ctx *charm.Ctx, i int32, day int) {
 	l := lm.locs[i]
 	loc := &e.pop.Locations[l]
 	first := len(lm.result.Infections)
-	e.sched.Simulate(l, extras, des.Params{
+	e.day.Simulate(l, extras, des.Params{
 		Day: uint64(day) ^ e.cfg.Seed,
 		// Keys use the pre-splitLoc identity so splitting cannot
 		// change outcomes.
@@ -253,7 +250,7 @@ func (lm *locationManager) simulateLoc(ctx *charm.Ctx, i int32, day int) {
 	}, &lm.result)
 	found := lm.result.Infections[first:]
 	for i := range found {
-		ctx.Send(charm.ChareRef{Array: e.pmArr, Index: e.pmOf[found[i].Person]}, (*infectMsg)(&found[i]))
+		ctx.Send(charm.ChareRef{Array: e.pmArr, Index: e.plan.pmOf[found[i].Person]}, (*infectMsg)(&found[i]))
 	}
 }
 

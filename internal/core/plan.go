@@ -1,0 +1,188 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/des"
+	"repro/internal/synthpop"
+)
+
+// Plan is what an engine needs that depends only on the placement — the
+// population, its rank maps, Ranks and ChareFactor — built once and shared,
+// read-only, by every engine New builds from it: repeated runs, sweep
+// replicates, fork prefixes and restores. A location's visits are the same
+// every day, so their DES event order is computed once per plan — the
+// paper's static load model rests on exactly this — and an engine's day
+// only fills it: each visit message names the visit's slot, the receiving
+// LM writes the day's infectivity and susceptibility into the engine's own
+// des.Day, and the DES walks the location's static order, skipping slots
+// nobody filled today.
+//
+// The manager maps are built by NewPlan; the rest on first use, each behind
+// its Once, so that engines on one plan may build it concurrently and a plan
+// whose runs are all Gillespie never builds the schedule.
+type Plan struct {
+	pop                      *synthpop.Population
+	personRank, locationRank []int32
+	ranks, chareFactor       int
+
+	// pmOf / lmOf map persons / locations to their managing chares, lmIndex
+	// a location to its index in its manager's locsOfLM list.
+	pmOf, lmOf, lmIndex   []int32
+	personsOfPM, locsOfLM [][]int32
+
+	// The visits in location order (visits), the static schedule with each
+	// PM's slot list (schedule), and the fragment families (families).
+	visitsOnce sync.Once
+	locOffsets []int32
+	locVisits  []synthpop.Visit
+	schedOnce  sync.Once
+	sched      *des.Schedule
+	pmSlots    [][]slotRef
+	fragOnce   sync.Once
+	fragments  map[int32][]int32
+}
+
+// NewPlan validates cfg's population and rank maps and builds the plan of
+// its placement; the rest of cfg is ignored.
+func NewPlan(cfg Config) (*Plan, error) {
+	if cfg.Population == nil {
+		return nil, fmt.Errorf("core: nil population")
+	}
+	cfg.Ranks, cfg.ChareFactor = max(cfg.Ranks, 1), max(cfg.ChareFactor, 1)
+	if err := cfg.Population.Validate(); err != nil {
+		return nil, fmt.Errorf("core: population: %w", err)
+	}
+	pl := &Plan{pop: cfg.Population, personRank: cfg.PersonRank, locationRank: cfg.LocationRank,
+		ranks: cfg.Ranks, chareFactor: cfg.ChareFactor}
+	ranks, cf := int32(cfg.Ranks), int32(cfg.ChareFactor)
+	var err error
+	if pl.pmOf, _, pl.personsOfPM, err = assign("person", cfg.Population.NumPersons(), cfg.PersonRank, ranks, cf); err != nil {
+		return nil, err
+	}
+	if pl.lmOf, pl.lmIndex, pl.locsOfLM, err = assign("location", cfg.Population.NumLocations(), cfg.LocationRank, ranks, cf); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// assign gives n objects their managers in the two-level chare hierarchy
+// (Figure 1): object i's is one of the cf managers of its rank — rank[i],
+// or i mod ranks when rank is nil — spread by object id. It returns each
+// object's manager and index in that manager's list, and the lists.
+func assign(what string, n int, rank []int32, ranks, cf int32) (of, index []int32, lists [][]int32, err error) {
+	if rank != nil && len(rank) != n {
+		return nil, nil, nil, fmt.Errorf("core: %s rank map of length %d, want %d", what, len(rank), n)
+	}
+	of, index, lists = make([]int32, n), make([]int32, n), make([][]int32, ranks*cf)
+	for i := range int32(n) {
+		r := i % ranks
+		if rank != nil {
+			r = rank[i]
+		}
+		if r < 0 || r >= ranks {
+			return nil, nil, nil, fmt.Errorf("core: %s rank %d outside [0,%d)", what, r, ranks)
+		}
+		m := r*cf + (i/ranks)%cf
+		of[i], index[i] = m, int32(len(lists[m]))
+		lists[m] = append(lists[m], i)
+	}
+	return of, index, lists, nil
+}
+
+// check returns an error unless cfg names the plan's placement: the same
+// population and rank maps (by identity), Ranks and ChareFactor.
+func (pl *Plan) check(cfg Config) error {
+	same := func(a, b []int32) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	if cfg.Population != pl.pop || !same(cfg.PersonRank, pl.personRank) || !same(cfg.LocationRank, pl.locationRank) ||
+		max(cfg.Ranks, 1) != pl.ranks || max(cfg.ChareFactor, 1) != pl.chareFactor {
+		return fmt.Errorf("core: config names another population, rank map, Ranks or ChareFactor than its plan")
+	}
+	return nil
+}
+
+// visits returns the visits in location order: location l's are
+// visits[offsets[l]:offsets[l+1]], each location's in person order.
+func (pl *Plan) visits() (offsets []int32, visits []synthpop.Visit) {
+	pl.visitsOnce.Do(func() {
+		offsets, order := pl.pop.VisitIndexByLocation()
+		pl.locVisits = make([]synthpop.Visit, len(order))
+		for s, vi := range order {
+			pl.locVisits[s] = pl.pop.Visits[vi]
+		}
+		pl.locOffsets = offsets
+	})
+	return pl.locOffsets, pl.locVisits
+}
+
+// schedule returns the static schedule — location l's visits are its slots
+// [locOffsets[l], locOffsets[l+1]), numbered in arrival order — and each
+// PM's slot list, which names its persons' slots with their locations in
+// locVisits order: a dense day's person phase.
+func (pl *Plan) schedule() (*des.Schedule, [][]slotRef) {
+	pl.schedOnce.Do(func() {
+		offsets, visits := pl.visits()
+		slots := make([]des.Visitor, len(visits))
+		size := make([]int, len(pl.personsOfPM))
+		for i := range pl.pop.Visits {
+			size[pl.pmOf[pl.pop.Visits[i].Person]]++
+		}
+		pl.pmSlots = make([][]slotRef, len(size))
+		for pm, n := range size {
+			pl.pmSlots[pm] = make([]slotRef, 0, n)
+		}
+		for s := range visits {
+			v := &visits[s]
+			slots[s] = des.Visitor{Person: v.Person, Sub: v.Sub, OrigSub: pl.pop.Locations[v.Loc].SubBase + v.Sub,
+				Start: v.Start, End: v.End}
+			pm := pl.pmOf[v.Person]
+			pl.pmSlots[pm] = append(pl.pmSlots[pm], slotRef{int32(s), v.Loc, v.Person})
+		}
+		var renumber []int32
+		pl.sched, renumber = des.NewSchedule(slots, offsets)
+		for _, refs := range pl.pmSlots {
+			for i := range refs {
+				refs[i].slot = renumber[refs[i].slot]
+			}
+		}
+	})
+	return pl.sched, pl.pmSlots
+}
+
+// families maps an original location id to all fragment location ids of
+// its family, for the entries with more than one: mixing mode replicates
+// infectious visitors across them.
+func (pl *Plan) families() map[int32][]int32 {
+	pl.fragOnce.Do(func() {
+		pl.fragments = make(map[int32][]int32)
+		for l := range int32(pl.pop.NumLocations()) {
+			origin := pl.pop.Locations[l].Origin
+			pl.fragments[origin] = append(pl.fragments[origin], l)
+		}
+		for origin, ids := range pl.fragments {
+			if len(ids) == 1 {
+				delete(pl.fragments, origin)
+			}
+		}
+	})
+	return pl.fragments
+}
+
+// visitIndex gives the engine the plan's location-ordered visits.
+func (e *Engine) visitIndex() {
+	if e.locOffsets == nil {
+		e.locOffsets, e.locVisits = e.plan.visits()
+	}
+}
+
+// beginLocationDay opens a day that runs a location phase, fetching the
+// plan's schedule and opening the engine's fill of it on the first.
+func (e *Engine) beginLocationDay() {
+	if e.day == nil {
+		e.visitIndex()
+		e.sched, e.pmSlots = e.plan.schedule()
+		e.day = e.sched.NewDay()
+	}
+	e.day.NextDay()
+}

@@ -17,14 +17,16 @@
 // numbered in arrival order (the numbering is the schedule's, so the walk
 // reads slots at increasing addresses), its occupancy groups by
 // sublocation, each listing its slots in arrival order, and a full day's
-// Interactions. A day fills the slots that visit (Fill). On a full day —
-// every slot filled, no extras — Schedule.Simulate takes the counters from
-// the schedule and the trials from the infectious visitors alone; else it
-// walks the location's static order, skipping slots not filled today (a
-// departure reads no slot). Extras, visitors the schedule does not hold (in
-// the engine, mixing-mode replicas of another fragment's infectious
-// visitors), are sorted per call and merged into the walk. Simulate is the
-// same walk over an empty schedule, every visitor an extra.
+// Interactions. It is read-only from then on, and runs share it: each fills
+// its own Day with the slots that visit today and their visitors'
+// infectivity and susceptibility (Fill). On a full day — every slot filled,
+// no extras — Day.Simulate takes the counters from the schedule and the
+// trials from the infectious visitors alone; else it walks the location's
+// static order, skipping slots not filled today (a departure reads no
+// slot). Extras, visitors the schedule does not hold (in the engine,
+// mixing-mode replicas of another fragment's infectious visitors), are
+// sorted per call and merged into the walk. Simulate is the same walk over
+// an empty schedule, every visitor an extra.
 //
 // Every co-present pair is counted (Result.Interactions), but only
 // susceptible–infectious pairs are tried: in the walk each occupancy group
@@ -174,14 +176,11 @@ func eventKey(minute int16, arrive uint64, idx int) uint64 {
 }
 
 // Schedule is the static event order of a set of locations, built once by
-// NewSchedule, and the current day's fill of its slots.
+// NewSchedule and read-only after.
 type Schedule struct {
-	// slots are the visits, location l's at [offsets[l], offsets[l+1]) in
-	// arrival order. Fill writes a slot's Infectivity and Susceptibility and
-	// stamps it with today; only slots stamped today visit.
-	slots   []Visitor
-	stamps  []uint32
-	today   uint32
+	// slots are the visits' static fields, location l's at [offsets[l],
+	// offsets[l+1]) in arrival order.
+	slots   []slot
 	offsets []int32
 	// events holds location l's arrive and depart keys at [2*offsets[l],
 	// 2*offsets[l+1]), in order but for same-minute departures, whose
@@ -199,21 +198,27 @@ type Schedule struct {
 	interactions []int64
 }
 
+// slot is a visit's static fields, a Visitor's but for the infectivity and
+// susceptibility, which a Day holds for the slots of a Schedule.
+type slot struct {
+	person, sub, origSub int32
+	start, end           int16
+}
+
 // NewSchedule builds the static schedule of len(offsets)-1 locations.
 // Location l's visits are slots[offsets[l]:offsets[l+1]] with their static
 // fields set (Person, Sub, OrigSub, Start, End). The schedule numbers each
 // location's slots, within its range, in the order they arrive: the visit
 // at slots[i] is the slot renumber[i] that Fill and Visit take. The build
-// is O(visits + locations) counting passes, with no comparison sort, and
-// takes ownership of slots. It also records what every full day repeats:
-// each sublocation's slots in arrival order, and the Interactions with and
-// without mixing. Every visit must satisfy 0 ≤ Start, End ≤ 1440 and Sub ≥
-// 0; one with End ≤ Start never leaves, as in Simulate.
+// is O(visits + locations) counting passes, with no comparison sort; it
+// keeps offsets but not slots. It also records what every full day
+// repeats: each sublocation's slots in arrival order, and the Interactions
+// with and without mixing. Every visit must satisfy 0 ≤ Start, End ≤ 1440
+// and Sub ≥ 0; one with End ≤ Start never leaves, as in Simulate.
 func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int32) {
 	nl := len(offsets) - 1
 	s = &Schedule{
-		slots:        slots,
-		stamps:       make([]uint32, len(slots)),
+		slots:        make([]slot, len(slots)),
 		offsets:      offsets,
 		events:       make([]uint64, 2*len(slots)),
 		bySub:        make([]int32, len(slots)),
@@ -228,7 +233,6 @@ func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int3
 	// field, six bits at a time: (minute, depart before arrive, slot) order,
 	// kept while arrivals renumber the slots.
 	var tmp []uint64
-	var given []Visitor
 	var next, present []int32
 	for l := range nl {
 		lo, hi := offsets[l], offsets[l+1]
@@ -252,11 +256,11 @@ func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int3
 		countingPass(events, tmp, 32)
 		countingPass(tmp, events, 38)
 
-		local, slot := renumber[lo:hi], lo
+		local, arrival := renumber[lo:hi], lo
 		for _, k := range events {
 			if k&arriveBit != 0 {
-				local[uint32(k)] = slot
-				slot++
+				local[uint32(k)] = arrival
+				arrival++
 			}
 		}
 		// Renamed, the events place each group's slots in arrival order and
@@ -281,9 +285,8 @@ func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int3
 				left++
 			}
 		}
-		given = append(given[:0], slots[lo:hi]...)
-		for i := range given {
-			slots[local[i]] = given[i]
+		for i, v := range slots[lo:hi] {
+			s.slots[local[i]] = slot{v.Person, v.Sub, v.OrigSub, v.Start, v.End}
 		}
 	}
 	return s, renumber
@@ -307,37 +310,54 @@ func countingPass(src, dst []uint64, shift uint) {
 	}
 }
 
+// Day is one run's fill of a Schedule: which slots visit today, and with
+// what infectivity and susceptibility. Runs sharing a Schedule each fill
+// their own Day.
+type Day struct {
+	s        *Schedule
+	stamps   []uint32
+	today    uint32
+	inf, sus []float64
+}
+
+// NewDay returns an empty fill of s.
+func (s *Schedule) NewDay() *Day {
+	n := len(s.slots)
+	return &Day{s: s, stamps: make([]uint32, n), inf: make([]float64, n), sus: make([]float64, n)}
+}
+
 // NextDay opens a new day: no slot visits until Fill stamps it.
-func (s *Schedule) NextDay() { s.today++ }
+func (d *Day) NextDay() { d.today++ }
 
 // Fill records that the visit in slot happens today, with the visitor's
 // effective infectivity and susceptibility.
-func (s *Schedule) Fill(slot int32, inf, sus float64) {
-	v := &s.slots[slot]
-	v.Infectivity, v.Susceptibility = inf, sus
-	s.stamps[slot] = s.today
+func (d *Day) Fill(slot int32, inf, sus float64) {
+	d.inf[slot], d.sus[slot] = inf, sus
+	d.stamps[slot] = d.today
 }
 
 // Visit returns the static fields of the visit in slot, with zero
-// infectivity and susceptibility. It reads nothing Fill writes, so it may
-// run concurrently with a Fill of the same slot.
+// infectivity and susceptibility.
 func (s *Schedule) Visit(slot int32) Visitor {
 	v := &s.slots[slot]
-	return Visitor{Person: v.Person, Sub: v.Sub, OrigSub: v.OrigSub, Start: v.Start, End: v.End}
+	return Visitor{Person: v.person, Sub: v.sub, OrigSub: v.origSub, Start: v.start, End: v.end}
 }
 
 // Simulate executes location loc's DES for today — its slots filled since
 // NextDay, plus extras, visitors the schedule does not hold — and appends
 // the outcome to out, as the package-level Simulate does.
-func (s *Schedule) Simulate(loc int32, extras []Visitor, p Params, out *Result) {
-	if len(extras) == 0 && s.simulateFull(loc, &p, out) {
+func (d *Day) Simulate(loc int32, extras []Visitor, p Params, out *Result) {
+	if len(extras) == 0 && d.simulateFull(loc, &p, out) {
 		return
 	}
+	s := d.s
 	lo, hi := s.offsets[loc], s.offsets[loc+1]
 	simulate(schedule{
 		slots:  s.slots[lo:hi],
-		stamps: s.stamps[lo:hi],
-		today:  s.today,
+		stamps: d.stamps[lo:hi],
+		inf:    d.inf[lo:hi],
+		sus:    d.sus[lo:hi],
+		today:  d.today,
 		events: s.events[2*lo : 2*hi],
 		groups: s.groupStart[s.groupOff[loc] : s.groupOff[loc+1]+1],
 	}, extras, &p, out)
@@ -350,14 +370,15 @@ func (s *Schedule) Simulate(loc int32, extras []Visitor, p Params, out *Result) 
 // later arrival's minute: the walk's pairs exactly, as the walk tries a
 // co-present pair once, when the second arrives, touching intervals never
 // meet, and a visitor on both sides is tried both ways.
-func (s *Schedule) simulateFull(loc int32, p *Params, out *Result) bool {
+func (d *Day) simulateFull(loc int32, p *Params, out *Result) bool {
+	s := d.s
 	lo, hi := s.offsets[loc], s.offsets[loc+1]
-	for _, stamp := range s.stamps[lo:hi] {
-		if stamp != s.today {
+	for _, stamp := range d.stamps[lo:hi] {
+		if stamp != d.today {
 			return false
 		}
 	}
-	slots := s.slots[lo:hi]
+	slots, inf, sus := s.slots[lo:hi], d.inf[lo:hi], d.sus[lo:hi]
 	mixing, grouping := p.Mixing > 0, 2*loc
 	if mixing {
 		grouping++
@@ -368,13 +389,13 @@ func (s *Schedule) simulateFull(loc int32, p *Params, out *Result) bool {
 	h := xrand.Hash(0x1fec7, p.Day, p.LocKey)
 	groups := s.groupStart[s.groupOff[loc]:]
 	for i := range int32(len(slots)) {
-		src := &slots[i]
-		if src.Infectivity <= 0 {
+		if inf[i] <= 0 {
 			continue
 		}
+		src := &slots[i]
 		// In mixing mode the group is every slot, numbered in arrival order;
 		// otherwise it is src's sublocation, whose subkey every draw shares.
-		members, n := s.bySub[groups[src.Sub]:groups[src.Sub+1]], len(slots)
+		members, n := s.bySub[groups[src.sub]:groups[src.sub+1]], len(slots)
 		if !mixing {
 			n = len(members)
 		}
@@ -385,17 +406,17 @@ func (s *Schedule) simulateFull(loc int32, p *Params, out *Result) bool {
 				j = members[k]
 			}
 			dst := &slots[j]
-			if dst.Start >= src.End {
+			if dst.start >= src.end {
 				break
 			}
-			at, end := max(src.Start, dst.Start), min(src.End, dst.End)
-			if j == i || dst.Susceptibility <= 0 || at >= end {
+			at, end := max(src.start, dst.start), min(src.end, dst.end)
+			if j == i || sus[j] <= 0 || at >= end {
 				continue
 			}
 			if mixing {
 				scale, hs = drawKey(src, dst, p, h)
 			}
-			trial(src, dst, at, int(end-at), scale, hs, p, out)
+			trial(src, dst, inf[i], sus[j], at, int(end-at), scale, hs, p, out)
 		}
 	}
 	canonicalize(out, first)
@@ -418,23 +439,25 @@ func Simulate(visitors []Visitor, p Params, out *Result) {
 	simulate(schedule{}, visitors, &p, out)
 }
 
-// schedule is one location's part of a Schedule; group g has
+// schedule is one location's part of a Schedule and its Day; group g has
 // groups[g+1]-groups[g] slots.
 type schedule struct {
-	slots  []Visitor
-	stamps []uint32
-	today  uint32
-	events []uint64
-	groups []int32
+	slots    []slot
+	stamps   []uint32
+	inf, sus []float64
+	today    uint32
+	events   []uint64
+	groups   []int32
 }
 
-// visitor returns the visitor with walk index i: a slot, or an extra
-// numbered after the slots.
-func (s *schedule) visitor(i int32, extras []Visitor) *Visitor {
+// visitor returns the static fields, infectivity and susceptibility of the
+// visitor with walk index i: a slot, or an extra numbered after the slots.
+func (s *schedule) visitor(i int32, extras []Visitor) (v slot, inf, sus float64) {
 	if int(i) < len(s.slots) {
-		return &s.slots[i]
+		return s.slots[i], s.inf[i], s.sus[i]
 	}
-	return &extras[int(i)-len(s.slots)]
+	x := &extras[int(i)-len(s.slots)]
+	return slot{x.Person, x.Sub, x.OrigSub, x.Start, x.End}, x.Infectivity, x.Susceptibility
 }
 
 // simulate is the one event walk: s's static order merged with the
@@ -543,24 +566,26 @@ func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
 		if int(idx) < n && s.stamps[idx] != s.today {
 			continue
 		}
-		v := s.visitor(idx, extras)
-		st.on = [2]bool{infectious: v.Infectivity > 0, susceptible: v.Susceptibility > 0}
+		v, inf, sus := s.visitor(idx, extras)
+		st.on = [2]bool{infectious: inf > 0, susceptible: sus > 0}
 		if int(idx) < n {
 			out.Events += 2
 			if !mixing {
-				st.group = v.Sub
+				st.group = v.sub
 			}
 		}
 		g := &groups[st.group]
 		out.Interactions += int64(g.count)
 		if st.on[infectious] {
 			for _, o := range out.lists[susceptible][g.off : g.off+g.n[susceptible]] {
-				tryInfect(v, s.visitor(o, extras), v.Start, p, h, out)
+				w, _, wSus := s.visitor(o, extras)
+				tryInfect(&v, &w, inf, wSus, v.start, p, h, out)
 			}
 		}
 		if st.on[susceptible] {
 			for _, o := range out.lists[infectious][g.off : g.off+g.n[infectious]] {
-				tryInfect(s.visitor(o, extras), v, v.Start, p, h, out)
+				w, wInf, _ := s.visitor(o, extras)
+				tryInfect(&w, &v, wInf, sus, v.start, p, h, out)
 			}
 		}
 		st.present = true
@@ -590,40 +615,40 @@ func canonicalize(out *Result, first int) {
 	}
 }
 
-// tryInfect runs the walk's trial from src to dst at minute at, if they
-// overlap.
-func tryInfect(src, dst *Visitor, at int16, p *Params, h uint64, out *Result) {
-	if overlapMin := int(min(src.End, dst.End)) - int(at); overlapMin > 0 {
+// tryInfect runs the walk's trial from src, of infectivity inf, to dst, of
+// susceptibility sus, at minute at, if they overlap.
+func tryInfect(src, dst *slot, inf, sus float64, at int16, p *Params, h uint64, out *Result) {
+	if overlapMin := int(min(src.end, dst.end)) - int(at); overlapMin > 0 {
 		scale, hs := drawKey(src, dst, p, h)
-		trial(src, dst, at, overlapMin, scale, hs, p, out)
+		trial(src, dst, inf, sus, at, overlapMin, scale, hs, p, out)
 	}
 }
 
 // drawKey returns the probability scale of a trial from src to dst and its
 // draw's key prefix: h, which hashes (0x1fec7, Day, LocKey), folded over the
-// subkey and src.Person. In mixing mode contact across original
+// subkey and src.person. In mixing mode contact across original
 // sublocations scales the transmission probability by the mixing factor.
 //
 // The draw is keyed by content only — day, original location id, original
 // sublocations, the pair, and the overlap start — never by execution order,
 // so outcomes survive any re-partitioning (and, in mixing mode, survive
 // retain-edges splitting with replication).
-func drawKey(src, dst *Visitor, p *Params, h uint64) (scale float64, hs uint64) {
-	scale, subKey := 1.0, uint64(p.SubBase+dst.Sub)
+func drawKey(src, dst *slot, p *Params, h uint64) (scale float64, hs uint64) {
+	scale, subKey := 1.0, uint64(p.SubBase+dst.sub)
 	if p.Mixing > 0 {
-		subKey = xrand.Hash(uint64(src.OrigSub), uint64(dst.OrigSub))
-		if src.OrigSub != dst.OrigSub {
+		subKey = xrand.Hash(uint64(src.origSub), uint64(dst.origSub))
+		if src.origSub != dst.origSub {
 			scale = p.Mixing
 		}
 	}
-	return scale, xrand.Fold(h, subKey, uint64(src.Person))
+	return scale, xrand.Fold(h, subKey, uint64(src.person))
 }
 
-// trial runs one directed transmission trial from infectious src to
-// susceptible dst, who are co-present for overlapMin > 0 minutes from minute
-// at, with the scale and key prefix drawKey returned, and appends a
-// successful one to out.Infections.
-func trial(src, dst *Visitor, at int16, overlapMin int, scale float64, hs uint64, p *Params, out *Result) {
+// trial runs one directed transmission trial from src, of infectivity inf,
+// to dst, of susceptibility sus, who are co-present for overlapMin > 0
+// minutes from minute at, with the scale and key prefix drawKey returned,
+// and appends a successful one to out.Infections.
+func trial(src, dst *slot, inf, sus float64, at int16, overlapMin int, scale float64, hs uint64, p *Params, out *Result) {
 	out.Trials++
 	out.ContactMinutes += int64(overlapMin)
 	if overlapMin < len(reciprocals) {
@@ -633,12 +658,12 @@ func trial(src, dst *Visitor, at int16, overlapMin int, scale float64, hs uint64
 	}
 	// KeyedFloat64(0x1fec7, Day, LocKey, subKey, src, dst, at); hs hashes
 	// the first five.
-	u := float64(xrand.Fold(hs, uint64(dst.Person), uint64(at))>>11) / (1 << 53)
-	if u >= trialBound(scale, p.Tau, src.Infectivity, dst.Susceptibility, overlapMin) {
+	u := float64(xrand.Fold(hs, uint64(dst.person), uint64(at))>>11) / (1 << 53)
+	if u >= trialBound(scale, p.Tau, inf, sus, overlapMin) {
 		return
 	}
-	if u < scale*transmissionProb(p.Tau, src.Infectivity, dst.Susceptibility, overlapMin) {
-		out.Infections = append(out.Infections, Infection{Person: dst.Person, Infector: src.Person, Minute: at})
+	if u < scale*transmissionProb(p.Tau, inf, sus, overlapMin) {
+		out.Infections = append(out.Infections, Infection{Person: dst.person, Infector: src.person, Minute: at})
 	}
 }
 

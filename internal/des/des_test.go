@@ -414,7 +414,8 @@ func BenchmarkScheduleSimulate(b *testing.B) {
 	for i := range infectious {
 		infectious[i] = s.Float64() < 0.05
 	}
-	sched, _ := NewSchedule(slots, offsets)
+	static, _ := NewSchedule(slots, offsets)
+	sched := static.NewDay()
 	for _, c := range []struct {
 		name     string
 		unfilled int // every unfilled-th slot is, if positive

@@ -323,7 +323,8 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 		for j := range given {
 			given[j].Infectivity, given[j].Susceptibility = 0, 0
 		}
-		sched, renumber := NewSchedule(slots, offsets)
+		static, renumber := NewSchedule(slots, offsets)
+		sched := static.NewDay()
 		for day := 0; day < 4 && i < 3000; day, i = day+1, i+1 {
 			sched.NextDay()
 			p := Params{Day: uint64(s.Intn(50)), LocKey: uint64(s.Intn(1000)), SubBase: int32(s.Intn(5)), Tau: taus[s.Intn(len(taus))]}
@@ -343,7 +344,7 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 						continue
 					}
 					v := given[slot]
-					if got := sched.Visit(renumber[slot]); got != v {
+					if got := static.Visit(renumber[slot]); got != v {
 						t.Fatalf("visit %d is slot %d, which holds %+v, want %+v", slot, renumber[slot], got, v)
 					}
 					switch s.Intn(5) {
@@ -453,8 +454,9 @@ func TestLongOverlapsMatchReference(t *testing.T) {
 func TestSimulateAllocations(t *testing.T) {
 	s := xrand.NewStream(8)
 	visitors := randomLocationDay(s, 300, 4, 0.05)
-	sched, _ := NewSchedule(slices.Concat(randomLocationDay(s, 300, 4, 0), randomLocationDay(s, 300, 4, 0),
+	static, _ := NewSchedule(slices.Concat(randomLocationDay(s, 300, 4, 0), randomLocationDay(s, 300, 4, 0),
 		randomLocationDay(s, 300, 4, 0)), []int32{0, 300, 600, 900})
+	sched := static.NewDay()
 	sched.NextDay()
 	for slot := range int32(900) {
 		switch {
@@ -517,7 +519,8 @@ func TestStaticInteractionsMatchWalk(t *testing.T) {
 		for j := range given {
 			given[j].Infectivity, given[j].Susceptibility = 0, 0
 		}
-		sched, renumber := NewSchedule(slots, offsets)
+		static, renumber := NewSchedule(slots, offsets)
+		sched := static.NewDay()
 		for _, mixing := range []float64{0, 0.5} {
 			p := Params{Day: 1, LocKey: 1, Mixing: mixing}
 			for l := range len(offsets) - 1 {
@@ -561,7 +564,8 @@ func TestScheduleSimulateRace(t *testing.T) {
 		slots = append(slots, scheduleDay(s, 40+s.Intn(60), 1+s.Intn(4), 0)...)
 		offsets = append(offsets, int32(len(slots)))
 	}
-	sched, _ := NewSchedule(slots, offsets)
+	static, _ := NewSchedule(slots, offsets)
+	sched := static.NewDay()
 	sched.NextDay()
 	for l := range locations {
 		for slot := offsets[l]; slot < offsets[l+1]; slot++ {

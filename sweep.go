@@ -128,6 +128,21 @@ func populationBytes(p *synthpop.Population) int64 {
 		int64(len(p.PersonVisitOffsets))*4
 }
 
+// placementBytes approximates a placement's retained size: its rank maps,
+// its population (a split one is private to it) and, from the start so
+// that the charge never changes, the plan its first run builds.
+func placementBytes(pl *Placement) int64 {
+	return int64(4*(len(pl.PersonRank)+len(pl.LocationRank))) + populationBytes(pl.Pop) + planBytes(pl.Pop)
+}
+
+// planBytes approximates a built core.Plan: per visit, a location-ordered
+// copy, a schedule slot, its events and group entry and a PM's slot
+// reference; per person and location, the manager maps and lists, offsets
+// and full-day counters.
+func planBytes(p *synthpop.Population) int64 {
+	return 64*int64(len(p.Visits)) + 8*int64(len(p.Persons)) + 40*int64(len(p.Locations))
+}
+
 // PopulationStats, PlacementStats and CheckpointStats snapshot the
 // caches' hit/miss/eviction accounting (the substance of the daemon's
 // /v1/stats reply).
