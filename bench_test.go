@@ -77,6 +77,10 @@ func BenchmarkSimulateParallel(b *testing.B) {
 // and -memprofile on it profile the day loop the sim-dense numbers come from.
 // Iterations after the first reuse the plan the first built of the placement
 // (core.Plan), as the bench's repeated units do; BenchmarkNewPlan times it.
+// Two more sequential runs time the location-days that are not full: isolate
+// keeps the symptomatic home from day 0, so interventions drop visits every
+// day, and mixing (Mixing 0.3) sends split locations replicas of their
+// fragments' infectious visitors.
 func BenchmarkSimDense(b *testing.B) {
 	const seed = 7
 	pop := episim.Generate("sim-dense", 20000, 5000, seed)
@@ -85,16 +89,21 @@ func BenchmarkSimDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  episim.SimConfig
+	}{
+		{"sequential", episim.SimConfig{}},
+		{"parallel", episim.SimConfig{Parallel: true}},
+		{"isolate", episim.SimConfig{Scenario: "when day >= 0 { isolate symptomatic for 10 }"}},
+		{"mixing", episim.SimConfig{Mixing: 0.3}},
+	} {
+		cfg := c.cfg
+		cfg.Days, cfg.Seed, cfg.InitialInfections, cfg.AggBufferSize = 10, seed, 1000, 64
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := episim.Run(pl, episim.SimConfig{Days: 10, Seed: seed, InitialInfections: 1000,
-					AggBufferSize: 64, Parallel: parallel})
+				res, err := episim.Run(pl, cfg)
 				if err != nil || res.TotalInfections == 0 {
 					b.Fatal("simulation failed")
 				}
