@@ -153,7 +153,7 @@ func (e *Engine) runDayStepped(day int, kernel string, dense bool) DayReport {
 		e.beginLocationDay()
 		// An active day's person phase: every slot of an active location,
 		// bucketed by the PM managing its visitor. Their order is not
-		// observable: an LM fills static slots, the DES walks them in static
+		// observable: an LM fills static slots, the DES reads them in static
 		// order, and infections are re-sorted canonically.
 		if !dense {
 			for pmID := range e.activeSlots {

@@ -16,8 +16,8 @@ import (
 // paper's static load model rests on exactly this — and an engine's day
 // only fills it: each visit message names the visit's slot, the receiving
 // LM writes the day's infectivity and susceptibility into the engine's own
-// des.Day, and the DES walks the location's static order, skipping slots
-// nobody filled today.
+// des.Day, and the DES runs the location's static schedule, in which a slot
+// nobody filled today takes no part.
 //
 // The manager maps are built by NewPlan; the rest on first use, each behind
 // its Once, so that engines on one plan may build it concurrently and a plan

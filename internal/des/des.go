@@ -14,30 +14,29 @@
 // its event order is static, the premise of the paper's static load model.
 // A Schedule computes that order once, by counting passes: each location
 // its events in (minute, depart before arrive, visit) order, its slots
-// numbered in arrival order (the numbering is the schedule's, so the walk
-// reads slots at increasing addresses), its occupancy groups by
-// sublocation, each listing its slots in arrival order, and a full day's
+// numbered in arrival order, its occupancy groups by sublocation, each
+// listing its slots in arrival order, its longest visit, and a full day's
 // Interactions. It is read-only from then on, and runs share it: each fills
 // its own Day with the slots that visit today and their visitors'
-// infectivity and susceptibility (Fill). On a full day — every slot filled,
-// no extras — Day.Simulate takes the counters from the schedule and the
-// trials from the infectious visitors alone; else it walks the location's
-// static order, skipping slots not filled today (a departure reads no
-// slot). Extras, visitors the schedule does not hold (in the engine,
-// mixing-mode replicas of another fragment's infectious visitors), are
-// sorted per call and merged into the walk. Simulate is the same walk over
+// infectivity and susceptibility (Fill). Extras, visitors the schedule does
+// not hold (in the engine, mixing-mode replicas of another fragment's
+// infectious visitors), are sorted per call. Simulate is Day.Simulate over
 // an empty schedule, every visitor an extra.
 //
-// Every co-present pair is counted (Result.Interactions), but only
-// susceptible–infectious pairs are tried: in the walk each occupancy group
-// keeps its present infectious and susceptible visitors apart, and an
-// arrival walks only the list it can exchange the disease with. Both paths
-// try the same pairs with the same keyed draws. A trial's exponential is
-// paid only by a draw under a cheap bound of its probability; its key's
-// prefix is hashed once per location-day and, on a full day outside mixing
-// mode, once per infectious visitor. The scratch lives in unexported fields
-// of the Result the caller passes, so a caller that reuses one Result
-// (Reset keeps capacity) does not allocate.
+// Every co-present pair is counted (Result.Interactions): on a full day —
+// every slot filled, no extras — by the schedule, else by one pass over the
+// location's static events, merged with the extras', that keeps each
+// occupancy group's occupant count. Only susceptible–infectious pairs are
+// tried, in one trial loop: each infectious visitor scans its group in
+// arrival order, from the first member who can still be present (the
+// longest visit bounds how early that is) to the first who arrives after it
+// leaves, and tries each susceptible member it overlaps: the pairs and the
+// minutes of the event-ordered walk that reference_test.go keeps as the
+// oracle. A trial's exponential is paid only by a draw under a cheap bound
+// of its probability; its key's prefix is hashed once per location-day
+// and, outside mixing mode, once per infectious visitor. The scratch lives
+// in unexported fields of the Result the caller passes, so a caller that
+// reuses one Result (Reset keeps capacity) does not allocate.
 package des
 
 import (
@@ -117,13 +116,24 @@ type Result struct {
 	// unspecified order (the tests compare it to a relative 1e-9).
 	SumReciprocal float64
 
-	// The walk's scratch, meaningless between calls. keys holds the
-	// extras' group ranking, then their events and any merged walk;
-	// lists[side] is carved into one window per occupancy group.
-	keys   []uint64
-	vis    []visitorState
-	groups []groupState
-	lists  [2][]int32
+	// The scratch of a location-day that is not full, meaningless between
+	// calls: keys holds the extras' group ranking, then their sorted events;
+	// occ the occupancy groups; xgroup each extra's group; and xslots, xinf
+	// and xsus the extras as a Schedule and its Day hold slots, each group's
+	// in arrival order in its window.
+	keys       []uint64
+	occ        []occupancy
+	xgroup     []int32
+	xslots     []slot
+	xinf, xsus []float64
+}
+
+// occupancy is one occupancy group of a location-day that is not full.
+type occupancy struct {
+	count   int32 // visitors present, during the counting pass
+	lo, hi  int32 // the group's window of the extras
+	longest int32 // the longest visit in the window, 0 if none is positive
+	sus     bool  // some extra in the window is susceptible
 }
 
 // Reset clears the result for reuse, keeping allocated capacity (the
@@ -135,31 +145,6 @@ func (r *Result) Reset() {
 	r.Trials = 0
 	r.ContactMinutes = 0
 	r.SumReciprocal = 0
-}
-
-// The two sides of a transmission trial, indexing Result.lists,
-// visitorState.pos and groupState.n.
-const (
-	infectious = iota
-	susceptible
-)
-
-// visitorState is one visitor's place in the occupancy bookkeeping.
-type visitorState struct {
-	group   int32    // dense occupancy group
-	pos     [2]int32 // index in the group's list of each side it is on
-	present bool     // arrived and not yet departed
-	on      [2]bool  // the sides it is on, set at arrival
-}
-
-// groupState is one occupancy group: how many visitors are present, and
-// which of them are infectious or susceptible. Its window of lists[side]
-// starts at off and is as long as the group can have members, so it
-// cannot overflow.
-type groupState struct {
-	off   int32
-	count int32
-	n     [2]int32
 }
 
 // An event is one uint64 ordered by (minute, depart before arrive, visitor
@@ -196,6 +181,9 @@ type Schedule struct {
 	// interactions[2*l] is location l's full-day Interactions, and
 	// interactions[2*l+1] the same in mixing mode.
 	interactions []int64
+	// longest[l] is the length of location l's longest visit, 0 if none
+	// has a positive one.
+	longest []int32
 }
 
 // slot is a visit's static fields, a Visitor's but for the infectivity and
@@ -211,10 +199,11 @@ type slot struct {
 // location's slots, within its range, in the order they arrive: the visit
 // at slots[i] is the slot renumber[i] that Fill and Visit take. The build
 // is O(visits + locations) counting passes, with no comparison sort; it
-// keeps offsets but not slots. It also records what every full day
-// repeats: each sublocation's slots in arrival order, and the Interactions
-// with and without mixing. Every visit must satisfy 0 ≤ Start, End ≤ 1440
-// and Sub ≥ 0; one with End ≤ Start never leaves, as in Simulate.
+// keeps offsets but not slots. It also records each sublocation's slots in
+// arrival order, each location's longest visit, and what every full day
+// repeats: the Interactions with and without mixing. Every visit must
+// satisfy 0 ≤ Start, End ≤ 1440 and Sub ≥ 0; one with End ≤ Start never
+// leaves, as in Simulate.
 func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int32) {
 	nl := len(offsets) - 1
 	s = &Schedule{
@@ -225,6 +214,7 @@ func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int3
 		groupStart:   []int32{0},
 		groupOff:     make([]int32, nl+1),
 		interactions: make([]int64, 2*nl),
+		longest:      make([]int32, nl),
 	}
 	renumber = make([]int32, len(slots))
 
@@ -246,6 +236,7 @@ func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int3
 				s.groupStart = append(s.groupStart, 0)
 			}
 			s.groupStart[base+v.Sub]++
+			s.longest[l] = max(s.longest[l], int32(v.End-v.Start))
 		}
 		groups := int32(len(s.groupStart)) - base
 		s.groupOff[l+1] = s.groupOff[l] + groups
@@ -264,7 +255,7 @@ func NewSchedule(slots []Visitor, offsets []int32) (s *Schedule, renumber []int3
 			}
 		}
 		// Renamed, the events place each group's slots in arrival order and
-		// count a full day's Interactions as the walk does: a departure
+		// count a full day's Interactions as Day.count does: a departure
 		// before its arrival (slots arrive in number order) is a no-op.
 		next = append(next[:0], s.groupStart[base-1:base-1+groups]...)
 		present = append(present[:0], make([]int32, groups)...)
@@ -345,82 +336,220 @@ func (s *Schedule) Visit(slot int32) Visitor {
 
 // Simulate executes location loc's DES for today — its slots filled since
 // NextDay, plus extras, visitors the schedule does not hold — and appends
-// the outcome to out, as the package-level Simulate does.
+// the outcome to out, as the package-level Simulate does. A slot not filled
+// today is on neither side of a trial: its infectivity and susceptibility
+// are zeroed here. On a full day — every slot filled, no extras — Events and
+// Interactions come from the schedule, else from one pass over the location
+// (count). Then each infectious visitor scans its occupancy group: the
+// slots of its sublocation, or every slot in mixing mode, and the group's
+// extras, if some of them are susceptible.
 func (d *Day) Simulate(loc int32, extras []Visitor, p Params, out *Result) {
-	if len(extras) == 0 && d.simulateFull(loc, &p, out) {
-		return
-	}
 	s := d.s
 	lo, hi := s.offsets[loc], s.offsets[loc+1]
-	simulate(schedule{
-		slots:  s.slots[lo:hi],
-		stamps: d.stamps[lo:hi],
-		inf:    d.inf[lo:hi],
-		sus:    d.sus[lo:hi],
-		today:  d.today,
-		events: s.events[2*lo : 2*hi],
-		groups: s.groupStart[s.groupOff[loc] : s.groupOff[loc+1]+1],
-	}, extras, &p, out)
-}
-
-// simulateFull runs location loc's DES, without extras, if every one of its
-// slots visits today, and reports whether it did. Each infectious slot scans
-// its group in arrival order up to the first member who arrives after it
-// leaves, and tries every other susceptible member it overlaps, at the
-// later arrival's minute: the walk's pairs exactly, as the walk tries a
-// co-present pair once, when the second arrives, touching intervals never
-// meet, and a visitor on both sides is tried both ways.
-func (d *Day) simulateFull(loc int32, p *Params, out *Result) bool {
-	s := d.s
-	lo, hi := s.offsets[loc], s.offsets[loc+1]
-	for _, stamp := range d.stamps[lo:hi] {
-		if stamp != d.today {
-			return false
-		}
-	}
 	slots, inf, sus := s.slots[lo:hi], d.inf[lo:hi], d.sus[lo:hi]
-	mixing, grouping := p.Mixing > 0, 2*loc
-	if mixing {
-		grouping++
+	filled := len(slots)
+	for i, stamp := range d.stamps[lo:hi] {
+		if stamp != d.today {
+			inf[i], sus[i] = 0, 0
+			filled--
+		}
 	}
-	out.Events += 2 * len(slots)
-	out.Interactions += s.interactions[grouping]
-	first := len(out.Infections)
-	h := xrand.Hash(0x1fec7, p.Day, p.LocKey)
-	groups := s.groupStart[s.groupOff[loc]:]
-	for i := range int32(len(slots)) {
-		if inf[i] <= 0 {
-			continue
+	mixing := p.Mixing > 0
+	// Sublocation g's slots are bySub[subs[g]:subs[g+1]], in arrival order.
+	subs := s.groupStart[s.groupOff[loc] : s.groupOff[loc+1]+1]
+	out.Events += 2 * (filled + len(extras))
+	if filled < len(slots) || len(extras) > 0 {
+		d.count(loc, subs, extras, mixing, out)
+	} else {
+		out.Interactions += s.interactions[2*loc+b2i(mixing)]
+	}
+
+	first, h := len(out.Infections), xrand.Hash(0x1fec7, p.Day, p.LocKey)
+	// try runs the trials from src, of infectivity inf, in occupancy group g.
+	try := func(src *slot, inf float64, g int32) {
+		switch {
+		case mixing:
+			scan(src, inf, slots, sus, nil, s.longest[loc], &p, h, out)
+		case g < int32(len(subs)-1):
+			scan(src, inf, slots, sus, s.bySub[subs[g]:subs[g+1]], s.longest[loc], &p, h, out)
 		}
-		src := &slots[i]
-		// In mixing mode the group is every slot, numbered in arrival order;
-		// otherwise it is src's sublocation, whose subkey every draw shares.
-		members, n := s.bySub[groups[src.sub]:groups[src.sub+1]], len(slots)
-		if !mixing {
-			n = len(members)
+		if len(extras) > 0 && out.occ[g].sus {
+			o := &out.occ[g]
+			scan(src, inf, out.xslots[o.lo:o.hi], out.xsus[o.lo:o.hi], nil, o.longest, &p, h, out)
 		}
-		scale, hs := drawKey(src, src, p, h)
-		for k := range n {
-			j := int32(k)
+	}
+	for i := range slots {
+		if inf[i] > 0 {
+			g := int32(0)
 			if !mixing {
-				j = members[k]
+				g = slots[i].sub
 			}
-			dst := &slots[j]
-			if dst.start >= src.end {
-				break
+			try(&slots[i], inf[i], g)
+		}
+	}
+	if len(extras) > 0 {
+		for g, o := range out.occ {
+			for k := o.lo; k < o.hi; k++ {
+				if out.xinf[k] > 0 {
+					try(&out.xslots[k], out.xinf[k], int32(g))
+				}
 			}
-			at, end := max(src.start, dst.start), min(src.end, dst.end)
-			if j == i || sus[j] <= 0 || at >= end {
-				continue
-			}
-			if mixing {
-				scale, hs = drawKey(src, dst, p, h)
-			}
-			trial(src, dst, inf[i], sus[j], at, int(end-at), scale, hs, p, out)
 		}
 	}
 	canonicalize(out, first)
-	return true
+}
+
+// count adds the Interactions of location loc's day that is not full to
+// out, in one pass over its static events, skipping the slots not filled
+// today, merged with the extras' sorted events. It keeps only each
+// occupancy group's occupant count, as a departure is a no-op exactly when
+// the visit ends at or before it starts (its arrival is then still to
+// come). The same pass places each group's extras, in arrival order, in
+// its window of out's extras scratch. In mixing mode everybody at the
+// location shares one group; otherwise scheduled sublocation g is group g,
+// and the extras of any other sublocation form groups of their own.
+func (d *Day) count(loc int32, subs []int32, extras []Visitor, mixing bool, out *Result) {
+	s := d.s
+	lo, hi := s.offsets[loc], s.offsets[loc+1]
+	slots, stamps, events := s.slots[lo:hi], d.stamps[lo:hi], s.events[2*lo:2*hi]
+	m, scheduled := len(extras), len(subs)-1
+	if mixing {
+		scheduled = 1
+	}
+	occ, keys := slices.Grow(out.occ[:0], scheduled)[:scheduled], out.keys[:0]
+	xgroup := slices.Grow(out.xgroup[:0], m)[:m]
+	clear(occ)
+	// The groups are sized first, then given consecutive windows.
+	if mixing {
+		occ[0].hi = int32(m)
+		clear(xgroup)
+	} else {
+		// Sorting (Sub, index) brings the extras of each sublocation
+		// together, whatever int32 values Sub takes.
+		for j := range extras {
+			keys = append(keys, uint64(uint32(extras[j].Sub))<<32|uint64(j))
+		}
+		slices.Sort(keys)
+		for k, key := range keys {
+			g := key >> 32
+			if g >= uint64(scheduled) {
+				if k == 0 || g != keys[k-1]>>32 {
+					occ = append(occ, occupancy{})
+				}
+				g = uint64(len(occ) - 1)
+			}
+			occ[g].hi++
+			xgroup[uint32(key)] = int32(g)
+		}
+	}
+	var off int32
+	for g := range occ {
+		occ[g].lo, occ[g].hi, off = off, off, off+occ[g].hi
+	}
+	keys = keys[:0]
+	for j := range extras {
+		keys = append(keys, eventKey(extras[j].Start, arriveBit, j), eventKey(extras[j].End, 0, j))
+	}
+	slices.Sort(keys)
+	keys = append(keys, math.MaxUint64) // after every static event
+	out.xslots = slices.Grow(out.xslots[:0], m)[:m]
+	out.xinf = slices.Grow(out.xinf[:0], m)[:m]
+	out.xsus = slices.Grow(out.xsus[:0], m)[:m]
+
+	for i, k := 0, 0; i+k < len(events)+2*m; {
+		var key uint64
+		var g, here, leaves int32 // here: the visitor is here today
+		if i < len(events) && events[i] < keys[k] {
+			key = events[i]
+			i++
+			v := &slots[uint32(key)]
+			if !mixing {
+				g = v.sub
+			}
+			here, leaves = b2i(stamps[uint32(key)] == d.today), b2i(v.end > v.start)
+		} else {
+			key = keys[k]
+			k++
+			v := &extras[uint32(key)]
+			g, here, leaves = xgroup[uint32(key)], 1, b2i(v.End > v.Start)
+			if o := &occ[g]; key&arriveBit != 0 {
+				out.xslots[o.hi] = slot{v.Person, v.Sub, v.OrigSub, v.Start, v.End}
+				out.xinf[o.hi], out.xsus[o.hi] = v.Infectivity, v.Susceptibility
+				o.sus = o.sus || v.Susceptibility > 0
+				o.longest = max(o.longest, int32(v.End)-int32(v.Start))
+				o.hi++
+			}
+		}
+		// Without branches, as arrivals and departures interleave
+		// unpredictably: an arrival counts the group's occupants and joins
+		// them, a departure leaves them if the visit leaves at all.
+		arrive := int32(key>>32) & 1 & here
+		o := &occ[g]
+		out.Interactions += int64(o.count & -arrive)
+		o.count += arrive - (here-arrive)*leaves
+	}
+	out.occ, out.keys, out.xgroup = occ, keys[:0], xgroup
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// scan is the one trial loop: it tries src, an infectious visitor of
+// infectivity inf, against each susceptible visitor it overlaps of a group
+// listed in arrival order — dsts[j] of susceptibility sus[j], for j in
+// members, or every j if members is nil — none of whose visits lasts longer
+// than longest minutes. A member who arrives by src.start-longest has left
+// when src arrives, so the scan starts behind them, found by bisection, and
+// it stops at the first member to arrive as src leaves. A pair is tried at
+// the later arrival's minute: the event-ordered walk's pairs exactly, as it
+// tries a co-present pair once, when the second arrives, touching intervals
+// never meet, and a visitor on both sides is tried both ways.
+func scan(src *slot, inf float64, dsts []slot, sus []float64, members []int32, longest int32, p *Params, h uint64, out *Result) {
+	n := len(dsts)
+	if members != nil {
+		n = len(members)
+	}
+	// Bisection for the first member to arrive after minute from: it is
+	// within positions [k, k+w], at n if there is none.
+	k, from := 0, int32(src.start)-longest
+	for w := n; w > 0; {
+		half := w >> 1
+		j := k + half
+		if members != nil {
+			j = int(members[j])
+		}
+		if int32(dsts[j].start) <= from {
+			k += half + 1
+			w -= half + 1
+		} else {
+			w = half
+		}
+	}
+	mixing := p.Mixing > 0
+	scale, hs := drawKey(src, src, p, h)
+	for ; k < n; k++ {
+		j := k
+		if members != nil {
+			j = int(members[k])
+		}
+		dst := &dsts[j]
+		if dst.start >= src.end {
+			break
+		}
+		at, end := max(src.start, dst.start), min(src.end, dst.end)
+		if dst == src || sus[j] <= 0 || at >= end {
+			continue
+		}
+		if mixing {
+			scale, hs = drawKey(src, dst, p, h)
+		}
+		trial(src, dst, inf, sus[j], at, int(end-at), scale, hs, p, out)
+	}
 }
 
 // Simulate executes the location-day DES of visitors and appends the
@@ -428,179 +557,24 @@ func (d *Day) simulateFull(loc int32, p *Params, out *Result) bool {
 // appended behind those already there, which are left untouched. The
 // appended infections are deduplicated per person (earliest exposure wins,
 // ties broken by smallest infector id) and sorted by person, so they are a
-// canonical set that does not depend on visitor ordering.
+// canonical set that does not depend on visitor ordering. It is
+// Day.Simulate over an empty schedule, every visitor an extra.
 //
 // Visits are expected to satisfy 0 ≤ Start < End ≤ 1440 (what
 // synthpop.Validate enforces). A visit with End ≤ Start never leaves: its
-// departure finds it absent and is a no-op, so from Start on it is counted
-// in the Interactions of every later arrival in its group, but it has no
-// positive overlap with anybody and enters no trial.
+// departure comes before its arrival, so from Start on it is counted in the
+// Interactions of every later arrival in its group, but it has no positive
+// overlap with anybody and enters no trial.
 func Simulate(visitors []Visitor, p Params, out *Result) {
-	simulate(schedule{}, visitors, &p, out)
+	emptyDay.Simulate(0, visitors, p, out)
 }
 
-// schedule is one location's part of a Schedule and its Day; group g has
-// groups[g+1]-groups[g] slots.
-type schedule struct {
-	slots    []slot
-	stamps   []uint32
-	inf, sus []float64
-	today    uint32
-	events   []uint64
-	groups   []int32
-}
-
-// visitor returns the static fields, infectivity and susceptibility of the
-// visitor with walk index i: a slot, or an extra numbered after the slots.
-func (s *schedule) visitor(i int32, extras []Visitor) (v slot, inf, sus float64) {
-	if int(i) < len(s.slots) {
-		return s.slots[i], s.inf[i], s.sus[i]
-	}
-	x := &extras[int(i)-len(s.slots)]
-	return slot{x.Person, x.Sub, x.OrigSub, x.Start, x.End}, x.Infectivity, x.Susceptibility
-}
-
-// simulate is the one event walk: s's static order merged with the
-// extras' sorted events.
-func simulate(s schedule, extras []Visitor, p *Params, out *Result) {
-	n, m := len(s.slots), len(extras)
-	out.Events += 2 * m
-	if n == 0 && m < 2 {
-		return
-	}
-	out.vis = slices.Grow(out.vis[:0], n+m)[:n+m]
-	clear(out.vis)
-	for side := range out.lists {
-		out.lists[side] = slices.Grow(out.lists[side][:0], n+m)[:n+m]
-	}
-	vis, groups, keys := out.vis, out.groups[:0], out.keys[:0]
-	mixing := p.Mixing > 0
-
-	// Occupancy groups, sized first and then given consecutive windows. In
-	// mixing mode everybody at the location interacts, so there is one
-	// group. Otherwise a group is a sublocation: scheduled sublocation g is
-	// group g, and sorting (Sub, index) brings the extras of each
-	// sublocation together — into a scheduled group, or a new one, whatever
-	// int32 values Sub takes.
-	if mixing {
-		groups = append(groups, groupState{off: int32(n + m)})
-	} else {
-		for g := 1; g < len(s.groups); g++ {
-			groups = append(groups, groupState{off: s.groups[g] - s.groups[g-1]})
-		}
-		for j := range extras {
-			keys = append(keys, uint64(uint32(extras[j].Sub))<<32|uint64(n+j))
-		}
-		slices.Sort(keys)
-		scheduled := uint64(len(groups))
-		for k, key := range keys {
-			g := key >> 32
-			if g >= scheduled {
-				if k == 0 || g != keys[k-1]>>32 {
-					groups = append(groups, groupState{})
-				}
-				g = uint64(len(groups) - 1)
-			}
-			groups[g].off++
-			vis[uint32(key)].group = int32(g)
-		}
-		keys = keys[:0]
-	}
-	var off int32
-	for g := range groups {
-		size := groups[g].off
-		groups[g].off = off
-		off += size
-	}
-
-	// The walk: the static order, the extras' sorted events, or both merged
-	// behind the latter.
-	walk := s.events
-	if m > 0 {
-		for j := range extras {
-			keys = append(keys, eventKey(extras[j].Start, arriveBit, n+j), eventKey(extras[j].End, 0, n+j))
-		}
-		slices.Sort(keys)
-		walk = keys
-		if n > 0 {
-			x := len(keys)
-			keys = slices.Grow(keys, x+len(s.events))[:2*x+len(s.events)]
-			walk = keys[x:]
-			for k, i, j := 0, 0, 0; k < len(walk); k++ {
-				if j == x || (i < len(s.events) && s.events[i] < keys[j]) {
-					walk[k] = s.events[i]
-					i++
-				} else {
-					walk[k] = keys[j]
-					j++
-				}
-			}
-		}
-	}
-
-	first := len(out.Infections)
-	h := xrand.Hash(0x1fec7, p.Day, p.LocKey) // every trial's key prefix
-	for _, key := range walk {
-		idx := int32(uint32(key))
-		st := &vis[idx]
-		if key&arriveBit == 0 { // a slot not filled today never arrived
-			if !st.present {
-				continue
-			}
-			st.present = false
-			g := &groups[st.group]
-			g.count--
-			for side, member := range st.on {
-				if member {
-					// Swap-remove: the group's last member of this side
-					// takes v's slot.
-					list := out.lists[side][g.off:]
-					g.n[side]--
-					moved := list[g.n[side]]
-					list[st.pos[side]] = moved
-					vis[moved].pos[side] = st.pos[side]
-				}
-			}
-			continue
-		}
-		if int(idx) < n && s.stamps[idx] != s.today {
-			continue
-		}
-		v, inf, sus := s.visitor(idx, extras)
-		st.on = [2]bool{infectious: inf > 0, susceptible: sus > 0}
-		if int(idx) < n {
-			out.Events += 2
-			if !mixing {
-				st.group = v.sub
-			}
-		}
-		g := &groups[st.group]
-		out.Interactions += int64(g.count)
-		if st.on[infectious] {
-			for _, o := range out.lists[susceptible][g.off : g.off+g.n[susceptible]] {
-				w, _, wSus := s.visitor(o, extras)
-				tryInfect(&v, &w, inf, wSus, v.start, p, h, out)
-			}
-		}
-		if st.on[susceptible] {
-			for _, o := range out.lists[infectious][g.off : g.off+g.n[infectious]] {
-				w, wInf, _ := s.visitor(o, extras)
-				tryInfect(&w, &v, wInf, sus, v.start, p, h, out)
-			}
-		}
-		st.present = true
-		g.count++
-		for side, member := range st.on {
-			if member {
-				st.pos[side] = g.n[side]
-				out.lists[side][g.off+g.n[side]] = idx
-				g.n[side]++
-			}
-		}
-	}
-	out.groups, out.keys = groups, keys[:0]
-	canonicalize(out, first)
-}
+// emptyDay is the fill of a schedule of one location without slots. Its
+// Simulate only reads it, so every caller shares it.
+var emptyDay = func() *Day {
+	s, _ := NewSchedule(nil, []int32{0, 0})
+	return s.NewDay()
+}()
 
 // canonicalize turns the infections appended from first on into a
 // canonical set: each person's earliest exposure, in person order.
@@ -612,15 +586,6 @@ func canonicalize(out *Result, first int) {
 		})
 		found = slices.CompactFunc(found, func(a, b Infection) bool { return a.Person == b.Person })
 		out.Infections = out.Infections[:first+len(found)]
-	}
-}
-
-// tryInfect runs the walk's trial from src, of infectivity inf, to dst, of
-// susceptibility sus, at minute at, if they overlap.
-func tryInfect(src, dst *slot, inf, sus float64, at int16, p *Params, h uint64, out *Result) {
-	if overlapMin := int(min(src.end, dst.end)) - int(at); overlapMin > 0 {
-		scale, hs := drawKey(src, dst, p, h)
-		trial(src, dst, inf, sus, at, overlapMin, scale, hs, p, out)
 	}
 }
 

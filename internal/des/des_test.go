@@ -347,8 +347,9 @@ func TestReciprocalsMatchDivision(t *testing.T) {
 	}
 }
 
-// NewSchedule numbers each location's slots in arrival order, and the walk
-// is the visits' own (minute, depart before arrive, index) order, renamed.
+// NewSchedule numbers each location's slots in arrival order, and its event
+// order is the visits' own (minute, depart before arrive, index) order,
+// renamed.
 func TestScheduleSlotsInArrivalOrder(t *testing.T) {
 	s := xrand.NewStream(20261016)
 	for iter := 0; iter < 300; iter++ {
@@ -393,9 +394,13 @@ func TestScheduleSlotsInArrivalOrder(t *testing.T) {
 // visitors infectious and the rest susceptible, at the default model's
 // transmissibility, in locations of a few to 80 visits with hours-long
 // stays, a few co-present visitors per arrival. On a full day every slot is
-// filled: a dense day, whose trials start from the infectious visitors. On
-// a partial day every tenth slot is not, and each location walks its
-// events.
+// filled: a dense day, whose counters the schedule recorded. On a partial
+// day every tenth slot is not, and each location counts its events in one
+// pass. On an extras day every slot is filled, in mixing mode, and each
+// location also receives the infectious visitors of the next one as
+// replicas that nobody can infect, as the fragments of a split location
+// do: it counts its events merged with the replicas', and only the
+// replicas try its slots.
 func BenchmarkScheduleSimulate(b *testing.B) {
 	s := xrand.NewStream(1)
 	const locations = 500
@@ -404,8 +409,8 @@ func BenchmarkScheduleSimulate(b *testing.B) {
 	for range locations {
 		n := 2 + s.Intn(80)
 		for range n {
-			start := int16(s.Intn(1200))
-			slots = append(slots, Visitor{Person: int32(len(slots)), Sub: int32(s.Intn(1 + n/40)),
+			start, sub := int16(s.Intn(1200)), int32(s.Intn(1+n/40))
+			slots = append(slots, Visitor{Person: int32(len(slots)), Sub: sub, OrigSub: sub,
 				Start: start, End: min(1440, start+int16(60+s.Intn(480)))})
 		}
 		offsets = append(offsets, int32(len(slots)))
@@ -414,14 +419,26 @@ func BenchmarkScheduleSimulate(b *testing.B) {
 	for i := range infectious {
 		infectious[i] = s.Float64() < 0.05
 	}
+	replicas := make([][]Visitor, locations)
+	for l := range replicas {
+		next := (l + 1) % locations
+		for i := offsets[next]; i < offsets[next+1]; i++ {
+			if infectious[i] {
+				v := slots[i]
+				v.Infectivity = 1
+				replicas[l] = append(replicas[l], v)
+			}
+		}
+	}
 	static, _ := NewSchedule(slots, offsets)
 	sched := static.NewDay()
 	for _, c := range []struct {
 		name     string
 		unfilled int // every unfilled-th slot is, if positive
-	}{{"full", 0}, {"partial", 10}} {
+		mixing   float64
+	}{{"full", 0, 0}, {"partial", 10, 0}, {"extras", 0, 0.3}} {
 		b.Run(c.name, func(b *testing.B) {
-			p := Params{Day: 1, Tau: 4.5e-5}
+			p := Params{Day: 1, Tau: 4.5e-5, Mixing: c.mixing}
 			b.ReportAllocs()
 			var r Result
 			for i := 0; i < b.N; i++ {
@@ -437,8 +454,12 @@ func BenchmarkScheduleSimulate(b *testing.B) {
 				}
 				r.Reset()
 				for l := range locations {
+					var extras []Visitor
+					if c.mixing > 0 {
+						extras = replicas[l]
+					}
 					p.LocKey = uint64(l)
-					sched.Simulate(int32(l), nil, p, &r)
+					sched.Simulate(int32(l), extras, p, &r)
 				}
 			}
 			b.ReportMetric(float64(r.Trials), "trials/op")

@@ -123,8 +123,8 @@ func referenceSimulate(visitors []Visitor, p Params, out *Result) {
 	})
 }
 
-// tryInfect runs one directed transmission trial from infectious src to
-// susceptible dst, if their states allow it. scale multiplies the
+// referenceTryInfect runs one directed transmission trial from infectious
+// src to susceptible dst, if their states allow it. scale multiplies the
 // transmission probability (1 for same-sublocation contact, the mixing
 // factor otherwise).
 func referenceTryInfect(src, dst *Visitor, overlapMin int, at int16, scale float64, p Params, out *Result, pending *map[int32]Infection) {
@@ -296,21 +296,26 @@ func TestSimulateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScheduledSimulateMatchesReference walks static schedules the way the
-// engine does: a few locations share one Schedule, and each of several days
-// fills every location's slots, all but one of them, or a random subset —
-// so slots filled on an earlier day must not visit — and adds random
-// extras: replicas of infectious visitors in mixing mode, visitors of any
-// sublocation (the schedule's or none of them) without. The reference
-// simulates the day's filled slots plus its extras as one visitor list.
-// Over a third of the location-days have every slot filled and no extras,
-// which Schedule.Simulate runs without the walk.
+// TestScheduledSimulateMatchesReference simulates static schedules the way
+// the engine does: a few locations share one Schedule, and each of several
+// days fills every location's slots, all but one of them, or a random
+// subset — so slots filled on an earlier day must not visit — and adds
+// random extras: replicas of infectious visitors in mixing mode, visitors
+// of any sublocation (the schedule's or none of them) without. The
+// reference simulates the day's filled slots plus its extras as one visitor
+// list. Over a third of the location-days have every slot filled and no
+// extras, whose counters Schedule.Simulate takes from the schedule; the
+// guard also requires enough partly filled days without extras, and enough
+// days with extras, whose counters it counts in one pass.
 func TestScheduledSimulateMatchesReference(t *testing.T) {
 	s := xrand.NewStream(20261015)
 	taus := []float64{0, 0.0005, 0.02, 10}
 	var out Result
 	var trials, infections, extras int64
 	var days, fullDays, fullTrials, fullInfections int64
+	// Location-days partly filled without extras, and carrying extras:
+	// count, trials, infections.
+	var partial, extra [3]int64
 	for i := 0; i < 3000; {
 		offsets := []int32{0}
 		var slots []Visitor
@@ -383,10 +388,15 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 				trials += out.Trials
 				infections += int64(len(out.Infections))
 				days++
-				if len(x) == 0 && len(filled[l]) == int(offsets[l+1]-offsets[l]) {
+				switch {
+				case len(x) > 0:
+					extra[0], extra[1], extra[2] = extra[0]+1, extra[1]+out.Trials, extra[2]+int64(len(out.Infections))
+				case len(filled[l]) == int(offsets[l+1]-offsets[l]):
 					fullDays++
 					fullTrials += out.Trials
 					fullInfections += int64(len(out.Infections))
+				default:
+					partial[0], partial[1], partial[2] = partial[0]+1, partial[1]+out.Trials, partial[2]+int64(len(out.Infections))
 				}
 			}
 		}
@@ -396,6 +406,12 @@ func TestScheduledSimulateMatchesReference(t *testing.T) {
 	}
 	if 3*fullDays < days || fullTrials < 100000 || fullInfections < 10000 {
 		t.Fatalf("too few fully filled location-days: %d of %d, with %d trials and %d infections", fullDays, days, fullTrials, fullInfections)
+	}
+	if partial[0] < 1000 || partial[1] < 50000 || partial[2] < 5000 {
+		t.Fatalf("too few partly filled location-days without extras: %d, with %d trials and %d infections", partial[0], partial[1], partial[2])
+	}
+	if extra[0] < 2000 || extra[1] < 150000 || extra[2] < 15000 {
+		t.Fatalf("too few location-days with extras: %d, with %d trials and %d infections", extra[0], extra[1], extra[2])
 	}
 }
 
@@ -499,12 +515,13 @@ func TestSimulateAllocations(t *testing.T) {
 	}
 }
 
-// The schedule's full-day Interactions are the walk's, by sublocation and in
-// mixing mode. With every slot filled, and nobody infectious or susceptible,
-// Schedule.Simulate (which then reads the counters NewSchedule recorded)
-// counts what the walk over the same visits does, same-minute arrivals,
-// touching intervals and visits that never leave included; with one slot
-// unfilled it still does.
+// The schedule's full-day Interactions are the counting pass's, by
+// sublocation and in mixing mode. With every slot filled, and nobody
+// infectious or susceptible, Schedule.Simulate (which then reads the
+// counters NewSchedule recorded) counts what Simulate's pass over the same
+// visits as extras does, same-minute arrivals, touching intervals and
+// visits that never leave included; with one slot unfilled, when its own
+// pass skips the slot, it still does.
 func TestStaticInteractionsMatchWalk(t *testing.T) {
 	s := xrand.NewStream(20261017)
 	var interactions int64
@@ -538,7 +555,7 @@ func TestStaticInteractionsMatchWalk(t *testing.T) {
 					sched.Simulate(int32(l), nil, p, &got)
 					Simulate(visits, p, &want)
 					if got.Interactions != want.Interactions || got.Events != want.Events {
-						t.Fatalf("schedule %d location %d (mixing %g, unfilled %d): %d events, %d interactions; the walk: %d, %d",
+						t.Fatalf("schedule %d location %d (mixing %g, unfilled %d): %d events, %d interactions; Simulate: %d, %d",
 							iter, l, mixing, unfilled, got.Events, got.Interactions, want.Events, want.Interactions)
 					}
 					interactions += got.Interactions
@@ -570,7 +587,7 @@ func TestScheduleSimulateRace(t *testing.T) {
 	for l := range locations {
 		for slot := offsets[l]; slot < offsets[l+1]; slot++ {
 			switch {
-			case l%3 == 2 && slot == offsets[l]: // unfilled: the walk
+			case l%3 == 2 && slot == offsets[l]: // unfilled: the counting pass
 			case s.Intn(4) == 0:
 				sched.Fill(slot, 0.5+s.Float64(), float64(s.Intn(2)))
 			default:
