@@ -261,10 +261,14 @@ type Engine struct {
 	// visits by location (emptied through activeLocList), and each exposed
 	// person's accumulated hazard, with a bit per person in exposedBits
 	// marking the exposed (lambda cannot: a hazard accumulated under τ = 0 is
-	// zero). Both are cleared as the day's trials scan the bitmap.
+	// zero). Both are cleared as the day's trials scan the bitmap. rooms is
+	// the plan's room index, evScratch one location's visits, sized to the
+	// largest.
 	srcVisits   [][]srcVisit
 	lambda      []float64
 	exposedBits []uint64
+	rooms       *roomIndex
+	evScratch   []evVisit
 }
 
 // pmHealth is one PersonManager's slab of incremental health bookkeeping.

@@ -19,6 +19,10 @@ import (
 // des.Day, and the DES runs the location's static schedule, in which a slot
 // nobody filled today takes no part.
 //
+// The event kernel reads the same location-ordered visits through a second
+// index instead of the schedule: each location's visits grouped by
+// sublocation, since only visitors of one room can infect each other.
+//
 // The manager maps are built by NewPlan; the rest on first use, each behind
 // its Once, so that engines on one plan may build it concurrently and a plan
 // whose runs are all Gillespie never builds the schedule.
@@ -32,11 +36,14 @@ type Plan struct {
 	pmOf, lmOf, lmIndex   []int32
 	personsOfPM, locsOfLM [][]int32
 
-	// The visits in location order (visits), the static schedule with each
-	// PM's slot list (schedule), and the fragment families (families).
+	// The visits in location order (visits), grouped by sublocation within
+	// each location (rooms), the static schedule with each PM's slot list
+	// (schedule), and the fragment families (families).
 	visitsOnce sync.Once
 	locOffsets []int32
 	locVisits  []synthpop.Visit
+	roomsOnce  sync.Once
+	roomIx     roomIndex
 	schedOnce  sync.Once
 	sched      *des.Schedule
 	pmSlots    [][]slotRef
@@ -114,6 +121,54 @@ func (pl *Plan) visits() (offsets []int32, visits []synthpop.Visit) {
 		pl.locOffsets = offsets
 	})
 	return pl.locOffsets, pl.locVisits
+}
+
+// roomIndex groups each location's visits by sublocation. Location l's
+// sublocation s holds the visits locVisits[locOffsets[l]+i] for i in
+// order[offsets[base[l]+s]:offsets[base[l]+s+1]], ascending: i is a position
+// within the location, and a room keeps its visits in locVisits order.
+type roomIndex struct {
+	base    []int32 // location → its first sublocation's entry in offsets
+	offsets []int32 // (location, sublocation) → its first entry in order, and one past the last room
+	order   []int32 // each location's positions, grouped by sublocation
+	largest int32   // the most visits at one location
+}
+
+// rooms returns the visits grouped by sublocation, built by one stable
+// counting sort of the location-ordered visits: 4 B per visit, 4 B per
+// sublocation and 4 B per location.
+func (pl *Plan) rooms() *roomIndex {
+	pl.roomsOnce.Do(func() {
+		offsets, visits := pl.visits()
+		ix := &pl.roomIx
+		ix.base = make([]int32, len(pl.pop.Locations))
+		var subs int32
+		for l := range pl.pop.Locations {
+			ix.base[l] = subs
+			subs += pl.pop.Locations[l].NumSub
+			ix.largest = max(ix.largest, offsets[l+1]-offsets[l])
+		}
+		// Count each room into the entry after its own, sum the counts into
+		// first entries, advance them past each room's visits in order, and
+		// shift the resulting ends back into starts.
+		ix.offsets = make([]int32, subs+1)
+		for i := range visits {
+			ix.offsets[ix.base[visits[i].Loc]+visits[i].Sub+1]++
+		}
+		for k := 1; k <= int(subs); k++ {
+			ix.offsets[k] += ix.offsets[k-1]
+		}
+		ix.order = make([]int32, len(visits))
+		for i := range visits {
+			v := &visits[i]
+			k := ix.base[v.Loc] + v.Sub
+			ix.order[ix.offsets[k]] = int32(i) - offsets[v.Loc]
+			ix.offsets[k]++
+		}
+		copy(ix.offsets[1:], ix.offsets[:subs])
+		ix.offsets[0] = 0
+	})
+	return &pl.roomIx
 }
 
 // schedule returns the static schedule — location l's visits are its slots

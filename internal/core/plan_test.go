@@ -121,11 +121,12 @@ func mustRunWith(t *testing.T, newEngine func(Config) (*Engine, error), r planRu
 // table it holds, and the population it was built from.
 func planDigest(pl *Plan) string {
 	pl.visits()
+	pl.rooms()
 	pl.schedule()
 	pl.families()
 	h := sha256.New()
 	fmt.Fprint(h, pl.pop.Visits, pl.pmOf, pl.lmOf, pl.lmIndex, pl.personsOfPM, pl.locsOfLM,
-		pl.locOffsets, pl.locVisits, pl.pmSlots, pl.fragments, *pl.sched)
+		pl.locOffsets, pl.locVisits, pl.roomIx, pl.pmSlots, pl.fragments, *pl.sched)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -179,11 +180,30 @@ func TestSharedPlanMatchesFresh(t *testing.T) {
 	}
 }
 
-// Four engines run at once on one plan, which they build on first use, and
-// find what New's engines find one after another.
+// Engines run at once on one fresh plan, which they build on first use, and
+// find what New's engines find one after another: the split placement's
+// four runs, and four event-kernel runs that all build the room index at
+// once.
 func TestSharedPlanRace(t *testing.T) {
-	runs := sharedPlanCases(t)[1]
-	runs[1].cfg.Parallel = true
+	cases := sharedPlanCases(t)
+	mixing := cases[1]
+	mixing[1].cfg.Parallel = true
+	var event []planRun
+	for _, r := range cases[0] {
+		if r.cfg.Kernel == KernelEvent {
+			seeded := r
+			seeded.name, seeded.cfg.Seed = r.name+"-reseeded", r.cfg.Seed+1
+			event = append(event, r, seeded)
+		}
+	}
+	if len(event) != 4 {
+		t.Fatalf("%d event-kernel runs, want 4", len(event))
+	}
+	t.Run("mixing", func(t *testing.T) { raceOnFreshPlan(t, mixing) })
+	t.Run("event", func(t *testing.T) { raceOnFreshPlan(t, event) })
+}
+
+func raceOnFreshPlan(t *testing.T, runs []planRun) {
 	want := make([]*Result, len(runs))
 	for i, r := range runs {
 		want[i] = mustRunWith(t, New, r)

@@ -117,3 +117,91 @@ func TestKeepVisitMatchesReference(t *testing.T) {
 			decided, drawDecided)
 	}
 }
+
+// hazardCases counts what referenceEventHazards met, so that its oracle can
+// require every case to have been reached.
+type hazardCases struct {
+	sameRoom, otherRoom    int // source and eligible visit by another person, in one room or two
+	touching, disjoint     int // same-room pairs whose intervals meet at a minute or miss
+	selfSame, selfOther    int // source and eligible visit by one person, in one room or two
+	twiceSame, twiceOther  int // a person exposed twice at one location, in one room or two
+	dropped, treated, nsus int // eligible by susceptibility but not kept; exposed under a treatment; sus ≤ 0
+}
+
+// referenceEventHazards is the event kernel's hazard loop as it stood
+// before the room index — every susceptible visit of an active location
+// against every source there — body kept verbatim apart from the case
+// counts and the float64 conversions that round each product before its
+// sum, as the kernel does, so that no target fuses them: the oracle of
+// TestEventHazardsMatchAllPairs.
+func referenceEventHazards(e *Engine, day int, cases *hazardCases) int64 {
+	tau := e.model.Transmissibility
+	var interactions int64
+	for _, locID := range e.activeLocList {
+		sv := e.srcVisits[locID]
+		e.srcVisits[locID] = sv[:0]
+		loc := &e.pop.Locations[locID]
+		exposedAt := map[int32]int32{} // person → sublocation of its last exposed visit here
+		for _, v := range e.locVisits[e.locOffsets[locID]:e.locOffsets[locID+1]] {
+			p := v.Person
+			hs := &e.health[p]
+			sus := e.model.Susceptibility(hs.State, hs.Treatment)
+			if sus <= 0 {
+				cases.nsus++
+				continue
+			}
+			if !e.keepVisit(p, hs, locID, loc, day) {
+				cases.dropped++
+				continue
+			}
+			var h float64
+			for i := range sv {
+				s := &sv[i]
+				if s.person == p || s.sub != v.Sub {
+					switch {
+					case s.person == p && s.sub == v.Sub:
+						cases.selfSame++
+					case s.person == p:
+						cases.selfOther++
+					default:
+						cases.otherRoom++
+					}
+					continue
+				}
+				cases.sameRoom++
+				start := v.Start
+				if s.start > start {
+					start = s.start
+				}
+				end := v.End
+				if s.end < end {
+					end = s.end
+				}
+				if end <= start {
+					if end == start {
+						cases.touching++
+					} else {
+						cases.disjoint++
+					}
+					continue
+				}
+				h += float64(s.inf * float64(end-start))
+				interactions++
+			}
+			if h > 0 {
+				if sub, ok := exposedAt[p]; ok && sub == v.Sub {
+					cases.twiceSame++
+				} else if ok {
+					cases.twiceOther++
+				}
+				exposedAt[p] = v.Sub
+				if hs.Treatment != 0 {
+					cases.treated++
+				}
+				e.exposedBits[p>>6] |= 1 << (p & 63)
+				e.lambda[p] += float64(tau * sus * h)
+			}
+		}
+	}
+	return interactions
+}
