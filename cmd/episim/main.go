@@ -36,7 +36,7 @@ func main() {
 		ranks     = flag.Int("ranks", 16, "logical PEs (core-modules)")
 		strategy  = flag.String("strategy", "GP", "data distribution: RR or GP")
 		splitLoc  = flag.Bool("splitloc", false, "apply heavy-location splitting first")
-		parallel  = flag.Bool("parallel", false, "run one goroutine per rank")
+		parallel  = flag.Bool("parallel", false, "run one goroutine per rank (same epidemic as the sequential scheduler)")
 		agg       = flag.Int("agg", 64, "message aggregation buffer (0 = off)")
 		route2d   = flag.Bool("route2d", false, "TRAM-style 2D topological routing of aggregated messages (needs -agg > 0)")
 		mixing    = flag.Float64("mixing", 0, "inter-sublocation mixing factor (0 = rooms are isolated)")

@@ -256,7 +256,9 @@ type SimConfig struct {
 	// Scenario is an intervention DSL program (empty = none).
 	Scenario string
 	// Parallel runs one goroutine per rank instead of the deterministic
-	// sequential scheduler.
+	// sequential scheduler. Each phase ends as soon as its last message is
+	// processed (exact completion detection, no polling), and the epidemic
+	// is the sequential scheduler's; only wire-message counts vary.
 	Parallel bool
 	// AggBufferSize enables message aggregation when > 0.
 	AggBufferSize int

@@ -9,7 +9,7 @@
 //     application-level message aggregation (Section IV-C);
 //   - phase synchronization by completion detection — the runtime detects
 //     when every produced message has been consumed (Section IV-B) — with
-//     a quiescence-detection mode kept for comparison;
+//     a quiescence-detection mode the machine model prices for comparison;
 //   - contribution-based reductions (global system state updates,
 //     Section II-B step 6).
 //
@@ -29,14 +29,14 @@
 // messages from the chare-level messages buffered per next hop. Two
 // schedulers drive the same workers: a deterministic sequential one that
 // visits PEs round-robin (used for large logical-PE sweeps) and a parallel
-// one with a goroutine per PE and a polling completion detector (real
-// concurrency). Everything a chare can observe, and every PhaseStats field
-// that counts chare-level traffic — Messages, Bytes, ByLocality,
-// Reductions, and per PE MsgsIn, MsgsOut, BytesOut and Delivered — is
-// identical under both; equality of the two is a test oracle. WireMessages
-// and PerPE[].WireOut are deterministic in sequential mode only: in
-// parallel mode they depend on when a PE happened to run out of work and
-// flush.
+// one with a goroutine per PE (real concurrency) that detects completion
+// by an exact count of unreleased envelopes (runParallel). Everything a
+// chare can observe, and every PhaseStats field that counts chare-level
+// traffic — Messages, Bytes, ByLocality, Reductions, and per PE MsgsIn,
+// MsgsOut, BytesOut and Delivered — is identical under both; equality of
+// the two is a test oracle. WireMessages and PerPE[].WireOut are
+// deterministic in sequential mode only: in parallel mode they depend on
+// when a PE happened to run out of work and flush.
 //
 // A worker's queues are recycled, not reallocated every round: take hands
 // the inbox the buffer the previous take returned, process swaps the local
@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // PE identifies a processing element (a core-module in the paper's terms).
@@ -91,7 +90,8 @@ const (
 	Remote                  // it lives on another PE
 )
 
-// SyncMode selects the phase synchronization protocol.
+// SyncMode selects the phase synchronization protocol whose cost
+// internal/machine prices; the runtime detects completion exactly in both.
 type SyncMode uint8
 
 const (
@@ -154,9 +154,10 @@ type Runtime struct {
 	arrays  []*array
 	workers []worker
 
-	// produced counts envelopes put into inboxes and consumed those taken
-	// out and processed; only the parallel scheduler's detector reads them.
-	produced, consumed atomic.Int64
+	// pending counts the envelopes put into inboxes during a parallel phase
+	// and not yet released by the PE that processed them; the sequential
+	// scheduler never touches it.
+	pending atomic.Int64
 }
 
 type array struct {
@@ -174,15 +175,24 @@ type envelope struct {
 }
 
 // inbox is the one part of a worker that other PEs and the driver touch.
+// wake, made only for the parallel scheduler, holds at most one signal
+// that envelopes arrived since the worker last waited on it.
 type inbox struct {
-	mu sync.Mutex
-	q  []envelope
+	mu   sync.Mutex
+	q    []envelope
+	wake chan struct{}
 }
 
 func (b *inbox) put(batch ...envelope) {
 	b.mu.Lock()
 	b.q = append(b.q, batch...)
 	b.mu.Unlock()
+	if b.wake != nil {
+		select {
+		case b.wake <- struct{}{}:
+		default: // a signal is already waiting
+		}
+	}
 }
 
 // ledger is what one PE did during a phase. Only the PE's own worker
@@ -245,6 +255,9 @@ func New(cfg Config) *Runtime {
 	for pe := range rt.workers {
 		w := &rt.workers[pe]
 		w.rt, w.pe, w.ctx = rt, PE(pe), Ctx{w}
+		if cfg.Parallel {
+			w.inbox.wake = make(chan struct{}, 1)
+		}
 	}
 	return rt
 }
@@ -391,9 +404,13 @@ func (w *worker) forward(env envelope, final PE) {
 }
 
 // transmit moves envelopes to another PE's inbox: the only place they
-// cross PEs (local delivery never reaches it, so never hits the wire).
+// cross PEs (local delivery never reaches it, so never hits the wire). A
+// parallel phase counts them pending before they become visible, so the
+// receiver can never release them first.
 func (w *worker) transmit(next PE, envs ...envelope) {
-	w.rt.produced.Add(int64(len(envs)))
+	if w.rt.cfg.Parallel {
+		w.rt.pending.Add(int64(len(envs)))
+	}
 	w.rt.workers[next].inbox.put(envs...)
 }
 
@@ -458,17 +475,6 @@ func (rt *Runtime) Drain() PhaseStats {
 	return rt.finishPhase()
 }
 
-// confirmations is how many times a detector must see the phase complete:
-// completion detection confirms produced==consumed once more after first
-// seeing it; quiescence detection additionally re-confirms global idleness
-// of the whole application.
-func (rt *Runtime) confirmations() int {
-	if rt.cfg.SyncMode == QuiescenceDetection {
-		return 4
-	}
-	return 2
-}
-
 // runSequential visits PEs round-robin until none did any work.
 func (rt *Runtime) runSequential() {
 	for work := true; work; {
@@ -486,57 +492,47 @@ func (rt *Runtime) runSequential() {
 	}
 }
 
-// runParallel runs one goroutine per PE until the completion detector
-// fires — all workers idle with every produced envelope consumed, seen on
-// consecutive polls (Dijkstra-style double check).
+// runParallel runs one goroutine per PE until every envelope of the phase
+// is released. A PE releases the envelopes it processed only after it ran
+// out of work and flushed its aggregation buffers, so when pending reaches
+// zero nothing is unprocessed, buffered or in flight, and nothing is left
+// that could send more: the releasing PE ends the phase.
 func (rt *Runtime) runParallel() {
-	var idle atomic.Int64
-	var done atomic.Bool
 	var seeded int64
 	for pe := range rt.workers {
 		seeded += rt.workers[pe].seeded
 	}
-	rt.produced.Store(seeded)
-	rt.consumed.Store(0)
-
+	if seeded == 0 {
+		return
+	}
+	rt.pending.Store(seeded)
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for pe := range rt.workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			resting := false
-			for !done.Load() {
-				q := w.take()
-				if len(q) == 0 {
-					if w.flush() {
-						continue
-					}
-					if !resting {
-						resting = true
-						idle.Add(1)
-					}
-					time.Sleep(20 * time.Microsecond)
+			var held int64 // envelopes processed and not yet released
+			for {
+				if q := w.take(); len(q) > 0 {
+					w.process(q)
+					held += int64(len(q))
 					continue
 				}
-				if resting {
-					resting = false
-					idle.Add(-1)
+				w.flush()
+				if held > 0 && rt.pending.Add(-held) == 0 {
+					close(done)
+					return
 				}
-				w.process(q)
-				rt.consumed.Add(int64(len(q)))
+				held = 0
+				select {
+				case <-w.inbox.wake:
+				case <-done:
+					return
+				}
 			}
 		}(&rt.workers[pe])
 	}
-
-	for confirmed := 0; confirmed < rt.confirmations(); {
-		time.Sleep(50 * time.Microsecond)
-		if idle.Load() == int64(len(rt.workers)) && rt.produced.Load() == rt.consumed.Load() {
-			confirmed++
-		} else {
-			confirmed = 0
-		}
-	}
-	done.Store(true)
 	wg.Wait()
 }
 

@@ -240,19 +240,15 @@ func TestPhaseStatsReset(t *testing.T) {
 	}
 }
 
-// The parallel detector must see a quiescence-detected phase complete more
-// times in a row than a completion-detected one, and both must still end.
+// Both synchronization modes must drain a phase completely; what each
+// costs is internal/machine's SyncCost (TestSyncCostOrdering there).
 func TestSyncModeRounds(t *testing.T) {
-	cd := New(Config{PEs: 2, Parallel: true, SyncMode: CompletionDetection})
-	qd := New(Config{PEs: 2, Parallel: true, SyncMode: QuiescenceDetection})
-	if qd.confirmations() <= cd.confirmations() {
-		t.Fatalf("QD confirmations %d should exceed CD's %d", qd.confirmations(), cd.confirmations())
-	}
-	for _, rt := range []*Runtime{cd, qd} {
+	for _, mode := range []SyncMode{CompletionDetection, QuiescenceDetection} {
+		rt := New(Config{PEs: 2, Parallel: true, SyncMode: mode})
 		id := newRing(rt, 2)
 		rt.Send(ChareRef{Array: id, Index: 0}, intMsg{ttl: 3})
 		if st := rt.Drain(); st.Messages != 3 {
-			t.Fatalf("SyncMode %d: %d messages, want 3", rt.cfg.SyncMode, st.Messages)
+			t.Fatalf("SyncMode %d: %d messages, want 3", mode, st.Messages)
 		}
 	}
 }

@@ -68,7 +68,9 @@ type Config struct {
 	// Ranks is the number of logical PEs (core-modules).
 	Ranks int
 	// Parallel selects goroutine-per-PE execution instead of the
-	// deterministic sequential scheduler.
+	// deterministic sequential scheduler: charm's parallel scheduler, which
+	// ends each phase on an exact count of unprocessed messages. Only the
+	// wire counters (WireMessages, PerPE[].WireOut) depend on the schedule.
 	Parallel bool
 	// AggBufferSize enables message aggregation when > 0.
 	AggBufferSize int

@@ -635,10 +635,11 @@ func trial(src, dst *slot, inf, sus float64, at int16, overlapMin int, scale flo
 // trialBound is ≥ scale*transmissionProb(tau, inf, sus, durMin) for scale
 // ≥ 0 and positive inf, sus and durMin, without an exponential: 1-e^(-y) ≤
 // y for real y, math.Exp errs by under one ulp, and the margins cover the
-// rounding (TestTrialBoundCoversProb). A NaN bound rejects nothing.
+// rounding (TestTrialBoundCoversProb). A NaN bound rejects nothing. The
+// product is rounded before the margin is added, so no target fuses them.
 func trialBound(scale, tau, inf, sus float64, durMin int) float64 {
 	y := tau * inf * sus * float64(durMin) // transmissionProb's order
-	return scale*y*(1+0x1p-30) + 0x1p-40
+	return float64(scale*y*(1+0x1p-30)) + 0x1p-40
 }
 
 // reciprocals[i] is 1/float64(i), for overlaps within one day.

@@ -109,7 +109,8 @@ func (s *Stream) Poisson(lambda float64) int {
 		return 0
 	}
 	if lambda > 30 {
-		v := math.Round(lambda + math.Sqrt(lambda)*s.NormFloat64())
+		// The product is rounded before its sum, so no target fuses them.
+		v := math.Round(lambda + float64(math.Sqrt(lambda)*s.NormFloat64()))
 		if v < 0 {
 			return 0
 		}
