@@ -148,17 +148,21 @@ type StatsReply struct {
 	CellsStreamed int64   `json:"cells_streamed"`
 	CellsPerSec   float64 `json:"cells_per_sec"`
 
-	// SLO-plane counters: submission and event-delivery outcomes, span
-	// drops past the per-job retention cap, and watchdog profile
-	// captures. They ride /v1/stats (like the histograms below) so a
-	// fronting gateway can merge them fleet-wide and feed its own
-	// metrics-history ring from one fan-out.
+	// Request outcomes: submission and event-delivery successes and
+	// failures, and span drops past the per-job retention cap. They ride
+	// /v1/stats (like the histograms below) so a fronting gateway merges
+	// them fleet-wide, and episim-top derives SLO burn rates from two
+	// consecutive replies.
 	SubmitsTotal      int64 `json:"submits_total"`
 	SubmitErrors      int64 `json:"submit_errors"`
 	EventsSent        int64 `json:"events_sent"`
 	EventsSendErrors  int64 `json:"events_send_errors"`
 	TraceDroppedSpans int64 `json:"trace_dropped_spans"`
-	ProfileCaptures   int64 `json:"profile_captures"`
+	// ProfileCaptures is always zero from this build: the profiling
+	// watchdog that counted its captures is gone. The field stays because
+	// the pinned /v1/stats and /metrics formats name it, and a gateway
+	// may merge replies from older daemons that still count.
+	ProfileCaptures int64 `json:"profile_captures"`
 
 	// KernelDays counts simulated days by executing kernel ("dense",
 	// "active", "event") across all finalized cells; empty until a sweep
@@ -193,36 +197,12 @@ type StatsReply struct {
 	Histograms []obs.HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// SLOReply is the GET /v1/slo snapshot: every configured SLO evaluated
-// from the instance's metrics-history ring into multi-window error
-// rates and error-budget burn rates.
-type SLOReply struct {
-	// Instance is the reporting daemon's name; "fleet" from a gateway.
-	Instance string `json:"instance,omitempty"`
-	// Stale marks evaluations computed over degraded data: a wedged
-	// collection ring, or (from a gateway) last-known backend snapshots.
-	Stale bool            `json:"stale,omitempty"`
-	SLOs  []obs.SLOStatus `json:"slos"`
-}
-
 // UsageReply is the GET /v1/usage per-client accounting ledger, biggest
 // sim-seconds consumers first. From a gateway the rows are merged
 // across every reachable backend.
 type UsageReply struct {
 	Instance string            `json:"instance,omitempty"`
 	Clients  []obs.ClientUsage `json:"clients"`
-}
-
-// HistoryReply is the GET /v1/metrics/history ring snapshot: the
-// instance's self-scraped time series, oldest first, plus windowed
-// rates over the ring so dashboards need not re-derive them.
-type HistoryReply struct {
-	Instance    string             `json:"instance,omitempty"`
-	IntervalSec float64            `json:"interval_sec"`
-	Points      []obs.HistoryPoint `json:"points"`
-	// Windows holds the precomputed deltas/rates for the default SLO
-	// windows, keyed by window label ("5m", "1h").
-	Windows map[string]obs.WindowStats `json:"windows,omitempty"`
 }
 
 // HealthReply is the daemon's /healthz readiness snapshot. A fronting
@@ -562,26 +542,11 @@ func (c *Client) Stats(ctx context.Context) (StatsReply, error) {
 	return st, err
 }
 
-// SLO fetches the instance's error-budget burn snapshot (a gateway
-// serves the fleet-merged view under the same shape).
-func (c *Client) SLO(ctx context.Context) (SLOReply, error) {
-	var s SLOReply
-	err := c.do(ctx, http.MethodGet, "/v1/slo", nil, &s)
-	return s, err
-}
-
 // Usage fetches the per-client usage ledger.
 func (c *Client) Usage(ctx context.Context) (UsageReply, error) {
 	var u UsageReply
 	err := c.do(ctx, http.MethodGet, "/v1/usage", nil, &u)
 	return u, err
-}
-
-// MetricsHistory fetches the instance's self-scraped metrics ring.
-func (c *Client) MetricsHistory(ctx context.Context) (HistoryReply, error) {
-	var h HistoryReply
-	err := c.do(ctx, http.MethodGet, "/v1/metrics/history", nil, &h)
-	return h, err
 }
 
 // Health fetches the daemon's readiness snapshot. A degraded daemon

@@ -73,9 +73,6 @@ func main() {
 		logFormat     = flag.String("log-format", "text", "log line format: text or json (json lines carry trace ids for correlation)")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof and /debug/runtime on this address (empty = off; never expose publicly)")
-
-		historyInterval = flag.Duration("history-interval", 5*time.Second, "fleet metrics-history snapshot cadence feeding /v1/metrics/history and the fleet SLO burn rates")
-		sloQueueWait    = flag.Duration("slo-queue-wait", 30*time.Second, "queue-wait latency budget for the fleet queue-wait SLO (keep equal to the backends')")
 	)
 	flag.Parse()
 
@@ -106,8 +103,6 @@ func main() {
 		SubmitRate:           *submitRate,
 		SubmitBurst:          *submitBurst,
 		Logger:               log,
-		HistoryInterval:      *historyInterval,
-		QueueWaitSLOSeconds:  sloQueueWait.Seconds(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "episim-gw:", err)

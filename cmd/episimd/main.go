@@ -84,12 +84,6 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log line format: text or json (json lines carry trace ids for correlation)")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof and /debug/runtime on this address (empty = off; never expose publicly)")
-
-		historyInterval = flag.Duration("history-interval", 5*time.Second, "metrics-history snapshot cadence feeding /v1/metrics/history and the SLO engine")
-		sloQueueWait    = flag.Duration("slo-queue-wait", 30*time.Second, "queue-wait latency budget for the queue-wait SLO")
-		burnThreshold   = flag.Float64("burn-threshold", 14, "short-window error-budget burn rate that triggers a profile capture (14 ≈ exhausting a 30-day budget in ~2 days)")
-		profileDepth    = flag.Int("profile-queue-depth", 0, "queue depth that triggers a profile capture (0 = burn-rate trigger only)")
-		profileCooldown = flag.Duration("profile-cooldown", 10*time.Minute, "minimum gap between watchdog profile captures")
 	)
 	flag.Parse()
 
@@ -115,12 +109,6 @@ func main() {
 		StoreMaxBytes: *storeMax,
 		Name:          *name,
 		Logger:        log,
-
-		HistoryInterval:     *historyInterval,
-		QueueWaitSLOSeconds: sloQueueWait.Seconds(),
-		BurnThreshold:       *burnThreshold,
-		ProfileQueueDepth:   *profileDepth,
-		ProfileCooldown:     *profileCooldown,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "episimd:", err)

@@ -44,10 +44,9 @@ const (
 	KindPopulation Kind = 1
 	KindPlacement  Kind = 2
 	KindJob        Kind = 3
-	// KindProfile holds a pprof capture (CPU or heap) taken by the
-	// daemon's burn-rate watchdog; it lives in the result store and is
-	// TTL-governed by the same ExpireOlderThan GC as job records.
-	KindProfile Kind = 4
+	// 4 is retired: older daemons wrote pprof captures ("prof-*" keys)
+	// into the result store under it. Result stores may still hold them,
+	// so no new kind may reuse the value.
 )
 
 // ErrInvalid is wrapped by every decode failure — bad magic, unknown

@@ -41,7 +41,6 @@ import (
 
 	"repro/client"
 	"repro/internal/obs"
-	"repro/internal/server"
 )
 
 // Config sizes one gateway.
@@ -74,15 +73,6 @@ type Config struct {
 	SubmitRate float64
 	// SubmitBurst is the token-bucket capacity (0 = max(1, 2×SubmitRate)).
 	SubmitBurst int
-	// HistoryInterval is the fleet metrics-history collection cadence
-	// (0 = 5s): each tick fans /v1/stats out and appends the merged
-	// snapshot to the gateway's ring (an hour's worth of points), from
-	// which fleet-level SLO burn rates are computed.
-	HistoryInterval time.Duration
-	// QueueWaitSLOSeconds is the latency budget for the fleet queue-wait
-	// SLO, in seconds (0 = 30) — keep it equal to the backends' so the
-	// fleet burn rate and the per-daemon ones measure the same promise.
-	QueueWaitSLOSeconds float64
 	// Logger receives the gateway's structured log lines (nil = a plain
 	// text logger on stderr at info level, the historical behavior).
 	Logger *obs.Logger
@@ -149,12 +139,6 @@ type Gateway struct {
 	// histograms. Its typed calls (stats, usage, list, status, health) are
 	// not observed.
 	proxyHist *obs.HistogramVec
-
-	// history is the fleet metrics ring (merged stats snapshots on an
-	// interval); slo evaluates the fleet SLO set over it and serves
-	// /v1/slo and /v1/metrics/history.
-	history *obs.History
-	slo     *server.SLOPlane
 
 	started time.Time
 	stop    chan struct{}
@@ -223,20 +207,18 @@ func New(cfg Config) (*Gateway, error) {
 	// before the gateway serves, so the very first submission routes by
 	// name and can be acked with a name-bearing id.
 	g.probeAll()
-	g.startSLOPlane(cfg)
 	go g.probeLoop()
 	return g, nil
 }
 
-// Close stops the health prober and the fleet metrics ring. In-flight
-// proxied requests finish on their own connections.
+// Close stops the health prober. In-flight proxied requests finish on
+// their own connections.
 func (g *Gateway) Close() {
 	select {
 	case <-g.stop:
 	default:
 		close(g.stop)
 		<-g.done
-		g.history.Stop()
 	}
 }
 
@@ -254,9 +236,7 @@ func (g *Gateway) Close() {
 //	POST   /v1/sweeps/{id}/cancel proxied cancel
 //	DELETE /v1/sweeps/{id}        same
 //	GET    /v1/stats              fleet-aggregated stats + per-backend detail
-//	GET    /v1/slo                fleet SLO error-budget burn rates
 //	GET    /v1/usage              per-client usage, merged across backends
-//	GET    /v1/metrics/history    the gateway's fleet metrics ring
 //	GET    /metrics               fleet-aggregated Prometheus metrics
 //	GET    /healthz               gateway readiness (503 when no backend is)
 func (g *Gateway) Handler() http.Handler {
@@ -270,9 +250,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", g.withBackend(g.proxyCancel))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", g.withBackend(g.proxyCancel))
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
-	mux.HandleFunc("GET /v1/slo", g.slo.HandleSLO)
 	mux.HandleFunc("GET /v1/usage", g.handleUsage)
-	mux.HandleFunc("GET /v1/metrics/history", g.slo.HandleHistory)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	return mux

@@ -176,9 +176,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := g.collectStats(r.Context())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	server.WriteMetrics(w, st.StatsReply)
-	// Fleet-level SLO burn, from the gateway's own ring over the merged
-	// stats — the same episim_slo_* vocabulary each daemon exposes.
-	obs.WriteSLOProm(w, g.slo.Statuses())
 	for _, m := range []struct {
 		name, kind, help string
 		val              float64

@@ -195,9 +195,11 @@ func (h *Histogram) Quantile(p float64) float64 {
 }
 
 // CountAtOrBelow estimates how many observations were ≤ v, interpolating
-// inside the bucket straddling v — the CDF counterpart of Quantile. The
-// SLO engine uses it to turn a latency histogram into an availability
-// ratio ("fraction of queue waits within threshold").
+// inside the bucket straddling v — the CDF counterpart of Quantile.
+// episim-top uses it to turn a latency histogram into an availability
+// ratio ("fraction of queue waits within threshold"). It is linear in
+// the bucket counts, so the difference of two snapshots' estimates is
+// the estimate for the observations recorded between them.
 func (s HistogramSnapshot) CountAtOrBelow(v float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 || math.IsNaN(v) {
 		return 0

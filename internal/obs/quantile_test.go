@@ -7,9 +7,8 @@ import (
 
 // Golden quantile cases: a fixed bucket layout with known counts, and
 // the exact values linear interpolation must produce. These pin the
-// estimator's arithmetic (the SLO engine and episim-top both consume
-// it), so a refactor that shifts interpolation by even one bucket fails
-// loudly.
+// estimator's arithmetic (episim-top consumes it), so a refactor that
+// shifts interpolation by even one bucket fails loudly.
 func TestHistogramSnapshotQuantileGolden(t *testing.T) {
 	s := HistogramSnapshot{
 		Name:   "g",

@@ -25,19 +25,15 @@ const (
 )
 
 // metric declares one scalar of client.StatsReply — the /v1/stats wire
-// schema — once for its three other readers: /metrics (name, kind,
-// help), the gateway's fleet merge (merge, fold) and the metrics-history
-// ring (history). Build rows with num.
+// schema — once for its two other readers: /metrics (name, kind, help)
+// and the gateway's fleet merge (merge, fold). Build rows with num.
 type metric struct {
 	// The kind is honest: counters are monotonic over the daemon's life,
 	// everything else is a gauge — the sweep state tallies on purpose,
 	// because retention eviction decreases them. An empty name keeps the
 	// field off /metrics while it still merges.
 	name, kind, help string
-	// history, when set, is the field's scalar key in the history ring —
-	// the vocabulary SLOSpecs and the ops console read.
-	history string
-	merge   mergeRule
+	merge            mergeRule
 	// value reads the field (0 when it belongs to a store block the reply
 	// does not carry); fold merges from's into into's by the merge rule.
 	value func(*reply) float64
@@ -52,8 +48,8 @@ type (
 
 // num builds the row for the field at addresses (nil: the field's block
 // is absent from that reply).
-func num[T int | int64 | float64](name, kind, help, history string, merge mergeRule, at func(*reply) *T) metric {
-	return metric{name: name, kind: kind, help: help, history: history, merge: merge,
+func num[T int | int64 | float64](name, kind, help string, merge mergeRule, at func(*reply) *T) metric {
+	return metric{name: name, kind: kind, help: help, merge: merge,
 		value: func(st *reply) float64 {
 			if p := at(st); p != nil {
 				return float64(*p)
@@ -109,41 +105,43 @@ var storeBlocks = []struct {
 var metrics = buildMetrics()
 
 func buildMetrics() []metric {
-	perSec := num("episimd_cells_per_second", "gauge", "Mean cell throughput over the daemon's uptime.", "", mergeDerived, func(st *reply) *float64 { return &st.CellsPerSec })
+	perSec := num("episimd_cells_per_second", "gauge", "Mean cell throughput over the daemon's uptime.", mergeDerived, func(st *reply) *float64 { return &st.CellsPerSec })
 	perSec.fold = func(into, _ *reply) { cellsPerSec(into) }
 	ms := []metric{
-		num("episimd_uptime_seconds", "gauge", "Seconds since the daemon started.", "", mergeMax, func(st *reply) *float64 { return &st.UptimeSec }),
-		num("episimd_queue_depth", "gauge", "Sweeps queued and still waiting for an execution slot.", "queue_depth", mergeSum, func(st *reply) *int { return &st.QueueDepth }),
-		num("episimd_active_sweeps", "gauge", "Sweeps executing right now.", "active_sweeps", mergeSum, func(st *reply) *int { return &st.ActiveSweeps }),
-		num("episimd_sweeps", "gauge", "Sweeps in the memory index, any state.", "", mergeSum, func(st *reply) *int { return &st.SweepsTotal }),
-		num("episimd_sweeps_done", "gauge", "Completed sweeps in the memory index (decreases on retention eviction).", "", mergeSum, func(st *reply) *int { return &st.SweepsDone }),
-		num("episimd_sweeps_failed", "gauge", "Failed sweeps in the memory index (decreases on retention eviction).", "", mergeSum, func(st *reply) *int { return &st.SweepsFailed }),
-		num("episimd_sweeps_canceled", "gauge", "Canceled sweeps in the memory index (decreases on retention eviction).", "", mergeSum, func(st *reply) *int { return &st.SweepsCanceled }),
-		num("episimd_sweeps_evicted_total", "counter", "Finished sweeps evicted from the memory index by retention.", "", mergeSum, func(st *reply) *int64 { return &st.SweepsEvicted }),
-		num("episimd_cells_streamed_total", "counter", "Sweep cells finalized and streamed to subscribers.", "cells_streamed", mergeSum, func(st *reply) *int64 { return &st.CellsStreamed }),
+		num("episimd_uptime_seconds", "gauge", "Seconds since the daemon started.", mergeMax, func(st *reply) *float64 { return &st.UptimeSec }),
+		num("episimd_queue_depth", "gauge", "Sweeps queued and still waiting for an execution slot.", mergeSum, func(st *reply) *int { return &st.QueueDepth }),
+		num("episimd_active_sweeps", "gauge", "Sweeps executing right now.", mergeSum, func(st *reply) *int { return &st.ActiveSweeps }),
+		num("episimd_sweeps", "gauge", "Sweeps in the memory index, any state.", mergeSum, func(st *reply) *int { return &st.SweepsTotal }),
+		num("episimd_sweeps_done", "gauge", "Completed sweeps in the memory index (decreases on retention eviction).", mergeSum, func(st *reply) *int { return &st.SweepsDone }),
+		num("episimd_sweeps_failed", "gauge", "Failed sweeps in the memory index (decreases on retention eviction).", mergeSum, func(st *reply) *int { return &st.SweepsFailed }),
+		num("episimd_sweeps_canceled", "gauge", "Canceled sweeps in the memory index (decreases on retention eviction).", mergeSum, func(st *reply) *int { return &st.SweepsCanceled }),
+		num("episimd_sweeps_evicted_total", "counter", "Finished sweeps evicted from the memory index by retention.", mergeSum, func(st *reply) *int64 { return &st.SweepsEvicted }),
+		num("episimd_cells_streamed_total", "counter", "Sweep cells finalized and streamed to subscribers.", mergeSum, func(st *reply) *int64 { return &st.CellsStreamed }),
 		perSec,
-		num("episimd_submissions_received_total", "counter", "Sweep submissions received (accepted or not).", "submit_total", mergeSum, func(st *reply) *int64 { return &st.SubmitsTotal }),
-		num("episimd_submission_errors_total", "counter", "Sweep submissions refused (parse or admission failure).", "submit_errors", mergeSum, func(st *reply) *int64 { return &st.SubmitErrors }),
-		num("episimd_events_sent_total", "counter", "Event-stream messages delivered to subscribers.", "events_total", mergeSum, func(st *reply) *int64 { return &st.EventsSent }),
-		num("episimd_event_send_errors_total", "counter", "Event-stream sends that failed (subscriber gone mid-write).", "events_send_errors", mergeSum, func(st *reply) *int64 { return &st.EventsSendErrors }),
-		num("episimd_trace_dropped_spans_total", "counter", "Spans dropped past the per-job trace retention cap.", "trace_dropped_spans", mergeSum, func(st *reply) *int64 { return &st.TraceDroppedSpans }),
-		num("episimd_profile_captures_total", "counter", "Watchdog-triggered pprof capture events persisted to the artifact store.", "profile_captures", mergeSum, func(st *reply) *int64 { return &st.ProfileCaptures }),
+		num("episimd_submissions_received_total", "counter", "Sweep submissions received (accepted or not).", mergeSum, func(st *reply) *int64 { return &st.SubmitsTotal }),
+		num("episimd_submission_errors_total", "counter", "Sweep submissions refused (parse or admission failure).", mergeSum, func(st *reply) *int64 { return &st.SubmitErrors }),
+		num("episimd_events_sent_total", "counter", "Event-stream messages delivered to subscribers.", mergeSum, func(st *reply) *int64 { return &st.EventsSent }),
+		num("episimd_event_send_errors_total", "counter", "Event-stream sends that failed (subscriber gone mid-write).", mergeSum, func(st *reply) *int64 { return &st.EventsSendErrors }),
+		num("episimd_trace_dropped_spans_total", "counter", "Spans dropped past the per-job trace retention cap.", mergeSum, func(st *reply) *int64 { return &st.TraceDroppedSpans }),
+		// Always 0 from this build (see client.StatsReply.ProfileCaptures);
+		// kept because the pinned wire formats name it.
+		num("episimd_profile_captures_total", "counter", "Watchdog-triggered pprof capture events persisted to the artifact store.", mergeSum, func(st *reply) *int64 { return &st.ProfileCaptures }),
 	}
 
 	// One build cache's accounting, declared once and instantiated per
 	// artifact kind.
 	cacheBlock := func(prefix string, c func(*reply) *cacheStats) []metric {
 		return []metric{
-			num(prefix+"_entries", "gauge", "Entries resident in the memory LRU.", "", mergeSum, in(c, func(c *cacheStats) *int { return &c.Entries })),
-			num(prefix+"_bytes", "gauge", "Bytes retained by the memory LRU.", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Bytes })),
-			num(prefix+"_hits_total", "counter", "Memory cache hits.", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Hits })),
-			num(prefix+"_misses_total", "counter", "Memory cache misses.", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Misses })),
-			num(prefix+"_evictions_total", "counter", "Entries evicted by the byte bound.", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Evictions })),
-			num(prefix+"_builds_total", "counter", "Artifacts built from scratch (singleflight-deduplicated).", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Builds })),
-			num(prefix+"_disk_hits_total", "counter", "Disk tier hits (artifact loaded instead of rebuilt).", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskHits })),
-			num(prefix+"_disk_misses_total", "counter", "Disk tier misses.", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskMisses })),
-			num(prefix+"_disk_writes_total", "counter", "Artifacts written through to the disk tier.", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskWrites })),
-			num(prefix+"_disk_errors_total", "counter", "Disk tier read/write failures (served from build instead).", "", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskErrors })),
+			num(prefix+"_entries", "gauge", "Entries resident in the memory LRU.", mergeSum, in(c, func(c *cacheStats) *int { return &c.Entries })),
+			num(prefix+"_bytes", "gauge", "Bytes retained by the memory LRU.", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Bytes })),
+			num(prefix+"_hits_total", "counter", "Memory cache hits.", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Hits })),
+			num(prefix+"_misses_total", "counter", "Memory cache misses.", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Misses })),
+			num(prefix+"_evictions_total", "counter", "Entries evicted by the byte bound.", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Evictions })),
+			num(prefix+"_builds_total", "counter", "Artifacts built from scratch (singleflight-deduplicated).", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.Builds })),
+			num(prefix+"_disk_hits_total", "counter", "Disk tier hits (artifact loaded instead of rebuilt).", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskHits })),
+			num(prefix+"_disk_misses_total", "counter", "Disk tier misses.", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskMisses })),
+			num(prefix+"_disk_writes_total", "counter", "Artifacts written through to the disk tier.", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskWrites })),
+			num(prefix+"_disk_errors_total", "counter", "Disk tier read/write failures (served from build instead).", mergeSum, in(c, func(c *cacheStats) *int64 { return &c.DiskErrors })),
 		}
 	}
 	ms = append(ms, cacheBlock("episimd_population_cache", func(st *reply) *cacheStats { return &st.PopulationCache })...)
@@ -156,10 +154,10 @@ func buildMetrics() []metric {
 	for _, b := range storeBlocks {
 		s := func(st *reply) *storeStats { return *b.at(st) }
 		sizes = append(sizes,
-			num(b.prefix+"_files", "gauge", "Files in the "+b.what+" store.", "", mergeSum, in(s, func(s *storeStats) *int { return &s.Files })),
-			num(b.prefix+"_bytes", "gauge", "Bytes in the "+b.what+" store.", "", mergeSum, in(s, func(s *storeStats) *int64 { return &s.Bytes })))
-		files := num(b.prefix+"_gc_files_total", "counter", b.gcHelp, "", mergeSum, in(s, func(s *storeStats) *int64 { return &s.GCFiles }))
-		bytes := num(b.prefix+"_gc_bytes_total", "counter", "Bytes reclaimed from the "+b.what+" store by GC.", "", mergeSum, in(s, func(s *storeStats) *int64 { return &s.GCBytes }))
+			num(b.prefix+"_files", "gauge", "Files in the "+b.what+" store.", mergeSum, in(s, func(s *storeStats) *int { return &s.Files })),
+			num(b.prefix+"_bytes", "gauge", "Bytes in the "+b.what+" store.", mergeSum, in(s, func(s *storeStats) *int64 { return &s.Bytes })))
+		files := num(b.prefix+"_gc_files_total", "counter", b.gcHelp, mergeSum, in(s, func(s *storeStats) *int64 { return &s.GCFiles }))
+		bytes := num(b.prefix+"_gc_bytes_total", "counter", "Bytes reclaimed from the "+b.what+" store by GC.", mergeSum, in(s, func(s *storeStats) *int64 { return &s.GCBytes }))
 		if b.gcHelp == "" {
 			files.name, bytes.name = "", ""
 		}
@@ -171,9 +169,9 @@ func buildMetrics() []metric {
 	// checkpoint cache's builds, re-exported under their own name), branch
 	// resumes, and the estimated bytes of every checkpoint built.
 	return append(ms,
-		num("episimd_checkpoint_builds_total", "counter", "Fork-point checkpoint prefix executions (no cache tier absorbed them).", "", mergeDerived, func(st *reply) *int64 { return &st.CheckpointCache.Builds }),
-		num("episimd_checkpoint_restores_total", "counter", "Intervention branches resumed from a checkpoint instead of day 0.", "", mergeSum, func(st *reply) *int64 { return &st.CheckpointRestores }),
-		num("episimd_checkpoint_bytes_total", "counter", "Estimated in-memory bytes of checkpoints built by this daemon.", "", mergeSum, func(st *reply) *int64 { return &st.CheckpointBytes }))
+		num("episimd_checkpoint_builds_total", "counter", "Fork-point checkpoint prefix executions (no cache tier absorbed them).", mergeDerived, func(st *reply) *int64 { return &st.CheckpointCache.Builds }),
+		num("episimd_checkpoint_restores_total", "counter", "Intervention branches resumed from a checkpoint instead of day 0.", mergeSum, func(st *reply) *int64 { return &st.CheckpointRestores }),
+		num("episimd_checkpoint_bytes_total", "counter", "Estimated in-memory bytes of checkpoints built by this daemon.", mergeSum, func(st *reply) *int64 { return &st.CheckpointBytes }))
 }
 
 // WriteMetrics renders a StatsReply as Prometheus text-format series,

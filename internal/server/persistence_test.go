@@ -3,13 +3,17 @@ package server
 import (
 	"context"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	episim "repro"
 	"repro/client"
+	"repro/internal/artifact"
 )
 
 // instantRunner completes every cell immediately — persistence tests
@@ -260,5 +264,58 @@ func TestRetentionWithoutDiskIsBounded(t *testing.T) {
 	}
 	if _, err := c.Status(context.Background(), ids[0]); err == nil {
 		t.Fatal("evicted memory-only job must 404")
+	}
+}
+
+// TestRetiredProfileKindTolerated: a result store written by an older
+// daemon still holds a kind-4 pprof capture. A restart restores the jobs
+// beside it, and the TTL GC still expires it.
+func TestRetiredProfileKindTolerated(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, MaxActive: 1, CacheDir: dir}
+	srv1, err := newWithRunner(cfg, instantRunner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	id := runToDone(t, client.New(ts1.URL), testServerSpec())
+	srv1.Close()
+	ts1.Close()
+
+	results := filepath.Join(dir, "results")
+	old, err := artifact.NewStore(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const profile = "prof-20250101t000000-001-cpu"
+	if err := old.Put(artifact.Kind(4), profile, []byte("pprof bytes")); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := newTestServer(t, cfg, instantRunner())
+	if st, err := c2.Status(context.Background(), id); err != nil || st.State != client.StateDone {
+		t.Fatalf("restored status = %+v, %v", st, err)
+	}
+	if jobs, err := c2.List(context.Background()); err != nil || len(jobs) != 1 || jobs[0].ID != id {
+		t.Fatalf("restored list = %+v, %v", jobs, err)
+	}
+
+	// Age every artifact past the TTL; the profile expires with the job.
+	past := time.Now().Add(-2 * time.Hour)
+	err = filepath.WalkDir(results, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		return os.Chtimes(path, past, past)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files, _, err := srv2.store.results.ExpireOlderThan(time.Hour); err != nil || files != 2 {
+		t.Fatalf("ExpireOlderThan = %d files, %v; want the job and the profile", files, err)
+	}
+	keys, err := srv2.store.results.Keys()
+	if err != nil || len(keys) != 0 {
+		t.Fatalf("keys after expiry = %+v, %v; want none", keys, err)
 	}
 }

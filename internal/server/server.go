@@ -59,28 +59,6 @@ type Config struct {
 	// Logger receives the daemon's structured log lines (nil = a plain
 	// text logger on stderr at info level, the historical behavior).
 	Logger *obs.Logger
-
-	// HistoryInterval is the metrics-history ring's self-snapshot cadence
-	// (0 = 5s); the ring holds an hour of points and is the SLO engine's
-	// only data source: burn rates exist without any external scraper.
-	HistoryInterval time.Duration
-	// QueueWaitSLOSeconds is the queue-wait latency objective's budget: a
-	// sweep whose admission delay stays at or under it counts as good
-	// (0 = 30s).
-	QueueWaitSLOSeconds float64
-	// BurnThreshold arms the profiling watchdog: when any SLO's
-	// short-window burn rate reaches it, the daemon captures CPU+heap
-	// pprof profiles into the artifact store (0 = 14, the classic
-	// page-now burn; requires CacheDir — without one there is nowhere to
-	// persist the evidence).
-	BurnThreshold float64
-	// ProfileQueueDepth additionally triggers a capture when the queue
-	// depth reaches it (0 = queue depth never triggers).
-	ProfileQueueDepth int
-	// ProfileCooldown is the minimum spacing between captures (0 = 10m).
-	ProfileCooldown time.Duration
-	// ProfileCPUSeconds is the CPU profile's sampling duration (0 = 1s).
-	ProfileCPUSeconds float64
 }
 
 // defaultLogger is the stderr text logger used when none is configured.
@@ -109,19 +87,16 @@ type Server struct {
 	cellHist      *obs.Histogram
 	persistHist   *obs.Histogram
 
-	// SLO-plane counters: request outcomes the availability objectives
-	// divide, and the watchdog's capture count.
+	// Request outcomes, the numerators and denominators of the
+	// availability objectives episim-top evaluates.
 	submitsTotal    atomic.Int64
 	submitErrors    atomic.Int64
 	eventsSent      atomic.Int64
 	eventSendErrors atomic.Int64
-	profileCaptures atomic.Int64
 
 	// usage is the per-client accounting ledger (shared with the store,
 	// which attributes cells and cache hits at job terminal).
 	usage *obs.UsageLedger
-	// slo is the metrics-history ring, SLO evaluator and watchdog.
-	slo sloPlane
 
 	// Disk GC: a background loop prunes the placement store to
 	// storeMaxBytes (LRU) and expires result records past resultTTL and
@@ -187,26 +162,6 @@ func newWithRunner(cfg Config, run sweepRunner) (*Server, error) {
 		usage: obs.NewUsageLedger(),
 	}
 	st.usage = srv.usage
-	srv.slo = sloPlane{
-		burnThreshold:     cfg.BurnThreshold,
-		profileQueueDepth: cfg.ProfileQueueDepth,
-		profileCPUDur:     time.Duration(cfg.ProfileCPUSeconds * float64(time.Second)),
-		cooldown:          cfg.ProfileCooldown,
-	}
-	if srv.slo.burnThreshold <= 0 {
-		srv.slo.burnThreshold = 14
-	}
-	if srv.slo.profileCPUDur <= 0 {
-		srv.slo.profileCPUDur = time.Second
-	}
-	if srv.slo.cooldown <= 0 {
-		srv.slo.cooldown = 10 * time.Minute
-	}
-	ring := obs.NewHistory(0, cfg.HistoryInterval, func() obs.HistoryPoint {
-		return StatsHistoryPoint(srv.stats(), false)
-	})
-	srv.slo.SLOPlane = NewSLOPlane(cfg.Name, ring, SLOSpecs(cfg.QueueWaitSLOSeconds), srv.watchdog)
-	ring.Start()
 	if cfg.CacheDir != "" && (cfg.StoreMaxBytes > 0 || cfg.ResultTTL > 0 || cfg.CheckpointTTL > 0) {
 		srv.gcStop = make(chan struct{})
 		srv.gcDone = make(chan struct{})
@@ -219,7 +174,6 @@ func newWithRunner(cfg Config, run sweepRunner) (*Server, error) {
 // disk GC loop.
 func (s *Server) Close() {
 	s.sched.close()
-	s.slo.history.Stop()
 	if s.gcStop != nil {
 		close(s.gcStop)
 		<-s.gcDone
@@ -299,11 +253,8 @@ func (s *Server) observeSpan(sp obs.Span) {
 //	POST   /v1/sweeps/{id}/cancel stop a queued or running sweep
 //	DELETE /v1/sweeps/{id}        same as cancel
 //	GET    /v1/stats              service + cache metrics (JSON)
-//	GET    /v1/slo                error-budget burn per SLO (5m/1h windows)
-//	GET    /v1/usage              per-client usage accounting ledger
-//	GET    /v1/metrics/history    the in-process metrics ring + windowed rates
-//	GET    /v1/profiles           watchdog-captured pprof artifacts
 //	GET    /metrics               the same, Prometheus text format
+//	GET    /v1/usage              per-client usage accounting ledger
 //	GET    /healthz               readiness: queue depth, active sweeps,
 //	                              cache-dir writability (503 when degraded)
 func (s *Server) Handler() http.Handler {
@@ -321,10 +272,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.stats())
 	})
-	mux.HandleFunc("GET /v1/slo", s.slo.HandleSLO)
 	mux.HandleFunc("GET /v1/usage", s.handleUsage)
-	mux.HandleFunc("GET /v1/metrics/history", s.slo.HandleHistory)
-	mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
@@ -635,7 +583,6 @@ func (s *Server) stats() client.StatsReply {
 		EventsSent:        s.eventsSent.Load(),
 		EventsSendErrors:  s.eventSendErrors.Load(),
 		TraceDroppedSpans: s.store.droppedSpans.Load(),
-		ProfileCaptures:   s.profileCaptures.Load(),
 
 		KernelDays:      s.sched.kernelDaysSnapshot(),
 		PopulationCache: s.cache.PopulationStats(),
@@ -668,6 +615,5 @@ func (s *Server) stats() client.StatsReply {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	WriteMetrics(w, s.stats())
-	obs.WriteSLOProm(w, s.slo.Statuses())
 	obs.WriteRuntimeMetrics(w)
 }

@@ -345,3 +345,28 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 }
+
+// TestTraceDroppedSpansCounter overflows one job's span cap and checks
+// the overflow rolls into the daemon-wide counter at job completion.
+func TestTraceDroppedSpansCounter(t *testing.T) {
+	run := func(ctx context.Context, spec *episim.SweepSpec, opts *episim.SweepOptions) (*episim.SweepResult, error) {
+		now := time.Now()
+		for i := 0; i < 5000; i++ {
+			opts.Trace.Add("replicate_sim", "", now, now)
+		}
+		return &episim.SweepResult{Spec: spec}, nil
+	}
+	srv, c := newTestServer(t, Config{Workers: 1, MaxActive: 1}, run)
+	ctx := context.Background()
+
+	ack, err := c.Submit(ctx, testServerSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stream(ctx, ack.ID, 0, func(ev client.Event) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.stats().TraceDroppedSpans; got <= 0 {
+		t.Fatalf("TraceDroppedSpans = %d, want > 0 after overflowing the span cap", got)
+	}
+}
