@@ -139,28 +139,35 @@ func (d *dec) bool() bool {
 
 // bools encodes a []bool with nil-ness preserved (flag 0 = nil).
 func (e *enc) bools(s []bool) {
+	e.bool(s != nil)
 	if s == nil {
-		e.u8(0)
 		return
 	}
-	e.u8(1)
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.bool(v)
+	b := e.block(len(s), 1)
+	for i, v := range s {
+		if v {
+			b[i] = 1
+		} else {
+			b[i] = 0
+		}
 	}
 }
 
 func (d *dec) bools() []bool {
-	if d.u8() == 0 {
+	if !d.bool() {
 		return nil
 	}
-	n, ok := d.count(1)
+	n, b, ok := d.block(1)
 	if !ok {
 		return nil
 	}
 	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.bool()
+	for i, v := range b {
+		if v > 1 {
+			d.fail("bad bool at offset %d", d.off-n+i)
+			return nil
+		}
+		out[i] = v == 1
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/splitloc"
@@ -28,7 +29,7 @@ type Placement struct {
 // EncodePopulation serializes a population to its deterministic binary
 // payload (wrap with Seal before writing to disk).
 func EncodePopulation(p *synthpop.Population) []byte {
-	e := &enc{b: make([]byte, 0, 64+16*len(p.Visits)+8*len(p.Persons))}
+	e := &enc{b: make([]byte, 0, populationSize(p))}
 	e.population(p)
 	return e.b
 }
@@ -48,14 +49,19 @@ func DecodePopulation(payload []byte) (*synthpop.Population, error) {
 // population — a split population is private to its placement, so the
 // artifact must be self-contained).
 func EncodePlacement(pl *Placement) []byte {
-	e := &enc{b: make([]byte, 0, 128+16*len(pl.Pop.Visits)+4*(len(pl.PersonRank)+len(pl.LocationRank)))}
+	// 128 bytes hold the scalars; the quality adds K+2 weight vectors.
+	size := populationSize(pl.Pop) + 4*(len(pl.PersonRank)+len(pl.LocationRank)) + len(pl.Label) + 128
+	if q := pl.Quality; q != nil {
+		size += 8 * (len(q.PartWeights) + 2) * (len(q.TotalWeights) + 1)
+	}
+	e := &enc{b: make([]byte, 0, size)}
 	e.population(pl.Pop)
 	e.i32s(pl.PersonRank)
 	e.i32s(pl.LocationRank)
 	e.u32(uint32(pl.Ranks))
 	e.str(pl.Label)
+	e.bool(pl.SplitStats != nil)
 	if pl.SplitStats != nil {
-		e.u8(1)
 		s := pl.SplitStats
 		e.f64(s.Threshold)
 		e.u64(uint64(s.NumSplit))
@@ -67,11 +73,9 @@ func EncodePlacement(pl *Placement) []byte {
 		e.u32(uint32(s.MaxDegreePre))
 		e.u32(uint32(s.MaxDegreePost))
 		e.f64(s.GrowthFrac)
-	} else {
-		e.u8(0)
 	}
+	e.bool(pl.Quality != nil)
 	if pl.Quality != nil {
-		e.u8(1)
 		q := pl.Quality
 		e.u32(uint32(q.K))
 		e.u32(uint32(len(q.PartWeights)))
@@ -83,8 +87,6 @@ func EncodePlacement(pl *Placement) []byte {
 		e.u64(uint64(q.EdgeCut))
 		e.u64(uint64(q.MaxPartCut))
 		e.u64(uint64(q.TotalEdgeWeight))
-	} else {
-		e.u8(0)
 	}
 	return e.b
 }
@@ -98,7 +100,7 @@ func DecodePlacement(payload []byte) (*Placement, error) {
 	pl.LocationRank = d.i32s()
 	pl.Ranks = int(d.u32())
 	pl.Label = d.str()
-	if d.u8() == 1 {
+	if d.bool() {
 		s := &splitloc.Stats{}
 		s.Threshold = d.f64()
 		s.NumSplit = int(d.u64())
@@ -112,7 +114,7 @@ func DecodePlacement(payload []byte) (*Placement, error) {
 		s.GrowthFrac = d.f64()
 		pl.SplitStats = s
 	}
-	if d.u8() == 1 {
+	if d.bool() {
 		q := &partition.Quality{}
 		q.K = int(d.u32())
 		// Each part-weight row costs at least its 8-byte length prefix.
@@ -138,30 +140,38 @@ func DecodePlacement(payload []byte) (*Placement, error) {
 	return pl, nil
 }
 
+// populationSize is the length of a population's encoding.
+func populationSize(p *synthpop.Population) int {
+	return 36 + len(p.Name) + 5*len(p.Persons) + 17*len(p.Locations) + 16*len(p.Visits) + 4*len(p.PersonVisitOffsets)
+}
+
 // population encoding: name, persons, locations, visits, offsets, each
-// as count-prefixed fixed-width records.
+// array a count-prefixed block of fixed-width records.
 func (e *enc) population(p *synthpop.Population) {
 	e.str(p.Name)
-	e.u64(uint64(len(p.Persons)))
-	for _, pe := range p.Persons {
-		e.u8(uint8(pe.Age))
-		e.u32(uint32(pe.Home))
+	b := e.block(len(p.Persons), 5)
+	for i, pe := range p.Persons {
+		r := b[5*i : 5*i+5]
+		r[0] = uint8(pe.Age)
+		le.PutUint32(r[1:], uint32(pe.Home))
 	}
-	e.u64(uint64(len(p.Locations)))
-	for _, l := range p.Locations {
-		e.u8(uint8(l.Type))
-		e.u32(uint32(l.NumSub))
-		e.u32(uint32(l.Weight))
-		e.u32(uint32(l.Origin))
-		e.u32(uint32(l.SubBase))
+	b = e.block(len(p.Locations), 17)
+	for i, l := range p.Locations {
+		r := b[17*i : 17*i+17]
+		r[0] = uint8(l.Type)
+		le.PutUint32(r[1:], uint32(l.NumSub))
+		le.PutUint32(r[5:], uint32(l.Weight))
+		le.PutUint32(r[9:], uint32(l.Origin))
+		le.PutUint32(r[13:], uint32(l.SubBase))
 	}
-	e.u64(uint64(len(p.Visits)))
-	for _, v := range p.Visits {
-		e.u32(uint32(v.Person))
-		e.u32(uint32(v.Loc))
-		e.u32(uint32(v.Sub))
-		e.u16(uint16(v.Start))
-		e.u16(uint16(v.End))
+	b = e.block(len(p.Visits), 16)
+	for i, v := range p.Visits {
+		r := b[16*i : 16*i+16]
+		le.PutUint32(r, uint32(v.Person))
+		le.PutUint32(r[4:], uint32(v.Loc))
+		le.PutUint32(r[8:], uint32(v.Sub))
+		le.PutUint16(r[12:], uint16(v.Start))
+		le.PutUint16(r[14:], uint16(v.End))
 	}
 	e.i32s(p.PersonVisitOffsets)
 }
@@ -169,44 +179,46 @@ func (e *enc) population(p *synthpop.Population) {
 func (d *dec) population() *synthpop.Population {
 	p := &synthpop.Population{}
 	p.Name = d.str()
-	if n, ok := d.count(5); ok {
-		p.Persons = make([]synthpop.Person, n)
-		for i := range p.Persons {
-			p.Persons[i].Age = synthpop.AgeGroup(d.u8())
-			p.Persons[i].Home = int32(d.u32())
+	if n, b, ok := d.block(5); ok {
+		persons := make([]synthpop.Person, n)
+		for i := range persons {
+			r := b[5*i : 5*i+5]
+			persons[i] = synthpop.Person{Age: synthpop.AgeGroup(r[0]), Home: int32(le.Uint32(r[1:]))}
 		}
+		p.Persons = persons
 	}
-	if n, ok := d.count(17); ok {
-		p.Locations = make([]synthpop.Location, n)
-		for i := range p.Locations {
-			p.Locations[i].Type = synthpop.LocationType(d.u8())
-			p.Locations[i].NumSub = int32(d.u32())
-			p.Locations[i].Weight = int32(d.u32())
-			p.Locations[i].Origin = int32(d.u32())
-			p.Locations[i].SubBase = int32(d.u32())
+	if n, b, ok := d.block(17); ok {
+		locs := make([]synthpop.Location, n)
+		for i := range locs {
+			r := b[17*i : 17*i+17]
+			locs[i] = synthpop.Location{Type: synthpop.LocationType(r[0]),
+				NumSub: int32(le.Uint32(r[1:])), Weight: int32(le.Uint32(r[5:])),
+				Origin: int32(le.Uint32(r[9:])), SubBase: int32(le.Uint32(r[13:]))}
 		}
+		p.Locations = locs
 	}
-	if n, ok := d.count(16); ok {
-		p.Visits = make([]synthpop.Visit, n)
-		for i := range p.Visits {
-			p.Visits[i].Person = int32(d.u32())
-			p.Visits[i].Loc = int32(d.u32())
-			p.Visits[i].Sub = int32(d.u32())
-			p.Visits[i].Start = int16(d.u16())
-			p.Visits[i].End = int16(d.u16())
+	if n, b, ok := d.block(16); ok {
+		visits := make([]synthpop.Visit, n)
+		for i := range visits {
+			r := b[16*i : 16*i+16]
+			visits[i] = synthpop.Visit{Person: int32(le.Uint32(r)), Loc: int32(le.Uint32(r[4:])),
+				Sub: int32(le.Uint32(r[8:])), Start: int16(le.Uint16(r[12:])), End: int16(le.Uint16(r[14:]))}
 		}
+		p.Visits = visits
 	}
 	p.PersonVisitOffsets = d.i32s()
 	return p
 }
 
-// enc appends fixed-width little-endian fields to a buffer.
+var le = binary.LittleEndian
+
+// enc appends little-endian fields to a buffer: scalars one at a time,
+// arrays as one block of fixed-width records written in place.
 type enc struct{ b []byte }
 
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *enc) u32(v uint32) { e.b = le.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64) { e.b = le.AppendUint64(e.b, v) }
 func (e *enc) f64(v float64) {
 	e.u64(math.Float64bits(v))
 }
@@ -214,29 +226,41 @@ func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)
 }
+
+// block appends the u64 count n and grows the buffer, once, by n records
+// of size bytes, which it returns for the caller to fill.
+func (e *enc) block(n, size int) []byte {
+	e.u64(uint64(n))
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n*size)[:off+n*size]
+	return e.b[off:]
+}
+
 func (e *enc) i32s(s []int32) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.u32(uint32(v))
+	b := e.block(len(s), 4)
+	for i, v := range s {
+		le.PutUint32(b[4*i:4*i+4], uint32(v))
 	}
 }
 func (e *enc) i64s(s []int64) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.u64(uint64(v))
+	b := e.block(len(s), 8)
+	for i, v := range s {
+		le.PutUint64(b[8*i:8*i+8], uint64(v))
 	}
 }
 func (e *enc) f64s(s []float64) {
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.f64(v)
+	b := e.block(len(s), 8)
+	for i, v := range s {
+		le.PutUint64(b[8*i:8*i+8], math.Float64bits(v))
 	}
 }
 
 // dec reads the same fields back with sticky-error bounds checking:
 // the first out-of-range read poisons the decoder, every later read
 // returns zero, and finish() reports the failure — so a truncated or
-// garbled payload can never panic or allocate absurdly.
+// garbled payload can never panic or allocate absurdly. An array's count
+// is checked against the remaining payload before its block is taken
+// whole, so records decode without a check of their own.
 type dec struct {
 	b   []byte
 	off int
@@ -271,26 +295,19 @@ func (d *dec) u8() uint8 {
 	}
 	return s[0]
 }
-func (d *dec) u16() uint16 {
-	s := d.take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(s)
-}
 func (d *dec) u32() uint32 {
 	s := d.take(4)
 	if s == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(s)
+	return le.Uint32(s)
 }
 func (d *dec) u64() uint64 {
 	s := d.take(8)
 	if s == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(s)
+	return le.Uint64(s)
 }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
@@ -310,6 +327,15 @@ func (d *dec) count(elemSize int) (int, bool) {
 	return int(n), true
 }
 
+// block reads a count and takes its n records of size bytes as one
+// slice; the count check guarantees the take succeeds.
+func (d *dec) block(size int) (n int, b []byte, ok bool) {
+	if n, ok = d.count(size); ok {
+		b = d.take(n * size)
+	}
+	return n, b, ok
+}
+
 func (d *dec) str() string {
 	n := d.u32()
 	s := d.take(int(n))
@@ -320,37 +346,37 @@ func (d *dec) str() string {
 }
 
 func (d *dec) i32s() []int32 {
-	n, ok := d.count(4)
+	n, b, ok := d.block(4)
 	if !ok {
 		return nil
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(d.u32())
+		out[i] = int32(le.Uint32(b[4*i : 4*i+4]))
 	}
 	return out
 }
 
 func (d *dec) i64s() []int64 {
-	n, ok := d.count(8)
+	n, b, ok := d.block(8)
 	if !ok {
 		return nil
 	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(d.u64())
+		out[i] = int64(le.Uint64(b[8*i : 8*i+8]))
 	}
 	return out
 }
 
 func (d *dec) f64s() []float64 {
-	n, ok := d.count(8)
+	n, b, ok := d.block(8)
 	if !ok {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = math.Float64frombits(le.Uint64(b[8*i : 8*i+8]))
 	}
 	return out
 }

@@ -20,6 +20,20 @@
 // (fixed field order, fixed-width little-endian integers, no maps), so
 // re-encoding a decoded artifact reproduces the file byte for byte —
 // the property the warm-run "byte-identical output" guarantee rests on.
+// Decoding is strict in the same sense: a presence flag is 0 or 1 and
+// nothing trails the last field, so every payload a decoder accepts is
+// the one encoding of its value.
+//
+// The codec works one record block at a time. Each array (persons,
+// locations, visits, rank and weight vectors, checkpoint arrays) is a u64
+// count followed by count fixed-width records. The encoder grows its
+// buffer once per array and writes the records in place; the decoder
+// checks the count against the remaining payload, takes the whole block
+// in one bounds check and decodes each record from a fixed-length
+// re-slice of it. Scalars, strings and the checkpoint's JSON sections are
+// read and written field by field. reference_test.go keeps the
+// field-at-a-time codec this replaced as the byte-for-byte and
+// error-for-error oracle.
 package artifact
 
 import (

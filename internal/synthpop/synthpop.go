@@ -406,7 +406,7 @@ func Generate(cfg Config) *Population {
 		if age == Senior {
 			mean *= 1.4
 		}
-		mean *= 0.5 + 0.5*ps.ExpFloat64()
+		mean *= 0.5 + float64(0.5*ps.ExpFloat64())
 		for i, n := 0, ps.Poisson(mean); i < n; i++ {
 			t := Shop
 			if ps.Float64() < 0.35 {
