@@ -361,3 +361,23 @@ func TestCheckpointKeySharing(t *testing.T) {
 		t.Fatal("a different base scenario must not reuse the checkpoint")
 	}
 }
+
+// TestCheckpointKeyPinned holds the checkpoint key of one fixed spec, at
+// the default kernel and at "event", to literal strings, so that changing
+// the default kernel, or any other part of the key, cannot silently move
+// the keys of checkpoints already cached on disk.
+func TestCheckpointKeyPinned(t *testing.T) {
+	for _, c := range []struct{ kernel, want string }{
+		{"", "name=a people=100 locations=10 seed=42 | strategy=RR splitloc=false ranks=4 imbalance=0 | model=default/cbf29ce484222325 tx=0 scenario=cbf29ce484222325 seed=9915607376584389164 init=0 mix=0 agg=0 kernel=/0 fork=10"},
+		{"event", "name=a people=100 locations=10 seed=42 | strategy=RR splitloc=false ranks=4 imbalance=0 | model=default/cbf29ce484222325 tx=0 scenario=cbf29ce484222325 seed=9915607376584389164 init=0 mix=0 agg=0 kernel=event/0 fork=10"},
+	} {
+		spec := forkSpec(3)
+		spec.Kernel = c.kernel
+		spec.Normalize()
+		cell := spec.Cells()[0]
+		plKey := cell.Placement.Key(cell.Population.Key(spec.Seed))
+		if got := cell.CheckpointKey(spec, plKey, cell.ReplicateSeed(spec.Seed, 0)); got != c.want {
+			t.Errorf("kernel %q: checkpoint key\n%s\nwant\n%s", c.kernel, got, c.want)
+		}
+	}
+}
