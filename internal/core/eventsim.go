@@ -26,10 +26,14 @@ import (
 // peak distributions), not byte-identical. The equivalence is enforced
 // by a CI-overlap oracle in kernel_test.go.
 //
-// A day pays only for same-room pairs. At each active location, every
-// source of srcVisits[location], in walk order, reaches the visits of its
-// own room through the plan's room index. The first source to reach a
-// visit looks up its susceptibility, -1 if it cannot be infected today
+// A day pays only for the room members a source overlaps in time. At each
+// active location, every source of srcVisits[location], in walk order,
+// reaches the visits of its own room through the plan's room index, which
+// lists each room in arrival order, as des.scan's occupancy groups do: it
+// bisects past every member who arrived at or before its own arrival less
+// the room's longest visit (who left before it came) and stops at the first
+// who arrives at or after its departure. The first source to reach a visit
+// looks up its susceptibility, -1 if it cannot be infected today
 // (susceptibility ≤ 0, or dropped by keepVisit), into per-location scratch
 // beside h, the visit's sum of inf·overlap. A last pass over the location's
 // visits, in location-visit order (a run of Engine.locVisits), adds τ·sus·h
@@ -40,11 +44,13 @@ import (
 // kernel-event golden rows pin it): each visit's h sums its sources from 0
 // in frontier-walk order, and each Λ_p receives its terms with locations
 // ascending and, within one, in location-visit order — the order of the
-// all-pairs loop reference_test.go keeps as the oracle. Every product is
-// rounded before its sum (an explicit float64 conversion), so no compiler
-// may fuse one into a multiply-add. The exposed draw in ascending person
-// id, the bitmap's scan order, which fixes the infectious sets' order and
-// with it the next day's frontier walk.
+// all-pairs loop reference_test.go keeps as the oracle. The order in which
+// one source touches its room's members is not part of it: it feeds only
+// the Interactions count and the idempotent susceptibility lookup. Every
+// product is rounded before its sum (an explicit float64 conversion), so no
+// compiler may fuse one into a multiply-add. The exposed draw in ascending
+// person id, the bitmap's scan order, which fixes the infectious sets'
+// order and with it the next day's frontier walk.
 
 // srcVisit is one kept visit of an effectively infectious person.
 type srcVisit struct {
@@ -136,10 +142,27 @@ func (e *Engine) eventHazards(day int) int64 {
 		visits := e.locVisits[e.locOffsets[locID]:e.locOffsets[locID+1]]
 		scratch := e.evScratch[:len(visits)]
 		room := e.rooms.offsets[e.rooms.base[locID]:]
+		longest := e.rooms.longest[e.rooms.base[locID]:]
 		for j := range sv {
 			s := &sv[j]
-			for _, i := range e.rooms.order[room[s.sub]:room[s.sub+1]] {
+			members := e.rooms.order[room[s.sub]:room[s.sub+1]]
+			// Bisection for the first member to arrive after minute from:
+			// it is within members[k:k+w], at the end if there is none.
+			k, from := 0, s.start-longest[s.sub]
+			for w := len(members); w > 0; {
+				half := w >> 1
+				if visits[members[k+half]].Start <= from {
+					k += half + 1
+					w -= half + 1
+				} else {
+					w = half
+				}
+			}
+			for _, i := range members[k:] {
 				v := &visits[i]
+				if v.Start >= s.end {
+					break
+				}
 				if v.Person == s.person {
 					continue
 				}

@@ -136,7 +136,8 @@ func TestEventHazardsMatchAllPairs(t *testing.T) {
 	t.Logf("cases %+v; %d exposed, %d infected", cases, exposed, infected)
 	for name, n := range map[string]int{
 		"same-room pairs": cases.sameRoom, "pairs in two rooms": cases.otherRoom,
-		"touching pairs": cases.touching, "disjoint pairs": cases.disjoint,
+		"touching pairs": cases.touching, "pairs the member left before": cases.before,
+		"pairs the member arrived after": cases.after, "pairs at the window's edge": cases.edge,
 		"own visits in one room": cases.selfSame, "own visits in two rooms": cases.selfOther,
 		"twice exposed in one room": cases.twiceSame, "twice exposed in two rooms": cases.twiceOther,
 		"visits filters dropped": cases.dropped, "treated exposed": cases.treated, "unsusceptible visits": cases.nsus,

@@ -21,7 +21,9 @@ import (
 //
 // The event kernel reads the same location-ordered visits through a second
 // index instead of the schedule: each location's visits grouped by
-// sublocation, since only visitors of one room can infect each other.
+// sublocation, since only visitors of one room can infect each other, and
+// each room in arrival order with its longest visit, so that a source meets
+// only the members it overlaps in time.
 //
 // The manager maps are built by NewPlan; the rest on first use, each behind
 // its Once, so that engines on one plan may build it concurrently and a plan
@@ -37,7 +39,7 @@ type Plan struct {
 	personsOfPM, locsOfLM [][]int32
 
 	// The visits in location order (visits), grouped by sublocation within
-	// each location (rooms), the static schedule with each PM's slot list
+	// each location in arrival order (rooms), the static schedule with each PM's slot list
 	// (schedule), and the fragment families (families).
 	visitsOnce sync.Once
 	locOffsets []int32
@@ -123,19 +125,25 @@ func (pl *Plan) visits() (offsets []int32, visits []synthpop.Visit) {
 	return pl.locOffsets, pl.locVisits
 }
 
-// roomIndex groups each location's visits by sublocation. Location l's
-// sublocation s holds the visits locVisits[locOffsets[l]+i] for i in
-// order[offsets[base[l]+s]:offsets[base[l]+s+1]], ascending: i is a position
-// within the location, and a room keeps its visits in locVisits order.
+// roomIndex groups each location's visits by sublocation, in arrival
+// order. Location l's sublocation s holds the visits
+// locVisits[locOffsets[l]+i] for i in order[offsets[base[l]+s]:offsets[base[l]+s+1]],
+// ascending by (Start, i): i is a position within the location, so visits
+// arriving in one minute keep locVisits order. longest[base[l]+s] is the
+// room's longest visit, End-Start, so that a source arriving at minute t
+// meets no member arriving at or before t-longest.
 type roomIndex struct {
 	base    []int32 // location → its first sublocation's entry in offsets
 	offsets []int32 // (location, sublocation) → its first entry in order, and one past the last room
-	order   []int32 // each location's positions, grouped by sublocation
+	order   []int32 // each location's positions, grouped by sublocation, each room in arrival order
+	longest []int16 // (location, sublocation) → its longest visit in minutes
 	largest int32   // the most visits at one location
 }
 
-// rooms returns the visits grouped by sublocation, built by one stable
-// counting sort of the location-ordered visits: 4 B per visit, 4 B per
+// rooms returns the visits grouped by sublocation in arrival order, built by
+// two stable counting passes over the location-ordered visits, with no
+// comparison sort: the first by start minute writes (room, position) pairs,
+// and the second by room reads them in that order. 4 B per visit, 6 B per
 // sublocation and 4 B per location.
 func (pl *Plan) rooms() *roomIndex {
 	pl.roomsOnce.Do(func() {
@@ -148,22 +156,37 @@ func (pl *Plan) rooms() *roomIndex {
 			subs += pl.pop.Locations[l].NumSub
 			ix.largest = max(ix.largest, offsets[l+1]-offsets[l])
 		}
-		// Count each room into the entry after its own, sum the counts into
-		// first entries, advance them past each room's visits in order, and
-		// shift the resulting ends back into starts.
+		// Each pass counts its keys into the entry after their own, sums the
+		// counts into first entries and advances them past each key's items
+		// in order; the room pass then shifts the resulting ends back into
+		// starts.
+		type roomPos struct{ room, pos int32 }
+		var first [24*60 + 1]int32 // a valid visit starts in [0, 24*60)
 		ix.offsets = make([]int32, subs+1)
+		ix.longest = make([]int16, subs)
 		for i := range visits {
-			ix.offsets[ix.base[visits[i].Loc]+visits[i].Sub+1]++
+			v := &visits[i]
+			k := ix.base[v.Loc] + v.Sub
+			first[v.Start+1]++
+			ix.offsets[k+1]++
+			ix.longest[k] = max(ix.longest[k], v.End-v.Start)
+		}
+		for t := 1; t < len(first); t++ {
+			first[t] += first[t-1]
 		}
 		for k := 1; k <= int(subs); k++ {
 			ix.offsets[k] += ix.offsets[k-1]
 		}
-		ix.order = make([]int32, len(visits))
+		byStart := make([]roomPos, len(visits))
 		for i := range visits {
 			v := &visits[i]
-			k := ix.base[v.Loc] + v.Sub
-			ix.order[ix.offsets[k]] = int32(i) - offsets[v.Loc]
-			ix.offsets[k]++
+			byStart[first[v.Start]] = roomPos{ix.base[v.Loc] + v.Sub, int32(i) - offsets[v.Loc]}
+			first[v.Start]++
+		}
+		ix.order = make([]int32, len(visits))
+		for _, rp := range byStart {
+			ix.order[ix.offsets[rp.room]] = rp.pos
+			ix.offsets[rp.room]++
 		}
 		copy(ix.offsets[1:], ix.offsets[:subs])
 		ix.offsets[0] = 0

@@ -233,6 +233,69 @@ func raceOnFreshPlan(t *testing.T, runs []planRun) {
 	}
 }
 
+// Every room of the room index lists its location's positions of that
+// sublocation in arrival order, ties in location-visit order, and records
+// its longest visit: together the rooms of a location are a permutation of
+// its positions. The populations reach rooms with several arrivals in one
+// minute, so that the tie order is checked too.
+func TestRoomIndexArrivalOrder(t *testing.T) {
+	split, _, err := splitloc.SplitPopulation(testPop(t), splitloc.Options{MaxPartitions: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pop := range []*synthpop.Population{twinVisitPop(t), split} {
+		pl, err := NewPlan(Config{Population: pop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		offsets, visits := pl.visits()
+		ix := pl.rooms()
+		if len(ix.order) != len(visits) || len(ix.offsets) != len(ix.longest)+1 {
+			t.Fatalf("%s: %d order entries, %d offsets, %d room maxima for %d visits",
+				pop.Name, len(ix.order), len(ix.offsets), len(ix.longest), len(visits))
+		}
+		ties := 0
+		for l := range pop.Locations {
+			locVisits := visits[offsets[l]:offsets[l+1]]
+			seen := make([]bool, len(locVisits))
+			for sub := range pop.Locations[l].NumSub {
+				k := ix.base[l] + sub
+				var longest int16
+				room := ix.order[ix.offsets[k]:ix.offsets[k+1]]
+				for j, i := range room {
+					v := &locVisits[i]
+					if v.Sub != sub || seen[i] {
+						t.Fatalf("%s: location %d room %d holds position %d of room %d, or twice", pop.Name, l, sub, i, v.Sub)
+					}
+					seen[i] = true
+					longest = max(longest, v.End-v.Start)
+					if j == 0 {
+						continue
+					}
+					prev := room[j-1]
+					if w := &locVisits[prev]; w.Start > v.Start || w.Start == v.Start && prev > i {
+						t.Fatalf("%s: location %d room %d lists position %d (start %d) before %d (start %d)",
+							pop.Name, l, sub, prev, w.Start, i, v.Start)
+					} else if w.Start == v.Start {
+						ties++
+					}
+				}
+				if ix.longest[k] != longest {
+					t.Fatalf("%s: location %d room %d records longest visit %d, want %d", pop.Name, l, sub, ix.longest[k], longest)
+				}
+			}
+			for i, ok := range seen {
+				if !ok {
+					t.Fatalf("%s: location %d position %d is in no room", pop.Name, l, i)
+				}
+			}
+		}
+		if ties < 100 {
+			t.Errorf("%s: %d arrivals tie with the previous one in their room, want at least 100", pop.Name, ties)
+		}
+	}
+}
+
 // An engine keeps per visit only what a run changes — its fill of the
 // schedule and its PMs' visit batches — and shares the rest with its plan:
 // at 50,000 persons, the heap an engine adds by New and two dense days,

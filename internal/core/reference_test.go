@@ -122,7 +122,8 @@ func TestKeepVisitMatchesReference(t *testing.T) {
 // require every case to have been reached.
 type hazardCases struct {
 	sameRoom, otherRoom    int // source and eligible visit by another person, in one room or two
-	touching, disjoint     int // same-room pairs whose intervals meet at a minute or miss
+	before, after          int // same-room pairs that miss: the member left at or before the source arrived, or arrived at or after it left
+	touching, edge         int // same-room pairs that meet at a minute; overlap by one minute, the member arriving the minute after the source's arrival less its room's longest visit
 	selfSame, selfOther    int // source and eligible visit by one person, in one room or two
 	twiceSame, twiceOther  int // a person exposed twice at one location, in one room or two
 	dropped, treated, nsus int // eligible by susceptibility but not kept; exposed under a treatment; sus ≤ 0
@@ -131,9 +132,9 @@ type hazardCases struct {
 // referenceEventHazards is the event kernel's hazard loop as it stood
 // before the room index — every susceptible visit of an active location
 // against every source there — body kept verbatim apart from the case
-// counts and the float64 conversions that round each product before its
-// sum, as the kernel does, so that no target fuses them: the oracle of
-// TestEventHazardsMatchAllPairs.
+// counts, the rooms' longest visits the edge case needs, and the float64
+// conversions that round each product before its sum, as the kernel does,
+// so that no target fuses them: the oracle of TestEventHazardsMatchAllPairs.
 func referenceEventHazards(e *Engine, day int, cases *hazardCases) int64 {
 	tau := e.model.Transmissibility
 	var interactions int64
@@ -142,6 +143,10 @@ func referenceEventHazards(e *Engine, day int, cases *hazardCases) int64 {
 		e.srcVisits[locID] = sv[:0]
 		loc := &e.pop.Locations[locID]
 		exposedAt := map[int32]int32{} // person → sublocation of its last exposed visit here
+		longest := map[int32]int16{}   // sublocation → its longest visit here
+		for _, v := range e.locVisits[e.locOffsets[locID]:e.locOffsets[locID+1]] {
+			longest[v.Sub] = max(longest[v.Sub], v.End-v.Start)
+		}
 		for _, v := range e.locVisits[e.locOffsets[locID]:e.locOffsets[locID+1]] {
 			p := v.Person
 			hs := &e.health[p]
@@ -180,10 +185,16 @@ func referenceEventHazards(e *Engine, day int, cases *hazardCases) int64 {
 				if end <= start {
 					if end == start {
 						cases.touching++
+					}
+					if v.End <= s.start {
+						cases.before++
 					} else {
-						cases.disjoint++
+						cases.after++
 					}
 					continue
+				}
+				if end-start == 1 && v.Start == s.start-longest[v.Sub]+1 {
+					cases.edge++
 				}
 				h += float64(s.inf * float64(end-start))
 				interactions++

@@ -53,21 +53,22 @@ func Parse(r io.Reader) (*Model, error) {
 	m := &Model{
 		Treatments: []Treatment{{Name: "none", SusceptibilityMul: 1, InfectivityMul: 1}},
 	}
-	// Forward references: states are interned on first mention.
-	intern := func(name string) StateID {
+	// Forward references: states are interned on first mention; false
+	// when name would be a 256th state.
+	intern := func(name string) (StateID, bool) {
 		if m.index == nil {
 			m.index = map[string]StateID{}
 		}
 		if id, ok := m.index[name]; ok {
-			return id
+			return id, true
 		}
 		id := StateID(len(m.States))
 		if len(m.States) >= 255 {
-			panic("disease: too many states")
+			return 0, false
 		}
 		m.States = append(m.States, State{Name: name})
 		m.index[name] = id
-		return id
+		return id, true
 	}
 
 	type pendingNext struct {
@@ -147,10 +148,17 @@ func Parse(r io.Reader) (*Model, error) {
 			if len(fields) != 2 {
 				return nil, fail("state needs one name")
 			}
-			cur = int(intern(fields[1]))
+			id, ok := intern(fields[1])
+			if !ok {
+				return nil, fail("more than 255 states")
+			}
+			cur = int(id)
 		case key == "susceptibility":
 			if cur < 0 {
 				return nil, fail("susceptibility outside state block")
+			}
+			if len(fields) != 2 {
+				return nil, fail("susceptibility needs one value")
 			}
 			v, err := parseFloat(fields[1])
 			if err != nil {
@@ -160,6 +168,9 @@ func Parse(r io.Reader) (*Model, error) {
 		case key == "infectivity":
 			if cur < 0 {
 				return nil, fail("infectivity outside state block")
+			}
+			if len(fields) != 2 {
+				return nil, fail("infectivity needs one value")
 			}
 			v, err := parseFloat(fields[1])
 			if err != nil {
@@ -266,7 +277,10 @@ func Parse(r io.Reader) (*Model, error) {
 		if !ok {
 			return nil, fmt.Errorf("disease: line %d: unknown treatment %q", pn.line, pn.treatment)
 		}
-		target := intern(pn.target)
+		target, ok := intern(pn.target)
+		if !ok {
+			return nil, fmt.Errorf("disease: line %d: more than 255 states", pn.line)
+		}
 		st := &m.States[pn.state]
 		for len(st.Transitions) <= int(tid) {
 			st.Transitions = append(st.Transitions, nil)

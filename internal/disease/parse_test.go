@@ -1,6 +1,7 @@
 package disease
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -129,12 +130,26 @@ func TestParseErrors(t *testing.T) {
 		"probability sum":    strings.Replace(fluText, "next symptomatic 0.66", "next symptomatic 0.5", 1),
 		"uniform hi<lo":      strings.Replace(fluText, "dwell uniform 1 3", "dwell uniform 3 1", 1),
 		"treatment syntax":   strings.Replace(fluText, "treatment vaccinated susceptibility 0.3 infectivity 0.5", "treatment vaccinated 0.3", 1),
+		// These four once panicked.
+		"bare susceptibility": "state x\n  susceptibility",
+		"bare infectivity":    "state x\n  infectivity\n",
+		"256 states":          manyStates(256),
+		"256th state by next": manyStates(255) + "  next t 1\n",
 	}
 	for name, text := range cases {
 		if _, err := ParseString(text); err == nil {
 			t.Errorf("%s: expected parse error", name)
 		}
 	}
+}
+
+// manyStates is a model text that declares n states.
+func manyStates(n int) string {
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, "state s%d\n", i)
+	}
+	return b.String()
 }
 
 func TestParseCommentsAndBlanks(t *testing.T) {

@@ -135,10 +135,12 @@ func (c Config) PhaseTime(ranks []RankPhase, mode charm.SyncMode) PhaseCost {
 	var worst float64
 	for i := range ranks {
 		r := &ranks[i]
-		msgCPU := (c.SendOverhead*float64(r.WireOutIntra+r.WireOutInter) +
-			c.RecvOverhead*float64(r.WireInIntra+r.WireInInter)) * soft * (1 - offload)
-		net := c.LatencyIntra*float64(max(r.WireOutIntra, r.WireInIntra)) +
-			c.LatencyInter*float64(max(r.WireOutInter, r.WireInInter)) +
+		// Every product is rounded (an explicit float64) before its sum, so
+		// that no target fuses a multiply-add into a modeled time.
+		msgCPU := float64((float64(c.SendOverhead*float64(r.WireOutIntra+r.WireOutInter)) +
+			float64(c.RecvOverhead*float64(r.WireInIntra+r.WireInInter))) * soft * (1 - offload))
+		net := float64(c.LatencyIntra*float64(max(r.WireOutIntra, r.WireInIntra))) +
+			float64(c.LatencyInter*float64(max(r.WireOutInter, r.WireInInter))) +
 			r.ExtraLatency
 		if c.Bandwidth > 0 {
 			net += float64(r.BytesOut) / c.Bandwidth

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -413,6 +414,29 @@ func TestSubmitRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := c.Status(context.Background(), "sw-999999"); err == nil {
 		t.Fatal("unknown job must 404")
+	}
+}
+
+// A model text whose susceptibility or infectivity line has no value is a
+// 400 that says so, not a handler panic that drops the connection.
+func TestSubmitRejectsValuelessModelLine(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, MaxActive: 1}, scriptedRunner(make(chan struct{})))
+	for _, key := range []string{"susceptibility", "infectivity"} {
+		body := `{"populations":[{"name":"town","people":400,"locations":40}],` +
+			`"placements":[{"strategy":"RR","ranks":2}],` +
+			`"models":[{"name":"m","text":"state x\n  ` + key + `"}],"replicates":1,"days":5}`
+		resp, err := http.Post(c.BaseURL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := key + " needs one value"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("%s: HTTP %d %s, want 400 containing %q", key, resp.StatusCode, msg, want)
+		}
 	}
 }
 

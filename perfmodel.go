@@ -121,7 +121,7 @@ func ModelDayTime(pl *Placement, opt PerfOptions) machine.DayCost {
 	for p := int32(0); p < int32(pop.NumPersons()); p++ {
 		r := pl.PersonRank[p]
 		nVisits := len(pop.PersonVisits(p))
-		person[r].Compute += float64(nVisits) * opt.PersonSecPerVisit
+		person[r].Compute += float64(float64(nVisits) * opt.PersonSecPerVisit)
 		update[r].Compute += opt.UpdateSecPerPerson
 	}
 
@@ -167,7 +167,7 @@ func ModelDayTime(pl *Placement, opt PerfOptions) machine.DayCost {
 			person[src].WireOutInter += wire
 			person[dst].WireInInter += wire
 			person[src].BytesOut += count * int64(opt.VisitMsgBytes)
-			person[src].ExtraLatency += float64(wire) * opt.Machine.PerHopLatency * extraHops(src, dst)
+			person[src].ExtraLatency += float64(float64(wire) * opt.Machine.PerHopLatency * extraHops(src, dst))
 		} else {
 			person[src].WireOutIntra += wire
 			person[dst].WireInIntra += wire
