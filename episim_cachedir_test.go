@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	episim "repro"
@@ -86,6 +87,81 @@ func TestSweepCacheDirWarmRun(t *testing.T) {
 	}
 	if !bytes.Equal(coldJSON, warmJSON) {
 		t.Fatal("warm run JSON differs from cold run JSON")
+	}
+}
+
+// TestSweepCacheDirWarmRunLoadsNoPopulation: a placement served from
+// disk embeds the population it runs on, so a fresh cache over a filled
+// directory loads no population at all, yet still tallies the run's
+// population key as a zero-build entry. With the placement files gone,
+// the population is read from disk once and each placement built once.
+func TestSweepCacheDirWarmRunLoadsNoPopulation(t *testing.T) {
+	dir := t.TempDir()
+	cold, _, coldJSON := runWithDir(t, dir)
+	if len(cold.PopulationBuilds) != 1 {
+		t.Fatalf("cold population builds = %v, want one key", cold.PopulationBuilds)
+	}
+	warmPops := map[string]int{}
+	for key := range cold.PopulationBuilds {
+		warmPops[key] = 0
+	}
+	noPopulationLookup := func(what string, c *episim.SweepCache) {
+		t.Helper()
+		if st := c.PopulationStats(); st.Hits != 0 || st.Misses != 0 || st.DiskHits != 0 || st.DiskMisses != 0 || st.Builds != 0 {
+			t.Fatalf("%s: population cache stats = %+v, want no lookup", what, st)
+		}
+		if st := c.PlacementStats(); st.Builds != 0 || st.DiskHits != 2 {
+			t.Fatalf("%s: placement cache stats = %+v, want 0 builds / 2 disk hits", what, st)
+		}
+	}
+
+	cache, err := episim.NewSweepCacheDir(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := episim.WarmSweep(context.Background(), cacheDirSpec(), &episim.SweepOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Built() != 0 || w.Populations != 1 || !reflect.DeepEqual(w.PopulationBuilds, warmPops) {
+		t.Fatalf("warm pass = %+v, want 0 builds and population builds %v", w, warmPops)
+	}
+	noPopulationLookup("warm pass", cache)
+
+	warm, cache, warmJSON := runWithDir(t, dir)
+	if !reflect.DeepEqual(warm.PopulationBuilds, warmPops) {
+		t.Fatalf("warm run population builds = %v, want %v", warm.PopulationBuilds, warmPops)
+	}
+	for key, n := range warm.PlacementBuilds {
+		if n != 0 {
+			t.Fatalf("warm run built placement %q %d times, want 0", key, n)
+		}
+	}
+	noPopulationLookup("warm run", cache)
+	if !bytes.Equal(coldJSON, warmJSON) {
+		t.Fatal("warm run JSON differs from cold run JSON")
+	}
+
+	if err := os.RemoveAll(filepath.Join(dir, "placements")); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, cache, rebuiltJSON := runWithDir(t, dir)
+	if st := cache.PopulationStats(); st.DiskHits != 1 || st.Builds != 0 {
+		t.Fatalf("population cache stats = %+v, want 1 disk hit and no build", st)
+	}
+	if !reflect.DeepEqual(rebuilt.PopulationBuilds, warmPops) {
+		t.Fatalf("population builds = %v, want %v", rebuilt.PopulationBuilds, warmPops)
+	}
+	if st := cache.PlacementStats(); st.Builds != 2 || len(rebuilt.PlacementBuilds) != 2 {
+		t.Fatalf("placement cache stats = %+v, builds %v, want each of 2 placements built", st, rebuilt.PlacementBuilds)
+	}
+	for key, n := range rebuilt.PlacementBuilds {
+		if n != 1 {
+			t.Fatalf("placement %q built %d times, want 1", key, n)
+		}
+	}
+	if !bytes.Equal(coldJSON, rebuiltJSON) {
+		t.Fatal("rebuilt run JSON differs from cold run JSON")
 	}
 }
 

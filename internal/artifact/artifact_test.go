@@ -2,7 +2,9 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -208,6 +210,42 @@ func TestEnvelopeRejects(t *testing.T) {
 	}
 }
 
+// TestEnvelopeVersions: Seal writes version 2, whose trailer is the
+// zero-extended CRC-32C of every byte before it; Open still reads a
+// version-1 envelope (refSealV1, CRC-64/ECMA) to its payload and rejects
+// one with a bit flipped, and rejects version 0.
+func TestEnvelopeVersions(t *testing.T) {
+	payload := EncodePopulation(testPopulation(t))
+	sealed := Seal(KindPopulation, "k1", payload)
+	if v := binary.LittleEndian.Uint16(sealed[4:]); v != 2 || Version != 2 {
+		t.Fatalf("Seal wrote version %d (Version = %d), want 2", v, Version)
+	}
+	body, trailer := sealed[:len(sealed)-8], binary.LittleEndian.Uint64(sealed[len(sealed)-8:])
+	if want := uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))); trailer != want {
+		t.Fatalf("version-2 trailer = %#x, want the CRC-32C %#x", trailer, want)
+	}
+
+	v1 := refSealV1(KindPopulation, "k1", payload)
+	if !bytes.Equal(v1[:len(v1)-8], append([]byte{'E', 'P', 'A', 'R', 1, 0}, body[6:]...)) {
+		t.Fatal("a version-1 envelope differs from version 2 outside its version and trailer")
+	}
+	if got, err := Open(v1, KindPopulation, "k1"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("version-1 open: %v", err)
+	}
+	for _, at := range []int{len(v1) / 2, len(v1) - 1} {
+		flipped := append([]byte(nil), v1...)
+		flipped[at] ^= 0x08
+		if _, err := Open(flipped, KindPopulation, "k1"); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("version 1 with byte %d flipped: err = %v, want ErrInvalid", at, err)
+		}
+	}
+	v0 := append([]byte(nil), sealed...)
+	v0[4] = 0
+	if _, err := Open(v0, KindPopulation, "k1"); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("version 0: err = %v, want ErrInvalid", err)
+	}
+}
+
 // TestDecodeRejectsOverflowingCounts: a crafted payload whose element
 // count × element size wraps uint64 must fail the bounds check, not
 // pass it and panic in makeslice — "never a panic" includes adversarial
@@ -335,5 +373,49 @@ func TestStoreCorruptFileIsMissAndRemoved(t *testing.T) {
 	got, err := st.Get(KindPlacement, "pl")
 	if err != nil || string(got) != "rebuilt" {
 		t.Fatalf("heal: %q, %v", got, err)
+	}
+}
+
+// TestStoreKeepsNewerVersion: a file of a version this reader does not
+// know yet reads as ErrInvalid but stays on disk for the newer binary
+// that wrote it; a damaged file of a known version is still removed.
+func TestStoreKeepsNewerVersion(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(KindPlacement, "pl", []byte("good bytes")); err != nil {
+		t.Fatal(err)
+	}
+	path := st.path("pl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(newer[4:], Version+1)
+	if err := os.WriteFile(path, newer, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(KindPlacement, "pl"); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("version-%d get: %v, want ErrInvalid", Version+1, err)
+	}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, newer) {
+		t.Fatalf("version-%d file was not left as written (%v)", Version+1, err)
+	}
+	if s := st.Stats(); s.Files != 1 {
+		t.Fatalf("stats after a kept file = %+v, want 1 file", s)
+	}
+
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-10] ^= 0x01 // inside the payload
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(KindPlacement, "pl"); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("bit-flipped get: %v, want ErrInvalid", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("bit-flipped version-2 file was not removed")
 	}
 }

@@ -15,8 +15,9 @@ var (
 
 // BenchmarkArtifactCodec times what a placement reload pays per byte on
 // place-cold's GP-splitLoc×64 placement of a 30k-person / 7.5k-location
-// population: encode, decode, and Open, the envelope's CRC-64 check that
-// precedes every decode. It is the root counterpart of the bench's
+// population: encode, decode, and Open, the envelope's checksum check
+// (CRC-32C in the version-2 envelope Seal writes) that precedes every
+// decode. It is the root counterpart of the bench's
 // artifact.encode_ms and artifact.decode_ms.
 func BenchmarkArtifactCodec(b *testing.B) {
 	pop := episim.Generate("bench", 30000, 7500, 1)

@@ -6,15 +6,21 @@
 // Every artifact on disk is a sealed envelope:
 //
 //	magic "EPAR" | version u16 | kind u8 | reserved u8 |
-//	keyLen u32 | key | payloadLen u64 | payload | crc64 u64
+//	keyLen u32 | key | payloadLen u64 | payload | checksum u64
 //
 // The envelope carries the artifact's own content key, so a file moved,
 // renamed or hash-colliding into the wrong slot fails the key check and
-// is treated as a miss, never served as the wrong content. The CRC-64
+// is treated as a miss, never served as the wrong content. The checksum
 // trailer covers every preceding byte, so truncation and bit rot are
 // also misses — the contract throughout this package is that a reader
 // either gets exactly the bytes a writer sealed, or a recognizable
 // error it can treat as "rebuild it".
+//
+// The version field picks the checksum. Seal writes version 2, whose
+// trailer is the CRC-32C (Castagnoli, hardware-accelerated on amd64 and
+// arm64) zero-extended to 64 bits. Open still reads version 1, whose
+// trailer is the CRC-64/ECMA, so result stores and caches written before
+// version 2 stay readable.
 //
 // Encoding is deterministic: identical content seals to identical bytes
 // (fixed field order, fixed-width little-endian integers, no maps), so
@@ -40,13 +46,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 )
 
-// Version is the envelope format version. Decoders reject any other
-// version (treated as a cache miss by callers), so a format change never
-// corrupts results — it just rebuilds.
-const Version = 1
+// Version is the envelope format version Seal writes. Open also reads
+// version 1 and rejects any other version (a cache miss to callers), so a
+// format change never corrupts results — it just rebuilds.
+const Version = 2
 
 const envelopeMagic = "EPAR"
 
@@ -69,10 +76,26 @@ const (
 // rebuild; it is never fatal.
 var ErrInvalid = errors.New("artifact: invalid")
 
+// errNewerVersion is the ErrInvalid of an envelope whose version is
+// higher than Version: a newer writer's file, which Store.Get leaves on
+// disk for that writer.
+var errNewerVersion = fmt.Errorf("%w: newer envelope version", ErrInvalid)
+
 // ErrNotFound reports that a store has no artifact under a key.
 var ErrNotFound = errors.New("artifact: not found")
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var (
+	crc32cTable = crc32.MakeTable(crc32.Castagnoli)
+	crc64Table  = crc64.MakeTable(crc64.ECMA)
+)
+
+// checksum is the trailer of an envelope of version v over data.
+func checksum(v uint16, data []byte) uint64 {
+	if v == 1 {
+		return crc64.Checksum(data, crc64Table)
+	}
+	return uint64(crc32.Checksum(data, crc32cTable))
+}
 
 // Seal wraps payload in a versioned, checksummed envelope carrying its
 // kind and content key. Identical (kind, key, payload) always seals to
@@ -86,13 +109,13 @@ func Seal(kind Kind, key string, payload []byte) []byte {
 	b = append(b, key...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
+	return binary.LittleEndian.AppendUint64(b, checksum(Version, b))
 }
 
 // Open validates an envelope against the expected kind and key and
 // returns its payload. Every failure wraps ErrInvalid.
 func Open(data []byte, kind Kind, key string) ([]byte, error) {
-	gotKind, gotKey, rest, err := parseHeader(data)
+	v, gotKind, gotKey, rest, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -111,30 +134,32 @@ func Open(data []byte, kind Kind, key string) ([]byte, error) {
 	}
 	payload := rest[8 : 8+payloadLen]
 	sum := binary.LittleEndian.Uint64(rest[8+payloadLen:])
-	if crc64.Checksum(data[:len(data)-8], crcTable) != sum {
+	if checksum(v, data[:len(data)-8]) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalid)
 	}
 	return payload, nil
 }
 
 // parseHeader reads the fixed envelope prefix (through the key),
-// returning the remainder. It is the piece Keys() uses to identify a
-// file without verifying its checksum.
-func parseHeader(data []byte) (kind Kind, key string, rest []byte, err error) {
+// returning the version and the remainder. It is the piece Keys() uses to
+// identify a file without verifying its checksum.
+func parseHeader(data []byte) (v uint16, kind Kind, key string, rest []byte, err error) {
 	if len(data) < len(envelopeMagic)+8 {
-		return 0, "", nil, fmt.Errorf("%w: truncated header", ErrInvalid)
+		return 0, 0, "", nil, fmt.Errorf("%w: truncated header", ErrInvalid)
 	}
 	if string(data[:4]) != envelopeMagic {
-		return 0, "", nil, fmt.Errorf("%w: bad magic", ErrInvalid)
+		return 0, 0, "", nil, fmt.Errorf("%w: bad magic", ErrInvalid)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != Version {
-		return 0, "", nil, fmt.Errorf("%w: version %d, want %d", ErrInvalid, v, Version)
+	if v = binary.LittleEndian.Uint16(data[4:]); v > Version {
+		return 0, 0, "", nil, fmt.Errorf("%w %d, this reader knows 1 to %d", errNewerVersion, v, Version)
+	} else if v < 1 {
+		return 0, 0, "", nil, fmt.Errorf("%w: version %d, want 1 to %d", ErrInvalid, v, Version)
 	}
 	kind = Kind(data[6])
 	keyLen := binary.LittleEndian.Uint32(data[8:])
 	if uint64(keyLen) > uint64(len(data)-12) {
-		return 0, "", nil, fmt.Errorf("%w: key length %d overruns data", ErrInvalid, keyLen)
+		return 0, 0, "", nil, fmt.Errorf("%w: key length %d overruns data", ErrInvalid, keyLen)
 	}
 	key = string(data[12 : 12+keyLen])
-	return kind, key, data[12+keyLen:], nil
+	return v, kind, key, data[12+keyLen:], nil
 }

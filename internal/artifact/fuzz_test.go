@@ -59,11 +59,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzOpen: an envelope opened under its own kind and key seals back to
-// itself when its reserved byte is 0 (Open does not read that byte).
+// FuzzOpen: every envelope Open accepts under its own kind and key holds
+// a payload that opens again from Seal(kind, key, payload), and a
+// version-2 envelope whose reserved byte is 0 (Open does not read that
+// byte) seals back to itself. A version-1 envelope cannot: Seal writes
+// version 2.
 func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, key, _, err := parseHeader(data)
+		v, kind, key, _, err := parseHeader(data)
 		if err != nil {
 			return
 		}
@@ -71,8 +74,12 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if data[7] == 0 && !bytes.Equal(Seal(kind, key, payload), data) {
-			t.Fatal("opened envelope seals to different bytes")
+		resealed := Seal(kind, key, payload)
+		if again, err := Open(resealed, kind, key); err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("resealed payload does not open to itself: %v", err)
+		}
+		if v == Version && data[7] == 0 && !bytes.Equal(resealed, data) {
+			t.Fatal("opened version-2 envelope seals to different bytes")
 		}
 	})
 }

@@ -7,11 +7,15 @@ package artifact
 // differ from the codec it was copied from: the encoder records where
 // each count or length field went, and the decoder notes (lax) when it
 // accepted a flag byte other than 0 or 1, which DecodeX now rejects.
+//
+// refSealV1 is the envelope Seal wrote before version 2, kept as the
+// oracle for Open's version-1 path.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc64"
 	"math"
 
 	"repro/internal/core"
@@ -19,6 +23,19 @@ import (
 	"repro/internal/splitloc"
 	"repro/internal/synthpop"
 )
+
+// refSealV1 seals payload as a version-1 envelope: the version-2 layout
+// with a CRC-64/ECMA trailer.
+func refSealV1(kind Kind, key string, payload []byte) []byte {
+	b := []byte("EPAR")
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = append(b, byte(kind), 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crc64.MakeTable(crc64.ECMA)))
+}
 
 // refEncodePopulation is the EncodePopulation oracle.
 func refEncodePopulation(p *synthpop.Population) *refEnc {

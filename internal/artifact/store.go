@@ -3,6 +3,7 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -112,9 +113,11 @@ func (s *Store) Put(kind Kind, key string, payload []byte) error {
 }
 
 // Get opens the artifact stored under (kind, key) and returns its
-// payload. A missing file is ErrNotFound; a corrupt, stale or
-// wrong-version file is removed and reported as ErrInvalid — both are
-// "miss, rebuild it" to a cache tier, never fatal.
+// payload. A missing file is ErrNotFound; a corrupt, truncated, stale or
+// misplaced file is removed and reported as ErrInvalid — both are "miss,
+// rebuild it" to a cache tier, never fatal. A file of a newer envelope
+// version is also ErrInvalid but stays on disk: a newer binary sharing
+// the directory wrote it and can still read it.
 func (s *Store) Get(kind Kind, key string) ([]byte, error) {
 	path := s.path(key)
 	data, err := os.ReadFile(path)
@@ -126,7 +129,9 @@ func (s *Store) Get(kind Kind, key string) ([]byte, error) {
 	}
 	payload, err := Open(data, kind, key)
 	if err != nil {
-		s.removeFile(path, int64(len(data)))
+		if !errors.Is(err, errNewerVersion) {
+			s.removeFile(path, int64(len(data)))
+		}
 		return nil, err
 	}
 	// Mark the artifact recently used (best-effort): GC evicts by mtime,
@@ -277,7 +282,7 @@ func (s *Store) Keys() ([]KeyInfo, error) {
 		// comfortably under this cap.
 		head := make([]byte, 64*1024)
 		n, _ := io.ReadFull(f, head)
-		kind, key, _, hdrErr := parseHeader(head[:n])
+		_, kind, key, _, hdrErr := parseHeader(head[:n])
 		if hdrErr != nil {
 			return nil
 		}

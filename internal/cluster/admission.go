@@ -103,7 +103,9 @@ func (a *admission) takeToken(key string) (wait time.Duration, ok bool) {
 	defer a.mu.Unlock()
 	e := a.entry(key)
 	now := time.Now()
-	e.tokens = math.Min(a.burst, e.tokens+now.Sub(e.lastFill).Seconds()*a.rate)
+	// The refill product is rounded (an explicit float64) before its sum,
+	// here and in sweep, so that no target fuses a multiply-add into it.
+	e.tokens = math.Min(a.burst, e.tokens+float64(now.Sub(e.lastFill).Seconds()*a.rate))
 	e.lastFill = now
 	if e.tokens >= 1 {
 		e.tokens--
@@ -254,7 +256,7 @@ func (a *admission) sweepLocked() {
 			}
 		}
 		idle := len(e.inflight) == 0 && e.reserved == 0 &&
-			(a.rate <= 0 || math.Min(a.burst, e.tokens+now.Sub(e.lastFill).Seconds()*a.rate) >= a.burst)
+			(a.rate <= 0 || math.Min(a.burst, e.tokens+float64(now.Sub(e.lastFill).Seconds()*a.rate)) >= a.burst)
 		if idle {
 			delete(a.clients, k)
 		}

@@ -144,3 +144,91 @@ func TestBuildStepSpansAndTally(t *testing.T) {
 		t.Fatalf("slow disk load traced %+v, want one checkpoint_load labeled with the span label", spans)
 	}
 }
+
+// TestPlaceBuildSpanExcludesPopulation: a placement that must be built
+// fetches its population first, and its "placement_build" span starts
+// only once that population's "population_build" span has ended.
+func TestPlaceBuildSpanExcludesPopulation(t *testing.T) {
+	h := (&fakeHooks{}).hooks()
+	generate := h.GeneratePopulation
+	h.GeneratePopulation = func(ps PopulationSpec, seed uint64) (*synthpop.Population, error) {
+		time.Sleep(3 * time.Millisecond)
+		return generate(ps, seed)
+	}
+	tl := obs.NewTimeline("place")
+	b := newBuildSteps(context.Background(), &RunOptions{Trace: tl})
+	if _, _, err := b.place(h, &Spec{Seed: 7}, PopulationSpec{Name: "a", People: 10, Locations: 2}, PlacementSpec{Strategy: "RR", Ranks: 2}); err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := tl.Snapshot()
+	byName := map[string]obs.Span{}
+	for _, sp := range spans {
+		byName[sp.Name] = sp
+	}
+	pop, okPop := byName["population_build"]
+	pl, okPl := byName["placement_build"]
+	if len(spans) != 2 || !okPop || !okPl {
+		t.Fatalf("spans = %v, want one population_build and one placement_build", spanNames(tl))
+	}
+	if pl.Start.Before(pop.End) {
+		t.Fatalf("placement_build starts %v before population_build ends", pop.End.Sub(pl.Start))
+	}
+}
+
+// TestPlaceOutlivesCanceledBuilder: run A starts building a placement and
+// waits inside that build on the population run C is generating; run B
+// waits on A's placement. When A is canceled, B — not canceled — takes
+// the build over instead of reporting A's cancellation as its own.
+func TestPlaceOutlivesCanceledBuilder(t *testing.T) {
+	popCache, plCache := NewCache(0, nil), NewCache(0, nil)
+	opts := &RunOptions{PopulationCache: popCache, PlacementCache: plCache}
+	release := make(chan struct{})
+	h := (&fakeHooks{}).hooks()
+	generate := h.GeneratePopulation
+	h.GeneratePopulation = func(ps PopulationSpec, seed uint64) (*synthpop.Population, error) {
+		<-release
+		return generate(ps, seed)
+	}
+	spec := &Spec{Seed: 7}
+	pop := PopulationSpec{Name: "a", People: 10, Locations: 2}
+	rr, gp := PlacementSpec{Strategy: "RR", Ranks: 2}, PlacementSpec{Strategy: "GP", Ranks: 2}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	place := func(ctx context.Context, pls PlacementSpec) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := newBuildSteps(ctx, opts).place(h, spec, pop, pls)
+			done <- err
+		}()
+		return done
+	}
+
+	cDone := place(context.Background(), gp) // generates the population
+	waitFor("C to generate the population", func() bool { return popCache.Stats().Misses == 1 })
+	ctxA, cancelA := context.WithCancel(context.Background())
+	aDone := place(ctxA, rr)
+	waitFor("A to wait on the population", func() bool { return popCache.Stats().Hits == 1 })
+	bDone := place(context.Background(), rr)
+	waitFor("B to wait on A's placement", func() bool { return plCache.Stats().Hits == 1 })
+
+	cancelA()
+	if err := <-aDone; err != errCanceled {
+		t.Fatalf("canceled run A returned %v, want errCanceled", err)
+	}
+	close(release)
+	if err := <-bDone; err != nil {
+		t.Fatalf("run B returned %v, want the placement", err)
+	}
+	if err := <-cDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := plCache.Stats(); st.Builds != 3 || st.Entries != 2 {
+		t.Fatalf("placement cache = %+v, want A's abandoned build and one build each by B and C", st)
+	}
+}

@@ -187,6 +187,22 @@ func newBuildSteps(ctx context.Context, opts *RunOptions) *buildSteps {
 // the timeline (the cache counters already account for them). label
 // names the artifact in errors, spanLabel in the trace.
 func (b *buildSteps) get(s *buildStep, key, label, spanLabel string, build func() (any, error)) (val any, built bool, err error) {
+	return b.getAfter(s, key, label, spanLabel, nil, func(any) (any, error) { return build() })
+}
+
+// needErr carries the failure of a build's need through the cache, so
+// every caller of the dependent key gets need's own error.
+type needErr struct{ err error }
+
+func (e needErr) Error() string { return e.err.Error() }
+func (e needErr) Unwrap() error { return e.err }
+
+// getAfter is get for a build that first needs another step's value (a
+// placement needs its population). need runs only when key is built, and
+// build receives its value. A failed need surfaces as need's own error
+// and is left to need's step to memoize, and the "<kind>_build" span
+// starts once need has returned, so it never overlaps need's spans.
+func (b *buildSteps) getAfter(s *buildStep, key, label, spanLabel string, need func() (any, error), build func(any) (any, error)) (val any, built bool, err error) {
 	fail := func(err error) (any, bool, error) {
 		return nil, false, fmt.Errorf("ensemble: %s %s: %w", s.kind, label, err)
 	}
@@ -197,7 +213,29 @@ func (b *buildSteps) get(s *buildStep, key, label, spanLabel string, build func(
 		return fail(prior)
 	}
 	ctx, start := b.ctx, time.Now()
-	val, built, err = s.cache.get(ctx, key, build)
+	buildStart := start
+	run := func() (any, error) {
+		var in any
+		if need != nil {
+			var err error
+			if in, err = need(); err != nil {
+				return nil, needErr{err}
+			}
+		}
+		buildStart = time.Now()
+		return build(in)
+	}
+	for {
+		val, built, err = s.cache.get(ctx, key, run)
+		// Another run that was building key gave up while it waited on
+		// the need; this run was not canceled, so it takes the build over.
+		if !errors.Is(err, errCanceled) || ctx.Err() != nil {
+			break
+		}
+	}
+	if ne := (needErr{}); errors.As(err, &ne) {
+		return nil, false, ne.err
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, false, errCanceled
@@ -212,7 +250,7 @@ func (b *buildSteps) get(s *buildStep, key, label, spanLabel string, build func(
 	n := 0
 	if end := time.Now(); built {
 		n = 1
-		b.trace.Add(s.kind+"_build", spanLabel, start, end)
+		b.trace.Add(s.kind+"_build", spanLabel, buildStart, end)
 	} else if end.Sub(start) >= time.Millisecond {
 		b.trace.Add(s.kind+"_load", spanLabel, start, end)
 	}
@@ -222,19 +260,16 @@ func (b *buildSteps) get(s *buildStep, key, label, spanLabel string, build func(
 	return val, built, nil
 }
 
-// place returns the placement a cell runs on and its content key,
-// generating the population and distributing it at most once each.
+// place returns the placement a cell runs on and its content key. It
+// looks the placement up first: one served from memory or disk embeds
+// the population it runs on (the base one if unsplit, the split one
+// otherwise), so the population is fetched, from its cache or by
+// generating it, only to build a placement. Each is built at most once.
 func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls PlacementSpec) (pl any, plKey string, err error) {
 	popKey := ps.Key(spec.Seed)
 	popSeed := ps.Seed
 	if popSeed == 0 {
 		popSeed = spec.Seed
-	}
-	pop, _, err := b.get(&b.population, popKey, ps.Label(), ps.Label(), func() (any, error) {
-		return hooks.GeneratePopulation(ps, popSeed)
-	})
-	if err != nil {
-		return nil, "", err
 	}
 	plKey = pls.Key(popKey)
 	// The cost predictor prices exactly only what it can Peek; note
@@ -242,13 +277,28 @@ func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls Place
 	// (via a build OR a disk-tier promotion) so the feeder re-prices its
 	// remaining queue either way.
 	_, wasPeekable := b.placement.cache.Peek(plKey)
-	pl, _, err = b.get(&b.placement, plKey, pls.Label(), pls.Label(), func() (any, error) {
+	pl, built, err := b.getAfter(&b.placement, plKey, pls.Label(), pls.Label(), func() (any, error) {
+		pop, _, err := b.get(&b.population, popKey, ps.Label(), ps.Label(), func() (any, error) {
+			return hooks.GeneratePopulation(ps, popSeed)
+		})
+		return pop, err
+	}, func(pop any) (any, error) {
 		return hooks.BuildPlacement(pop.(*synthpop.Population), pls, popSeed)
 	})
-	if err == nil && !wasPeekable {
+	if err != nil {
+		return nil, "", err
+	}
+	if !built {
+		// The run needed the population too, and a tier held it inside
+		// the placement: a zero entry, as a served population would be.
+		b.mu.Lock()
+		b.population.builds[popKey] += 0
+		b.mu.Unlock()
+	}
+	if !wasPeekable {
 		b.placed.Add(1)
 	}
-	return pl, plKey, err
+	return pl, plKey, nil
 }
 
 // Run executes the sweep with one-shot semantics: background context,

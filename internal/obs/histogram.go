@@ -166,7 +166,9 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	rank := p * float64(s.Count)
+	// Every product is rounded (an explicit float64) before its sum, so
+	// that no target fuses a multiply-add into a reported quantile.
+	rank := float64(p * float64(s.Count))
 	cum := 0.0
 	for i, b := range s.Bounds {
 		prev := cum
@@ -180,7 +182,7 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 			if frac < 0 {
 				frac = 0
 			}
-			return lower + (b-lower)*frac
+			return lower + float64((b-lower)*frac)
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]

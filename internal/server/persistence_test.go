@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc64"
 	"io"
 	"io/fs"
 	"net/http"
@@ -55,6 +57,9 @@ func getBody(t *testing.T, c *client.Client, path string) (int, string) {
 // finished sweep's /result — byte for byte — and its status remain
 // servable from a brand-new server process over the same cache dir, and
 // the id sequence continues instead of colliding with persisted jobs.
+// The job's envelope is rewritten as version 1 (CRC-64) before the
+// restart, as a daemon older than the version-2 envelope left it, so an
+// upgraded daemon must still read it and not delete it.
 func TestResultSurvivesDaemonRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, MaxActive: 1, CacheDir: dir}
@@ -72,6 +77,7 @@ func TestResultSurvivesDaemonRestart(t *testing.T) {
 	}
 	srv1.Close()
 	ts1.Close()
+	sealAsVersion1(t, filepath.Join(dir, "results"))
 
 	// "Restart": a fresh server over the same directory.
 	srv2, err := newWithRunner(cfg, instantRunner())
@@ -116,6 +122,35 @@ func TestResultSurvivesDaemonRestart(t *testing.T) {
 
 	if st := srv2.stats(); st.ResultStore == nil || st.ResultStore.Files != 2 {
 		t.Fatalf("result store stats = %+v, want 2 persisted jobs", st.ResultStore)
+	}
+}
+
+// sealAsVersion1 rewrites the one artifact under dir as a version-1
+// envelope: the same bytes with version 1 and a CRC-64/ECMA trailer.
+func sealAsVersion1(t *testing.T, dir string) {
+	t.Helper()
+	var paths []string
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".art" {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if len(paths) != 1 {
+		t.Fatalf("artifacts under %s = %v, want one", dir, paths)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(data[4:]); v != 2 {
+		t.Fatalf("stored envelope is version %d, want 2", v)
+	}
+	binary.LittleEndian.PutUint16(data[4:], 1)
+	body := data[:len(data)-8]
+	binary.LittleEndian.PutUint64(data[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
