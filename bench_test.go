@@ -13,8 +13,11 @@
 package episim_test
 
 import (
+	"context"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	episim "repro"
 	"repro/internal/core"
@@ -320,5 +323,59 @@ func BenchmarkSweepPlacementCache(b *testing.B) {
 			b.Fatalf("placement builds = %d, want 2", len(res.PlacementBuilds))
 		}
 		b.ReportMetric(float64(res.Simulations)/float64(len(res.PlacementBuilds)), "sims/build")
+	}
+}
+
+// BenchmarkSweepWorkers is the sweep executor's parallel scaling: one warm
+// 20k-person GP-splitLoc×16 placement, built into a shared cache before any
+// timer starts, and one cell of 16 replicates × 10 days with 200 index
+// cases, swept at 1, 2, … GOMAXPROCS workers. Each sub-benchmark reports
+// cells/s and sims/s, and its parallel efficiency: its rate over w times
+// the 1-worker rate, which only a run that includes workers=1 measures.
+func BenchmarkSweepWorkers(b *testing.B) {
+	spec := func(workers int) *episim.SweepSpec {
+		return &episim.SweepSpec{
+			Populations:       []episim.SweepPopulation{{Name: "sweep-workers", People: 20000, Locations: 5000}},
+			Placements:        []episim.SweepPlacement{{Strategy: "GP", SplitLoc: true, Ranks: 16}},
+			Replicates:        16,
+			Days:              10,
+			Seed:              7,
+			InitialInfections: 200,
+			Workers:           workers,
+		}
+	}
+	ctx := context.Background()
+	opts := &episim.SweepOptions{Cache: episim.NewSweepCache(0)}
+	if _, err := episim.WarmSweep(ctx, spec(1), opts); err != nil {
+		b.Fatal(err)
+	}
+	var rate1 float64 // cells/s at one worker
+	for w := 1; w <= runtime.GOMAXPROCS(0); w++ {
+		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
+			var cells, sims int
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				res, err := episim.RunSweepContext(ctx, spec(w), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for key, n := range res.PlacementBuilds {
+					if n != 0 {
+						b.Fatalf("the warm sweep built placement %s %d times", key, n)
+					}
+				}
+				cells, sims = cells+len(res.Cells), sims+res.Simulations
+			}
+			elapsed := time.Since(start).Seconds()
+			rate := float64(cells) / elapsed
+			if w == 1 {
+				rate1 = rate
+			}
+			b.ReportMetric(rate, "cells/s")
+			b.ReportMetric(float64(sims)/elapsed, "sims/s")
+			if rate1 > 0 {
+				b.ReportMetric(rate/(float64(w)*rate1), "efficiency")
+			}
+		})
 	}
 }

@@ -41,19 +41,27 @@ import (
 // part of the phase statistics.
 
 // keepVisit evaluates the behavioral filters (isolation, closures,
-// demand reduction) for one visit of person p, in health state hs, making
-// exactly the keyed draws the dense person phase makes. Shared by the
-// person phase, the frontier walk and the event kernel, so they can never
-// disagree about which visits happen. It reads today's filter tables, so
-// it is valid only after beginDay.
-func (e *Engine) keepVisit(p int32, hs *personState, locID int32, loc *synthpop.Location, day int) bool {
-	if loc.Type == synthpop.Home {
+// demand reduction) for one visit of person p, in health state hs, to
+// location locID, making exactly the keyed draws the dense person phase
+// makes. Shared by the person phase, the frontier walk and the event
+// kernel, so they can never disagree about which visits happen. It reads
+// today's filter tables, so it is valid only after beginDay. On a
+// filter-free day it keeps the visit without reading the location: with no
+// reduction above 0 there is no draw to make.
+func (e *Engine) keepVisit(p int32, hs *personState, locID int32, day int) bool {
+	return !e.filtering || e.filterVisit(p, hs, locID, day)
+}
+
+// filterVisit is keepVisit on a day with a filter in force.
+func (e *Engine) filterVisit(p int32, hs *personState, locID int32, day int) bool {
+	t := e.pop.Locations[locID].Type
+	if t == synthpop.Home {
 		return true
 	}
-	if e.isolated[hs.State] || e.closed[loc.Type] {
+	if e.isolated[hs.State] || e.closed[t] {
 		return false
 	}
-	if r := e.reduce[loc.Type]; r > 0 {
+	if r := e.reduce[t]; r > 0 {
 		if xrand.KeyedFloat64(0x4edc, e.cfg.Seed, uint64(p), uint64(locID), uint64(day)) < r {
 			return false
 		}
@@ -61,17 +69,22 @@ func (e *Engine) keepVisit(p int32, hs *personState, locID int32, loc *synthpop.
 	return true
 }
 
-// refreshFilters recomputes keepVisit's tables from the effects. beginDay
-// calls it once the day's effects are final: nothing writes them during a
-// day, and Restore replaces them only before one.
+// refreshFilters recomputes keepVisit's tables from the effects, and
+// whether any isolation, closure or demand reduction above 0 is in force:
+// a day with none is filter-free. beginDay calls it once the day's effects
+// are final: nothing writes them during a day, and Restore replaces them
+// only before one.
 func (e *Engine) refreshFilters() {
+	e.filtering = false
 	for s, name := range e.stateNames {
 		e.isolated[s] = e.effects.Isolated(name)
+		e.filtering = e.filtering || e.isolated[s]
 	}
 	for t := range e.closed {
 		name := synthpop.LocationType(t).String()
 		e.closed[t] = e.effects.Closed(name)
 		e.reduce[t] = e.effects.Reduction(name)
+		e.filtering = e.filtering || e.closed[t] || e.reduce[t] > 0
 	}
 }
 
@@ -102,13 +115,12 @@ func (e *Engine) walkFrontier(day int, visit func(v *synthpop.Visit, inf float64
 			visits := e.pop.PersonVisits(p)
 			for i := range visits {
 				v := &visits[i]
-				loc := &e.pop.Locations[v.Loc]
-				if !e.keepVisit(p, hs, v.Loc, loc, day) {
+				if !e.keepVisit(p, hs, v.Loc, day) {
 					continue
 				}
 				e.markActive(v.Loc)
 				if e.cfg.Mixing > 0 {
-					for _, frag := range e.fragments[loc.Origin] {
+					for _, frag := range e.fragments[e.pop.Locations[v.Loc].Origin] {
 						e.markActive(frag)
 					}
 				}
@@ -152,18 +164,20 @@ func (e *Engine) runDayStepped(day int, kernel string, dense bool) DayReport {
 	if dense || len(e.activeLocList) > 0 {
 		e.beginLocationDay()
 		// An active day's person phase: every slot of an active location,
-		// bucketed by the PM managing its visitor. Their order is not
-		// observable: an LM fills static slots, the DES reads them in static
-		// order, and infections are re-sorted canonically.
+		// bucketed by the PM managing its visitor, with its location's LM.
+		// Their order is not observable: an LM fills static slots, the DES
+		// reads them in static order, and infections are re-sorted
+		// canonically.
 		if !dense {
 			for pmID := range e.activeSlots {
 				e.activeSlots[pmID] = e.activeSlots[pmID][:0]
 			}
 			for _, l := range e.activeLocList {
+				lm := e.plan.lmOf[l]
 				for s := e.locOffsets[l]; s < e.locOffsets[l+1]; s++ {
 					p := e.sched.Visit(s).Person
 					pmID := e.plan.pmOf[p]
-					e.activeSlots[pmID] = append(e.activeSlots[pmID], slotRef{s, l, p})
+					e.activeSlots[pmID] = append(e.activeSlots[pmID], slotRef{s, l, p, lm})
 				}
 			}
 		}

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/interventions"
 	"repro/internal/splitloc"
+	"repro/internal/synthpop"
 )
 
 // TestActiveDaySendsOnlyActiveVisits is the oracle of the active day's
@@ -107,4 +109,98 @@ func TestActiveDaySendsOnlyActiveVisits(t *testing.T) {
 			t.Fatalf("mixing %g: only %d active days sent visits", mixing, activeDays)
 		}
 	}
+}
+
+// TestFilteringFollowsScenario runs a scenario whose filters switch on and
+// off — schools closed on day 2 for two days, symptomatic persons isolated
+// on day 3 for one, work demand halved on day 5 for two — on the dense and
+// auto kernels. Each day the filtering flag must be set exactly when an
+// effect is in force, and the DES must see every kept visit and no other:
+// Events is twice the slots referenceKeepVisit keeps, at every location on
+// a dense day and at the locations reachable from the frontier on an active
+// one. The reference reads a second copy of the scenario's effects, stepped
+// and ticked around each day as the engine's are.
+func TestFilteringFollowsScenario(t *testing.T) {
+	const src = `
+when day >= 2 { close school for 2 }
+when day >= 3 { isolate symptomatic for 1 }
+when day >= 5 { reduce work visits by 0.5 for 2 }
+`
+	pop := testPop(t)
+	for _, kernel := range []string{KernelDense, KernelAuto} {
+		e, err := New(Config{Population: pop, Disease: hotModel(), Days: 8, Seed: 23,
+			InitialInfections: 5, Ranks: 4, ChareFactor: 2, AggBufferSize: 16,
+			Kernel: kernel, Scenario: parseScenario(t, src)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror := parseScenario(t, src)
+		ref := &Engine{cfg: e.cfg, effects: interventions.NewEffects(), stateNames: e.stateNames}
+		var filtered, filterFree, stepped int
+		for day := 1; day <= e.cfg.Days; day++ {
+			mirror.Step(interventions.Env{Day: day, Population: pop.NumPersons()}, ref.effects)
+			inForce := effectInForce(ref.effects, e.stateNames)
+			// The frontier and the kept slots, from this morning's health.
+			active := make([]bool, pop.NumLocations())
+			for p := range e.health {
+				hs := &e.health[p]
+				if e.model.Infectivity(hs.State, hs.Treatment) <= 0 {
+					continue
+				}
+				for _, v := range pop.PersonVisits(int32(p)) {
+					if referenceKeepVisit(ref, int32(p), hs, v.Loc, &pop.Locations[v.Loc], day) {
+						active[v.Loc] = true
+					}
+				}
+			}
+			var kept, keptActive int64
+			for _, v := range pop.Visits {
+				if referenceKeepVisit(ref, v.Person, &e.health[v.Person], v.Loc, &pop.Locations[v.Loc], day) {
+					kept++
+					if active[v.Loc] {
+						keptActive++
+					}
+				}
+			}
+
+			rep := e.RunDay(day)
+			ref.effects.Tick()
+			if e.filtering != inForce {
+				t.Errorf("%s day %d: filtering %v with an effect in force %v", kernel, day, e.filtering, inForce)
+			}
+			if inForce {
+				filtered++
+			} else {
+				filterFree++
+			}
+			want := kept
+			if rep.Kernel == kernelActive {
+				want = keptActive
+				stepped++
+			}
+			if rep.Events != 2*want {
+				t.Errorf("%s day %d (%s): %d DES events, want twice the %d kept slots", kernel, day, rep.Kernel, rep.Events, want)
+			}
+		}
+		if filtered < 2 || filterFree < 2 || kernel == KernelAuto && stepped < 3 {
+			t.Fatalf("%s: %d filtered and %d filter-free days, %d active: a case was never exercised",
+				kernel, filtered, filterFree, stepped)
+		}
+	}
+}
+
+// effectInForce reports whether eff isolates any of states or closes or
+// reduces visits to any location type.
+func effectInForce(eff *interventions.Effects, states []string) bool {
+	for _, name := range states {
+		if eff.Isolated(name) {
+			return true
+		}
+	}
+	for lt := range synthpop.NumLocationTypes {
+		if eff.Closed(lt.String()) || eff.Reduction(lt.String()) > 0 {
+			return true
+		}
+	}
+	return false
 }

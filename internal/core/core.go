@@ -32,6 +32,12 @@
 // by the one manager owning its location. Receiving managers keep their
 // buffers (replica lists, infection buffers) from day to day, truncated.
 //
+// The person phase costs a kept visit one read of its PM's slot reference,
+// which names the slot, the location and the location's LM, and one lookup
+// of its visitor's health; the location itself is read only on a day with a
+// filter in force (keepVisit) and for a mixing replica. The receiving LM
+// does one Fill per visit message, and its DES walks its own locations.
+//
 // Three kernels execute a day (Config.Kernel), and two algorithms. The
 // day stepper (runDayStepped, active.go) is the algorithm above, with one
 // control message and one manager handler per phase: a dense day targets
@@ -207,10 +213,12 @@ type Engine struct {
 	infectionBuf [][]infectMsg
 	effects      *interventions.Effects
 	// keepVisit's tables, refreshed from effects by beginDay: isolation per
-	// StateID, closure and demand-reduction fraction per location type.
-	isolated []bool
-	closed   [synthpop.NumLocationTypes]bool
-	reduce   [synthpop.NumLocationTypes]float64
+	// StateID, closure and demand-reduction fraction per location type, and
+	// filtering, whether any entry is in force.
+	isolated  []bool
+	closed    [synthpop.NumLocationTypes]bool
+	reduce    [synthpop.NumLocationTypes]float64
+	filtering bool
 	// stateNames caches disease state names, stateKeys the reduction key
 	// of each state's count ("state:" + name).
 	stateNames []string
@@ -285,9 +293,10 @@ type pmHealth struct {
 	progressing []int32
 }
 
-// slotRef is a visit's slot in the static schedule, its location and its
-// person (which the slot holds too, but a PM reads it here, in list order).
-type slotRef struct{ slot, loc, person int32 }
+// slotRef is a visit's slot in the static schedule, its location, its
+// person (which the slot holds too, but a PM reads it here, in list order)
+// and its location's manager.
+type slotRef struct{ slot, loc, person, lm int32 }
 
 // visitMsg is one visit message (paper Section II-B step 1): the visit's
 // slot in the static schedule, which stands for the person, sublocation and

@@ -138,7 +138,6 @@ func (e *Engine) eventHazards(day int) int64 {
 	for _, locID := range e.activeLocList {
 		sv := e.srcVisits[locID]
 		e.srcVisits[locID] = sv[:0]
-		loc := &e.pop.Locations[locID]
 		visits := e.locVisits[e.locOffsets[locID]:e.locOffsets[locID+1]]
 		scratch := e.evScratch[:len(visits)]
 		room := e.rooms.offsets[e.rooms.base[locID]:]
@@ -170,7 +169,7 @@ func (e *Engine) eventHazards(day int) int64 {
 				if c.sus == 0 {
 					hs := &e.health[v.Person]
 					c.sus = e.model.Susceptibility(hs.State, hs.Treatment)
-					if c.sus <= 0 || !e.keepVisit(v.Person, hs, locID, loc, day) {
+					if c.sus <= 0 || !e.keepVisit(v.Person, hs, locID, day) {
 						c.sus = -1
 					}
 				}

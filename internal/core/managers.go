@@ -30,7 +30,7 @@ func (pm *personManager) beginBatches() {
 	if pm.batches == nil {
 		size := make([]int, e.rt.ArrayLen(e.lmArr))
 		for _, r := range e.pmSlots[pm.id] {
-			size[e.plan.lmOf[r.loc]]++
+			size[r.lm]++
 		}
 		buf := make([]visitMsg, len(e.pmSlots[pm.id]))
 		pm.batches = make([]visitBatch, len(size))
@@ -59,9 +59,11 @@ func (pm *personManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 // computeVisits is phase 1 for this PM's slots — all of them on a dense
 // day, only those at active locations otherwise: evaluate each visitor's
 // behavioral filters (closures, isolation, demand reduction), batch one
-// visit message per kept visit for the manager of its location, and send
-// every LM its batch. The filters draw from content-keyed streams, so
-// restricting the slots cannot perturb any other draw.
+// visit message per kept visit for the manager its slot reference names,
+// and send every LM its batch. The filters draw from content-keyed
+// streams, so restricting the slots cannot perturb any other draw. On a
+// filter-free day a kept visit reads only its slot reference and its
+// visitor's health; the location is read only for a mixing replica.
 func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
 	e := pm.eng
 	slots := e.pmSlots[pm.id]
@@ -71,21 +73,20 @@ func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
 	pm.beginBatches()
 	for _, r := range slots {
 		hs := &e.health[r.person]
-		loc := &e.pop.Locations[r.loc]
-		if !e.keepVisit(r.person, hs, r.loc, loc, day) {
+		if !e.keepVisit(r.person, hs, r.loc, day) {
 			continue
 		}
 		inf := e.model.Infectivity(hs.State, hs.Treatment)
 		sus := e.model.Susceptibility(hs.State, hs.Treatment)
 		msg := visitMsg{Slot: r.slot, Loc: r.loc, Inf: float32(inf), Sus: float32(sus)}
-		pm.batch(msg)
+		pm.batches[r.lm] = append(pm.batches[r.lm], msg)
 		// Mixing mode on a split location: replicate the infectious
 		// visitor into the sibling fragments so cross-sublocation
 		// pairs are still evaluated (Figure 6(b): "divide the
 		// susceptibles while replicating the infectious"). On an active
 		// day the whole family of an active location is active.
 		if e.cfg.Mixing > 0 && inf > 0 {
-			for _, frag := range e.fragments[loc.Origin] {
+			for _, frag := range e.fragments[e.pop.Locations[r.loc].Origin] {
 				if frag == r.loc {
 					continue
 				}
@@ -103,7 +104,8 @@ func (pm *personManager) computeVisits(ctx *charm.Ctx, day int) {
 	}
 }
 
-// batch appends msg to the batch for the manager of its location.
+// batch appends a mixing replica to the batch for the manager of its
+// location.
 func (pm *personManager) batch(msg visitMsg) {
 	lm := pm.eng.plan.lmOf[msg.Loc]
 	pm.batches[lm] = append(pm.batches[lm], msg)
@@ -163,19 +165,16 @@ func (pm *personManager) resolveInfections(day int) int64 {
 
 // locationManager is an LM chare: it records inbound visit messages in
 // the engine's fill of the static schedule and replays each location's day
-// as the DES in phase 2.
+// as the DES in phase 2, walking its own locations: all of them on a dense
+// day, the active ones on an active day. Receiving a visit is one Fill of
+// its slot. In mixing mode, a replica, whose slot is a sibling fragment's,
+// goes to extras[i] instead, i being the location's Plan.lmIndex,
+// truncated after the DES; extras is nil outside mixing mode.
 type locationManager struct {
-	eng  *Engine
-	id   int32
-	locs []int32
-	// received[i] counts the visit messages locs[i] received today (i is
-	// Plan.lmIndex of the location), replicas included; touched lists the
-	// i that received any. A visit fills its slot of the schedule; a
-	// mixing-mode replica, whose slot is a sibling fragment's, goes to
-	// extras[i] (mixing mode only), truncated after the DES.
-	received []int32
-	touched  []int32
-	extras   [][]des.Visitor
+	eng    *Engine
+	id     int32
+	locs   []int32
+	extras [][]des.Visitor
 	// result accumulates the day's DES over this LM's locations, and its
 	// Infections are the slab the infect messages are sent from, under the
 	// rule of personManager.batches: reset only by the next day's location
@@ -184,7 +183,7 @@ type locationManager struct {
 }
 
 func newLocationManager(e *Engine, id int32, locs []int32) *locationManager {
-	lm := &locationManager{eng: e, id: id, locs: locs, received: make([]int32, len(locs))}
+	lm := &locationManager{eng: e, id: id, locs: locs}
 	if e.cfg.Mixing > 0 {
 		lm.extras = make([][]des.Visitor, len(locs))
 	}
@@ -196,29 +195,30 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	case *visitBatch:
 		e := lm.eng
 		for _, v := range *m {
-			i := e.plan.lmIndex[v.Loc]
-			if lm.received[i] == 0 {
-				lm.touched = append(lm.touched, i)
-			}
-			lm.received[i]++
-			if v.Slot >= e.locOffsets[v.Loc] && v.Slot < e.locOffsets[v.Loc+1] {
+			if lm.extras == nil || v.Slot >= e.locOffsets[v.Loc] && v.Slot < e.locOffsets[v.Loc+1] {
 				e.day.Fill(v.Slot, float64(v.Inf), float64(v.Sus))
 				continue
 			}
 			x := e.sched.Visit(v.Slot)
 			x.Infectivity, x.Susceptibility = float64(v.Inf), float64(v.Sus)
+			i := e.plan.lmIndex[v.Loc]
 			lm.extras[i] = append(lm.extras[i], x)
 		}
 	case msgRunDES:
-		// Only the locations that received visits, in the order they first
-		// did. The order cannot change a counter: each location's DES is
-		// independent, infect messages are canonically re-sorted by the
-		// receiving PM, the workload counters are sums, and every send
-		// happens inside this one Recv, so the runtime sees the same
-		// per-destination counts whatever the order.
+		// The LM's locations in locsOfLM order; one that nobody visited
+		// today returns from Simulate at once. The order cannot change a
+		// counter: each location's DES is independent, infect messages are
+		// canonically re-sorted by the receiving PM, the workload counters
+		// are sums, and every send happens inside this one Recv, so the
+		// runtime sees the same per-destination counts whatever the order.
+		// On an active day only active locations were sent visits: a
+		// replica's whole fragment family is active.
+		e := lm.eng
 		lm.result.Reset()
-		for _, i := range lm.touched {
-			lm.simulateLoc(ctx, i, m.Day)
+		for i, l := range lm.locs {
+			if e.denseDay || e.activeLoc[l] {
+				lm.simulateLoc(ctx, int32(i), m.Day)
+			}
 		}
 		lm.contribute(ctx)
 	default:
@@ -226,10 +226,9 @@ func (lm *locationManager) Recv(ctx *charm.Ctx, msg charm.Message) {
 	}
 }
 
-// simulateLoc runs the per-day DES of locs[i], which received visits today,
-// and forwards the resulting infect messages.
+// simulateLoc runs the per-day DES of locs[i] and forwards the resulting
+// infect messages.
 func (lm *locationManager) simulateLoc(ctx *charm.Ctx, i int32, day int) {
-	lm.received[i] = 0
 	var extras []des.Visitor
 	if lm.extras != nil {
 		extras = lm.extras[i]
@@ -255,9 +254,8 @@ func (lm *locationManager) simulateLoc(ctx *charm.Ctx, i int32, day int) {
 }
 
 // contribute closes the LM's location phase: the day's workload counters
-// go into the phase reduction and the touched list is emptied.
+// go into the phase reduction.
 func (lm *locationManager) contribute(ctx *charm.Ctx) {
-	lm.touched = lm.touched[:0]
 	r := &lm.result
 	if r.Events > 0 {
 		ctx.Contribute("events", int64(r.Events))

@@ -17,7 +17,9 @@ import (
 // only fills it: each visit message names the visit's slot, the receiving
 // LM writes the day's infectivity and susceptibility into the engine's own
 // des.Day, and the DES runs the location's static schedule, in which a slot
-// nobody filled today takes no part.
+// nobody filled today takes no part. Each PM's slot list names, beside every
+// slot, its location and the LM managing it, so a kept visit joins its LM's
+// batch without a lookup.
 //
 // The event kernel reads the same location-ordered visits through a second
 // index instead of the schedule: each location's visits grouped by
@@ -34,7 +36,8 @@ type Plan struct {
 	ranks, chareFactor       int
 
 	// pmOf / lmOf map persons / locations to their managing chares, lmIndex
-	// a location to its index in its manager's locsOfLM list.
+	// a location to its index in its manager's locsOfLM list, by which a
+	// mixing-mode LM files its replicas.
 	pmOf, lmOf, lmIndex   []int32
 	personsOfPM, locsOfLM [][]int32
 
@@ -196,8 +199,8 @@ func (pl *Plan) rooms() *roomIndex {
 
 // schedule returns the static schedule — location l's visits are its slots
 // [locOffsets[l], locOffsets[l+1]), numbered in arrival order — and each
-// PM's slot list, which names its persons' slots with their locations in
-// locVisits order: a dense day's person phase.
+// PM's slot list, which names its persons' slots with their locations and
+// the locations' LMs in locVisits order: a dense day's person phase.
 func (pl *Plan) schedule() (*des.Schedule, [][]slotRef) {
 	pl.schedOnce.Do(func() {
 		offsets, visits := pl.visits()
@@ -215,7 +218,7 @@ func (pl *Plan) schedule() (*des.Schedule, [][]slotRef) {
 			slots[s] = des.Visitor{Person: v.Person, Sub: v.Sub, OrigSub: pl.pop.Locations[v.Loc].SubBase + v.Sub,
 				Start: v.Start, End: v.End}
 			pm := pl.pmOf[v.Person]
-			pl.pmSlots[pm] = append(pl.pmSlots[pm], slotRef{int32(s), v.Loc, v.Person})
+			pl.pmSlots[pm] = append(pl.pmSlots[pm], slotRef{int32(s), v.Loc, v.Person, pl.lmOf[v.Loc]})
 		}
 		var renumber []int32
 		pl.sched, renumber = des.NewSchedule(slots, offsets)

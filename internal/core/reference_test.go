@@ -70,31 +70,57 @@ func randomEffects(s *xrand.Stream, states []string) *interventions.Effects {
 // TestKeepVisitMatchesReference holds the table-driven keepVisit to the
 // map-driven reference: over seeded random effects, every location type ×
 // disease state × treatment, on random persons, locations and days, the
-// two must make the same decision.
+// two must make the same decision. Every fourth trial expires every
+// counter, leaving the fractions behind, so that nothing is in force and
+// keepVisit takes its filter-free return, which must agree with the
+// reference too; on every trial the filtering flag must say whether an
+// effect is in force.
 func TestKeepVisitMatchesReference(t *testing.T) {
 	pop := testPop(t)
 	e, err := New(Config{Population: pop, Disease: hotModel(), Seed: 37})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var byType [synthpop.NumLocationTypes][]int32
+	for l := range pop.Locations {
+		lt := pop.Locations[l].Type
+		byType[lt] = append(byType[lt], int32(l))
+	}
 	s := xrand.NewStream(41)
 	var decided [2]int     // dropped, kept
 	var drawDecided [2]int // the same, where a partial demand reduction drew
+	var filterFree int     // trials with no effect in force
 	for trial := 0; trial < 200; trial++ {
 		e.effects = randomEffects(s, e.stateNames)
+		if trial%4 == 3 {
+			for _, m := range []map[string]int{e.effects.ClosedFor, e.effects.ReduceFor, e.effects.IsolateFor} {
+				for k := range m {
+					m[k] = 0
+				}
+			}
+		}
 		e.refreshFilters()
+		inForce := effectInForce(e.effects, e.stateNames)
+		if e.filtering != inForce {
+			t.Fatalf("trial %d: filtering %v with an effect in force %v (effects %+v)", trial, e.filtering, inForce, *e.effects)
+		}
+		if !inForce {
+			filterFree++
+		}
 		for lt := range synthpop.NumLocationTypes {
-			loc := &synthpop.Location{Type: lt}
+			if len(byType[lt]) == 0 {
+				t.Fatalf("the test population has no location of type %s", lt)
+			}
 			typeName := lt.String()
 			for st := range e.stateNames {
 				for tr := range e.model.Treatments {
 					hs := &personState{State: disease.StateID(st), Treatment: disease.TreatmentID(tr)}
 					for range 20 {
 						p := int32(s.Intn(pop.NumPersons()))
-						locID := int32(s.Intn(pop.NumLocations()))
+						locID := byType[lt][s.Intn(len(byType[lt]))]
 						day := 1 + s.Intn(365)
-						got := e.keepVisit(p, hs, locID, loc, day)
-						if want := referenceKeepVisit(e, p, hs, locID, loc, day); got != want {
+						got := e.keepVisit(p, hs, locID, day)
+						if want := referenceKeepVisit(e, p, hs, locID, &pop.Locations[locID], day); got != want {
 							t.Fatalf("trial %d: type %s, state %s, treatment %d, person %d, location %d, day %d: keepVisit %v, reference %v (effects %+v)",
 								trial, typeName, e.stateNames[st], tr, p, locID, day, got, want, *e.effects)
 						}
@@ -112,9 +138,9 @@ func TestKeepVisitMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if min(decided[0], decided[1], drawDecided[0], drawDecided[1]) == 0 {
-		t.Fatalf("decisions (dropped, kept) %v, of them by a demand-reduction draw %v: a case was never exercised",
-			decided, drawDecided)
+	if min(decided[0], decided[1], drawDecided[0], drawDecided[1], filterFree) == 0 {
+		t.Fatalf("decisions (dropped, kept) %v, of them by a demand-reduction draw %v, filter-free trials %d: a case was never exercised",
+			decided, drawDecided, filterFree)
 	}
 }
 
@@ -141,7 +167,6 @@ func referenceEventHazards(e *Engine, day int, cases *hazardCases) int64 {
 	for _, locID := range e.activeLocList {
 		sv := e.srcVisits[locID]
 		e.srcVisits[locID] = sv[:0]
-		loc := &e.pop.Locations[locID]
 		exposedAt := map[int32]int32{} // person → sublocation of its last exposed visit here
 		longest := map[int32]int16{}   // sublocation → its longest visit here
 		for _, v := range e.locVisits[e.locOffsets[locID]:e.locOffsets[locID+1]] {
@@ -155,7 +180,7 @@ func referenceEventHazards(e *Engine, day int, cases *hazardCases) int64 {
 				cases.nsus++
 				continue
 			}
-			if !e.keepVisit(p, hs, locID, loc, day) {
+			if !e.keepVisit(p, hs, locID, day) {
 				cases.dropped++
 				continue
 			}

@@ -342,7 +342,8 @@ func (s *Schedule) Visit(slot int32) Visitor {
 // Interactions come from the schedule, else from one pass over the location
 // (count). Then each infectious visitor scans its occupancy group: the
 // slots of its sublocation, or every slot in mixing mode, and the group's
-// extras, if some of them are susceptible.
+// extras, if some of them are susceptible. A location-day with no slot
+// filled and no extras returns at once, leaving out as it was.
 func (d *Day) Simulate(loc int32, extras []Visitor, p Params, out *Result) {
 	s := d.s
 	lo, hi := s.offsets[loc], s.offsets[loc+1]
@@ -353,6 +354,9 @@ func (d *Day) Simulate(loc int32, extras []Visitor, p Params, out *Result) {
 			inf[i], sus[i] = 0, 0
 			filled--
 		}
+	}
+	if filled == 0 && len(extras) == 0 {
+		return
 	}
 	mixing := p.Mixing > 0
 	// Sublocation g's slots are bySub[subs[g]:subs[g+1]], in arrival order.

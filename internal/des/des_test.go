@@ -390,6 +390,46 @@ func TestScheduleSlotsInArrivalOrder(t *testing.T) {
 	}
 }
 
+// A location-day with no slot filled and no extras returns at once: out is
+// left as the location-days before it left it, with no allocation. The
+// location had its slots filled, infectious among them, the day before, and
+// an empty location and an empty extras slice take the same return.
+func TestSimulateUnfilledLocationIsANoOp(t *testing.T) {
+	s := xrand.NewStream(9)
+	static, _ := NewSchedule(slices.Concat(randomLocationDay(s, 200, 3, 0), randomLocationDay(s, 200, 3, 0)),
+		[]int32{0, 200, 400, 400})
+	sched := static.NewDay()
+	sched.NextDay()
+	for slot := range int32(400) {
+		sched.Fill(slot, float64(slot%3), 1)
+	}
+	p := Params{Day: 1, LocKey: 3, Tau: 1}
+	var r Result
+	sched.Simulate(0, nil, p, &r)
+	sched.NextDay()
+	for slot := range int32(200) {
+		sched.Fill(slot, float64(slot%3), 1)
+	}
+	sched.Simulate(0, nil, p, &r)
+	if r.Events == 0 || len(r.Infections) == 0 {
+		t.Fatalf("the filled location-days did no work: %+v", r)
+	}
+	want := r
+	want.Infections = slices.Clone(r.Infections)
+	for _, loc := range []int32{1, 2} {
+		for _, extras := range [][]Visitor{nil, {}} {
+			if n := testing.AllocsPerRun(10, func() { sched.Simulate(loc, extras, p, &r) }); n != 0 {
+				t.Errorf("location %d: %v allocations per call", loc, n)
+			}
+			if r.Events != want.Events || r.Interactions != want.Interactions || r.Trials != want.Trials ||
+				r.ContactMinutes != want.ContactMinutes || r.SumReciprocal != want.SumReciprocal ||
+				!slices.Equal(r.Infections, want.Infections) {
+				t.Fatalf("location %d: Simulate moved out from %+v to %+v", loc, want, r)
+			}
+		}
+	}
+}
+
 // BenchmarkScheduleSimulate is one day of a static schedule, about 5 % of
 // visitors infectious and the rest susceptible, at the default model's
 // transmissibility, in locations of a few to 80 visits with hours-long

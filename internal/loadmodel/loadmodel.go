@@ -61,19 +61,19 @@ func Paper() Static {
 }
 
 // sigmoid is S(t) = 1/(1+ρ·e^(-t)).
-func sigmoid(t, rho float64) float64 { return 1 / (1 + rho*math.Exp(-t)) }
+func sigmoid(t, rho float64) float64 { return 1 / (1 + float64(rho*math.Exp(-t))) }
 
 // Load estimates the processing time of a location with the given number
 // of arrive/depart events.
 func (m Static) Load(events float64) float64 {
-	xp := m.Mu * events
-	ya := m.A1 + m.B1*xp
-	yb := m.A2 + m.B2*xp
+	xp := float64(m.Mu * events)
+	ya := m.A1 + float64(m.B1*xp)
+	yb := m.A2 + float64(m.B2*xp)
 	w := m.Width
 	if w <= 0 {
 		w = 1
 	}
-	y := ya*sigmoid((m.Phi-xp)/w, m.Rho) + yb*sigmoid((xp-m.Phi)/w, m.Rho)
+	y := float64(ya*sigmoid((m.Phi-xp)/w, m.Rho)) + float64(yb*sigmoid((xp-m.Phi)/w, m.Rho))
 	if y < 0 {
 		// The lower linear piece can dip below zero near X = 0; clamp, a
 		// location never has negative cost.
@@ -137,7 +137,7 @@ func FitStatic(events []float64, seconds []float64) (Static, error) {
 		var s float64
 		for i := range xs {
 			d := ys[i] - fit.Predict(xs[i])
-			s += ws[i] * d * d
+			s += float64(ws[i] * d * d)
 		}
 		return s
 	}
@@ -187,7 +187,7 @@ type Dynamic struct {
 
 // Load estimates processing time from run-time observables.
 func (m Dynamic) Load(events float64, interactions float64, sumReciprocal float64) float64 {
-	y := m.C0 + m.C1*events + m.C2*interactions + m.C3*sumReciprocal
+	y := m.C0 + float64(m.C1*events) + float64(m.C2*interactions) + float64(m.C3*sumReciprocal)
 	if y < 0 {
 		y = 0
 	}
@@ -212,9 +212,9 @@ func FitDynamic(events, interactions, sumReciprocal, seconds []float64) (Dynamic
 		row := [k]float64{1, events[i], interactions[i], sumReciprocal[i]}
 		for a := 0; a < k; a++ {
 			for b := 0; b < k; b++ {
-				xtx[a][b] += row[a] * row[b]
+				xtx[a][b] += float64(row[a] * row[b])
 			}
-			xty[a] += row[a] * seconds[i]
+			xty[a] += float64(row[a] * seconds[i])
 		}
 	}
 	sol, err := solveLinearSystem(xtx, xty)
@@ -244,16 +244,16 @@ func solveLinearSystem(a [4][4]float64, b [4]float64) ([4]float64, error) {
 		for r := col + 1; r < k; r++ {
 			f := a[r][col] / a[col][col]
 			for c := col; c < k; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	var x [4]float64
 	for r := k - 1; r >= 0; r-- {
 		x[r] = b[r]
 		for c := r + 1; c < k; c++ {
-			x[r] -= a[r][c] * x[c]
+			x[r] -= float64(a[r][c] * x[c])
 		}
 		x[r] /= a[r][r]
 	}

@@ -95,7 +95,7 @@ type LinearFit struct {
 }
 
 // Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.A + f.B*x }
+func (f LinearFit) Predict(x float64) float64 { return f.A + float64(f.B*x) }
 
 // FitLinearWeighted computes the weighted least squares line through
 // (xs, ys) with non-negative weights ws (nil means uniform, i.e. ordinary

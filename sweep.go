@@ -137,15 +137,16 @@ func placementBytes(pl *Placement) int64 {
 
 // planBytes approximates a built core.Plan: per visit, a location-ordered
 // copy, its entry in the room index, a schedule slot, its events and group
-// entry and a PM's slot reference; per person and location, the manager
-// maps and lists, offsets, the room index's base and full-day counters; per
-// sublocation, the room index's offset and longest visit.
+// entry and a PM's slot reference, which names its location's manager; per
+// person and location, the manager maps and lists, offsets, the room
+// index's base and full-day counters; per sublocation, the room index's
+// offset and longest visit.
 func planBytes(p *synthpop.Population) int64 {
 	var subs int64
 	for i := range p.Locations {
 		subs += int64(p.Locations[i].NumSub)
 	}
-	return 68*int64(len(p.Visits)) + 8*int64(len(p.Persons)) + 44*int64(len(p.Locations)) + 6*subs
+	return 72*int64(len(p.Visits)) + 8*int64(len(p.Persons)) + 44*int64(len(p.Locations)) + 6*subs
 }
 
 // PopulationStats, PlacementStats and CheckpointStats snapshot the
