@@ -17,8 +17,11 @@ var (
 // place-cold's GP-splitLoc×64 placement of a 30k-person / 7.5k-location
 // population: encode, decode, and Open, the envelope's checksum check
 // (CRC-32C in the version-2 envelope Seal writes) that precedes every
-// decode. It is the root counterpart of the bench's
-// artifact.encode_ms and artifact.decode_ms.
+// decode. On a little-endian host the visit block and the integer and
+// float blocks move whole, so both directions are mostly those copies and
+// the person and location records, and encode also zeroes its output
+// buffer. It is the root counterpart of the bench's artifact.encode_ms and
+// artifact.decode_ms.
 func BenchmarkArtifactCodec(b *testing.B) {
 	pop := episim.Generate("bench", 30000, 7500, 1)
 	pl, err := episim.BuildPlacement(pop, episim.PlacementOptions{

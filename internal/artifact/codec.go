@@ -49,10 +49,15 @@ func DecodePopulation(payload []byte) (*synthpop.Population, error) {
 // population — a split population is private to its placement, so the
 // artifact must be self-contained).
 func EncodePlacement(pl *Placement) []byte {
-	// 128 bytes hold the scalars; the quality adds K+2 weight vectors.
-	size := populationSize(pl.Pop) + 4*(len(pl.PersonRank)+len(pl.LocationRank)) + len(pl.Label) + 128
+	// 130 bytes hold the scalars and counts with both split stats and
+	// quality; the quality adds its weight vectors. A short estimate would
+	// copy the whole payload into a regrown buffer.
+	size := populationSize(pl.Pop) + 4*(len(pl.PersonRank)+len(pl.LocationRank)) + len(pl.Label) + 130
 	if q := pl.Quality; q != nil {
-		size += 8 * (len(q.PartWeights) + 2) * (len(q.TotalWeights) + 1)
+		size += 8 * (len(q.TotalWeights) + len(q.MaxOverAvg) + 2)
+		for _, pw := range q.PartWeights {
+			size += 8 * (len(pw) + 1)
+		}
 	}
 	e := &enc{b: make([]byte, 0, size)}
 	e.population(pl.Pop)
@@ -164,15 +169,7 @@ func (e *enc) population(p *synthpop.Population) {
 		le.PutUint32(r[9:], uint32(l.Origin))
 		le.PutUint32(r[13:], uint32(l.SubBase))
 	}
-	b = e.block(len(p.Visits), 16)
-	for i, v := range p.Visits {
-		r := b[16*i : 16*i+16]
-		le.PutUint32(r, uint32(v.Person))
-		le.PutUint32(r[4:], uint32(v.Loc))
-		le.PutUint32(r[8:], uint32(v.Sub))
-		le.PutUint16(r[12:], uint16(v.Start))
-		le.PutUint16(r[14:], uint16(v.End))
-	}
+	putBlock(e, p.Visits, 16, putVisits)
 	e.i32s(p.PersonVisitOffsets)
 }
 
@@ -197,15 +194,7 @@ func (d *dec) population() *synthpop.Population {
 		}
 		p.Locations = locs
 	}
-	if n, b, ok := d.block(16); ok {
-		visits := make([]synthpop.Visit, n)
-		for i := range visits {
-			r := b[16*i : 16*i+16]
-			visits[i] = synthpop.Visit{Person: int32(le.Uint32(r)), Loc: int32(le.Uint32(r[4:])),
-				Sub: int32(le.Uint32(r[8:])), Start: int16(le.Uint16(r[12:])), End: int16(le.Uint16(r[14:]))}
-		}
-		p.Visits = visits
-	}
+	p.Visits = getBlock(d, 16, getVisits)
 	p.PersonVisitOffsets = d.i32s()
 	return p
 }
@@ -236,24 +225,9 @@ func (e *enc) block(n, size int) []byte {
 	return e.b[off:]
 }
 
-func (e *enc) i32s(s []int32) {
-	b := e.block(len(s), 4)
-	for i, v := range s {
-		le.PutUint32(b[4*i:4*i+4], uint32(v))
-	}
-}
-func (e *enc) i64s(s []int64) {
-	b := e.block(len(s), 8)
-	for i, v := range s {
-		le.PutUint64(b[8*i:8*i+8], uint64(v))
-	}
-}
-func (e *enc) f64s(s []float64) {
-	b := e.block(len(s), 8)
-	for i, v := range s {
-		le.PutUint64(b[8*i:8*i+8], math.Float64bits(v))
-	}
-}
+func (e *enc) i32s(s []int32)   { putBlock(e, s, 4, putI32s) }
+func (e *enc) i64s(s []int64)   { putBlock(e, s, 8, putI64s) }
+func (e *enc) f64s(s []float64) { putBlock(e, s, 8, putF64s) }
 
 // dec reads the same fields back with sticky-error bounds checking:
 // the first out-of-range read poisons the decoder, every later read
@@ -345,40 +319,59 @@ func (d *dec) str() string {
 	return string(s)
 }
 
-func (d *dec) i32s() []int32 {
-	n, b, ok := d.block(4)
-	if !ok {
-		return nil
+func (d *dec) i32s() []int32   { return getBlock(d, 4, getI32s) }
+func (d *dec) i64s() []int64   { return getBlock(d, 8, getI64s) }
+func (d *dec) f64s() []float64 { return getBlock(d, 8, getF64s) }
+
+// The per-field record codecs write s into, or fill out from, a block b
+// one record at a time. They are the only path on a big-endian host, where
+// putBlock and getBlock cannot move a block whole.
+func putI32s(b []byte, s []int32) {
+	for i, v := range s {
+		le.PutUint32(b[4*i:4*i+4], uint32(v))
 	}
-	out := make([]int32, n)
+}
+func getI32s(out []int32, b []byte) {
 	for i := range out {
 		out[i] = int32(le.Uint32(b[4*i : 4*i+4]))
 	}
-	return out
 }
-
-func (d *dec) i64s() []int64 {
-	n, b, ok := d.block(8)
-	if !ok {
-		return nil
+func putI64s(b []byte, s []int64) {
+	for i, v := range s {
+		le.PutUint64(b[8*i:8*i+8], uint64(v))
 	}
-	out := make([]int64, n)
+}
+func getI64s(out []int64, b []byte) {
 	for i := range out {
 		out[i] = int64(le.Uint64(b[8*i : 8*i+8]))
 	}
-	return out
 }
-
-func (d *dec) f64s() []float64 {
-	n, b, ok := d.block(8)
-	if !ok {
-		return nil
+func putF64s(b []byte, s []float64) {
+	for i, v := range s {
+		le.PutUint64(b[8*i:8*i+8], math.Float64bits(v))
 	}
-	out := make([]float64, n)
+}
+func getF64s(out []float64, b []byte) {
 	for i := range out {
 		out[i] = math.Float64frombits(le.Uint64(b[8*i : 8*i+8]))
 	}
-	return out
+}
+func putVisits(b []byte, s []synthpop.Visit) {
+	for i, v := range s {
+		r := b[16*i : 16*i+16]
+		le.PutUint32(r, uint32(v.Person))
+		le.PutUint32(r[4:], uint32(v.Loc))
+		le.PutUint32(r[8:], uint32(v.Sub))
+		le.PutUint16(r[12:], uint16(v.Start))
+		le.PutUint16(r[14:], uint16(v.End))
+	}
+}
+func getVisits(out []synthpop.Visit, b []byte) {
+	for i := range out {
+		r := b[16*i : 16*i+16]
+		out[i] = synthpop.Visit{Person: int32(le.Uint32(r)), Loc: int32(le.Uint32(r[4:])),
+			Sub: int32(le.Uint32(r[8:])), Start: int16(le.Uint16(r[12:])), End: int16(le.Uint16(r[14:]))}
+	}
 }
 
 // finish reports the decoder's sticky error, or flags trailing garbage —

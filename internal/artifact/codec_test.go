@@ -111,6 +111,21 @@ func TestCodecMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocatesOnce: the encoders size their buffer up front, so a
+// population or placement encodes in one allocation, with or without split
+// stats and quality. A short size estimate regrows the buffer and copies
+// the whole payload.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for i, pl := range oraclePlacements(t) {
+		if n := testing.AllocsPerRun(3, func() { EncodePlacement(pl) }); n != 1 {
+			t.Errorf("placement %d: %v allocations, want 1", i, n)
+		}
+		if n := testing.AllocsPerRun(3, func() { EncodePopulation(pl.Pop) }); n != 1 {
+			t.Errorf("population of placement %d: %v allocations, want 1", i, n)
+		}
+	}
+}
+
 func checkOracle[T any](t *testing.T, name string, payload []byte, ref *refEnc,
 	decode func([]byte) (T, error), refDecode func([]byte) (T, bool, error)) {
 	t.Helper()

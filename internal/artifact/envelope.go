@@ -32,11 +32,15 @@
 //
 // The codec works one record block at a time. Each array (persons,
 // locations, visits, rank and weight vectors, checkpoint arrays) is a u64
-// count followed by count fixed-width records. The encoder grows its
-// buffer once per array and writes the records in place; the decoder
-// checks the count against the remaining payload, takes the whole block
-// in one bounds check and decodes each record from a fixed-length
-// re-slice of it. Scalars, strings and the checkpoint's JSON sections are
+// count followed by count fixed-width little-endian records. The encoder
+// grows its buffer once per array; the decoder checks the count against
+// the remaining payload and takes the whole block in one bounds check. On
+// a little-endian host a block whose records have the bytes of its Go
+// values (visits and every int32, int64 and float64 array) then moves
+// whole, one copy each way (native.go, the package's only unsafe code).
+// Persons and locations, whose structs are padded, and every array on a
+// big-endian host go record by record, each from a fixed-length re-slice
+// of the block. Scalars, strings and the checkpoint's JSON sections are
 // read and written field by field. reference_test.go keeps the
 // field-at-a-time codec this replaced as the byte-for-byte and
 // error-for-error oracle.

@@ -40,13 +40,13 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	h := q * float64(len(sorted)-1)
+	h := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(h))
 	frac := h - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return sorted[lo] + float64(frac*(sorted[lo+1]-sorted[lo]))
 }
 
 // CI is a mean with a symmetric normal-approximation confidence interval.
@@ -82,10 +82,10 @@ func MeanCI(xs []float64, confidence float64) CI {
 	var ss float64
 	for _, x := range xs {
 		d := x - ci.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	ci.Std = math.Sqrt(ss / float64(len(xs)-1))
-	z := NormalQuantile(0.5 + confidence/2)
+	z := NormalQuantile(0.5 + float64(confidence/2))
 	half := z * ci.Std / math.Sqrt(float64(len(xs)))
 	ci.Lo, ci.Hi = ci.Mean-half, ci.Mean+half
 	return ci
@@ -117,16 +117,23 @@ func NormalQuantile(p float64) float64 {
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return horner(c[:], q) / (float64(horner(d[:], q)*q) + 1)
 	case p > 1-pLow:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return -horner(c[:], q) / (float64(horner(d[:], q)*q) + 1)
 	default:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		return horner(a[:], r) * q / (float64(horner(b[:], r)*r) + 1)
 	}
+}
+
+// horner evaluates the polynomial with coefficients cs, highest degree
+// first, at x.
+func horner(cs []float64, x float64) float64 {
+	v := cs[0]
+	for _, c := range cs[1:] {
+		v = float64(v*x) + c
+	}
+	return v
 }

@@ -1,6 +1,8 @@
 // Package stats provides the statistical utilities the reproduction relies
 // on: summary statistics, power-law tail exponent estimation, and linear
 // least-squares fitting used by the workload model of Section III-A.
+// Every product is rounded (an explicit float64) before its sum, so that
+// no target fuses a multiply-add into a statistic.
 package stats
 
 import (
@@ -40,7 +42,7 @@ func Summarize(xs []float64) Summary {
 	var ss float64
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	s.Std = math.Sqrt(ss / float64(s.N))
 	sorted := append([]float64(nil), xs...)
@@ -120,8 +122,8 @@ func FitLinearWeighted(xs, ys, ws []float64) LinearFit {
 	for i := range xs {
 		w := weight(i)
 		sw += w
-		sx += w * xs[i]
-		sy += w * ys[i]
+		sx += float64(w * xs[i])
+		sy += float64(w * ys[i])
 	}
 	if sw == 0 {
 		return LinearFit{}
@@ -131,14 +133,14 @@ func FitLinearWeighted(xs, ys, ws []float64) LinearFit {
 	for i := range xs {
 		w := weight(i)
 		dx := xs[i] - mx
-		sxx += w * dx * dx
-		sxy += w * dx * (ys[i] - my)
+		sxx += float64(w * dx * dx)
+		sxy += float64(w * dx * (ys[i] - my))
 	}
 	if sxx == 0 {
 		return LinearFit{A: my}
 	}
 	b := sxy / sxx
-	return LinearFit{A: my - b*mx, B: b}
+	return LinearFit{A: my - float64(b*mx), B: b}
 }
 
 // MeanRelativeError returns mean(|pred-obs| / max(|obs|, eps)) — the error
@@ -180,9 +182,9 @@ func R2(pred, obs []float64) float64 {
 	var ssRes, ssTot float64
 	for i := range obs {
 		d := obs[i] - pred[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := obs[i] - mean
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {
