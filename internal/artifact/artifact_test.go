@@ -210,39 +210,99 @@ func TestEnvelopeRejects(t *testing.T) {
 	}
 }
 
-// TestEnvelopeVersions: Seal writes version 2, whose trailer is the
-// zero-extended CRC-32C of every byte before it; Open still reads a
-// version-1 envelope (refSealV1, CRC-64/ECMA) to its payload and rejects
-// one with a bit flipped, and rejects version 0.
+// TestEnvelopeVersions: Seal writes version 3, whose trailer is the
+// zero-extended CRC-32C of every byte before it and whose byte 7 is the
+// length of the zero pad after the key; Open still reads a version-2
+// envelope (refSealV2, no pad) and a version-1 one (refSealV1, CRC-64/ECMA)
+// to its payload and rejects one with a bit flipped, and rejects version 0.
 func TestEnvelopeVersions(t *testing.T) {
 	payload := EncodePopulation(testPopulation(t))
 	sealed := Seal(KindPopulation, "k1", payload)
-	if v := binary.LittleEndian.Uint16(sealed[4:]); v != 2 || Version != 2 {
-		t.Fatalf("Seal wrote version %d (Version = %d), want 2", v, Version)
+	if v := binary.LittleEndian.Uint16(sealed[4:]); v != 3 || Version != 3 {
+		t.Fatalf("Seal wrote version %d (Version = %d), want 3", v, Version)
 	}
 	body, trailer := sealed[:len(sealed)-8], binary.LittleEndian.Uint64(sealed[len(sealed)-8:])
 	if want := uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))); trailer != want {
-		t.Fatalf("version-2 trailer = %#x, want the CRC-32C %#x", trailer, want)
+		t.Fatalf("version-3 trailer = %#x, want the CRC-32C %#x", trailer, want)
 	}
-
+	p := int(sealed[7])
+	v2 := refSealV2(KindPopulation, "k1", payload)
+	if !bytes.Equal(body[:12+2+p], append(append([]byte{'E', 'P', 'A', 'R', 3, 0, byte(KindPopulation), byte(p)}, v2[8:14]...), make([]byte, p)...)) ||
+		!bytes.Equal(body[14+p:], v2[14:len(v2)-8]) {
+		t.Fatal("a version-3 envelope differs from version 2 outside its version, pad and trailer")
+	}
 	v1 := refSealV1(KindPopulation, "k1", payload)
-	if !bytes.Equal(v1[:len(v1)-8], append([]byte{'E', 'P', 'A', 'R', 1, 0}, body[6:]...)) {
+	if !bytes.Equal(v1[:len(v1)-8], append([]byte{'E', 'P', 'A', 'R', 1, 0}, v2[6:len(v2)-8]...)) {
 		t.Fatal("a version-1 envelope differs from version 2 outside its version and trailer")
 	}
-	if got, err := Open(v1, KindPopulation, "k1"); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("version-1 open: %v", err)
-	}
-	for _, at := range []int{len(v1) / 2, len(v1) - 1} {
-		flipped := append([]byte(nil), v1...)
-		flipped[at] ^= 0x08
-		if _, err := Open(flipped, KindPopulation, "k1"); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("version 1 with byte %d flipped: err = %v, want ErrInvalid", at, err)
+	for _, old := range [][]byte{v1, v2} {
+		v := old[4]
+		if got, err := Open(old, KindPopulation, "k1"); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("version-%d open: %v", v, err)
+		}
+		for _, at := range []int{len(old) / 2, len(old) - 1} {
+			flipped := append([]byte(nil), old...)
+			flipped[at] ^= 0x08
+			if _, err := Open(flipped, KindPopulation, "k1"); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("version %d with byte %d flipped: err = %v, want ErrInvalid", v, at, err)
+			}
 		}
 	}
 	v0 := append([]byte(nil), sealed...)
 	v0[4] = 0
 	if _, err := Open(v0, KindPopulation, "k1"); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("version 0: err = %v, want ErrInvalid", err)
+	}
+}
+
+// TestEnvelopeCanonical: Open takes only the envelope Seal writes for a
+// version. Byte 7 is 0 before version 3; from version 3 on it is the pad
+// length Seal picks for the kind and payload, over zero bytes. Every
+// mutated envelope below carries a valid checksum, so only those checks
+// can reject it.
+func TestEnvelopeCanonical(t *testing.T) {
+	payload := EncodePopulation(testPopulation(t))
+	resum := func(b []byte) []byte {
+		v := binary.LittleEndian.Uint16(b[4:])
+		binary.LittleEndian.PutUint64(b[len(b)-8:], checksum(v, b[:len(b)-8]))
+		return b
+	}
+	key := "k"
+	for len(key) < 8 && Seal(KindPopulation, key, payload)[7] < 2 {
+		key += "k"
+	}
+	sealed := Seal(KindPopulation, key, payload)
+	if sealed[7] < 2 {
+		t.Fatalf("no key of 1 to 8 bytes gives a pad of 2 or more (pad %d)", sealed[7])
+	}
+	if _, err := Open(sealed, KindPopulation, key); err != nil {
+		t.Fatal(err)
+	}
+	at, p := 12+len(key), int(sealed[7])
+	splice := func(p int, pad []byte) []byte {
+		b := append(append(append([]byte(nil), sealed[:at]...), pad...), sealed[at+int(sealed[7]):]...)
+		b[7] = byte(p)
+		return resum(b)
+	}
+	// An older envelope with a pad that byte 7 counts: only its version
+	// tells Open that byte 7 must be 0.
+	padded := func(old []byte) []byte {
+		b := append(append(append([]byte(nil), old[:at]...), 0), old[at:]...)
+		b[7] = 1
+		return resum(b)
+	}
+	cases := map[string][]byte{
+		"pad one short":        splice(p-1, make([]byte, p-1)),
+		"pad one long":         splice(p+1, make([]byte, p+1)),
+		"pad of 8":             splice(8, make([]byte, 8)),
+		"pad byte not zero":    splice(p, append(make([]byte, p-1), 1)),
+		"version 1 with a pad": padded(refSealV1(KindPopulation, key, payload)),
+		"version 2 with a pad": padded(refSealV2(KindPopulation, key, payload)),
+	}
+	for name, data := range cases {
+		if _, err := Open(data, KindPopulation, key); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid", name, err)
+		}
 	}
 }
 

@@ -29,7 +29,15 @@ const KindCheckpoint Kind = 7
 // the payload byte for byte and a restored run's Result marshals
 // identically to a from-scratch run's.
 func EncodeCheckpoint(cp *core.Checkpoint) []byte {
-	e := &enc{b: make([]byte, 0, 64+14*len(cp.States))}
+	// Marshal fails only on a NaN or ±Inf effect, which neither the
+	// scenario parser nor a JSON sweep spec can produce; were one to slip
+	// through, its section would be empty and decode as ErrInvalid, a
+	// counted miss that rebuilds the prefix.
+	effects, _ := json.Marshal(cp.Effects)
+	days, _ := json.Marshal(cp.Days)
+	size := 4 + 8 + 1 + 3*8 + 4*(len(cp.States)+len(cp.Treatments)+len(cp.DaysLeft)) + boolsSize(cp.Infected) +
+		setsSize(cp.Infectious) + setsSize(cp.Progressing) + boolsSize(cp.RuleFired) + 16 + len(effects) + len(days)
+	e := &enc{b: make([]byte, 0, size)}
 	e.u32(uint32(cp.Day))
 	e.u64(uint64(cp.Cumulative))
 	e.bool(cp.EventOn)
@@ -40,8 +48,8 @@ func EncodeCheckpoint(cp *core.Checkpoint) []byte {
 	e.sets(cp.Infectious)
 	e.sets(cp.Progressing)
 	e.bools(cp.RuleFired)
-	e.json(cp.Effects)
-	e.json(cp.Days)
+	e.section(effects)
+	e.section(days)
 	return e.b
 }
 
@@ -69,12 +77,8 @@ func DecodeCheckpoint(payload []byte) (*core.Checkpoint, error) {
 	return cp, nil
 }
 
-// json encodes v as a length-prefixed JSON section. Marshal fails only on
-// a NaN or ±Inf effect, which neither the scenario parser nor a JSON sweep
-// spec can produce; were one to slip through, the section would be empty
-// and decode as ErrInvalid, a counted miss that rebuilds the prefix.
-func (e *enc) json(v any) {
-	b, _ := json.Marshal(v)
+// section appends b as a length-prefixed JSON section.
+func (e *enc) section(b []byte) {
 	e.u64(uint64(len(b)))
 	e.b = append(e.b, b...)
 }
@@ -95,6 +99,15 @@ func (e *enc) sets(sets [][]int32) {
 	for _, set := range sets {
 		e.i32s(set)
 	}
+}
+
+// setsSize is the length of sets' encoding.
+func setsSize(sets [][]int32) int {
+	n := 4
+	for _, set := range sets {
+		n += 8 + 4*len(set)
+	}
+	return n
 }
 
 // sets decodes them, an empty set as nil, the way a snapshot holds it.
@@ -151,6 +164,14 @@ func (e *enc) bools(s []bool) {
 			b[i] = 0
 		}
 	}
+}
+
+// boolsSize is the length of s's encoding.
+func boolsSize(s []bool) int {
+	if s == nil {
+		return 1
+	}
+	return 9 + len(s)
 }
 
 func (d *dec) bools() []bool {

@@ -201,3 +201,36 @@ func TestCheckpointStoreHeal(t *testing.T) {
 		t.Fatalf("heal failed: %v", err)
 	}
 }
+
+// TestEncodeCheckpointSizesExactly: EncodeCheckpoint sizes its buffer to
+// the byte, JSON sections included, so no encode regrows it, on the dense
+// and event kernels' checkpoints and the hand-built ones.
+func TestEncodeCheckpointSizesExactly(t *testing.T) {
+	for i, cp := range append(oracleCheckpoints(t), testCheckpoint(t, core.KernelDense, 6)) {
+		if b := EncodeCheckpoint(cp); len(b) != cap(b) {
+			t.Errorf("checkpoint %d: %d bytes in a buffer of %d", i, len(b), cap(b))
+		}
+	}
+}
+
+// TestCheckpointOwnsArrays: a decoded checkpoint shares no memory with
+// its payload, at every alignment of the payload, so overwriting the
+// payload afterwards changes nothing a restore reads.
+func TestCheckpointOwnsArrays(t *testing.T) {
+	for i, cp := range oracleCheckpoints(t) {
+		want := EncodeCheckpoint(cp)
+		for shift := range 8 {
+			payload := append(make([]byte, shift), want...)[shift:]
+			got, err := DecodeCheckpoint(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range payload {
+				payload[j] = 0xa5
+			}
+			if !bytes.Equal(EncodeCheckpoint(got), want) {
+				t.Errorf("checkpoint %d at offset %d changed with the payload it was decoded from", i, shift)
+			}
+		}
+	}
+}

@@ -35,9 +35,11 @@ func EncodePopulation(p *synthpop.Population) []byte {
 }
 
 // DecodePopulation parses an EncodePopulation payload. Structural
-// damage wraps ErrInvalid.
+// damage wraps ErrInvalid. The population's Visits and PersonVisitOffsets
+// may be views of payload's memory (see dec.view), so the caller must not
+// modify payload afterwards.
 func DecodePopulation(payload []byte) (*synthpop.Population, error) {
-	d := &dec{b: payload}
+	d := &dec{b: payload, view: true}
 	p := d.population()
 	if err := d.finish(); err != nil {
 		return nil, err
@@ -96,13 +98,16 @@ func EncodePlacement(pl *Placement) []byte {
 	return e.b
 }
 
-// DecodePlacement parses an EncodePlacement payload.
+// DecodePlacement parses an EncodePlacement payload. Its population's
+// visits and offsets and its rank maps may be views of payload's memory,
+// so the caller must not modify payload afterwards.
 func DecodePlacement(payload []byte) (*Placement, error) {
-	d := &dec{b: payload}
+	d := &dec{b: payload, view: true}
 	pl := &Placement{}
 	pl.Pop = d.population()
 	pl.PersonRank = d.i32s()
 	pl.LocationRank = d.i32s()
+	d.view = false // the quality's few words are copied wherever they lie
 	pl.Ranks = int(d.u32())
 	pl.Label = d.str()
 	if d.bool() {
@@ -235,10 +240,13 @@ func (e *enc) f64s(s []float64) { putBlock(e, s, 8, putF64s) }
 // garbled payload can never panic or allocate absurdly. An array's count
 // is checked against the remaining payload before its block is taken
 // whole, so records decode without a check of their own.
+// With view set, getBlock returns an aligned block as a view of b, not a
+// copy; DecodeCheckpoint leaves it unset, since a checkpoint owns its arrays.
 type dec struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	view bool
 }
 
 func (d *dec) fail(format string, args ...any) {

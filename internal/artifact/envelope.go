@@ -5,8 +5,8 @@
 //
 // Every artifact on disk is a sealed envelope:
 //
-//	magic "EPAR" | version u16 | kind u8 | reserved u8 |
-//	keyLen u32 | key | payloadLen u64 | payload | checksum u64
+//	magic "EPAR" | version u16 | kind u8 | pad u8 |
+//	keyLen u32 | key | pad zero bytes | payloadLen u64 | payload | checksum u64
 //
 // The envelope carries the artifact's own content key, so a file moved,
 // renamed or hash-colliding into the wrong slot fails the key check and
@@ -16,11 +16,15 @@
 // either gets exactly the bytes a writer sealed, or a recognizable
 // error it can treat as "rebuild it".
 //
-// The version field picks the checksum. Seal writes version 2, whose
-// trailer is the CRC-32C (Castagnoli, hardware-accelerated on amd64 and
-// arm64) zero-extended to 64 bits. Open still reads version 1, whose
-// trailer is the CRC-64/ECMA, so result stores and caches written before
-// version 2 stay readable.
+// The version field picks the checksum and the pad. Seal writes version
+// 3, whose trailer is the CRC-32C (Castagnoli, hardware-accelerated on
+// amd64 and arm64) zero-extended to 64 bits, and whose pad (0 to 7 zero
+// bytes after the key, their count in byte 7) starts the visit records of
+// a population or placement 8-aligned and every later int32 block of it
+// 4-aligned (see pad). Open takes only the pad Seal picks. It still reads
+// version 2 (the same without a pad, byte 7 reserved as 0) and version 1
+// (that with a CRC-64/ECMA trailer), so result stores and caches written
+// before version 3 stay readable.
 //
 // Encoding is deterministic: identical content seals to identical bytes
 // (fixed field order, fixed-width little-endian integers, no maps), so
@@ -38,6 +42,10 @@
 // a little-endian host a block whose records have the bytes of its Go
 // values (visits and every int32, int64 and float64 array) then moves
 // whole, one copy each way (native.go, the package's only unsafe code).
+// DecodePopulation and DecodePlacement copy none of a visit, offset or rank
+// block aligned for its type, as all four are in a version-3 file read into
+// an 8-aligned buffer such as os.ReadFile's: they view it in the payload,
+// which the value then keeps alive and its caller must not modify.
 // Persons and locations, whose structs are padded, and every array on a
 // big-endian host go record by record, each from a fixed-length re-slice
 // of the block. Scalars, strings and the checkpoint's JSON sections are
@@ -47,6 +55,7 @@
 package artifact
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,9 +64,9 @@ import (
 )
 
 // Version is the envelope format version Seal writes. Open also reads
-// version 1 and rejects any other version (a cache miss to callers), so a
-// format change never corrupts results — it just rebuilds.
-const Version = 2
+// versions 1 and 2 and rejects any other version (a cache miss to
+// callers), so a format change never corrupts results — it just rebuilds.
+const Version = 3
 
 const envelopeMagic = "EPAR"
 
@@ -102,18 +111,42 @@ func checksum(v uint16, data []byte) uint64 {
 }
 
 // Seal wraps payload in a versioned, checksummed envelope carrying its
-// kind and content key. Identical (kind, key, payload) always seals to
-// identical bytes.
+// kind and content key, padded so that the visit records of a population
+// or placement start 8-aligned in it. Identical (kind, key, payload)
+// always seals to identical bytes.
 func Seal(kind Kind, key string, payload []byte) []byte {
-	b := make([]byte, 0, len(envelopeMagic)+16+len(key)+len(payload)+8)
+	p := pad(kind, len(key), payload)
+	b := make([]byte, 0, len(envelopeMagic)+16+len(key)+int(p)+len(payload)+8)
 	b = append(b, envelopeMagic...)
 	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = append(b, byte(kind), 0)
+	b = append(b, byte(kind), p)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
 	b = append(b, key...)
+	b = append(b, zeros[:p]...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	b = append(b, payload...)
 	return binary.LittleEndian.AppendUint64(b, checksum(Version, b))
+}
+
+var zeros [7]byte
+
+// pad is the length of the zero run Seal puts after the key: the fewest
+// bytes that start the visit records of a population or placement payload
+// (of any other kind, or one too short to hold a visit count: the payload
+// itself) at a multiple of 8 in the sealed bytes. Every later int32 block
+// of a population or placement then starts 4-aligned.
+func pad(kind Kind, keyLen int, payload []byte) byte {
+	at := 0
+	if kind == KindPopulation || kind == KindPlacement {
+		d := &dec{b: payload}
+		d.take(int(d.u32())) // name
+		d.block(5)           // persons
+		d.block(17)          // locations
+		if d.u64(); d.err == nil {
+			at = d.off
+		}
+	}
+	return byte(-(len(envelopeMagic) + 16 + keyLen + at) & 7)
 }
 
 // Open validates an envelope against the expected kind and key and
@@ -137,6 +170,9 @@ func Open(data []byte, kind Kind, key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload length %d, have %d bytes", ErrInvalid, payloadLen, len(rest)-16)
 	}
 	payload := rest[8 : 8+payloadLen]
+	if p := pad(kind, len(key), payload); v >= 3 && data[7] != p {
+		return nil, fmt.Errorf("%w: pad %d, want %d", ErrInvalid, data[7], p)
+	}
 	sum := binary.LittleEndian.Uint64(rest[8+payloadLen:])
 	if checksum(v, data[:len(data)-8]) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalid)
@@ -144,8 +180,8 @@ func Open(data []byte, kind Kind, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// parseHeader reads the fixed envelope prefix (through the key),
-// returning the version and the remainder. It is the piece Keys() uses to
+// parseHeader reads the fixed envelope prefix (through the key and its
+// pad), returning the version and the remainder. It is the piece Keys() uses to
 // identify a file without verifying its checksum.
 func parseHeader(data []byte) (v uint16, kind Kind, key string, rest []byte, err error) {
 	if len(data) < len(envelopeMagic)+8 {
@@ -165,5 +201,10 @@ func parseHeader(data []byte) (v uint16, kind Kind, key string, rest []byte, err
 		return 0, 0, "", nil, fmt.Errorf("%w: key length %d overruns data", ErrInvalid, keyLen)
 	}
 	key = string(data[12 : 12+keyLen])
-	return v, kind, key, data[12+keyLen:], nil
+	// Byte 7 is reserved (0) before version 3 and the pad length from it on.
+	rest, p := data[12+keyLen:], int(data[7])
+	if v < 3 && p != 0 || p > len(zeros) || p > len(rest) || !bytes.Equal(rest[:p], zeros[:p]) {
+		return 0, 0, "", nil, fmt.Errorf("%w: byte 7 is %d or the pad is not zero", ErrInvalid, p)
+	}
+	return v, kind, key, rest[p:], nil
 }

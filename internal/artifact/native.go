@@ -33,10 +33,12 @@ func putBlock[T fixed](e *enc, s []T, size int, perField func(b []byte, s []T)) 
 	}
 }
 
-// getBlock reads a block putBlock wrote into a new slice, empty but not
-// nil for a zero count and nil after an error: one copy into memory it
-// does not zero first on a little-endian host, record by record through
-// perField (which fills out from its block b) on a big-endian one.
+// getBlock reads a block putBlock wrote, empty but not nil for a zero
+// count and nil after an error. On a little-endian host it returns, for a
+// decoder with view set, the block itself where it lies aligned for T,
+// and otherwise one copy into memory it does not zero first; on a
+// big-endian host perField (which fills out from its block b) decodes it
+// record by record.
 func getBlock[T fixed](d *dec, size int, perField func(out []T, b []byte)) []T {
 	n, b, ok := d.block(size)
 	switch {
@@ -47,6 +49,10 @@ func getBlock[T fixed](d *dec, size int, perField func(out []T, b []byte)) []T {
 		perField(out, b)
 		return out
 	}
-	// b need not be aligned for T; the view is only ever read by the copy.
-	return slices.Clone(unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n))
+	s := unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+	if d.view && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(s[0]) == 0 {
+		return s
+	}
+	// b need not be aligned for T; the view is then only ever read by the copy.
+	return slices.Clone(s)
 }

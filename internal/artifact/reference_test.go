@@ -8,13 +8,14 @@ package artifact
 // each count or length field went, and the decoder notes (lax) when it
 // accepted a flag byte other than 0 or 1, which DecodeX now rejects.
 //
-// refSealV1 is the envelope Seal wrote before version 2, kept as the
-// oracle for Open's version-1 path.
+// refSealV1 and refSealV2 are the envelopes Seal wrote before versions 2
+// and 3, kept as the oracles for Open's version-1 and version-2 paths.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 	"math"
 
@@ -35,6 +36,19 @@ func refSealV1(kind Kind, key string, payload []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	b = append(b, payload...)
 	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crc64.MakeTable(crc64.ECMA)))
+}
+
+// refSealV2 seals payload as a version-2 envelope: the version-3 layout
+// with no pad, byte 7 reserved as 0, and the same CRC-32C trailer.
+func refSealV2(kind Kind, key string, payload []byte) []byte {
+	b := []byte("EPAR")
+	b = binary.LittleEndian.AppendUint16(b, 2)
+	b = append(b, byte(kind), 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint64(b, uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))))
 }
 
 // refEncodePopulation is the EncodePopulation oracle.

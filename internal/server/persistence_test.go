@@ -126,7 +126,8 @@ func TestResultSurvivesDaemonRestart(t *testing.T) {
 }
 
 // sealAsVersion1 rewrites the one artifact under dir as a version-1
-// envelope: the same bytes with version 1 and a CRC-64/ECMA trailer.
+// envelope: the same bytes less the pad, with version 1, byte 7 zero and
+// a CRC-64/ECMA trailer.
 func sealAsVersion1(t *testing.T, dir string) {
 	t.Helper()
 	var paths []string
@@ -143,10 +144,14 @@ func sealAsVersion1(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != 2 {
-		t.Fatalf("stored envelope is version %d, want 2", v)
+	if v := binary.LittleEndian.Uint16(data[4:]); v != 3 {
+		t.Fatalf("stored envelope is version %d, want 3", v)
 	}
+	// Version 1 has no pad: byte 7 is 0 and the payload length follows the key.
+	keyEnd := 12 + int(binary.LittleEndian.Uint32(data[8:]))
+	data = append(data[:keyEnd], data[keyEnd+int(data[7]):]...)
 	binary.LittleEndian.PutUint16(data[4:], 1)
+	data[7] = 0
 	body := data[:len(data)-8]
 	binary.LittleEndian.PutUint64(data[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
 	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
