@@ -7,9 +7,9 @@
 //
 // The paper's tables and figures — including the modelled comparisons of
 // aggregation buffer sizes, SMP processes per node, torus mapping and
-// synchronization protocol — have one driver, cmd/experiments
-// (`go run ./cmd/experiments -list` is the index, `-run all` regenerates
-// them).
+// synchronization protocol — have one driver, `episim figures`
+// (`go run ./cmd/episim figures -list` is the index, `-run all`
+// regenerates them).
 package episim_test
 
 import (

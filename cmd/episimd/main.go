@@ -10,14 +10,14 @@
 //	episimd -cache-dir /var/lib/episimd -retain 512 -result-ttl 72h
 //
 // With -cache-dir the daemon is durable: placements built by any
-// earlier process (or by `sweep -warm` against the same directory) are
+// earlier process (or by `episim sweep -warm` against the same directory) are
 // loaded instead of re-partitioned, and finished sweeps spill to disk —
 // GET /v1/sweeps/{id}/result keeps working across restarts and after
 // the memory index evicts old jobs per -retain / -result-ttl.
 //
 // Then, from any HTTP client:
 //
-//	sweep -example | curl -s -d @- localhost:8321/v1/sweeps
+//	episim sweep -example | curl -s -d @- localhost:8321/v1/sweeps
 //	curl -N localhost:8321/v1/sweeps/sw-000001/events
 //	curl -s localhost:8321/v1/stats
 //

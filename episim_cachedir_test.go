@@ -280,7 +280,7 @@ func TestRetiredCheckpointKindRebuilds(t *testing.T) {
 	}
 }
 
-// TestWarmSweepPopulatesCacheDir: `sweep -warm` semantics — a warm pass
+// TestWarmSweepPopulatesCacheDir: `episim sweep -warm` semantics — a warm pass
 // builds the artifacts, and a later real run builds nothing.
 func TestWarmSweepPopulatesCacheDir(t *testing.T) {
 	dir := t.TempDir()

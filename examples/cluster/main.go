@@ -20,7 +20,7 @@
 //     X-Episim-Trace-Id), the gateway forwards it to the owning
 //     backend, and the job's span timeline reads back through the
 //     gateway with that id and per-stage timings (the same data
-//     `sweep -server URL -trace ID` prints).
+//     `episim sweep -server URL -trace ID` prints).
 //
 // Run with:
 //

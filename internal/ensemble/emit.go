@@ -89,7 +89,7 @@ func csvField(s string) string {
 }
 
 // ResultJSON is the machine-readable form of a single simulation Result,
-// shared by cmd/episim -json and the examples: the headline scalars,
+// shared by `episim run -json` and the examples: the headline scalars,
 // derived peak metrics, the epidemic curve and the full per-day reports.
 type ResultJSON struct {
 	TotalInfections int64            `json:"total_infections"`

@@ -28,7 +28,7 @@ func (w *WarmResult) Built() int {
 
 // WarmContext builds every unique population and placement of the
 // spec's grid WITHOUT running any simulation — the pre-warm pass behind
-// `sweep -warm`: populate a disk-tiered cache once (in CI, on an
+// `episim sweep -warm`: populate a disk-tiered cache once (in CI, on an
 // operator box), and every later run of the spec, in any process, skips
 // partitioning entirely.
 //

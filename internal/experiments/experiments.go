@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (`experiments -list` prints the index). Each experiment is a
+// evaluation (`episim figures -list` prints the index). Each experiment is a
 // function that computes the artifact's data and prints the same
 // rows/series the paper reports, quoting the paper's figure where it gives
-// one; cmd/experiments exposes them on the command line and bench_test.go
+// one; `episim figures` exposes them on the command line and bench_test.go
 // wraps each in a testing.B benchmark.
 package experiments
 

@@ -1,10 +1,7 @@
 package synthpop
 
 import (
-	"compress/gzip"
-	"encoding/gob"
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -128,43 +125,4 @@ func GenerateState(name string, scale int, seed uint64) (*Population, error) {
 	}
 	pop := Generate(ScaledConfig(p, scale, seed))
 	return pop, nil
-}
-
-// Save writes the population to path in gzip-compressed gob encoding.
-func (p *Population) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("synthpop: save: %w", err)
-	}
-	defer f.Close()
-	zw := gzip.NewWriter(f)
-	if err := gob.NewEncoder(zw).Encode(p); err != nil {
-		return fmt.Errorf("synthpop: encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("synthpop: close gzip: %w", err)
-	}
-	return f.Close()
-}
-
-// Load reads a population written by Save and validates it: an empty or
-// truncated file is an error, never a smaller population.
-func Load(path string) (*Population, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("synthpop: load: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("synthpop: gzip: %w", err)
-	}
-	var p Population
-	if err := gob.NewDecoder(zr).Decode(&p); err != nil {
-		return nil, fmt.Errorf("synthpop: decode: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("synthpop: load %s: %w", path, err)
-	}
-	return &p, nil
 }

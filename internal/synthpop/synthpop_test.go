@@ -1,11 +1,7 @@
 package synthpop
 
 import (
-	"bytes"
-	"compress/gzip"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -265,50 +261,6 @@ func TestGenerateState(t *testing.T) {
 	}
 	if _, err := GenerateState("nope", 10, 1); err == nil {
 		t.Fatal("unknown state should error")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	pop := genSmall(t, 19)
-	path := filepath.Join(t.TempDir(), "pop.gob.gz")
-	if err := pop.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPersons() != pop.NumPersons() || got.NumVisits() != pop.NumVisits() {
-		t.Fatalf("round trip size mismatch")
-	}
-	for i := range pop.Visits {
-		if pop.Visits[i] != got.Visits[i] {
-			t.Fatalf("visit %d mismatch after round trip", i)
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A damaged file is an error, not a smaller (or empty) population.
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var empty bytes.Buffer
-	if err := gzip.NewWriter(&empty).Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{
-		"empty stream":     empty.Bytes(),
-		"truncated stream": whole[:len(whole)/2],
-	} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := Load(path); err == nil {
-			t.Fatalf("%s: Load returned %d persons and no error", name, got.NumPersons())
-		}
 	}
 }
 

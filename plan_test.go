@@ -67,39 +67,51 @@ func TestPlacementChargesPlan(t *testing.T) {
 // A placement reloaded from a cache dir views its visit, offset and rank
 // blocks inside the file's read buffer, which it keeps alive whole, raw
 // person and location records included. The heap that keeps still fits
-// the charge for a placement less its plan, which the reload has not built.
+// the charge for a placement less its plan, which the reload has not
+// built, at few and at many persons per location, split or not.
 func TestReloadedPlacementFitsCharge(t *testing.T) {
-	pl, err := BuildPlacement(Generate("reload", 30000, 7500, 7), PlacementOptions{Strategy: RR, SplitLoc: true, Ranks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := artifact.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := artifactTier{store, artifactKinds[kindPlacement]}
-	if err := tier.Store("pl", pl); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	v, err := tier.Load("pl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	back := v.(*Placement)
-	runtime.KeepAlive(back)
-	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	charge := placementBytes(back) - planBytes(back.Pop)
-	t.Logf("reloaded placement: %d bytes on the heap, %d charged without its plan", heap, charge)
-	if heap > charge {
-		t.Errorf("a reloaded placement keeps %d heap bytes, more than the %d it is charged", heap, charge)
-	}
-	if !reflect.DeepEqual(back.PersonRank, pl.PersonRank) || !reflect.DeepEqual(back.Pop.Visits, pl.Pop.Visits) {
-		t.Error("the reloaded placement differs from the stored one")
+	for _, tc := range []struct {
+		persons, locations int
+		split              bool
+	}{
+		{30000, 60000, false}, {30000, 60000, true},
+		{30000, 30000, false}, {30000, 30000, true},
+		{30000, 7500, false}, {30000, 7500, true},
+	} {
+		pl, err := BuildPlacement(Generate("reload", tc.persons, tc.locations, 7), PlacementOptions{Strategy: RR, SplitLoc: tc.split, Ranks: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := artifact.NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier := artifactTier{store, artifactKinds[kindPlacement]}
+		if err := tier.Store("pl", pl); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		v, err := tier.Load("pl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		back := v.(*Placement)
+		runtime.KeepAlive(back)
+		heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		charge := placementBytes(back) - planBytes(back.Pop)
+		t.Logf("%d persons, %d locations, split %v: %d bytes on the heap, %d charged without the plan",
+			tc.persons, tc.locations, tc.split, heap, charge)
+		if heap > charge {
+			t.Errorf("%d persons, %d locations, split %v: a reloaded placement keeps %d heap bytes, more than the %d it is charged",
+				tc.persons, tc.locations, tc.split, heap, charge)
+		}
+		if !reflect.DeepEqual(back.PersonRank, pl.PersonRank) || !reflect.DeepEqual(back.Pop.Visits, pl.Pop.Visits) {
+			t.Error("the reloaded placement differs from the stored one")
+		}
 	}
 }
 

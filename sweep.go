@@ -117,15 +117,20 @@ func checkpointBytes(cp *core.Checkpoint) int64 {
 }
 
 // populationBytes approximates a population's retained size (visits
-// dominate: 16 bytes each).
+// dominate: 16 bytes each). A person or location is charged what a
+// reloaded one keeps, its struct plus its raw record in the file buffer
+// the visit block is a view of (8 + 5 and 20 + 17 bytes), and each
+// population a page of size-class rounding on each of its four large
+// arrays.
 func populationBytes(p *synthpop.Population) int64 {
 	if p == nil {
 		return 0
 	}
 	return int64(len(p.Visits))*16 +
-		int64(len(p.Persons))*24 +
-		int64(len(p.Locations))*24 +
-		int64(len(p.PersonVisitOffsets))*4
+		int64(len(p.Persons))*(8+5) +
+		int64(len(p.Locations))*(20+17) +
+		int64(len(p.PersonVisitOffsets))*4 +
+		4*8192
 }
 
 // placementBytes approximates a placement's retained size: its rank maps,
@@ -251,7 +256,7 @@ type SweepWarmResult = ensemble.WarmResult
 
 // WarmSweep builds every unique population and placement of the spec's
 // grid without running a single simulation — the pre-warm pass behind
-// `sweep -warm -cache-dir`: CI or an operator populates the artifact
+// `episim sweep -warm -cache-dir`: CI or an operator populates the artifact
 // store once, and every subsequent run of the spec (any process, any
 // machine sharing the directory) performs zero placement builds.
 func WarmSweep(ctx context.Context, spec *SweepSpec, opts *SweepOptions) (*SweepWarmResult, error) {
