@@ -75,6 +75,14 @@ func TestPopgenFileRunsLikeItsFlags(t *testing.T) {
 	}
 }
 
+// A one-location town (a lone home, nowhere else to go) runs to the end.
+func TestRunOneLocationTown(t *testing.T) {
+	out, _ := must(t, "run", "-people", "50", "-locations", "1", "-days", "5")
+	if !strings.Contains(out, "population custom — 50 persons, 1 locations") || !strings.Contains(out, "simulated 5 days") {
+		t.Errorf("run -locations 1 printed:\n%s", out)
+	}
+}
+
 // Every way a population file can be wrong ends run, popgen and partition
 // with status 1 and an "episim:" error, never a panic or a population.
 func TestHostilePopulationFiles(t *testing.T) {

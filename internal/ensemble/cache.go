@@ -45,9 +45,10 @@ var ErrTierMiss = errors.New("ensemble: not in cache tier")
 //     how tests (and the /v1/stats endpoint) prove sharing works — and
 //     how a warm run proves it built nothing (Builds stays 0).
 //
-// Failed builds are NOT retained: waiters in flight observe the error,
-// then the key is forgotten so a later request may retry — a transient
-// failure must not poison a process-lifetime cache.
+// Failed builds, panicking ones included, are NOT retained: waiters in
+// flight observe the error, then the key is forgotten so a later request
+// may retry — a transient failure must not poison a process-lifetime
+// cache.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -123,7 +124,7 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 	// same way they share one build. A disk hit is promoted into the
 	// memory LRU and does NOT count as a build (the warm-run guarantee).
 	if c.disk != nil {
-		if v, err := c.disk.Load(key); err == nil {
+		if v, err := recovered(func() (any, error) { return c.disk.Load(key) }); err == nil {
 			c.mu.Lock()
 			c.stats.DiskHits++
 			e.val = v
@@ -146,7 +147,7 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 		}
 	}
 
-	e.val, e.err = build()
+	e.val, e.err = recovered(build)
 
 	c.mu.Lock()
 	c.stats.Builds++
@@ -178,6 +179,18 @@ func (c *Cache) get(ctx context.Context, key string, build func() (any, error)) 
 		c.mu.Unlock()
 	}
 	return e.val, true, e.err
+}
+
+// recovered calls f and turns a panic into its error, so a load or build
+// that panics still releases its waiters and leaves no entry behind: every
+// sweep waiting on the key gets the error, and the next get retries.
+func recovered(f func() (any, error)) (val any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			val, err = nil, panicError(p)
+		}
+	}()
+	return f()
 }
 
 // Peek returns the completed value for key without affecting recency or

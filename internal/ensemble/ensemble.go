@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -29,37 +30,33 @@ type Job struct {
 	Spec *Spec
 }
 
-// Hooks are the three engine operations the sweep needs, injected by the
-// root package (an import there would be a cycle). Implementations must
-// be safe for concurrent use; placements returned by BuildPlacement are
-// shared read-only across every replicate and scenario that uses them.
+// Hooks are the engine operations the sweep needs, injected by the root
+// package (an import there would be a cycle). Every field is required.
+// Implementations must be safe for concurrent use; placements returned by
+// BuildPlacement are shared read-only across every replicate and scenario
+// that uses them.
+//
+// Every replicate makes the same two calls: Start, then Finish. A cell
+// with an intervention branch always forks: its replicate's pre-fork
+// prefix is simulated once by BuildCheckpoint, cached under
+// Cell.CheckpointKey and shared read-only by every branch, and Start
+// resumes the branch from it. A plain cell starts at day 0.
 type Hooks struct {
 	// GeneratePopulation synthesizes the population for a spec (seed is
 	// the already-resolved generation seed).
 	GeneratePopulation func(PopulationSpec, uint64) (*synthpop.Population, error)
 	// BuildPlacement distributes a population over ranks. The returned
-	// handle is passed back to Simulate verbatim.
+	// handle is passed back to the other hooks verbatim.
 	BuildPlacement func(*synthpop.Population, PlacementSpec, uint64) (any, error)
-	// Simulate runs one replicate on a cached placement.
-	Simulate func(placement any, job Job) (*core.Result, error)
-
-	// The fork-mode trio, used for cells with an intervention branch when
-	// all three are present (otherwise such cells run Simulate from
-	// scratch, which is always correct, just slower). BuildCheckpoint
-	// simulates the replicate's shared pre-fork prefix under the base
-	// scenario and returns an opaque checkpoint handle; the handle is
-	// cached under Cell.CheckpointKey and shared read-only by every
-	// intervention branch of the (cell, replicate). RestoreCheckpoint
-	// loads it into a fresh engine carrying the branch's combined
-	// scenario; ResumeSimulate finishes the remaining days.
-	BuildCheckpoint   func(placement any, job Job) (any, error)
-	RestoreCheckpoint func(placement any, checkpoint any, job Job) (any, error)
-	ResumeSimulate    func(engine any, job Job) (*core.Result, error)
-}
-
-// forkCapable reports whether fork-mode execution is wired.
-func (h Hooks) forkCapable() bool {
-	return h.BuildCheckpoint != nil && h.RestoreCheckpoint != nil && h.ResumeSimulate != nil
+	// BuildCheckpoint simulates the replicate's shared pre-fork prefix
+	// under the base scenario and returns an opaque checkpoint handle.
+	BuildCheckpoint func(placement any, job Job) (any, error)
+	// Start builds the replicate's engine carrying the cell's combined
+	// scenario: at day 0 when checkpoint is nil, otherwise restored from
+	// the checkpoint.
+	Start func(placement, checkpoint any, job Job) (engine any, err error)
+	// Finish runs a started engine to the horizon.
+	Finish func(engine any, job Job) (*core.Result, error)
 }
 
 // RunOptions are the service-grade extensions to a sweep run. The zero
@@ -301,34 +298,83 @@ func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls Place
 	return pl, plKey, nil
 }
 
-// Run executes the sweep with one-shot semantics: background context,
-// run-private caches, no streaming. See RunContext.
-func Run(spec *Spec, hooks Hooks) (*SweepResult, error) {
-	return RunContext(context.Background(), spec, hooks, nil)
-}
-
-// RunContext executes the sweep: normalize and validate the spec,
-// enumerate the grid, then drive (cell, replicate) jobs through a
-// bounded worker pool, most-expensive-cell-first when opts.PredictCost
-// is set. Unique populations and placements are built once via the
-// content-keyed caches (shared process-lifetime caches when opts
-// provides them); each replicate streams into its cell's aggregator, and
-// each cell finalizes — and reaches opts.OnCell — the moment its last
-// replicate lands. The output is byte-identical for any Workers value
-// and any dispatch order because aggregation slots are addressed by
-// replicate index and results by grid index, never by completion order.
+// RunContext executes the sweep in three steps: prepare (a private,
+// normalized and validated spec with its models resolved), dispatch
+// ((cell, replicate) tasks through the bounded worker pool,
+// most-expensive-cell-first when opts.PredictCost is set) and collect
+// (each replicate streams into its cell's aggregator, and each cell
+// finalizes — and reaches opts.OnCell — the moment its last replicate
+// lands). Unique populations, placements and checkpoints are built once
+// via the content-keyed caches (shared process-lifetime caches when opts
+// provides them). The output is byte-identical for any Workers value and
+// any dispatch order because aggregation slots are addressed by replicate
+// index and results by grid index, never by completion order.
 //
 // Cancellation: when ctx is canceled the executor stops dispatching,
 // lets in-flight simulations and builds finish (builds always run to
 // completion because, under a shared cache, other requests may be
 // waiting on them; only the WAIT on someone else's build is ctx-aware),
-// and returns ctx.Err(). A failing
-// cell does NOT abort the sweep: the cell is marked failed (remaining
-// replicates are skipped), every other cell still runs, and RunContext
-// returns the partial result alongside an error summarizing the failed
-// cells.
+// and returns ctx.Err(). A failing or panicking replicate does NOT abort
+// the sweep: its cell is marked failed (remaining replicates are
+// skipped), every other cell still runs, and RunContext returns the
+// partial result alongside an error summarizing the failed cells.
 func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) (*SweepResult, error) {
-	if hooks.GeneratePopulation == nil || hooks.BuildPlacement == nil || hooks.Simulate == nil {
+	r, err := prepare(ctx, spec, hooks, opts)
+	if err != nil {
+		return nil, err
+	}
+	n := len(r.cells)
+	r.remaining, r.errs = make([]int, n), make([]error, n)
+	r.aggs, r.results = make([]*aggregator, n), make([]CellResult, n)
+	for i := range r.cells {
+		r.remaining[i] = r.spec.Replicates
+		r.aggs[i] = newAggregator(r.spec.Replicates)
+	}
+	r.dispatch(n*r.spec.Replicates, r.costOrdered, func(t task) {
+		if r.failed(t.cell) || r.opts.Slots.acquire(r.ctx) != nil {
+			return // a sibling replicate already failed the cell, or canceled
+		}
+		res, err := r.replicate(t.cell, t.replicate)
+		if err == nil {
+			r.add(t.cell, t.replicate, res)
+		} else if !errors.Is(err, errCanceled) {
+			r.fail(t.cell, err)
+		}
+		r.opts.Slots.release()
+	})
+	return r.result()
+}
+
+// run is one sweep or warm pass: the private spec, its grid and resolved
+// models and the build steps every worker shares, then RunContext's
+// collect state.
+type run struct {
+	ctx    context.Context
+	spec   *Spec
+	hooks  Hooks
+	opts   *RunOptions
+	cells  []Cell
+	models []*disease.Model
+	builds *buildSteps
+
+	// Per cell: replicates still to land, the first error, the
+	// aggregator and the terminal result, under one mutex that also
+	// publishes every aggregator write to whichever worker finalizes the
+	// cell (a warm pass guards its first error with it).
+	mu            sync.Mutex
+	remaining     []int
+	errs          []error
+	aggs          []*aggregator
+	results       []CellResult
+	sims, simDays atomic.Int64
+}
+
+// prepare is the prologue RunContext and WarmContext share. It works on
+// a private copy of the spec: Normalize fills defaults, and the result
+// embeds the spec — neither should touch the caller's struct.
+func prepare(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) (*run, error) {
+	if hooks.GeneratePopulation == nil || hooks.BuildPlacement == nil ||
+		hooks.BuildCheckpoint == nil || hooks.Start == nil || hooks.Finish == nil {
 		return nil, fmt.Errorf("ensemble: incomplete hooks")
 	}
 	if ctx == nil {
@@ -337,284 +383,245 @@ func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) 
 	if opts == nil {
 		opts = &RunOptions{}
 	}
-	// Work on a private copy: Normalize fills defaults, and the result
-	// embeds the spec — neither should touch the caller's struct.
 	spec = spec.clone()
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cells := spec.Cells()
-
+	r := &run{ctx: ctx, spec: spec, hooks: hooks, opts: opts, cells: spec.Cells(),
+		builds: newBuildSteps(ctx, opts)}
 	// Resolve each model once; replicates share it read-only.
-	models := make([]*disease.Model, len(spec.Models))
-	for i, m := range spec.Models {
+	for _, m := range spec.Models {
 		model, err := m.Resolve()
 		if err != nil {
 			return nil, err
 		}
-		models[i] = model
+		r.models = append(r.models, model)
 	}
+	return r, nil
+}
 
-	builds := newBuildSteps(ctx, opts)
+// task is one unit of pool work: a replicate of a cell.
+type task struct{ cell, replicate int }
 
-	aggs := make([]*aggregator, len(cells))
-	for i := range aggs {
-		aggs[i] = newAggregator(spec.Replicates)
+// dispatch is the one worker pool. It runs do on spec.Workers goroutines
+// (GOMAXPROCS when unset, never more than n, the number of tasks feed
+// offers) over the tasks feed sends. Once ctx is canceled, send refuses
+// and the workers drop whatever they receive, so no new task starts;
+// tasks already running finish before dispatch returns.
+func (r *run) dispatch(n int, feed func(send func(task) bool), do func(task)) {
+	workers := r.spec.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Cost-ordered dispatch: price every cell up front, then feed the
-	// pool most-expensive-first (LPT). Ties and the nil-predictor case
-	// keep grid order; results are grid-indexed so ordering never
-	// affects output bytes.
-	//
-	// Cold placements are priced by an analytic estimate; the moment a
-	// placement build completes, the predictor can price exactly (it
-	// peeks the now-populated cache), so the feeder re-prices and
-	// re-sorts the cells not yet dispatched — the warm-up pass that
-	// fixes LPT's makespan on mixed exact/estimated grids. builds.placed
-	// counts placements that became priceable; the feeder re-sorts whenever
-	// it observes a new generation.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
+	tasks := make(chan task)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				if r.ctx.Err() == nil {
+					do(t)
+				}
+			}
+		}()
 	}
-	costs := make([]float64, len(cells))
+	feed(func(t task) bool {
+		select {
+		case tasks <- t:
+			return true
+		case <-r.ctx.Done():
+			return false
+		}
+	})
+	close(tasks)
+	wg.Wait()
+}
+
+// costOrdered feeds every replicate of every cell, cell by cell from a
+// mutable priority queue: with opts.PredictCost set, most expensive cell
+// first (LPT); ties and the nil-predictor case keep grid order. Cold
+// placements are priced by an analytic estimate, so whenever one becomes
+// exactly priceable (builds.placed moves) the feeder re-prices and
+// re-sorts the cells not yet sent — the warm-up pass that fixes LPT's
+// makespan on mixed exact/estimated grids.
+func (r *run) costOrdered(send func(task) bool) {
+	pending := make([]int, len(r.cells))
+	for i := range pending {
+		pending[i] = i
+	}
+	predict := r.opts.PredictCost
+	costs := make([]float64, len(r.cells))
 	reprice := func(idxs []int) {
 		for _, ci := range idxs {
-			costs[ci] = opts.PredictCost(cells[ci], spec)
+			costs[ci] = predict(r.cells[ci], r.spec)
 		}
 		sort.SliceStable(idxs, func(a, b int) bool {
 			return costs[idxs[a]] > costs[idxs[b]]
 		})
 	}
-	if opts.PredictCost != nil {
-		reprice(order)
+	if predict != nil {
+		reprice(pending)
 	}
-
-	// Per-cell completion state: remaining replicates, the first error,
-	// and the finalized result — all under one mutex that also publishes
-	// every aggregator write to whichever worker finalizes the cell.
-	type cellState struct {
-		remaining int
-		err       error
-	}
-	states := make([]cellState, len(cells))
-	for i := range states {
-		states[i].remaining = spec.Replicates
-	}
-	results := make([]CellResult, len(cells))
-	var (
-		stMu    sync.Mutex
-		sims    atomic.Int64
-		simDays atomic.Int64
-	)
-
-	emit := func(res CellResult) {
-		if opts.OnCell != nil {
-			opts.OnCell(res)
-		}
-	}
-	failCell := func(ci int, err error) {
-		stMu.Lock()
-		if states[ci].err != nil {
-			stMu.Unlock()
-			return
-		}
-		states[ci].err = err
-		res := errorCellResult(cells[ci], err)
-		results[ci] = res
-		stMu.Unlock()
-		emit(res)
-	}
-	completeReplicate := func(ci int) {
-		stMu.Lock()
-		states[ci].remaining--
-		done := states[ci].remaining == 0 && states[ci].err == nil
-		stMu.Unlock()
-		if !done {
-			return
-		}
-		aggStart := time.Now()
-		res := aggs[ci].finalize(cells[ci], spec.Quantiles, spec.Confidence)
-		opts.Trace.Add("aggregate", cells[ci].Label(), aggStart, time.Now())
-		stMu.Lock()
-		results[ci] = res
-		stMu.Unlock()
-		emit(res)
-	}
-	cellFailed := func(ci int) bool {
-		stMu.Lock()
-		defer stMu.Unlock()
-		return states[ci].err != nil
-	}
-
-	type job struct {
-		cellIdx   int
-		replicate int
-	}
-	runJob := func(j job) error {
-		cell := cells[j.cellIdx]
-		pl, plKey, err := builds.place(hooks, spec, cell.Population, cell.Placement)
-		if err != nil {
-			return err
-		}
-
-		jobVal := Job{
-			Cell:      cell,
-			Replicate: j.replicate,
-			Seed:      cell.ReplicateSeed(spec.Seed, j.replicate),
-			Model:     models[cell.modelIdx],
-			Spec:      spec,
-		}
-
-		var res *core.Result
-		var simStart time.Time
-		if cell.Intervention != nil && hooks.forkCapable() {
-			// Fork path: build (or load) the replicate's shared pre-fork
-			// checkpoint once, then resume each intervention branch from it.
-			ckKey := cell.CheckpointKey(spec, plKey, jobVal.Seed)
-			ckLabel := fmt.Sprintf("%s r%d", cell.Label(), j.replicate)
-			ckSpan := fmt.Sprintf("%s day %d", ckLabel, spec.ForkDay)
-			ck, built, err := builds.get(&builds.checkpoint, ckKey, ckLabel, ckSpan, func() (any, error) {
-				return hooks.BuildCheckpoint(pl, jobVal)
-			})
-			if err != nil {
-				return err
-			}
-			if built {
-				simDays.Add(int64(spec.ForkDay))
-			}
-
-			restoreStart := time.Now()
-			eng, err := hooks.RestoreCheckpoint(pl, ck, jobVal)
-			opts.Trace.Add("checkpoint_restore", ckSpan, restoreStart, time.Now())
-			if err != nil {
-				return fmt.Errorf("ensemble: restore %s r%d: %w", cell.Label(), j.replicate, err)
-			}
-			sims.Add(1)
-			simStart = time.Now()
-			res, err = hooks.ResumeSimulate(eng, jobVal)
-			if err == nil {
-				simDays.Add(int64(spec.Days - spec.ForkDay))
-			}
-			traceSim(opts, cell, j.replicate, res, simStart)
-			if err != nil {
-				return fmt.Errorf("ensemble: cell %s replicate %d: %w", cell.Label(), j.replicate, err)
-			}
-		} else {
-			sims.Add(1)
-			simStart = time.Now()
-			var err error
-			res, err = hooks.Simulate(pl, jobVal)
-			if res != nil {
-				simDays.Add(int64(len(res.Days)))
-			}
-			traceSim(opts, cell, j.replicate, res, simStart)
-			if err != nil {
-				return fmt.Errorf("ensemble: cell %s replicate %d: %w", cell.Label(), j.replicate, err)
-			}
-		}
-		aggs[j.cellIdx].add(j.replicate, res)
-		completeReplicate(j.cellIdx)
-		return nil
-	}
-
-	jobs := make(chan job)
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without starting new work
-				}
-				if cellFailed(j.cellIdx) {
-					continue // sibling replicate already failed the cell
-				}
-				if err := opts.Slots.acquire(ctx); err != nil {
-					continue
-				}
-				err := runJob(j)
-				opts.Slots.release()
-				if err != nil && err != errCanceled {
-					failCell(j.cellIdx, err)
-				}
-			}
-		}()
-	}
-
-	// The feeder dispatches cell by cell from a mutable priority queue:
-	// before popping the next cell it checks whether any placement build
-	// completed since it last priced the queue, and if so re-prices and
-	// re-sorts what's left (exact machine-model costs replace analytic
-	// estimates as placements materialize).
-	pending := order
 	var pricedGen int64
-feed:
-	for len(pending) > 0 {
-		if opts.PredictCost != nil {
-			if g := builds.placed.Load(); g != pricedGen {
-				pricedGen = g
-				reprice(pending)
-			}
+	for ; len(pending) > 0; pending = pending[1:] {
+		if g := r.builds.placed.Load(); predict != nil && g != pricedGen {
+			pricedGen = g
+			reprice(pending)
 		}
-		ci := pending[0]
-		pending = pending[1:]
-		for r := 0; r < spec.Replicates; r++ {
-			select {
-			case jobs <- job{cellIdx: ci, replicate: r}:
-			case <-ctx.Done():
-				break feed
+		for rep := 0; rep < r.spec.Replicates; rep++ {
+			if !send(task{pending[0], rep}) {
+				return
 			}
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// A cancel that lands as (or after) the last cell finalizes must
-		// not discard a whole result: when every cell already reached a
-		// terminal state, the sweep effectively completed — fall through
-		// and return it.
-		complete := true
-		for i := range states {
-			if states[i].remaining > 0 && states[i].err == nil {
-				complete = false
-				break
-			}
+}
+
+// replicate runs one replicate of cell ci: it fetches the cell's
+// placement and, for an intervention cell, the replicate's pre-fork
+// checkpoint (built once, shared by every branch), then makes the Start
+// and Finish calls. A panic anywhere below becomes the replicate's error,
+// so it fails its cell and nothing else.
+func (r *run) replicate(ci, rep int) (res *core.Result, err error) {
+	cell := r.cells[ci]
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("ensemble: cell %s replicate %d: %w", cell.Label(), rep, panicError(p))
 		}
-		if !complete {
+	}()
+	pl, plKey, err := r.builds.place(r.hooks, r.spec, cell.Population, cell.Placement)
+	if err != nil {
+		return nil, err
+	}
+	job := Job{Cell: cell, Replicate: rep, Seed: cell.ReplicateSeed(r.spec.Seed, rep),
+		Model: r.models[cell.modelIdx], Spec: r.spec}
+	fork := cell.Intervention != nil
+	var ck any
+	prefix, ckSpan := 0, ""
+	if fork {
+		ckLabel := fmt.Sprintf("%s r%d", cell.Label(), rep)
+		ckSpan = fmt.Sprintf("%s day %d", ckLabel, r.spec.ForkDay)
+		var built bool
+		ck, built, err = r.builds.get(&r.builds.checkpoint, cell.CheckpointKey(r.spec, plKey, job.Seed), ckLabel, ckSpan, func() (any, error) {
+			return r.hooks.BuildCheckpoint(pl, job)
+		})
+		if err != nil {
 			return nil, err
 		}
+		if built {
+			r.simDays.Add(int64(r.spec.ForkDay))
+		}
+		prefix = r.spec.ForkDay
 	}
 
+	start := time.Now()
+	eng, err := r.hooks.Start(pl, ck, job)
+	if fork {
+		r.opts.Trace.Add("checkpoint_restore", ckSpan, start, time.Now())
+		if err != nil {
+			return nil, fmt.Errorf("ensemble: restore %s r%d: %w", cell.Label(), rep, err)
+		}
+		start = time.Now()
+	}
+	r.sims.Add(1)
+	if err == nil {
+		res, err = r.hooks.Finish(eng, job)
+	}
+	traceSim(r.opts, cell, rep, res, start)
+	if err != nil {
+		return nil, fmt.Errorf("ensemble: cell %s replicate %d: %w", cell.Label(), rep, err)
+	}
+	r.simDays.Add(int64(len(res.Days) - prefix))
+	return res, nil
+}
+
+// panicError turns a recovered panic into an error carrying its stack.
+func panicError(p any) error {
+	return fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+}
+
+// failed reports whether cell ci already failed.
+func (r *run) failed(ci int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.errs[ci] != nil
+}
+
+// fail records cell ci's first error and emits the failed cell.
+func (r *run) fail(ci int, err error) {
+	r.mu.Lock()
+	if r.errs[ci] != nil {
+		r.mu.Unlock()
+		return
+	}
+	r.errs[ci] = err
+	res := errorCellResult(r.cells[ci], err)
+	r.results[ci] = res
+	r.mu.Unlock()
+	r.emit(res)
+}
+
+// add folds one replicate into cell ci and, when it was the cell's last,
+// finalizes and emits the cell.
+func (r *run) add(ci, rep int, res *core.Result) {
+	r.aggs[ci].add(rep, res)
+	r.mu.Lock()
+	r.remaining[ci]--
+	done := r.remaining[ci] == 0 && r.errs[ci] == nil
+	r.mu.Unlock()
+	if !done {
+		return
+	}
+	aggStart := time.Now()
+	out := r.aggs[ci].finalize(r.cells[ci], r.spec.Quantiles, r.spec.Confidence)
+	r.opts.Trace.Add("aggregate", r.cells[ci].Label(), aggStart, time.Now())
+	r.mu.Lock()
+	r.results[ci] = out
+	r.mu.Unlock()
+	r.emit(out)
+}
+
+func (r *run) emit(res CellResult) {
+	if r.opts.OnCell != nil {
+		r.opts.OnCell(res)
+	}
+}
+
+// result assembles the sweep's outcome once the pool has drained. A
+// cancel that lands as (or after) the last cell finalizes must not
+// discard a whole result: when every cell already reached a terminal
+// state, the sweep effectively completed and its result is returned.
+func (r *run) result() (*SweepResult, error) {
+	var failed []int
+	complete := true
+	for ci := range r.errs {
+		switch {
+		case r.errs[ci] != nil:
+			failed = append(failed, ci)
+		case r.remaining[ci] > 0:
+			complete = false
+		}
+	}
+	if err := r.ctx.Err(); err != nil && !complete {
+		return nil, err
+	}
 	// The result embeds the (already private) spec for provenance, minus
 	// Workers: concurrency affects execution time, never results, and the
 	// emitted JSON must be byte-identical across worker counts.
-	spec.Workers = 0
+	r.spec.Workers = 0
 	out := &SweepResult{
-		Spec:             spec,
-		Cells:            results,
-		PopulationBuilds: builds.population.builds,
-		PlacementBuilds:  builds.placement.builds,
-		CheckpointBuilds: builds.checkpoint.builds,
-		Simulations:      int(sims.Load()),
-		SimulatedDays:    simDays.Load(),
-	}
-	var failed []int
-	for ci := range states {
-		if states[ci].err != nil {
-			failed = append(failed, ci)
-		}
+		Spec:             r.spec,
+		Cells:            r.results,
+		PopulationBuilds: r.builds.population.builds,
+		PlacementBuilds:  r.builds.placement.builds,
+		CheckpointBuilds: r.builds.checkpoint.builds,
+		Simulations:      int(r.sims.Load()),
+		SimulatedDays:    r.simDays.Load(),
 	}
 	if len(failed) > 0 {
 		return out, fmt.Errorf("ensemble: %d of %d cells failed; first: %w",
-			len(failed), len(cells), states[failed[0]].err)
+			len(failed), len(r.cells), r.errs[failed[0]])
 	}
 	return out, nil
 }

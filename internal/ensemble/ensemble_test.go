@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -29,7 +30,13 @@ func (f *fakeHooks) hooks() Hooks {
 			f.plBuilds.Add(1)
 			return ps.Label(), nil
 		},
-		Simulate: func(pl any, job Job) (*core.Result, error) {
+		BuildCheckpoint: func(pl any, job Job) (any, error) {
+			return fmt.Sprintf("ck seed=%d day=%d", job.Seed, job.Spec.ForkDay), nil
+		},
+		Start: func(pl, ck any, job Job) (any, error) {
+			return pl, nil
+		},
+		Finish: func(eng any, job Job) (*core.Result, error) {
 			days := make([]core.DayReport, job.Spec.Days)
 			var total int64
 			for d := range days {
@@ -72,7 +79,7 @@ func TestRunBuildsEachPlacementOnce(t *testing.T) {
 			f := &fakeHooks{}
 			spec := testSpec()
 			spec.Workers = workers
-			res, err := Run(spec, f.hooks())
+			res, err := RunContext(context.Background(), spec, f.hooks(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +116,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		f := &fakeHooks{}
 		spec := testSpec()
 		spec.Workers = workers
-		res, err := Run(spec, f.hooks())
+		res, err := RunContext(context.Background(), spec, f.hooks(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,12 +226,12 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 func TestRunPropagatesSimulateError(t *testing.T) {
 	f := &fakeHooks{}
 	h := f.hooks()
-	h.Simulate = func(pl any, job Job) (*core.Result, error) {
+	h.Finish = func(eng any, job Job) (*core.Result, error) {
 		return nil, fmt.Errorf("boom")
 	}
 	spec := testSpec()
 	spec.Workers = 4
-	if _, err := Run(spec, h); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := RunContext(context.Background(), spec, h, nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want simulate error, got %v", err)
 	}
 }
@@ -273,7 +280,7 @@ func TestAggregatorCurvesAndDists(t *testing.T) {
 func TestEmittersShapes(t *testing.T) {
 	f := &fakeHooks{}
 	spec := testSpec()
-	res, err := Run(spec, f.hooks())
+	res, err := RunContext(context.Background(), spec, f.hooks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -12,10 +13,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// forkFakeHooks extends fakeHooks with a fork trio whose fabricated
-// results match Simulate's exactly, so fork-mode and from-scratch runs
-// of the same spec must emit byte-identical aggregates with zero real
-// simulation work.
+// forkFakeHooks extends fakeHooks with hooks that count checkpoint
+// builds, restores and resumes and fabricate each result from the job
+// alone, with zero real simulation work.
 type forkFakeHooks struct {
 	fakeHooks
 	ckBuilds atomic.Int64
@@ -39,19 +39,20 @@ func fakeResult(job Job) *core.Result {
 
 func (f *forkFakeHooks) hooks() Hooks {
 	h := f.fakeHooks.hooks()
-	h.Simulate = func(pl any, job Job) (*core.Result, error) {
-		return fakeResult(job), nil
-	}
 	h.BuildCheckpoint = func(pl any, job Job) (any, error) {
 		f.ckBuilds.Add(1)
 		return fmt.Sprintf("ck seed=%d day=%d", job.Seed, job.Spec.ForkDay), nil
 	}
-	h.RestoreCheckpoint = func(pl any, ck any, job Job) (any, error) {
-		f.restores.Add(1)
+	h.Start = func(pl, ck any, job Job) (any, error) {
+		if ck != nil {
+			f.restores.Add(1)
+		}
 		return ck, nil
 	}
-	h.ResumeSimulate = func(engine any, job Job) (*core.Result, error) {
-		f.resumes.Add(1)
+	h.Finish = func(engine any, job Job) (*core.Result, error) {
+		if engine != nil {
+			f.resumes.Add(1)
+		}
 		return fakeResult(job), nil
 	}
 	return h
@@ -88,7 +89,7 @@ func TestForkSweepSharesPrefix(t *testing.T) {
 	f := &forkFakeHooks{}
 	spec := forkSpec(16)
 	spec.Workers = 8
-	res, err := Run(spec, f.hooks())
+	res, err := RunContext(context.Background(), spec, f.hooks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,52 +126,6 @@ func TestForkSweepSharesPrefix(t *testing.T) {
 	}
 }
 
-// TestForkFallbackMatchesForkMode: the same intervention spec run
-// without the fork trio simulates every branch from scratch — more
-// stepped days, zero checkpoints — and still emits byte-identical
-// aggregate JSON, because fork mode is an execution strategy, never a
-// semantic change.
-func TestForkFallbackMatchesForkMode(t *testing.T) {
-	forked := &forkFakeHooks{}
-	res, err := Run(forkSpec(16), forked.hooks())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scratch := &forkFakeHooks{}
-	h := scratch.hooks()
-	h.BuildCheckpoint, h.RestoreCheckpoint, h.ResumeSimulate = nil, nil, nil
-	sres, err := Run(forkSpec(16), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := scratch.ckBuilds.Load(); got != 0 {
-		t.Fatalf("fallback built %d checkpoints", got)
-	}
-	if len(sres.CheckpointBuilds) != 0 {
-		t.Fatalf("fallback recorded checkpoint keys: %v", sres.CheckpointBuilds)
-	}
-	if sres.SimulatedDays != int64(32*20) {
-		t.Fatalf("fallback simulated days = %d, want %d", sres.SimulatedDays, 32*20)
-	}
-	if sres.SimulatedDays <= res.SimulatedDays {
-		t.Fatalf("fallback (%d days) should step more than fork mode (%d days)",
-			sres.SimulatedDays, res.SimulatedDays)
-	}
-
-	var a, b bytes.Buffer
-	if err := res.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := sres.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("fork-mode and from-scratch aggregates differ")
-	}
-}
-
 // TestForkDeterministicAcrossWorkerCounts extends the executor's
 // byte-identity guarantee to version 2 grids.
 func TestForkDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -179,7 +134,7 @@ func TestForkDeterministicAcrossWorkerCounts(t *testing.T) {
 		f := &forkFakeHooks{}
 		spec := forkSpec(5)
 		spec.Workers = workers
-		res, err := Run(spec, f.hooks())
+		res, err := RunContext(context.Background(), spec, f.hooks(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +264,7 @@ func TestLegacySpecBytesUnchanged(t *testing.T) {
 	}
 
 	f := &fakeHooks{}
-	res, err := Run(testSpec(), f.hooks())
+	res, err := RunContext(context.Background(), testSpec(), f.hooks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

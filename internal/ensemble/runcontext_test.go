@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/synthpop"
 )
 
 // TestOnCellStreamsBeforeRunReturns proves per-cell streaming is real:
@@ -19,13 +21,13 @@ import (
 func TestOnCellStreamsBeforeRunReturns(t *testing.T) {
 	f := &fakeHooks{}
 	h := f.hooks()
-	baseSim := h.Simulate
+	baseFinish := h.Finish
 	cell0Streamed := make(chan struct{})
-	h.Simulate = func(pl any, job Job) (*core.Result, error) {
+	h.Finish = func(eng any, job Job) (*core.Result, error) {
 		if job.Cell.Index == 1 {
 			<-cell0Streamed // only OnCell(cell 0) unblocks us
 		}
-		return baseSim(pl, job)
+		return baseFinish(eng, job)
 	}
 
 	spec := testSpec()
@@ -64,15 +66,15 @@ func TestOnCellStreamsBeforeRunReturns(t *testing.T) {
 func TestCancellationStopsDispatchPromptly(t *testing.T) {
 	f := &fakeHooks{}
 	h := f.hooks()
-	baseSim := h.Simulate
+	baseFinish := h.Finish
 	var started atomic.Int64
 	firstStarted := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	h.Simulate = func(pl any, job Job) (*core.Result, error) {
+	h.Finish = func(eng any, job Job) (*core.Result, error) {
 		started.Add(1)
 		firstStarted <- struct{}{}
 		<-gate
-		return baseSim(pl, job)
+		return baseFinish(eng, job)
 	}
 
 	spec := testSpec() // 8 cells × 8 replicates = 64 jobs
@@ -102,12 +104,12 @@ func TestCancellationStopsDispatchPromptly(t *testing.T) {
 func TestFailedCellDoesNotAbortSweep(t *testing.T) {
 	f := &fakeHooks{}
 	h := f.hooks()
-	baseSim := h.Simulate
-	h.Simulate = func(pl any, job Job) (*core.Result, error) {
+	baseFinish := h.Finish
+	h.Finish = func(eng any, job Job) (*core.Result, error) {
 		if job.Cell.Scenario.Name == "closure" && job.Cell.Population.Name == "a" {
 			return nil, errors.New("boom")
 		}
-		return baseSim(pl, job)
+		return baseFinish(eng, job)
 	}
 
 	spec := testSpec() // 8 cells; 2 of them are (pop a, closure)
@@ -155,14 +157,14 @@ func TestFailedCellDoesNotAbortSweep(t *testing.T) {
 func TestCostOrderedDispatch(t *testing.T) {
 	f := &fakeHooks{}
 	h := f.hooks()
-	baseSim := h.Simulate
+	baseFinish := h.Finish
 	var mu sync.Mutex
 	var dispatch []int
-	h.Simulate = func(pl any, job Job) (*core.Result, error) {
+	h.Finish = func(eng any, job Job) (*core.Result, error) {
 		mu.Lock()
 		dispatch = append(dispatch, job.Cell.Index)
 		mu.Unlock()
-		return baseSim(pl, job)
+		return baseFinish(eng, job)
 	}
 
 	// 4 cells (1 pop × 1 placement × 4 scenarios), 1 replicate each, with
@@ -278,5 +280,82 @@ func TestSharedCacheAcrossRuns(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Fatal("placement cache saw no hits despite 128 shared jobs")
+	}
+}
+
+// TestPanicFailsItsCellAlone: a placement build that panics and a
+// replicate that panics each fail only the cells they touch, with the
+// panic and its stack in the cell's Error. A second sweep that was
+// waiting on the panicking build returns with its error instead of
+// hanging, and the key is left out of the shared cache for a retry.
+func TestPanicFailsItsCellAlone(t *testing.T) {
+	h := (&fakeHooks{}).hooks()
+	building, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	baseBuild, baseFinish := h.BuildPlacement, h.Finish
+	h.BuildPlacement = func(pop *synthpop.Population, ps PlacementSpec, seed uint64) (any, error) {
+		if ps.Strategy == "RR" {
+			once.Do(func() { close(building) })
+			<-release
+			panic("partitioner exploded")
+		}
+		return baseBuild(pop, ps, seed)
+	}
+	h.Finish = func(eng any, job Job) (*core.Result, error) {
+		if job.Cell.Scenario.Name == "closure" {
+			var counts map[string]int
+			counts[job.Cell.Label()]++ // assignment to a nil map panics
+		}
+		return baseFinish(eng, job)
+	}
+
+	// Cells in grid order: RR baseline, RR closure, GP baseline, GP closure.
+	spec := testSpec()
+	spec.Populations = spec.Populations[:1]
+	spec.Workers = 1
+	plCache := NewCache(0, nil)
+	type outcome struct {
+		res *SweepResult
+		err error
+	}
+	sweep := func() chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			res, err := RunContext(context.Background(), spec, h, &RunOptions{PlacementCache: plCache})
+			ch <- outcome{res, err}
+		}()
+		return ch
+	}
+	first := sweep()
+	<-building
+	second := sweep()
+	for plCache.Stats().Hits == 0 { // the second sweep now waits on the build
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	for i, ch := range []chan outcome{first, second} {
+		var o outcome
+		select {
+		case o = <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("sweep %d never returned", i)
+		}
+		if o.err == nil || !strings.Contains(o.err.Error(), "panic: ") || o.res == nil {
+			t.Fatalf("sweep %d: err = %v, result %v; want a partial result and a panic error", i, o.err, o.res != nil)
+		}
+		for ci, want := range []string{"panic: partitioner exploded", "panic: partitioner exploded", "", "assignment to entry in nil map"} {
+			c := o.res.Cells[ci]
+			if want == "" {
+				if c.Error != "" || c.Replicates != spec.Replicates {
+					t.Errorf("sweep %d cell %s: error %q, %d replicates; want all %d", i, c.Label, c.Error, c.Replicates, spec.Replicates)
+				}
+			} else if !strings.Contains(c.Error, want) || !strings.Contains(c.Error, "goroutine ") {
+				t.Errorf("sweep %d cell %s: error %q; want %q and a stack", i, c.Label, c.Error, want)
+			}
+		}
+	}
+	if st := plCache.Stats(); st.Entries != 1 {
+		t.Fatalf("shared placement cache holds %d entries, want only the GP placement", st.Entries)
 	}
 }

@@ -9,10 +9,17 @@
 // memory.
 //
 // The package is deliberately independent of the repository's root
-// package (which would be an import cycle): the three operations that
-// live there — population generation, placement construction and the
-// simulation itself — are injected through Hooks. The public surface is
+// package (which would be an import cycle): the operations that live
+// there — population generation, placement construction, the fork-day
+// checkpoint and the simulation itself, as Start then Finish on every
+// replicate — are injected through Hooks. The public surface is
 // episim.RunSweep, which wires the real engine in.
+//
+// RunContext and WarmContext share one prologue (prepare) and one
+// context-aware worker pool (dispatch). A replicate that fails or panics
+// fails its own cell and nothing else: the panic, with its stack, becomes
+// the cell's CellResult.Error, and a build that panics releases every
+// sweep waiting on its cache key with the same error.
 package ensemble
 
 import (

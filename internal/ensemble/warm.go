@@ -1,11 +1,6 @@
 package ensemble
 
-import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "context"
 
 // WarmResult reports what a warm pass did: how many unique populations
 // and placements the grid needs, and — per content key — how many were
@@ -32,96 +27,63 @@ func (w *WarmResult) Built() int {
 // operator box), and every later run of the spec, in any process, skips
 // partitioning entirely.
 //
-// Builds run through the same content-keyed caches as a real sweep
-// (opts.PopulationCache / opts.PlacementCache when provided), so a warm
-// pass racing a live sweep still builds each key exactly once, and a
-// pass over an already-warm cache builds nothing. Unique placements are
-// warmed concurrently on spec.Workers goroutines (placement builds
-// dominate, and they parallelize independently).
+// It shares RunContext's prologue and worker pool. Builds run through the
+// same content-keyed caches as a real sweep (opts.PopulationCache /
+// opts.PlacementCache when provided), so a warm pass racing a live sweep
+// still builds each key exactly once, and a pass over an already-warm
+// cache builds nothing. Unique placements are warmed concurrently on
+// spec.Workers goroutines (placement builds dominate, and they
+// parallelize independently); a canceled ctx starts no new build and
+// returns ctx.Err().
 //
 // Unlike a sweep run, a failing build fails the pass (first error wins,
 // in-flight builds finish): a warm pass exists only to populate the
 // cache, so there is no partial result worth returning.
 func WarmContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) (*WarmResult, error) {
-	if hooks.GeneratePopulation == nil || hooks.BuildPlacement == nil {
-		return nil, fmt.Errorf("ensemble: incomplete hooks")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts == nil {
-		opts = &RunOptions{}
-	}
-	spec = spec.clone()
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	r, err := prepare(ctx, spec, hooks, opts)
+	if err != nil {
 		return nil, err
 	}
-
-	builds := newBuildSteps(ctx, opts)
 
 	// One task per unique placement key, in grid order; the population
 	// cache's singleflight dedupes the population builds underneath.
-	var tasks []Cell
+	var tasks []task
 	seen := map[string]bool{}
-	for _, cell := range spec.Cells() {
-		if key := cell.Placement.Key(cell.Population.Key(spec.Seed)); !seen[key] {
+	for ci, cell := range r.cells {
+		if key := cell.Placement.Key(cell.Population.Key(r.spec.Seed)); !seen[key] {
 			seen[key] = true
-			tasks = append(tasks, cell)
+			tasks = append(tasks, task{cell: ci})
 		}
 	}
 
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-
-	var (
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		firstEr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstEr == nil {
-			firstEr = err
-		}
-		errMu.Unlock()
-	}
-	ch := make(chan Cell)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tk := range ch {
-				if ctx.Err() != nil {
-					continue
-				}
-				if _, _, err := builds.place(hooks, spec, tk.Population, tk.Placement); err != nil {
-					setErr(err)
-				}
+	var firstErr error
+	r.dispatch(len(tasks), func(send func(task) bool) {
+		for _, t := range tasks {
+			if !send(t) {
+				return
 			}
-		}()
-	}
-	for _, tk := range tasks {
-		ch <- tk
-	}
-	close(ch)
-	wg.Wait()
+		}
+	}, func(t task) {
+		cell := r.cells[t.cell]
+		if _, _, err := r.builds.place(r.hooks, r.spec, cell.Population, cell.Placement); err != nil {
+			r.mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			r.mu.Unlock()
+		}
+	})
 
-	if err := ctx.Err(); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstEr != nil {
-		return nil, firstEr
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return &WarmResult{
-		Populations:      len(builds.population.builds),
+		Populations:      len(r.builds.population.builds),
 		Placements:       len(tasks),
-		PopulationBuilds: builds.population.builds,
-		PlacementBuilds:  builds.placement.builds,
+		PopulationBuilds: r.builds.population.builds,
+		PlacementBuilds:  r.builds.placement.builds,
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/synthpop"
 )
@@ -153,5 +154,43 @@ func TestRepriceAfterDiskPromotion(t *testing.T) {
 	}
 	if calls[1] < 2 {
 		t.Fatalf("predictor calls per cell = %v; disk promotion never triggered re-pricing", calls)
+	}
+}
+
+// TestWarmCancelStartsNoBuild: canceling a warm pass while its first
+// placement builds returns ctx.Err() and starts no further build.
+func TestWarmCancelStartsNoBuild(t *testing.T) {
+	f := &fakeHooks{}
+	h := f.hooks()
+	building, release := make(chan struct{}), make(chan struct{})
+	baseBuild := h.BuildPlacement
+	h.BuildPlacement = func(pop *synthpop.Population, ps PlacementSpec, seed uint64) (any, error) {
+		if f.plBuilds.Load() == 0 {
+			close(building)
+			<-release
+		}
+		return baseBuild(pop, ps, seed)
+	}
+	spec := testSpec() // 2 populations × 2 placements
+	spec.Workers = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := WarmContext(ctx, spec, h, nil)
+		done <- err
+	}()
+	<-building
+	cancel()
+	close(release)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("canceled warm pass never returned")
+	}
+	if p, pl := f.popBuilds.Load(), f.plBuilds.Load(); p != 1 || pl != 1 {
+		t.Fatalf("canceled warm pass built %d populations, %d placements; want 1 and 1", p, pl)
 	}
 }

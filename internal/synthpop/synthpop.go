@@ -385,13 +385,16 @@ func Generate(cfg Config) *Population {
 		eveStart := int16(17*60 + ps.Intn(4*60))
 		addVisit(home, eveStart, 24*60, true)
 
-		// Daytime anchor activity.
+		// Daytime anchor activity. A town too small to have a school or a
+		// workplace (every location a home) has no anchor to visit.
 		switch age {
 		case Child:
-			school := samplers[School].sample(ps)
-			addVisit(school, int16(8*60+ps.Intn(30)), int16(15*60+ps.Intn(60)), true)
+			if samplers[School] != nil {
+				school := samplers[School].sample(ps)
+				addVisit(school, int16(8*60+ps.Intn(30)), int16(15*60+ps.Intn(60)), true)
+			}
 		case Adult:
-			if ps.Float64() < 0.82 { // employment rate
+			if ps.Float64() < 0.82 && samplers[Work] != nil { // employment rate
 				work := samplers[Work].sample(ps)
 				addVisit(work, int16(8*60+ps.Intn(90)), int16(16*60+ps.Intn(120)), true)
 			}

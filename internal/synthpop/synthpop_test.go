@@ -35,6 +35,32 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateTinyTowns: every location count from 1 to 12 generates a
+// valid population at every size. One location is a lone home with no
+// school, workplace or errand venue, so everyone stays home all day.
+func TestGenerateTinyTowns(t *testing.T) {
+	for locs := 1; locs <= 12; locs++ {
+		for _, people := range []int{1, 5, 50, 500} {
+			pop := Generate(DefaultConfig("tiny", people, locs, 3))
+			if err := pop.Validate(); err != nil {
+				t.Fatalf("%d people, %d locations: %v", people, locs, err)
+			}
+			if pop.NumPersons() != people || len(pop.Locations) < locs {
+				t.Fatalf("%d people, %d locations: got %d persons, %d locations",
+					people, locs, pop.NumPersons(), len(pop.Locations))
+			}
+			if locs > 1 {
+				continue
+			}
+			for _, v := range pop.Visits {
+				if pop.Locations[v.Loc].Type != Home {
+					t.Fatalf("%d people in a one-location town: visit %+v leaves home", people, v)
+				}
+			}
+		}
+	}
+}
+
 func TestPersonDegreeCalibration(t *testing.T) {
 	pop := Generate(DefaultConfig("cal", 20000, 5000, 3))
 	perPerson := make([]int, pop.NumPersons())

@@ -338,10 +338,11 @@ func simConfigFor(job ensemble.Job, scenario string) SimConfig {
 	}
 }
 
-// sweepHooks wires the real engine into the ensemble executor. The
-// fork trio (BuildCheckpoint/RestoreCheckpoint/ResumeSimulate) runs
-// intervention cells in fork mode: the shared scenario prefix simulates
-// once per checkpoint key, and every branch resumes from the snapshot.
+// sweepHooks wires the real engine into the ensemble executor. Every
+// replicate is Start then Finish: a plain cell starts at day 0, and an
+// intervention cell resumes from the checkpoint BuildCheckpoint left at
+// the fork day, so the shared scenario prefix simulates once per
+// checkpoint key.
 func sweepHooks(cache *SweepCache) ensemble.Hooks {
 	return ensemble.Hooks{
 		GeneratePopulation: func(ps ensemble.PopulationSpec, seed uint64) (*synthpop.Population, error) {
@@ -363,13 +364,6 @@ func sweepHooks(cache *SweepCache) ensemble.Hooks {
 				Imbalance: ps.Imbalance,
 			})
 		},
-		Simulate: func(pl any, job ensemble.Job) (*core.Result, error) {
-			// The scenario text is re-parsed per run on purpose: a parsed
-			// interventions.Scenario carries mutable rule-fired state, so
-			// concurrent replicates cannot share one instance, and the
-			// parse is microseconds against a multi-ms simulation.
-			return Run(pl.(*Placement), simConfigFor(job, combinedScenarioText(job)))
-		},
 		BuildCheckpoint: func(pl any, job ensemble.Job) (any, error) {
 			// The prefix runs the base scenario only: branch rules cannot
 			// fire before the fork day, so the checkpoint is shared by
@@ -385,18 +379,24 @@ func sweepHooks(cache *SweepCache) ensemble.Hooks {
 			cache.ckptBytes.Add(checkpointBytes(cp))
 			return cp, nil
 		},
-		RestoreCheckpoint: func(pl any, checkpoint any, job ensemble.Job) (any, error) {
+		Start: func(pl, checkpoint any, job ensemble.Job) (any, error) {
+			// The scenario text is re-parsed per run on purpose: a parsed
+			// interventions.Scenario carries mutable rule-fired state, so
+			// concurrent replicates cannot share one instance, and the
+			// parse is microseconds against a multi-ms simulation.
 			eng, err := newSimEngine(pl.(*Placement), simConfigFor(job, combinedScenarioText(job)))
 			if err != nil {
 				return nil, err
 			}
-			if err := eng.Restore(checkpoint.(*core.Checkpoint)); err != nil {
-				return nil, err
+			if checkpoint != nil {
+				if err := eng.Restore(checkpoint.(*core.Checkpoint)); err != nil {
+					return nil, err
+				}
+				cache.ckptRestores.Add(1)
 			}
-			cache.ckptRestores.Add(1)
 			return eng, nil
 		},
-		ResumeSimulate: func(engine any, job ensemble.Job) (*core.Result, error) {
+		Finish: func(engine any, job ensemble.Job) (*core.Result, error) {
 			return engine.(*core.Engine).Run()
 		},
 	}
