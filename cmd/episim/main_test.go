@@ -207,6 +207,53 @@ func TestFigures(t *testing.T) {
 	}
 }
 
+// TestFiguresGolden pins every line `episim figures -run all -quick` prints,
+// byte for byte, except what the wall clock decides: Figure 3(a) and (b),
+// which fit timed DES runs, and each experiment's "done in" line. A change
+// that means to move a figure pastes the new output into the golden file.
+func TestFiguresGolden(t *testing.T) {
+	out, _ := must(t, "figures", "-run", "all", "-quick")
+	got := strings.Split(maskFigures(out), "\n")
+	b, err := os.ReadFile(filepath.Join("testdata", "figures-quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(b), "\n")
+	for i := 0; i < max(len(got), len(want)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("figures -run all -quick line %d:\n got %q\nwant %q\nmasked output:\n%s", i+1, g, w, strings.Join(got, "\n"))
+		}
+	}
+}
+
+// maskFigures replaces each line of Figure 3(a) and (b) with "<timed>" and
+// the elapsed time of each done line with "<elapsed>".
+func maskFigures(out string) string {
+	lines := strings.Split(out, "\n")
+	timed := false
+	for i, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "Figure 3(a)"):
+			timed = true
+		case strings.HasPrefix(l, "Figure 3(c)"):
+			timed = false
+		}
+		if name, _, done := strings.Cut(l, " done in "); timed {
+			lines[i] = "<timed>"
+		} else if done && strings.HasPrefix(l, "---- ") && strings.HasSuffix(l, " ----") {
+			lines[i] = name + " done in <elapsed> ----"
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
 func TestUsage(t *testing.T) {
 	for _, args := range [][]string{nil, {"simulate"}, {"-state", "WY"}} {
 		code, stdout, stderr := call(args...)
