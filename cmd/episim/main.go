@@ -436,14 +436,13 @@ func partitionMain(args []string, stdout, stderr io.Writer) int {
 // prints the rows or series of the paper artifact it is named after.
 func figuresMain(args []string, stdout, stderr io.Writer) int {
 	fs := flags("figures", stderr)
-	var (
-		list          = fs.Bool("list", false, "list available experiments")
-		run           = fs.String("run", "", "experiment to run (or \"all\")")
-		scale         = fs.Int("scale", 1000, "population scale divisor for Table-I presets")
-		analysisScale = fs.Int("analysis-scale", 300, "scale divisor for distribution/bound figures")
-		seed          = fs.Uint64("seed", 20140519, "generation seed")
-		quick         = fs.Bool("quick", false, "reduced state sets and sweeps")
-	)
+	opt := experiments.Defaults()
+	list := fs.Bool("list", false, "list available experiments")
+	run := fs.String("run", "", "experiment to run (or \"all\")")
+	fs.IntVar(&opt.Scale, "scale", opt.Scale, "population scale divisor for Table-I presets")
+	fs.IntVar(&opt.AnalysisScale, "analysis-scale", opt.AnalysisScale, "scale divisor for distribution/bound figures")
+	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "generation seed")
+	fs.BoolVar(&opt.Quick, "quick", opt.Quick, "reduced state sets and sweeps")
 	return execute(fs, args, stderr, func() error {
 		if *list || *run == "" {
 			fmt.Fprintln(stdout, "available experiments:")
@@ -455,6 +454,9 @@ func figuresMain(args []string, stdout, stderr io.Writer) int {
 			}
 			return nil
 		}
+		if opt.Scale < 1 || opt.AnalysisScale < 1 {
+			return errors.New("-scale and -analysis-scale must be at least 1")
+		}
 		toRun := experiments.All()
 		if *run != "all" {
 			e, err := experiments.ByName(*run)
@@ -463,7 +465,6 @@ func figuresMain(args []string, stdout, stderr io.Writer) int {
 			}
 			toRun = []experiments.Experiment{e}
 		}
-		opt := experiments.Options{Scale: *scale, AnalysisScale: *analysisScale, Seed: *seed, Quick: *quick}
 		for _, e := range toRun {
 			start := time.Now()
 			fmt.Fprintf(stdout, "==== %s: %s ====\n", e.Name, e.Desc)

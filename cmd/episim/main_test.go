@@ -202,8 +202,10 @@ func TestFigures(t *testing.T) {
 	if !strings.HasPrefix(out, "==== fig2: ") || !strings.Contains(out, "---- fig2 done in ") {
 		t.Errorf("figures -run fig2 printed:\n%s", out)
 	}
-	if code, _, stderr := call("figures", "-run", "fig99"); code != 1 || !strings.HasPrefix(stderr, "episim: ") {
-		t.Errorf("figures -run fig99: exit %d, stderr %q", code, stderr)
+	for _, args := range [][]string{{"-run", "fig99"}, {"-run", "fig2", "-scale", "0"}} {
+		if code, _, stderr := call(append([]string{"figures"}, args...)...); code != 1 || !strings.HasPrefix(stderr, "episim: ") {
+			t.Errorf("figures %v: exit %d, stderr %q", args, code, stderr)
+		}
 	}
 }
 

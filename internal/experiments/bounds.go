@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/loadmodel"
 	"repro/internal/partition"
-	"repro/internal/splitloc"
-	"repro/internal/synthpop"
 )
 
 // fig2Graph builds the 13-node example graph of Figure 2: node 1 (index 0)
@@ -42,17 +42,14 @@ func runFig2(w io.Writer, opt Options) error {
 	for v := range loads {
 		loads[v] = g.VertexWeight(v, 0)
 	}
-	report := func(label string, p *partition.Partitioning) partition.Quality {
+	report := func(label string, p *partition.Partitioning) {
 		q := partition.Evaluate(g, p)
 		var maxLoad int64
 		for _, pw := range q.PartWeights {
-			if pw[0] > maxLoad {
-				maxLoad = pw[0]
-			}
+			maxLoad = max(maxLoad, pw[0])
 		}
 		fmt.Fprintf(w, "%-22s edge cut %2d   max part load %2d   max/avg %.2f\n",
 			label, q.EdgeCut, maxLoad, q.MaxOverAvg[0])
-		return q
 	}
 	fmt.Fprintf(w, "Figure 2 — 5-way partitioning of the 13-node example graph (total load 30)\n")
 	fmt.Fprintf(w, "paper: (a) load-optimal: 8 cuts, max load 8; (b) cut-optimal: 6 cuts, max load 10\n")
@@ -67,54 +64,24 @@ func runFig2(w io.Writer, opt Options) error {
 // the bound the paper's Figures 4/8 estimate). Loads are quantized static
 // model units.
 func subSeries(loads []float64, ks []int) []float64 {
-	q := newQuantizedLoads(loads)
+	q := loadmodel.NewQuantizer(loads, 64)
+	units := make([]int64, len(loads))
+	var total int64
+	for i, l := range loads {
+		units[i] = q.Quantize(l)
+		total += units[i]
+	}
 	out := make([]float64, len(ks))
 	for i, k := range ks {
-		p := partition.LPT(q.ints, k)
-		var lmax int64
 		sums := make([]int64, k)
-		for v, a := range p.Assign {
-			sums[a] += q.ints[v]
+		for v, a := range partition.LPT(units, k).Assign {
+			sums[a] += units[v]
 		}
-		for _, s := range sums {
-			if s > lmax {
-				lmax = s
-			}
-		}
-		if lmax > 0 {
-			out[i] = float64(q.total) / float64(lmax)
+		if lmax := slices.Max(sums); lmax > 0 {
+			out[i] = float64(total) / float64(lmax)
 		}
 	}
 	return out
-}
-
-type quantizedLoads struct {
-	ints  []int64
-	total int64
-}
-
-func newQuantizedLoads(loads []float64) quantizedLoads {
-	// Fixed-point at 1e9 relative to the max load keeps ratios intact.
-	var maxV float64
-	for _, l := range loads {
-		if l > maxV {
-			maxV = l
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	scale := 1e9 / maxV
-	q := quantizedLoads{ints: make([]int64, len(loads))}
-	for i, l := range loads {
-		v := int64(l * scale)
-		if l > 0 && v < 1 {
-			v = 1
-		}
-		q.ints[i] = v
-		q.total += v
-	}
-	return q
 }
 
 // runFig4 regenerates Figure 4: the estimated speedup upper bound for the
@@ -122,42 +89,30 @@ func newQuantizedLoads(loads []float64) quantizedLoads {
 // decomposition. The paper's curves flatten at L_tot/l_max, ordered by
 // state size (CA highest, WY lowest).
 func runFig4(w io.Writer, opt Options) error {
-	return runSubBound(w, opt, false)
+	return runSubBound(w, opt, "4", "GP", 0)
 }
 
 // runFig8 is Figure 8: the same sweep after splitLoc; the plateaus rise by
 // orders of magnitude.
 func runFig8(w io.Writer, opt Options) error {
-	return runSubBound(w, opt, true)
+	return runSubBound(w, opt, "8", "GP-splitLoc", maxPartitions)
 }
 
-func runSubBound(w io.Writer, opt Options, split bool) error {
-	opt = opt.withDefaults()
-	states := tableStates(opt.Quick)
-	label := "GP"
-	if split {
-		label = "GP-splitLoc"
-	}
+// runSubBound prints Figure fig: the S_ub series of each state, split for
+// up to parts partitions when parts > 0.
+func runSubBound(w io.Writer, opt Options, fig, label string, parts int) error {
 	fmt.Fprintf(w, "Figure %s — upper bound on estimated speedup vs partitions (%s, 1:%d scale)\n",
-		map[bool]string{false: "4", true: "8"}[split], label, opt.AnalysisScale)
-	for _, name := range states {
-		pop, err := statePop(name, opt.AnalysisScale, opt.Seed)
+		fig, label, opt.AnalysisScale)
+	for _, name := range opt.sizes().states {
+		l, err := locate(name, opt.AnalysisScale, opt.Seed, parts)
 		if err != nil {
 			return err
 		}
-		if split {
-			pop, _, err = splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: 196608})
-			if err != nil {
-				return err
-			}
-		}
-		loads := locationLoads(pop)
-		ks := partitionSweep(len(loads), opt.Quick)
-		series := subSeries(loads, ks)
-		total, lmax := sumMax(loads)
-		fmt.Fprintf(w, "%-4s plateau(Ltot/lmax)=%8.0f  ", name, total/lmax)
+		ks := opt.sizes().partitionSweep(len(l.loads))
+		series := subSeries(l.loads, ks)
+		fmt.Fprintf(w, "%-4s plateau(Ltot/lmax)=%8.0f  ", name, l.total/l.max)
 		for i, k := range ks {
-			fmt.Fprintf(w, " k=%s:%.0f", fmtSI(k), series[i])
+			fmt.Fprintf(w, " k=%d:%.0f", k, series[i])
 		}
 		fmt.Fprintln(w)
 	}
@@ -169,11 +124,6 @@ func runSubBound(w io.Writer, opt Options, split bool) error {
 // decomposition. Before: the bigger the state, the lower S_ub/D (the
 // heavy tail grows with size); after: the decline is repaired.
 func runFig5(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	family := synthpop.StateFamily()
-	if opt.Quick {
-		family = family[:8]
-	}
 	fmt.Fprintf(w, "Figure 5 — max(S_ub/D) per state, before and after decomposition (1:%d scale)\n", opt.Scale)
 	fmt.Fprintf(w, "%-5s %10s %14s %14s %10s\n", "state", "locations", "Sub/D before", "Sub/D after", "gain")
 	type dot struct {
@@ -181,39 +131,24 @@ func runFig5(w io.Writer, opt Options) error {
 		d             int
 		before, after float64
 	}
-	var dots []dot
-	for _, p := range family {
-		pop, err := statePop(p.Name, opt.Scale, opt.Seed)
+	var small, large dot
+	for i, p := range opt.sizes().fig5 {
+		pre, err := locate(p.Name, opt.Scale, opt.Seed, 0)
 		if err != nil {
 			return err
 		}
-		loads := locationLoads(pop)
-		total, lmax := sumMax(loads)
-		d := len(loads)
-		before := total / lmax / float64(d)
-
-		split, _, err := splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: 196608})
+		post, err := locate(p.Name, opt.Scale, opt.Seed, maxPartitions)
 		if err != nil {
 			return err
 		}
-		postLoads := locationLoads(split)
-		totalPost, lmaxPost := sumMax(postLoads)
-		after := totalPost / lmaxPost / float64(len(postLoads))
-		dots = append(dots, dot{p.Name, d, before, after})
-	}
-	var gains []float64
-	for _, d := range dots {
-		gain := d.after / d.before
-		gains = append(gains, gain)
-		fmt.Fprintf(w, "%-5s %10d %14.6g %14.6g %9.1fx\n", d.name, d.d, d.before, d.after, gain)
-	}
-	// The qualitative check of Figure 5(a): S_ub/D decreases with size.
-	small, large := dots[0], dots[0]
-	for _, d := range dots {
-		if d.d < small.d {
+		d := dot{p.Name, len(pre.loads), pre.total / pre.max / float64(len(pre.loads)),
+			post.total / post.max / float64(len(post.loads))}
+		fmt.Fprintf(w, "%-5s %10d %14.6g %14.6g %9.1fx\n", d.name, d.d, d.before, d.after, d.after/d.before)
+		// The qualitative check of Figure 5(a): S_ub/D decreases with size.
+		if i == 0 || d.d < small.d {
 			small = d
 		}
-		if d.d > large.d {
+		if i == 0 || d.d > large.d {
 			large = d
 		}
 	}

@@ -6,14 +6,33 @@ import (
 
 	episim "repro"
 	"repro/internal/charm"
+	"repro/internal/stats"
 )
 
-// commSweep is the rank sweep used by the communication figures.
-func commSweep(quick bool) []int {
-	if quick {
-		return []int{256, 1024}
+// ablation prices IA's RR placement at each rank of the communication
+// sweep with every optimization (column 0), with exactly one of
+// aggregation, SMP mode and completion detection disabled (columns 1-3),
+// and with none (column 4, the first Charm++ implementation's "no-opt").
+func ablation(opt Options) ([][]float64, error) {
+	pop, err := statePop("IA", opt.Scale, opt.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return []int{64, 256, 1024, 4096}
+	base := episim.DefaultPerfOptions()
+	noAgg, noSMP, qd := base, base, base
+	noAgg.Aggregation = 0
+	noSMP.Machine.SMPEnabled = false
+	qd.Sync = charm.QuiescenceDetection
+	var rows [][]float64
+	for _, k := range opt.sizes().commRanks {
+		ts, err := price(pop, episim.PlacementOptions{Strategy: episim.RR, Ranks: k, Seed: opt.Seed},
+			base, noAgg, noSMP, qd, episim.NoOptPerfOptions())
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, ts)
+	}
+	return rows, nil
 }
 
 // runFig9to11 reconstructs Figures 9–11 (the evaluation text for these is
@@ -23,36 +42,16 @@ func commSweep(quick bool) []int {
 // message aggregation — measured as modeled time per day with exactly one
 // optimization disabled at a time.
 func runFig9to11(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	pop, err := statePop("IA", opt.Scale, opt.Seed)
+	rows, err := ablation(opt)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figures 9-11 — communication optimization ablation (IA 1:%d, RR distribution)\n", opt.Scale)
 	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s %12s\n",
 		"ranks", "all-on(s)", "-aggregation", "-SMP", "-CD(use QD)", "none(no-opt)")
-	for _, k := range commSweep(opt.Quick) {
-		pl, err := episim.BuildPlacement(pop, episim.PlacementOptions{
-			Strategy: episim.RR, Ranks: k, Seed: opt.Seed})
-		if err != nil {
-			return err
-		}
-		base := episim.DefaultPerfOptions()
-
-		noAgg := base
-		noAgg.Aggregation = 0
-
-		noSMP := base
-		noSMP.Machine.SMPEnabled = false
-
-		qd := base
-		qd.Sync = charm.QuiescenceDetection
-
-		noOpt := episim.NoOptPerfOptions()
-
-		t := func(o episim.PerfOptions) float64 { return episim.ModelDayTime(pl, o).Total }
-		fmt.Fprintf(w, "%-8d %12.4f %12.4f %12.4f %12.4f %12.4f\n",
-			k, t(base), t(noAgg), t(noSMP), t(qd), t(noOpt))
+	for i, k := range opt.sizes().commRanks {
+		t := rows[i]
+		fmt.Fprintf(w, "%-8d %12.4f %12.4f %12.4f %12.4f %12.4f\n", k, t[0], t[1], t[2], t[3], t[4])
 	}
 	fmt.Fprintf(w, "each column re-enables all optimizations except the named one\n")
 	return nil
@@ -64,32 +63,21 @@ func runFig9to11(w io.Writer, opt Options) error {
 // optimized "RR". The paper reports the combined optimizations provide an
 // additional ~40% reduction in execution time.
 func runFig12(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	pop, err := statePop("IA", opt.Scale, opt.Seed)
+	rows, err := ablation(opt)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 12 — RR no-opt vs RR (IA 1:%d)\n", opt.Scale)
 	fmt.Fprintf(w, "%-8s %14s %14s %12s\n", "ranks", "RR no-opt(s)", "RR(s)", "reduction")
-	var worst, best float64
-	for _, k := range commSweep(opt.Quick) {
-		pl, err := episim.BuildPlacement(pop, episim.PlacementOptions{
-			Strategy: episim.RR, Ranks: k, Seed: opt.Seed})
-		if err != nil {
-			return err
-		}
-		tNoOpt := episim.ModelDayTime(pl, episim.NoOptPerfOptions()).Total
-		tOpt := episim.ModelDayTime(pl, episim.DefaultPerfOptions()).Total
+	var reductions []float64
+	for i, k := range opt.sizes().commRanks {
+		tOpt, tNoOpt := rows[i][0], rows[i][4]
 		red := 1 - tOpt/tNoOpt
-		if red > best {
-			best = red
-		}
-		if worst == 0 || red < worst {
-			worst = red
-		}
+		reductions = append(reductions, red)
 		fmt.Fprintf(w, "%-8d %14.4f %14.4f %11.1f%%\n", k, tNoOpt, tOpt, red*100)
 	}
+	s := stats.Summarize(reductions)
 	fmt.Fprintf(w, "reduction range %.0f%%..%.0f%% across the sweep (paper: ~40%% combined)\n",
-		worst*100, best*100)
+		s.Min*100, s.Max*100)
 	return nil
 }

@@ -145,20 +145,21 @@ func TestFig4PlateausOrdered(t *testing.T) {
 }
 
 func TestQuickVsFullStateSets(t *testing.T) {
-	if len(tableStates(true)) >= len(tableStates(false)) {
+	quick, full := quickOpts().sizes(), Options{}.sizes()
+	if len(quick.states) >= len(full.states) {
 		t.Fatal("quick set should be smaller")
 	}
-	if len(fig13States(true)) >= len(fig13States(false)) {
+	if len(quick.fig13States) >= len(full.fig13States) {
 		t.Fatal("quick fig13 set should be smaller")
 	}
 }
 
 func TestPartitionSweepCaps(t *testing.T) {
-	ks := partitionSweep(1000, false)
+	ks := Options{}.sizes().partitionSweep(1000)
 	if ks[len(ks)-1] > 3072*4 {
 		t.Fatalf("sweep not capped: %v", ks)
 	}
-	full := partitionSweep(1<<30, false)
+	full := Options{}.sizes().partitionSweep(1 << 30)
 	if full[len(full)-1] != 196608 {
 		t.Fatalf("full sweep should reach 196608: %v", full)
 	}

@@ -11,13 +11,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// desSample is one measured location-day: workload counters plus measured
-// Go execution seconds of the DES.
-type desSample struct {
-	events        float64
-	interactions  float64
-	sumReciprocal float64
-	seconds       float64
+// desSamples are measured location-days, one per index: workload
+// counters plus measured Go execution seconds of the DES.
+type desSamples struct {
+	events, interactions, sumReciprocal, seconds []float64
 }
 
 // measureDES synthesizes location-days across a range of visitor counts
@@ -25,20 +22,15 @@ type desSample struct {
 // behind Figure 3(a,b). Like the paper ("we build the model by measuring
 // LocationManagers' processing time due to the limited timer precision"),
 // each point repeats the DES enough times for the timer to resolve it.
-func measureDES(opt Options) []desSample {
-	sizes := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-	pointsPer := 6
-	if opt.Quick {
-		sizes = []int{8, 32, 128, 512}
-		pointsPer = 3
-	}
+func measureDES(opt Options) desSamples {
+	sz := opt.sizes()
 	// Room density and infectious fraction vary per point so the dynamic
 	// model's interaction terms are not collinear with the event count.
 	divisors := []int{12, 30, 60}
 	infFracs := []float64{0.1, 0.25, 0.4}
-	var samples []desSample
-	for _, n := range sizes {
-		for pt := 0; pt < pointsPer; pt++ {
+	var samples desSamples
+	for _, n := range sz.desVisitors {
+		for pt := 0; pt < sz.desPoints; pt++ {
 			s := xrand.NewStream(opt.Seed + uint64(n*100+pt))
 			visitors := make([]des.Visitor, n)
 			subs := 1 + n/divisors[pt%len(divisors)]
@@ -77,12 +69,10 @@ func measureDES(opt Options) []desSample {
 				}
 				reps *= 4
 			}
-			samples = append(samples, desSample{
-				events:        float64(r.Events),
-				interactions:  float64(r.Interactions),
-				sumReciprocal: r.SumReciprocal,
-				seconds:       elapsed.Seconds() / float64(reps),
-			})
+			samples.events = append(samples.events, float64(r.Events))
+			samples.interactions = append(samples.interactions, float64(r.Interactions))
+			samples.sumReciprocal = append(samples.sumReciprocal, r.SumReciprocal)
+			samples.seconds = append(samples.seconds, elapsed.Seconds()/float64(reps))
 		}
 	}
 	return samples
@@ -93,15 +83,9 @@ func measureDES(opt Options) []desSample {
 // dynamic model fit quality; (c) the location in-degree distribution; (d)
 // the static load distribution.
 func runFig3(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-
 	// (a) static model: predicted vs observed.
 	samples := measureDES(opt)
-	var events, secs []float64
-	for _, s := range samples {
-		events = append(events, s.events)
-		secs = append(secs, s.seconds)
-	}
+	events, inter, recip, secs := samples.events, samples.interactions, samples.sumReciprocal, samples.seconds
 	static, err := loadmodel.FitStatic(events, secs)
 	if err != nil {
 		return err
@@ -121,17 +105,12 @@ func runFig3(w io.Writer, opt Options) error {
 		errWeighted*100, errStatic*100)
 
 	// (b) dynamic model.
-	var inter, recip []float64
-	for _, s := range samples {
-		inter = append(inter, s.interactions)
-		recip = append(recip, s.sumReciprocal)
-	}
 	dyn, err := loadmodel.FitDynamic(events, inter, recip, secs)
 	if err != nil {
 		return err
 	}
 	var dynPred []float64
-	for i := range samples {
+	for i := range events {
 		dynPred = append(dynPred, dyn.Load(events[i], inter[i], recip[i]))
 	}
 	fmt.Fprintf(w, "Figure 3(b) — dynamic load model Y = %.3g + %.3g*events + %.3g*inter + %.3g*recip\n",
@@ -140,26 +119,22 @@ func runFig3(w io.Writer, opt Options) error {
 		stats.R2(dynPred, secs), timeWeightedError(dynPred, secs)*100)
 
 	// (c, d) distributions for the Table II states.
-	states := tableStates(opt.Quick)
+	states := opt.sizes().states
 	fmt.Fprintf(w, "Figure 3(c) — location in-degree CCDF (unique visitors), 1:%d scale\n", opt.AnalysisScale)
 	for _, name := range states {
 		pop, err := statePop(name, opt.AnalysisScale, opt.Seed)
 		if err != nil {
 			return err
 		}
-		degrees := make([]float64, 0, pop.NumLocations())
-		for _, d := range pop.UniqueVisitorsPerLocation() {
-			degrees = append(degrees, float64(d))
-		}
-		printCCDFRow(w, name, degrees)
+		printCCDFRow(w, name, degrees(pop))
 	}
 	fmt.Fprintf(w, "\nFigure 3(d) — static load CCDF per location (model units)\n")
 	for _, name := range states {
-		pop, err := statePop(name, opt.AnalysisScale, opt.Seed)
+		l, err := locate(name, opt.AnalysisScale, opt.Seed, 0)
 		if err != nil {
 			return err
 		}
-		printCCDFRow(w, name, locationLoads(pop))
+		printCCDFRow(w, name, l.loads)
 	}
 	return nil
 }

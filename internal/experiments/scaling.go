@@ -9,74 +9,40 @@ import (
 	"repro/internal/stats"
 )
 
-// fig13States are the four states of Figure 13.
-func fig13States(quick bool) []string {
-	if quick {
-		return []string{"IA"}
-	}
-	return []string{"CA", "MI", "IA", "AR"}
-}
-
-// fig13Sweep returns the core-module sweep, capped so the partitioner has
-// at least minVerticesPerPart vertices per part.
-func fig13Sweep(vertices int, quick bool) []int {
-	full := []int{1, 4, 16, 64, 256, 1024, 4096, 16384}
-	if quick {
-		full = []int{1, 16, 256, 2048}
-	}
-	var out []int
-	for _, k := range full {
-		if k > 1 && vertices/k < 4 {
-			break
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-// strategyOptions lists the four curves of Figure 13.
-func strategyOptions() []episim.PlacementOptions {
-	return []episim.PlacementOptions{
-		{Strategy: episim.RR},
-		{Strategy: episim.GP},
-		{Strategy: episim.RR, SplitLoc: true},
-		{Strategy: episim.GP, SplitLoc: true},
-	}
-}
-
 // runFig13 regenerates Figure 13: strong scaling of simulation time per
 // day versus core-modules for each state and distribution strategy. The
 // paper's shape: RR and GP flatten early (bounded by the heaviest
 // location, Section III-B), while the splitLoc variants keep scaling, with
 // GP-splitLoc winning at scale on communication.
 func runFig13(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
 	perf := episim.DefaultPerfOptions()
-	for _, name := range fig13States(opt.Quick) {
+	for _, name := range opt.sizes().fig13States {
 		pop, err := statePop(name, opt.Scale, opt.Seed)
 		if err != nil {
 			return err
 		}
-		vertices := pop.NumPersons() + pop.NumLocations()
-		ks := fig13Sweep(vertices, opt.Quick)
+		ks := opt.sizes().moduleSweep(pop.NumPersons() + pop.NumLocations())
 		fmt.Fprintf(w, "Figure 13 — %s (1:%d): simulation time per day (s) vs core-modules\n", name, opt.Scale)
 		fmt.Fprintf(w, "%-14s", "strategy")
 		for _, k := range ks {
 			fmt.Fprintf(w, " %10d", k)
 		}
 		fmt.Fprintln(w)
-		for _, po := range strategyOptions() {
-			po.Ranks = 1
+		for _, po := range []episim.PlacementOptions{
+			{Strategy: episim.RR},
+			{Strategy: episim.GP},
+			{Strategy: episim.RR, SplitLoc: true},
+			{Strategy: episim.GP, SplitLoc: true},
+		} {
 			po.Seed = opt.Seed
 			fmt.Fprintf(w, "%-14s", po.Label())
 			for _, k := range ks {
 				po.Ranks = k
-				pl, err := episim.BuildPlacement(pop, po)
+				t, err := price(pop, po, perf)
 				if err != nil {
 					return err
 				}
-				t := episim.ModelDayTime(pl, perf).Total
-				fmt.Fprintf(w, " %10.4f", t)
+				fmt.Fprintf(w, " %10.4f", t[0])
 			}
 			fmt.Fprintln(w)
 		}
@@ -91,12 +57,7 @@ func runFig13(w io.Writer, opt Options) error {
 // reports ratios from 2.7x (NY) to 19x (WY), averaging 7.83x across the
 // seven states at the largest partition counts.
 func runFig14(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	states := tableStates(opt.Quick)
-	ks := []int{48, 768, 3072}
-	if opt.Quick {
-		ks = []int{48, 768}
-	}
+	ks := opt.sizes().cutRanks
 	fmt.Fprintf(w, "Figure 14 — max per-partition edge cut (GP-splitLoc, 1:%d)\n", opt.Scale)
 	fmt.Fprintf(w, "%-5s", "state")
 	for _, k := range ks {
@@ -104,7 +65,7 @@ func runFig14(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintln(w)
 	var lastRatios []float64
-	for _, name := range states {
+	for _, name := range opt.sizes().states {
 		pop, err := statePop(name, opt.Scale, opt.Seed)
 		if err != nil {
 			return err
@@ -145,34 +106,25 @@ func runFig14(w io.Writer, opt Options) error {
 // 360,448 cores (16.3%)", vs the prior state of the art's 10,000 on 64K
 // (15.2%).
 func runHeadline(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	scale := opt.Scale
-	if opt.Quick {
-		scale *= 4
-	}
+	sz := opt.sizes()
+	scale := opt.Scale * sz.usDivisor
 	pop, err := statePop("US", scale, opt.Seed)
 	if err != nil {
 		return err
 	}
 	perf := episim.DefaultPerfOptions()
 	fmt.Fprintf(w, "Headline — US (1:%d), speedup and efficiency vs core-modules\n", scale)
-
-	ks := []int{1, 16, 256, 4096, 16384, 65536}
-	if opt.Quick {
-		ks = []int{1, 64, 1024, 8192}
-	}
-	type row struct {
+	ks := sz.usModules
+	for _, r := range []struct {
 		label string
 		po    episim.PlacementOptions
 		maxK  int
-	}
-	rows := []row{
+	}{
 		{"RR (no split)", episim.PlacementOptions{Strategy: episim.RR}, 1 << 30},
 		{"RR-splitLoc", episim.PlacementOptions{Strategy: episim.RR, SplitLoc: true}, 1 << 30},
 		{"GP-splitLoc", episim.PlacementOptions{Strategy: episim.GP, SplitLoc: true},
 			(pop.NumPersons() + pop.NumLocations()) / 8},
-	}
-	for _, r := range rows {
+	} {
 		var t1 float64
 		fmt.Fprintf(w, "%-14s", r.label)
 		for _, k := range ks {
@@ -184,11 +136,11 @@ func runHeadline(w io.Writer, opt Options) error {
 			po.Ranks = k
 			po.Seed = opt.Seed
 			po.SplitMaxPartitions = ks[len(ks)-1]
-			pl, err := episim.BuildPlacement(pop, po)
+			ts, err := price(pop, po, perf)
 			if err != nil {
 				return err
 			}
-			t := episim.ModelDayTime(pl, perf).Total
+			t := ts[0]
 			if k == 1 {
 				t1 = t
 				fmt.Fprintf(w, " %22s", fmt.Sprintf("t1=%.1fs", t))

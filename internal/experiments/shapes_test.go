@@ -94,7 +94,7 @@ func TestTable2ImprovementFactorsPositive(t *testing.T) {
 			t.Fatalf("splitLoc made %s worse: %vx", fields[0], f)
 		}
 	}
-	if rows != len(tableStates(true)) {
-		t.Fatalf("parsed %d improvement rows, want %d:\n%s", rows, len(tableStates(true)), buf.String())
+	if want := len(quickOpts().sizes().states); rows != want {
+		t.Fatalf("parsed %d improvement rows, want %d:\n%s", rows, want, buf.String())
 	}
 }

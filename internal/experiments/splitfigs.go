@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/graph"
 	"repro/internal/splitloc"
 	"repro/internal/stats"
 )
@@ -13,27 +14,25 @@ import (
 // dividing its edges (a) versus retaining them (b).
 func runFig6(w io.Writer, opt Options) error {
 	g := fig2Graph()
-	maxDeg := func(gr interface {
-		NumVertices() int
-		Degree(int) int
-	}) int {
+	maxDeg := func(gr *graph.Graph) int {
 		m := 0
 		for v := 0; v < gr.NumVertices(); v++ {
-			if d := gr.Degree(v); d > m {
-				m = d
-			}
+			m = max(m, gr.Degree(v))
 		}
 		return m
 	}
 	fmt.Fprintf(w, "Figure 6 — splitting heavy node 1 (weight 8, degree %d) into two\n", g.Degree(0))
-	div := splitloc.DivideEdgesVertex(g, 0, 2)
-	ret := splitloc.RetainEdgesVertex(g, 0, 2)
-	fmt.Fprintf(w, "(a) divide edges: vertices %d->%d, edges %d->%d, max degree %d->%d, fragment weights %d/%d\n",
-		g.NumVertices(), div.NumVertices(), g.NumEdges(), div.NumEdges(),
-		maxDeg(g), maxDeg(div), div.VertexWeight(0, 0), div.VertexWeight(13, 0))
-	fmt.Fprintf(w, "(b) retain edges: vertices %d->%d, edges %d->%d, max degree %d->%d, fragment weights %d/%d\n",
-		g.NumVertices(), ret.NumVertices(), g.NumEdges(), ret.NumEdges(),
-		maxDeg(g), maxDeg(ret), ret.VertexWeight(0, 0), ret.VertexWeight(13, 0))
+	for _, split := range []struct {
+		label string
+		g     *graph.Graph
+	}{
+		{"(a) divide edges", splitloc.DivideEdgesVertex(g, 0, 2)},
+		{"(b) retain edges", splitloc.RetainEdgesVertex(g, 0, 2)},
+	} {
+		fmt.Fprintf(w, "%s: vertices %d->%d, edges %d->%d, max degree %d->%d, fragment weights %d/%d\n",
+			split.label, g.NumVertices(), split.g.NumVertices(), g.NumEdges(), split.g.NumEdges(),
+			maxDeg(g), maxDeg(split.g), split.g.VertexWeight(0, 0), split.g.VertexWeight(13, 0))
+	}
 	fmt.Fprintf(w, "divide-edges halves both load and communication; retain-edges halves only load\n")
 	fmt.Fprintf(w, "(EpiSimdemics uses divide-edges: people only interact within a sublocation)\n")
 	return nil
@@ -44,34 +43,23 @@ func runFig6(w io.Writer, opt Options) error {
 // the paper quotes: d_max down ~54x on average (max 341x, min 12x), graph
 // size up at most 5.25%.
 func runFig7(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	states := tableStates(opt.Quick)
 	fmt.Fprintf(w, "Figure 7 — distributions after splitLoc (1:%d scale)\n", opt.AnalysisScale)
 	var degReductions, growths []float64
-	for _, name := range states {
-		pop, err := statePop(name, opt.AnalysisScale, opt.Seed)
+	for _, name := range opt.sizes().states {
+		l, err := locate(name, opt.AnalysisScale, opt.Seed, maxPartitions)
 		if err != nil {
 			return err
 		}
-		split, st, err := splitloc.SplitPopulation(pop, splitloc.Options{MaxPartitions: 196608})
-		if err != nil {
-			return err
-		}
-		degReductions = append(degReductions, float64(st.MaxDegreePre)/float64(st.MaxDegreePost))
+		st := l.split
+		reduction := float64(st.MaxDegreePre) / float64(st.MaxDegreePost)
+		degReductions = append(degReductions, reduction)
 		growths = append(growths, st.GrowthFrac)
-
 		fmt.Fprintf(w, "%-4s split %d locations into %d; d_max %d -> %d (%.0fx); D grew %.2f%%\n",
-			name, st.NumSplit, st.NumFragments, st.MaxDegreePre, st.MaxDegreePost,
-			float64(st.MaxDegreePre)/float64(st.MaxDegreePost), st.GrowthFrac*100)
-
-		degrees := make([]float64, 0, split.NumLocations())
-		for _, d := range split.UniqueVisitorsPerLocation() {
-			degrees = append(degrees, float64(d))
-		}
+			name, st.NumSplit, st.NumFragments, st.MaxDegreePre, st.MaxDegreePost, reduction, st.GrowthFrac*100)
 		fmt.Fprintf(w, "  (a) degree ")
-		printCCDFRow(w, name, degrees)
+		printCCDFRow(w, name, degrees(l.pop))
 		fmt.Fprintf(w, "  (b) load   ")
-		printCCDFRow(w, name, locationLoads(split))
+		printCCDFRow(w, name, l.loads)
 	}
 	d := stats.Summarize(degReductions)
 	gr := stats.Summarize(growths)
