@@ -117,8 +117,7 @@ type Config struct {
 	// aggregation buffers instead of P and buffers fill better at scale.
 	// Requires AggBufferSize > 0. Messages are still delivered exactly
 	// once; the intermediate hop only re-buffers.
-	Route2D  bool
-	SyncMode SyncMode
+	Route2D bool
 }
 
 // PhaseStats reports what happened between two Drain calls.

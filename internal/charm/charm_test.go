@@ -240,16 +240,15 @@ func TestPhaseStatsReset(t *testing.T) {
 	}
 }
 
-// Both synchronization modes must drain a phase completely; what each
-// costs is internal/machine's SyncCost (TestSyncCostOrdering there).
+// A parallel drain ends only after the last message of a chain; the
+// runtime has no synchronization mode, what each costs is
+// internal/machine's SyncCost (TestSyncCostOrdering there).
 func TestSyncModeRounds(t *testing.T) {
-	for _, mode := range []SyncMode{CompletionDetection, QuiescenceDetection} {
-		rt := New(Config{PEs: 2, Parallel: true, SyncMode: mode})
-		id := newRing(rt, 2)
-		rt.Send(ChareRef{Array: id, Index: 0}, intMsg{ttl: 3})
-		if st := rt.Drain(); st.Messages != 3 {
-			t.Fatalf("SyncMode %d: %d messages, want 3", mode, st.Messages)
-		}
+	rt := New(Config{PEs: 2, Parallel: true})
+	id := newRing(rt, 2)
+	rt.Send(ChareRef{Array: id, Index: 0}, intMsg{ttl: 3})
+	if st := rt.Drain(); st.Messages != 3 {
+		t.Fatalf("%d messages, want 3", st.Messages)
 	}
 }
 

@@ -82,7 +82,11 @@ type Config struct {
 	AggBufferSize int
 	// Route2D enables TRAM-style topological routing of aggregated
 	// messages (charm.Config.Route2D); it requires AggBufferSize > 0.
-	Route2D  bool
+	Route2D bool
+	// SyncMode is ignored: the engine detects each phase's end exactly, and
+	// only episim.PerfOptions.Sync prices a synchronization mode. The field
+	// stays only because bench/sim.go sets it; it goes with the next change
+	// to the benchmark.
 	SyncMode charm.SyncMode
 	// ChareFactor over-decomposes: managers per rank per array. Default 1.
 	ChareFactor int
@@ -385,7 +389,6 @@ func (pl *Plan) New(cfg Config) (*Engine, error) {
 		Parallel:      cfg.Parallel,
 		AggBufferSize: cfg.AggBufferSize,
 		Route2D:       cfg.Route2D,
-		SyncMode:      cfg.SyncMode,
 	})
 	e.effects = interventions.NewEffects()
 	e.isolated = make([]bool, e.model.NumStates())
