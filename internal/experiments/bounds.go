@@ -103,12 +103,13 @@ func runFig8(w io.Writer, opt Options) error {
 func runSubBound(w io.Writer, opt Options, fig, label string, parts int) error {
 	fmt.Fprintf(w, "Figure %s — upper bound on estimated speedup vs partitions (%s, 1:%d scale)\n",
 		fig, label, opt.AnalysisScale)
-	for _, name := range opt.sizes().states {
+	sz := opt.sizes()
+	for _, name := range sz.states {
 		l, err := locate(name, opt.AnalysisScale, opt.Seed, parts)
 		if err != nil {
 			return err
 		}
-		ks := opt.sizes().partitionSweep(len(l.loads))
+		ks := sz.partitionSweep(len(l.loads))
 		series := subSeries(l.loads, ks)
 		fmt.Fprintf(w, "%-4s plateau(Ltot/lmax)=%8.0f  ", name, l.total/l.max)
 		for i, k := range ks {

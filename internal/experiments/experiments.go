@@ -174,7 +174,7 @@ func statePop(name string, scale int, seed uint64) (*synthpop.Population, error)
 }
 
 // maxPartitions is the paper's largest partition count, the one splitLoc
-// splits for in Figures 4-8.
+// splits for in Figures 5, 7 and 8.
 const maxPartitions = 196608
 
 // located is a state's population, split for up to some number of

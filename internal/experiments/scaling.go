@@ -16,12 +16,13 @@ import (
 // GP-splitLoc winning at scale on communication.
 func runFig13(w io.Writer, opt Options) error {
 	perf := episim.DefaultPerfOptions()
-	for _, name := range opt.sizes().fig13States {
+	sz := opt.sizes()
+	for _, name := range sz.fig13States {
 		pop, err := statePop(name, opt.Scale, opt.Seed)
 		if err != nil {
 			return err
 		}
-		ks := opt.sizes().moduleSweep(pop.NumPersons() + pop.NumLocations())
+		ks := sz.moduleSweep(pop.NumPersons() + pop.NumLocations())
 		fmt.Fprintf(w, "Figure 13 — %s (1:%d): simulation time per day (s) vs core-modules\n", name, opt.Scale)
 		fmt.Fprintf(w, "%-14s", "strategy")
 		for _, k := range ks {
