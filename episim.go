@@ -134,7 +134,9 @@ type Placement struct {
 // BuildBipartiteGraph constructs the weighted bipartite person–location
 // graph of Section III-B: person vertices carry the person-phase load
 // (message count), location vertices the location-phase load (static load
-// model of Section III-A), and edges carry visit multiplicity.
+// model of Section III-A), and edges carry visit multiplicity. The edge
+// weights sum to the population's visit count, which its int32 visit
+// offsets bound, so graph's int32 weights hold them exactly.
 func BuildBipartiteGraph(pop *Population) *graph.Graph {
 	nP, nL := pop.NumPersons(), pop.NumLocations()
 	vw := make([]int64, 2*(nP+nL))
@@ -150,7 +152,7 @@ func BuildBipartiteGraph(pop *Population) *graph.Graph {
 	// visitors.
 	xadj := make([]int32, nP+nL+1)
 	adj := make([]int32, 0, 2*pop.NumVisits())
-	ew := make([]int64, 0, 2*pop.NumVisits())
+	ew := make([]int32, 0, 2*pop.NumVisits())
 	var locs []int32
 	for p := int32(0); p < int32(nP); p++ {
 		visits := pop.PersonVisits(p)

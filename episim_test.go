@@ -71,7 +71,7 @@ func bipartiteViaBuilder(pop *Population) *graph.Graph {
 		b.SetVertexWeight(nP+l, 1, q.Quantize(locLoads[l]))
 	}
 	type edgeKey struct{ p, l int32 }
-	edges := make(map[edgeKey]int64)
+	edges := make(map[edgeKey]int32)
 	for p := int32(0); p < int32(nP); p++ {
 		visits := pop.PersonVisits(p)
 		b.SetVertexWeight(int(p), 0, int64(loadmodel.PersonLoad(len(visits))))

@@ -7,7 +7,14 @@
 // Vertices carry a *vector* of integer weights (one component per balance
 // constraint) because the paper partitions under multi-constraint balance:
 // one constraint for the person-phase load and one for the location-phase
-// load. Edges carry a single integer weight (communication volume).
+// load. Edges carry a single int32 weight (communication volume). Every
+// graph the reproduction builds bounds it: the bipartite graph's weights are
+// visit counts summing to the population's visits, which the population's
+// int32 visit offsets already hold under math.MaxInt32, and a coarse or
+// induced edge weighs at most the sum of the edges it stands for. Builder
+// enforces the same bound on hand-written graphs: Build panics on a total
+// past it instead of wrapping. Sums of weights (gains, cuts, totals) are
+// int64.
 //
 // There are two ways to make a Graph. Builder takes edges in any order, with
 // duplicates, and is for graphs written by hand: examples, figures, tests.
@@ -19,6 +26,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -33,7 +41,7 @@ type Graph struct {
 
 	xadj  []int32 // len numV+1; adjacency offsets
 	adj   []int32 // neighbor ids
-	edgeW []int64 // weight per adjacency entry (symmetric)
+	edgeW []int32 // weight per adjacency entry (symmetric)
 	vw    []int64 // vertex weights, len numV*nCon, component-major per vertex
 }
 
@@ -51,7 +59,7 @@ func (g *Graph) Degree(v int) int { return int(g.xadj[v+1] - g.xadj[v]) }
 
 // Neighbors returns the neighbor ids and edge weights of v. The returned
 // slices alias internal storage and must not be modified.
-func (g *Graph) Neighbors(v int) ([]int32, []int64) {
+func (g *Graph) Neighbors(v int) ([]int32, []int32) {
 	lo, hi := g.xadj[v], g.xadj[v+1]
 	return g.adj[lo:hi], g.edgeW[lo:hi]
 }
@@ -80,14 +88,14 @@ func (g *Graph) TotalVertexWeight(c int) int64 {
 func (g *Graph) TotalEdgeWeight() int64 {
 	var sum int64
 	for _, w := range g.edgeW {
-		sum += w
+		sum += int64(w)
 	}
 	return sum / 2
 }
 
 // EdgeWeightBetween returns the weight of edge {u,v}, or 0 if absent.
 // Lookup is O(log deg(u)).
-func (g *Graph) EdgeWeightBetween(u, v int) int64 {
+func (g *Graph) EdgeWeightBetween(u, v int) int32 {
 	lo, hi := int(g.xadj[u]), int(g.xadj[u+1])
 	idx := sort.Search(hi-lo, func(i int) bool { return g.adj[lo+i] >= int32(v) })
 	if idx < hi-lo && g.adj[lo+idx] == int32(v) {
@@ -144,7 +152,8 @@ type Builder struct {
 	vw   []int64
 	us   []int32
 	vs   []int32
-	ws   []int64
+	ws   []int32
+	sum  int64 // of ws: Build refuses a total past math.MaxInt32
 }
 
 // NewBuilder creates a builder for numV vertices with nCon weight
@@ -163,25 +172,33 @@ func NewBuilder(numV, nCon int) *Builder {
 // SetVertexWeight sets component c of v's weight vector.
 func (b *Builder) SetVertexWeight(v, c int, w int64) { b.vw[v*b.nCon+c] = w }
 
-// AddEdge records an undirected edge {u,v} with weight w. Repeated calls
-// with the same endpoints accumulate weight. Self loops are ignored.
-func (b *Builder) AddEdge(u, v int, w int64) {
+// AddEdge records an undirected edge {u,v} with weight w >= 0. Repeated
+// calls with the same endpoints accumulate weight. Self loops are ignored.
+func (b *Builder) AddEdge(u, v int, w int32) {
 	if u == v {
 		return
 	}
 	if u < 0 || u >= b.numV || v < 0 || v >= b.numV {
 		panic(fmt.Sprintf("graph: AddEdge endpoint out of range: {%d,%d} with numV=%d", u, v, b.numV))
 	}
+	if w < 0 {
+		panic(fmt.Sprintf("graph: AddEdge weight %d of {%d,%d} is negative", w, u, v))
+	}
 	b.us = append(b.us, int32(u))
 	b.vs = append(b.vs, int32(v))
 	b.ws = append(b.ws, w)
+	b.sum += int64(w)
 }
 
 // Build constructs the CSR graph: count degrees, fill each row in insertion
 // order, sort every row with one transpose (sortRows) and merge the
-// duplicates that are now adjacent. The builder can be reused afterwards,
-// but edges already added remain.
+// duplicates that are now adjacent. It panics if the edges weigh more than
+// math.MaxInt32 together, the bound under which no merged weight can wrap.
+// The builder can be reused afterwards, but edges already added remain.
 func (b *Builder) Build() *Graph {
+	if b.sum > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: edges weigh %d in total, past the int32 range", b.sum))
+	}
 	n := b.numV
 	xadj := make([]int32, n+1)
 	for i := range b.us {
@@ -192,7 +209,7 @@ func (b *Builder) Build() *Graph {
 		xadj[v+1] += xadj[v]
 	}
 	rowAdj := make([]int32, xadj[n])
-	rowW := make([]int64, xadj[n])
+	rowW := make([]int32, xadj[n])
 	cursor := make([]int32, n)
 	copy(cursor, xadj[:n])
 	for i := range b.us {
@@ -238,10 +255,10 @@ func (b *Builder) Build() *Graph {
 // ascending neighbor order, and because the matrix is symmetric the output
 // is the input with sorted rows (duplicates stay, now adjacent). cursor is
 // scratch of len(xadj)-1.
-func sortRows(xadj, rowAdj []int32, rowW []int64, cursor []int32) ([]int32, []int64) {
+func sortRows(xadj, rowAdj, rowW, cursor []int32) ([]int32, []int32) {
 	n := len(xadj) - 1
 	adj := make([]int32, len(rowAdj))
-	ew := make([]int64, len(rowW))
+	ew := make([]int32, len(rowW))
 	copy(cursor, xadj[:n])
 	for u := 0; u < n; u++ {
 		for i := xadj[u]; i < xadj[u+1]; i++ {
@@ -260,7 +277,7 @@ func sortRows(xadj, rowAdj []int32, rowW []int64, cursor []int32) ([]int32, []in
 // natively — the partitioner's coarsening step, whose rows are unsorted,
 // and episim.BuildBipartiteGraph — and their check is a differential test
 // against a Builder-built graph (rows sorted first), not a run-time one.
-func NewFromCSR(nCon int, xadj []int32, adj []int32, edgeW []int64, vw []int64) *Graph {
+func NewFromCSR(nCon int, xadj, adj, edgeW []int32, vw []int64) *Graph {
 	numV := len(xadj) - 1
 	return &Graph{numV: numV, nCon: nCon, xadj: xadj, adj: adj, edgeW: edgeW, vw: vw}
 }
@@ -285,7 +302,7 @@ func (g *Graph) InducedSubgraph(vertices []int32) *Graph {
 	n := len(vertices)
 	xadj := make([]int32, n+1)
 	adj := make([]int32, 0, bound)
-	ew := make([]int64, 0, bound)
+	ew := make([]int32, 0, bound)
 	vw := make([]int64, 0, n*g.nCon)
 	for i, v := range vertices {
 		vw = append(vw, g.VertexWeights(int(v))...)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -124,7 +125,7 @@ func randomGraph(seed uint64, n, m int) *Graph {
 		b.SetVertexWeight(v, 1, int64(s.Intn(100)+1))
 	}
 	for i := 0; i < m; i++ {
-		b.AddEdge(s.Intn(n), s.Intn(n), int64(s.Intn(10)+1))
+		b.AddEdge(s.Intn(n), s.Intn(n), int32(s.Intn(10)+1))
 	}
 	return b.Build()
 }
@@ -195,7 +196,7 @@ func TestInducedSubgraphPreservesTotals(t *testing.T) {
 func buildViaSort(b *Builder) *Graph {
 	type entry struct {
 		id int32
-		w  int64
+		w  int32
 	}
 	rows := make([][]entry, b.numV)
 	for i := range b.us {
@@ -235,7 +236,7 @@ func TestBuildMatchesSortReference(t *testing.T) {
 			b.SetVertexWeight(v, int(seed)%2, int64(s.Intn(9)))
 		}
 		for i := 0; i < 400; i++ {
-			b.AddEdge(s.Intn(n), s.Intn(n), int64(s.Intn(5)))
+			b.AddEdge(s.Intn(n), s.Intn(n), int32(s.Intn(5)))
 		}
 		got, want := b.Build(), buildViaSort(b)
 		if err := got.Validate(); err != nil {
@@ -299,7 +300,7 @@ func TestNewFromCSR(t *testing.T) {
 	g := NewFromCSR(1,
 		[]int32{0, 1, 3, 4},
 		[]int32{1, 0, 2, 1},
-		[]int64{1, 1, 1, 1},
+		[]int32{1, 1, 1, 1},
 		[]int64{1, 1, 1})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -317,6 +318,33 @@ func TestBuilderPanics(t *testing.T) {
 	}()
 	b := NewBuilder(2, 1)
 	b.AddEdge(0, 5, 1)
+}
+
+// Edge weights are int32 because every graph's total fits one; a Builder
+// given more refuses to build rather than wrap a merged weight, and a
+// negative weight is refused where it is added.
+func TestBuilderRejectsWeightPastInt32(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	b := NewBuilder(3, 1)
+	b.AddEdge(0, 1, math.MaxInt32)
+	if w := b.Build().TotalEdgeWeight(); w != math.MaxInt32 {
+		t.Fatalf("total edge weight %d, want %d", w, math.MaxInt32)
+	}
+	b.AddEdge(1, 0, 1) // merges into {0,1}, which would wrap
+	mustPanic("merged weight past the range", func() { b.Build() })
+	b = NewBuilder(3, 1)
+	b.AddEdge(0, 1, math.MaxInt32/2+1)
+	b.AddEdge(1, 2, math.MaxInt32/2+1) // no edge past the range, their total is
+	mustPanic("total past the range", func() { b.Build() })
+	mustPanic("negative weight", func() { NewBuilder(2, 1).AddEdge(0, 1, -1) })
 }
 
 func BenchmarkBuild(b *testing.B) {

@@ -6,3 +6,7 @@ var (
 	RandomGraph    = randomGraph
 	CommunityGraph = communityGraph
 )
+
+// Busy is the process-wide count of busy bisection goroutines, which a test
+// fills to keep a build on one goroutine.
+var Busy = &busy

@@ -2,6 +2,9 @@ package partition
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -50,7 +53,8 @@ func (o Options) withDefaults() Options {
 // graph, and boundary Fiduccia–Mattheyses refinement during uncoarsening —
 // the METIS algorithm family the paper uses, including multi-constraint
 // balance (every component of the vertex weight vectors is balanced
-// independently).
+// independently). Bisections of disjoint subgraphs may run on other
+// goroutines (see busy); the result is the same on any number of cores.
 func Multilevel(g *graph.Graph, k int, opt Options) *Partitioning {
 	opt = opt.withDefaults()
 	n := g.NumVertices()
@@ -75,56 +79,129 @@ func Multilevel(g *graph.Graph, k int, opt Options) *Partitioning {
 	}
 	opt.Imbalance = perLevel
 
-	type job struct {
-		sub   *graph.Graph
-		verts []int32 // sub vertex -> original vertex; nil = identity
-		k     int
-		base  int32
-	}
-	wk := newWorkspace(g)
-	stack := []job{{sub: g, k: k, base: 0}}
-	for len(stack) > 0 {
-		j := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nSub := j.sub.NumVertices()
-		if j.k == 1 || nSub == 0 {
-			for v := 0; v < nSub; v++ {
-				p.Assign[origID(j.verts, v)] = j.base
-			}
-			continue
-		}
-		k1 := j.k / 2
-		f := float64(k1) / float64(j.k)
-		seed := xrand.Hash(opt.Seed, uint64(j.base), uint64(j.k))
-		side := bisect(j.sub, f, opt, seed, wk)
-
-		// Both selections ascend, in one array: side 0 fills it from the
-		// front, side 1 from its own offset.
-		n0 := 0
-		for _, sd := range side {
-			if sd == 0 {
-				n0++
-			}
-		}
-		sel := make([]int32, nSub)
-		v0, v1 := sel[:0:n0], sel[n0:n0]
-		for v, sd := range side {
-			if sd == 0 {
-				v0 = append(v0, int32(v))
-			} else {
-				v1 = append(v1, int32(v))
-			}
-		}
-		s0, s1 := j.sub.InducedSubgraph(v0), j.sub.InducedSubgraph(v1)
-		for i, sv := range sel {
-			sel[i] = origID(j.verts, int(sv))
-		}
-		stack = append(stack,
-			job{sub: s0, verts: v0, k: k1, base: j.base},
-			job{sub: s1, verts: v1, k: j.k - k1, base: j.base + int32(k1)},
-		)
-	}
+	busy.Add(1)
+	defer busy.Add(-1)
+	r := recursion{assign: p.Assign, opt: opt}
+	r.part(g, nil, k, 0, newWorkspace(g))
 	return p
+}
+
+// busy counts the goroutines running Multilevel bisections in the process,
+// across calls: each call counts its own, and a bisection hands its second
+// subgraph to a new goroutine only while the count is below GOMAXPROCS. The
+// count is process-wide because builds already run side by side (a sweep
+// builds GP and GP-splitLoc at once): a budget per call put four goroutines,
+// each with its own coarse hierarchy, on two cores, and was slower than
+// none.
+var busy atomic.Int32
+
+// minSpawn is the fewest vertices a subgraph must have to be handed to a new
+// goroutine; smaller ones cost less than the hand-over is worth.
+const minSpawn = 2048
+
+// recursion is what every bisection of one Multilevel call shares: the
+// assignment, of which each bisection writes its own vertices' entries, and
+// the options. Each bisection's seed is a function of the options' seed and
+// of its own parts alone, so neither the order nor the goroutine the
+// bisections run on changes a placement.
+type recursion struct {
+	assign []int32
+	opt    Options
+}
+
+// part splits sub (k >= 2 parts, numbered from base) and recurses into both
+// sides; vertex v of sub is vertex verts[v] of the input graph (nil: the
+// identity).
+func (r *recursion) part(sub *graph.Graph, verts []int32, k int, base int32, wk *workspace) {
+	n := sub.NumVertices()
+	k1 := k / 2
+	f := float64(k1) / float64(k)
+	seed := xrand.Hash(r.opt.Seed, uint64(base), uint64(k))
+	side := bisect(sub, f, r.opt, seed, wk)
+
+	// Both selections ascend, in one array: side 0 fills it from the
+	// front, side 1 from its own offset.
+	n0 := 0
+	for _, sd := range side {
+		if sd == 0 {
+			n0++
+		}
+	}
+	sel := make([]int32, n)
+	v0, v1 := sel[:0:n0], sel[n0:n0]
+	for v, sd := range side {
+		if sd == 0 {
+			v0 = append(v0, int32(v))
+		} else {
+			v1 = append(v1, int32(v))
+		}
+	}
+	s0, s1 := induce(sub, v0, k1), induce(sub, v1, k-k1)
+	for i, sv := range sel {
+		sel[i] = origID(verts, int(sv))
+	}
+	base1 := base + int32(k1)
+	if s1 != nil && len(v1) >= minSpawn && acquire() {
+		// The second side runs beside the first on the part of wk the
+		// first leaves alone; a panic there resurfaces here, where the
+		// caller can recover it.
+		lent := wk.lend(n0, n)
+		done := make(chan any, 1)
+		go func() {
+			defer func() {
+				busy.Add(-1)
+				done <- recover()
+			}()
+			r.next(s1, v1, k-k1, base1, lent)
+		}()
+		r.next(s0, v0, k1, base, wk)
+		busy.Add(-1) // idle while waiting: let another bisection run
+		pv := <-done
+		busy.Add(1)
+		if pv != nil {
+			panic(pv)
+		}
+		wk.reclaim(lent)
+		return
+	}
+	r.next(s0, v0, k1, base, wk)
+	r.next(s1, v1, k-k1, base1, wk)
+}
+
+// next places one side of a bisection: a single part takes all its
+// vertices, an empty side has nothing to place, and any other is split.
+func (r *recursion) next(sub *graph.Graph, verts []int32, k int, base int32, wk *workspace) {
+	switch {
+	case k == 1:
+		for _, v := range verts {
+			r.assign[v] = base
+		}
+	case len(verts) > 0:
+		r.part(sub, verts, k, base, wk)
+	}
+}
+
+// induce returns the subgraph of sub on sel when a bisection will split it
+// further, and nil when it will not (one part, or no vertices).
+func induce(sub *graph.Graph, sel []int32, k int) *graph.Graph {
+	if k == 1 || len(sel) == 0 {
+		return nil
+	}
+	return sub.InducedSubgraph(sel)
+}
+
+// acquire counts one more busy goroutine if the count is below GOMAXPROCS.
+func acquire() bool {
+	procs := int32(runtime.GOMAXPROCS(0))
+	for {
+		b := busy.Load()
+		if b >= procs {
+			return false
+		}
+		if busy.CompareAndSwap(b, b+1) {
+			return true
+		}
+	}
 }
 
 func origID(verts []int32, v int) int32 {
@@ -134,10 +211,11 @@ func origID(verts []int32, v int) int32 {
 	return verts[v]
 }
 
-// workspace is the scratch of one Multilevel call, sized by the top-level
-// graph — every coarse graph and every bisection's subgraph is smaller —
-// and reused by every coarsening level, refinement pass and bisection of
-// that call. It belongs to the call: concurrent builds share nothing.
+// workspace is the scratch of one goroutine of a Multilevel call, sized by
+// the top-level graph — every coarse graph and every bisection's subgraph
+// is smaller — and reused by every coarsening level, refinement pass and
+// bisection it runs. Concurrent builds share nothing; within a call, a
+// spawned goroutine borrows part of its parent's (lend, reclaim).
 type workspace struct {
 	side  []int8       // bisect: the bisection being projected and refined
 	match []int32      // contract: matching partner
@@ -147,12 +225,17 @@ type workspace struct {
 	moved []bool       // refine2way: moved this pass; initialBisect: in the region
 	queue gainQueue    // refine2way, initialBisect
 	neg   []gainEntry  // refine2way: the negative-gain entries held out of the queue
-	i32   arena[int32] // contract: one bisection's cmaps and coarse graphs,
-	i64   arena[int64] // which die before bisect returns; bisect empties both
+	i32   arena[int32] // contract: one bisection's cmaps, offsets and adjacency,
+	ew    arena[int32] // its coarse edge weights
+	i64   arena[int64] // and its coarse vertex weights, which die before bisect returns
 }
 
+// newWorkspace sizes each arena's chunks to what contract asks of it on g,
+// at most: its cmap, offsets and adjacency; its edge weights; its vertex
+// weights. Every later request, on g's coarse graphs or on a subgraph's,
+// is smaller.
 func newWorkspace(g *graph.Graph) *workspace {
-	n := g.NumVertices()
+	n, m := g.NumVertices(), 2*g.NumEdges()
 	return &workspace{
 		side:  make([]int8, n),
 		match: make([]int32, n),
@@ -160,29 +243,90 @@ func newWorkspace(g *graph.Graph) *workspace {
 		gain:  make([]int64, n),
 		ext:   make([]int32, n),
 		moved: make([]bool, n),
+		i32:   arena[int32]{size: 2*n + 1 + m},
+		ew:    arena[int32]{size: m},
+		i64:   arena[int64]{size: n * g.NumConstraints()},
 	}
 }
 
-// arena is a bump allocator emptied by zeroing off. Growing starts a larger
-// buffer and leaves the old one to the slices already cut from it.
+// lend returns the workspace of a goroutine that bisects the second
+// subgraph of a bisection of n vertices, n0 of them in the first, while the
+// caller goes on with the first on wk: the per-vertex arrays from n0 on,
+// which the first never reaches, and a share of every arena's chunks in
+// proportion to the second's vertices, so two hierarchies of half the size
+// mostly fit in the chunks one hierarchy filled. Queues start empty.
+func (wk *workspace) lend(n0, n int) *workspace {
+	return &workspace{
+		side:  wk.side[n0:],
+		match: wk.match[n0:],
+		pos:   wk.pos[n0:],
+		gain:  wk.gain[n0:],
+		ext:   wk.ext[n0:],
+		moved: wk.moved[n0:],
+		i32:   wk.i32.lend(n-n0, n),
+		ew:    wk.ew.lend(n-n0, n),
+		i64:   wk.i64.lend(n-n0, n),
+	}
+}
+
+// reclaim takes back the chunks lent to w, and any it added, once its
+// goroutine has ended.
+func (wk *workspace) reclaim(w *workspace) {
+	wk.i32.reclaim(&w.i32)
+	wk.ew.reclaim(&w.ew)
+	wk.i64.reclaim(&w.i64)
+}
+
+// arena is a bump allocator over chunks of one size, set from the top-level
+// graph. A request takes the first chunk with room for it, so the small
+// coarse levels fill what the large ones left; reset empties every chunk
+// and keeps it, so a goroutine allocates the hierarchy of its largest
+// bisection once.
 type arena[T int32 | int64] struct {
-	buf []T
-	off int
+	size   int   // length of a new chunk
+	chunks [][]T // each of length size, or of one larger request
+	used   []int // per chunk
+	last   int   // the chunk of the latest alloc, which trim shortens
 }
 
 func (a *arena[T]) alloc(n int) []T {
-	if a.off+n > len(a.buf) {
-		a.buf, a.off = make([]T, max(n, 2*len(a.buf))), 0
+	i := 0
+	for i < len(a.chunks) && a.used[i]+n > len(a.chunks[i]) {
+		i++
 	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
+	if i == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]T, max(n, a.size)))
+		a.used = append(a.used, 0)
+	}
+	off := a.used[i]
+	a.used[i], a.last = off+n, i
+	return a.chunks[i][off : off+n : off+n]
 }
 
 // trim shortens s, the last slice alloc returned, to n, giving the rest back.
 func (a *arena[T]) trim(s []T, n int) []T {
-	a.off -= len(s) - n
+	a.used[a.last] -= len(s) - n
 	return s[:n:n]
+}
+
+func (a *arena[T]) reset() { clear(a.used) }
+
+// lend moves the share m/n of a's chunks to a new arena of the same chunk
+// size.
+func (a *arena[T]) lend(m, n int) arena[T] {
+	keep := len(a.chunks) - len(a.chunks)*m/n
+	b := arena[T]{
+		size:   a.size,
+		chunks: slices.Clone(a.chunks[keep:]),
+		used:   make([]int, len(a.chunks)-keep),
+	}
+	a.chunks, a.used = a.chunks[:keep], a.used[:keep]
+	return b
+}
+
+func (a *arena[T]) reclaim(b *arena[T]) {
+	a.chunks = append(a.chunks, b.chunks...)
+	a.used = append(a.used, b.used...)
 }
 
 // bisect splits g into sides 0/1 where side 0 targets fraction f of every
@@ -190,7 +334,9 @@ func (a *arena[T]) trim(s []T, n int) []T {
 // bisect on the same workspace.
 func bisect(g *graph.Graph, f float64, opt Options, seed uint64, wk *workspace) []int8 {
 	s := xrand.NewStream(seed)
-	wk.i32.off, wk.i64.off = 0, 0
+	wk.i32.reset()
+	wk.ew.reset()
+	wk.i64.reset()
 	// Coarsening phase.
 	graphs := []*graph.Graph{g}
 	var cmaps [][]int32
@@ -246,7 +392,7 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 		// (a sorted row's first maximum) in a row of any order.
 		nbrs, ws := g.Neighbors(int(v))
 		best := int32(-1)
-		var bestW int64 = -1
+		var bestW int32 = -1
 		for i, u := range nbrs {
 			if match[u] < 0 && (ws[i] > bestW || ws[i] == bestW && u < best) {
 				best, bestW = u, ws[i]
@@ -277,8 +423,10 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 	for i := range pos {
 		pos[i] = -1
 	}
-	// A coarse row is no longer than its members' rows together.
-	adj, ew := wk.i32.alloc(2*g.NumEdges()), wk.i64.alloc(2*g.NumEdges())
+	// A coarse row is no longer than its members' rows together, less the
+	// two entries of the edge a matched pair collapses.
+	bound := 2*g.NumEdges() - 2*(n-int(numCoarse))
+	adj, ew := wk.i32.alloc(bound), wk.ew.alloc(bound)
 	out := int32(0)
 	for v := 0; v < n; v++ {
 		m := int(match[v])
@@ -315,7 +463,7 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 		}
 	}
 	xadj[numCoarse] = out
-	return cmap, graph.NewFromCSR(nCon, xadj, wk.i32.trim(adj, int(out)), wk.i64.trim(ew, int(out)), vw)
+	return cmap, graph.NewFromCSR(nCon, xadj, wk.i32.trim(adj, int(out)), wk.ew.trim(ew, int(out)), vw)
 }
 
 // initialBisect seeds side 0 by greedy graph growing: grow a region from a
@@ -374,7 +522,7 @@ func initialBisect(g *graph.Graph, f float64, opt Options, s *xrand.Stream, wk *
 		nbrs, ws := g.Neighbors(int(v))
 		for i, u := range nbrs {
 			if !inRegion[u] {
-				conn[u] += ws[i]
+				conn[u] += int64(ws[i])
 				h.push(gainEntry{gain: conn[u], v: u})
 			}
 		}
@@ -434,7 +582,7 @@ func cutWeight(g *graph.Graph, side []int8) int64 {
 		nbrs, ws := g.Neighbors(v)
 		for i, u := range nbrs {
 			if int(u) > v && side[u] != side[v] {
-				cut += ws[i]
+				cut += int64(ws[i])
 			}
 		}
 	}
@@ -560,8 +708,8 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 		nbrs, ws := g.Neighbors(v)
 		for i, u := range nbrs {
 			o := int64(side[u] ^ sv) // 1 across the cut, 0 within a side
-			d += o * ws[i]
-			all += ws[i]
+			d += o * int64(ws[i])
+			all += int64(ws[i])
 			x += o
 		}
 		gain[v] = 2*d - all
@@ -597,10 +745,21 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 		}
 		return delta
 	}
+	// within reports whether both sides stay within their caps once a vertex
+	// with weights vw moves src→dst.
+	within := func(src, dst int8, vw []int64) bool {
+		for c := 0; c < nCon; c++ {
+			if partW[src][c]-vw[c] > caps[src][c] || partW[dst][c]+vw[c] > caps[dst][c] {
+				return false
+			}
+		}
+		return true
+	}
 
 	// Every gain >= 0 pops before every negative one, and with balance fine
-	// the first valid negative pop ends the pass: negative entries wait
-	// unsorted in neg, heaped only if the heap runs dry with a side overweight.
+	// no pop of gain <= 0 is accepted, so the pass ends at the first: negative
+	// entries wait unsorted in neg, heaped only if the heap runs dry with a
+	// side overweight.
 	moved, h, neg := wk.moved[:n], &wk.queue, wk.neg[:0]
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		h.reset()
@@ -622,12 +781,16 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 		var passGain int64
 		var passRepair float64
 		movesMade := 0
+		over := overweight(0) || overweight(1)
 		for {
-			if h.len() == 0 && split && (overweight(0) || overweight(1)) {
+			if h.len() == 0 && split && over {
 				h.e, split = append(h.e, neg...), false
 				h.heapify()
 			}
-			if h.len() == 0 {
+			// With both sides within their caps a move is accepted only at a
+			// positive gain, and a rejected pop changes nothing: once the
+			// best gain left is not positive, no later pop can be accepted.
+			if h.len() == 0 || !over && h.e[0].gain <= 0 {
 				break
 			}
 			e := h.pop()
@@ -641,16 +804,16 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 			if counts[src] <= 1 {
 				continue
 			}
-			delta := violationDelta(src, dst, vw)
+			// Within caps before the move and after it, every term of
+			// violationDelta is exactly 0.
+			var delta float64
+			if over || !within(src, dst, vw) {
+				delta = violationDelta(src, dst, vw)
+			}
 			// Accept cut-improving moves that do not hurt balance, and
 			// balance-repairing moves at any gain (this is what fixes the
 			// violations projection leaves behind).
 			if !(delta < 0 || (gain[v] > 0 && delta <= 0)) {
-				if gain[v] < 0 && !overweight(src) && !overweight(dst) {
-					// Heap is gain-ordered and balance is already fine:
-					// nothing below can help.
-					break
-				}
 				continue
 			}
 			passRepair -= delta
@@ -665,15 +828,16 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 				partW[src][c] -= vw[c]
 				partW[dst][c] += vw[c]
 			}
+			over = overweight(0) || overweight(1)
 			gain[v] = -gain[v]
 			nbrs, ws := g.Neighbors(v)
 			ext[v] = int32(len(nbrs)) - ext[v]
 			for i, u := range nbrs {
 				if side[u] == dst {
-					gain[u] -= 2 * ws[i]
+					gain[u] -= 2 * int64(ws[i])
 					ext[u]--
 				} else {
-					gain[u] += 2 * ws[i]
+					gain[u] += 2 * int64(ws[i])
 					ext[u]++
 				}
 				if moved[u] { // a moved vertex is out of this pass

@@ -15,10 +15,18 @@
 // of Figure 14, and the S_ub = L_tot/L_max speedup bound.
 //
 // Multilevel is the cold placement build's cost, so it goes through no
-// general-purpose container: coarse graphs and bisection subgraphs are
-// written as CSR (graph.NewFromCSR, Graph.InducedSubgraph), the FM gain
-// queue is a typed heap, and one workspace per call (with arenas for one
-// bisection's coarse graphs) is reused by every level, pass and bisection.
+// general-purpose container: coarse graphs are written as CSR into arenas
+// (graph.NewFromCSR) and bisection subgraphs by Graph.InducedSubgraph, the
+// side that becomes a single part gets none, the FM gain queue is a typed
+// heap, and one workspace per goroutine is reused by every level, pass and
+// bisection it runs. Its arenas keep their chunks, sized from the top
+// graph, across bisections, so a goroutine allocates one hierarchy, its
+// largest. A bisection's second subgraph of 2,048 vertices or more runs on a
+// new goroutine while fewer than GOMAXPROCS are busy in the process (one
+// atomic count across calls), on the part of its parent's workspace the
+// first subgraph does not reach and a share of its chunks, so the peak
+// stays that of one hierarchy; each bisection's seed depends only on its
+// parts, so the placement does not depend on where it ran.
 // Coarse rows stay in first-seen order, as nothing reads them in order: the
 // matching breaks weight ties to the lower id, gains and cuts are sums, and
 // the queue's order is total, so refinement may also hold its negative
@@ -207,8 +215,9 @@ func Evaluate(g *graph.Graph, p *Partitioning) Quality {
 		for i, u := range nbrs {
 			pu := p.Assign[u]
 			if pu != pv {
-				q.EdgeCut += ws[i] // counted once per endpoint; halved below
-				perPartCut[pv] += ws[i]
+				w := int64(ws[i])
+				q.EdgeCut += w // counted once per endpoint; halved below
+				perPartCut[pv] += w
 			}
 		}
 	}

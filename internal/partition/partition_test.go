@@ -332,7 +332,7 @@ func randomGraph(seed uint64, n, m int, wMax int64) *graph.Graph {
 		b.AddEdge(v-1, v, 1)
 	}
 	for i := 0; i < m; i++ {
-		b.AddEdge(s.Intn(n), s.Intn(n), int64(1+s.Intn(3)))
+		b.AddEdge(s.Intn(n), s.Intn(n), int32(1+s.Intn(3)))
 	}
 	return b.Build()
 }

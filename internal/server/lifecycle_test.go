@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,5 +197,51 @@ func TestJobLifecycleOrdering(t *testing.T) {
 				t.Fatalf("states sum to %d of %d sweeps: %+v", sum, stats.SweepsTotal, stats)
 			}
 		})
+	}
+}
+
+// TestSchedulerPanicFailsOnlyItsJob: a runner that panics fails its own job,
+// with the panic and its stack as the error, and the daemon goes on serving:
+// the job queued behind it in the only admission slot runs to done, and so
+// does one submitted afterwards.
+func TestSchedulerPanicFailsOnlyItsJob(t *testing.T) {
+	const panicSeed = 99
+	ctx := context.Background()
+	step := make(chan struct{}, 64)
+	for i := 0; i < cap(step); i++ {
+		step <- struct{}{}
+	}
+	scripted := scriptedRunner(step)
+	run := func(ctx context.Context, spec *episim.SweepSpec, opts *episim.SweepOptions) (*episim.SweepResult, error) {
+		if spec.Seed == panicSeed {
+			panic("runner exploded")
+		}
+		return scripted(ctx, spec, opts)
+	}
+	_, c := newTestServer(t, Config{Workers: 1, MaxActive: 1, CacheDir: t.TempDir()}, run)
+	bad := testServerSpec()
+	bad.Seed = panicSeed
+	badAck, err := c.Submit(ctx, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextAck, err := c.Submit(ctx, testServerSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, c, badAck.ID)
+	if st.State != client.StateFailed || !strings.HasPrefix(st.Error, "panic: runner exploded\n") ||
+		!strings.Contains(st.Error, "TestSchedulerPanicFailsOnlyItsJob") {
+		t.Fatalf("panicking job ended %s with error %q, want failed with the panic and its stack", st.State, st.Error)
+	}
+	if st := waitTerminal(t, c, nextAck.ID); st.State != client.StateDone {
+		t.Fatalf("job queued behind the panic ended %s (%s), want done", st.State, st.Error)
+	}
+	lastAck, err := c.Submit(ctx, testServerSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, c, lastAck.ID); st.State != client.StateDone {
+		t.Fatalf("job submitted after the panic ended %s (%s), want done", st.State, st.Error)
 	}
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -143,13 +145,20 @@ func (s *scheduler) runner() {
 
 // execute runs one sweep end to end: transition to running, stream each
 // finalized cell into the job's hub, then terminate it with the state the
-// run's outcome names.
+// run's outcome names. A panic while the job runs fails that job alone,
+// with the stack as its error, and the runner goes on to the next.
 func (s *scheduler) execute(j *job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 	if !s.store.markRunning(j, cancel) {
 		return // canceled while queued
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			s.store.terminate(j, client.StateRunning, client.StateFailed,
+				fmt.Sprintf("panic: %v\n%s", p, debug.Stack()), nil)
+		}
+	}()
 
 	// Clamp the sweep's own goroutine count to the service pool: the
 	// shared slots bound actual parallelism, the clamp just avoids
