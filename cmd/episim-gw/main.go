@@ -120,28 +120,25 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	admission := "admission off"
-	if *submitRate > 0 || *maxInflight > 0 {
-		admission = fmt.Sprintf("admission rate=%g/s max-inflight=%d", *submitRate, *maxInflight)
-	}
-	fmt.Fprintf(os.Stderr, "episim-gw: listening on %s, fronting %d backends (probe every %v, eject after %d failures, spill depth %d, %s)\n",
-		*addr, len(urls), *probeInterval, *failAfter, *spillDepth, admission)
+	log.Info("listening", "addr", *addr, "backends", len(urls), "probe_interval", *probeInterval,
+		"fail_after", *failAfter, "spill_depth", *spillDepth,
+		"submit_rate", *submitRate, "max_inflight", *maxInflight)
 
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "episim-gw:", err)
+			log.Error("serve failed", "err", err)
 			os.Exit(1)
 		}
 	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "episim-gw: shutting down")
+		log.Info("shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if debugSrv != nil {
 			_ = debugSrv.Shutdown(shutdownCtx)
 		}
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "episim-gw: shutdown:", err)
+			log.Error("shutdown failed", "err", err)
 		}
 		gw.Close()
 	}

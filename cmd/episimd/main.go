@@ -126,21 +126,17 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	persist := "memory-only"
-	if *cacheDir != "" {
-		persist = "cache-dir=" + *cacheDir
-	}
-	fmt.Fprintf(os.Stderr, "episimd: listening on %s (workers=%d max-active=%d cache=%dMiB %s retain=%d)\n",
-		*addr, *workers, *maxActive, *cacheMB, persist, *retain)
+	log.Info("listening", "addr", *addr, "workers", *workers, "max_active", *maxActive,
+		"cache_mib", *cacheMB, "cache_dir", *cacheDir, "retain", *retain)
 
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "episimd:", err)
+			log.Error("serve failed", "err", err)
 			os.Exit(1)
 		}
 	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "episimd: shutting down")
+		log.Info("shutting down")
 		srv.Close() // cancel running sweeps, flush terminal events
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -148,7 +144,7 @@ func main() {
 			_ = debugSrv.Shutdown(shutdownCtx)
 		}
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "episimd: shutdown:", err)
+			log.Error("shutdown failed", "err", err)
 			os.Exit(1)
 		}
 	}

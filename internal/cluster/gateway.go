@@ -73,8 +73,8 @@ type Config struct {
 	SubmitRate float64
 	// SubmitBurst is the token-bucket capacity (0 = max(1, 2×SubmitRate)).
 	SubmitBurst int
-	// Logger receives the gateway's structured log lines (nil = a plain
-	// text logger on stderr at info level, the historical behavior).
+	// Logger receives the gateway's log lines (nil = slog's text lines on
+	// stderr at info level).
 	Logger *obs.Logger
 }
 

@@ -25,16 +25,13 @@ import (
 // deadline.
 const controlTimeout = 15 * time.Second
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
+// The gateway's own replies use the daemon's JSON and error bodies.
+var writeJSON = server.WriteJSON
 
+// writeError is declared as a function, not a variable, so that go vet
+// checks the format strings passed to it.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	server.WriteError(w, status, format, args...)
 }
 
 // backendHeader stamps which backend served a proxied request —

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -162,12 +161,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.collectStats(r.Context()))
 }
 
-// promHeader writes one metric's HELP/TYPE block. Per-backend series
-// share a name, so the block is written once before all of them.
-func promHeader(w io.Writer, name, kind, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
 // handleMetrics renders the aggregate in the per-instance Prometheus
 // vocabulary (episimd_*, summed across backends — one scrape target for
 // the fleet) followed by the gateway's own episim_gw_* series, its
@@ -188,13 +181,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"episim_gw_submissions_rerouted_total", "counter", "Submissions that fell past their cache-affine first choice.", float64(st.Gateway.Rerouted)},
 		{"episim_gw_spilled_total", "counter", "Submissions diverted off a healthy-but-saturated owner by the spill bound.", float64(st.Gateway.Spilled)},
 	} {
-		promHeader(w, m.name, m.kind, m.help)
+		obs.PromHeader(w, m.name, m.kind, m.help)
 		fmt.Fprintf(w, "%s %s\n", m.name, strconv.FormatFloat(m.val, 'g', -1, 64))
 	}
-	promHeader(w, "episim_gw_throttled_total", "counter", "429s from gateway admission control, by reason.")
+	obs.PromHeader(w, "episim_gw_throttled_total", "counter", "429s from gateway admission control, by reason.")
 	fmt.Fprintf(w, "episim_gw_throttled_total{reason=\"rate\"} %d\n", st.Gateway.ThrottledRate)
 	fmt.Fprintf(w, "episim_gw_throttled_total{reason=\"inflight\"} %d\n", st.Gateway.ThrottledInflight)
-	promHeader(w, "episim_gw_backend_up", "gauge", "1 while the backend passes health probes.")
+	obs.PromHeader(w, "episim_gw_backend_up", "gauge", "1 while the backend passes health probes.")
 	for _, bs := range st.Backends {
 		up := 0
 		if bs.Healthy {
@@ -202,11 +195,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(w, "episim_gw_backend_up{backend=%q,url=%q} %d\n", bs.Name, bs.URL, up)
 	}
-	promHeader(w, "episim_gw_backend_routed_total", "counter", "Submissions this gateway routed to the backend.")
+	obs.PromHeader(w, "episim_gw_backend_routed_total", "counter", "Submissions this gateway routed to the backend.")
 	for _, bs := range st.Backends {
 		fmt.Fprintf(w, "episim_gw_backend_routed_total{backend=%q} %d\n", bs.Name, bs.Routed)
 	}
-	promHeader(w, "episim_gw_backend_queue_depth", "gauge", "The gateway's current queue-depth estimate for the backend.")
+	obs.PromHeader(w, "episim_gw_backend_queue_depth", "gauge", "The gateway's current queue-depth estimate for the backend.")
 	for _, bs := range st.Backends {
 		fmt.Fprintf(w, "episim_gw_backend_queue_depth{backend=%q} %d\n", bs.Name, bs.QueueDepth)
 	}

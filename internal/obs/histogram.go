@@ -1,6 +1,6 @@
 // Package obs is the stack's zero-dependency telemetry layer: latency
 // histograms with Prometheus text rendering, trace ids and per-job span
-// timelines, a leveled structured logger, and opt-in pprof/runtime
+// timelines, the daemons' log/slog set-up, and opt-in pprof/runtime
 // instrumentation. Everything here is stdlib-only by design — episimd,
 // episim-gw and the sweep CLI all link it, and none of them may grow a
 // dependency for observability's sake.
@@ -245,6 +245,16 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// PromHeader writes one metric family's HELP/TYPE block in Prometheus
+// text format, once before all of the family's series. A family without
+// help text gets only its TYPE line.
+func PromHeader(w io.Writer, name, kind, help string) {
+	if help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
+}
+
 // WriteHistogramsProm renders snapshots in Prometheus text format:
 // cumulative _bucket series (le-labelled, ending at +Inf), _sum and
 // _count, with one # HELP/# TYPE block per family. Snapshots sharing a
@@ -254,10 +264,7 @@ func WriteHistogramsProm(w io.Writer, snaps []HistogramSnapshot) {
 	prev := ""
 	for _, s := range snaps {
 		if s.Name != prev {
-			if s.Help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", s.Name, s.Help)
-			}
-			fmt.Fprintf(w, "# TYPE %s histogram\n", s.Name)
+			PromHeader(w, s.Name, "histogram", s.Help)
 			prev = s.Name
 		}
 		cum := uint64(0)

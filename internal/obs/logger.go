@@ -1,37 +1,25 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"log/slog"
 	"strings"
-	"sync"
-	"time"
 )
+
+// Logger is the daemons' structured logger. It is log/slog's, so go vet
+// checks the key/value pairs of every call.
+type Logger = slog.Logger
 
 // Level is a log severity.
-type Level int
+type Level = slog.Level
 
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
 
 // ParseLevel maps a -log-level flag value to a Level.
 func ParseLevel(s string) (Level, error) {
@@ -48,145 +36,29 @@ func ParseLevel(s string) (Level, error) {
 	return LevelInfo, fmt.Errorf("obs: unknown log level %q (debug|info|warn|error)", s)
 }
 
-// Logger is a leveled, structured logger writing one line per event:
-// "<component>: msg key=val ..." in text mode (the daemons' historical
-// stderr shape, plus fields), or a single JSON object in json mode.
-// A trace field correlates log lines with a job's trace id. Methods are
-// nil-safe no-ops, so optional logging needs no guards.
-type Logger struct {
-	mu        *sync.Mutex
-	w         io.Writer
-	jsonMode  bool
-	level     Level
-	component string
-	fields    []kv
-	now       func() time.Time
-}
-
-type kv struct {
-	k string
-	v any
-}
-
-// NewLogger builds a logger for component writing to w. format is
-// "text" or "json"; anything else falls back to text.
+// NewLogger builds component's logger writing to w at level. format is
+// "json" for one JSON object per line, keyed for log shippers: ts
+// (RFC 3339, UTC), a lower-case level, msg, component, then the event's
+// fields. Anything else gives slog's key=value text lines.
 func NewLogger(w io.Writer, format string, level Level, component string) *Logger {
-	if w == nil {
-		w = os.Stderr
+	opts := &slog.HandlerOptions{Level: level}
+	if !strings.EqualFold(format, "json") {
+		return slog.New(slog.NewTextHandler(w, opts)).With("component", component)
 	}
-	return &Logger{
-		mu:        &sync.Mutex{},
-		w:         w,
-		jsonMode:  strings.EqualFold(format, "json"),
-		level:     level,
-		component: component,
-		now:       time.Now,
-	}
+	opts.ReplaceAttr = shipperKeys
+	return slog.New(slog.NewJSONHandler(w, opts)).With("component", component)
 }
 
-// With returns a child logger with fields bound to every line (keys and
-// values alternate: With("trace", id, "job", jid)).
-func (l *Logger) With(kvs ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	child.fields = append(append([]kv(nil), l.fields...), pairs(kvs)...)
-	return &child
-}
-
-func pairs(kvs []any) []kv {
-	out := make([]kv, 0, len(kvs)/2)
-	for i := 0; i+1 < len(kvs); i += 2 {
-		k, ok := kvs[i].(string)
-		if !ok {
-			k = fmt.Sprint(kvs[i])
+// shipperKeys renames slog's time key to ts, in UTC, and lower-cases the
+// level.
+func shipperKeys(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 {
+		switch a.Key {
+		case slog.TimeKey:
+			return slog.Time("ts", a.Value.Time().UTC())
+		case slog.LevelKey:
+			return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
 		}
-		out = append(out, kv{k: k, v: kvs[i+1]})
 	}
-	return out
-}
-
-func (l *Logger) Debug(msg string, kvs ...any) { l.log(LevelDebug, msg, kvs) }
-func (l *Logger) Info(msg string, kvs ...any)  { l.log(LevelInfo, msg, kvs) }
-func (l *Logger) Warn(msg string, kvs ...any)  { l.log(LevelWarn, msg, kvs) }
-func (l *Logger) Error(msg string, kvs ...any) { l.log(LevelError, msg, kvs) }
-
-func (l *Logger) log(lvl Level, msg string, kvs []any) {
-	if l == nil || lvl < l.level {
-		return
-	}
-	fields := append(append([]kv(nil), l.fields...), pairs(kvs)...)
-	var line []byte
-	if l.jsonMode {
-		obj := map[string]any{
-			"ts":    l.now().UTC().Format(time.RFC3339Nano),
-			"level": lvl.String(),
-			"msg":   msg,
-		}
-		if l.component != "" {
-			obj["component"] = l.component
-		}
-		for _, f := range fields {
-			if _, taken := obj[f.k]; taken {
-				continue // reserved keys win; a field named "msg" must not clobber the message
-			}
-			obj[f.k] = jsonSafe(f.v)
-		}
-		b, err := json.Marshal(obj)
-		if err != nil {
-			// Map keys are sorted by encoding/json, and jsonSafe below
-			// stringifies anything non-marshalable, so this is unreachable;
-			// degrade to text rather than drop the event if it ever fires.
-			b = []byte(fmt.Sprintf("{%q:%q}", "msg", msg))
-		}
-		line = append(b, '\n')
-	} else {
-		var sb strings.Builder
-		if l.component != "" {
-			sb.WriteString(l.component)
-			sb.WriteString(": ")
-		}
-		if lvl != LevelInfo {
-			sb.WriteString(strings.ToUpper(lvl.String()))
-			sb.WriteString(" ")
-		}
-		sb.WriteString(msg)
-		for _, f := range fields {
-			fmt.Fprintf(&sb, " %s=%s", f.k, textValue(f.v))
-		}
-		sb.WriteString("\n")
-		line = []byte(sb.String())
-	}
-	l.mu.Lock()
-	_, _ = l.w.Write(line)
-	l.mu.Unlock()
-}
-
-// jsonSafe passes marshalable values through and stringifies the rest
-// (errors, in particular, marshal to {} otherwise).
-func jsonSafe(v any) any {
-	switch t := v.(type) {
-	case error:
-		return t.Error()
-	case fmt.Stringer:
-		return t.String()
-	}
-	if _, err := json.Marshal(v); err != nil {
-		return fmt.Sprint(v)
-	}
-	return v
-}
-
-// textValue renders one field value for text mode, quoting anything
-// with spaces so lines stay machine-splittable.
-func textValue(v any) string {
-	s := fmt.Sprint(jsonSafe(v))
-	if strings.ContainsAny(s, " \t\n\"") {
-		return fmt.Sprintf("%q", s)
-	}
-	if s == "" {
-		return `""`
-	}
-	return s
+	return a
 }

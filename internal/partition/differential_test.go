@@ -329,7 +329,7 @@ func refine2wayReference(g *graph.Graph, side []int8, f float64, opt Options, wk
 	}
 
 	moved, h := wk.moved[:n], &wk.queue
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		h.reset()
 		clear(moved)
 		for v := 0; v < n; v++ {

@@ -19,15 +19,14 @@ type Options struct {
 	Imbalance float64
 	// Seed makes partitioning deterministic. Default 1.
 	Seed uint64
-	// CoarsestSize stops coarsening when the graph is this small.
-	// Default 120 vertices.
-	CoarsestSize int
-	// InitTries is the number of greedy-growing attempts for the initial
-	// bisection of the coarsest graph. Default 4.
-	InitTries int
-	// MaxPasses bounds FM refinement passes per level. Default 6.
-	MaxPasses int
 }
+
+// Fixed tuning of the multilevel scheme.
+const (
+	coarsestSize = 120 // coarsening stops at this many vertices
+	initTries    = 4   // greedy-growing attempts at the coarsest bisection
+	maxPasses    = 6   // FM refinement passes per level
+)
 
 func (o Options) withDefaults() Options {
 	if o.Imbalance <= 0 {
@@ -35,15 +34,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CoarsestSize <= 0 {
-		o.CoarsestSize = 120
-	}
-	if o.InitTries <= 0 {
-		o.InitTries = 4
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 6
 	}
 	return o
 }
@@ -340,7 +330,7 @@ func bisect(g *graph.Graph, f float64, opt Options, seed uint64, wk *workspace) 
 	// Coarsening phase.
 	graphs := []*graph.Graph{g}
 	var cmaps [][]int32
-	for graphs[len(graphs)-1].NumVertices() > opt.CoarsestSize {
+	for graphs[len(graphs)-1].NumVertices() > coarsestSize {
 		cur := graphs[len(graphs)-1]
 		cmap, coarse := contract(cur, s, wk)
 		if coarse.NumVertices() > cur.NumVertices()*95/100 {
@@ -469,7 +459,7 @@ func contract(g *graph.Graph, s *xrand.Stream, wk *workspace) ([]int32, *graph.G
 // initialBisect seeds side 0 by greedy graph growing: grow a region from a
 // random vertex, always absorbing the frontier vertex most connected to the
 // region, until side 0 holds fraction f of the (normalized) weight. The
-// best of opt.InitTries attempts by edge cut wins.
+// best of initTries attempts by edge cut wins.
 func initialBisect(g *graph.Graph, f float64, opt Options, s *xrand.Stream, wk *workspace) []int8 {
 	n := g.NumVertices()
 	nCon := g.NumConstraints()
@@ -529,7 +519,7 @@ func initialBisect(g *graph.Graph, f float64, opt Options, s *xrand.Stream, wk *
 	}
 
 	bestCut := int64(math.MaxInt64)
-	for try := 0; try < opt.InitTries; try++ {
+	for try := 0; try < initTries; try++ {
 		for i := range side {
 			side[i] = 1
 		}
@@ -761,7 +751,7 @@ func refine2way(g *graph.Graph, side []int8, f float64, opt Options, wk *workspa
 	// entries wait unsorted in neg, heaped only if the heap runs dry with a
 	// side overweight.
 	moved, h, neg := wk.moved[:n], &wk.queue, wk.neg[:0]
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		h.reset()
 		neg = neg[:0]
 		clear(moved)

@@ -181,8 +181,8 @@ func buildMetrics() []metric {
 func WriteMetrics(w io.Writer, st client.StatsReply) {
 	for _, m := range metrics {
 		if m.name != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", m.name, m.help, m.name, m.kind,
-				m.name, strconv.FormatFloat(m.value(&st), 'g', -1, 64))
+			obs.PromHeader(w, m.name, m.kind, m.help)
+			fmt.Fprintf(w, "%s %s\n", m.name, strconv.FormatFloat(m.value(&st), 'g', -1, 64))
 		}
 	}
 	if kd := st.KernelDays; len(kd) > 0 {
@@ -192,7 +192,7 @@ func WriteMetrics(w io.Writer, st client.StatsReply) {
 			names = append(names, k)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP episimd_kernel_days_total Simulated days by executing kernel.\n# TYPE episimd_kernel_days_total counter\n")
+		obs.PromHeader(w, "episimd_kernel_days_total", "counter", "Simulated days by executing kernel.")
 		for _, k := range names {
 			fmt.Fprintf(w, "episimd_kernel_days_total{kernel=%q} %d\n", k, kd[k])
 		}

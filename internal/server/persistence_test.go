@@ -286,6 +286,66 @@ func TestRetentionTTLEvicts(t *testing.T) {
 	}
 }
 
+// TestDiskGCBoundsEachStore runs one disk GC pass over a daemon with all
+// three bounds set, after a fork sweep left two placements, checkpoints
+// and a result record on disk. Only the checkpoints are aged past their
+// TTL, so each store's outcome shows that its own bound acted on it: the
+// placement store is pruned to its byte bound, the checkpoint store is
+// emptied, and the fresh result record survives.
+func TestDiskGCBoundsEachStore(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, MaxActive: 1, CacheDir: dir,
+		StoreMaxBytes: 1, ResultTTL: 24 * time.Hour, CheckpointTTL: time.Hour}
+	srv, c := newTestServer(t, cfg, episim.RunSweepContext)
+	spec := &episim.SweepSpec{
+		Populations: []episim.SweepPopulation{{Name: "p", People: 200, Locations: 20}},
+		Placements:  []episim.SweepPlacement{{Strategy: "RR", Ranks: 2}, {Strategy: "RR", Ranks: 3}},
+		Interventions: []episim.SweepIntervention{
+			{Name: "baseline"},
+			{Name: "closure", Schedule: episim.InterventionSchedule{
+				Closures: []episim.InterventionClosure{{LocType: "school", Day: 4, Days: 2}},
+			}},
+		},
+		ForkDay:           3,
+		Replicates:        1,
+		Days:              6,
+		Seed:              3,
+		InitialInfections: 3,
+	}
+	id := runToDone(t, c, spec)
+
+	if st := srv.cache.StoreStats("placement"); st.Files != 2 {
+		t.Fatalf("placement store before GC = %+v, want 2 files", st)
+	}
+	ckpts := filepath.Join(dir, "checkpoints")
+	old := time.Now().Add(-2 * time.Hour)
+	aged := 0
+	if err := filepath.WalkDir(ckpts, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		aged++
+		return os.Chtimes(path, old, old)
+	}); err != nil || aged == 0 {
+		t.Fatalf("aged %d checkpoint files (%v), want at least 1", aged, err)
+	}
+
+	srv.runGC()
+
+	if st := srv.cache.StoreStats("placement"); st.Bytes > cfg.StoreMaxBytes || st.GCFiles < 1 {
+		t.Fatalf("placement store after GC = %+v, want at most %d bytes and a pruned artifact", st, cfg.StoreMaxBytes)
+	}
+	if st := srv.cache.StoreStats("checkpoint"); st.Files != 0 || st.GCFiles != int64(aged) {
+		t.Fatalf("checkpoint store after GC = %+v, want all %d aged files expired", st, aged)
+	}
+	if st := srv.store.results.Stats(); st.Files != 1 || st.GCFiles != 0 {
+		t.Fatalf("result store after GC = %+v, want the one record kept", st)
+	}
+	if res, err := c.Result(context.Background(), id); err != nil || len(res.Cells) != 4 {
+		t.Fatalf("result after GC: %v, want 4 cells", err)
+	}
+}
+
 // TestRetentionWithoutDiskIsBounded: a memory-only daemon with Retain
 // still bounds its index; evicted jobs are gone (404), which is the
 // documented trade.

@@ -56,8 +56,8 @@ type Config struct {
 	// sweep prunes least-recently-used placement artifacts past the bound
 	// (0 = unbounded). Requires CacheDir.
 	StoreMaxBytes int64
-	// Logger receives the daemon's structured log lines (nil = a plain
-	// text logger on stderr at info level, the historical behavior).
+	// Logger receives the daemon's log lines (nil = slog's text lines on
+	// stderr at info level).
 	Logger *obs.Logger
 }
 
@@ -261,7 +261,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
 	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.store.list())
+		WriteJSON(w, http.StatusOK, s.store.list())
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.withJob(s.handleStatus))
 	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.withJob(s.handleResult))
@@ -270,7 +270,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", s.withJob(s.handleCancel))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.withJob(s.handleCancel))
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.stats())
+		WriteJSON(w, http.StatusOK, s.stats())
 	})
 	mux.HandleFunc("GET /v1/usage", s.handleUsage)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -307,7 +307,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Status != "ok" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 // checkWritable proves dir accepts writes by creating and removing a
@@ -326,7 +326,9 @@ func checkWritable(dir string) error {
 	return os.Remove(name)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as indented JSON. The gateway answers through
+// it too, so both daemons put the same bytes on the wire.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -334,8 +336,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers with the API's error body, {"error": "..."}.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // withJob resolves {id} before invoking h.
@@ -344,7 +347,7 @@ func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *job)) http.
 		id := r.PathValue("id")
 		j, ok := s.store.get(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown sweep %q", id)
+			WriteError(w, http.StatusNotFound, "unknown sweep %q", id)
 			return
 		}
 		h(w, r, j)
@@ -359,7 +362,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := episim.ParseSweepSpec(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
 		s.submitErrors.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Adopt the caller's trace id (sanitized — it travels in headers and
@@ -389,7 +392,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("sweep accepted", "job", j.id, "trace", traceID,
 		"cells", cells, "replicates", spec.Replicates)
 	w.Header().Set(obs.TraceHeader, traceID)
-	writeJSON(w, http.StatusAccepted, client.SubmitReply{
+	WriteJSON(w, http.StatusAccepted, client.SubmitReply{
 		ID:          j.id,
 		Cells:       cells,
 		Simulations: cells * spec.Replicates,
@@ -399,7 +402,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *job) {
-	writeJSON(w, http.StatusOK, s.store.status(j))
+	WriteJSON(w, http.StatusOK, s.store.status(j))
 }
 
 // handleTrace serves a sweep's span timeline. The reply's ID is the
@@ -427,23 +430,23 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, j *job) {
 		end = *st.Finished
 	}
 	tr.WallSeconds = end.Sub(st.Created).Seconds()
-	writeJSON(w, http.StatusOK, tr)
+	WriteJSON(w, http.StatusOK, tr)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *job) {
 	raw, state, err := s.store.resultBytes(j)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if raw == nil {
 		// Distinguish "not yet" (retryable 409) from "never": a canceled
 		// or failed run that produced no aggregate is permanent.
 		if state.Terminal() {
-			writeError(w, http.StatusGone, "sweep %s is %s and produced no result", j.id, state)
+			WriteError(w, http.StatusGone, "sweep %s is %s and produced no result", j.id, state)
 			return
 		}
-		writeError(w, http.StatusConflict, "sweep %s is %s; no result yet", j.id, state)
+		WriteError(w, http.StatusConflict, "sweep %s is %s; no result yet", j.id, state)
 		return
 	}
 	// Serve the canonical bytes materialized at finish (or reloaded from
@@ -455,10 +458,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *job) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, j *job) {
 	if !s.store.requestCancel(j) {
-		writeError(w, http.StatusConflict, "sweep %s already %s", j.id, s.store.status(j).State)
+		WriteError(w, http.StatusConflict, "sweep %s already %s", j.id, s.store.status(j).State)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.store.status(j))
+	WriteJSON(w, http.StatusOK, s.store.status(j))
 }
 
 // handleEvents streams a sweep's cell aggregates as they finalize.
@@ -471,7 +474,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad from=%q", v)
+			WriteError(w, http.StatusBadRequest, "bad from=%q", v)
 			return
 		}
 		from = n
@@ -485,7 +488,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *job) {
 
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	if ndjson {

@@ -14,7 +14,7 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 	if rows == nil {
 		rows = []obs.ClientUsage{}
 	}
-	writeJSON(w, http.StatusOK, client.UsageReply{Instance: s.name, Clients: rows})
+	WriteJSON(w, http.StatusOK, client.UsageReply{Instance: s.name, Clients: rows})
 }
 
 // ClientID is the fleet's one tenant identity rule: the X-Episim-Client

@@ -108,7 +108,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// wireJSON renders v exactly as writeJSON puts it on the wire.
+// wireJSON renders v exactly as WriteJSON puts it on the wire.
 func wireJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
