@@ -2,7 +2,9 @@ package episim_test
 
 import (
 	"bytes"
+	"context"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,5 +176,39 @@ func TestRunSweepDeterministic(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Fatal("sweep JSON differs between sequential and parallel execution")
+	}
+}
+
+// TestDispatchOrderIgnoresCache: the sweep's dispatch order is a function
+// of the spec alone. A warm run over a shared cache dispatches its cells
+// in the same order as the cold run that filled it, whatever the cache
+// now holds.
+func TestDispatchOrderIgnoresCache(t *testing.T) {
+	spec := &episim.SweepSpec{
+		Populations: []episim.SweepPopulation{{Name: "town", People: 3000, Locations: 600}},
+		Placements: []episim.SweepPlacement{
+			{Strategy: "RR", Ranks: 64},
+			{Strategy: "RR", Ranks: 2},
+		},
+		Replicates: 1,
+		Days:       5,
+		Seed:       3,
+		Workers:    1,
+	}
+	cache := episim.NewSweepCache(0)
+	order := func() []int {
+		var idx []int // one worker: OnCell runs in dispatch order
+		_, err := episim.RunSweepContext(context.Background(), spec, &episim.SweepOptions{
+			Cache:  cache,
+			OnCell: func(c episim.SweepCellResult) { idx = append(idx, c.Index) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	cold, warm := order(), order()
+	if !slices.Equal(cold, warm) {
+		t.Fatalf("cold run dispatched %v, warm run %v", cold, warm)
 	}
 }

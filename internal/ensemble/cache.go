@@ -193,27 +193,6 @@ func recovered(f func() (any, error)) (val any, err error) {
 	return f()
 }
 
-// Peek returns the completed value for key without affecting recency or
-// counting a hit — the cost predictor uses it to price cells whose
-// placement already exists without perturbing eviction order.
-func (c *Cache) Peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.ready:
-		if e.err != nil {
-			return nil, false
-		}
-		return e.val, true
-	default:
-		return nil, false // still building
-	}
-}
-
 // evict drops least-recently-used completed entries until the byte bound
 // holds. Callers hold c.mu. Values evicted while a sweep still uses them
 // stay alive through the sweep's own reference; eviction only forgets

@@ -61,7 +61,7 @@ type Hooks struct {
 
 // RunOptions are the service-grade extensions to a sweep run. The zero
 // value (or a nil pointer) reproduces the one-shot behavior: private
-// caches, no streaming, grid-order dispatch, a private worker pool.
+// caches, no streaming, a private worker pool.
 type RunOptions struct {
 	// PopulationCache and PlacementCache, when non-nil, replace the
 	// run-private build caches — the server passes process-lifetime
@@ -79,12 +79,6 @@ type RunOptions struct {
 	// from worker goroutines; implementations must be safe for
 	// concurrent use and should return quickly.
 	OnCell func(CellResult)
-	// PredictCost, when non-nil, prices a cell before dispatch; jobs are
-	// fed to the worker pool most-expensive-cell-first (stable on ties),
-	// the classic longest-processing-time heuristic that cuts makespan
-	// on wide grids with skewed cell sizes. The spec argument is the
-	// normalized private copy (defaults resolved).
-	PredictCost func(Cell, *Spec) float64
 	// Slots, when non-nil, gates every job on a shared slot pool so
 	// several concurrent sweeps are bounded together; each run still
 	// spawns its own Workers goroutines but only min(Workers, free
@@ -146,8 +140,6 @@ type buildSteps struct {
 	trace *obs.Timeline
 
 	population, placement, checkpoint buildStep
-	// placed counts placements that became exactly priceable (see place).
-	placed atomic.Int64
 
 	// failed is the run-private negative memo. Shared caches forget
 	// failed builds so later requests may retry a transient failure;
@@ -269,11 +261,6 @@ func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls Place
 		popSeed = spec.Seed
 	}
 	plKey = pls.Key(popKey)
-	// The cost predictor prices exactly only what it can Peek; note
-	// whether this key is about to transition from estimated to exact
-	// (via a build OR a disk-tier promotion) so the feeder re-prices its
-	// remaining queue either way.
-	_, wasPeekable := b.placement.cache.Peek(plKey)
 	pl, built, err := b.getAfter(&b.placement, plKey, pls.Label(), pls.Label(), func() (any, error) {
 		pop, _, err := b.get(&b.population, popKey, ps.Label(), ps.Label(), func() (any, error) {
 			return hooks.GeneratePopulation(ps, popSeed)
@@ -292,23 +279,20 @@ func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls Place
 		b.population.builds[popKey] += 0
 		b.mu.Unlock()
 	}
-	if !wasPeekable {
-		b.placed.Add(1)
-	}
 	return pl, plKey, nil
 }
 
 // RunContext executes the sweep in three steps: prepare (a private,
 // normalized and validated spec with its models resolved), dispatch
-// ((cell, replicate) tasks through the bounded worker pool,
-// most-expensive-cell-first when opts.PredictCost is set) and collect
-// (each replicate streams into its cell's aggregator, and each cell
-// finalizes — and reaches opts.OnCell — the moment its last replicate
-// lands). Unique populations, placements and checkpoints are built once
-// via the content-keyed caches (shared process-lifetime caches when opts
-// provides them). The output is byte-identical for any Workers value and
-// any dispatch order because aggregation slots are addressed by replicate
-// index and results by grid index, never by completion order.
+// ((cell, replicate) tasks through the bounded worker pool, longest
+// cell first by costOrdered) and collect (each replicate streams into its
+// cell's aggregator, and each cell finalizes — and reaches opts.OnCell —
+// the moment its last replicate lands). Unique populations, placements
+// and checkpoints are built once via the content-keyed caches (shared
+// process-lifetime caches when opts provides them). The output is
+// byte-identical for any Workers value and any dispatch order because
+// aggregation slots are addressed by replicate index and results by grid
+// index, never by completion order.
 //
 // Cancellation: when ctx is canceled the executor stops dispatching,
 // lets in-flight simulations and builds finish (builds always run to
@@ -317,7 +301,9 @@ func (b *buildSteps) place(hooks Hooks, spec *Spec, ps PopulationSpec, pls Place
 // and returns ctx.Err(). A failing or panicking replicate does NOT abort
 // the sweep: its cell is marked failed (remaining replicates are
 // skipped), every other cell still runs, and RunContext returns the
-// partial result alongside an error summarizing the failed cells.
+// partial result alongside an error summarizing the failed cells. A panic
+// in opts.OnCell is recovered too: the sweep runs on, and RunContext
+// returns the result beside the first such panic.
 func RunContext(ctx context.Context, spec *Spec, hooks Hooks, opts *RunOptions) (*SweepResult, error) {
 	r, err := prepare(ctx, spec, hooks, opts)
 	if err != nil {
@@ -366,6 +352,7 @@ type run struct {
 	errs          []error
 	aggs          []*aggregator
 	results       []CellResult
+	emitErr       error // the first panic out of opts.OnCell
 	sims, simDays atomic.Int64
 }
 
@@ -439,39 +426,27 @@ func (r *run) dispatch(n int, feed func(send func(task) bool), do func(task)) {
 	wg.Wait()
 }
 
-// costOrdered feeds every replicate of every cell, cell by cell from a
-// mutable priority queue: with opts.PredictCost set, most expensive cell
-// first (LPT); ties and the nil-predictor case keep grid order. Cold
-// placements are priced by an analytic estimate, so whenever one becomes
-// exactly priceable (builds.placed moves) the feeder re-prices and
-// re-sorts the cells not yet sent — the warm-up pass that fixes LPT's
-// makespan on mixed exact/estimated grids.
+// costOrdered feeds every replicate of every cell, cell by cell, longest
+// cell first with grid order on ties: the longest-processing-time order
+// that keeps one big cell from starting last on a skewed grid. A cell's
+// length is persons × simulated days, read from the spec alone so that a
+// cold and a warm run of one spec dispatch alike. Every cell of a spec
+// simulates the same days (all of them, or on an intervention grid those
+// after ForkDay), so persons alone give that order: a preset's
+// People / Scale, or People.
 func (r *run) costOrdered(send func(task) bool) {
-	pending := make([]int, len(r.cells))
-	for i := range pending {
-		pending[i] = i
-	}
-	predict := r.opts.PredictCost
-	costs := make([]float64, len(r.cells))
-	reprice := func(idxs []int) {
-		for _, ci := range idxs {
-			costs[ci] = predict(r.cells[ci], r.spec)
+	order, persons := make([]int, len(r.cells)), make([]int64, len(r.cells))
+	for i, c := range r.cells {
+		order[i], persons[i] = i, int64(c.Population.People)
+		if c.Population.State != "" { // Validate holds Scale > 0
+			preset, _ := synthpop.PresetByName(c.Population.State)
+			persons[i] = preset.People / int64(c.Population.Scale)
 		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return costs[idxs[a]] > costs[idxs[b]]
-		})
 	}
-	if predict != nil {
-		reprice(pending)
-	}
-	var pricedGen int64
-	for ; len(pending) > 0; pending = pending[1:] {
-		if g := r.builds.placed.Load(); predict != nil && g != pricedGen {
-			pricedGen = g
-			reprice(pending)
-		}
+	sort.SliceStable(order, func(a, b int) bool { return persons[order[a]] > persons[order[b]] })
+	for _, ci := range order {
 		for rep := 0; rep < r.spec.Replicates; rep++ {
-			if !send(task{pending[0], rep}) {
+			if !send(task{ci, rep}) {
 				return
 			}
 		}
@@ -582,10 +557,22 @@ func (r *run) add(ci, rep int, res *core.Result) {
 	r.emit(out)
 }
 
+// emit hands a terminal cell to opts.OnCell on a pool worker, keeping the
+// first panic out of it as the sweep's error.
 func (r *run) emit(res CellResult) {
-	if r.opts.OnCell != nil {
-		r.opts.OnCell(res)
+	if r.opts.OnCell == nil {
+		return
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			r.mu.Lock()
+			if r.emitErr == nil {
+				r.emitErr = fmt.Errorf("ensemble: OnCell for cell %s: %w", res.Label, panicError(p))
+			}
+			r.mu.Unlock()
+		}
+	}()
+	r.opts.OnCell(res)
 }
 
 // result assembles the sweep's outcome once the pool has drained. A
@@ -618,6 +605,9 @@ func (r *run) result() (*SweepResult, error) {
 		CheckpointBuilds: r.builds.checkpoint.builds,
 		Simulations:      int(r.sims.Load()),
 		SimulatedDays:    r.simDays.Load(),
+	}
+	if r.emitErr != nil {
+		return out, r.emitErr
 	}
 	if len(failed) > 0 {
 		return out, fmt.Errorf("ensemble: %d of %d cells failed; first: %w",

@@ -150,8 +150,41 @@ func TestFailedCellDoesNotAbortSweep(t *testing.T) {
 	}
 }
 
-// TestCostOrderedDispatch: with a cost oracle marking one cell of each
-// population expensive, jobs are fed most-expensive-cell-first (LPT),
+// TestOnCellPanicFailsItsSweep: a panic in the caller's OnCell is
+// recovered on the worker that emitted the cell. Every other cell still
+// runs and streams, and RunContext returns the whole result beside the
+// first panic, stack included.
+func TestOnCellPanicFailsItsSweep(t *testing.T) {
+	spec := testSpec() // 8 cells
+	spec.Workers = 4
+	var streamed atomic.Int64
+	res, err := RunContext(context.Background(), spec, (&fakeHooks{}).hooks(), &RunOptions{
+		OnCell: func(c CellResult) {
+			streamed.Add(1)
+			if c.Index == 2 {
+				panic("sink exploded")
+			}
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic: sink exploded") ||
+		!strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("err = %v, want the OnCell panic with its stack", err)
+	}
+	if res == nil || len(res.Cells) != 8 {
+		t.Fatalf("want the whole result beside the error, got %+v", res)
+	}
+	for _, c := range res.Cells {
+		if c.Error != "" || c.Replicates != spec.Replicates {
+			t.Fatalf("cell %q incomplete: %+v", c.Label, c)
+		}
+	}
+	if n := streamed.Load(); n != 8 {
+		t.Fatalf("streamed %d cells, want 8", n)
+	}
+}
+
+// TestCostOrderedDispatch: with one population ten times the size of
+// the others, jobs are fed longest-cell-first (LPT) by persons × days,
 // and the simulated makespan on a 2-worker pool improves over grid
 // order.
 func TestCostOrderedDispatch(t *testing.T) {
@@ -167,19 +200,22 @@ func TestCostOrderedDispatch(t *testing.T) {
 		return baseFinish(eng, job)
 	}
 
-	// 4 cells (1 pop × 1 placement × 4 scenarios), 1 replicate each, with
-	// artificially skewed costs: grid-last is 10× everything else.
+	// 4 cells (4 pops × 1 placement × 1 scenario), 1 replicate each,
+	// skewed by population size: grid-last is 10× everything else.
 	spec := testSpec()
-	spec.Populations = spec.Populations[:1]
+	spec.Populations = []PopulationSpec{
+		{Name: "p0", People: 100, Locations: 10},
+		{State: "WY", Scale: 4995}, // 499,514 / 4,995 = 100 persons
+		{Name: "p2", People: 100, Locations: 10},
+		{Name: "p3", People: 1000, Locations: 100},
+	}
 	spec.Placements = spec.Placements[:1]
-	spec.Scenarios = []ScenarioSpec{{Name: "s0"}, {Name: "s1"}, {Name: "s2"}, {Name: "s3"}}
+	spec.Scenarios = spec.Scenarios[:1]
 	spec.Replicates = 1
 	spec.Workers = 1 // sequential: dispatch order == feed order
 
-	costs := []float64{1, 1, 1, 10}
-	_, err := RunContext(context.Background(), spec, h, &RunOptions{
-		PredictCost: func(c Cell, s *Spec) float64 { return costs[c.Index] },
-	})
+	costs := []float64{100, 100, 100, 1000}
+	_, err := RunContext(context.Background(), spec, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

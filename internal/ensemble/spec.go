@@ -19,7 +19,8 @@
 // context-aware worker pool (dispatch). A replicate that fails or panics
 // fails its own cell and nothing else: the panic, with its stack, becomes
 // the cell's CellResult.Error, and a build that panics releases every
-// sweep waiting on its cache key with the same error.
+// sweep waiting on its cache key with the same error. A panic in the
+// caller's OnCell becomes the sweep's error, and the other cells run on.
 package ensemble
 
 import (

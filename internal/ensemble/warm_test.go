@@ -3,7 +3,6 @@ package ensemble
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -69,91 +68,6 @@ func TestWarmContextPropagatesBuildError(t *testing.T) {
 	_, err := WarmContext(context.Background(), testSpec(), h, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the build failure", err)
-	}
-}
-
-// TestRepriceAfterFirstBuild: once the first placement build completes,
-// the feeder re-invokes the cost predictor for the cells it has not yet
-// dispatched — exact prices replacing cold analytic estimates.
-func TestRepriceAfterFirstBuild(t *testing.T) {
-	f := &fakeHooks{}
-	spec := testSpec()
-	spec.Populations = spec.Populations[:1]
-	spec.Scenarios = spec.Scenarios[:1] // 2 cells: one per placement
-	spec.Replicates = 2
-	spec.Workers = 1 // unbuffered handoff: the feeder blocks behind the worker
-
-	var mu sync.Mutex
-	calls := map[int]int{} // cell index -> predictor invocations
-	_, err := RunContext(context.Background(), spec, f.hooks(), &RunOptions{
-		PredictCost: func(c Cell, s *Spec) float64 {
-			mu.Lock()
-			calls[c.Index]++
-			mu.Unlock()
-			return float64(len(spec.Placements) - c.Index) // keep grid order
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Initial pricing touches both cells once. Cell 0's replicates
-	// dispatch first; its placement build completes while the feeder is
-	// blocked handing over replicate 1, so before cell 1 dispatches the
-	// feeder observes the new build generation and re-prices the
-	// remaining queue — cell 1 must have been priced at least twice.
-	if calls[1] < 2 {
-		t.Fatalf("predictor calls per cell = %v; cell 1 never re-priced after first build", calls)
-	}
-}
-
-// TestRepriceAfterDiskPromotion: a placement loaded from the disk tier
-// (zero builds) becomes exactly priceable too, so the warm-run path —
-// the one the persistent cache exists for — must also trigger the
-// feeder's re-pricing pass.
-func TestRepriceAfterDiskPromotion(t *testing.T) {
-	f := &fakeHooks{}
-	spec := testSpec()
-	spec.Populations = spec.Populations[:1]
-	spec.Scenarios = spec.Scenarios[:1]
-	spec.Replicates = 2
-	spec.Workers = 1
-
-	// Cold pass populates the shared fake disk tier.
-	tier := newFakeTier()
-	cold := &RunOptions{
-		PopulationCache: NewCache(0, nil).WithDisk(newFakeTier()),
-		PlacementCache:  NewCache(0, nil).WithDisk(tier),
-	}
-	if _, err := RunContext(context.Background(), spec, f.hooks(), cold); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm pass: fresh memory caches over the warm tier — every
-	// placement is a disk hit, zero builds, and the predictor is still
-	// re-invoked for the undispatched remainder.
-	var mu sync.Mutex
-	calls := map[int]int{}
-	warm := &RunOptions{
-		PopulationCache: NewCache(0, nil),
-		PlacementCache:  NewCache(0, nil).WithDisk(tier),
-		PredictCost: func(c Cell, s *Spec) float64 {
-			mu.Lock()
-			calls[c.Index]++
-			mu.Unlock()
-			return float64(len(spec.Placements) - c.Index)
-		},
-	}
-	res, err := RunContext(context.Background(), spec, f.hooks(), warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, n := range res.PlacementBuilds {
-		if n != 0 {
-			t.Fatalf("warm run built %q %d times, want 0", key, n)
-		}
-	}
-	if calls[1] < 2 {
-		t.Fatalf("predictor calls per cell = %v; disk promotion never triggered re-pricing", calls)
 	}
 }
 

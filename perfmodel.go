@@ -79,19 +79,6 @@ func NoOptPerfOptions() PerfOptions {
 	return o
 }
 
-// ModelSweepSeconds prices one whole sweep-cell simulation in modeled
-// machine seconds: the placement's per-day cost under the machine model,
-// times the cell's simulated-day count. The ensemble executor uses it as
-// the cost oracle for longest-processing-time dispatch: cells are fed to
-// the worker pool most-expensive-first, which cuts makespan on wide
-// grids whose cells vary wildly in size.
-func ModelSweepSeconds(pl *Placement, days int, opt PerfOptions) float64 {
-	if days < 1 {
-		days = 1
-	}
-	return ModelDayTime(pl, opt).Total * float64(days)
-}
-
 // ModelDayTime prices one simulated day of the placement on the machine
 // model: per-rank compute from the workload models over the actual
 // per-object visit counts, plus the exact cross-rank message matrix implied

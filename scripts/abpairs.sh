@@ -7,11 +7,13 @@
 #        scripts/abpairs.sh HEAD~1 place-cold 10 -seed 3
 #        scripts/abpairs.sh HEAD place-cold 1 -smoke
 #
-# Builds ./bench once from a `git archive` of the ref and once from the
-# working tree, both in a temporary directory, then runs
+# Copies a `git archive` of the ref and the working tree (tracked files
+# and untracked ones that are not ignored) into sibling directories of
+# one temporary directory, builds ./bench in each, then runs
 # `bench -workload <workload> [bench flags...]` in the order A B, B A,
 # A B, ... so that drift on the host falls on both sides alike. Each side
-# runs from its own source tree, with its own BENCHMARK.json.
+# runs from its own copy, with its own BENCHMARK.json and scratch caches,
+# so neither side works in the checkout.
 #
 # Prints each pair's metrics as it completes (on stderr), then, for every
 # end-to-end metric of the result lines, each side's median and quartiles
@@ -34,17 +36,21 @@ root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-mkdir "$tmp/a"
+mkdir "$tmp/a" "$tmp/b"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/a"
-(cd "$tmp/a" && go build -o "$tmp/bench-a" ./bench)
-(cd "$root" && go build -o "$tmp/bench-b" ./bench)
+(cd "$root" && git ls-files -z -co --exclude-standard |
+    while IFS= read -r -d '' f; do
+        if [ -e "$f" ]; then printf '%s\0' "$f"; fi # skip deleted tracked files
+    done | tar -c --null -T -) | tar -x -C "$tmp/b"
+for side in a b; do
+    (cd "$tmp/$side" && go build -o "$tmp/bench-$side" ./bench)
+done
 
 # one SIDE PAIR: run one side once and append its metrics, one
 # "pair metric value" line each, to $tmp/runs-SIDE.
 one() {
-    local side=$1 pair=$2 dir=$root line
-    [ "$side" = a ] && dir=$tmp/a
-    if ! line=$(cd "$dir" && "$tmp/bench-$side" -workload "$workload" "${@:3}" | tail -n 1); then
+    local side=$1 pair=$2 line
+    if ! line=$(cd "$tmp/$side" && "$tmp/bench-$side" -workload "$workload" "${@:3}" | tail -n 1); then
         echo "$0: pair $pair: side $side failed" >&2
         exit 1
     fi

@@ -196,9 +196,8 @@ type SweepOptions struct {
 }
 
 // resolveSweepOptions turns public options into executor options,
-// creating a run-private SweepCache when none is shared — private runs
-// still get a byte-sized cache the cost predictor can peek, so exact
-// re-pricing after the first placement build works everywhere.
+// creating a run-private SweepCache when none is shared, so a private run
+// still reports its checkpoint counters.
 func resolveSweepOptions(opts *SweepOptions) (*ensemble.RunOptions, *SweepCache, error) {
 	if opts == nil {
 		opts = &SweepOptions{}
@@ -215,7 +214,6 @@ func resolveSweepOptions(opts *SweepOptions) (*ensemble.RunOptions, *SweepCache,
 		PopulationCache: cache.caches[kindPopulation],
 		PlacementCache:  cache.caches[kindPlacement],
 		CheckpointCache: cache.caches[kindCheckpoint],
-		PredictCost:     predictCellCost(cache),
 		OnCell:          opts.OnCell,
 		Slots:           opts.Slots,
 		Trace:           opts.Trace,
@@ -236,13 +234,12 @@ func RunSweep(spec *SweepSpec) (*SweepResult, error) {
 // RunSweepContext is RunSweep with cancellation and service hooks: a
 // canceled ctx stops dispatching promptly (in-flight replicates finish)
 // and returns ctx.Err(); opts wires cross-request caching, per-cell
-// streaming and a shared worker-slot pool. Jobs are dispatched
-// most-expensive-cell-first using the Blue Waters machine model as the
-// cost oracle (ModelSweepSeconds on already-built placements, an
-// analytic visit-count estimate otherwise), cutting makespan on grids
-// with skewed cell sizes. When some cells fail, RunSweepContext returns
-// the partial result alongside the error; failed cells carry Error in
-// place of aggregates.
+// streaming and a shared worker-slot pool. Cells are dispatched longest
+// first by persons × simulated days, an order read from the spec alone,
+// cutting makespan on grids with skewed cell sizes. When some cells fail,
+// RunSweepContext returns the partial result alongside the error; failed
+// cells carry Error in place of aggregates. A panic in opts.OnCell is
+// returned as the error beside the whole result.
 func RunSweepContext(ctx context.Context, spec *SweepSpec, opts *SweepOptions) (*SweepResult, error) {
 	ro, cache, err := resolveSweepOptions(opts)
 	if err != nil {
@@ -265,40 +262,6 @@ func WarmSweep(ctx context.Context, spec *SweepSpec, opts *SweepOptions) (*Sweep
 		return nil, err
 	}
 	return ensemble.WarmContext(ctx, spec, sweepHooks(cache), ro)
-}
-
-// predictCellCost prices a sweep cell in modeled Blue Waters seconds for
-// longest-processing-time dispatch. A placement already resident in the
-// shared cache is priced exactly with the machine model; anything else
-// falls back to the dominant analytic term of the person phase — people
-// × visits/person/day × per-visit seconds × days — which lands in the
-// same decade, so mixed exact/estimated grids still order sensibly.
-func predictCellCost(cache *SweepCache) func(ensemble.Cell, *ensemble.Spec) float64 {
-	opt := DefaultPerfOptions()
-	return func(cell ensemble.Cell, spec *ensemble.Spec) float64 {
-		// Intervention cells resume from the shared fork-point
-		// checkpoint, so they only pay for the suffix days.
-		costDays := spec.Days
-		if cell.Intervention != nil && spec.ForkDay > 0 {
-			costDays = spec.Days - spec.ForkDay
-		}
-		popKey := cell.Population.Key(spec.Seed)
-		if v, ok := cache.caches[kindPlacement].Peek(cell.Placement.Key(popKey)); ok {
-			return ModelSweepSeconds(v.(*Placement), costDays, opt)
-		}
-		people := float64(cell.Population.People)
-		if cell.Population.State != "" && cell.Population.Scale > 0 {
-			if p, err := synthpop.PresetByName(cell.Population.State); err == nil {
-				people = float64(p.People) / float64(cell.Population.Scale)
-			}
-		}
-		const visitsPerPersonDay = 5.5 // synthpop calibration target
-		days := float64(costDays)
-		if days < 1 {
-			days = 1
-		}
-		return people * visitsPerPersonDay * opt.PersonSecPerVisit * days
-	}
 }
 
 // combinedScenarioText is the scenario a cell's branch actually runs:
